@@ -23,3 +23,11 @@ class OutsidePointError(RectilinkError):
 
 class PreconditionError(RectilinkError):
     """An engine was called outside its validity range."""
+
+
+class ResourceLimitError(RectilinkError):
+    """The input exceeds a stated size limit; raised before anything is allocated."""
+
+
+class DisconnectedGraphError(RectilinkError):
+    """Some rectangle cannot be reached in the crossing graph."""

@@ -5,6 +5,12 @@ edges join pairs of opposite orientation whose interiors overlap.  The
 oriented distance between two rectangles is the hop distance in this graph
 plus one; it equals the fewest links of a path that starts along the first
 rectangle's orientation and ends along the second's.
+
+The graph is bipartite and undirected, so the table is symmetric and only the
+horizontal rows need a search: the vertical-to-horizontal block is their
+transpose, and the vertical-to-vertical block follows from one min-plus step
+over the crossing edges, since every path out of a vertical rectangle starts
+with an edge to a horizontal one.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from scipy.sparse.csgraph import shortest_path
 from sortedcontainers import SortedList
 
 from .crossing import StoredSegment
+from .errors import DisconnectedGraphError, ResourceLimitError
 from .geometry import Decomposition, Orientation, Rect
 
 DistanceMatrix = np.ndarray  # (m, m) uint16, entry = hop distance + 1
@@ -161,9 +168,19 @@ def build_graph(hdec: Decomposition, vdec: Decomposition, method: str = "sweep")
     )
 
 
+def _check_table_ceiling(m: int) -> None:
+    """Refuse, before allocating, a graph whose distances could overflow uint16."""
+    limit = int(np.iinfo(np.uint16).max)
+    if m + 1 >= limit:
+        raise ResourceLimitError(
+            f"{m} rectangles exceed the uint16 distance table ceiling of {limit - 2}"
+        )
+
+
 def bfs_from(graph: OrientedGraph, source: int) -> np.ndarray:
     """Oriented distances (hops + 1) from one rectangle to all others."""
     m = graph.m
+    _check_table_ceiling(m)
     dist = np.full(m, 0, dtype=np.uint16)
     seen = bytearray(m)
     seen[source] = 1
@@ -178,34 +195,68 @@ def bfs_from(graph: OrientedGraph, source: int) -> np.ndarray:
                 dist[w] = du + 1
                 queue.append(w)
     if not all(seen):
-        raise ValueError("crossing graph is disconnected; the domain is not connected")
+        raise DisconnectedGraphError(
+            f"rectangle {seen.index(0)} is unreachable from rectangle {source}; "
+            "the domain is not connected"
+        )
     return dist
 
 
 def all_pairs(graph: OrientedGraph, chunk: int = 256) -> DistanceMatrix:
-    """All oriented distances: one BFS per source, chunked through scipy."""
-    m = graph.m
-    if m + 1 >= np.iinfo(np.uint16).max:
-        raise ValueError("distance matrix would overflow uint16")
+    """All oriented distances from a search over the horizontal sources only.
+
+    1. A chunked scipy BFS fills the horizontal rows ``dm[H, :]``.  The CSR
+       adjacency stores both directions, so a directed search is exact.
+    2. ``dm[V, H]`` is the transpose of ``dm[H, V]``, copied chunk by chunk.
+    3. ``dm[v, v'] = 1 + min over h in N(v) of dm[h, v']`` for ``v != v'``,
+       and ``dm[v, v] = 1``: a shortest path out of ``v`` starts with an edge
+       to some ``h`` in ``N(v)``.  The minimum is one ``np.minimum.reduceat``
+       over the edges grouped by ``v``.
+
+    ``chunk`` caps both the sources per search and the edges gathered per
+    min-plus block, so no temporary grows with ``m`` squared.
+    """
+    m, nh = graph.m, graph.nh
+    _check_table_ceiling(m)
+    degree = np.fromiter((len(neigh) for neigh in graph.adj), dtype=np.int64, count=m)
+    isolated = np.flatnonzero(degree[nh:] == 0)
+    if len(isolated):
+        raise DisconnectedGraphError(
+            f"vertical rectangle {nh + int(isolated[0])} crosses no horizontal one; "
+            "the domain is not connected"
+        )
     indptr = np.zeros(m + 1, dtype=np.int64)
-    for i, neigh in enumerate(graph.adj):
-        indptr[i + 1] = indptr[i] + len(neigh)
+    np.cumsum(degree, out=indptr[1:])
     indices = np.fromiter(
         (w for neigh in graph.adj for w in neigh), dtype=np.int64, count=indptr[-1]
     )
     sparse = csr_matrix((np.ones(len(indices), dtype=np.uint8), indices, indptr), shape=(m, m))
     dm = np.empty((m, m), dtype=np.uint16)
-    for start in range(0, m, chunk):
+    for start in range(0, nh, chunk):
+        stop = min(start + chunk, nh)
         rows = shortest_path(
-            sparse,
-            method="D",
-            directed=False,
-            unweighted=True,
-            indices=np.arange(start, min(start + chunk, m)),
+            sparse, method="D", directed=True, unweighted=True, indices=np.arange(start, stop)
         )
         if np.isinf(rows).any():
-            raise ValueError("crossing graph is disconnected; the domain is not connected")
-        dm[start : start + rows.shape[0]] = rows.astype(np.uint16) + 1
+            raise DisconnectedGraphError(
+                f"horizontal rectangle {start + int(np.argwhere(np.isinf(rows))[0, 0])} "
+                "does not reach every rectangle; the domain is not connected"
+            )
+        dm[start:stop] = rows.astype(np.uint16) + 1
+        dm[nh:, start:stop] = dm[start:stop, nh:].T
+    # Horizontal neighbours grouped by vertical rectangle: v's group is
+    # neighbours[offset[v - nh] : offset[v - nh + 1]].
+    offset = indptr[nh:] - indptr[nh]
+    neighbours = indices[indptr[nh] :]
+    g = 0
+    while g < graph.nv:
+        end = int(np.searchsorted(offset, offset[g] + chunk, side="right")) - 1
+        end = max(end, g + 1)  # a group larger than the cap is taken whole
+        block = dm[neighbours[offset[g] : offset[end]], nh:]
+        nearest = np.minimum.reduceat(block, offset[g:end] - offset[g], axis=0)
+        dm[nh + g : nh + end, nh:] = nearest + 1
+        g = end
+    np.fill_diagonal(dm, 1)
     return dm
 
 

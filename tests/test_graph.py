@@ -1,15 +1,27 @@
 """Crossing graph construction, BFS distances, summaries, invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from rectilink import (
+    Decomposition,
+    DisconnectedGraphError,
+    GenParams,
     Orientation,
+    Rect,
+    RectilinkError,
+    ResourceLimitError,
     all_pairs,
     bfs_from,
     build_graph,
     far_set,
+    gen_domain,
     middle_segment,
+    prepare,
     rects_cross,
     summarize,
 )
@@ -125,6 +137,108 @@ class TestDistances:
         v3 = rect_by_box(g, (12, 16, 0, 12))
         v4 = rect_by_box(g, (12, 16, 16, 28))
         assert pairs == {(h3, h4), (h4, h3), (v3, v4), (v4, v3)}
+
+
+def reference_table(graph):
+    """Undirected scipy search from every one of the m sources."""
+    rows = [i for i, neigh in enumerate(graph.adj) for _ in neigh]
+    cols = [w for neigh in graph.adj for w in neigh]
+    sparse = csr_matrix((np.ones(len(cols), dtype=np.uint8), (rows, cols)), shape=(graph.m, graph.m))
+    return shortest_path(sparse, method="D", directed=False, unweighted=True).astype(np.uint16) + 1
+
+
+def graph_of(h_boxes, v_boxes):
+    """Crossing graph of hand-placed rectangles, edges by direct area tests."""
+
+    def decomposition(orientation, boxes):
+        return Decomposition(orientation, tuple(Rect(0, orientation, *box) for box in boxes))
+
+    return build_graph(
+        decomposition(Orientation.HORIZONTAL, h_boxes),
+        decomposition(Orientation.VERTICAL, v_boxes),
+        method="quadratic",
+    )
+
+
+# A T shape in doubled coordinates: a top bar over a stem.  Its two ledges
+# share a height, which validation refuses, so the graph is built by hand.
+T_SHAPE_H = [(0, 20, 14, 20), (6, 14, 0, 14)]
+T_SHAPE_V = [(0, 6, 14, 20), (6, 14, 0, 20), (14, 20, 14, 20)]
+
+
+@pytest.fixture(scope="module")
+def grid60():
+    return [
+        prepare(gen_domain(GenParams(width=60, height=60, cells=int(60 * 60 * 0.45), holes=3, seed=seed)))
+        for seed in (1, 2)
+    ]
+
+
+class TestAllPairsDerivation:
+    """The table built from horizontal sources equals a search from all sources."""
+
+    def test_every_row_matches_reference(self, corpus, fixtures, grid60):
+        preps = [inst.prep for inst in corpus + fixtures] + grid60
+        for prep in preps:
+            dm = prep.dm
+            assert dm.dtype == np.uint16
+            assert np.array_equal(dm, reference_table(prep.graph))
+            assert np.array_equal(dm, dm.T)
+            assert (np.diag(dm) == 1).all()
+
+    def test_square_one_rectangle_per_side(self, square):
+        g = square.prep.graph
+        assert (g.m, g.nh, g.nv) == (2, 1, 1)
+        assert np.array_equal(all_pairs(g), reference_table(g))
+
+    def test_unequal_sides(self):
+        g = graph_of(T_SHAPE_H, T_SHAPE_V)
+        assert (g.nh, g.nv) == (2, 3)
+        assert g.edges == ((0, 2), (0, 3), (0, 4), (1, 3))
+        dm = all_pairs(g)
+        assert np.array_equal(dm, reference_table(g))
+        assert dm[2, 4] == 3 and dm[1, 2] == 4
+
+    def test_degree_one_verticals(self, lshape):
+        g = graph_of(T_SHAPE_H, T_SHAPE_V)
+        assert [len(g.adj[v]) for v in g.ids_of(Orientation.VERTICAL)] == [1, 2, 1]
+        assert np.array_equal(all_pairs(g), reference_table(g))
+        g = lshape.prep.graph
+        assert 1 in [len(g.adj[v]) for v in g.ids_of(Orientation.VERTICAL)]
+        assert np.array_equal(all_pairs(g), reference_table(g))
+
+    def test_independent_of_chunk(self, corpus):
+        # chunk=1 makes every vertical rectangle's group larger than the cap
+        for inst in corpus[:20]:
+            for chunk in (1, 3):
+                assert np.array_equal(all_pairs(inst.prep.graph, chunk=chunk), inst.prep.dm)
+
+
+class TestTypedFailures:
+    def test_table_ceiling_before_allocation(self):
+        stub = SimpleNamespace(m=65534, nh=32767, nv=32767)
+        with pytest.raises(ResourceLimitError, match="65533"):
+            all_pairs(stub)
+        with pytest.raises(ResourceLimitError):
+            bfs_from(stub, 0)
+        assert issubclass(ResourceLimitError, RectilinkError)
+
+    def test_unreachable_horizontal(self):
+        g = graph_of([(0, 4, 0, 4), (10, 14, 0, 4)], [(0, 4, 0, 4)])
+        assert g.adj[1] == ()
+        with pytest.raises(DisconnectedGraphError, match="horizontal rectangle 0"):
+            all_pairs(g)
+        with pytest.raises(DisconnectedGraphError):
+            bfs_from(g, 0)
+
+    def test_isolated_vertical(self):
+        g = graph_of([(0, 4, 0, 4)], [(0, 4, 0, 4), (10, 14, 0, 4)])
+        assert g.adj[2] == ()
+        with pytest.raises(DisconnectedGraphError, match="vertical rectangle 2"):
+            all_pairs(g)
+        with pytest.raises(DisconnectedGraphError):
+            bfs_from(g, 0)
+        assert issubclass(DisconnectedGraphError, RectilinkError)
 
 
 class TestSummary:
