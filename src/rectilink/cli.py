@@ -13,23 +13,9 @@ from pathlib import Path
 from .errors import RectilinkError
 from .generator import GenParams, gen_domain
 from .geometry import Point, SCALE, domain_to_instance, parse_domain, require_valid
-from .metrics import (
-    DIAMETER_ALGOS,
-    EDGE_SCAN,
-    ORACLE,
-    RADIUS_ALGOS,
-    compute_diameter,
-    compute_radius,
-)
-from .oracle import build_grid, oracle_diameter, oracle_distance, oracle_radius
-from .pipeline import (
-    diameter_payload,
-    instance_stats,
-    point_out,
-    prepare,
-    radius_payload,
-    run_verify,
-)
+from .metrics import DIAMETER_ALGOS, EDGE_SCAN, ORACLE, RADIUS_ALGOS
+from .oracle import build_grid, oracle_distance
+from .pipeline import instance_stats, point_out, prepare, run_verify, solve
 from .svg import render_svg
 
 
@@ -98,48 +84,23 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _cmd_diameter(args) -> int:
+def _cmd_extreme(args) -> int:
+    """``diameter`` and ``radius``: one engine, or the oracle, with the stage timings."""
     domain = _load_domain(args.instance)
     t0 = time.perf_counter()
+    prep = grid = None
     if args.algo == ORACLE:
         grid = build_grid(domain)
-        prep_seconds = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        payload = diameter_payload(oracle_diameter(grid), False)
-        engine_seconds = time.perf_counter() - t1
     else:
         prep = prepare(domain, validated=True)
-        prep_seconds = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        result, routed = compute_diameter(prep.graph, prep.dm, args.algo)
-        engine_seconds = time.perf_counter() - t1
-        payload = diameter_payload(result, routed)
-        payload["ordiam"] = prep.summary.ordiam
+    prep_seconds = time.perf_counter() - t0
+    solution = solve(args.command, args.algo, prep, grid)
+    payload = solution.payload()
+    if prep is not None:
+        oriented = "ordiam" if args.command == "diameter" else "orrad"
+        payload[oriented] = getattr(prep.summary, oriented)
     payload["requested_algo"] = args.algo
-    payload["timings"] = {"prepare_seconds": prep_seconds, "engine_seconds": engine_seconds}
-    _emit(payload)
-    return 0
-
-
-def _cmd_radius(args) -> int:
-    domain = _load_domain(args.instance)
-    t0 = time.perf_counter()
-    if args.algo == ORACLE:
-        grid = build_grid(domain)
-        prep_seconds = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        payload = radius_payload(oracle_radius(grid), False)
-        engine_seconds = time.perf_counter() - t1
-    else:
-        prep = prepare(domain, validated=True)
-        prep_seconds = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        result, routed = compute_radius(prep.graph, prep.dm, args.algo)
-        engine_seconds = time.perf_counter() - t1
-        payload = radius_payload(result, routed)
-        payload["orrad"] = prep.summary.orrad
-    payload["requested_algo"] = args.algo
-    payload["timings"] = {"prepare_seconds": prep_seconds, "engine_seconds": engine_seconds}
+    payload["timings"] = {"prepare_seconds": prep_seconds, "engine_seconds": solution.seconds}
     _emit(payload)
     return 0
 
@@ -175,9 +136,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    for engine in engines:
-        if engine not in DIAMETER_ALGOS:
-            raise RectilinkError(f"unknown engine {engine!r} (choose from {', '.join(DIAMETER_ALGOS)})")
     rows = []
     for path in args.instances:
         domain = _load_domain(path)
@@ -186,22 +144,11 @@ def _cmd_bench(args) -> int:
         prep_seconds = time.perf_counter() - t0
         row = {"instance": path} | instance_stats(prep)
         row["prep_seconds"] = round(prep_seconds, 6)
-        for algo in engines:
-            times = []
-            for _ in range(args.reps):
-                t1 = time.perf_counter()
-                result, _routed = compute_diameter(prep.graph, prep.dm, algo)
-                times.append(time.perf_counter() - t1)
-            row["diameter"] = result.value
-            row[f"diameter_{algo}_seconds"] = round(statistics.median(times), 6)
-        for algo in (a for a in engines if a in RADIUS_ALGOS):
-            times = []
-            for _ in range(args.reps):
-                t1 = time.perf_counter()
-                result, _routed = compute_radius(prep.graph, prep.dm, algo)
-                times.append(time.perf_counter() - t1)
-            row["radius"] = result.value
-            row[f"radius_{algo}_seconds"] = round(statistics.median(times), 6)
+        for kind, algos in (("diameter", engines), ("radius", [a for a in engines if a in RADIUS_ALGOS])):
+            for algo in algos:
+                runs = [solve(kind, algo, prep) for _ in range(args.reps)]
+                row[kind] = runs[-1].result.value
+                row[f"{kind}_{algo}_seconds"] = round(statistics.median(run.seconds for run in runs), 6)
         rows.append(row)
     if args.format == "json":
         _emit(rows)
@@ -229,12 +176,9 @@ def _cmd_render(args) -> int:
             decomposition = prep.hdec
         elif args.dec == "V":
             decomposition = prep.vdec
-        if args.witness == "diameter":
-            result, _ = compute_diameter(prep.graph, prep.dm, EDGE_SCAN)
-            points = result.pair
-        elif args.witness == "radius":
-            result, _ = compute_radius(prep.graph, prep.dm, EDGE_SCAN)
-            points = (result.center,)
+        if args.witness:
+            result = solve(args.witness, EDGE_SCAN, prep).result
+            points = result.pair if args.witness == "diameter" else (result.center,)
     text = render_svg(domain, decomposition=decomposition, points=points)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -265,12 +209,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diameter", help="rectilinear link diameter with witness pair")
     p.add_argument("instance")
     p.add_argument("--algo", default=EDGE_SCAN, choices=list(DIAMETER_ALGOS) + [ORACLE])
-    p.set_defaults(func=_cmd_diameter)
+    p.set_defaults(func=_cmd_extreme)
 
     p = sub.add_parser("radius", help="rectilinear link radius with center witness")
     p.add_argument("instance")
     p.add_argument("--algo", default=EDGE_SCAN, choices=list(RADIUS_ALGOS) + [ORACLE])
-    p.set_defaults(func=_cmd_radius)
+    p.set_defaults(func=_cmd_extreme)
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--width", type=int, required=True)

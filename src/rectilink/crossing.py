@@ -64,25 +64,15 @@ class CrossingStore:
                 raise ValueError("axis is required for an empty reset")
             axis = segments[0].axis
         store = cls(axis)
-        store._rebuild(segments)
+        store._coords = sorted({seg.lo for seg in segments} | {seg.hi for seg in segments})
+        store._size = max(2 * len(store._coords) - 1, 0)
+        store._nodes = [None] * (2 * store._size)
+        for seg in segments:
+            store._attach(seg)
         return store
 
     def __len__(self) -> int:
         return len(self._live)
-
-    def _rebuild(self, segments) -> None:
-        coords = set()
-        for seg in segments:
-            coords.add(seg.lo)
-            coords.add(seg.hi)
-        self._coords = sorted(coords)
-        k = len(self._coords)
-        self._size = max(2 * k - 1, 0)
-        self._nodes = [None] * (2 * self._size)
-        self._live = {}
-        self._node_ids = {}
-        for seg in segments:
-            self._attach(seg)
 
     def _leaf_of_coord(self, value: int) -> int:
         return 2 * bisect_left(self._coords, value)
@@ -115,25 +105,6 @@ class CrossingStore:
             self._nodes[node].add(key)
         self._live[seg.owner] = seg
         self._node_ids[seg.owner] = ids
-
-    def insert(self, seg: StoredSegment) -> None:
-        """Add one segment; rebuilds the tree if it brings unseen endpoints."""
-        if seg.axis is not self.axis:
-            raise ValueError(f"segment axis {seg.axis} does not match store axis {self.axis}")
-        if seg.owner in self._live:
-            raise ValueError(f"duplicate owner id {seg.owner}")
-        pos_lo = bisect_left(self._coords, seg.lo)
-        pos_hi = bisect_left(self._coords, seg.hi)
-        known = (
-            pos_lo < len(self._coords)
-            and self._coords[pos_lo] == seg.lo
-            and pos_hi < len(self._coords)
-            and self._coords[pos_hi] == seg.hi
-        )
-        if known:
-            self._attach(seg)
-        else:
-            self._rebuild(list(self._live.values()) + [seg])
 
     def pop_crossing(self, query: StoredSegment) -> list[StoredSegment]:
         """Return and remove every live segment crossing ``query``."""
@@ -181,18 +152,15 @@ class ScanCrossingStore:
             axis = segments[0].axis
         store = cls(axis)
         for seg in segments:
-            store.insert(seg)
+            if seg.axis is not axis:
+                raise ValueError(f"segment axis {seg.axis} does not match store axis {axis}")
+            if seg.owner in store._live:
+                raise ValueError(f"duplicate owner id {seg.owner}")
+            store._live[seg.owner] = seg
         return store
 
     def __len__(self) -> int:
         return len(self._live)
-
-    def insert(self, seg: StoredSegment) -> None:
-        if seg.axis is not self.axis:
-            raise ValueError(f"segment axis {seg.axis} does not match store axis {self.axis}")
-        if seg.owner in self._live:
-            raise ValueError(f"duplicate owner id {seg.owner}")
-        self._live[seg.owner] = seg
 
     def pop_crossing(self, query: StoredSegment) -> list[StoredSegment]:
         if query.axis is self.axis:

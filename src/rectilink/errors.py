@@ -31,3 +31,7 @@ class ResourceLimitError(RectilinkError):
 
 class DisconnectedGraphError(RectilinkError):
     """Some rectangle cannot be reached in the crossing graph."""
+
+
+class UnknownChoiceError(RectilinkError, ValueError):
+    """A name that selects a method, algorithm or target is not one of the known choices."""

@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import shortest_path
 from sortedcontainers import SortedList
 
 from .crossing import StoredSegment
-from .errors import DisconnectedGraphError, ResourceLimitError
+from .errors import DisconnectedGraphError, ResourceLimitError, UnknownChoiceError
 from .geometry import Decomposition, Orientation, Rect
 
 DistanceMatrix = np.ndarray  # (m, m) uint16, entry = hop distance + 1
@@ -154,7 +154,7 @@ def build_graph(hdec: Decomposition, vdec: Decomposition, method: str = "sweep")
     elif method == "sweep":
         edges = _edges_sweep(rects, nh)
     else:
-        raise ValueError(f"unknown edge construction method: {method}")
+        raise UnknownChoiceError(f"unknown edge construction method: {method}")
     adj_lists: list[list[int]] = [[] for _ in rects]
     for i, j in edges:
         adj_lists[i].append(j)
@@ -272,7 +272,3 @@ def summarize(dm: DistanceMatrix) -> GraphSummary:
         center_rect=int(np.argmin(row_max)),
     )
 
-
-def far_set(dm: DistanceMatrix, i: int, t: int) -> np.ndarray:
-    """Ids at oriented distance exactly ``t`` from ``i`` (all one orientation)."""
-    return np.nonzero(dm[i] == t)[0]

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossing import CrossingStore
-from .errors import PreconditionError
+from .errors import PreconditionError, UnknownChoiceError
 from .geometry import Decomposition, Domain, Orientation, Point, locate
-from .graph import DistanceMatrix, OrientedGraph, middle_segment, summarize
+from .graph import DistanceMatrix, GraphSummary, OrientedGraph, middle_segment
 
 EDGE_SCAN = "edge-scan"
 MATMUL = "matmul"
@@ -126,13 +126,6 @@ def point_distance(
     return int(min(dm[a, b] for a in rp for b in rq))
 
 
-def oriented_span(dm: DistanceMatrix, p_rects: tuple[int, int], q_rects: tuple[int, int]) -> int:
-    """Max of the four oriented distances; sandwiches the link distance within [span-2, span-1]."""
-    i, ip = p_rects
-    j, jp = q_rects
-    return int(max(dm[i, j], dm[i, jp], dm[ip, j], dm[ip, jp]))
-
-
 def _far_pair_result(graph: OrientedGraph, engine: str, value: int, i: int, j: int) -> DiameterResult:
     """Witness for the off-by-two case: centers of any faces of i and of j."""
     pi = face_center(graph, i, graph.adj[i][0])
@@ -168,9 +161,8 @@ def _center_edge_result(graph: OrientedGraph, engine: str, value: int, edge: tup
     )
 
 
-def diameter_edge_scan(graph: OrientedGraph, dm: DistanceMatrix) -> DiameterResult:
+def diameter_edge_scan(graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary) -> DiameterResult:
     """Scan pairs of graph edges for two far pairs covering each other."""
-    summary = summarize(dm)
     big = summary.ordiam
     if big < 4:
         raise PreconditionError(f"edge-scan diameter needs oriented diameter >= 4, got {big}")
@@ -195,9 +187,8 @@ def diameter_edge_scan(graph: OrientedGraph, dm: DistanceMatrix) -> DiameterResu
     return _far_pair_result(graph, EDGE_SCAN, big - 2, i, j)
 
 
-def radius_edge_scan(graph: OrientedGraph, dm: DistanceMatrix) -> RadiusResult:
+def radius_edge_scan(graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary) -> RadiusResult:
     """For every edge, search an edge whose two far conditions both hold."""
-    summary = summarize(dm)
     small = summary.orrad
     if small < 4:
         raise PreconditionError(f"edge-scan radius needs oriented radius >= 4, got {small}")
@@ -283,9 +274,8 @@ def _crossing_bits(graph: OrientedGraph) -> BitMatrix:
     return BitMatrix(rows, graph.m)
 
 
-def diameter_matmul(graph: OrientedGraph, dm: DistanceMatrix) -> DiameterResult:
+def diameter_matmul(graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary) -> DiameterResult:
     """Boolean matrix-product phrasing of the diameter witness condition."""
-    summary = summarize(dm)
     big = summary.ordiam
     if big < 4:
         raise PreconditionError(f"matmul diameter needs oriented diameter >= 4, got {big}")
@@ -311,9 +301,8 @@ def diameter_matmul(graph: OrientedGraph, dm: DistanceMatrix) -> DiameterResult:
     return _quad_result(graph, MATMUL, big - 1, (i, ip, j, jp))
 
 
-def radius_matmul(graph: OrientedGraph, dm: DistanceMatrix) -> RadiusResult:
+def radius_matmul(graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary) -> RadiusResult:
     """Boolean matrix-product phrasing of the radius witness condition."""
-    summary = summarize(dm)
     small = summary.orrad
     if small < 4:
         raise PreconditionError(f"matmul radius needs oriented radius >= 4, got {small}")
@@ -330,7 +319,9 @@ def radius_matmul(graph: OrientedGraph, dm: DistanceMatrix) -> RadiusResult:
     return _center_rect_result(graph, MATMUL, small - 1, summary.center_rect)
 
 
-def diameter_fast(graph: OrientedGraph, dm: DistanceMatrix, store_cls=CrossingStore) -> DiameterResult:
+def diameter_fast(
+    graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary, store_cls=CrossingStore
+) -> DiameterResult:
     """Far-set sweep over the candidate pair set through a crossing store.
 
     For each source the rectangles covering its far set are collected by
@@ -338,7 +329,6 @@ def diameter_fast(graph: OrientedGraph, dm: DistanceMatrix, store_cls=CrossingSt
     then the reverse map drives one more pop round that enumerates each
     candidate pair exactly once.
     """
-    summary = summarize(dm)
     big = summary.ordiam
     if big < 4:
         raise PreconditionError(f"fast diameter needs oriented diameter >= 4, got {big}")
@@ -385,7 +375,7 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
     oriented value, so no upper precondition is enforced.
     """
     if which not in ("diameter", "radius"):
-        raise ValueError(f"unknown fallback target {which!r}")
+        raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
     faces = overlay_faces(graph)
     hs = np.array([f.h for f in faces])
     vs = np.array([f.v for f in faces])
@@ -424,24 +414,33 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
     )
 
 
-def compute_diameter(graph: OrientedGraph, dm: DistanceMatrix, algo: str = EDGE_SCAN) -> tuple[DiameterResult, bool]:
+def compute_diameter(
+    graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary, algo: str = EDGE_SCAN
+) -> tuple[DiameterResult, bool]:
     """Route to the requested engine, or to the fallback below its validity range.
 
+    ``summary`` is ``summarize(dm)``, computed once by :func:`~rectilink.pipeline.prepare`.
     Returns (result, routed_to_fallback); routing is always explicit.
     """
     if algo not in DIAMETER_ALGOS:
-        raise ValueError(f"unknown diameter algorithm {algo!r}")
-    if summarize(dm).ordiam < 4:
+        raise UnknownChoiceError(
+            f"unknown diameter algorithm {algo!r} (choose from {', '.join(DIAMETER_ALGOS)})"
+        )
+    if summary.ordiam < 4:
         return small_case_fallback(graph, dm, "diameter"), True
     engine = {EDGE_SCAN: diameter_edge_scan, MATMUL: diameter_matmul, FAST: diameter_fast}[algo]
-    return engine(graph, dm), False
+    return engine(graph, dm, summary), False
 
 
-def compute_radius(graph: OrientedGraph, dm: DistanceMatrix, algo: str = EDGE_SCAN) -> tuple[RadiusResult, bool]:
+def compute_radius(
+    graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary, algo: str = EDGE_SCAN
+) -> tuple[RadiusResult, bool]:
     """Radius counterpart of :func:`compute_diameter`."""
     if algo not in RADIUS_ALGOS:
-        raise ValueError(f"unknown radius algorithm {algo!r}")
-    if summarize(dm).orrad < 4:
+        raise UnknownChoiceError(
+            f"unknown radius algorithm {algo!r} (choose from {', '.join(RADIUS_ALGOS)})"
+        )
+    if summary.orrad < 4:
         return small_case_fallback(graph, dm, "radius"), True
     engine = {EDGE_SCAN: radius_edge_scan, MATMUL: radius_matmul}[algo]
-    return engine(graph, dm), False
+    return engine(graph, dm, summary), False

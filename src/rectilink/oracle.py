@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import OutsidePointError
 from .geometry import Domain, Point
-from .metrics import DiameterResult, ORACLE, RadiusResult
+from .metrics import DiameterResult, ORACLE, RadiusResult, generic_pair_in_box
 
 _INF = np.int64(1) << 40
 _MAX_CACHED_SOURCES = 4096
@@ -51,6 +51,7 @@ class GridModel:
         self._v_runs = self._build_runs("F")
         self._cost_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._faces: list[_OracleFace] | None = None
+        self._face_values: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -136,6 +137,20 @@ class GridModel:
         if self._faces is None:
             self._faces = self._compute_faces()
         return self._faces
+
+    def face_values(self) -> np.ndarray:
+        """Read-only link distances between face representatives; 2 on the diagonal."""
+        if self._face_values is None:
+            faces = self.faces()
+            values = np.full((len(faces), len(faces)), 2, dtype=np.int64)
+            for a, face in enumerate(faces):
+                costs = self.costs_from(face.cell, cache=False)
+                for b, other in enumerate(faces):
+                    if a != b:
+                        values[a, b] = self._pair_value(costs, face.rep, face.cell, other.rep, other.cell)
+            values.flags.writeable = False
+            self._face_values = values
+        return self._face_values
 
     def _merge_labels(self, transposed: bool) -> np.ndarray:
         """Per-cell band labels: grid runs merged across cuts no chord separates."""
@@ -252,30 +267,10 @@ def oracle_eccentricity(grid: GridModel, p: Point) -> int:
     return worst
 
 
-def _rep_matrix(grid: GridModel) -> np.ndarray:
-    faces = grid.faces()
-    count = len(faces)
-    values = np.full((count, count), 2, dtype=np.int64)
-    for a, face in enumerate(faces):
-        costs = grid.costs_from(face.cell, cache=False)
-        for b, other in enumerate(faces):
-            if a != b:
-                values[a, b] = grid._pair_value(costs, face.rep, face.cell, other.rep, other.cell)
-    return values
-
-
-def _generic_pair(box: tuple[int, int, int, int]) -> tuple[Point, Point]:
-    xmin, xmax, ymin, ymax = box
-    cx, cy = (xmin + xmax) // 2, (ymin + ymax) // 2
-    if xmax - xmin >= 4 and ymax - ymin >= 4:
-        return ((cx, cy), (cx - 1, cy - 1))
-    return ((xmin, ymin + 1), (xmin + 1, ymin))
-
-
 def oracle_diameter(grid: GridModel) -> DiameterResult:
     """Exhaustive max over face representatives (same-face pairs contribute 2)."""
     faces = grid.faces()
-    values = _rep_matrix(grid)
+    values = grid.face_values()
     flat = int(np.argmax(values))
     a, b = divmod(flat, len(faces))
     value = max(2, int(values[a, b]))
@@ -283,14 +278,14 @@ def oracle_diameter(grid: GridModel) -> DiameterResult:
         pair = (faces[a].rep, faces[b].rep)
     else:
         biggest = max(faces, key=lambda f: (f.box[1] - f.box[0]) * (f.box[3] - f.box[2]))
-        pair = _generic_pair(biggest.box)
+        pair = generic_pair_in_box(biggest.box)
     return DiameterResult(value=value, pair=pair, witness_rects=(), engine=ORACLE)
 
 
 def oracle_radius(grid: GridModel) -> RadiusResult:
     """Exhaustive min-max over face representatives."""
     faces = grid.faces()
-    values = _rep_matrix(grid)
+    values = grid.face_values()
     ecc = values.max(axis=1) if len(faces) > 1 else np.array([2])
     best = int(np.argmin(ecc))
     return RadiusResult(

@@ -1,11 +1,19 @@
-"""End-to-end helpers: prepare a domain, run all engines, cross-check everything."""
+"""One path from a domain to every answer.
+
+:func:`prepare` runs the pipeline up to the oriented-distance table and its
+summary (``ordiam``, ``orrad``), once per domain.  :func:`solve` is the one
+way to a diameter or radius: an engine through its router (from the prepared
+table and summary) or the cut-grid oracle (from the grid).  Every command
+reaches the engines through it; :func:`run_verify` runs each engine and the
+oracle and checks every witness against the oracle.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
-from .errors import OutsidePointError
+from .errors import OutsidePointError, UnknownChoiceError
 from .geometry import (
     Decomposition,
     Domain,
@@ -26,6 +34,8 @@ from .metrics import (
     compute_radius,
 )
 from .oracle import GridModel, build_grid, oracle_diameter, oracle_distance, oracle_eccentricity, oracle_radius
+
+ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind; ORACLE serves both
 
 
 @dataclass(frozen=True)
@@ -54,26 +64,45 @@ def point_out(p: Point):
     return [c // SCALE if c % SCALE == 0 else c / SCALE for c in p]
 
 
-def diameter_payload(result: DiameterResult, routed: bool) -> dict:
-    return {
-        "value": result.value,
-        "engine": result.engine,
-        "routed_to_fallback": routed,
-        "witness": {
-            "pair": [point_out(result.pair[0]), point_out(result.pair[1])],
-            "rects": list(result.witness_rects),
-        },
-    }
+@dataclass(frozen=True)
+class Solution:
+    """A diameter or radius, whether it was routed to the fallback, and the seconds it took."""
+
+    result: DiameterResult | RadiusResult
+    routed: bool
+    seconds: float
+
+    def payload(self) -> dict:
+        """The value fields: value, engine, routing and the witness in original units."""
+        result = self.result
+        if isinstance(result, DiameterResult):
+            witness = {"pair": [point_out(p) for p in result.pair], "rects": list(result.witness_rects)}
+        else:
+            label, ids = result.witness
+            witness = {"center": point_out(result.center), label: list(ids)}
+        return {
+            "value": result.value,
+            "engine": result.engine,
+            "routed_to_fallback": self.routed,
+            "witness": witness,
+        }
 
 
-def radius_payload(result: RadiusResult, routed: bool) -> dict:
-    kind, ids = result.witness
-    return {
-        "value": result.value,
-        "engine": result.engine,
-        "routed_to_fallback": routed,
-        "witness": {"center": point_out(result.center), kind: list(ids)},
-    }
+def solve(kind: str, algo: str, prep: Prepared | None = None, grid: GridModel | None = None) -> Solution:
+    """The ``kind`` ("diameter" or "radius") by engine ``algo``, or by the oracle.
+
+    Engines run through their router on ``prep``; ``algo="oracle"`` runs the
+    cut-grid oracle on ``grid`` and, without a grid, is an unknown engine.
+    """
+    if kind not in ALGOS:
+        raise UnknownChoiceError(f"unknown kind {kind!r} (choose from {', '.join(ALGOS)})")
+    t0 = time.perf_counter()
+    if algo == ORACLE and grid is not None:
+        result, routed = (oracle_diameter if kind == "diameter" else oracle_radius)(grid), False
+    else:
+        router = compute_diameter if kind == "diameter" else compute_radius
+        result, routed = router(prep.graph, prep.dm, prep.summary, algo)
+    return Solution(result, routed, time.perf_counter() - t0)
 
 
 def instance_stats(prep: Prepared) -> dict:
@@ -87,18 +116,13 @@ def instance_stats(prep: Prepared) -> dict:
     }
 
 
-def _check_pair(grid: GridModel, result: DiameterResult) -> bool | None:
+def _witness_ok(grid: GridModel, result: DiameterResult | RadiusResult) -> bool | None:
     try:
-        return oracle_distance(grid, *result.pair) == result.value
-    except OutsidePointError:
-        return None  # witness on the boundary: the oracle cannot price it
-
-
-def _check_center(grid: GridModel, result: RadiusResult) -> bool | None:
-    try:
+        if isinstance(result, DiameterResult):
+            return oracle_distance(grid, *result.pair) == result.value
         return oracle_eccentricity(grid, result.center) == result.value
     except OutsidePointError:
-        return None
+        return None  # witness on the boundary: the oracle cannot price it
 
 
 def run_verify(domain: Domain, prep: Prepared | None = None, grid: GridModel | None = None) -> dict:
@@ -110,46 +134,19 @@ def run_verify(domain: Domain, prep: Prepared | None = None, grid: GridModel | N
     if grid is None:
         grid = build_grid(domain)
 
-    diameters = {}
-    for algo in DIAMETER_ALGOS:
-        t = time.perf_counter()
-        result, routed = compute_diameter(prep.graph, prep.dm, algo)
-        entry = diameter_payload(result, routed)
-        entry["seconds"] = time.perf_counter() - t
-        entry["witness_ok"] = _check_pair(grid, result)
-        diameters[algo] = entry
-    radii = {}
-    for algo in RADIUS_ALGOS:
-        t = time.perf_counter()
-        result, routed = compute_radius(prep.graph, prep.dm, algo)
-        entry = radius_payload(result, routed)
-        entry["seconds"] = time.perf_counter() - t
-        entry["witness_ok"] = _check_center(grid, result)
-        radii[algo] = entry
-
-    t = time.perf_counter()
-    odia = oracle_diameter(grid)
-    orad = oracle_radius(grid)
-    oracle_seconds = time.perf_counter() - t
-    diameters[ORACLE] = diameter_payload(odia, False) | {
-        "seconds": oracle_seconds,
-        "witness_ok": _check_pair(grid, odia),
-    }
-    radii[ORACLE] = radius_payload(orad, False) | {
-        "seconds": oracle_seconds,
-        "witness_ok": _check_center(grid, orad),
-    }
-
-    diameter_values = {entry["value"] for entry in diameters.values()}
-    radius_values = {entry["value"] for entry in radii.values()}
-    witnesses_ok = all(
-        e["witness_ok"] is not False for e in list(diameters.values()) + list(radii.values())
-    )
-    ok = len(diameter_values) == 1 and len(radius_values) == 1 and witnesses_ok
-    return {
-        "instance": instance_stats(prep),
-        "diameter": diameters,
-        "radius": radii,
-        "verdict": "ok" if ok else "disagree",
-        "timings": {"prepare_seconds": prep_seconds},
-    }
+    report = {"instance": instance_stats(prep)}
+    ok = True
+    for kind, algos in ALGOS.items():
+        entries = {}
+        for algo in algos + (ORACLE,):
+            solution = solve(kind, algo, prep, grid)
+            entries[algo] = solution.payload() | {
+                "seconds": solution.seconds,
+                "witness_ok": _witness_ok(grid, solution.result),
+            }
+        ok &= len({e["value"] for e in entries.values()}) == 1
+        ok &= all(e["witness_ok"] is not False for e in entries.values())
+        report[kind] = entries
+    report["verdict"] = "ok" if ok else "disagree"
+    report["timings"] = {"prepare_seconds": prep_seconds}
+    return report

@@ -42,14 +42,14 @@ def test_criterion_1_fixture_exactness(square, lshape, donut):
     for inst in (square, lshape, donut):
         dia, rad = expected[inst.name]
         for algo in ("edge-scan", "matmul", "fast"):
-            result, _ = compute_diameter(inst.prep.graph, inst.prep.dm, algo)
+            result, _ = compute_diameter(inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)
             assert result.value == dia, (inst.name, algo)
         for algo in ("edge-scan", "matmul"):
-            result, _ = compute_radius(inst.prep.graph, inst.prep.dm, algo)
+            result, _ = compute_radius(inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)
             assert result.value == rad, (inst.name, algo)
     assert (donut.prep.summary.ordiam, donut.prep.summary.orrad) == (5, 4)
     assert lshape.prep.summary.orrad == 3  # radius must route to the fallback
-    _, routed = compute_radius(lshape.prep.graph, lshape.prep.dm, "edge-scan")
+    _, routed = compute_radius(lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "edge-scan")
     assert routed
     print("\nACCEPTANCE 1 PASS: fixture exactness (SQUARE 2/2, LSHAPE 2/2, DONUT 3/2; DONUT extremes 5/4)")
 
@@ -189,26 +189,22 @@ def test_criterion_7_witness_validity(reports):
 def test_criterion_8_crossing_store_oracle():
     rng = random.Random(808)
     sequences = 10_000
+
+    def segment(axis, owner):
+        lo = rng.randrange(-24, 23)
+        hi = rng.randrange(lo + 1, 24)
+        return StoredSegment(axis, fixed=rng.randrange(-24, 24), lo=lo, hi=hi, owner=owner)
+
     for _ in range(sequences):
         axis = H if rng.random() < 0.5 else V
-        real = CrossingStore(axis)
-        ref = ScanCrossingStore(axis)
-        owner = 0
-        for _ in range(rng.randrange(2, 12)):
-            if rng.random() < 0.6:
-                lo = rng.randrange(-24, 23)
-                hi = rng.randrange(lo + 1, 24)
-                seg = StoredSegment(axis, fixed=rng.randrange(-24, 24), lo=lo, hi=hi, owner=owner)
-                owner += 1
-                real.insert(seg)
-                ref.insert(seg)
-            else:
-                lo = rng.randrange(-24, 23)
-                hi = rng.randrange(lo + 1, 24)
-                q = StoredSegment(axis.opposite, fixed=rng.randrange(-24, 24), lo=lo, hi=hi, owner=10_000)
-                assert real.pop_crossing(q) == ref.pop_crossing(q)
-        assert len(real) == len(ref)
-    print(f"\nACCEPTANCE 8 PASS: {sequences} randomized insert/pop sequences match the quadratic reference")
+        segments = [segment(axis, owner) for owner in range(rng.randrange(0, 8))]
+        real = CrossingStore.reset(segments, axis=axis)
+        ref = ScanCrossingStore.reset(segments, axis=axis)
+        for _ in range(rng.randrange(1, 6)):
+            q = segment(axis.opposite, 10_000)
+            assert real.pop_crossing(q) == ref.pop_crossing(q)
+            assert len(real) == len(ref)
+    print(f"\nACCEPTANCE 8 PASS: {sequences} randomized reset/pop sequences match the quadratic reference")
 
 
 def test_criterion_9_branch_coverage(reports):
@@ -237,7 +233,7 @@ def test_criterion_10_performance_soft(tmp_path, capsys):
     t0 = time.perf_counter()
     big = gen_domain(GenParams(width=200, height=200, cells=int(200 * 200 * 0.45), holes=3, seed=3))
     prep = prepare(big)
-    fast_result, _ = compute_diameter(prep.graph, prep.dm, "fast")
+    fast_result, _ = compute_diameter(prep.graph, prep.dm, prep.summary, "fast")
     fast_elapsed = time.perf_counter() - t0
     assert 4000 <= big.n <= 6500
     if fast_elapsed > 60:
@@ -246,8 +242,8 @@ def test_criterion_10_performance_soft(tmp_path, capsys):
     t0 = time.perf_counter()
     medium = gen_domain(GenParams(width=100, height=100, cells=int(100 * 100 * 0.4), holes=3, seed=13))
     prep2 = prepare(medium)
-    dia2, _ = compute_diameter(prep2.graph, prep2.dm, "matmul")
-    rad2, _ = compute_radius(prep2.graph, prep2.dm, "matmul")
+    dia2, _ = compute_diameter(prep2.graph, prep2.dm, prep2.summary, "matmul")
+    rad2, _ = compute_radius(prep2.graph, prep2.dm, prep2.summary, "matmul")
     matmul_elapsed = time.perf_counter() - t0
     assert prep2.graph.m >= 2000
     if matmul_elapsed > 60:

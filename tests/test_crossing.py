@@ -22,15 +22,12 @@ def horizontal_middles(inst):
 
 
 class TestBasics:
-    def test_insert_single(self, donut):
-        store = CrossingStore(V)
-        store.insert(vertical_middles(donut)[0])
+    def test_reset_single(self, donut):
+        store = CrossingStore.reset(vertical_middles(donut)[:1])
         assert len(store) == 1
 
-    def test_insert_all_donut(self, donut):
-        store = CrossingStore(V)
-        for seg in vertical_middles(donut):
-            store.insert(seg)
+    def test_reset_all_donut(self, donut):
+        store = CrossingStore.reset(vertical_middles(donut))
         assert len(store) == 4
 
     def test_degenerate_interval(self):
@@ -38,16 +35,15 @@ class TestBasics:
             StoredSegment(axis=V, fixed=3, lo=5, hi=5, owner=0)
 
     def test_duplicate_owner(self, donut):
-        store = CrossingStore(V)
         seg = vertical_middles(donut)[0]
-        store.insert(seg)
-        with pytest.raises(ValueError, match="duplicate owner"):
-            store.insert(seg)
+        for store_cls in (CrossingStore, ScanCrossingStore):
+            with pytest.raises(ValueError, match="duplicate owner"):
+                store_cls.reset([seg, seg])
 
     def test_axis_mismatch(self, donut):
-        store = CrossingStore(H)
-        with pytest.raises(ValueError, match="axis"):
-            store.insert(vertical_middles(donut)[0])
+        for store_cls in (CrossingStore, ScanCrossingStore):
+            with pytest.raises(ValueError, match="axis"):
+                store_cls.reset(vertical_middles(donut)[:1], axis=H)
 
     def test_query_axis_must_be_opposite(self, donut):
         store = CrossingStore.reset(vertical_middles(donut))
@@ -102,19 +98,13 @@ def random_segment(rng, axis, owner, span=40):
 
 
 def run_sequence(rng, store_axis, op_count):
-    """Drive both stores with one random program; compare every answer."""
-    real = CrossingStore(store_axis)
-    ref = ScanCrossingStore(store_axis)
-    owner = 0
-    for _ in range(op_count):
-        if rng.random() < 0.55:
-            seg = random_segment(rng, store_axis, owner)
-            owner += 1
-            real.insert(seg)
-            ref.insert(seg)
-        else:
-            query = random_segment(rng, store_axis.opposite, 10_000 + owner)
-            assert real.pop_crossing(query) == ref.pop_crossing(query)
+    """Drive both stores with one random reset-then-pop program; compare every answer."""
+    segs = [random_segment(rng, store_axis, owner) for owner in range(rng.randrange(0, op_count))]
+    real = CrossingStore.reset(segs, axis=store_axis)
+    ref = ScanCrossingStore.reset(segs, axis=store_axis)
+    for k in range(op_count - len(segs)):
+        query = random_segment(rng, store_axis.opposite, 10_000 + k)
+        assert real.pop_crossing(query) == ref.pop_crossing(query)
         assert len(real) == len(ref)
 
 
@@ -135,7 +125,7 @@ class TestAgainstReference:
                 assert real.pop_crossing(q) == ref.pop_crossing(q)
 
     def test_conservation(self):
-        # every inserted segment is reported by at most one pop
+        # every stored segment is reported by at most one pop
         rng = random.Random(77)
         for _ in range(50):
             segs = [random_segment(rng, H, k) for k in range(25)]
@@ -163,12 +153,11 @@ def segments(draw, axis):
 )
 @settings(max_examples=150, deadline=None)
 def test_hypothesis_matches_reference(stored, queries):
-    real = CrossingStore(H)
-    ref = ScanCrossingStore(H)
-    for owner, (fixed, lo, hi) in enumerate(stored):
-        seg = StoredSegment(H, fixed=fixed, lo=lo, hi=hi, owner=owner)
-        real.insert(seg)
-        ref.insert(seg)
+    segs = [
+        StoredSegment(H, fixed=fixed, lo=lo, hi=hi, owner=owner) for owner, (fixed, lo, hi) in enumerate(stored)
+    ]
+    real = CrossingStore.reset(segs, axis=H)
+    ref = ScanCrossingStore.reset(segs, axis=H)
     for k, (fixed, lo, hi) in enumerate(queries):
         q = StoredSegment(V, fixed=fixed, lo=lo, hi=hi, owner=1000 + k)
         assert real.pop_crossing(q) == ref.pop_crossing(q)

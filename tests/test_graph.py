@@ -18,7 +18,6 @@ from rectilink import (
     all_pairs,
     bfs_from,
     build_graph,
-    far_set,
     gen_domain,
     middle_segment,
     prepare,
@@ -269,11 +268,11 @@ class TestFarSet:
         h4 = rect_by_box(g, (16, 28, 12, 16))
         v3 = rect_by_box(g, (12, 16, 0, 12))
         v4 = rect_by_box(g, (12, 16, 16, 28))
-        assert far_set(dm, h3, 5).tolist() == [h4]
-        assert far_set(dm, v3, 5).tolist() == [v4]
+        assert np.nonzero(dm[h3] == 5)[0].tolist() == [h4]
+        assert np.nonzero(dm[v3] == 5)[0].tolist() == [v4]
 
     def test_square(self, square):
-        assert far_set(square.prep.dm, 0, 2).tolist() == [1]
+        assert np.nonzero(square.prep.dm[0] == 2)[0].tolist() == [1]
 
     def test_parity(self, corpus):
         # distance parity matches orientation: odd iff same side of the bipartition

@@ -16,7 +16,6 @@ from rectilink import (
     locate,
     oracle_distance,
     oracle_eccentricity,
-    oriented_span,
     overlay_faces,
     point_distance,
     radius_edge_scan,
@@ -58,13 +57,15 @@ class TestPointDistance:
 
 
 class TestOrientedSpan:
+    """The largest of the four oriented distances bounds the link distance to [span-2, span-1]."""
+
     def test_donut(self, donut):
         g, dm = donut.prep.graph, donut.prep.dm
         h1 = rect_by_box(g, (0, 28, 0, 12))
         h2 = rect_by_box(g, (0, 28, 16, 28))
         v3 = rect_by_box(g, (12, 16, 0, 12))
         v4 = rect_by_box(g, (12, 16, 16, 28))
-        span = oriented_span(dm, (h1, v3), (h2, v4))
+        span = int(dm[np.ix_((h1, v3), (h2, v4))].max())
         assert span == 5
         rld = dist(donut, (14, 6), (14, 22))
         assert span - 2 <= rld <= span - 1
@@ -75,7 +76,7 @@ class TestOrientedSpan:
         h2 = rect_by_box(g, (0, 8, 8, 20))
         v1 = rect_by_box(g, (0, 8, 0, 20))
         v2 = rect_by_box(g, (8, 20, 0, 8))
-        assert oriented_span(dm, (h2, v1), (h1, v2)) == 4
+        assert dm[np.ix_((h2, v1), (h1, v2))].max() == 4
 
     def test_sandwich_on_generated(self, corpus):
         rng = np.random.default_rng(3)
@@ -88,7 +89,7 @@ class TestOrientedSpan:
                 rq = containing_pair(inst, q)
                 if rp is None or rq is None or set(rp) & set(rq):
                     continue
-                span = oriented_span(inst.prep.dm, rp, rq)
+                span = int(inst.prep.dm[np.ix_(rp, rq)].max())
                 rld = dist(inst, p, q)
                 assert span - 2 <= rld <= span - 1
 
@@ -115,7 +116,7 @@ class TestEngineFixtures:
     def test_donut_diameter_all_engines(self, donut):
         g, dm = donut.prep.graph, donut.prep.dm
         for engine in (diameter_edge_scan, diameter_matmul, diameter_fast):
-            res = engine(g, dm)
+            res = engine(g, dm, donut.prep.summary)
             assert res.value == 3
             assert res.pair == ((6, 14), (22, 14))  # (3,7) and (11,7) in input units
 
@@ -124,7 +125,7 @@ class TestEngineFixtures:
         h1 = rect_by_box(g, (0, 28, 0, 12))
         v1 = rect_by_box(g, (0, 12, 0, 28))
         for engine in (radius_edge_scan, radius_matmul):
-            res = engine(g, dm)
+            res = engine(g, dm, donut.prep.summary)
             assert res.value == 2
             assert res.witness == ("edge", (h1, v1))
             assert res.center == (6, 6)  # (3,3)
@@ -132,16 +133,16 @@ class TestEngineFixtures:
     def test_lshape_diameter(self, lshape):
         g, dm = lshape.prep.graph, lshape.prep.dm
         for engine in (diameter_edge_scan, diameter_matmul, diameter_fast):
-            assert engine(g, dm).value == 2
+            assert engine(g, dm, lshape.prep.summary).value == 2
 
     def test_preconditions(self, square, lshape):
         g, dm = square.prep.graph, square.prep.dm
         for engine in (diameter_edge_scan, diameter_matmul, diameter_fast, radius_edge_scan, radius_matmul):
             with pytest.raises(PreconditionError):
-                engine(g, dm)
+                engine(g, dm, square.prep.summary)
         for engine in (radius_edge_scan, radius_matmul):  # LSHAPE orrad = 3
             with pytest.raises(PreconditionError):
-                engine(lshape.prep.graph, lshape.prep.dm)
+                engine(lshape.prep.graph, lshape.prep.dm, lshape.prep.summary)
 
 
 class TestFallback:
@@ -165,16 +166,16 @@ class TestFallback:
             small_case_fallback(square.prep.graph, square.prep.dm, "girth")
 
     def test_routing(self, square, lshape, donut):
-        res, routed = compute_diameter(square.prep.graph, square.prep.dm, "fast")
+        res, routed = compute_diameter(square.prep.graph, square.prep.dm, square.prep.summary, "fast")
         assert routed and res.engine == "fallback" and res.value == 2
-        res, routed = compute_radius(lshape.prep.graph, lshape.prep.dm, "matmul")
+        res, routed = compute_radius(lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "matmul")
         assert routed and res.engine == "fallback" and res.value == 2
-        res, routed = compute_diameter(donut.prep.graph, donut.prep.dm, "fast")
+        res, routed = compute_diameter(donut.prep.graph, donut.prep.dm, donut.prep.summary, "fast")
         assert not routed and res.engine == "fast"
 
     def test_unknown_algo(self, square):
         with pytest.raises(ValueError):
-            compute_diameter(square.prep.graph, square.prep.dm, "quantum")
+            compute_diameter(square.prep.graph, square.prep.dm, square.prep.summary, "quantum")
 
 
 class TestBitMatrix:
@@ -255,11 +256,11 @@ class TestMatmulPathEquivalence:
 
 class TestWitnesses:
     def test_donut_diameter_pair_oracle_valid(self, donut):
-        res = diameter_edge_scan(donut.prep.graph, donut.prep.dm)
+        res = diameter_edge_scan(donut.prep.graph, donut.prep.dm, donut.prep.summary)
         assert oracle_distance(donut.grid, *res.pair) == res.value
 
     def test_donut_radius_center_oracle_valid(self, donut):
-        res = radius_edge_scan(donut.prep.graph, donut.prep.dm)
+        res = radius_edge_scan(donut.prep.graph, donut.prep.dm, donut.prep.summary)
         assert oracle_eccentricity(donut.grid, res.center) == res.value
 
     def test_square_center(self, square):
@@ -267,7 +268,7 @@ class TestWitnesses:
         assert oracle_eccentricity(square.grid, res.center) == 2
 
     def test_far_pair_witness_distance(self, donut):
-        res = diameter_edge_scan(donut.prep.graph, donut.prep.dm)
+        res = diameter_edge_scan(donut.prep.graph, donut.prep.dm, donut.prep.summary)
         i, j = res.witness_rects
         assert donut.prep.dm[i, j] == donut.prep.summary.ordiam
 
@@ -276,7 +277,7 @@ class TestEngineAgreement:
     def test_diameter_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute_diameter(inst.prep.graph, inst.prep.dm, algo)[0].value
+                compute_diameter(inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)[0].value
                 for algo in ("edge-scan", "matmul", "fast")
             }
             assert len(values) == 1, inst.name
@@ -284,7 +285,7 @@ class TestEngineAgreement:
     def test_radius_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute_radius(inst.prep.graph, inst.prep.dm, algo)[0].value
+                compute_radius(inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)[0].value
                 for algo in ("edge-scan", "matmul")
             }
             assert len(values) == 1, inst.name
@@ -293,8 +294,8 @@ class TestEngineAgreement:
         for inst in corpus[:25]:
             if inst.prep.summary.ordiam < 4:
                 continue
-            a = diameter_fast(inst.prep.graph, inst.prep.dm)
-            b = diameter_fast(inst.prep.graph, inst.prep.dm, store_cls=ScanCrossingStore)
+            a = diameter_fast(inst.prep.graph, inst.prep.dm, inst.prep.summary)
+            b = diameter_fast(inst.prep.graph, inst.prep.dm, inst.prep.summary, store_cls=ScanCrossingStore)
             assert a.value == b.value
 
     def test_faces_partition_area(self, small_corpus):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rectilink import (
+    GridModel,
     OutsidePointError,
     build_grid,
     oracle_diameter,
@@ -103,6 +104,22 @@ class TestOracleExtremes:
     def test_radius_center_realizes_value(self, donut):
         res = oracle_radius(donut.grid)
         assert oracle_eccentricity(donut.grid, res.center) == res.value
+
+    def test_radius_reuses_face_matrix(self, monkeypatch):
+        grid = build_grid(parse_domain(DONUT))
+        calls = []
+        costs_from = GridModel.costs_from
+
+        def counted(self, cell, cache=True):
+            calls.append(cell)
+            return costs_from(self, cell, cache)
+
+        monkeypatch.setattr(GridModel, "costs_from", counted)
+        oracle_diameter(grid)
+        assert len(calls) == len(grid.faces())
+        calls.clear()
+        assert oracle_radius(grid).value == 2
+        assert calls == []
 
 
 class TestFormulaCrossValidation:

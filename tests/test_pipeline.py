@@ -1,0 +1,109 @@
+"""The one solve path: CLI, verify and bench agree; the summary is computed once; typed choices."""
+
+import json
+import sys
+
+import pytest
+
+import rectilink.graph
+from rectilink import (
+    RectilinkError,
+    UnknownChoiceError,
+    build_graph,
+    compute_diameter,
+    compute_radius,
+    domain_to_instance,
+    small_case_fallback,
+    solve,
+)
+from rectilink.cli import main
+from rectilink.metrics import DIAMETER_ALGOS, ORACLE, RADIUS_ALGOS
+
+ALGOS = {"diameter": DIAMETER_ALGOS + (ORACLE,), "radius": RADIUS_ALGOS + (ORACLE,)}
+VALUE_FIELDS = ("value", "engine", "routed_to_fallback", "witness")
+
+
+def cli_json(capsys, *argv):
+    code = main(list(argv))
+    assert code == 0, argv
+    return json.loads(capsys.readouterr().out)
+
+
+def write_instances(tmp_path, instances):
+    paths = []
+    for inst in instances:
+        path = tmp_path / f"{inst.name}.json"
+        path.write_text(json.dumps(domain_to_instance(inst.domain)))
+        paths.append(str(path))
+    return paths
+
+
+class TestCrossPath:
+    def test_cli_verify_and_bench_agree(self, capsys, tmp_path, fixtures, corpus):
+        instances = fixtures + corpus[::10]
+        for path in write_instances(tmp_path, instances):
+            report = cli_json(capsys, "verify", path)
+            for kind, algos in ALGOS.items():
+                for algo in algos:
+                    payload = cli_json(capsys, kind, path, "--algo", algo)
+                    entry = report[kind][algo]
+                    assert {f: payload[f] for f in VALUE_FIELDS} == {f: entry[f] for f in VALUE_FIELDS}, (
+                        path,
+                        kind,
+                        algo,
+                    )
+            for algo in DIAMETER_ALGOS:
+                (row,) = cli_json(capsys, "bench", path, "--engines", algo, "--format", "json")
+                assert row["diameter"] == report["diameter"][algo]["value"], (path, algo)
+                if algo in RADIUS_ALGOS:
+                    assert row["radius"] == report["radius"][algo]["value"], (path, algo)
+
+
+@pytest.fixture()
+def summarize_calls(monkeypatch):
+    """Count calls of ``summarize`` through every module attribute of the package bound to it."""
+    calls = []
+    original = rectilink.graph.summarize
+
+    def counted(dm):
+        calls.append(1)
+        return original(dm)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rectilink" or name.startswith("rectilink."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+class TestComputedOnce:
+    def test_summary_once_per_command(self, capsys, tmp_path, summarize_calls, donut, lshape):
+        for path in write_instances(tmp_path, [donut, lshape]):
+            for kind, algos in ALGOS.items():
+                for algo in algos:
+                    summarize_calls.clear()
+                    cli_json(capsys, kind, path, "--algo", algo)
+                    assert len(summarize_calls) == (0 if algo == ORACLE else 1), (path, kind, algo)
+            summarize_calls.clear()
+            cli_json(capsys, "verify", path)
+            assert len(summarize_calls) == 1, path
+
+
+class TestTypedChoices:
+    def test_unknown_choices_raise_rectilink_error(self, donut):
+        prep = donut.prep
+        calls = [
+            lambda: solve("diameter", "quantum", prep),
+            lambda: solve("radius", "fast", prep),
+            lambda: solve("diameter", ORACLE, prep),  # the oracle needs a grid
+            lambda: solve("girth", "matmul", prep),
+            lambda: compute_diameter(prep.graph, prep.dm, prep.summary, "quantum"),
+            lambda: compute_radius(prep.graph, prep.dm, prep.summary, "fast"),
+            lambda: build_graph(prep.hdec, prep.vdec, method="nope"),
+            lambda: small_case_fallback(prep.graph, prep.dm, "girth"),
+        ]
+        for call in calls:
+            with pytest.raises(UnknownChoiceError) as info:
+                call()
+            assert isinstance(info.value, RectilinkError) and isinstance(info.value, ValueError)
