@@ -22,7 +22,7 @@ from .svg import render_svg
 def _load_domain(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RectilinkError(f"cannot read {path}: {exc}") from exc
     domain = parse_domain(text)
     require_valid(domain)
@@ -135,6 +135,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise RectilinkError(f"--reps must be at least 1, got {args.reps}")
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     rows = []
     for path in args.instances:

@@ -21,10 +21,6 @@ class OutsidePointError(RectilinkError):
     """A query point lies outside the domain."""
 
 
-class PreconditionError(RectilinkError):
-    """An engine was called outside its validity range."""
-
-
 class ResourceLimitError(RectilinkError):
     """The input exceeds a stated size limit; raised before anything is allocated."""
 

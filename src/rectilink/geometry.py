@@ -172,8 +172,11 @@ def parse_domain(text) -> Domain:
     outer = _parse_ring(data["outer"], "outer")
     if outer.signed_area2() < 0:
         outer = outer.reversed()
+    hole_objs = data.get("holes") or []
+    if not isinstance(hole_objs, (list, tuple)):
+        raise InstanceFormatError(f'"holes" must be a list of rings, got {hole_objs!r}')
     holes = []
-    for k, ring_obj in enumerate(data.get("holes", []) or []):
+    for k, ring_obj in enumerate(hole_objs):
         hole = _parse_ring(ring_obj, f"holes[{k}]")
         if hole.signed_area2() > 0:
             hole = hole.reversed()
@@ -414,7 +417,7 @@ def vertical_decomposition(domain: Domain) -> Decomposition:
     return Decomposition(Orientation.VERTICAL, rects)
 
 
-def locate(domain: Domain, dec: Decomposition, p: Point) -> set[int]:
+def locate(dec: Decomposition, p: Point) -> set[int]:
     """Ids of all rectangles of ``dec`` whose closure contains ``p``.
 
     One id for a generic interior point, two across a shared slab boundary.

@@ -2,9 +2,11 @@
 
 Distances between points reduce to a four-way minimum of oriented distances
 over the rectangles containing them.  For the global extremes, the oriented
-diameter and radius pin the answer to one of two candidates; each engine
-decides between them by searching for a witness configuration of crossing
-rectangle pairs:
+diameter ``ordiam`` pins the diameter to ``ordiam - 1`` or ``ordiam - 2``, and
+the oriented radius ``orrad`` pins the radius to ``orrad - 1`` or ``orrad - 2``.
+Each engine decides between the two on the far relation ``dm >= ordiam`` (or
+``dm >= orrad``) and returns only its decision, a witness configuration of
+crossing rectangle pairs or ``None``:
 
 * ``edge-scan``: direct scan over pairs of graph edges,
 * ``matmul``: the same condition phrased as thresholded boolean matrix
@@ -12,9 +14,10 @@ rectangle pairs:
 * ``fast`` (diameter only): per-source far sets explored through a
   report-and-remove crossing store, visiting each candidate pair once.
 
-Both decisions are only valid when the oriented value is at least 4; below
-that the exact answer comes from enumerating overlay faces
-(:func:`small_case_fallback`).
+The decision is only valid when the oriented value is at least 4.  The one
+router, :func:`compute`, sends smaller values to :func:`small_case_fallback`
+(exact enumeration of overlay faces), builds the far relation once for the
+engine, and turns its decision into the result and witness points.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossing import CrossingStore
-from .errors import PreconditionError, UnknownChoiceError
+from .errors import UnknownChoiceError
 from .geometry import Decomposition, Domain, Orientation, Point, locate
 from .graph import DistanceMatrix, GraphSummary, OrientedGraph, middle_segment
 
@@ -37,6 +40,7 @@ ORACLE = "oracle"
 
 DIAMETER_ALGOS = (EDGE_SCAN, MATMUL, FAST)
 RADIUS_ALGOS = (EDGE_SCAN, MATMUL)
+ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind
 
 _EDGE_CHUNK = 512
 
@@ -119,94 +123,43 @@ def point_distance(
     """
     if p == q:
         return 0
-    rp = locate(domain, hdec, p) | {graph.nh + i for i in locate(domain, vdec, p)}
-    rq = locate(domain, hdec, q) | {graph.nh + i for i in locate(domain, vdec, q)}
+    rp = locate(hdec, p) | {graph.nh + i for i in locate(vdec, p)}
+    rq = locate(hdec, q) | {graph.nh + i for i in locate(vdec, q)}
     if rp & rq:
         return 1 if (p[0] == q[0] or p[1] == q[1]) else 2
     return int(min(dm[a, b] for a in rp for b in rq))
 
 
-def _far_pair_result(graph: OrientedGraph, engine: str, value: int, i: int, j: int) -> DiameterResult:
-    """Witness for the off-by-two case: centers of any faces of i and of j."""
-    pi = face_center(graph, i, graph.adj[i][0])
-    pj = face_center(graph, j, graph.adj[j][0])
-    return DiameterResult(value=value, pair=(pi, pj), witness_rects=(i, j), engine=engine)
+def _edge_covers(graph: OrientedGraph, far: np.ndarray):
+    """Chunks of edges against every edge: (first edge index, cover matrix).
 
-
-def _quad_result(graph: OrientedGraph, engine: str, value: int, quad: tuple[int, int, int, int]) -> DiameterResult:
-    i, ip, j, jp = quad
-    return DiameterResult(
-        value=value,
-        pair=(face_center(graph, i, ip), face_center(graph, j, jp)),
-        witness_rects=quad,
-        engine=engine,
-    )
-
-
-def _center_rect_result(graph: OrientedGraph, engine: str, value: int, rect: int) -> RadiusResult:
-    return RadiusResult(
-        value=value,
-        center=face_center(graph, rect, graph.adj[rect][0]),
-        witness=("rect", (rect,)),
-        engine=engine,
-    )
-
-
-def _center_edge_result(graph: OrientedGraph, engine: str, value: int, edge: tuple[int, int]) -> RadiusResult:
-    return RadiusResult(
-        value=value,
-        center=face_center(graph, edge[0], edge[1]),
-        witness=("edge", edge),
-        engine=engine,
-    )
-
-
-def diameter_edge_scan(graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary) -> DiameterResult:
-    """Scan pairs of graph edges for two far pairs covering each other."""
-    big = summary.ordiam
-    if big < 4:
-        raise PreconditionError(f"edge-scan diameter needs oriented diameter >= 4, got {big}")
+    Edge (a, a') covers edge (b, b') when a-b and a'-b' are both far
+    (straight) or a-b' and a'-b are (crossed).
+    """
     edges = np.asarray(graph.edges)
     e0, e1 = edges[:, 0], edges[:, 1]
-    flat = dm == big
     for start in range(0, len(edges), _EDGE_CHUNK):
-        stop = min(start + _EDGE_CHUNK, len(edges))
-        a0, a1 = e0[start:stop], e1[start:stop]
-        straight = flat[np.ix_(a0, e0)] & flat[np.ix_(a1, e1)]
-        crossed = flat[np.ix_(a0, e1)] & flat[np.ix_(a1, e0)]
-        hit = straight | crossed
+        a0, a1 = e0[start : start + _EDGE_CHUNK], e1[start : start + _EDGE_CHUNK]
+        yield start, (far[np.ix_(a0, e0)] & far[np.ix_(a1, e1)]) | (far[np.ix_(a0, e1)] & far[np.ix_(a1, e0)])
+
+
+def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Scan pairs of graph edges for two far pairs covering each other; return them as (i, i', j, j')."""
+    for start, hit in _edge_covers(graph, far):
         if hit.any():
             r, c = np.argwhere(hit)[0]
-            i, ip = int(a0[r]), int(a1[r])
-            if straight[r, c]:
-                j, jp = int(e0[c]), int(e1[c])
-            else:
-                j, jp = int(e1[c]), int(e0[c])
-            return _quad_result(graph, EDGE_SCAN, big - 1, (i, ip, j, jp))
-    i, j = summary.diam_pair
-    return _far_pair_result(graph, EDGE_SCAN, big - 2, i, j)
+            (i, ip), (j, jp) = graph.edges[start + r], graph.edges[c]
+            return (i, ip, j, jp) if far[i, j] and far[ip, jp] else (i, ip, jp, j)
+    return None
 
 
-def radius_edge_scan(graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary) -> RadiusResult:
-    """For every edge, search an edge whose two far conditions both hold."""
-    small = summary.orrad
-    if small < 4:
-        raise PreconditionError(f"edge-scan radius needs oriented radius >= 4, got {small}")
-    edges = np.asarray(graph.edges)
-    e0, e1 = edges[:, 0], edges[:, 1]
-    far = dm >= small
-    for start in range(0, len(edges), _EDGE_CHUNK):
-        stop = min(start + _EDGE_CHUNK, len(edges))
-        a0, a1 = e0[start:stop], e1[start:stop]
-        ok = (
-            (far[np.ix_(a0, e0)] & far[np.ix_(a1, e1)])
-            | (far[np.ix_(a0, e1)] & far[np.ix_(a1, e0)])
-        ).any(axis=1)
-        if not ok.all():
-            bad = int(np.nonzero(~ok)[0][0]) + start
-            edge = (int(e0[bad]), int(e1[bad]))
-            return _center_edge_result(graph, EDGE_SCAN, small - 2, edge)
-    return _center_rect_result(graph, EDGE_SCAN, small - 1, summary.center_rect)
+def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
+    """For every edge, search an edge whose two far conditions both hold; return the first without one."""
+    for start, hit in _edge_covers(graph, far):
+        covered = hit.any(axis=1)
+        if not covered.all():
+            return graph.edges[start + int(np.argmin(covered))]
+    return None
 
 
 class BitMatrix:
@@ -229,26 +182,6 @@ class BitMatrix:
         rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return cls(rows, arr.shape[1])
 
-    def get(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
-
-    def transpose(self) -> "BitMatrix":
-        cols = [0] * self.ncols
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= bit
-                row ^= low
-        return BitMatrix(cols, self.nrows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
 
 def bool_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Thresholded boolean product: output bit (i, j) set iff some k links them."""
@@ -266,62 +199,57 @@ def bool_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(out, b.ncols)
 
 
-def _crossing_bits(graph: OrientedGraph) -> BitMatrix:
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _far_products(graph: OrientedGraph, far: np.ndarray) -> tuple[BitMatrix, BitMatrix, BitMatrix, BitMatrix]:
+    """Crossing bits ``cross``, packed ``far``, ``mid = cross·far`` and ``prod = far·mid``.
+
+    ``prod[i, i']`` is set iff some edge (j, j') has i-j and i'-j' far.
+    """
     rows = [0] * graph.m
     for i, j in graph.edges:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return BitMatrix(rows, graph.m)
+    cross = BitMatrix(rows, graph.m)
+    far_bits = BitMatrix.from_bool(far)
+    mid = bool_product(cross, far_bits)
+    return cross, far_bits, mid, bool_product(far_bits, mid)
 
 
-def diameter_matmul(graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary) -> DiameterResult:
+def diameter_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
     """Boolean matrix-product phrasing of the diameter witness condition."""
-    big = summary.ordiam
-    if big < 4:
-        raise PreconditionError(f"matmul diameter needs oriented diameter >= 4, got {big}")
-    cross = _crossing_bits(graph)
-    far = BitMatrix.from_bool(dm == big)
-    mid = bool_product(cross, far)
-    prod = bool_product(far, mid)
-    hit = None
+    cross, far_bits, mid, prod = _far_products(graph, far)
     for i in range(graph.m):
         both = cross.rows[i] & prod.rows[i]
         if both:
-            hit = (i, (both & -both).bit_length() - 1)
             break
-    if hit is None:
-        i, j = summary.diam_pair
-        return _far_pair_result(graph, MATMUL, big - 2, i, j)
-    i, ip = hit
-    mid_t = mid.transpose()
-    j_candidates = far.rows[i] & mid_t.rows[ip]
-    j = (j_candidates & -j_candidates).bit_length() - 1
-    jp_candidates = cross.rows[j] & far.rows[ip]  # far is symmetric
-    jp = (jp_candidates & -jp_candidates).bit_length() - 1
-    return _quad_result(graph, MATMUL, big - 1, (i, ip, j, jp))
+    else:
+        return None
+    ip = _lowest(both)
+    bits = far_bits.rows[i]  # the lowest j far from i with mid[j, ip] set
+    while not (mid.rows[_lowest(bits)] >> ip) & 1:
+        bits &= bits - 1
+    j = _lowest(bits)
+    jp = _lowest(cross.rows[j] & far_bits.rows[ip])  # far is symmetric
+    return (i, ip, j, jp)
 
 
-def radius_matmul(graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary) -> RadiusResult:
+def radius_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
     """Boolean matrix-product phrasing of the radius witness condition."""
-    small = summary.orrad
-    if small < 4:
-        raise PreconditionError(f"matmul radius needs oriented radius >= 4, got {small}")
-    cross = _crossing_bits(graph)
-    far = BitMatrix.from_bool(dm >= small)
-    mid = bool_product(cross, far)
-    prod = bool_product(far, mid)
+    cross, _, _, prod = _far_products(graph, far)
     for i in range(graph.m):
         missed = cross.rows[i] & ~prod.rows[i]
         if missed:
-            ip = (missed & -missed).bit_length() - 1
-            edge = (i, ip) if i < graph.nh else (ip, i)
-            return _center_edge_result(graph, MATMUL, small - 2, edge)
-    return _center_rect_result(graph, MATMUL, small - 1, summary.center_rect)
+            ip = _lowest(missed)
+            return (i, ip) if i < graph.nh else (ip, i)
+    return None
 
 
 def diameter_fast(
-    graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary, store_cls=CrossingStore
-) -> DiameterResult:
+    graph: OrientedGraph, far: np.ndarray, store_cls=CrossingStore
+) -> tuple[int, int, int, int] | None:
     """Far-set sweep over the candidate pair set through a crossing store.
 
     For each source the rectangles covering its far set are collected by
@@ -329,9 +257,6 @@ def diameter_fast(
     then the reverse map drives one more pop round that enumerates each
     candidate pair exactly once.
     """
-    big = summary.ordiam
-    if big < 4:
-        raise PreconditionError(f"fast diameter needs oriented diameter >= 4, got {big}")
     mids = [middle_segment(r) for r in graph.rects]
     segments = {
         orient: [mids[k] for k in graph.ids_of(orient)]
@@ -339,9 +264,8 @@ def diameter_fast(
     }
     reverse: dict[int, list[int]] = defaultdict(list)
     provenance: dict[tuple[int, int], int] = {}
-    far_rows = dm == big
     for i in range(graph.m):
-        far_ids = np.nonzero(far_rows[i])[0]
+        far_ids = np.nonzero(far[i])[0]
         if not len(far_ids):
             continue
         far_orient = graph.orientation_of(int(far_ids[0]))
@@ -359,17 +283,15 @@ def diameter_fast(
             for i in sorted(by_orient[orient]):
                 for seg in store.pop_crossing(mids[i]):
                     ip = seg.owner
-                    if dm[ip, jp] == big:
-                        j = provenance[(i, jp)]
-                        return _quad_result(graph, FAST, big - 1, (i, ip, j, jp))
-    i, j = summary.diam_pair
-    return _far_pair_result(graph, FAST, big - 2, i, j)
+                    if far[ip, jp]:
+                        return (i, ip, provenance[(i, jp)], jp)
+    return None
 
 
 def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
     """Exact diameter or radius by enumerating overlay faces.
 
-    Covers the small oriented values the witness engines refuse: each face
+    Covers the small oriented values the engines cannot decide: each face
     contributes one representative; face pairs sharing a rectangle are capped
     at 2, others use the four-way minimum.  The enumeration is exact for any
     oriented value, so no upper precondition is enforced.
@@ -414,33 +336,41 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
     )
 
 
-def compute_diameter(
-    graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary, algo: str = EDGE_SCAN
-) -> tuple[DiameterResult, bool]:
-    """Route to the requested engine, or to the fallback below its validity range.
+def compute(
+    kind: str, graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary, algo: str = EDGE_SCAN
+) -> tuple[DiameterResult | RadiusResult, bool]:
+    """The diameter or radius by engine ``algo``, or by the fallback below 4.
 
     ``summary`` is ``summarize(dm)``, computed once by :func:`~rectilink.pipeline.prepare`.
-    Returns (result, routed_to_fallback); routing is always explicit.
+    Returns (result, routed_to_fallback).  The engine decides on the far
+    relation ``dm >= oriented``; its decision becomes the result here.
     """
-    if algo not in DIAMETER_ALGOS:
-        raise UnknownChoiceError(
-            f"unknown diameter algorithm {algo!r} (choose from {', '.join(DIAMETER_ALGOS)})"
-        )
-    if summary.ordiam < 4:
-        return small_case_fallback(graph, dm, "diameter"), True
-    engine = {EDGE_SCAN: diameter_edge_scan, MATMUL: diameter_matmul, FAST: diameter_fast}[algo]
-    return engine(graph, dm, summary), False
+    if kind not in ALGOS:
+        raise UnknownChoiceError(f"unknown kind {kind!r} (choose from {', '.join(ALGOS)})")
+    if algo not in ALGOS[kind]:
+        raise UnknownChoiceError(f"unknown {kind} algorithm {algo!r} (choose from {', '.join(ALGOS[kind])})")
+    oriented = summary.ordiam if kind == "diameter" else summary.orrad
+    if oriented < 4:
+        return small_case_fallback(graph, dm, kind), True
+    engine = {  # looked up per call, so that rebinding a module attribute reaches the engine
+        ("diameter", EDGE_SCAN): diameter_edge_scan,
+        ("diameter", MATMUL): diameter_matmul,
+        ("diameter", FAST): diameter_fast,
+        ("radius", EDGE_SCAN): radius_edge_scan,
+        ("radius", MATMUL): radius_matmul,
+    }[kind, algo]
+    decision = engine(graph, dm >= oriented)
 
+    def center(a: int, b: int | None = None) -> Point:
+        return face_center(graph, a, graph.adj[a][0] if b is None else b)
 
-def compute_radius(
-    graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary, algo: str = EDGE_SCAN
-) -> tuple[RadiusResult, bool]:
-    """Radius counterpart of :func:`compute_diameter`."""
-    if algo not in RADIUS_ALGOS:
-        raise UnknownChoiceError(
-            f"unknown radius algorithm {algo!r} (choose from {', '.join(RADIUS_ALGOS)})"
-        )
-    if summary.orrad < 4:
-        return small_case_fallback(graph, dm, "radius"), True
-    engine = {EDGE_SCAN: radius_edge_scan, MATMUL: radius_matmul}[algo]
-    return engine(graph, dm, summary), False
+    if kind == "diameter":
+        if decision is None:  # no witness quad: the far pair itself is at ordiam - 2
+            i, j = summary.diam_pair
+            return DiameterResult(oriented - 2, (center(i), center(j)), (i, j), algo), False
+        i, ip, j, jp = decision
+        return DiameterResult(oriented - 1, (center(i, ip), center(j, jp)), decision, algo), False
+    if decision is None:  # every edge is covered: the centre rectangle is at orrad - 1
+        rect = summary.center_rect
+        return RadiusResult(oriented - 1, center(rect), ("rect", (rect,)), algo), False
+    return RadiusResult(oriented - 2, center(*decision), ("edge", decision), algo), False

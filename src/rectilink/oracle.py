@@ -116,23 +116,6 @@ class GridModel:
             self._cost_cache[cell] = (cost_h, cost_v)
         return cost_h, cost_v
 
-    def _pair_value(self, costs, p: Point, cell_p, q: Point, cell_q) -> int:
-        if p == q:
-            return 0
-        if cell_p == cell_q:
-            return 1 if (p[0] == q[0] or p[1] == q[1]) else 2
-        cost_h, cost_v = costs
-        ch = int(cost_h[cell_q])
-        cv = int(cost_v[cell_q])
-        if ch == 1 and p[1] == q[1]:
-            return 1
-        if cv == 1 and p[0] == q[0]:
-            return 1
-        raw = min(ch, cv)
-        if raw >= _INF:
-            raise OutsidePointError(f"no path between {p} and {q} (disconnected grid)")
-        return 2 if raw == 1 else raw
-
     def faces(self) -> list[_OracleFace]:
         if self._faces is None:
             self._faces = self._compute_faces()
@@ -142,12 +125,11 @@ class GridModel:
         """Read-only link distances between face representatives; 2 on the diagonal."""
         if self._face_values is None:
             faces = self.faces()
-            values = np.full((len(faces), len(faces)), 2, dtype=np.int64)
-            for a, face in enumerate(faces):
-                costs = self.costs_from(face.cell, cache=False)
-                for b, other in enumerate(faces):
-                    if a != b:
-                        values[a, b] = self._pair_value(costs, face.rep, face.cell, other.rep, other.cell)
+            reps, cells = _face_points(faces)
+            values = np.array(
+                [_prices(self.costs_from(f.cell, cache=False), f.rep, reps, cells) for f in faces]
+            )
+            np.fill_diagonal(values, 2)
             values.flags.writeable = False
             self._face_values = values
         return self._face_values
@@ -249,22 +231,45 @@ def build_grid(domain: Domain) -> GridModel:
     return GridModel(xs=xs, ys=ys, inside=(counts % 2 == 1))
 
 
+def _prices(costs, p: Point, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Link distances from ``p`` to ``points`` (k x 2), which lie in ``cells`` (k x 2).
+
+    ``costs`` are :meth:`GridModel.costs_from` the cell of ``p``.  A target is 1
+    away when the last segment can run straight along the shared coordinate,
+    at least 2 otherwise, and 0 when it is ``p``.  Targets in the cell of ``p``
+    (cost 1 both ways) are 1 or 2 by the same rule.
+    """
+    cost_h, cost_v = costs
+    ch = cost_h[cells[:, 0], cells[:, 1]]
+    cv = cost_v[cells[:, 0], cells[:, 1]]
+    raw = np.minimum(ch, cv)
+    if raw.max(initial=0) >= _INF:
+        q = tuple(points[int(np.argmax(raw))].tolist())
+        raise OutsidePointError(f"no path between {p} and {q} (disconnected grid)")
+    values = np.maximum(raw, 2)
+    values[((ch == 1) & (points[:, 1] == p[1])) | ((cv == 1) & (points[:, 0] == p[0]))] = 1
+    values[(points[:, 0] == p[0]) & (points[:, 1] == p[1])] = 0
+    return values
+
+
+def _face_points(faces: list[_OracleFace]) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives and their cells, as (k x 2) arrays."""
+    return (
+        np.array([f.rep for f in faces], dtype=np.int64).reshape(-1, 2),
+        np.array([f.cell for f in faces], dtype=np.int64).reshape(-1, 2),
+    )
+
+
 def oracle_distance(grid: GridModel, p: Point, q: Point) -> int:
     """Exact link distance for points interior to faces (doubled coordinates)."""
-    cell_p = grid.cell_of(p)
-    cell_q = grid.cell_of(q)
-    costs = grid.costs_from(cell_p)
-    return grid._pair_value(costs, p, cell_p, q, cell_q)
+    cell_p, cell_q = grid.cell_of(p), grid.cell_of(q)
+    return int(_prices(grid.costs_from(cell_p), p, np.array([q]), np.array([cell_q]))[0])
 
 
 def oracle_eccentricity(grid: GridModel, p: Point) -> int:
     """Max link distance from ``p`` to anywhere: max over face representatives, floor 2."""
-    cell_p = grid.cell_of(p)
-    costs = grid.costs_from(cell_p, cache=False)
-    worst = 2
-    for face in grid.faces():
-        worst = max(worst, grid._pair_value(costs, p, cell_p, face.rep, face.cell))
-    return worst
+    costs = grid.costs_from(grid.cell_of(p), cache=False)
+    return int(_prices(costs, p, *_face_points(grid.faces())).max(initial=2))
 
 
 def oracle_diameter(grid: GridModel) -> DiameterResult:

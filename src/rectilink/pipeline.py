@@ -2,7 +2,7 @@
 
 :func:`prepare` runs the pipeline up to the oriented-distance table and its
 summary (``ordiam``, ``orrad``), once per domain.  :func:`solve` is the one
-way to a diameter or radius: an engine through its router (from the prepared
+way to a diameter or radius: an engine through the router (from the prepared
 table and summary) or the cut-grid oracle (from the grid).  Every command
 reaches the engines through it; :func:`run_verify` runs each engine and the
 oracle and checks every witness against the oracle.
@@ -24,18 +24,8 @@ from .geometry import (
     vertical_decomposition,
 )
 from .graph import DistanceMatrix, GraphSummary, OrientedGraph, all_pairs, build_graph, summarize
-from .metrics import (
-    DIAMETER_ALGOS,
-    DiameterResult,
-    ORACLE,
-    RADIUS_ALGOS,
-    RadiusResult,
-    compute_diameter,
-    compute_radius,
-)
+from .metrics import ALGOS, DiameterResult, ORACLE, RadiusResult, compute
 from .oracle import GridModel, build_grid, oracle_diameter, oracle_distance, oracle_eccentricity, oracle_radius
-
-ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind; ORACLE serves both
 
 
 @dataclass(frozen=True)
@@ -91,8 +81,9 @@ class Solution:
 def solve(kind: str, algo: str, prep: Prepared | None = None, grid: GridModel | None = None) -> Solution:
     """The ``kind`` ("diameter" or "radius") by engine ``algo``, or by the oracle.
 
-    Engines run through their router on ``prep``; ``algo="oracle"`` runs the
-    cut-grid oracle on ``grid`` and, without a grid, is an unknown engine.
+    Engines run through the router :func:`~rectilink.metrics.compute` on
+    ``prep``; ``algo="oracle"`` runs the cut-grid oracle on ``grid`` and,
+    without a grid, is an unknown engine.
     """
     if kind not in ALGOS:
         raise UnknownChoiceError(f"unknown kind {kind!r} (choose from {', '.join(ALGOS)})")
@@ -100,8 +91,7 @@ def solve(kind: str, algo: str, prep: Prepared | None = None, grid: GridModel | 
     if algo == ORACLE and grid is not None:
         result, routed = (oracle_diameter if kind == "diameter" else oracle_radius)(grid), False
     else:
-        router = compute_diameter if kind == "diameter" else compute_radius
-        result, routed = router(prep.graph, prep.dm, prep.summary, algo)
+        result, routed = compute(kind, prep.graph, prep.dm, prep.summary, algo)
     return Solution(result, routed, time.perf_counter() - t0)
 
 

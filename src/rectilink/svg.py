@@ -16,13 +16,11 @@ def render_svg(
     domain: Domain,
     decomposition: Decomposition | None = None,
     points: tuple[Point, ...] = (),
-    polyline: tuple[Point, ...] = (),
-    size: int = 640,
 ) -> str:
     """SVG text showing the boundary, holes and optional overlays.
 
-    ``points`` are marked with circles (witness pairs / centers), ``polyline``
-    is drawn as a path.  All inputs use internal (doubled) coordinates.
+    ``points`` are marked with circles (witness pairs / centers), in internal
+    (doubled) coordinates.
     """
     xs = [x for ring in domain.rings() for x, _ in ring.vertices]
     ys = [y for ring in domain.rings() for _, y in ring.vertices]
@@ -34,7 +32,7 @@ def render_svg(
     view = f"{xmin / SCALE - margin:g} {-(ymax / SCALE + margin):g} {width:g} {height:g}"
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" width="{size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" width="640">',
         '<g transform="scale(1,-1)">',
     ]
     subpaths = []
@@ -52,11 +50,6 @@ def render_svg(
                 f' width="{_fmt(rect.xmax - rect.xmin)}" height="{_fmt(rect.ymax - rect.ymin)}"'
                 ' fill="none" stroke="#c05621" stroke-width="0.08" stroke-dasharray="0.4 0.2"/>'
             )
-    if polyline:
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in polyline)
-        parts.append(
-            f'<polyline class="path" points="{coords}" fill="none" stroke="#2f855a" stroke-width="0.12"/>'
-        )
     for x, y in points:
         parts.append(
             f'<circle class="witness" cx="{_fmt(x)}" cy="{_fmt(y)}" r="0.3" fill="#c53030"/>'

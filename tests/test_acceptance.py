@@ -17,8 +17,6 @@ from rectilink import (
     Orientation,
     ScanCrossingStore,
     StoredSegment,
-    compute_diameter,
-    compute_radius,
     gen_domain,
     middle_segment,
     oracle_distance,
@@ -26,6 +24,7 @@ from rectilink import (
     prepare,
     rects_cross,
     run_verify,
+    solve,
 )
 from rectilink.cli import main as cli_main
 
@@ -42,15 +41,12 @@ def test_criterion_1_fixture_exactness(square, lshape, donut):
     for inst in (square, lshape, donut):
         dia, rad = expected[inst.name]
         for algo in ("edge-scan", "matmul", "fast"):
-            result, _ = compute_diameter(inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)
-            assert result.value == dia, (inst.name, algo)
+            assert solve("diameter", algo, inst.prep).result.value == dia, (inst.name, algo)
         for algo in ("edge-scan", "matmul"):
-            result, _ = compute_radius(inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)
-            assert result.value == rad, (inst.name, algo)
+            assert solve("radius", algo, inst.prep).result.value == rad, (inst.name, algo)
     assert (donut.prep.summary.ordiam, donut.prep.summary.orrad) == (5, 4)
     assert lshape.prep.summary.orrad == 3  # radius must route to the fallback
-    _, routed = compute_radius(lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "edge-scan")
-    assert routed
+    assert solve("radius", "edge-scan", lshape.prep).routed
     print("\nACCEPTANCE 1 PASS: fixture exactness (SQUARE 2/2, LSHAPE 2/2, DONUT 3/2; DONUT extremes 5/4)")
 
 
@@ -233,7 +229,7 @@ def test_criterion_10_performance_soft(tmp_path, capsys):
     t0 = time.perf_counter()
     big = gen_domain(GenParams(width=200, height=200, cells=int(200 * 200 * 0.45), holes=3, seed=3))
     prep = prepare(big)
-    fast_result, _ = compute_diameter(prep.graph, prep.dm, prep.summary, "fast")
+    solve("diameter", "fast", prep)
     fast_elapsed = time.perf_counter() - t0
     assert 4000 <= big.n <= 6500
     if fast_elapsed > 60:
@@ -242,8 +238,8 @@ def test_criterion_10_performance_soft(tmp_path, capsys):
     t0 = time.perf_counter()
     medium = gen_domain(GenParams(width=100, height=100, cells=int(100 * 100 * 0.4), holes=3, seed=13))
     prep2 = prepare(medium)
-    dia2, _ = compute_diameter(prep2.graph, prep2.dm, prep2.summary, "matmul")
-    rad2, _ = compute_radius(prep2.graph, prep2.dm, prep2.summary, "matmul")
+    solve("diameter", "matmul", prep2)
+    solve("radius", "matmul", prep2)
     matmul_elapsed = time.perf_counter() - t0
     assert prep2.graph.m >= 2000
     if matmul_elapsed > 60:

@@ -167,6 +167,25 @@ class TestErrors:
         code = main(["bench", files["square"], "--engines", "warp"])
         assert code == 1
 
+    def assert_clean_failure(self, capsys, argv):
+        code = main(argv)  # an uncaught exception would fail the test here
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"outer": [[0, 0], [1, 0], [1, 1], [0, 1]], "name": "\xe9"}')
+        self.assert_clean_failure(capsys, ["diameter", str(bad)])
+
+    def test_holes_not_a_list(self, capsys, tmp_path):
+        bad = tmp_path / "holes.json"
+        bad.write_text(json.dumps({"outer": SQUARE["outer"], "holes": 5}))
+        self.assert_clean_failure(capsys, ["diameter", str(bad)])
+
+    def test_bench_reps_below_one(self, capsys, files):
+        for reps in ("0", "-1"):
+            self.assert_clean_failure(capsys, ["bench", files["donut"], "--reps", reps])
+
 
 class TestByteStability:
     def test_decompose_stable(self, capsys, files):

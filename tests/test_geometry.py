@@ -200,35 +200,35 @@ class TestDecompositions:
 
 class TestLocate:
     def test_donut_interior(self, donut):
-        ids = locate(donut.domain, donut.prep.hdec, (14, 6))  # (7, 3) in input units
+        ids = locate(donut.prep.hdec, (14, 6))  # (7, 3) in input units
         assert len(ids) == 1
         rect = donut.prep.hdec.rects[ids.pop()]
         assert rect.box() == (0, 28, 0, 12)
 
     def test_square_center(self, square):
-        assert locate(square.domain, square.prep.hdec, (10, 10)) == {0}
+        assert locate(square.prep.hdec, (10, 10)) == {0}
 
     def test_slab_boundary_two_rects(self, donut):
-        ids = locate(donut.domain, donut.prep.hdec, (6, 12))  # (3, 6): chord between bottom and left
+        ids = locate(donut.prep.hdec, (6, 12))  # (3, 6): chord between bottom and left
         assert len(ids) == 2
         found = {donut.prep.hdec.rects[i].box() for i in ids}
         assert found == {(0, 28, 0, 12), (0, 12, 12, 16)}
 
     def test_hole_edge_point_single_rect(self, donut):
         # (7, 6) sits on the hole's bottom edge: only the bottom slab contains it
-        ids = locate(donut.domain, donut.prep.hdec, (14, 12))
+        ids = locate(donut.prep.hdec, (14, 12))
         assert {donut.prep.hdec.rects[i].box() for i in ids} == {(0, 28, 0, 12)}
 
     def test_outside_raises(self, donut):
         with pytest.raises(OutsidePointError):
-            locate(donut.domain, donut.prep.hdec, (-2, -2))
+            locate(donut.prep.hdec, (-2, -2))
 
     def test_hole_interior_raises(self, donut):
         with pytest.raises(OutsidePointError):
-            locate(donut.domain, donut.prep.hdec, (14, 14))  # (7, 7): inside the hole
+            locate(donut.prep.hdec, (14, 14))  # (7, 7): inside the hole
 
     def test_closure_containment_invariant(self, donut):
         for dec in (donut.prep.hdec, donut.prep.vdec):
             for p in [(14, 6), (6, 12), (2, 2), (26, 26)]:
-                for i in locate(donut.domain, dec, p):
+                for i in locate(dec, p):
                     assert dec.rects[i].contains(p)

@@ -5,11 +5,9 @@ import pytest
 
 from rectilink import (
     BitMatrix,
-    PreconditionError,
     ScanCrossingStore,
     bool_product,
-    compute_diameter,
-    compute_radius,
+    compute,
     diameter_edge_scan,
     diameter_fast,
     diameter_matmul,
@@ -105,44 +103,60 @@ def sample_point(rng, inst):
 
 
 def containing_pair(inst, p):
-    hs = locate(inst.domain, inst.prep.hdec, p)
-    vs = locate(inst.domain, inst.prep.vdec, p)
+    hs = locate(inst.prep.hdec, p)
+    vs = locate(inst.prep.vdec, p)
     if len(hs) != 1 or len(vs) != 1:
         return None
     return (hs.pop(), inst.prep.graph.nh + vs.pop())
 
 
+def far_of(inst, kind):
+    summary = inst.prep.summary
+    return inst.prep.dm >= (summary.ordiam if kind == "diameter" else summary.orrad)
+
+
 class TestEngineFixtures:
     def test_donut_diameter_all_engines(self, donut):
-        g, dm = donut.prep.graph, donut.prep.dm
-        for engine in (diameter_edge_scan, diameter_matmul, diameter_fast):
-            res = engine(g, dm, donut.prep.summary)
+        for algo in ("edge-scan", "matmul", "fast"):
+            res, _ = compute("diameter", donut.prep.graph, donut.prep.dm, donut.prep.summary, algo)
             assert res.value == 3
             assert res.pair == ((6, 14), (22, 14))  # (3,7) and (11,7) in input units
 
     def test_donut_radius_both_engines(self, donut):
-        g, dm = donut.prep.graph, donut.prep.dm
+        g = donut.prep.graph
         h1 = rect_by_box(g, (0, 28, 0, 12))
         v1 = rect_by_box(g, (0, 12, 0, 28))
         for engine in (radius_edge_scan, radius_matmul):
-            res = engine(g, dm, donut.prep.summary)
+            assert engine(g, far_of(donut, "radius")) == (h1, v1)
+        for algo in ("edge-scan", "matmul"):
+            res, _ = compute("radius", g, donut.prep.dm, donut.prep.summary, algo)
             assert res.value == 2
             assert res.witness == ("edge", (h1, v1))
             assert res.center == (6, 6)  # (3,3)
 
     def test_lshape_diameter(self, lshape):
-        g, dm = lshape.prep.graph, lshape.prep.dm
         for engine in (diameter_edge_scan, diameter_matmul, diameter_fast):
-            assert engine(g, dm, lshape.prep.summary).value == 2
+            assert engine(lshape.prep.graph, far_of(lshape, "diameter")) is None  # ordiam 4: value 4 - 2
 
-    def test_preconditions(self, square, lshape):
-        g, dm = square.prep.graph, square.prep.dm
-        for engine in (diameter_edge_scan, diameter_matmul, diameter_fast, radius_edge_scan, radius_matmul):
-            with pytest.raises(PreconditionError):
-                engine(g, dm, square.prep.summary)
-        for engine in (radius_edge_scan, radius_matmul):  # LSHAPE orrad = 3
-            with pytest.raises(PreconditionError):
-                engine(lshape.prep.graph, lshape.prep.dm, lshape.prep.summary)
+    def test_decisions_are_witnesses(self, small_corpus):
+        """A diameter quad joins two far pairs by edges; a radius edge is covered by no edge."""
+        for inst in small_corpus[:40]:
+            g, dm, summary = inst.prep.graph, inst.prep.dm, inst.prep.summary
+            edges = set(g.edges) | {(b, a) for a, b in g.edges}
+            far = far_of(inst, "diameter")
+            for engine in (diameter_edge_scan, diameter_matmul, diameter_fast):
+                quad = engine(g, far)
+                if quad is not None:
+                    i, ip, j, jp = quad
+                    assert (i, ip) in edges and (j, jp) in edges, (inst.name, engine.__name__)
+                    assert dm[i, j] == dm[ip, jp] == summary.ordiam, (inst.name, engine.__name__)
+            far = far_of(inst, "radius")
+            for engine in (radius_edge_scan, radius_matmul):
+                edge = engine(g, far)
+                if edge is not None:
+                    h, v = edge
+                    assert (h, v) in g.edges and h < g.nh <= v, (inst.name, engine.__name__)
+                    assert not any(far[h, j] and far[v, jp] for j, jp in edges), (inst.name, engine.__name__)
 
 
 class TestFallback:
@@ -166,16 +180,16 @@ class TestFallback:
             small_case_fallback(square.prep.graph, square.prep.dm, "girth")
 
     def test_routing(self, square, lshape, donut):
-        res, routed = compute_diameter(square.prep.graph, square.prep.dm, square.prep.summary, "fast")
+        res, routed = compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "fast")
         assert routed and res.engine == "fallback" and res.value == 2
-        res, routed = compute_radius(lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "matmul")
+        res, routed = compute("radius", lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "matmul")
         assert routed and res.engine == "fallback" and res.value == 2
-        res, routed = compute_diameter(donut.prep.graph, donut.prep.dm, donut.prep.summary, "fast")
+        res, routed = compute("diameter", donut.prep.graph, donut.prep.dm, donut.prep.summary, "fast")
         assert not routed and res.engine == "fast"
 
     def test_unknown_algo(self, square):
         with pytest.raises(ValueError):
-            compute_diameter(square.prep.graph, square.prep.dm, square.prep.summary, "quantum")
+            compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "quantum")
 
 
 class TestBitMatrix:
@@ -183,13 +197,13 @@ class TestBitMatrix:
         eye = BitMatrix.from_bool(np.eye(7, dtype=bool))
         rng = np.random.default_rng(0)
         x = BitMatrix.from_bool(rng.random((7, 7)) < 0.4)
-        assert bool_product(eye, x) == x
+        assert bool_product(eye, x).rows == x.rows
 
     def test_zeros(self):
         zeros = BitMatrix.from_bool(np.zeros((5, 5), dtype=bool))
         rng = np.random.default_rng(1)
         x = BitMatrix.from_bool(rng.random((5, 5)) < 0.5)
-        assert bool_product(zeros, x) == zeros
+        assert bool_product(zeros, x).rows == zeros.rows
 
     def test_dimension_mismatch(self):
         a = BitMatrix.from_bool(np.zeros((3, 4), dtype=bool))
@@ -205,12 +219,7 @@ class TestBitMatrix:
             b = rng.random((k, n)) < 0.3
             expect = (a.astype(int) @ b.astype(int)) > 0
             got = bool_product(BitMatrix.from_bool(a), BitMatrix.from_bool(b))
-            assert got == BitMatrix.from_bool(expect)
-
-    def test_transpose(self):
-        rng = np.random.default_rng(9)
-        arr = rng.random((6, 11)) < 0.5
-        assert BitMatrix.from_bool(arr).transpose() == BitMatrix.from_bool(arr.T)
+            assert got.rows == BitMatrix.from_bool(expect).rows
 
     def test_donut_product_entry(self, donut):
         # crossing row of the left vertical slab reaches the right band through
@@ -224,7 +233,7 @@ class TestBitMatrix:
             cross[i, j] = cross[j, i] = True
         assert cross[v1, h3] and dm[h3, h4] == 5
         m_matrix = bool_product(BitMatrix.from_bool(cross), BitMatrix.from_bool(dm == 5))
-        assert m_matrix.get(v1, h4)
+        assert (m_matrix.rows[v1] >> h4) & 1
 
 
 class TestMatmulPathEquivalence:
@@ -248,19 +257,23 @@ class TestMatmulPathEquivalence:
                         dm[i, j] == big and dm[ip, jp] == big
                         for j, jp in list(g.edges) + [(b, a) for a, b in g.edges]
                     )
-                    assert product.get(i, ip) == brute
+                    assert bool((product.rows[i] >> ip) & 1) == brute
             if checked >= 6:
                 break
         assert checked >= 3
 
 
+def edge_scan(inst, kind):
+    return compute(kind, inst.prep.graph, inst.prep.dm, inst.prep.summary, "edge-scan")[0]
+
+
 class TestWitnesses:
     def test_donut_diameter_pair_oracle_valid(self, donut):
-        res = diameter_edge_scan(donut.prep.graph, donut.prep.dm, donut.prep.summary)
+        res = edge_scan(donut, "diameter")
         assert oracle_distance(donut.grid, *res.pair) == res.value
 
     def test_donut_radius_center_oracle_valid(self, donut):
-        res = radius_edge_scan(donut.prep.graph, donut.prep.dm, donut.prep.summary)
+        res = edge_scan(donut, "radius")
         assert oracle_eccentricity(donut.grid, res.center) == res.value
 
     def test_square_center(self, square):
@@ -268,7 +281,7 @@ class TestWitnesses:
         assert oracle_eccentricity(square.grid, res.center) == 2
 
     def test_far_pair_witness_distance(self, donut):
-        res = diameter_edge_scan(donut.prep.graph, donut.prep.dm, donut.prep.summary)
+        res = edge_scan(donut, "diameter")
         i, j = res.witness_rects
         assert donut.prep.dm[i, j] == donut.prep.summary.ordiam
 
@@ -277,7 +290,7 @@ class TestEngineAgreement:
     def test_diameter_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute_diameter(inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)[0].value
+                compute("diameter", inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)[0].value
                 for algo in ("edge-scan", "matmul", "fast")
             }
             assert len(values) == 1, inst.name
@@ -285,7 +298,7 @@ class TestEngineAgreement:
     def test_radius_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute_radius(inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)[0].value
+                compute("radius", inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)[0].value
                 for algo in ("edge-scan", "matmul")
             }
             assert len(values) == 1, inst.name
@@ -294,9 +307,10 @@ class TestEngineAgreement:
         for inst in corpus[:25]:
             if inst.prep.summary.ordiam < 4:
                 continue
-            a = diameter_fast(inst.prep.graph, inst.prep.dm, inst.prep.summary)
-            b = diameter_fast(inst.prep.graph, inst.prep.dm, inst.prep.summary, store_cls=ScanCrossingStore)
-            assert a.value == b.value
+            far = far_of(inst, "diameter")
+            a = diameter_fast(inst.prep.graph, far)
+            b = diameter_fast(inst.prep.graph, far, store_cls=ScanCrossingStore)
+            assert (a is None) == (b is None)
 
     def test_faces_partition_area(self, small_corpus):
         for inst in small_corpus[:15]:

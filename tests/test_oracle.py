@@ -105,6 +105,20 @@ class TestOracleExtremes:
         res = oracle_radius(donut.grid)
         assert oracle_eccentricity(donut.grid, res.center) == res.value
 
+    def test_face_values_match_formula(self, fixtures, corpus):
+        pairs = 0
+        for inst in fixtures + corpus[::10]:
+            faces = inst.grid.faces()
+            values = inst.grid.face_values()
+            prep = inst.prep
+            for a, fa in enumerate(faces):
+                for b, fb in enumerate(faces):
+                    if a != b:
+                        args = (inst.domain, prep.hdec, prep.vdec, prep.graph, prep.dm, fa.rep, fb.rep)
+                        assert values[a, b] == point_distance(*args), (inst.name, fa.rep, fb.rep)
+                        pairs += 1
+        assert pairs == 1674
+
     def test_radius_reuses_face_matrix(self, monkeypatch):
         grid = build_grid(parse_domain(DONUT))
         calls = []

@@ -1,4 +1,4 @@
-"""The one solve path: CLI, verify and bench agree; the summary is computed once; typed choices."""
+"""The one solve path: CLI, verify and bench agree; the summary and the engine run once; typed choices."""
 
 import json
 import sys
@@ -6,12 +6,12 @@ import sys
 import pytest
 
 import rectilink.graph
+import rectilink.metrics
 from rectilink import (
     RectilinkError,
     UnknownChoiceError,
     build_graph,
-    compute_diameter,
-    compute_radius,
+    compute,
     domain_to_instance,
     small_case_fallback,
     solve,
@@ -59,15 +59,13 @@ class TestCrossPath:
                     assert row["radius"] == report["radius"][algo]["value"], (path, algo)
 
 
-@pytest.fixture()
-def summarize_calls(monkeypatch):
-    """Count calls of ``summarize`` through every module attribute of the package bound to it."""
+def count_calls(monkeypatch, original) -> list:
+    """Count calls of ``original`` through every module attribute of the package bound to it."""
     calls = []
-    original = rectilink.graph.summarize
 
-    def counted(dm):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(dm)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "rectilink" or name.startswith("rectilink."):
@@ -75,6 +73,21 @@ def summarize_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
     return calls
+
+
+@pytest.fixture()
+def summarize_calls(monkeypatch):
+    return count_calls(monkeypatch, rectilink.graph.summarize)
+
+
+ENGINES = (
+    "diameter_edge_scan",
+    "diameter_matmul",
+    "diameter_fast",
+    "radius_edge_scan",
+    "radius_matmul",
+    "small_case_fallback",
+)
 
 
 class TestComputedOnce:
@@ -89,6 +102,17 @@ class TestComputedOnce:
             cli_json(capsys, "verify", path)
             assert len(summarize_calls) == 1, path
 
+    def test_engine_once_per_solve(self, monkeypatch, donut):
+        """The router calls the requested engine through its module attribute, once."""
+        calls = {name: count_calls(monkeypatch, getattr(rectilink.metrics, name)) for name in ENGINES}
+        for kind, algos in ALGOS.items():
+            for algo in algos[:-1]:  # the engines; the oracle is last
+                for counted in calls.values():
+                    counted.clear()
+                assert not solve(kind, algo, donut.prep).routed
+                engine = f"{kind}_{algo.replace('-', '_')}"
+                assert {name: len(c) for name, c in calls.items()} == {n: int(n == engine) for n in ENGINES}
+
 
 class TestTypedChoices:
     def test_unknown_choices_raise_rectilink_error(self, donut):
@@ -98,8 +122,9 @@ class TestTypedChoices:
             lambda: solve("radius", "fast", prep),
             lambda: solve("diameter", ORACLE, prep),  # the oracle needs a grid
             lambda: solve("girth", "matmul", prep),
-            lambda: compute_diameter(prep.graph, prep.dm, prep.summary, "quantum"),
-            lambda: compute_radius(prep.graph, prep.dm, prep.summary, "fast"),
+            lambda: compute("diameter", prep.graph, prep.dm, prep.summary, "quantum"),
+            lambda: compute("radius", prep.graph, prep.dm, prep.summary, "fast"),
+            lambda: compute("girth", prep.graph, prep.dm, prep.summary, "matmul"),
             lambda: build_graph(prep.hdec, prep.vdec, method="nope"),
             lambda: small_case_fallback(prep.graph, prep.dm, "girth"),
         ]
