@@ -13,9 +13,9 @@ from pathlib import Path
 from .errors import RectilinkError
 from .generator import GenParams, gen_domain
 from .geometry import Point, SCALE, domain_to_instance, parse_domain, require_valid
-from .metrics import DIAMETER_ALGOS, EDGE_SCAN, ORACLE, RADIUS_ALGOS
+from .metrics import DIAMETER_ALGOS, EDGE_SCAN, ORACLE, RADIUS_ALGOS, point_distance
 from .oracle import build_grid, oracle_distance
-from .pipeline import instance_stats, point_out, prepare, run_verify, solve
+from .pipeline import decompose, instance_stats, point_out, prepare, run_verify, solve
 from .svg import render_svg
 
 
@@ -71,15 +71,9 @@ def _cmd_dist(args) -> int:
     p = _parse_point(args.p)
     q = _parse_point(args.q)
     if args.oracle:
-        grid = build_grid(domain)
-        value = oracle_distance(grid, p, q)
-        engine = ORACLE
+        value, engine = oracle_distance(build_grid(domain), p, q), ORACLE
     else:
-        from .metrics import point_distance
-
-        prep = prepare(domain, validated=True)
-        value = point_distance(domain, prep.hdec, prep.vdec, prep.graph, prep.dm, p, q)
-        engine = "formula"
+        value, engine = point_distance(*decompose(domain, validated=True), p, q), "formula"
     _emit({"value": value, "p": point_out(p), "q": point_out(q), "engine": engine})
     return 0
 
@@ -131,7 +125,7 @@ def _cmd_verify(args) -> int:
     domain = _load_domain(args.instance)
     report = run_verify(domain)
     _emit(report)
-    return 0 if report["verdict"] == "ok" else 2
+    return 2 if report["verdict"] == "disagree" else 0
 
 
 def _cmd_bench(args) -> int:

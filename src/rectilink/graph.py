@@ -10,13 +10,15 @@ The graph is bipartite and undirected, so the table is symmetric and only the
 horizontal rows need a search: the vertical-to-horizontal block is their
 transpose, and the vertical-to-vertical block follows from one min-plus step
 over the crossing edges, since every path out of a vertical rectangle starts
-with an edge to a horizontal one.
+with an edge to a horizontal one.  A point query reads one row of the table,
+which :func:`bfs_from` computes without it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,29 +179,30 @@ def _check_table_ceiling(m: int) -> None:
         )
 
 
-def bfs_from(graph: OrientedGraph, source: int) -> np.ndarray:
-    """Oriented distances (hops + 1) from one rectangle to all others."""
-    m = graph.m
-    _check_table_ceiling(m)
-    dist = np.full(m, 0, dtype=np.uint16)
-    seen = bytearray(m)
-    seen[source] = 1
-    dist[source] = 1
-    queue = deque([source])
+def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
+    """Oriented distances (hops + 1) from the nearest of ``sources`` to every rectangle.
+
+    Each source starts at distance 1, so the row is the minimum of the
+    sources' rows of the table: a point query searches from the rectangles
+    containing its first point and builds no table.
+    """
+    _check_table_ceiling(graph.m)
+    dist = [0] * graph.m  # 0: not reached yet
+    queue = deque(sources)
+    for s in queue:
+        dist[s] = 1
     while queue:
         u = queue.popleft()
-        du = dist[u]
         for w in graph.adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                dist[w] = du + 1
+            if not dist[w]:
+                dist[w] = dist[u] + 1
                 queue.append(w)
-    if not all(seen):
+    if 0 in dist:
         raise DisconnectedGraphError(
-            f"rectangle {seen.index(0)} is unreachable from rectangle {source}; "
+            f"rectangle {dist.index(0)} is unreachable from rectangles {list(sources)}; "
             "the domain is not connected"
         )
-    return dist
+    return np.array(dist, dtype=np.uint16)
 
 
 def all_pairs(graph: OrientedGraph, chunk: int = 256) -> DistanceMatrix:

@@ -29,8 +29,8 @@ import numpy as np
 
 from .crossing import CrossingStore
 from .errors import UnknownChoiceError
-from .geometry import Decomposition, Domain, Orientation, Point, locate
-from .graph import DistanceMatrix, GraphSummary, OrientedGraph, middle_segment
+from .geometry import Decomposition, Orientation, Point, locate
+from .graph import DistanceMatrix, GraphSummary, OrientedGraph, bfs_from, middle_segment
 
 EDGE_SCAN = "edge-scan"
 MATMUL = "matmul"
@@ -106,20 +106,13 @@ def generic_pair_in_box(box: tuple[int, int, int, int]) -> tuple[Point, Point]:
     return ((xmin, ymin + 1), (xmin + 1, ymin))
 
 
-def point_distance(
-    domain: Domain,
-    hdec: Decomposition,
-    vdec: Decomposition,
-    graph: OrientedGraph,
-    dm: DistanceMatrix,
-    p: Point,
-    q: Point,
-) -> int:
+def point_distance(hdec: Decomposition, vdec: Decomposition, graph: OrientedGraph, p: Point, q: Point) -> int:
     """Link distance between two points of the domain (doubled coordinates).
 
     Coincident points are 0 by convention.  Points sharing a rectangle need 1
     link when axis-aligned, else 2; otherwise the four-way minimum of oriented
-    distances over all containing rectangles (several on slab boundaries).
+    distances over all containing rectangles (several on slab boundaries),
+    read from one breadth-first search out of ``p``'s rectangles.
     """
     if p == q:
         return 0
@@ -127,7 +120,8 @@ def point_distance(
     rq = locate(hdec, q) | {graph.nh + i for i in locate(vdec, q)}
     if rp & rq:
         return 1 if (p[0] == q[0] or p[1] == q[1]) else 2
-    return int(min(dm[a, b] for a in rp for b in rq))
+    row = bfs_from(graph, sorted(rp))
+    return int(min(row[b] for b in rq))
 
 
 def _edge_covers(graph: OrientedGraph, far: np.ndarray):

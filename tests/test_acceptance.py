@@ -125,9 +125,7 @@ def test_criterion_5_point_formula_vs_oracle(fixtures, corpus):
         pairs = 0
         for p in sources:
             for q in targets:
-                formula = point_distance(
-                    inst.domain, inst.prep.hdec, inst.prep.vdec, inst.prep.graph, inst.prep.dm, p, q
-                )
+                formula = point_distance(inst.prep.hdec, inst.prep.vdec, inst.prep.graph, p, q)
                 assert formula == oracle_distance(inst.grid, p, q), (inst.name, p, q)
                 pairs += 1
         assert pairs >= pair_goal

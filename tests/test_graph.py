@@ -100,7 +100,7 @@ class TestDistances:
     def test_donut_bfs_from_bottom(self, donut):
         g = donut.prep.graph
         h1 = rect_by_box(g, (0, 28, 0, 12))
-        row = bfs_from(g, h1)
+        row = bfs_from(g, [h1])
         assert row[h1] == 1
         for v_box in [(0, 12, 0, 28), (16, 28, 0, 28), (12, 16, 0, 12)]:
             assert row[rect_by_box(g, v_box)] == 2
@@ -112,14 +112,23 @@ class TestDistances:
         g = donut.prep.graph
         h3 = rect_by_box(g, (0, 12, 12, 16))
         h4 = rect_by_box(g, (16, 28, 12, 16))
-        row = bfs_from(g, h3)
+        row = bfs_from(g, [h3])
         assert row.max() == 5 and row[h4] == 5
 
     def test_all_pairs_equals_bfs(self, corpus):
         for inst in corpus[:25]:
             g = inst.prep.graph
             for source in range(0, g.m, max(1, g.m // 5)):
-                assert np.array_equal(inst.prep.dm[source], bfs_from(g, source))
+                assert np.array_equal(inst.prep.dm[source], bfs_from(g, [source]))
+
+    def test_multi_source_row_is_table_minimum(self, fixtures, corpus):
+        rng = np.random.default_rng(5)
+        for inst in fixtures + corpus:
+            g = inst.prep.graph
+            for size in (1, 2, 3, 4):
+                sources = sorted(rng.choice(g.m, size=min(size, g.m), replace=False).tolist())
+                expected = inst.prep.dm[sources].min(axis=0)
+                assert np.array_equal(bfs_from(g, sources), expected), (inst.name, sources)
 
     def test_lshape_max(self, lshape):
         g = lshape.prep.graph
@@ -219,7 +228,7 @@ class TestTypedFailures:
         with pytest.raises(ResourceLimitError, match="65533"):
             all_pairs(stub)
         with pytest.raises(ResourceLimitError):
-            bfs_from(stub, 0)
+            bfs_from(stub, [0])
         assert issubclass(ResourceLimitError, RectilinkError)
 
     def test_unreachable_horizontal(self):
@@ -228,7 +237,7 @@ class TestTypedFailures:
         with pytest.raises(DisconnectedGraphError, match="horizontal rectangle 0"):
             all_pairs(g)
         with pytest.raises(DisconnectedGraphError):
-            bfs_from(g, 0)
+            bfs_from(g, [0])
 
     def test_isolated_vertical(self):
         g = graph_of([(0, 4, 0, 4)], [(0, 4, 0, 4), (10, 14, 0, 4)])
@@ -236,7 +245,7 @@ class TestTypedFailures:
         with pytest.raises(DisconnectedGraphError, match="vertical rectangle 2"):
             all_pairs(g)
         with pytest.raises(DisconnectedGraphError):
-            bfs_from(g, 0)
+            bfs_from(g, [0])
         assert issubclass(DisconnectedGraphError, RectilinkError)
 
 

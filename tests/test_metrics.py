@@ -5,17 +5,21 @@ import pytest
 
 from rectilink import (
     BitMatrix,
+    GenParams,
+    Orientation,
     ScanCrossingStore,
     bool_product,
     compute,
     diameter_edge_scan,
     diameter_fast,
     diameter_matmul,
+    gen_domain,
     locate,
     oracle_distance,
     oracle_eccentricity,
     overlay_faces,
     point_distance,
+    prepare,
     radius_edge_scan,
     radius_matmul,
     small_case_fallback,
@@ -30,10 +34,55 @@ def rect_by_box(graph, box):
 
 
 def dist(inst, p, q):
-    return point_distance(inst.domain, inst.prep.hdec, inst.prep.vdec, inst.prep.graph, inst.prep.dm, p, q)
+    return point_distance(inst.prep.hdec, inst.prep.vdec, inst.prep.graph, p, q)
+
+
+def table_distance(prep, p, q):
+    """The four-way minimum read from the all-pairs table, as before the graph search."""
+    if p == q:
+        return 0
+    nh = prep.graph.nh
+    rp = locate(prep.hdec, p) | {nh + i for i in locate(prep.vdec, p)}
+    rq = locate(prep.hdec, q) | {nh + i for i in locate(prep.vdec, q)}
+    if rp & rq:
+        return 1 if (p[0] == q[0] or p[1] == q[1]) else 2
+    return int(min(prep.dm[a, b] for a in rp for b in rq))
+
+
+def odd_between(rng, lo, hi):
+    """A half-unit (odd doubled) coordinate strictly between two even ones."""
+    return lo + 1 + 2 * int(rng.integers((hi - lo) // 2))
 
 
 class TestPointDistance:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_table_on_grid_60(self, seed):
+        """Instances too large for the oracle: the graph search equals the table's four-way minimum."""
+        prep = prepare(gen_domain(GenParams(60, 60, 1620, holes=3, seed=seed)))
+        rects = prep.graph.rects
+        rng = np.random.default_rng(seed)
+
+        def generic():
+            r = rects[rng.integers(len(rects))]
+            return (odd_between(rng, r.xmin, r.xmax), odd_between(rng, r.ymin, r.ymax))
+
+        def on_slab_boundary():
+            """The top side of a horizontal rectangle or the right side of a vertical one, shared with a neighbour."""
+            while True:
+                r = rects[rng.integers(len(rects))]
+                if r.orientation is Orientation.HORIZONTAL:
+                    p, dec = (odd_between(rng, r.xmin, r.xmax), r.ymax), prep.hdec
+                else:
+                    p, dec = (r.xmax, odd_between(rng, r.ymin, r.ymax)), prep.vdec
+                if len(locate(dec, p)) == 2:
+                    return p
+
+        pairs = [(generic(), generic()) for _ in range(200)]
+        pairs += [(on_slab_boundary(), generic()) for _ in range(50)]
+        pairs += [(generic(), on_slab_boundary()) for _ in range(50)]
+        for p, q in pairs:
+            assert point_distance(prep.hdec, prep.vdec, prep.graph, p, q) == table_distance(prep, p, q), (p, q)
+
     def test_donut_around_hole(self, donut):
         assert dist(donut, (14, 6), (14, 22)) == 3  # (7,3) -> (7,11)
 

@@ -114,7 +114,7 @@ class TestOracleExtremes:
             for a, fa in enumerate(faces):
                 for b, fb in enumerate(faces):
                     if a != b:
-                        args = (inst.domain, prep.hdec, prep.vdec, prep.graph, prep.dm, fa.rep, fb.rep)
+                        args = (prep.hdec, prep.vdec, prep.graph, fa.rep, fb.rep)
                         assert values[a, b] == point_distance(*args), (inst.name, fa.rep, fb.rep)
                         pairs += 1
         assert pairs == 1674
@@ -154,9 +154,7 @@ class TestFormulaCrossValidation:
                 )
             for p in points:
                 for q in points:
-                    formula = point_distance(
-                        inst.domain, inst.prep.hdec, inst.prep.vdec, inst.prep.graph, inst.prep.dm, p, q
-                    )
+                    formula = point_distance(inst.prep.hdec, inst.prep.vdec, inst.prep.graph, p, q)
                     assert formula == oracle_distance(grid, p, q), (inst.name, p, q)
 
 

@@ -7,12 +7,15 @@ import pytest
 
 import rectilink.graph
 import rectilink.metrics
+import rectilink.pipeline
 from rectilink import (
+    OutsidePointError,
     RectilinkError,
     UnknownChoiceError,
     build_graph,
     compute,
     domain_to_instance,
+    run_verify,
     small_case_fallback,
     solve,
 )
@@ -112,6 +115,39 @@ class TestComputedOnce:
                 assert not solve(kind, algo, donut.prep).routed
                 engine = f"{kind}_{algo.replace('-', '_')}"
                 assert {name: len(c) for name, c in calls.items()} == {n: int(n == engine) for n in ENGINES}
+
+    def test_dist_builds_no_table(self, capsys, tmp_path, monkeypatch, donut):
+        """A point query searches the crossing graph; the extremes still build the table once."""
+        calls = count_calls(monkeypatch, rectilink.graph.all_pairs)
+        (path,) = write_instances(tmp_path, [donut])
+        # a generic pair, then p on the boundary of two horizontal slabs (y = 6)
+        for p, q, value in [("1.5,2.5", "12.5,11.5", 2), ("2,6", "12.5,7.5", 2)]:
+            assert cli_json(capsys, "dist", path, "--p", p, "--q", q)["value"] == value, (p, q)
+        assert calls == []
+        cli_json(capsys, "diameter", path)
+        assert len(calls) == 1
+
+
+class TestVerdict:
+    def test_unpriced_witness_is_unchecked(self, capsys, tmp_path, monkeypatch, lshape):
+        """A witness the oracle cannot price makes the verdict "unchecked" (exit 0); a wrong price still disagrees."""
+
+        def unpriced(grid, p, q):
+            raise OutsidePointError(f"point {p} lies outside the domain")
+
+        monkeypatch.setattr(rectilink.pipeline, "oracle_distance", unpriced)
+        (path,) = write_instances(tmp_path, [lshape])
+        report = run_verify(lshape.domain, lshape.prep, lshape.grid)
+        assert {e["witness_ok"] for e in report["diameter"].values()} == {None}
+        assert {e["witness_ok"] for e in report["radius"].values()} == {True}
+        assert report["verdict"] == "unchecked"
+        assert main(["verify", path]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "unchecked"
+
+        monkeypatch.setattr(rectilink.pipeline, "oracle_eccentricity", lambda grid, c: 0)
+        assert run_verify(lshape.domain, lshape.prep, lshape.grid)["verdict"] == "disagree"
+        assert main(["verify", path]) == 2
+        assert json.loads(capsys.readouterr().out)["verdict"] == "disagree"
 
 
 class TestTypedChoices:
