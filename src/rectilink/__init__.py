@@ -1,6 +1,5 @@
 """Rectilinear link distance, diameter and radius in rectilinear domains with holes."""
 
-from .crossing import CrossingStore, ScanCrossingStore, StoredSegment
 from .errors import (
     DisconnectedGraphError,
     InstanceFormatError,
@@ -14,111 +13,51 @@ from .generator import GenParams, gen_domain
 from .geometry import (
     Decomposition,
     Domain,
-    Orientation,
-    Rect,
-    Ring,
     SCALE,
-    ValidationReport,
     domain_to_instance,
     horizontal_decomposition,
-    locate,
     parse_domain,
     require_valid,
-    validate,
     vertical_decomposition,
 )
-from .graph import (
-    GraphSummary,
-    OrientedGraph,
-    all_pairs,
-    bfs_from,
-    build_graph,
-    middle_segment,
-    rects_cross,
-    summarize,
-)
-from .metrics import (
-    BitMatrix,
-    DiameterResult,
-    Face,
-    RadiusResult,
-    bool_product,
-    compute,
-    diameter_edge_scan,
-    diameter_fast,
-    diameter_matmul,
-    overlay_faces,
-    point_distance,
-    radius_edge_scan,
-    radius_matmul,
-    small_case_fallback,
-)
-from .oracle import GridModel, build_grid, oracle_diameter, oracle_distance, oracle_eccentricity, oracle_radius
+from .graph import OrientedGraph
+from .metrics import DiameterResult, RadiusResult, point_distance
+from .oracle import GridModel, build_grid, oracle_distance
 from .pipeline import Prepared, Solution, decompose, prepare, run_verify, solve
 from .svg import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitMatrix",
-    "CrossingStore",
     "Decomposition",
     "DiameterResult",
     "DisconnectedGraphError",
     "Domain",
-    "Face",
     "GenParams",
-    "GraphSummary",
     "GridModel",
     "InstanceFormatError",
     "InvalidDomainError",
-    "Orientation",
     "OrientedGraph",
     "OutsidePointError",
     "Prepared",
     "RadiusResult",
-    "Rect",
     "RectilinkError",
     "ResourceLimitError",
-    "Ring",
     "SCALE",
-    "ScanCrossingStore",
     "Solution",
-    "StoredSegment",
     "UnknownChoiceError",
-    "ValidationReport",
-    "all_pairs",
-    "bfs_from",
-    "bool_product",
-    "build_graph",
     "build_grid",
-    "compute",
     "decompose",
-    "diameter_edge_scan",
-    "diameter_fast",
-    "diameter_matmul",
     "domain_to_instance",
     "gen_domain",
     "horizontal_decomposition",
-    "locate",
-    "middle_segment",
-    "oracle_diameter",
     "oracle_distance",
-    "oracle_eccentricity",
-    "oracle_radius",
-    "overlay_faces",
     "parse_domain",
     "point_distance",
     "prepare",
-    "radius_edge_scan",
-    "radius_matmul",
-    "rects_cross",
     "render_svg",
     "require_valid",
     "run_verify",
-    "small_case_fallback",
     "solve",
-    "summarize",
-    "validate",
     "vertical_decomposition",
 ]

@@ -12,7 +12,15 @@ from pathlib import Path
 
 from .errors import RectilinkError
 from .generator import GenParams, gen_domain
-from .geometry import Point, SCALE, domain_to_instance, parse_domain, require_valid
+from .geometry import (
+    Point,
+    SCALE,
+    domain_to_instance,
+    horizontal_decomposition,
+    parse_domain,
+    require_valid,
+    vertical_decomposition,
+)
 from .metrics import DIAMETER_ALGOS, EDGE_SCAN, ORACLE, RADIUS_ALGOS, point_distance
 from .oracle import build_grid, oracle_distance
 from .pipeline import decompose, instance_stats, point_out, prepare, run_verify, solve
@@ -166,15 +174,13 @@ def _cmd_render(args) -> int:
     domain = _load_domain(args.instance)
     decomposition = None
     points: tuple[Point, ...] = ()
-    if args.dec or args.witness:
+    if args.witness:
         prep = prepare(domain, validated=True)
-        if args.dec == "H":
-            decomposition = prep.hdec
-        elif args.dec == "V":
-            decomposition = prep.vdec
-        if args.witness:
-            result = solve(args.witness, EDGE_SCAN, prep).result
-            points = result.pair if args.witness == "diameter" else (result.center,)
+        result = solve(args.witness, EDGE_SCAN, prep).result
+        points = result.pair if args.witness == "diameter" else (result.center,)
+        decomposition = {"H": prep.hdec, "V": prep.vdec}.get(args.dec)
+    elif args.dec:  # only the drawn decomposition: no graph, no table
+        decomposition = (horizontal_decomposition if args.dec == "H" else vertical_decomposition)(domain)
     text = render_svg(domain, decomposition=decomposition, points=points)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -3,7 +3,9 @@
 A store holds axis-parallel segments of one axis.  ``pop_crossing`` takes a
 segment of the opposite axis, returns every live stored segment crossing it
 (closed-interval semantics on both sides) and removes them, so each segment is
-reported at most once over the life of the store.
+reported at most once over the life of the store.  :class:`CrossingStore` is
+the one implementation; the engine ``diameter_fast`` rebuilds it with
+``reset`` for every round of queries.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ class StoredSegment:
         if self.lo >= self.hi:
             raise ValueError(f"degenerate segment: lo={self.lo} >= hi={self.hi}")
 
-    def crosses(self, other: "StoredSegment") -> bool:
-        if self.axis is other.axis:
-            return False
-        return other.lo <= self.fixed <= other.hi and self.lo <= other.fixed <= self.hi
-
 
 class CrossingStore:
     """Segment tree over the interval axis with per-node orderings by fixed coordinate.
@@ -56,13 +53,9 @@ class CrossingStore:
         self._node_ids: dict[int, list[int]] = {}
 
     @classmethod
-    def reset(cls, segments, axis: Orientation | None = None) -> "CrossingStore":
-        """Fresh store over ``segments`` (bulk build)."""
+    def reset(cls, segments, axis: Orientation) -> "CrossingStore":
+        """Fresh store of ``axis`` over ``segments`` (bulk build)."""
         segments = list(segments)
-        if axis is None:
-            if not segments:
-                raise ValueError("axis is required for an empty reset")
-            axis = segments[0].axis
         store = cls(axis)
         store._coords = sorted({seg.lo for seg in segments} | {seg.hi for seg in segments})
         store._size = max(2 * len(store._coords) - 1, 0)
@@ -132,41 +125,5 @@ class CrossingStore:
             for nid in self._node_ids.pop(owner):
                 self._nodes[nid].remove(key)
             popped.append(seg)
-        popped.sort(key=lambda s: (s.fixed, s.owner))
-        return popped
-
-
-class ScanCrossingStore:
-    """Quadratic reference with the same contract; the oracle for CrossingStore."""
-
-    def __init__(self, axis: Orientation):
-        self.axis = axis
-        self._live: dict[int, StoredSegment] = {}
-
-    @classmethod
-    def reset(cls, segments, axis: Orientation | None = None) -> "ScanCrossingStore":
-        segments = list(segments)
-        if axis is None:
-            if not segments:
-                raise ValueError("axis is required for an empty reset")
-            axis = segments[0].axis
-        store = cls(axis)
-        for seg in segments:
-            if seg.axis is not axis:
-                raise ValueError(f"segment axis {seg.axis} does not match store axis {axis}")
-            if seg.owner in store._live:
-                raise ValueError(f"duplicate owner id {seg.owner}")
-            store._live[seg.owner] = seg
-        return store
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def pop_crossing(self, query: StoredSegment) -> list[StoredSegment]:
-        if query.axis is self.axis:
-            raise ValueError("query must have the axis opposite to the store")
-        popped = [seg for seg in self._live.values() if seg.crosses(query)]
-        for seg in popped:
-            del self._live[seg.owner]
         popped.sort(key=lambda s: (s.fixed, s.owner))
         return popped

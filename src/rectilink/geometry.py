@@ -92,10 +92,6 @@ class Rect:
     ymin: int
     ymax: int
 
-    @property
-    def area(self) -> int:
-        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
-
     def contains(self, p: Point) -> bool:
         """Closure containment."""
         return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
@@ -111,9 +107,6 @@ class Decomposition:
 
     def __len__(self) -> int:
         return len(self.rects)
-
-    def total_area(self) -> int:
-        return sum(r.area for r in self.rects)
 
 
 @dataclass(frozen=True)
@@ -376,45 +369,44 @@ def _sweep_rects(events):
     return out
 
 
-def horizontal_decomposition(domain: Domain) -> Decomposition:
-    """Partition into maximal rectangles between lines through horizontal edges.
+def _decomposition(domain: Domain, orientation: Orientation) -> Decomposition:
+    """Partition into maximal rectangles between lines through the edges of ``orientation``.
 
-    Bottom-to-top sweep over the horizontal boundary edges; the cross-section
-    interval touched by each edge is cut, all others continue.  Requires a
-    validated domain.
+    The sweep crosses the domain over those boundary edges (bottom to top for
+    horizontal edges, left to right for vertical ones); the cross-section
+    interval touched by each edge is cut, all others continue.  The interior
+    lies to the left of every directed edge, so a rightward horizontal edge
+    and a downward vertical edge open an interval.  Requires a validated
+    domain.
     """
+    horizontal = orientation is Orientation.HORIZONTAL
+    fixed = 1 if horizontal else 0  # the coordinate the sweep advances along
+    span = 1 - fixed
+    sign = 1 if horizontal else -1
     events = []
     for ring in domain.rings():
         for p, q in ring.edges():
-            if p[1] == q[1]:
-                opens = q[0] > p[0]  # interior lies to the left of the directed edge
-                events.append((p[1], min(p[0], q[0]), max(p[0], q[0]), opens))
+            if p[fixed] == q[fixed]:
+                opens = sign * (q[span] - p[span]) > 0
+                events.append((p[fixed], min(p[span], q[span]), max(p[span], q[span]), opens))
     events.sort(key=lambda e: (e[0], not e[3]))
     slabs = _sweep_rects(events)
     slabs.sort(key=lambda s: (s[2], s[0]))
     rects = tuple(
-        Rect(i, Orientation.HORIZONTAL, lo, hi, birth, death)
+        Rect(i, orientation, *((lo, hi, birth, death) if horizontal else (birth, death, lo, hi)))
         for i, (lo, hi, birth, death) in enumerate(slabs)
     )
-    return Decomposition(Orientation.HORIZONTAL, rects)
+    return Decomposition(orientation, rects)
+
+
+def horizontal_decomposition(domain: Domain) -> Decomposition:
+    """Horizontal slabs: the sweep runs bottom to top over the horizontal edges."""
+    return _decomposition(domain, Orientation.HORIZONTAL)
 
 
 def vertical_decomposition(domain: Domain) -> Decomposition:
-    """Left-to-right analogue of :func:`horizontal_decomposition`."""
-    events = []
-    for ring in domain.rings():
-        for p, q in ring.edges():
-            if p[0] == q[0]:
-                opens = q[1] < p[1]  # downward edge: interior to its right
-                events.append((p[0], min(p[1], q[1]), max(p[1], q[1]), opens))
-    events.sort(key=lambda e: (e[0], not e[3]))
-    slabs = _sweep_rects(events)
-    slabs.sort(key=lambda s: (s[2], s[0]))
-    rects = tuple(
-        Rect(i, Orientation.VERTICAL, birth, death, lo, hi)
-        for i, (lo, hi, birth, death) in enumerate(slabs)
-    )
-    return Decomposition(Orientation.VERTICAL, rects)
+    """Vertical slabs: the sweep runs left to right over the vertical edges."""
+    return _decomposition(domain, Orientation.VERTICAL)
 
 
 def locate(dec: Decomposition, p: Point) -> set[int]:

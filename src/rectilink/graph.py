@@ -1,7 +1,9 @@
 """Bipartite crossing graph over the two decompositions and its distance table.
 
 Vertices are the rectangles of both decompositions (horizontal block first),
-edges join pairs of opposite orientation whose interiors overlap.  The
+edges join pairs of opposite orientation whose interiors overlap.  They are
+found by one sweep over the rectangles' middle segments, since two rectangles
+of opposite orientation overlap exactly when their middle segments cross.  The
 oriented distance between two rectangles is the hop distance in this graph
 plus one; it equals the fewest links of a path that starts along the first
 rectangle's orientation and ends along the second's.
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import dijkstra
 from sortedcontainers import SortedList
 
 from .crossing import StoredSegment
-from .errors import DisconnectedGraphError, ResourceLimitError, UnknownChoiceError
+from .errors import DisconnectedGraphError, ResourceLimitError
 from .geometry import Decomposition, Orientation, Rect
 
 DistanceMatrix = np.ndarray  # (m, m) uint16, entry = hop distance + 1
@@ -92,25 +94,6 @@ def middle_segment(rect: Rect) -> StoredSegment:
     )
 
 
-def rects_cross(a: Rect, b: Rect) -> bool:
-    """Opposite orientations and positive-area intersection."""
-    if a.orientation is b.orientation:
-        return False
-    return (
-        min(a.xmax, b.xmax) > max(a.xmin, b.xmin)
-        and min(a.ymax, b.ymax) > max(a.ymin, b.ymin)
-    )
-
-
-def _edges_quadratic(rects, nh: int):
-    edges = []
-    for h in range(nh):
-        for v in range(nh, len(rects)):
-            if rects_cross(rects[h], rects[v]):
-                edges.append((h, v))
-    return edges
-
-
 def _edges_sweep(rects, nh: int):
     """Middle-segment sweep: O((m + chi) log m) orthogonal crossing reporting."""
     ADD, QUERY, REMOVE = 0, 1, 2
@@ -139,35 +122,22 @@ def _edges_sweep(rects, nh: int):
     return edges
 
 
-def build_graph(hdec: Decomposition, vdec: Decomposition, method: str = "sweep") -> OrientedGraph:
+def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
     """Assemble the crossing graph from both decompositions of one domain.
 
-    ``method`` selects the edge construction: the default middle-segment sweep,
-    or ``"quadratic"`` (direct area tests over all pairs), which serves as the
-    independent reference for the sweep.
+    The horizontal rectangles keep their ids ``0..nh-1``, as the decomposition
+    numbers them; the vertical ones are renumbered after them.  The sweep
+    returns the edges sorted, so every adjacency list fills in increasing
+    order.
     """
     nh, nv = len(hdec.rects), len(vdec.rects)
-    rects = tuple(
-        dataclasses.replace(r, id=k)
-        for k, r in enumerate(list(hdec.rects) + list(vdec.rects))
-    )
-    if method == "quadratic":
-        edges = _edges_quadratic(rects, nh)
-    elif method == "sweep":
-        edges = _edges_sweep(rects, nh)
-    else:
-        raise UnknownChoiceError(f"unknown edge construction method: {method}")
+    rects = hdec.rects + tuple(dataclasses.replace(r, id=nh + k) for k, r in enumerate(vdec.rects))
+    edges = _edges_sweep(rects, nh)
     adj_lists: list[list[int]] = [[] for _ in rects]
     for i, j in edges:
         adj_lists[i].append(j)
         adj_lists[j].append(i)
-    return OrientedGraph(
-        rects=rects,
-        nh=nh,
-        nv=nv,
-        adj=tuple(tuple(sorted(a)) for a in adj_lists),
-        edges=tuple(sorted(edges)),
-    )
+    return OrientedGraph(rects=rects, nh=nh, nv=nv, adj=tuple(map(tuple, adj_lists)), edges=tuple(edges))
 
 
 def _check_table_ceiling(m: int) -> None:
@@ -237,9 +207,7 @@ def all_pairs(graph: OrientedGraph, chunk: int = 256) -> DistanceMatrix:
     dm = np.empty((m, m), dtype=np.uint16)
     for start in range(0, nh, chunk):
         stop = min(start + chunk, nh)
-        rows = shortest_path(
-            sparse, method="D", directed=True, unweighted=True, indices=np.arange(start, stop)
-        )
+        rows = dijkstra(sparse, directed=True, unweighted=True, indices=np.arange(start, stop))
         if np.isinf(rows).any():
             raise DisconnectedGraphError(
                 f"horizontal rectangle {start + int(np.argwhere(np.isinf(rows))[0, 0])} "

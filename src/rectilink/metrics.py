@@ -241,9 +241,7 @@ def radius_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | No
     return None
 
 
-def diameter_fast(
-    graph: OrientedGraph, far: np.ndarray, store_cls=CrossingStore
-) -> tuple[int, int, int, int] | None:
+def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
     """Far-set sweep over the candidate pair set through a crossing store.
 
     For each source the rectangles covering its far set are collected by
@@ -263,7 +261,7 @@ def diameter_fast(
         if not len(far_ids):
             continue
         far_orient = graph.orientation_of(int(far_ids[0]))
-        store = store_cls.reset(segments[far_orient.opposite], axis=far_orient.opposite)
+        store = CrossingStore.reset(segments[far_orient.opposite], axis=far_orient.opposite)
         for j in far_ids:
             for seg in store.pop_crossing(mids[int(j)]):
                 reverse[seg.owner].append(i)
@@ -273,7 +271,7 @@ def diameter_fast(
         for i in reverse[jp]:
             by_orient[graph.orientation_of(i)].append(i)
         for orient in sorted(by_orient, key=lambda o: o.value):
-            store = store_cls.reset(segments[orient.opposite], axis=orient.opposite)
+            store = CrossingStore.reset(segments[orient.opposite], axis=orient.opposite)
             for i in sorted(by_orient[orient]):
                 for seg in store.pop_crossing(mids[i]):
                     ip = seg.owner

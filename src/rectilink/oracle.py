@@ -53,14 +53,6 @@ class GridModel:
         self._faces: list[_OracleFace] | None = None
         self._face_values: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.inside.shape
-
-    @property
-    def inside_count(self) -> int:
-        return int(self.inside.sum())
-
     def _build_runs(self, order: str) -> _RunAxis:
         flat = np.ravel(self.inside, order=order)
         nrows, ncols = self.inside.shape

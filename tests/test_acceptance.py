@@ -11,22 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from rectilink import (
-    CrossingStore,
-    GenParams,
-    Orientation,
-    ScanCrossingStore,
-    StoredSegment,
-    gen_domain,
-    middle_segment,
-    oracle_distance,
-    point_distance,
-    prepare,
-    rects_cross,
-    run_verify,
-    solve,
-)
+from rectilink import GenParams, gen_domain, oracle_distance, point_distance, prepare, run_verify, solve
 from rectilink.cli import main as cli_main
+from rectilink.crossing import CrossingStore, StoredSegment
+from rectilink.geometry import Orientation
+from rectilink.graph import middle_segment
+
+from reference import ScanCrossingStore
 
 H, V = Orientation.HORIZONTAL, Orientation.VERTICAL
 

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectilink import CrossingStore, Orientation, ScanCrossingStore, StoredSegment, middle_segment
+from rectilink.crossing import CrossingStore, StoredSegment
+from rectilink.geometry import Orientation
+from rectilink.graph import middle_segment
+
+from reference import ScanCrossingStore
 
 H, V = Orientation.HORIZONTAL, Orientation.VERTICAL
 
@@ -23,11 +27,11 @@ def horizontal_middles(inst):
 
 class TestBasics:
     def test_reset_single(self, donut):
-        store = CrossingStore.reset(vertical_middles(donut)[:1])
+        store = CrossingStore.reset(vertical_middles(donut)[:1], axis=V)
         assert len(store) == 1
 
     def test_reset_all_donut(self, donut):
-        store = CrossingStore.reset(vertical_middles(donut))
+        store = CrossingStore.reset(vertical_middles(donut), axis=V)
         assert len(store) == 4
 
     def test_degenerate_interval(self):
@@ -38,7 +42,7 @@ class TestBasics:
         seg = vertical_middles(donut)[0]
         for store_cls in (CrossingStore, ScanCrossingStore):
             with pytest.raises(ValueError, match="duplicate owner"):
-                store_cls.reset([seg, seg])
+                store_cls.reset([seg, seg], axis=V)
 
     def test_axis_mismatch(self, donut):
         for store_cls in (CrossingStore, ScanCrossingStore):
@@ -46,7 +50,7 @@ class TestBasics:
                 store_cls.reset(vertical_middles(donut)[:1], axis=H)
 
     def test_query_axis_must_be_opposite(self, donut):
-        store = CrossingStore.reset(vertical_middles(donut))
+        store = CrossingStore.reset(vertical_middles(donut), axis=V)
         with pytest.raises(ValueError, match="opposite"):
             store.pop_crossing(vertical_middles(donut)[0])
 
@@ -55,7 +59,7 @@ class TestPopCrossing:
     def test_donut_right_band_query(self, donut):
         # middle segment of the right-hand band (y = 14, x in [16, 28]) crosses
         # exactly the right vertical slab's middle segment
-        store = CrossingStore.reset(vertical_middles(donut))
+        store = CrossingStore.reset(vertical_middles(donut), axis=V)
         g = donut.prep.graph
         h4 = next(r for r in g.rects if r.box() == (16, 28, 12, 16))
         popped = store.pop_crossing(middle_segment(h4))
@@ -64,14 +68,14 @@ class TestPopCrossing:
         assert len(store) == 3
 
     def test_repeat_query_empty(self, donut):
-        store = CrossingStore.reset(vertical_middles(donut))
+        store = CrossingStore.reset(vertical_middles(donut), axis=V)
         g = donut.prep.graph
         h4 = next(r for r in g.rects if r.box() == (16, 28, 12, 16))
         store.pop_crossing(middle_segment(h4))
         assert store.pop_crossing(middle_segment(h4)) == []
 
     def test_disjoint_query_empty(self, donut):
-        store = CrossingStore.reset(vertical_middles(donut))
+        store = CrossingStore.reset(vertical_middles(donut), axis=V)
         assert store.pop_crossing(StoredSegment(H, fixed=-50, lo=-100, hi=-60, owner=99)) == []
 
 
@@ -80,15 +84,15 @@ class TestReset:
         assert len(CrossingStore.reset([], axis=H)) == 0
 
     def test_empty_needs_axis(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             CrossingStore.reset([])
 
     def test_horizontal_middles(self, donut):
-        assert len(CrossingStore.reset(horizontal_middles(donut))) == 4
+        assert len(CrossingStore.reset(horizontal_middles(donut), axis=H)) == 4
 
     def test_idempotent(self, donut):
         segs = horizontal_middles(donut)
-        assert len(CrossingStore.reset(segs)) == len(CrossingStore.reset(segs)) == 4
+        assert len(CrossingStore.reset(segs, axis=H)) == len(CrossingStore.reset(segs, axis=H)) == 4
 
 
 def random_segment(rng, axis, owner, span=40):
@@ -118,8 +122,8 @@ class TestAgainstReference:
         rng = random.Random(5)
         for _ in range(100):
             segs = [random_segment(rng, H, k) for k in range(rng.randrange(1, 30))]
-            real = CrossingStore.reset(segs)
-            ref = ScanCrossingStore.reset(segs)
+            real = CrossingStore.reset(segs, axis=H)
+            ref = ScanCrossingStore.reset(segs, axis=H)
             for _ in range(10):
                 q = random_segment(rng, V, 10_000)
                 assert real.pop_crossing(q) == ref.pop_crossing(q)
@@ -129,7 +133,7 @@ class TestAgainstReference:
         rng = random.Random(77)
         for _ in range(50):
             segs = [random_segment(rng, H, k) for k in range(25)]
-            store = CrossingStore.reset(segs)
+            store = CrossingStore.reset(segs, axis=H)
             seen = set()
             for _ in range(40):
                 for seg in store.pop_crossing(random_segment(rng, V, 10_000)):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from rectilink import GenParams, gen_domain, validate
+from rectilink import GenParams, gen_domain
+from rectilink.geometry import validate
 
 
 class TestDeterminism:

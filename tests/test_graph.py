@@ -11,19 +11,15 @@ from rectilink import (
     Decomposition,
     DisconnectedGraphError,
     GenParams,
-    Orientation,
-    Rect,
     RectilinkError,
     ResourceLimitError,
-    all_pairs,
-    bfs_from,
-    build_graph,
     gen_domain,
-    middle_segment,
     prepare,
-    rects_cross,
-    summarize,
 )
+from rectilink.geometry import Orientation, Rect
+from rectilink.graph import all_pairs, bfs_from, build_graph, middle_segment
+
+from reference import crosses, edges_quadratic, rects_cross
 
 
 def rect_by_box(graph, box):
@@ -83,14 +79,20 @@ class TestBuildGraph:
             for i, j in g.edges:
                 assert g.orientation_of(i) is not g.orientation_of(j)
 
-    def test_sweep_matches_quadratic(self, corpus):
-        for inst in corpus[:40]:
-            quad = build_graph(inst.prep.hdec, inst.prep.vdec, method="quadratic")
-            assert quad.edges == inst.prep.graph.edges
-
-    def test_unknown_method(self, square):
-        with pytest.raises(ValueError):
-            build_graph(square.prep.hdec, square.prep.vdec, method="nope")
+    def test_sweep_matches_quadratic(self, fixtures, corpus, grid60):
+        """Edges, adjacency and numbering equal the all-pairs area test, in order."""
+        for prep in [inst.prep for inst in fixtures + corpus] + grid60:
+            g = prep.graph
+            rects = prep.hdec.rects + prep.vdec.rects
+            assert [r.id for r in g.rects] == list(range(g.m))
+            assert [r.box() for r in g.rects] == [r.box() for r in rects]
+            edges = edges_quadratic(rects, g.nh)
+            assert g.edges == tuple(edges)
+            adj = [[] for _ in rects]
+            for i, j in edges:
+                adj[i].append(j)
+                adj[j].append(i)
+            assert g.adj == tuple(tuple(sorted(neigh)) for neigh in adj)
 
 
 class TestDistances:
@@ -156,16 +158,14 @@ def reference_table(graph):
 
 
 def graph_of(h_boxes, v_boxes):
-    """Crossing graph of hand-placed rectangles, edges by direct area tests."""
+    """Crossing graph of hand-placed rectangles; its edges equal the direct area tests."""
 
     def decomposition(orientation, boxes):
-        return Decomposition(orientation, tuple(Rect(0, orientation, *box) for box in boxes))
+        return Decomposition(orientation, tuple(Rect(k, orientation, *box) for k, box in enumerate(boxes)))
 
-    return build_graph(
-        decomposition(Orientation.HORIZONTAL, h_boxes),
-        decomposition(Orientation.VERTICAL, v_boxes),
-        method="quadratic",
-    )
+    graph = build_graph(decomposition(Orientation.HORIZONTAL, h_boxes), decomposition(Orientation.VERTICAL, v_boxes))
+    assert graph.edges == tuple(edges_quadratic(graph.rects, graph.nh))
+    return graph
 
 
 # A T shape in doubled coordinates: a top bar over a stem.  Its two ledges
@@ -334,7 +334,7 @@ class TestCrossingCharacterization:
                     rv = g.rects[v]
                     mv = middle_segment(rv)
                     area = rects_cross(rh, rv)
-                    crossing = mh.crosses(mv)
+                    crossing = crosses(mh, mv)
                     contained = (
                         rh.xmin <= rv.xmin
                         and rv.xmax <= rh.xmax

@@ -3,27 +3,24 @@
 import numpy as np
 import pytest
 
-from rectilink import (
+import rectilink.metrics
+from rectilink import GenParams, gen_domain, oracle_distance, point_distance, prepare
+from rectilink.geometry import Orientation, locate
+from rectilink.metrics import (
     BitMatrix,
-    GenParams,
-    Orientation,
-    ScanCrossingStore,
     bool_product,
     compute,
     diameter_edge_scan,
     diameter_fast,
     diameter_matmul,
-    gen_domain,
-    locate,
-    oracle_distance,
-    oracle_eccentricity,
     overlay_faces,
-    point_distance,
-    prepare,
     radius_edge_scan,
     radius_matmul,
     small_case_fallback,
 )
+from rectilink.oracle import oracle_eccentricity
+
+from reference import ScanCrossingStore
 
 
 def rect_by_box(graph, box):
@@ -352,17 +349,16 @@ class TestEngineAgreement:
             }
             assert len(values) == 1, inst.name
 
-    def test_fast_engine_with_reference_store(self, corpus):
-        for inst in corpus[:25]:
-            if inst.prep.summary.ordiam < 4:
-                continue
-            far = far_of(inst, "diameter")
-            a = diameter_fast(inst.prep.graph, far)
-            b = diameter_fast(inst.prep.graph, far, store_cls=ScanCrossingStore)
+    def test_fast_engine_with_reference_store(self, corpus, monkeypatch):
+        cases = [(inst.prep.graph, far_of(inst, "diameter")) for inst in corpus[:25] if inst.prep.summary.ordiam >= 4]
+        decisions = [diameter_fast(graph, far) for graph, far in cases]
+        monkeypatch.setattr(rectilink.metrics, "CrossingStore", ScanCrossingStore)
+        for (graph, far), a in zip(cases, decisions):
+            b = diameter_fast(graph, far)
             assert (a is None) == (b is None)
 
     def test_faces_partition_area(self, small_corpus):
         for inst in small_corpus[:15]:
             faces = overlay_faces(inst.prep.graph)
             face_area = sum((f.box[1] - f.box[0]) * (f.box[3] - f.box[2]) for f in faces)
-            assert face_area == sum(r.area for r in inst.prep.hdec.rects)
+            assert face_area == sum((r.xmax - r.xmin) * (r.ymax - r.ymin) for r in inst.prep.hdec.rects)

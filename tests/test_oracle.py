@@ -3,17 +3,8 @@
 import numpy as np
 import pytest
 
-from rectilink import (
-    GridModel,
-    OutsidePointError,
-    build_grid,
-    oracle_diameter,
-    oracle_distance,
-    oracle_eccentricity,
-    oracle_radius,
-    parse_domain,
-    point_distance,
-)
+from rectilink import GridModel, OutsidePointError, build_grid, oracle_distance, parse_domain, point_distance
+from rectilink.oracle import oracle_diameter, oracle_eccentricity, oracle_radius
 
 from conftest import DONUT
 
@@ -21,16 +12,16 @@ from conftest import DONUT
 class TestBuildGrid:
     def test_square(self, square):
         g = square.grid
-        assert g.shape == (1, 1) and g.inside_count == 1
+        assert g.inside.shape == (1, 1) and g.inside.sum() == 1
 
     def test_donut(self, donut):
         g = donut.grid
-        assert g.shape == (3, 3) and g.inside_count == 8
+        assert g.inside.shape == (3, 3) and g.inside.sum() == 8
         assert not g.inside[1, 1]  # center cell is the hole
 
     def test_lshape(self, lshape):
         g = lshape.grid
-        assert g.shape == (2, 2) and g.inside_count == 3
+        assert g.inside.shape == (2, 2) and g.inside.sum() == 3
         assert not g.inside[1, 1]
 
     def test_cuts(self, donut):
@@ -84,7 +75,7 @@ class TestOracleDistance:
                 a, b = rng.integers(0, len(ys), 2)
                 p = (int(grid.xs[xs[a]] + 1), int(grid.ys[ys[a]] + 1))
                 q = (int(grid.xs[xs[b]] + 1), int(grid.ys[ys[b]] + 1))
-                assert oracle_distance(grid, p, q) <= 2 * grid.inside_count + 1
+                assert oracle_distance(grid, p, q) <= 2 * int(grid.inside.sum()) + 1
 
 
 class TestOracleExtremes:

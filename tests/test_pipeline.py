@@ -8,19 +8,9 @@ import pytest
 import rectilink.graph
 import rectilink.metrics
 import rectilink.pipeline
-from rectilink import (
-    OutsidePointError,
-    RectilinkError,
-    UnknownChoiceError,
-    build_graph,
-    compute,
-    domain_to_instance,
-    run_verify,
-    small_case_fallback,
-    solve,
-)
+from rectilink import OutsidePointError, RectilinkError, UnknownChoiceError, domain_to_instance, run_verify, solve
 from rectilink.cli import main
-from rectilink.metrics import DIAMETER_ALGOS, ORACLE, RADIUS_ALGOS
+from rectilink.metrics import DIAMETER_ALGOS, ORACLE, RADIUS_ALGOS, compute, small_case_fallback
 
 ALGOS = {"diameter": DIAMETER_ALGOS + (ORACLE,), "radius": RADIUS_ALGOS + (ORACLE,)}
 VALUE_FIELDS = ("value", "engine", "routed_to_fallback", "witness")
@@ -127,6 +117,19 @@ class TestComputedOnce:
         cli_json(capsys, "diameter", path)
         assert len(calls) == 1
 
+    def test_render_dec_builds_no_table(self, capsys, tmp_path, monkeypatch, donut):
+        """Drawing a decomposition builds neither the graph nor the table; drawing a witness does."""
+        tables = count_calls(monkeypatch, rectilink.graph.all_pairs)
+        graphs = count_calls(monkeypatch, rectilink.graph.build_graph)
+        (path,) = write_instances(tmp_path, [donut])
+        for dec in ("H", "V"):
+            assert main(["render", path, "--dec", dec]) == 0
+            assert capsys.readouterr().out.count('class="cell"') == 4, dec
+        assert (tables, graphs) == ([], [])
+        assert main(["render", path, "--witness", "diameter"]) == 0
+        assert capsys.readouterr().out.count('class="witness"') == 2
+        assert (len(tables), len(graphs)) == (1, 1)
+
 
 class TestVerdict:
     def test_unpriced_witness_is_unchecked(self, capsys, tmp_path, monkeypatch, lshape):
@@ -161,7 +164,6 @@ class TestTypedChoices:
             lambda: compute("diameter", prep.graph, prep.dm, prep.summary, "quantum"),
             lambda: compute("radius", prep.graph, prep.dm, prep.summary, "fast"),
             lambda: compute("girth", prep.graph, prep.dm, prep.summary, "matmul"),
-            lambda: build_graph(prep.hdec, prep.vdec, method="nope"),
             lambda: small_case_fallback(prep.graph, prep.dm, "girth"),
         ]
         for call in calls:

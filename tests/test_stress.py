@@ -6,7 +6,8 @@ and check full engine/oracle agreement there.
 
 import pytest
 
-from rectilink import GenParams, gen_domain, parse_domain, run_verify, validate
+from rectilink import GenParams, gen_domain, parse_domain, run_verify
+from rectilink.geometry import validate
 
 # Two rooms with one hole each, joined by a narrow corridor.  All walls are
 # staggered so no two unjoined vertices share a coordinate.
