@@ -3,9 +3,10 @@
 A store holds axis-parallel segments of one axis.  ``pop_crossing`` takes a
 segment of the opposite axis, returns every live stored segment crossing it
 (closed-interval semantics on both sides) and removes them, so each segment is
-reported at most once over the life of the store.  :class:`CrossingStore` is
-the one implementation; the engine ``diameter_fast`` rebuilds it with
-``reset`` for every round of queries.
+reported at most once until ``restore`` puts it back.  :class:`CrossingStore`
+is the one implementation; the engine ``diameter_fast`` builds one per axis
+with ``reset`` and, after every round of queries, restores what the round
+popped.
 """
 
 from __future__ import annotations
@@ -60,15 +61,17 @@ class CrossingStore:
         store._coords = sorted({seg.lo for seg in segments} | {seg.hi for seg in segments})
         store._size = max(2 * len(store._coords) - 1, 0)
         store._nodes = [None] * (2 * store._size)
-        for seg in segments:
-            store._attach(seg)
+        store.restore(segments)
         return store
 
     def __len__(self) -> int:
         return len(self._live)
 
     def _leaf_of_coord(self, value: int) -> int:
-        return 2 * bisect_left(self._coords, value)
+        pos = bisect_left(self._coords, value)
+        if pos == len(self._coords) or self._coords[pos] != value:
+            raise ValueError(f"coordinate {value} is not an endpoint of the segments the store was built over")
+        return 2 * pos
 
     def _cover(self, lo: int, hi: int) -> list[int]:
         left = self._leaf_of_coord(lo) + self._size
@@ -85,19 +88,21 @@ class CrossingStore:
             right >>= 1
         return nodes
 
-    def _attach(self, seg: StoredSegment) -> None:
-        if seg.axis is not self.axis:
-            raise ValueError(f"segment axis {seg.axis} does not match store axis {self.axis}")
-        if seg.owner in self._live:
-            raise ValueError(f"duplicate owner id {seg.owner}")
-        ids = self._cover(seg.lo, seg.hi)
-        key = (seg.fixed, seg.owner)
-        for node in ids:
-            if self._nodes[node] is None:
-                self._nodes[node] = SortedList()
-            self._nodes[node].add(key)
-        self._live[seg.owner] = seg
-        self._node_ids[seg.owner] = ids
+    def restore(self, segments) -> None:
+        """Attach ``segments``, which the store was built over, so that queries report them again."""
+        for seg in segments:
+            if seg.axis is not self.axis:
+                raise ValueError(f"segment axis {seg.axis} does not match store axis {self.axis}")
+            if seg.owner in self._live:
+                raise ValueError(f"duplicate owner id {seg.owner}")
+            ids = self._cover(seg.lo, seg.hi)
+            key = (seg.fixed, seg.owner)
+            for node in ids:
+                if self._nodes[node] is None:
+                    self._nodes[node] = SortedList()
+                self._nodes[node].add(key)
+            self._live[seg.owner] = seg
+            self._node_ids[seg.owner] = ids
 
     def pop_crossing(self, query: StoredSegment) -> list[StoredSegment]:
         """Return and remove every live segment crossing ``query``."""

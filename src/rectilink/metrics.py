@@ -8,7 +8,8 @@ Each engine decides between the two on the far relation ``dm >= ordiam`` (or
 ``dm >= orrad``) and returns only its decision, a witness configuration of
 crossing rectangle pairs or ``None``:
 
-* ``edge-scan``: direct scan over pairs of graph edges,
+* ``edge-scan``: direct scan over pairs of graph edges, with the cover test
+  packed into bits; the diameter scan visits only the edges between far rows,
 * ``matmul``: the same condition phrased as thresholded boolean matrix
   products over bit-packed rows,
 * ``fast`` (diameter only): per-source far sets explored through a
@@ -124,32 +125,57 @@ def point_distance(hdec: Decomposition, vdec: Decomposition, graph: OrientedGrap
     return int(min(row[b] for b in rq))
 
 
-def _edge_covers(graph: OrientedGraph, far: np.ndarray):
-    """Chunks of edges against every edge: (first edge index, cover matrix).
+def _packed_columns(far: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``far[:, cols]`` packed into bits, eight columns per byte."""
+    width = -(-len(cols) // 8) * 8
+    out = np.empty((len(far), width // 8), np.uint8)
+    for start in range(0, len(far), _EDGE_CHUNK):
+        rows = far[start : start + _EDGE_CHUNK, cols]
+        block = np.zeros((len(rows), width), dtype=bool)
+        block[:, : len(cols)] = rows  # rows padded to whole bytes pack as one flat run
+        out[start : start + len(rows)] = np.packbits(block).reshape(len(rows), width // 8)
+    return out
+
+
+def _edge_covers(far: np.ndarray, edges: np.ndarray):
+    """Chunks of ``edges`` (a k x 2 array) against each other: (chunk start, packed cover rows).
 
     Edge (a, a') covers edge (b, b') when a-b and a'-b' are both far
-    (straight) or a-b' and a'-b are (crossed).
+    (straight) or a-b' and a'-b are (crossed).  The two ends' far rows are
+    packed into bits once, ``F0 = far[:, b]`` and ``F1 = far[:, b']`` over the
+    columns ``edges``, so a chunk's cover rows are
+    ``(F0[a] & F1[a']) | (F1[a] & F0[a'])``, eight pairs per byte.  The
+    radius scans every edge; the diameter passes only the edges between far
+    rows, the only ones that can cover or be covered.
     """
-    edges = np.asarray(graph.edges)
-    e0, e1 = edges[:, 0], edges[:, 1]
+    f0, f1 = _packed_columns(far, edges[:, 0]), _packed_columns(far, edges[:, 1])
     for start in range(0, len(edges), _EDGE_CHUNK):
-        a0, a1 = e0[start : start + _EDGE_CHUNK], e1[start : start + _EDGE_CHUNK]
-        yield start, (far[np.ix_(a0, e0)] & far[np.ix_(a1, e1)]) | (far[np.ix_(a0, e1)] & far[np.ix_(a1, e0)])
+        a0, a1 = edges[start : start + _EDGE_CHUNK, 0], edges[start : start + _EDGE_CHUNK, 1]
+        yield start, (f0[a0] & f1[a1]) | (f1[a0] & f0[a1])
 
 
 def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
-    """Scan pairs of graph edges for two far pairs covering each other; return them as (i, i', j, j')."""
-    for start, hit in _edge_covers(graph, far):
-        if hit.any():
-            r, c = np.argwhere(hit)[0]
-            (i, ip), (j, jp) = graph.edges[start + r], graph.edges[c]
+    """Scan pairs of graph edges for two far pairs covering each other; return them as (i, i', j, j').
+
+    Only edges with both ends in a far row can cover or be covered, so the
+    scan visits those alone, in edge order: the first hit is the same quad.
+    """
+    rows = far.any(axis=1)
+    edges = np.array(graph.edges, dtype=np.intp)
+    ids = np.flatnonzero(rows[edges[:, 0]] & rows[edges[:, 1]])
+    for start, hit in _edge_covers(far, edges[ids]):
+        hits = np.flatnonzero(hit.any(axis=1))
+        if len(hits):
+            r = hits[0]
+            c = np.flatnonzero(np.unpackbits(hit[r], count=len(ids)))[0]
+            (i, ip), (j, jp) = graph.edges[ids[start + r]], graph.edges[ids[c]]
             return (i, ip, j, jp) if far[i, j] and far[ip, jp] else (i, ip, jp, j)
     return None
 
 
 def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
     """For every edge, search an edge whose two far conditions both hold; return the first without one."""
-    for start, hit in _edge_covers(graph, far):
+    for start, hit in _edge_covers(far, np.array(graph.edges, dtype=np.intp)):
         covered = hit.any(axis=1)
         if not covered.all():
             return graph.edges[start + int(np.argmin(covered))]
@@ -245,13 +271,14 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
     """Far-set sweep over the candidate pair set through a crossing store.
 
     For each source the rectangles covering its far set are collected by
-    loading middle segments of the opposite orientation and popping crossings,
-    then the reverse map drives one more pop round that enumerates each
-    candidate pair exactly once.
+    popping crossings from the store of middle segments of the opposite
+    orientation, then the reverse map drives one more pop round that
+    enumerates each candidate pair exactly once.  One store is built per axis;
+    every round restores the segments it popped.
     """
     mids = [middle_segment(r) for r in graph.rects]
-    segments = {
-        orient: [mids[k] for k in graph.ids_of(orient)]
+    stores = {
+        orient: CrossingStore.reset([mids[k] for k in graph.ids_of(orient)], axis=orient)
         for orient in (Orientation.HORIZONTAL, Orientation.VERTICAL)
     }
     reverse: dict[int, list[int]] = defaultdict(list)
@@ -260,23 +287,28 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
         far_ids = np.nonzero(far[i])[0]
         if not len(far_ids):
             continue
-        far_orient = graph.orientation_of(int(far_ids[0]))
-        store = CrossingStore.reset(segments[far_orient.opposite], axis=far_orient.opposite)
+        store = stores[graph.orientation_of(int(far_ids[0])).opposite]
+        popped = []
         for j in far_ids:
             for seg in store.pop_crossing(mids[int(j)]):
                 reverse[seg.owner].append(i)
                 provenance[(i, seg.owner)] = int(j)
+                popped.append(seg)
+        store.restore(popped)
     for jp in sorted(reverse):
         by_orient: dict[Orientation, list[int]] = defaultdict(list)
         for i in reverse[jp]:
             by_orient[graph.orientation_of(i)].append(i)
         for orient in sorted(by_orient, key=lambda o: o.value):
-            store = CrossingStore.reset(segments[orient.opposite], axis=orient.opposite)
+            store = stores[orient.opposite]
+            popped = []
             for i in sorted(by_orient[orient]):
                 for seg in store.pop_crossing(mids[i]):
                     ip = seg.owner
                     if far[ip, jp]:
                         return (i, ip, provenance[(i, jp)], jp)
+                    popped.append(seg)
+            store.restore(popped)
     return None
 
 

@@ -93,3 +93,25 @@ def corpus() -> list[Instance]:
 def small_corpus(corpus) -> list[Instance]:
     """Every corpus member with a combined rectangle count of at most 200."""
     return [inst for inst in corpus if inst.prep.graph.m <= 200]
+
+
+@pytest.fixture(scope="session")
+def grid40() -> list[Prepared]:
+    """The grid-40 instances with seeds 1000-1031 that generate (the benchmark's default-engine size)."""
+    preps = []
+    for seed in range(1000, 1032):
+        try:
+            domain = gen_domain(GenParams(width=40, height=40, cells=int(40 * 40 * 0.45), holes=3, seed=seed))
+        except ValueError:
+            continue
+        preps.append(prepare(domain))
+    return preps
+
+
+@pytest.fixture(scope="session")
+def grid60() -> list[Prepared]:
+    """Two grid-60 instances (seeds 1 and 2), too large for the full oracle."""
+    return [
+        prepare(gen_domain(GenParams(width=60, height=60, cells=int(60 * 60 * 0.45), holes=3, seed=seed)))
+        for seed in (1, 2)
+    ]

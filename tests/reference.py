@@ -2,14 +2,18 @@
 
 Each is the direct, obviously correct phrasing of one decision the package
 makes faster: crossing of two middle segments, positive-area overlap of two
-rectangles, the crossing-graph edge list over all pairs, and a report-and-remove
-store that scans every live segment.
+rectangles, the crossing-graph edge list over all pairs, a report-and-remove
+store that scans every live segment, and the edge-scan engines as boolean
+cover matrices, one byte per pair.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from rectilink.crossing import StoredSegment
 from rectilink.geometry import Orientation, Rect
+from rectilink.graph import OrientedGraph
 
 
 def crosses(a: StoredSegment, b: StoredSegment) -> bool:
@@ -49,13 +53,16 @@ class ScanCrossingStore:
     @classmethod
     def reset(cls, segments, axis: Orientation) -> "ScanCrossingStore":
         store = cls(axis)
-        for seg in segments:
-            if seg.axis is not axis:
-                raise ValueError(f"segment axis {seg.axis} does not match store axis {axis}")
-            if seg.owner in store._live:
-                raise ValueError(f"duplicate owner id {seg.owner}")
-            store._live[seg.owner] = seg
+        store.restore(segments)
         return store
+
+    def restore(self, segments) -> None:
+        for seg in segments:
+            if seg.axis is not self.axis:
+                raise ValueError(f"segment axis {seg.axis} does not match store axis {self.axis}")
+            if seg.owner in self._live:
+                raise ValueError(f"duplicate owner id {seg.owner}")
+            self._live[seg.owner] = seg
 
     def __len__(self) -> int:
         return len(self._live)
@@ -68,3 +75,38 @@ class ScanCrossingStore:
             del self._live[seg.owner]
         popped.sort(key=lambda s: (s.fixed, s.owner))
         return popped
+
+
+_EDGE_CHUNK = 512
+
+
+def _edge_covers(graph: OrientedGraph, far: np.ndarray):
+    """Chunks of edges against every edge: (first edge index, cover matrix).
+
+    Edge (a, a') covers edge (b, b') when a-b and a'-b' are both far
+    (straight) or a-b' and a'-b are (crossed).
+    """
+    edges = np.asarray(graph.edges)
+    e0, e1 = edges[:, 0], edges[:, 1]
+    for start in range(0, len(edges), _EDGE_CHUNK):
+        a0, a1 = e0[start : start + _EDGE_CHUNK], e1[start : start + _EDGE_CHUNK]
+        yield start, (far[np.ix_(a0, e0)] & far[np.ix_(a1, e1)]) | (far[np.ix_(a0, e1)] & far[np.ix_(a1, e0)])
+
+
+def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Scan pairs of graph edges for two far pairs covering each other; return them as (i, i', j, j')."""
+    for start, hit in _edge_covers(graph, far):
+        if hit.any():
+            r, c = np.argwhere(hit)[0]
+            (i, ip), (j, jp) = graph.edges[start + r], graph.edges[c]
+            return (i, ip, j, jp) if far[i, j] and far[ip, jp] else (i, ip, jp, j)
+    return None
+
+
+def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
+    """For every edge, search an edge whose two far conditions both hold; return the first without one."""
+    for start, hit in _edge_covers(graph, far):
+        covered = hit.any(axis=1)
+        if not covered.all():
+            return graph.edges[start + int(np.argmin(covered))]
+    return None

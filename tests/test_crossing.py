@@ -54,6 +54,22 @@ class TestBasics:
         with pytest.raises(ValueError, match="opposite"):
             store.pop_crossing(vertical_middles(donut)[0])
 
+    def test_restore_checks(self, donut):
+        segs = vertical_middles(donut)
+        for store_cls in (CrossingStore, ScanCrossingStore):
+            store = store_cls.reset(segs, axis=V)
+            with pytest.raises(ValueError, match="duplicate owner"):
+                store.restore(segs[:1])
+            with pytest.raises(ValueError, match="axis"):
+                store.restore(horizontal_middles(donut)[:1])
+
+    def test_restore_outside_the_built_coordinates(self, donut):
+        segs = vertical_middles(donut)
+        store = CrossingStore.reset(segs[1:], axis=V)
+        stranger = StoredSegment(V, fixed=segs[0].fixed, lo=segs[0].lo - 1, hi=segs[0].hi, owner=segs[0].owner)
+        with pytest.raises(ValueError, match="endpoint"):
+            store.restore([stranger])
+
 
 class TestPopCrossing:
     def test_donut_right_band_query(self, donut):
@@ -112,11 +128,41 @@ def run_sequence(rng, store_axis, op_count):
         assert len(real) == len(ref)
 
 
+def run_restore_program(rng, store_axis):
+    """Rounds of pops, each followed by a restore of all or part of what it popped.
+
+    Every answer is compared with the scan reference driven the same way, and
+    whenever every segment is live again, with a freshly reset store.
+    """
+    segs = [random_segment(rng, store_axis, owner) for owner in range(rng.randrange(1, 25))]
+    real = CrossingStore.reset(segs, axis=store_axis)
+    ref = ScanCrossingStore.reset(segs, axis=store_axis)
+    for _ in range(rng.randrange(1, 8)):
+        fresh = CrossingStore.reset(segs, axis=store_axis) if len(real) == len(segs) else None
+        popped = []
+        for k in range(rng.randrange(1, 6)):
+            query = random_segment(rng, store_axis.opposite, 10_000 + k)
+            got = real.pop_crossing(query)
+            assert got == ref.pop_crossing(query)
+            if fresh is not None:
+                assert got == fresh.pop_crossing(query)
+            popped.extend(got)
+        back = popped if rng.random() < 0.7 else rng.sample(popped, len(popped) // 2)
+        real.restore(back)
+        ref.restore(back)
+        assert len(real) == len(ref)
+
+
 class TestAgainstReference:
     def test_many_random_sequences(self):
         rng = random.Random(2024)
         for _ in range(400):
             run_sequence(rng, H if rng.random() < 0.5 else V, rng.randrange(2, 20))
+
+    def test_restore_programs(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            run_restore_program(rng, H if rng.random() < 0.5 else V)
 
     def test_bulk_reset_then_pop(self):
         rng = random.Random(5)

@@ -7,15 +7,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from rectilink import (
-    Decomposition,
-    DisconnectedGraphError,
-    GenParams,
-    RectilinkError,
-    ResourceLimitError,
-    gen_domain,
-    prepare,
-)
+from rectilink import Decomposition, DisconnectedGraphError, RectilinkError, ResourceLimitError
 from rectilink.geometry import Orientation, Rect
 from rectilink.graph import all_pairs, bfs_from, build_graph, middle_segment
 
@@ -172,14 +164,6 @@ def graph_of(h_boxes, v_boxes):
 # share a height, which validation refuses, so the graph is built by hand.
 T_SHAPE_H = [(0, 20, 14, 20), (6, 14, 0, 14)]
 T_SHAPE_V = [(0, 6, 14, 20), (6, 14, 0, 20), (14, 20, 14, 20)]
-
-
-@pytest.fixture(scope="module")
-def grid60():
-    return [
-        prepare(gen_domain(GenParams(width=60, height=60, cells=int(60 * 60 * 0.45), holes=3, seed=seed)))
-        for seed in (1, 2)
-    ]
 
 
 class TestAllPairsDerivation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rectilink.metrics
-from rectilink import GenParams, gen_domain, oracle_distance, point_distance, prepare
+from rectilink import oracle_distance, point_distance
 from rectilink.geometry import Orientation, locate
 from rectilink.metrics import (
     BitMatrix,
@@ -20,6 +20,7 @@ from rectilink.metrics import (
 )
 from rectilink.oracle import oracle_eccentricity
 
+import reference
 from reference import ScanCrossingStore
 
 
@@ -53,9 +54,9 @@ def odd_between(rng, lo, hi):
 
 class TestPointDistance:
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_matches_table_on_grid_60(self, seed):
+    def test_matches_table_on_grid_60(self, seed, grid60):
         """Instances too large for the oracle: the graph search equals the table's four-way minimum."""
-        prep = prepare(gen_domain(GenParams(60, 60, 1620, holes=3, seed=seed)))
+        prep = grid60[seed - 1]
         rects = prep.graph.rects
         rng = np.random.default_rng(seed)
 
@@ -203,6 +204,73 @@ class TestEngineFixtures:
                     h, v = edge
                     assert (h, v) in g.edges and h < g.nh <= v, (inst.name, engine.__name__)
                     assert not any(far[h, j] and far[v, jp] for j, jp in edges), (inst.name, engine.__name__)
+
+
+def sink_far(graph, planted):
+    """Far rows for every rectangle outside one rectangle's neighbourhood, yet no edge covers another.
+
+    Every such rectangle is far from one horizontal sink ``s`` only, and the
+    edges at ``s`` are dropped because their other end is no far row.  Then
+    ``planted`` (pairs of far entries) adds the only covers, so both scans
+    must walk past more than one chunk of kept edges to meet them.
+    """
+    s = graph.edges[0][0]
+    far = np.zeros((graph.m, graph.m), dtype=bool)
+    rows = np.ones(graph.m, dtype=bool)
+    rows[[s, *graph.adj[s]]] = False
+    far[s, rows] = far[rows, s] = True
+    for a, b in planted:
+        far[a, b] = far[b, a] = True
+    return far
+
+
+def synthetic_far_relations(graph):
+    """Named symmetric far relations a real table rarely gives: dense, random, nearly full, planted."""
+    rng = np.random.default_rng(7)
+    m, edges = graph.m, graph.edges
+    out = {"all": np.ones((m, m), dtype=bool)}
+    for density in (0.05, 0.5):
+        upper = np.triu(rng.random((m, m)) < density, 1)
+        out[f"random-{density}"] = upper | upper.T
+    # every row far except a few horizontal ones, whose edges all lie past the first chunk
+    late = sorted({edges[k][0] for k in (len(edges) // 2, 3 * len(edges) // 4, len(edges) - 1)})
+    far = np.ones((m, m), dtype=bool)
+    far[late] = far[:, late] = False
+    out["all-but-late-rows"] = far
+    (p0, p1), (q0, q1) = edges[2 * len(edges) // 3], edges[len(edges) - 2]
+    out["planted-straight"] = sink_far(graph, [(p0, q0), (p1, q1)])
+    out["planted-crossed"] = sink_far(graph, [(p0, q1), (p1, q0)])
+    return out
+
+
+class TestEdgeScanMatchesReference:
+    """The packed, pruned scans return exactly the one-byte-per-pair scan's decision."""
+
+    @pytest.mark.parametrize("collection", ["fixtures", "corpus", "grid40", "grid60"])
+    def test_table_far_relations(self, collection, request):
+        preps = [getattr(inst, "prep", inst) for inst in request.getfixturevalue(collection)]
+        for k, prep in enumerate(preps):
+            summary = prep.summary
+            far = prep.dm >= summary.ordiam
+            assert diameter_edge_scan(prep.graph, far) == reference.diameter_edge_scan(prep.graph, far), k
+            far = prep.dm >= summary.orrad
+            assert radius_edge_scan(prep.graph, far) == reference.radius_edge_scan(prep.graph, far), k
+
+    def test_synthetic_far_relations(self, grid60):
+        """Dense, random and planted relations; the planted quads and the first uncovered edge lie past the first chunk."""
+        graph = grid60[0].graph
+        assert graph.chi > 2 * reference._EDGE_CHUNK
+        position = {e: k for k, e in enumerate(graph.edges)}
+        for name, far in synthetic_far_relations(graph).items():
+            quad, edge = reference.diameter_edge_scan(graph, far), reference.radius_edge_scan(graph, far)
+            assert diameter_edge_scan(graph, far) == quad, name
+            assert radius_edge_scan(graph, far) == edge, name
+            if name.startswith("planted"):
+                rows = far.any(axis=1)
+                kept = [k for k, (a, b) in enumerate(graph.edges) if rows[a] and rows[b]]
+                assert kept.index(position[quad[:2]]) > reference._EDGE_CHUNK, name
+            if name == "all-but-late-rows":
+                assert position[edge] > reference._EDGE_CHUNK
 
 
 class TestFallback:
