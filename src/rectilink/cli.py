@@ -103,6 +103,8 @@ def _cmd_extreme(args) -> int:
         payload[oriented] = getattr(prep.summary, oriented)
     payload["requested_algo"] = args.algo
     payload["timings"] = {"prepare_seconds": prep_seconds, "engine_seconds": solution.seconds}
+    if prep is not None:
+        payload["timings"]["stage_seconds"] = prep.seconds
     _emit(payload)
     return 0
 

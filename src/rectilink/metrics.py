@@ -161,7 +161,7 @@ def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int,
     scan visits those alone, in edge order: the first hit is the same quad.
     """
     rows = far.any(axis=1)
-    edges = np.array(graph.edges, dtype=np.intp)
+    edges = graph.edge_array
     ids = np.flatnonzero(rows[edges[:, 0]] & rows[edges[:, 1]])
     for start, hit in _edge_covers(far, edges[ids]):
         hits = np.flatnonzero(hit.any(axis=1))
@@ -175,7 +175,7 @@ def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int,
 
 def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
     """For every edge, search an edge whose two far conditions both hold; return the first without one."""
-    for start, hit in _edge_covers(far, np.array(graph.edges, dtype=np.intp)):
+    for start, hit in _edge_covers(far, graph.edge_array):
         covered = hit.any(axis=1)
         if not covered.all():
             return graph.edges[start + int(np.argmin(covered))]

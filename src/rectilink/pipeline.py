@@ -37,22 +37,35 @@ class Prepared:
     graph: OrientedGraph
     dm: DistanceMatrix
     summary: GraphSummary
+    seconds: dict[str, float]  # per stage of prepare
+
+
+def _decompositions(domain: Domain, validated: bool) -> tuple[Decomposition, Decomposition]:
+    if not validated:
+        require_valid(domain)
+    return horizontal_decomposition(domain), vertical_decomposition(domain)
 
 
 def decompose(domain: Domain, validated: bool = False) -> tuple[Decomposition, Decomposition, OrientedGraph]:
     """Both slab decompositions and the crossing graph: everything a point query needs."""
-    if not validated:
-        require_valid(domain)
-    hdec = horizontal_decomposition(domain)
-    vdec = vertical_decomposition(domain)
+    hdec, vdec = _decompositions(domain, validated)
     return hdec, vdec, build_graph(hdec, vdec)
 
 
 def prepare(domain: Domain, validated: bool = False) -> Prepared:
-    """Decompositions, crossing graph, all-pairs distances and their extremes."""
-    hdec, vdec, graph = decompose(domain, validated)
-    dm = all_pairs(graph)
-    return Prepared(domain, hdec, vdec, graph, dm, summarize(dm))
+    """Decompositions, crossing graph, all-pairs distances and their extremes, each stage timed."""
+    seconds = {}
+
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        seconds[stage] = time.perf_counter() - t0
+        return out
+
+    hdec, vdec = timed("decompose", _decompositions, domain, validated)
+    graph = timed("graph", build_graph, hdec, vdec)
+    dm = timed("all_pairs", all_pairs, graph)
+    return Prepared(domain, hdec, vdec, graph, dm, timed("summarize", summarize, dm), seconds)
 
 
 def point_out(p: Point):

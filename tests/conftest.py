@@ -80,6 +80,26 @@ def corpus_domain(k: int) -> tuple[str, Domain]:
             holes -= 1
 
 
+def staircase(k: int) -> dict:
+    """A stair-shaped corridor of ``k`` steps: n = 4k + 2 vertices and ordiam = 2k + 2.
+
+    The lower chain climbs at even coordinates, ``(2i, 2i - 2) -> (2i, 2i)``,
+    and the upper chain is the lower one moved one unit left and one up, at
+    odd coordinates, so two vertices share a coordinate only across an edge.
+    Every rectangle crosses at most two others, so the levels of a search
+    are many and the edges few: a shape the generator rarely makes.
+    """
+    lower = [(-1, 0)]
+    for i in range(1, k + 1):
+        lower += [(2 * i, 2 * i - 2), (2 * i, 2 * i)]
+    lower[-1] = (2 * k, 2 * k + 1)
+    upper = [(2 * k - 1, 2 * k + 1)]
+    for i in range(k - 1, -1, -1):
+        upper += [(2 * i + 1, 2 * i + 1), (2 * i - 1, 2 * i + 1)]
+    upper[-1] = (-1, 1)
+    return {"outer": [list(p) for p in lower + upper], "holes": []}
+
+
 @pytest.fixture(scope="session")
 def corpus() -> list[Instance]:
     entries = []

@@ -68,6 +68,17 @@ class TestCommands:
         payload = json.loads(out)
         assert code == 0 and payload["value"] == 3 and payload["engine"] == "oracle"
 
+    def test_stage_seconds(self, capsys, files):
+        for kind in ("diameter", "radius"):
+            _, out = run(capsys, kind, files["donut"])
+            timings = json.loads(out)["timings"]
+            stages = timings["stage_seconds"]
+            assert list(stages) == ["decompose", "graph", "all_pairs", "summarize"]
+            assert min(stages.values()) >= 0
+            assert sum(stages.values()) <= timings["prepare_seconds"]
+        _, out = run(capsys, "diameter", files["donut"], "--algo", "oracle")
+        assert "stage_seconds" not in json.loads(out)["timings"]
+
     def test_render_stdout(self, capsys, files):
         code, out = run(capsys, "render", files["square"])
         assert code == 0 and out.count('class="domain"') == 1

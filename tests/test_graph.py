@@ -1,5 +1,6 @@
 """Crossing graph construction, BFS distances, summaries, invariants."""
 
+import logging
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,10 +8,29 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from rectilink import Decomposition, DisconnectedGraphError, RectilinkError, ResourceLimitError
+from rectilink import (
+    Decomposition,
+    DisconnectedGraphError,
+    RectilinkError,
+    ResourceLimitError,
+    parse_domain,
+    run_verify,
+)
 from rectilink.geometry import Orientation, Rect
-from rectilink.graph import all_pairs, bfs_from, build_graph, middle_segment
+from rectilink.graph import (
+    _level_search,
+    _select_search,
+    _sides,
+    _source_search,
+    _table,
+    all_pairs,
+    bfs_from,
+    build_graph,
+    middle_segment,
+)
+from rectilink.pipeline import decompose, prepare
 
+from conftest import staircase
 from reference import crosses, edges_quadratic, rects_cross
 
 
@@ -85,6 +105,18 @@ class TestBuildGraph:
                 adj[i].append(j)
                 adj[j].append(i)
             assert g.adj == tuple(tuple(sorted(neigh)) for neigh in adj)
+
+
+    def test_edge_array(self, fixtures, corpus, grid60):
+        """One cached read-only edge array; the per-side CSR groups equal the adjacency lists."""
+        for g in [inst.prep.graph for inst in fixtures + corpus] + [prep.graph for prep in grid60]:
+            edges = g.edge_array
+            assert edges is g.edge_array and not edges.flags.writeable
+            assert edges.shape == (g.chi, 2) and edges.tolist() == [list(e) for e in g.edges]
+            h_ptr, h_nbr, v_ptr, v_nbr = _sides(g)
+            groups = [h_nbr[h_ptr[i] : h_ptr[i + 1]] for i in range(g.nh)]
+            groups += [v_nbr[v_ptr[k] : v_ptr[k + 1]] for k in range(g.nv)]
+            assert [tuple(group.tolist()) for group in groups] == list(g.adj)
 
 
 class TestDistances:
@@ -206,6 +238,99 @@ class TestAllPairsDerivation:
                 assert np.array_equal(all_pairs(inst.prep.graph, chunk=chunk), inst.prep.dm)
 
 
+def ladder(n, seed, dx=0):
+    """Boxes of ``n`` horizontal strips and ``n`` vertical columns, connected.
+
+    Strip i spans columns [c_i, d_i] at row i and column j spans rows
+    [r_j, s_j], so they cross when j is in the first range and i in the
+    second.  Every strip spans columns i - 1 and i and every column rows j
+    and j + 1, a chain through all of them; random widening adds edges and
+    shortens the levels.  ``dx`` shifts the boxes right.
+    """
+    rng = np.random.default_rng(seed)
+    h_boxes, v_boxes = [], []
+    for i in range(n):
+        c, d = max(0, i - 1 - rng.integers(0, 4)), min(n - 1, i + rng.integers(0, 4))
+        h_boxes.append((dx + 4 * c, dx + 4 * d + 2, 4 * i, 4 * i + 2))
+    for j in range(n):
+        r, s = max(0, j - rng.integers(0, 4)), min(n - 1, j + 1 + rng.integers(0, 4))
+        v_boxes.append((dx + 4 * j, dx + 4 * j + 2, 4 * r, 4 * s + 2))
+    return h_boxes, v_boxes
+
+
+def staircase_graph(k):
+    return decompose(parse_domain(staircase(k)))[2]
+
+
+SEARCHES = [_level_search, _source_search]
+
+
+@pytest.mark.parametrize("search", SEARCHES, ids=["level", "per-source"])
+class TestSearches:
+    """Each search, called directly, builds the reference table."""
+
+    def test_generated(self, search, corpus, fixtures, grid60):
+        for prep in [inst.prep for inst in corpus + fixtures] + grid60:
+            assert np.array_equal(_table(prep.graph, search, 256), reference_table(prep.graph))
+
+    def test_staircases(self, search):
+        for k in (1, 2, 3, 5, 8, 16, 64):
+            g = staircase_graph(k)
+            assert np.array_equal(_table(g, search, 256), reference_table(g)), k
+
+    @pytest.mark.parametrize("nh", [63, 64, 65, 128, 129])
+    def test_word_boundaries(self, search, nh):
+        for seed in range(3):
+            g = graph_of(*ladder(nh, seed))
+            assert g.nh == nh
+            expected = reference_table(g)
+            for chunk in (3, 256):
+                dm = _table(g, search, chunk)
+                assert dm.dtype == np.uint16
+                assert np.array_equal(dm, expected), (seed, chunk)
+
+
+class TestSelection:
+    """The level bound sends corridors to the per-source search and generated domains to the level search."""
+
+    def test_staircases_per_source(self):
+        for k in (64, 100, 250):
+            g = staircase_graph(k)
+            search, bound = _select_search(g)
+            assert search is _source_search, k
+            assert bound == 4 * k + 1
+
+    def test_generated_level(self, grid40, grid60):
+        assert len(grid40) == 32  # the cli-defaults instances of benchmark seed 1
+        for prep in grid40 + grid60:
+            search, bound = _select_search(prep.graph)
+            assert search is _level_search
+            assert prep.dm.max() <= bound
+
+    def test_choice_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="rectilink"):
+            all_pairs(staircase_graph(64))
+            all_pairs(staircase_graph(2))
+        assert [r.getMessage().split(",")[0] for r in caplog.records] == [
+            "all_pairs: per-source search",
+            "all_pairs: level search",
+        ]
+        assert "level bound 257" in caplog.records[0].getMessage()
+
+
+class TestStaircase:
+    def test_shape(self):
+        for k in (1, 4, 16):
+            prep = prepare(parse_domain(staircase(k)))
+            assert prep.domain.n == 4 * k + 2
+            assert prep.summary.ordiam == 2 * k + 2
+
+    def test_against_oracle(self):
+        for k in (1, 2, 3, 4, 6):
+            report = run_verify(parse_domain(staircase(k)))
+            assert report["verdict"] == "ok", k
+
+
 class TestTypedFailures:
     def test_table_ceiling_before_allocation(self):
         stub = SimpleNamespace(m=65534, nh=32767, nv=32767)
@@ -222,6 +347,38 @@ class TestTypedFailures:
             all_pairs(g)
         with pytest.raises(DisconnectedGraphError):
             bfs_from(g, [0])
+
+    def test_isolated_horizontal_first(self):
+        g = graph_of([(10, 14, 0, 4), (0, 4, 0, 4)], [(0, 4, 0, 4)])
+        assert g.adj[0] == ()
+        with pytest.raises(DisconnectedGraphError, match="horizontal rectangle 0"):
+            all_pairs(g)
+
+    def test_isolated_horizontal_middle(self):
+        g = graph_of([(0, 4, 0, 4), (10, 14, 0, 4), (0, 4, 10, 14)], [(0, 4, 0, 14)])
+        assert g.adj[1] == () and g.adj[3] == (0, 2)
+        with pytest.raises(DisconnectedGraphError, match="horizontal rectangle 1"):
+            all_pairs(g)
+
+    @pytest.mark.parametrize("at", [0, 32, 64])
+    def test_isolated_horizontal_in_ladder(self, at):
+        h_boxes, v_boxes = ladder(64, seed=at)
+        h_boxes.insert(at, (1000, 1004, 1, 3))  # right of every column
+        g = graph_of(h_boxes, v_boxes)
+        assert g.nh == 65 and g.adj[at] == ()
+        with pytest.raises(DisconnectedGraphError):
+            all_pairs(g)
+
+    def test_two_components(self):
+        g = graph_of([(0, 4, 0, 4), (10, 14, 0, 4)], [(0, 4, 0, 4), (10, 14, 0, 4)])
+        assert all(g.adj)
+        with pytest.raises(DisconnectedGraphError):
+            all_pairs(g)
+        a, b = ladder(64, seed=1), ladder(65, seed=2, dx=1000)
+        g = graph_of(a[0] + b[0], a[1] + b[1])
+        assert g.nh == 129 and all(g.adj)
+        with pytest.raises(DisconnectedGraphError):
+            all_pairs(g)
 
     def test_isolated_vertical(self):
         g = graph_of([(0, 4, 0, 4)], [(0, 4, 0, 4), (10, 14, 0, 4)])
