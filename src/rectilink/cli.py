@@ -98,13 +98,13 @@ def _cmd_extreme(args) -> int:
     prep_seconds = time.perf_counter() - t0
     solution = solve(args.command, args.algo, prep, grid)
     payload = solution.payload()
+    timings = {"prepare_seconds": prep_seconds, "engine_seconds": solution.seconds}
     if prep is not None:
         oriented = "ordiam" if args.command == "diameter" else "orrad"
         payload[oriented] = getattr(prep.summary, oriented)
+        timings["stage_seconds"] = prep.seconds
     payload["requested_algo"] = args.algo
-    payload["timings"] = {"prepare_seconds": prep_seconds, "engine_seconds": solution.seconds}
-    if prep is not None:
-        payload["timings"]["stage_seconds"] = prep.seconds
+    payload["timings"] = timings
     _emit(payload)
     return 0
 

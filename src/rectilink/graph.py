@@ -191,7 +191,10 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
 
 
 # all_pairs takes the level search when bound * m <= LEVEL_SEARCH_K * chi;
-# the measured crossover behind the constant is in its docstring.
+# the measured crossover behind the constant is in its docstring.  The value
+# is provisional: the per-source side serves only long corridors, which no
+# benchmark workload exercises yet, so it has been fitted on generated
+# domains and on staircase corridors built in the tests alone.
 LEVEL_SEARCH_K = 128
 
 Sides = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -351,9 +354,14 @@ def all_pairs(graph: OrientedGraph, chunk: int = 256) -> DistanceMatrix:
     ``bound * m / chi = 51``, 0.4-0.7 at 87-110 and 0.86 at 189; on
     staircase corridors it broke even near 25 (0.5 ms tables) and took
     1.4-2.6 times as long at 34-130 (at most 1.4 ms more), 2.8 at 258
-    (``k = 64``), 5.1 at ``k = 500`` and 11 at ``k = 1000``.  The same row
-    refuses a disconnected graph, before any ``reduceat`` could read an
-    isolated rectangle's empty group.
+    (``k = 64``), 5.1 at ``k = 500`` and 11 at ``k = 1000``.  One constant
+    cannot fit both families, so the value favours generated domains, whose
+    traffic the benchmark measures; the corridors it misroutes (ratios 25 to
+    128) lose at most 1.4 ms each.  The per-source search is kept only for
+    corridors, which no benchmark workload exercises yet, and the constant
+    is provisional until one does.  The same row refuses a disconnected
+    graph, before any ``reduceat`` could read an isolated rectangle's empty
+    group.
 
     ``chunk`` caps the sources per scipy search, the edges gathered per
     block (``4 * chunk`` of ``W`` words in the level search, ``chunk``
