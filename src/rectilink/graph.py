@@ -68,6 +68,20 @@ class OrientedGraph:
         edges.flags.writeable = False
         return edges
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``adj`` as read-only CSR groups ``(indptr, indices)``, built on first use.
+
+        Rectangle i's neighbours, increasing, are ``indices[indptr[i] : indptr[i + 1]]``;
+        ``indptr[: nh + 1]`` and ``indptr[nh:]`` are the two sides' groups.
+        """
+        edges = self.edge_array
+        indptr = np.zeros(self.m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(edges.ravel(), minlength=self.m), out=indptr[1:])
+        indices = np.concatenate([edges[:, 1], edges[np.argsort(edges[:, 1], kind="stable"), 0]])
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
+
     def orientation_of(self, i: int) -> Orientation:
         return Orientation.HORIZONTAL if i < self.nh else Orientation.VERTICAL
 
@@ -197,9 +211,6 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
 # domains and on staircase corridors built in the tests alone.
 LEVEL_SEARCH_K = 128
 
-Sides = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
 def _blocks(ptr: np.ndarray, cap: int):
     """Consecutive CSR groups ``[a, b)`` holding at most ``cap`` entries; a larger group comes alone."""
     a, n = 0, len(ptr) - 1
@@ -210,31 +221,14 @@ def _blocks(ptr: np.ndarray, cap: int):
         a = b
 
 
-def _sides(graph: OrientedGraph) -> Sides:
-    """The adjacency as CSR groups per side: (h_ptr, h_nbr, v_ptr, v_nbr).
-
-    Horizontal rectangle h's vertical neighbours are ``h_nbr[h_ptr[h] :
-    h_ptr[h + 1]]`` and vertical rectangle ``nh + k``'s horizontal ones are
-    ``v_nbr[v_ptr[k] : v_ptr[k + 1]]``, each group increasing, as in ``adj``.
-    """
-    edges, nh = graph.edge_array, graph.nh
-    h_ptr = np.zeros(nh + 1, dtype=np.intp)
-    np.cumsum(np.bincount(edges[:, 0], minlength=nh), out=h_ptr[1:])
-    v_ptr = np.zeros(graph.nv + 1, dtype=np.intp)
-    np.cumsum(np.bincount(edges[:, 1] - nh, minlength=graph.nv), out=v_ptr[1:])
-    return h_ptr, edges[:, 1], v_ptr, edges[np.argsort(edges[:, 1], kind="stable"), 0]
-
-
-def _source_search(graph: OrientedGraph, sides: Sides, dm: DistanceMatrix, chunk: int) -> None:
+def _source_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
     """Fill ``dm[:nh]`` and ``dm[:, :nh]`` by a scipy search from each horizontal source.
 
     The CSR adjacency stores both directions, so a directed search is exact;
     ``chunk`` sources are searched at a time.
     """
     m, nh = graph.m, graph.nh
-    h_ptr, h_nbr, v_ptr, v_nbr = sides
-    indptr = np.concatenate([h_ptr, v_ptr[1:] + graph.chi])
-    indices = np.concatenate([h_nbr, v_nbr])
+    indptr, indices = graph.csr
     sparse = csr_matrix((np.ones(len(indices), dtype=np.uint8), indices, indptr), shape=(m, m))
     for start in range(0, nh, chunk):
         stop = min(start + chunk, nh)
@@ -243,7 +237,7 @@ def _source_search(graph: OrientedGraph, sides: Sides, dm: DistanceMatrix, chunk
         dm[nh:, start:stop] = dm[start:stop, nh:].T
 
 
-def _level_search(graph: OrientedGraph, sides: Sides, dm: DistanceMatrix, chunk: int) -> None:
+def _level_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
     """Fill ``dm[:, :nh]`` and ``dm[:nh]`` by one search from all horizontal sources at once.
 
     Every rectangle keeps a ``reached`` bitset over the sources, ``W =
@@ -266,9 +260,9 @@ def _level_search(graph: OrientedGraph, sides: Sides, dm: DistanceMatrix, chunk:
     """
     m, nh = graph.m, graph.nh
     words = -(-nh // 64)
-    h_ptr, h_nbr, v_ptr, v_nbr = sides
+    indptr, indices = graph.csr
     # per target side: CSR groups, the neighbours as rows of the other side's frontier, the first id
-    targets_of = ((h_ptr, h_nbr - nh, 0), (v_ptr, v_nbr, nh))
+    targets_of = ((indptr[: nh + 1], indices[: graph.chi] - nh, 0), (indptr[nh:], indices, nh))
     reached = np.zeros((m, words), dtype=np.uint64)
     ids = np.arange(nh)
     reached.view(np.uint8)[ids, ids >> 3] = np.left_shift(1, ids & 7)
@@ -315,11 +309,10 @@ def _select_search(graph: OrientedGraph):
 def _table(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
     """The table from ``search``'s horizontal rows and columns and one min-plus step."""
     m, nh = graph.m, graph.nh
-    sides = _sides(graph)
     dm = np.empty((m, m), dtype=np.uint16)
-    search(graph, sides, dm, chunk)
+    search(graph, dm, chunk)
     # Horizontal neighbours grouped by vertical rectangle, as the min-plus step reads them.
-    _, _, offset, neighbours = sides
+    offset, neighbours = graph.csr[0][nh:], graph.csr[1]
     for a, b in _blocks(offset, chunk):
         block = dm[neighbours[offset[a] : offset[b]], nh:]
         nearest = np.minimum.reduceat(block, offset[a:b] - offset[a], axis=0)

@@ -10,8 +10,9 @@ crossing rectangle pairs or ``None``:
 
 * ``edge-scan``: direct scan over pairs of graph edges, with the cover test
   packed into bits; the diameter scan visits only the edges between far rows,
-* ``matmul``: the same condition phrased as thresholded boolean matrix
-  products over bit-packed rows,
+* ``matmul``: the same condition as thresholded boolean matrix products on
+  rows packed 64 to a machine word: one product ``mid = cross·far``, then
+  ``prod = far·mid`` read only on the crossing edges between far rows,
 * ``fast`` (diameter only): per-source far sets explored through a
   report-and-remove crossing store, visiting each candidate pair once.
 
@@ -23,6 +24,7 @@ engine, and turns its decision into the result and witness points.
 
 from __future__ import annotations
 
+import logging
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -44,6 +46,8 @@ RADIUS_ALGOS = (EDGE_SCAN, MATMUL)
 ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind
 
 _EDGE_CHUNK = 512
+
+log = logging.getLogger("rectilink")
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,15 @@ def _packed_columns(far: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _far_row_edges(graph: OrientedGraph, rows: np.ndarray) -> np.ndarray:
+    """Positions, in edge order, of the edges between far rows (``rows = far.any(axis=1)``).
+
+    A cover needs a far entry at each end of both edges, so no other edge can cover or be covered.
+    """
+    edges = graph.edge_array
+    return np.flatnonzero(rows[edges[:, 0]] & rows[edges[:, 1]])
+
+
 def _edge_covers(far: np.ndarray, edges: np.ndarray):
     """Chunks of ``edges`` (a k x 2 array) against each other: (chunk start, packed cover rows).
 
@@ -157,13 +170,10 @@ def _edge_covers(far: np.ndarray, edges: np.ndarray):
 def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
     """Scan pairs of graph edges for two far pairs covering each other; return them as (i, i', j, j').
 
-    Only edges with both ends in a far row can cover or be covered, so the
-    scan visits those alone, in edge order: the first hit is the same quad.
+    The scan visits only the edges between far rows, in edge order: the first hit is the same quad.
     """
-    rows = far.any(axis=1)
-    edges = graph.edge_array
-    ids = np.flatnonzero(rows[edges[:, 0]] & rows[edges[:, 1]])
-    for start, hit in _edge_covers(far, edges[ids]):
+    ids = _far_row_edges(graph, far.any(axis=1))
+    for start, hit in _edge_covers(far, graph.edge_array[ids]):
         hits = np.flatnonzero(hit.any(axis=1))
         if len(hits):
             r = hits[0]
@@ -182,89 +192,77 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
     return None
 
 
-class BitMatrix:
-    """Square boolean matrix with rows packed into Python integers."""
+def _far_products(graph: OrientedGraph, far: np.ndarray):
+    """Packed ``far``, ``mid = cross·far`` transposed on the far rows, and the edges ``prod`` can be set on.
 
-    __slots__ = ("rows", "ncols")
+    Returns ``(far_bits, mid_t, slot, ids)``.  ``far_bits[i]`` is row i of
+    ``far`` in bits, 64 to a word.  With R the far rows (those holding any
+    entry), ``mid_t[slot[r]]`` is column r of ``mid`` for r in R, in the same
+    bits; every other column of ``mid`` is zero, since ``far`` is symmetric.
+    ``ids`` are the positions, in edge order, of the edges between far rows,
+    and ``prod = far·mid`` can be set only there:
+    ``prod[h, v] = any(far_bits[h] & mid_t[slot[v]])``.
 
-    def __init__(self, rows: list[int], ncols: int):
-        self.rows = rows
-        self.ncols = ncols
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def from_bool(cls, array: np.ndarray) -> "BitMatrix":
-        arr = np.asarray(array, dtype=bool)
-        packed = np.packbits(arr, axis=1, bitorder="little")
-        rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        return cls(rows, arr.shape[1])
-
-
-def bool_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Thresholded boolean product: output bit (i, j) set iff some k links them."""
-    if a.ncols != b.nrows:
-        raise ValueError(f"dimension mismatch: {a.ncols} columns vs {b.nrows} rows")
-    out = []
-    for row in a.rows:
-        acc = 0
-        bits = row
-        while bits:
-            low = bits & -bits
-            acc |= b.rows[low.bit_length() - 1]
-            bits ^= low
-        out.append(acc)
-    return BitMatrix(out, b.ncols)
-
-
-def _lowest(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
-
-
-def _far_products(graph: OrientedGraph, far: np.ndarray) -> tuple[BitMatrix, BitMatrix, BitMatrix, BitMatrix]:
-    """Crossing bits ``cross``, packed ``far``, ``mid = cross·far`` and ``prod = far·mid``.
-
-    ``prod[i, i']`` is set iff some edge (j, j') has i-j and i'-j' far.
+    Row j of ``mid`` is the OR of the far rows of j's neighbours, one
+    ``np.bitwise_or.reduceat`` over the CSR groups of 64 rows at a time.
+    Each block is unpacked, cut to the columns R, transposed and packed into
+    the block's word of ``mid_t``, so ``mid`` is never whole.  ``prod`` reads
+    row j of ``mid`` only through bit j of a far row, so only the blocks
+    holding a far row are made; the bits of the others stay zero.  Every
+    rectangle must have a neighbour, as in any graph ``all_pairs`` accepts:
+    ``reduceat`` returns the next group's first row, not zero, for an empty
+    group.
     """
-    rows = [0] * graph.m
-    for i, j in graph.edges:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    cross = BitMatrix(rows, graph.m)
-    far_bits = BitMatrix.from_bool(far)
-    mid = bool_product(cross, far_bits)
-    return cross, far_bits, mid, bool_product(far_bits, mid)
+    m = graph.m
+    rows = far.any(axis=1)
+    far_rows = np.flatnonzero(rows)
+    far_bits = np.zeros((m, -(-m // 64)), dtype=np.uint64)
+    far_bits.view(np.uint8)[:, : -(-m // 8)] = np.packbits(far, axis=1)
+    mid_t = np.zeros((len(far_rows), far_bits.shape[1]), dtype=np.uint64)
+    indptr, indices = graph.csr
+    for start in 64 * np.unique(far_rows // 64):
+        stop = min(start + 64, m)
+        first = indptr[start]
+        mid = np.bitwise_or.reduceat(far_bits[indices[first : indptr[stop]]], indptr[start:stop] - first, axis=0)
+        columns = np.unpackbits(mid.view(np.uint8), axis=1)[:, far_rows]
+        mid_t.view(np.uint8)[:, start // 8 : -(-stop // 8)] = np.packbits(columns.T, axis=1)
+    slot = np.zeros(m, dtype=np.intp)
+    slot[far_rows] = np.arange(len(far_rows))
+    return far_bits, mid_t, slot, _far_row_edges(graph, rows)
+
+
+def _edge_products(graph: OrientedGraph, far_bits: np.ndarray, mid_t: np.ndarray, slot: np.ndarray, ids: np.ndarray):
+    """``prod`` on the edges ``ids``, in ``_EDGE_CHUNK`` blocks: (block start in ``ids``, prod)."""
+    edges = graph.edge_array[ids]
+    for start in range(0, len(ids), _EDGE_CHUNK):
+        h, v = edges[start : start + _EDGE_CHUNK, 0], slot[edges[start : start + _EDGE_CHUNK, 1]]
+        yield start, (far_bits[h] & mid_t[v]).any(axis=1)
 
 
 def diameter_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
-    """Boolean matrix-product phrasing of the diameter witness condition."""
-    cross, far_bits, mid, prod = _far_products(graph, far)
-    for i in range(graph.m):
-        both = cross.rows[i] & prod.rows[i]
-        if both:
-            break
-    else:
-        return None
-    ip = _lowest(both)
-    bits = far_bits.rows[i]  # the lowest j far from i with mid[j, ip] set
-    while not (mid.rows[_lowest(bits)] >> ip) & 1:
-        bits &= bits - 1
-    j = _lowest(bits)
-    jp = _lowest(cross.rows[j] & far_bits.rows[ip])  # far is symmetric
-    return (i, ip, j, jp)
+    """Boolean matrix-product phrasing of the diameter witness condition.
+
+    The witness is the first crossing edge (i, i') with ``prod[i, i']`` set,
+    ``prod = far·cross·far`` being symmetric; j is the lowest rectangle far
+    from i with ``mid[j, i']`` set, and j' the lowest neighbour of j far from i'.
+    """
+    far_bits, mid_t, slot, ids = _far_products(graph, far)
+    for start, prod in _edge_products(graph, far_bits, mid_t, slot, ids):
+        if prod.any():
+            i, ip = graph.edges[ids[start + int(np.argmax(prod))]]
+            j = int(np.flatnonzero(np.unpackbits((far_bits[i] & mid_t[slot[ip]]).view(np.uint8)))[0])
+            jp = next(k for k in graph.adj[j] if far[ip, k])
+            return (i, ip, j, jp)
+    return None
 
 
 def radius_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
-    """Boolean matrix-product phrasing of the radius witness condition."""
-    cross, _, _, prod = _far_products(graph, far)
-    for i in range(graph.m):
-        missed = cross.rows[i] & ~prod.rows[i]
-        if missed:
-            ip = _lowest(missed)
-            return (i, ip) if i < graph.nh else (ip, i)
-    return None
+    """Boolean matrix-product phrasing of the radius witness condition: the first crossing edge with ``prod`` unset."""
+    far_bits, mid_t, slot, ids = _far_products(graph, far)
+    covered = np.zeros(graph.chi, dtype=bool)
+    for start, prod in _edge_products(graph, far_bits, mid_t, slot, ids):
+        covered[ids[start : start + len(prod)]] = prod
+    return None if covered.all() else graph.edges[int(np.argmin(covered))]
 
 
 def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -367,13 +365,18 @@ def compute(
 
     ``summary`` is ``summarize(dm)``, computed once by :func:`~rectilink.pipeline.prepare`.
     Returns (result, routed_to_fallback).  The engine decides on the far
-    relation ``dm >= oriented``; its decision becomes the result here.
+    relation ``dm >= oriented``; its decision becomes the result here.  The
+    route, its reason and the far-entry count go to the ``rectilink`` logger
+    at debug level, counted only when that level is on.
     """
     if kind not in ALGOS:
         raise UnknownChoiceError(f"unknown kind {kind!r} (choose from {', '.join(ALGOS)})")
     if algo not in ALGOS[kind]:
         raise UnknownChoiceError(f"unknown {kind} algorithm {algo!r} (choose from {', '.join(ALGOS[kind])})")
-    oriented = summary.ordiam if kind == "diameter" else summary.orrad
+    name, oriented = ("ordiam", summary.ordiam) if kind == "diameter" else ("orrad", summary.orrad)
+    if log.isEnabledFor(logging.DEBUG):
+        route = f"fallback, {name}={oriented} < 4" if oriented < 4 else f"{algo}, {name}={oriented}"
+        log.debug("%s: %s, %d far entries", kind, route, np.count_nonzero(dm >= oriented))
     if oriented < 4:
         return small_case_fallback(graph, dm, kind), True
     engine = {  # looked up per call, so that rebinding a module attribute reaches the engine

@@ -3,8 +3,9 @@
 Each is the direct, obviously correct phrasing of one decision the package
 makes faster: crossing of two middle segments, positive-area overlap of two
 rectangles, the crossing-graph edge list over all pairs, a report-and-remove
-store that scans every live segment, and the edge-scan engines as boolean
-cover matrices, one byte per pair.
+store that scans every live segment, the edge-scan engines as boolean
+cover matrices, one byte per pair, and the matmul engines as products of
+rows packed into Python integers, one set bit at a time.
 """
 
 from __future__ import annotations
@@ -109,4 +110,89 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
         covered = hit.any(axis=1)
         if not covered.all():
             return graph.edges[start + int(np.argmin(covered))]
+    return None
+
+
+class BitMatrix:
+    """Square boolean matrix with rows packed into Python integers."""
+
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows: list[int], ncols: int):
+        self.rows = rows
+        self.ncols = ncols
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    @classmethod
+    def from_bool(cls, array: np.ndarray) -> "BitMatrix":
+        arr = np.asarray(array, dtype=bool)
+        packed = np.packbits(arr, axis=1, bitorder="little")
+        rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return cls(rows, arr.shape[1])
+
+
+def bool_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Thresholded boolean product: output bit (i, j) set iff some k links them."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"dimension mismatch: {a.ncols} columns vs {b.nrows} rows")
+    out = []
+    for row in a.rows:
+        acc = 0
+        bits = row
+        while bits:
+            low = bits & -bits
+            acc |= b.rows[low.bit_length() - 1]
+            bits ^= low
+        out.append(acc)
+    return BitMatrix(out, b.ncols)
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _far_products(graph: OrientedGraph, far: np.ndarray) -> tuple[BitMatrix, BitMatrix, BitMatrix, BitMatrix]:
+    """Crossing bits ``cross``, packed ``far``, ``mid = cross·far`` and ``prod = far·mid``.
+
+    ``prod[i, i']`` is set iff some edge (j, j') has i-j and i'-j' far.
+    """
+    rows = [0] * graph.m
+    for i, j in graph.edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    cross = BitMatrix(rows, graph.m)
+    far_bits = BitMatrix.from_bool(far)
+    mid = bool_product(cross, far_bits)
+    return cross, far_bits, mid, bool_product(far_bits, mid)
+
+
+def diameter_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Boolean matrix-product phrasing of the diameter witness condition."""
+    cross, far_bits, mid, prod = _far_products(graph, far)
+    for i in range(graph.m):
+        both = cross.rows[i] & prod.rows[i]
+        if both:
+            break
+    else:
+        return None
+    ip = _lowest(both)
+    bits = far_bits.rows[i]  # the lowest j far from i with mid[j, ip] set
+    while not (mid.rows[_lowest(bits)] >> ip) & 1:
+        bits &= bits - 1
+    j = _lowest(bits)
+    jp = _lowest(cross.rows[j] & far_bits.rows[ip])  # far is symmetric
+    return (i, ip, j, jp)
+
+
+def radius_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
+    """Boolean matrix-product phrasing of the radius witness condition."""
+    cross, _, _, prod = _far_products(graph, far)
+    for i in range(graph.m):
+        missed = cross.rows[i] & ~prod.rows[i]
+        if missed:
+            ip = _lowest(missed)
+            return (i, ip) if i < graph.nh else (ip, i)
     return None

@@ -21,7 +21,6 @@ from rectilink.geometry import Orientation, Rect
 from rectilink.graph import (
     _level_search,
     _select_search,
-    _sides,
     _source_search,
     _table,
     all_pairs,
@@ -109,14 +108,15 @@ class TestBuildGraph:
 
 
     def test_edge_array(self, fixtures, corpus, grid60):
-        """One cached read-only edge array; the per-side CSR groups equal the adjacency lists."""
+        """One cached read-only edge array and CSR; the CSR groups equal the adjacency lists."""
         for g in [inst.prep.graph for inst in fixtures + corpus] + [prep.graph for prep in grid60]:
             edges = g.edge_array
             assert edges is g.edge_array and not edges.flags.writeable
             assert edges.shape == (g.chi, 2) and edges.tolist() == [list(e) for e in g.edges]
-            h_ptr, h_nbr, v_ptr, v_nbr = _sides(g)
-            groups = [h_nbr[h_ptr[i] : h_ptr[i + 1]] for i in range(g.nh)]
-            groups += [v_nbr[v_ptr[k] : v_ptr[k + 1]] for k in range(g.nv)]
+            indptr, indices = g.csr
+            assert g.csr[0] is indptr and not indptr.flags.writeable and not indices.flags.writeable
+            assert indptr.shape == (g.m + 1,) and indices.shape == (2 * g.chi,)
+            groups = [indices[indptr[i] : indptr[i + 1]] for i in range(g.m)]
             assert [tuple(group.tolist()) for group in groups] == list(g.adj)
 
 

@@ -1,14 +1,17 @@
 """Point distance formula, the three engines, boolean products, fallback, witnesses."""
 
+import logging
+
 import numpy as np
 import pytest
 
 import rectilink.metrics
 from rectilink import oracle_distance, point_distance
-from rectilink.geometry import Orientation, locate
+from rectilink.geometry import Decomposition, Orientation, Rect, locate
+from rectilink.graph import build_graph
 from rectilink.metrics import (
-    BitMatrix,
-    bool_product,
+    _edge_products,
+    _far_products,
     compute,
     diameter_edge_scan,
     diameter_fast,
@@ -301,40 +304,41 @@ class TestFallback:
         res, routed = compute("diameter", donut.prep.graph, donut.prep.dm, donut.prep.summary, "fast")
         assert not routed and res.engine == "fast"
 
+    def test_routing_logged(self, square, donut, caplog):
+        """The route, its reason and the far-entry count, at debug level only."""
+        with caplog.at_level(logging.INFO, logger="rectilink"):
+            compute("radius", donut.prep.graph, donut.prep.dm, donut.prep.summary, "matmul")
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="rectilink"):
+            compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "fast")
+            compute("radius", donut.prep.graph, donut.prep.dm, donut.prep.summary, "matmul")
+        square_far = np.count_nonzero(square.prep.dm >= square.prep.summary.ordiam)
+        donut_far = np.count_nonzero(donut.prep.dm >= 4)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"diameter: fallback, ordiam={square.prep.summary.ordiam} < 4, {square_far} far entries",
+            f"radius: matmul, orrad=4, {donut_far} far entries",
+        ]
+        assert donut.prep.summary.orrad == 4 and donut_far > 0
+
     def test_unknown_algo(self, square):
         with pytest.raises(ValueError):
             compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "quantum")
 
 
-class TestBitMatrix:
-    def test_identity(self):
-        eye = BitMatrix.from_bool(np.eye(7, dtype=bool))
-        rng = np.random.default_rng(0)
-        x = BitMatrix.from_bool(rng.random((7, 7)) < 0.4)
-        assert bool_product(eye, x).rows == x.rows
+def matmul_products(graph, far):
+    """``mid`` on the far rows and columns, and ``prod`` on every crossing edge, read off the packed engine state."""
+    far_bits, mid_t, slot, ids = _far_products(graph, far)
+    rows = np.flatnonzero(far.any(axis=1))
+    mid = np.zeros((graph.m, graph.m), dtype=bool)
+    for r in rows:
+        mid[rows, r] = np.unpackbits(mid_t[slot[r]].view(np.uint8))[rows]
+    prod = np.zeros(graph.chi, dtype=bool)
+    for start, hits in _edge_products(graph, far_bits, mid_t, slot, ids):
+        prod[ids[start : start + len(hits)]] = hits
+    return mid, prod
 
-    def test_zeros(self):
-        zeros = BitMatrix.from_bool(np.zeros((5, 5), dtype=bool))
-        rng = np.random.default_rng(1)
-        x = BitMatrix.from_bool(rng.random((5, 5)) < 0.5)
-        assert bool_product(zeros, x).rows == zeros.rows
 
-    def test_dimension_mismatch(self):
-        a = BitMatrix.from_bool(np.zeros((3, 4), dtype=bool))
-        b = BitMatrix.from_bool(np.zeros((3, 4), dtype=bool))
-        with pytest.raises(ValueError, match="dimension"):
-            bool_product(a, b)
-
-    def test_against_numpy(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            m, k, n = rng.integers(1, 40, 3)
-            a = rng.random((m, k)) < 0.3
-            b = rng.random((k, n)) < 0.3
-            expect = (a.astype(int) @ b.astype(int)) > 0
-            got = bool_product(BitMatrix.from_bool(a), BitMatrix.from_bool(b))
-            assert got.rows == BitMatrix.from_bool(expect).rows
-
+class TestMatmulPathEquivalence:
     def test_donut_product_entry(self, donut):
         # crossing row of the left vertical slab reaches the right band through
         # the left band: I[v1, h3] and D[h3, h4] force M[v1, h4]
@@ -342,39 +346,101 @@ class TestBitMatrix:
         v1 = rect_by_box(g, (0, 12, 0, 28))
         h3 = rect_by_box(g, (0, 12, 12, 16))
         h4 = rect_by_box(g, (16, 28, 12, 16))
-        cross = np.zeros((g.m, g.m), dtype=bool)
-        for i, j in g.edges:
-            cross[i, j] = cross[j, i] = True
-        assert cross[v1, h3] and dm[h3, h4] == 5
-        m_matrix = bool_product(BitMatrix.from_bool(cross), BitMatrix.from_bool(dm == 5))
-        assert (m_matrix.rows[v1] >> h4) & 1
+        assert h3 in g.adj[v1] and dm[h3, h4] == 5
+        _, mid_t, slot, _ = _far_products(g, dm == 5)
+        assert np.unpackbits(mid_t[slot[h4]].view(np.uint8))[v1]  # column h4 of mid, row v1
 
-
-class TestMatmulPathEquivalence:
     def test_product_matches_quadruple_enumeration(self, small_corpus):
+        """``mid = cross·far`` on the far rows and columns, and ``prod = far·mid`` on every crossing edge, by brute force."""
         checked = 0
         for inst in small_corpus:
-            g, dm = inst.prep.graph, inst.prep.dm
-            if g.m > 30 or inst.prep.summary.ordiam < 4:
+            g, dm, summary = inst.prep.graph, inst.prep.dm, inst.prep.summary
+            if g.m > 30 or summary.ordiam < 4:
                 continue
             checked += 1
-            big = inst.prep.summary.ordiam
-            cross = np.zeros((g.m, g.m), dtype=bool)
-            for i, j in g.edges:
-                cross[i, j] = cross[j, i] = True
-            far = BitMatrix.from_bool(dm == big)
-            cross_bits = BitMatrix.from_bool(cross)
-            product = bool_product(far, bool_product(cross_bits, far))
-            for i in range(g.m):
-                for ip in range(g.m):
-                    brute = any(
-                        dm[i, j] == big and dm[ip, jp] == big
-                        for j, jp in list(g.edges) + [(b, a) for a, b in g.edges]
-                    )
-                    assert bool((product.rows[i] >> ip) & 1) == brute
+            both_ways = list(g.edges) + [(b, a) for a, b in g.edges]
+            for t in (summary.orrad, summary.ordiam):
+                far = dm >= t
+                mid, prod = matmul_products(g, far)
+                rows = far.any(axis=1)
+                for j in range(g.m):
+                    for r in range(g.m):
+                        expect = rows[j] and any(far[k, r] for k in g.adj[j])
+                        assert mid[j, r] == expect, (inst.name, t, j, r)
+                for (i, ip), got in zip(g.edges, prod):
+                    assert got == any(far[i, j] and far[ip, jp] for j, jp in both_ways), (inst.name, t, i, ip)
             if checked >= 6:
                 break
         assert checked >= 3
+
+
+@pytest.fixture
+def one_reference_product(monkeypatch):
+    """The reference engines share one ``_far_products`` per far relation: the second engine's call is a lookup."""
+    products, last = reference._far_products, {}
+
+    def shared(graph, far):
+        key = (id(graph), far.tobytes())
+        if key not in last:
+            last.clear()
+            last[key] = products(graph, far)
+        return last[key]
+
+    monkeypatch.setattr(reference, "_far_products", shared)
+
+
+def ladder_graph(m, seed):
+    """A connected crossing graph of ``ceil(m / 2)`` horizontal strips over ``m // 2`` columns.
+
+    Strip i spans columns i - 1 and i and column j rows j and j + 1, a chain
+    through all of them, each randomly widened by up to three more.
+    """
+    nh, nv = -(-m // 2), m // 2
+    rng = np.random.default_rng(seed)
+    h, v = Orientation.HORIZONTAL, Orientation.VERTICAL
+    strips, columns = [], []
+    for i in range(nh):
+        c, d = max(0, i - 1 - rng.integers(0, 4)), min(nv - 1, i + rng.integers(0, 4))
+        strips.append(Rect(i, h, 4 * c, 4 * d + 2, 4 * i, 4 * i + 2))
+    for j in range(nv):
+        r, s = max(0, j - rng.integers(0, 4)), min(nh - 1, j + 1 + rng.integers(0, 4))
+        columns.append(Rect(j, v, 4 * j, 4 * j + 2, 4 * r, 4 * s + 2))
+    return build_graph(Decomposition(h, tuple(strips)), Decomposition(v, tuple(columns)))
+
+
+class TestMatmulMatchesReference:
+    """Both word-row engines return the Python-integer engines' exact tuple on every far relation tried."""
+
+    @pytest.mark.parametrize("collection", ["fixtures", "corpus", "grid40", "grid60"])
+    def test_every_threshold(self, collection, request, one_reference_product):
+        preps = [getattr(inst, "prep", inst) for inst in request.getfixturevalue(collection)]
+        for k, prep in enumerate(preps):
+            for t in range(2, prep.summary.ordiam + 1):
+                far = prep.dm >= t
+                assert diameter_matmul(prep.graph, far) == reference.diameter_matmul(prep.graph, far), (k, t)
+                assert radius_matmul(prep.graph, far) == reference.radius_matmul(prep.graph, far), (k, t)
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
+    def test_word_boundaries(self, m, one_reference_product):
+        """Seeded random symmetric far relations, 1-50% dense or one pair, on graphs whose size straddles a word."""
+        decisions = {"diameter": set(), "radius": set()}
+        partial = 0
+        for seed in range(3):
+            graph = ladder_graph(m, seed)
+            assert graph.m == m and all(graph.adj)  # every rectangle has a neighbour, as the engines require
+            rng = np.random.default_rng(seed)
+            for density in (0, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5):
+                upper = np.triu(rng.random((m, m)) < density, 1)
+                upper[0, m - 1] = True  # one pair no edge joins, so density 0 leaves the rest empty
+                far = upper | upper.T
+                partial += not far.any(axis=1).all()
+                quad, edge = diameter_matmul(graph, far), radius_matmul(graph, far)
+                assert quad == reference.diameter_matmul(graph, far), (seed, density)
+                assert edge == reference.radius_matmul(graph, far), (seed, density)
+                decisions["diameter"].add(quad is None)
+                decisions["radius"].add(edge is None)
+        assert partial  # some relations leave rows without a far entry
+        assert decisions == {"diameter": {True, False}, "radius": {True, False}}
 
 
 def edge_scan(inst, kind):
