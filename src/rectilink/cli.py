@@ -27,12 +27,16 @@ from .pipeline import decompose, instance_stats, point_out, prepare, run_verify,
 from .svg import render_svg
 
 
-def _load_domain(path: str):
+def _read_domain(path: str):
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise RectilinkError(f"cannot read {path}: {exc}") from exc
-    domain = parse_domain(text)
+    return parse_domain(text)
+
+
+def _load_domain(path: str):
+    domain = _read_domain(path)
     require_valid(domain)
     return domain
 
@@ -69,7 +73,7 @@ def _cmd_decompose(args) -> int:
     report["approx_diameter"] = prep.summary.ordiam - 1
     report["approx_radius"] = prep.summary.orrad - 1
     report["rects"] = rects
-    report["adjacency"] = [list(neigh) for neigh in prep.graph.adj]
+    report["adjacency"] = [prep.graph.neighbours(i).tolist() for i in range(prep.graph.m)]
     _emit(report, not args.compact)
     return 0
 
@@ -132,8 +136,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    domain = _load_domain(args.instance)
-    report = run_verify(domain)
+    report = run_verify(_read_domain(args.instance))  # validated once, in its timed prepare stage
     _emit(report)
     return 2 if report["verdict"] == "disagree" else 0
 

@@ -1,11 +1,15 @@
 """Bipartite crossing graph over the two decompositions and its distance table.
 
 Vertices are the rectangles of both decompositions (horizontal block first),
-edges join pairs of opposite orientation whose interiors overlap.  They are
-found by one sweep over the rectangles' middle segments, since two rectangles
-of opposite orientation overlap exactly when their middle segments cross.  The
-oriented distance between two rectangles is the hop distance in this graph
-plus one; it equals the fewest links of a path that starts along the first
+edges join pairs of opposite orientation whose interiors overlap.  Two such
+rectangles overlap exactly when their middle segments cross, so the edges
+come from one vectorised test: with the horizontal rectangles sorted by
+middle height, a vertical rectangle's candidates are one ``searchsorted``
+range, and its edges are the candidates whose x-span holds its middle line.
+The graph is a few read-only arrays, built once: the edges sorted by (h, v)
+and the CSR groups that the searches and the engines read.  The oriented
+distance between two rectangles is the hop distance in this graph plus one;
+it equals the fewest links of a path that starts along the first
 rectangle's orientation and ends along the second's.
 
 The graph is bipartite and undirected, so the table is symmetric and only the
@@ -24,15 +28,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
-from sortedcontainers import SortedList
 
 from .crossing import StoredSegment
 from .errors import DisconnectedGraphError, ResourceLimitError
@@ -43,44 +44,35 @@ DistanceMatrix = np.ndarray  # (m, m) uint16, entry = hop distance + 1
 log = logging.getLogger("rectilink")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientedGraph:
-    """Crossing graph; ``rects[i].id == i`` for the combined numbering."""
+    """Crossing graph as read-only arrays; ``rects[i].id == i`` for the combined numbering.
+
+    ``edges`` holds the (horizontal id, vertical id) pairs, sorted.  Rectangle
+    i's neighbours, increasing, are ``indices[indptr[i] : indptr[i + 1]]``;
+    ``indptr[: nh + 1]`` and ``indptr[nh:]`` are the two sides' groups.
+    """
 
     rects: tuple[Rect, ...]
     nh: int
-    nv: int
-    adj: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]  # (horizontal id, vertical id)
+    edges: np.ndarray  # (chi, 2)
+    indptr: np.ndarray  # (m + 1,)
+    indices: np.ndarray  # (2 * chi,)
 
     @property
     def m(self) -> int:
         return len(self.rects)
 
     @property
+    def nv(self) -> int:
+        return self.m - self.nh
+
+    @property
     def chi(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """``edges`` as one read-only (chi, 2) array, built on first use."""
-        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        edges.flags.writeable = False
-        return edges
-
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``adj`` as read-only CSR groups ``(indptr, indices)``, built on first use.
-
-        Rectangle i's neighbours, increasing, are ``indices[indptr[i] : indptr[i + 1]]``;
-        ``indptr[: nh + 1]`` and ``indptr[nh:]`` are the two sides' groups.
-        """
-        edges = self.edge_array
-        indptr = np.zeros(self.m + 1, dtype=np.intp)
-        np.cumsum(np.bincount(edges.ravel(), minlength=self.m), out=indptr[1:])
-        indices = np.concatenate([edges[:, 1], edges[np.argsort(edges[:, 1], kind="stable"), 0]])
-        indptr.flags.writeable = indices.flags.writeable = False
-        return indptr, indices
+    def neighbours(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def orientation_of(self, i: int) -> Orientation:
         return Orientation.HORIZONTAL if i < self.nh else Orientation.VERTICAL
@@ -88,7 +80,7 @@ class OrientedGraph:
     def ids_of(self, orientation: Orientation) -> range:
         if orientation is Orientation.HORIZONTAL:
             return range(self.nh)
-        return range(self.nh, self.nh + self.nv)
+        return range(self.nh, self.m)
 
 
 @dataclass(frozen=True)
@@ -123,50 +115,40 @@ def middle_segment(rect: Rect) -> StoredSegment:
     )
 
 
-def _edges_sweep(rects, nh: int):
-    """Middle-segment sweep: O((m + chi) log m) orthogonal crossing reporting."""
-    ADD, QUERY, REMOVE = 0, 1, 2
-    events = []
-    for i in range(nh):
-        seg = middle_segment(rects[i])
-        events.append((seg.lo, ADD, seg.fixed, i))
-        events.append((seg.hi, REMOVE, seg.fixed, i))
-    for j in range(nh, len(rects)):
-        seg = middle_segment(rects[j])
-        events.append((seg.fixed, QUERY, seg.lo, seg.hi, j))
-    events.sort(key=lambda e: (e[0], e[1]))
-    active = SortedList()
-    edges = []
-    for ev in events:
-        kind = ev[1]
-        if kind == ADD:
-            active.add((ev[2], ev[3]))
-        elif kind == REMOVE:
-            active.remove((ev[2], ev[3]))
-        else:
-            _, _, ylo, yhi, j = ev
-            for _, i in active.irange((ylo, -1), (yhi, float("inf"))):
-                edges.append((i, j))
-    edges.sort()
-    return edges
-
-
 def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
     """Assemble the crossing graph from both decompositions of one domain.
 
     The horizontal rectangles keep their ids ``0..nh-1``, as the decomposition
-    numbers them; the vertical ones are renumbered after them.  The sweep
-    returns the edges sorted, so every adjacency list fills in increasing
-    order.
+    numbers them; the vertical ones are renumbered after them.  An edge joins
+    a horizontal and a vertical rectangle whose middle segments cross, both
+    intervals closed: the horizontal height lies in the vertical y-span, one
+    ``searchsorted`` range over the sorted heights, and the vertical middle
+    line lies in the horizontal x-span.  The candidates are made for blocks
+    of vertical rectangles holding at most ``m`` of them (one rectangle has
+    fewer than ``m``), so no temporary outgrows the graph's size.
     """
-    nh, nv = len(hdec.rects), len(vdec.rects)
+    nh, m = len(hdec.rects), len(hdec.rects) + len(vdec.rects)
     rects = hdec.rects + tuple(dataclasses.replace(r, id=nh + k) for k, r in enumerate(vdec.rects))
-    edges = _edges_sweep(rects, nh)
-    adj_lists: list[list[int]] = [[] for _ in rects]
-    for i, j in edges:
-        adj_lists[i].append(j)
-        adj_lists[j].append(i)
-    return OrientedGraph(rects=rects, nh=nh, nv=nv, adj=tuple(map(tuple, adj_lists)), edges=tuple(edges))
+    box = np.array([(r.xmin, r.xmax, r.ymin, r.ymax) for r in rects], dtype=np.intp).reshape(m, 4)
+    height = (box[:nh, 2] + box[:nh, 3]) // 2
+    by_height = np.argsort(height, kind="stable")
+    height = height[by_height]
+    line = (box[nh:, 0] + box[nh:, 1]) // 2
+    first = np.searchsorted(height, box[nh:, 2], side="left")
+    ptr = np.zeros(m - nh + 1, dtype=np.intp)
+    np.cumsum(np.searchsorted(height, box[nh:, 3], side="right") - first, out=ptr[1:])
+    keys = []  # h * m + v per edge
+    for a, b in _blocks(ptr, m):
+        v = np.repeat(np.arange(a, b), np.diff(ptr[a : b + 1]))
+        h = by_height[np.arange(ptr[a], ptr[b]) - ptr[v] + first[v]]
+        hit = (box[h, 0] <= line[v]) & (line[v] <= box[h, 1])
+        keys.append(h[hit] * m + nh + v[hit])
+    edges = np.stack(np.divmod(np.sort(np.concatenate(keys)), m), axis=1)
+    indptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(edges.ravel(), minlength=m), out=indptr[1:])
+    indices = np.concatenate([edges[:, 1], edges[np.argsort(edges[:, 1], kind="stable"), 0]])
+    edges.flags.writeable = indptr.flags.writeable = indices.flags.writeable = False
+    return OrientedGraph(rects=rects, nh=nh, edges=edges, indptr=indptr, indices=indices)
 
 
 def _check_table_ceiling(m: int) -> None:
@@ -178,6 +160,14 @@ def _check_table_ceiling(m: int) -> None:
         )
 
 
+def _sparse(graph: OrientedGraph) -> csr_matrix:
+    """The CSR groups as a scipy matrix; they store both directions, so a directed search is exact.
+
+    The weights are float64, the type scipy's searches convert any other to on every call.
+    """
+    return csr_matrix((np.ones(len(graph.indices)), graph.indices, graph.indptr), shape=(graph.m,) * 2)
+
+
 def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
     """Oriented distances (hops + 1) from the nearest of ``sources`` to every rectangle.
 
@@ -186,22 +176,14 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
     containing its first point and builds no table.
     """
     _check_table_ceiling(graph.m)
-    dist = [0] * graph.m  # 0: not reached yet
-    queue = deque(sources)
-    for s in queue:
-        dist[s] = 1
-    while queue:
-        u = queue.popleft()
-        for w in graph.adj[u]:
-            if not dist[w]:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    if 0 in dist:
-        names = [f"{graph.orientation_of(i).name.lower()} rectangle {i}" for i in (dist.index(0), *sources)]
+    hops = dijkstra(_sparse(graph), directed=True, unweighted=True, indices=sources, min_only=True)
+    unreached = np.flatnonzero(np.isinf(hops))
+    if len(unreached):
+        names = [f"{graph.orientation_of(i).name.lower()} rectangle {i}" for i in (unreached[0], *sources)]
         raise DisconnectedGraphError(
             f"{names[0]} is unreachable from {', '.join(names[1:])}; the domain is not connected"
         )
-    return np.array(dist, dtype=np.uint16)
+    return hops.astype(np.uint16) + 1
 
 
 # all_pairs takes the level search when bound * m <= LEVEL_SEARCH_K * chi;
@@ -224,12 +206,9 @@ def _blocks(ptr: np.ndarray, cap: int):
 def _source_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
     """Fill ``dm[:nh]`` and ``dm[:, :nh]`` by a scipy search from each horizontal source.
 
-    The CSR adjacency stores both directions, so a directed search is exact;
     ``chunk`` sources are searched at a time.
     """
-    m, nh = graph.m, graph.nh
-    indptr, indices = graph.csr
-    sparse = csr_matrix((np.ones(len(indices), dtype=np.uint8), indices, indptr), shape=(m, m))
+    nh, sparse = graph.nh, _sparse(graph)
     for start in range(0, nh, chunk):
         stop = min(start + chunk, nh)
         rows = dijkstra(sparse, directed=True, unweighted=True, indices=np.arange(start, stop))
@@ -260,7 +239,7 @@ def _level_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
     """
     m, nh = graph.m, graph.nh
     words = -(-nh // 64)
-    indptr, indices = graph.csr
+    indptr, indices = graph.indptr, graph.indices
     # per target side: CSR groups, the neighbours as rows of the other side's frontier, the first id
     targets_of = ((indptr[: nh + 1], indices[: graph.chi] - nh, 0), (indptr[nh:], indices, nh))
     reached = np.zeros((m, words), dtype=np.uint64)
@@ -312,7 +291,7 @@ def _table(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
     dm = np.empty((m, m), dtype=np.uint16)
     search(graph, dm, chunk)
     # Horizontal neighbours grouped by vertical rectangle, as the min-plus step reads them.
-    offset, neighbours = graph.csr[0][nh:], graph.csr[1]
+    offset, neighbours = graph.indptr[nh:], graph.indices
     for a, b in _blocks(offset, chunk):
         block = dm[neighbours[offset[a] : offset[b]], nh:]
         nearest = np.minimum.reduceat(block, offset[a:b] - offset[a], axis=0)

@@ -92,7 +92,7 @@ def intersection_box(graph: OrientedGraph, a: int, b: int) -> tuple[int, int, in
 
 def overlay_faces(graph: OrientedGraph) -> list[Face]:
     """One face per graph edge; faces partition the domain."""
-    return [Face(h, v, intersection_box(graph, h, v)) for h, v in graph.edges]
+    return [Face(h, v, intersection_box(graph, h, v)) for h, v in graph.edges.tolist()]
 
 
 def face_center(graph: OrientedGraph, a: int, b: int) -> Point:
@@ -146,7 +146,7 @@ def _far_row_edges(graph: OrientedGraph, rows: np.ndarray) -> np.ndarray:
 
     A cover needs a far entry at each end of both edges, so no other edge can cover or be covered.
     """
-    edges = graph.edge_array
+    edges = graph.edges
     return np.flatnonzero(rows[edges[:, 0]] & rows[edges[:, 1]])
 
 
@@ -173,22 +173,22 @@ def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int,
     The scan visits only the edges between far rows, in edge order: the first hit is the same quad.
     """
     ids = _far_row_edges(graph, far.any(axis=1))
-    for start, hit in _edge_covers(far, graph.edge_array[ids]):
+    for start, hit in _edge_covers(far, graph.edges[ids]):
         hits = np.flatnonzero(hit.any(axis=1))
         if len(hits):
             r = hits[0]
             c = np.flatnonzero(np.unpackbits(hit[r], count=len(ids)))[0]
-            (i, ip), (j, jp) = graph.edges[ids[start + r]], graph.edges[ids[c]]
+            (i, ip), (j, jp) = graph.edges[[ids[start + r], ids[c]]].tolist()
             return (i, ip, j, jp) if far[i, j] and far[ip, jp] else (i, ip, jp, j)
     return None
 
 
 def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
     """For every edge, search an edge whose two far conditions both hold; return the first without one."""
-    for start, hit in _edge_covers(far, graph.edge_array):
+    for start, hit in _edge_covers(far, graph.edges):
         covered = hit.any(axis=1)
         if not covered.all():
-            return graph.edges[start + int(np.argmin(covered))]
+            return tuple(graph.edges[start + int(np.argmin(covered))].tolist())
     return None
 
 
@@ -219,7 +219,7 @@ def _far_products(graph: OrientedGraph, far: np.ndarray):
     far_bits = np.zeros((m, -(-m // 64)), dtype=np.uint64)
     far_bits.view(np.uint8)[:, : -(-m // 8)] = np.packbits(far, axis=1)
     mid_t = np.zeros((len(far_rows), far_bits.shape[1]), dtype=np.uint64)
-    indptr, indices = graph.csr
+    indptr, indices = graph.indptr, graph.indices
     for start in 64 * np.unique(far_rows // 64):
         stop = min(start + 64, m)
         first = indptr[start]
@@ -233,7 +233,7 @@ def _far_products(graph: OrientedGraph, far: np.ndarray):
 
 def _edge_products(graph: OrientedGraph, far_bits: np.ndarray, mid_t: np.ndarray, slot: np.ndarray, ids: np.ndarray):
     """``prod`` on the edges ``ids``, in ``_EDGE_CHUNK`` blocks: (block start in ``ids``, prod)."""
-    edges = graph.edge_array[ids]
+    edges = graph.edges[ids]
     for start in range(0, len(ids), _EDGE_CHUNK):
         h, v = edges[start : start + _EDGE_CHUNK, 0], slot[edges[start : start + _EDGE_CHUNK, 1]]
         yield start, (far_bits[h] & mid_t[v]).any(axis=1)
@@ -249,9 +249,10 @@ def diameter_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, in
     far_bits, mid_t, slot, ids = _far_products(graph, far)
     for start, prod in _edge_products(graph, far_bits, mid_t, slot, ids):
         if prod.any():
-            i, ip = graph.edges[ids[start + int(np.argmax(prod))]]
+            i, ip = graph.edges[ids[start + int(np.argmax(prod))]].tolist()
             j = int(np.flatnonzero(np.unpackbits((far_bits[i] & mid_t[slot[ip]]).view(np.uint8)))[0])
-            jp = next(k for k in graph.adj[j] if far[ip, k])
+            neighbours = graph.neighbours(j)
+            jp = int(neighbours[far[ip, neighbours]][0])
             return (i, ip, j, jp)
     return None
 
@@ -262,7 +263,7 @@ def radius_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | No
     covered = np.zeros(graph.chi, dtype=bool)
     for start, prod in _edge_products(graph, far_bits, mid_t, slot, ids):
         covered[ids[start : start + len(prod)]] = prod
-    return None if covered.all() else graph.edges[int(np.argmin(covered))]
+    return None if covered.all() else tuple(graph.edges[int(np.argmin(covered))].tolist())
 
 
 def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -389,7 +390,7 @@ def compute(
     decision = engine(graph, dm >= oriented)
 
     def center(a: int, b: int | None = None) -> Point:
-        return face_center(graph, a, graph.adj[a][0] if b is None else b)
+        return face_center(graph, a, graph.neighbours(a)[0] if b is None else b)
 
     if kind == "diameter":
         if decision is None:  # no witness quad: the far pair itself is at ordiam - 2

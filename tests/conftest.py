@@ -100,6 +100,25 @@ def staircase(k: int) -> dict:
     return {"outer": [list(p) for p in lower + upper], "holes": []}
 
 
+def comb(k: int) -> dict:
+    """A comb of ``k`` teeth on a base: n = 4k vertices, chi of order k squared.
+
+    Tooth i spans x in [4i, 4i + 2] up to its top at 2k + i; the gap right of
+    it has its floor at 1 + i.  Tops are distinct and above every floor, and
+    floors are distinct, so two vertices share a coordinate only across an
+    edge.  A floor's line runs right under every higher floor, so each such
+    horizontal slab crosses every vertical strip to its right; every tall
+    vertical tooth spans the middle height of every horizontal rectangle, so
+    the candidates of each tooth are all of them.
+    """
+    ring = [(0, 0), (4 * k - 2, 0)]
+    for i in range(k - 1, -1, -1):
+        ring += [(4 * i + 2, 2 * k + i), (4 * i, 2 * k + i)]
+        if i:
+            ring += [(4 * i, i), (4 * i - 2, i)]
+    return {"outer": [list(p) for p in ring], "holes": []}
+
+
 @pytest.fixture(scope="session")
 def corpus() -> list[Instance]:
     entries = []

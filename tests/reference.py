@@ -99,7 +99,7 @@ def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int,
     for start, hit in _edge_covers(graph, far):
         if hit.any():
             r, c = np.argwhere(hit)[0]
-            (i, ip), (j, jp) = graph.edges[start + r], graph.edges[c]
+            (i, ip), (j, jp) = graph.edges[[start + r, c]].tolist()
             return (i, ip, j, jp) if far[i, j] and far[ip, jp] else (i, ip, jp, j)
     return None
 
@@ -109,7 +109,7 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
     for start, hit in _edge_covers(graph, far):
         covered = hit.any(axis=1)
         if not covered.all():
-            return graph.edges[start + int(np.argmin(covered))]
+            return tuple(graph.edges[start + int(np.argmin(covered))].tolist())
     return None
 
 
@@ -160,7 +160,7 @@ def _far_products(graph: OrientedGraph, far: np.ndarray) -> tuple[BitMatrix, Bit
     ``prod[i, i']`` is set iff some edge (j, j') has i-j and i'-j' far.
     """
     rows = [0] * graph.m
-    for i, j in graph.edges:
+    for i, j in graph.edges.tolist():
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     cross = BitMatrix(rows, graph.m)

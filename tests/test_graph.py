@@ -6,14 +6,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from rectilink import (
     Decomposition,
     DisconnectedGraphError,
+    GenParams,
     RectilinkError,
     ResourceLimitError,
+    gen_domain,
     parse_domain,
     run_verify,
 )
@@ -30,7 +34,7 @@ from rectilink.graph import (
 )
 from rectilink.pipeline import decompose, prepare
 
-from conftest import staircase
+from conftest import comb, staircase
 from reference import crosses, edges_quadratic, rects_cross
 
 
@@ -58,7 +62,7 @@ class TestMiddleSegment:
 class TestBuildGraph:
     def test_square(self, square):
         g = square.prep.graph
-        assert g.m == 2 and g.chi == 1 and g.edges == ((0, 1),)
+        assert g.m == 2 and g.chi == 1 and g.edges.tolist() == [[0, 1]]
 
     def test_lshape(self, lshape):
         g = lshape.prep.graph
@@ -67,7 +71,7 @@ class TestBuildGraph:
         h2 = rect_by_box(g, (0, 8, 8, 20))
         v1 = rect_by_box(g, (0, 8, 0, 20))
         v2 = rect_by_box(g, (8, 20, 0, 8))
-        assert set(g.edges) == {(h1, v1), (h1, v2), (h2, v1)}
+        assert set(map(tuple, g.edges.tolist())) == {(h1, v1), (h1, v2), (h2, v1)}
 
     def test_donut_adjacency(self, donut):
         g = donut.prep.graph
@@ -80,18 +84,28 @@ class TestBuildGraph:
         v2 = rect_by_box(g, (16, 28, 0, 28))
         v3 = rect_by_box(g, (12, 16, 0, 12))
         v4 = rect_by_box(g, (12, 16, 16, 28))
-        assert set(g.adj[h1]) == {v1, v2, v3}
-        assert set(g.adj[h2]) == {v1, v2, v4}
-        assert set(g.adj[h3]) == {v1}
-        assert set(g.adj[h4]) == {v2}
+        assert set(g.neighbours(h1).tolist()) == {v1, v2, v3}
+        assert set(g.neighbours(h2).tolist()) == {v1, v2, v4}
+        assert set(g.neighbours(h3).tolist()) == {v1}
+        assert set(g.neighbours(h4).tolist()) == {v2}
 
     def test_bipartite(self, fixtures):
         for inst in fixtures:
             g = inst.prep.graph
-            for i, j in g.edges:
+            for i, j in g.edges.tolist():
                 assert g.orientation_of(i) is not g.orientation_of(j)
 
-    def test_sweep_matches_quadratic(self, fixtures, corpus, grid60):
+    def test_middle_segments_touching_at_an_end(self):
+        """Middle segments that meet at an end of either one still cross: all four interval ends are closed."""
+        for h_box, v_box in [
+            ((0, 4, 0, 4), (0, 4, 2, 6)),  # horizontal middle height 2 = vertical ymin
+            ((0, 4, 4, 8), (0, 4, 2, 6)),  # height 6 = vertical ymax
+            ((2, 6, 0, 4), (0, 4, 0, 4)),  # vertical middle line 2 = horizontal xmin
+            ((0, 4, 0, 4), (2, 6, 0, 4)),  # line 4 = horizontal xmax
+        ]:
+            assert graph_of([h_box], [v_box]).edges.tolist() == [[0, 1]], (h_box, v_box)
+
+    def test_edges_match_quadratic(self, fixtures, corpus, grid60):
         """Edges, adjacency and numbering equal the all-pairs area test, in order."""
         for prep in [inst.prep for inst in fixtures + corpus] + grid60:
             g = prep.graph
@@ -99,25 +113,32 @@ class TestBuildGraph:
             assert [r.id for r in g.rects] == list(range(g.m))
             assert [r.box() for r in g.rects] == [r.box() for r in rects]
             edges = edges_quadratic(rects, g.nh)
-            assert g.edges == tuple(edges)
+            assert g.edges.tolist() == [list(e) for e in edges]
             adj = [[] for _ in rects]
             for i, j in edges:
                 adj[i].append(j)
                 adj[j].append(i)
-            assert g.adj == tuple(tuple(sorted(neigh)) for neigh in adj)
+            assert [g.neighbours(i).tolist() for i in range(g.m)] == [sorted(neigh) for neigh in adj]
 
-
-    def test_edge_array(self, fixtures, corpus, grid60):
-        """One cached read-only edge array and CSR; the CSR groups equal the adjacency lists."""
+    def test_csr_arrays(self, fixtures, corpus, grid60):
+        """Read-only edge and CSR arrays; each CSR group is increasing and holds the rectangle's edges."""
         for g in [inst.prep.graph for inst in fixtures + corpus] + [prep.graph for prep in grid60]:
-            edges = g.edge_array
-            assert edges is g.edge_array and not edges.flags.writeable
-            assert edges.shape == (g.chi, 2) and edges.tolist() == [list(e) for e in g.edges]
-            indptr, indices = g.csr
-            assert g.csr[0] is indptr and not indptr.flags.writeable and not indices.flags.writeable
-            assert indptr.shape == (g.m + 1,) and indices.shape == (2 * g.chi,)
-            groups = [indices[indptr[i] : indptr[i + 1]] for i in range(g.m)]
-            assert [tuple(group.tolist()) for group in groups] == list(g.adj)
+            assert_csr_matches_edges(g)
+
+
+def assert_csr_matches_edges(g):
+    edges, indptr, indices = g.edges, g.indptr, g.indices
+    assert not (edges.flags.writeable or indptr.flags.writeable or indices.flags.writeable)
+    assert edges.shape == (g.chi, 2) and indptr.shape == (g.m + 1,) and indices.shape == (2 * g.chi,)
+    assert edges.tolist() == sorted(edges.tolist()) and (edges[:, 0] < g.nh).all() and (edges[:, 1] >= g.nh).all()
+    groups = [[] for _ in range(g.m)]
+    for i, j in edges.tolist():
+        groups[i].append(j)
+        groups[j].append(i)
+    for i, group in enumerate(groups):
+        neighbours = g.neighbours(i)
+        assert (np.diff(neighbours) > 0).all(), i
+        assert neighbours.tolist() == sorted(group), i
 
 
 class TestDistances:
@@ -175,10 +196,9 @@ class TestDistances:
 
 
 def reference_table(graph):
-    """Undirected scipy search from every one of the m sources."""
-    rows = [i for i, neigh in enumerate(graph.adj) for _ in neigh]
-    cols = [w for neigh in graph.adj for w in neigh]
-    sparse = csr_matrix((np.ones(len(cols), dtype=np.uint8), (rows, cols)), shape=(graph.m, graph.m))
+    """Undirected scipy search from every one of the m sources, over the edge list."""
+    h, v = graph.edges.T
+    sparse = csr_matrix((np.ones(2 * graph.chi, dtype=np.uint8), (np.r_[h, v], np.r_[v, h])), shape=(graph.m, graph.m))
     return shortest_path(sparse, method="D", directed=False, unweighted=True).astype(np.uint16) + 1
 
 
@@ -189,7 +209,7 @@ def graph_of(h_boxes, v_boxes):
         return Decomposition(orientation, tuple(Rect(k, orientation, *box) for k, box in enumerate(boxes)))
 
     graph = build_graph(decomposition(Orientation.HORIZONTAL, h_boxes), decomposition(Orientation.VERTICAL, v_boxes))
-    assert graph.edges == tuple(edges_quadratic(graph.rects, graph.nh))
+    assert graph.edges.tolist() == [list(e) for e in edges_quadratic(graph.rects, graph.nh)]
     return graph
 
 
@@ -219,17 +239,17 @@ class TestAllPairsDerivation:
     def test_unequal_sides(self):
         g = graph_of(T_SHAPE_H, T_SHAPE_V)
         assert (g.nh, g.nv) == (2, 3)
-        assert g.edges == ((0, 2), (0, 3), (0, 4), (1, 3))
+        assert g.edges.tolist() == [[0, 2], [0, 3], [0, 4], [1, 3]]
         dm = all_pairs(g)
         assert np.array_equal(dm, reference_table(g))
         assert dm[2, 4] == 3 and dm[1, 2] == 4
 
     def test_degree_one_verticals(self, lshape):
         g = graph_of(T_SHAPE_H, T_SHAPE_V)
-        assert [len(g.adj[v]) for v in g.ids_of(Orientation.VERTICAL)] == [1, 2, 1]
+        assert [len(g.neighbours(v)) for v in g.ids_of(Orientation.VERTICAL)] == [1, 2, 1]
         assert np.array_equal(all_pairs(g), reference_table(g))
         g = lshape.prep.graph
-        assert 1 in [len(g.adj[v]) for v in g.ids_of(Orientation.VERTICAL)]
+        assert 1 in [len(g.neighbours(v)) for v in g.ids_of(Orientation.VERTICAL)]
         assert np.array_equal(all_pairs(g), reference_table(g))
 
     def test_independent_of_chunk(self, corpus):
@@ -332,6 +352,57 @@ class TestStaircase:
             assert report["verdict"] == "ok", k
 
 
+def comb_graph(k):
+    return decompose(parse_domain(comb(k)))[2]
+
+
+class TestComb:
+    """Combs: chi of order k squared, with every horizontal rectangle a candidate of every tall tooth."""
+
+    def test_shape(self):
+        for k in (1, 2, 5, 32):
+            g = comb_graph(k)
+            assert (g.nh, g.nv, g.chi) == (2 * k - 1, 2 * k - 1, k * k + k - 1), k
+            heights = [(r.ymin + r.ymax) // 2 for r in g.rects[: g.nh]]
+            teeth = [r for r in g.rects[g.nh :] if r.ymax >= 4 * k]  # tops at 2k + i, doubled
+            assert len(teeth) == k and all(r.ymin <= min(heights) and max(heights) <= r.ymax for r in teeth), k
+
+    def test_edges_and_table(self):
+        for k in (1, 2, 3, 5, 8, 32, 100):
+            g = comb_graph(k)
+            assert g.edges.tolist() == [list(e) for e in edges_quadratic(g.rects, g.nh)], k
+            assert_csr_matches_edges(g)
+            assert np.array_equal(all_pairs(g), reference_table(g)), k
+
+    def test_against_oracle(self):
+        for k in (1, 2, 3, 4, 5):
+            report = run_verify(parse_domain(comb(k)))
+            assert report["verdict"] == "ok", k
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.integers(3, 12),
+    height=st.integers(3, 12),
+    holes=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_generated_graph_property(width, height, holes, seed, data):
+    """On small generated domains: the edges equal the area test, the CSR groups match them, and a
+    multi-source row is the minimum of the sources' rows of the reference table."""
+    cells = data.draw(st.integers(1, width * height), label="cells")
+    try:
+        domain = gen_domain(GenParams(width=width, height=height, cells=cells, holes=holes, seed=seed))
+    except ValueError:
+        assume(False)
+    g = decompose(domain)[2]
+    assert g.edges.tolist() == [list(e) for e in edges_quadratic(g.rects, g.nh)]
+    assert_csr_matches_edges(g)
+    sources = data.draw(st.lists(st.integers(0, g.m - 1), min_size=1, max_size=4, unique=True), label="sources")
+    assert np.array_equal(bfs_from(g, sources), reference_table(g)[sources].min(axis=0))
+
+
 class TestTypedFailures:
     def test_table_ceiling_before_allocation(self):
         stub = SimpleNamespace(m=65534, nh=32767, nv=32767)
@@ -343,7 +414,7 @@ class TestTypedFailures:
 
     def test_unreachable_horizontal(self):
         g = graph_of([(0, 4, 0, 4), (10, 14, 0, 4)], [(0, 4, 0, 4)])
-        assert g.adj[1] == ()
+        assert len(g.neighbours(1)) == 0
         with pytest.raises(DisconnectedGraphError, match="horizontal rectangle 0"):
             all_pairs(g)
         with pytest.raises(DisconnectedGraphError):
@@ -351,7 +422,7 @@ class TestTypedFailures:
 
     def test_isolated_horizontal_first(self):
         g = graph_of([(10, 14, 0, 4), (0, 4, 0, 4)], [(0, 4, 0, 4)])
-        assert g.adj[0] == ()
+        assert len(g.neighbours(0)) == 0
         message = (
             "horizontal rectangle 1 is unreachable from horizontal rectangle 0; "
             "the domain is not connected"
@@ -361,7 +432,7 @@ class TestTypedFailures:
 
     def test_isolated_horizontal_middle(self):
         g = graph_of([(0, 4, 0, 4), (10, 14, 0, 4), (0, 4, 10, 14)], [(0, 4, 0, 14)])
-        assert g.adj[1] == () and g.adj[3] == (0, 2)
+        assert len(g.neighbours(1)) == 0 and g.neighbours(3).tolist() == [0, 2]
         with pytest.raises(DisconnectedGraphError, match="horizontal rectangle 1 is unreachable"):
             all_pairs(g)
 
@@ -370,24 +441,24 @@ class TestTypedFailures:
         h_boxes, v_boxes = ladder(64, seed=at)
         h_boxes.insert(at, (1000, 1004, 1, 3))  # right of every column
         g = graph_of(h_boxes, v_boxes)
-        assert g.nh == 65 and g.adj[at] == ()
+        assert g.nh == 65 and len(g.neighbours(at)) == 0
         with pytest.raises(DisconnectedGraphError):
             all_pairs(g)
 
     def test_two_components(self):
         g = graph_of([(0, 4, 0, 4), (10, 14, 0, 4)], [(0, 4, 0, 4), (10, 14, 0, 4)])
-        assert all(g.adj)
+        assert np.diff(g.indptr).all()
         with pytest.raises(DisconnectedGraphError):
             all_pairs(g)
         a, b = ladder(64, seed=1), ladder(65, seed=2, dx=1000)
         g = graph_of(a[0] + b[0], a[1] + b[1])
-        assert g.nh == 129 and all(g.adj)
+        assert g.nh == 129 and np.diff(g.indptr).all()
         with pytest.raises(DisconnectedGraphError):
             all_pairs(g)
 
     def test_isolated_vertical(self):
         g = graph_of([(0, 4, 0, 4)], [(0, 4, 0, 4), (10, 14, 0, 4)])
-        assert g.adj[2] == ()
+        assert len(g.neighbours(2)) == 0
         with pytest.raises(DisconnectedGraphError, match="vertical rectangle 2"):
             all_pairs(g)
         with pytest.raises(DisconnectedGraphError):
@@ -472,7 +543,7 @@ class TestCrossingCharacterization:
         # positive-area intersection <=> middle segments cross <=> range containment
         for inst in small_corpus[:15]:
             g = inst.prep.graph
-            edge_set = set(g.edges)
+            edge_set = set(map(tuple, g.edges.tolist()))
             for h in range(g.nh):
                 rh = g.rects[h]
                 mh = middle_segment(rh)

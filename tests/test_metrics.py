@@ -192,7 +192,8 @@ class TestEngineFixtures:
         """A diameter quad joins two far pairs by edges; a radius edge is covered by no edge."""
         for inst in small_corpus[:40]:
             g, dm, summary = inst.prep.graph, inst.prep.dm, inst.prep.summary
-            edges = set(g.edges) | {(b, a) for a, b in g.edges}
+            edge_list = list(map(tuple, g.edges.tolist()))
+            edges = set(edge_list) | {(b, a) for a, b in edge_list}
             far = far_of(inst, "diameter")
             for engine in (diameter_edge_scan, diameter_matmul, diameter_fast):
                 quad = engine(g, far)
@@ -205,7 +206,7 @@ class TestEngineFixtures:
                 edge = engine(g, far)
                 if edge is not None:
                     h, v = edge
-                    assert (h, v) in g.edges and h < g.nh <= v, (inst.name, engine.__name__)
+                    assert (h, v) in edge_list and h < g.nh <= v, (inst.name, engine.__name__)
                     assert not any(far[h, j] and far[v, jp] for j, jp in edges), (inst.name, engine.__name__)
 
 
@@ -217,10 +218,10 @@ def sink_far(graph, planted):
     ``planted`` (pairs of far entries) adds the only covers, so both scans
     must walk past more than one chunk of kept edges to meet them.
     """
-    s = graph.edges[0][0]
+    s = int(graph.edges[0, 0])
     far = np.zeros((graph.m, graph.m), dtype=bool)
     rows = np.ones(graph.m, dtype=bool)
-    rows[[s, *graph.adj[s]]] = False
+    rows[[s, *graph.neighbours(s).tolist()]] = False
     far[s, rows] = far[rows, s] = True
     for a, b in planted:
         far[a, b] = far[b, a] = True
@@ -230,7 +231,7 @@ def sink_far(graph, planted):
 def synthetic_far_relations(graph):
     """Named symmetric far relations a real table rarely gives: dense, random, nearly full, planted."""
     rng = np.random.default_rng(7)
-    m, edges = graph.m, graph.edges
+    m, edges = graph.m, graph.edges.tolist()
     out = {"all": np.ones((m, m), dtype=bool)}
     for density in (0.05, 0.5):
         upper = np.triu(rng.random((m, m)) < density, 1)
@@ -263,14 +264,14 @@ class TestEdgeScanMatchesReference:
         """Dense, random and planted relations; the planted quads and the first uncovered edge lie past the first chunk."""
         graph = grid60[0].graph
         assert graph.chi > 2 * reference._EDGE_CHUNK
-        position = {e: k for k, e in enumerate(graph.edges)}
+        position = {e: k for k, e in enumerate(map(tuple, graph.edges.tolist()))}
         for name, far in synthetic_far_relations(graph).items():
             quad, edge = reference.diameter_edge_scan(graph, far), reference.radius_edge_scan(graph, far)
             assert diameter_edge_scan(graph, far) == quad, name
             assert radius_edge_scan(graph, far) == edge, name
             if name.startswith("planted"):
                 rows = far.any(axis=1)
-                kept = [k for k, (a, b) in enumerate(graph.edges) if rows[a] and rows[b]]
+                kept = [k for k, (a, b) in enumerate(graph.edges.tolist()) if rows[a] and rows[b]]
                 assert kept.index(position[quad[:2]]) > reference._EDGE_CHUNK, name
             if name == "all-but-late-rows":
                 assert position[edge] > reference._EDGE_CHUNK
@@ -346,7 +347,7 @@ class TestMatmulPathEquivalence:
         v1 = rect_by_box(g, (0, 12, 0, 28))
         h3 = rect_by_box(g, (0, 12, 12, 16))
         h4 = rect_by_box(g, (16, 28, 12, 16))
-        assert h3 in g.adj[v1] and dm[h3, h4] == 5
+        assert h3 in g.neighbours(v1).tolist() and dm[h3, h4] == 5
         _, mid_t, slot, _ = _far_products(g, dm == 5)
         assert np.unpackbits(mid_t[slot[h4]].view(np.uint8))[v1]  # column h4 of mid, row v1
 
@@ -358,16 +359,17 @@ class TestMatmulPathEquivalence:
             if g.m > 30 or summary.ordiam < 4:
                 continue
             checked += 1
-            both_ways = list(g.edges) + [(b, a) for a, b in g.edges]
+            edge_list = g.edges.tolist()
+            both_ways = edge_list + [[b, a] for a, b in edge_list]
             for t in (summary.orrad, summary.ordiam):
                 far = dm >= t
                 mid, prod = matmul_products(g, far)
                 rows = far.any(axis=1)
                 for j in range(g.m):
                     for r in range(g.m):
-                        expect = rows[j] and any(far[k, r] for k in g.adj[j])
+                        expect = rows[j] and any(far[k, r] for k in g.neighbours(j))
                         assert mid[j, r] == expect, (inst.name, t, j, r)
-                for (i, ip), got in zip(g.edges, prod):
+                for (i, ip), got in zip(edge_list, prod):
                     assert got == any(far[i, j] and far[ip, jp] for j, jp in both_ways), (inst.name, t, i, ip)
             if checked >= 6:
                 break
@@ -427,7 +429,7 @@ class TestMatmulMatchesReference:
         partial = 0
         for seed in range(3):
             graph = ladder_graph(m, seed)
-            assert graph.m == m and all(graph.adj)  # every rectangle has a neighbour, as the engines require
+            assert graph.m == m and np.diff(graph.indptr).all()  # every rectangle has a neighbour, as the engines require
             rng = np.random.default_rng(seed)
             for density in (0, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5):
                 upper = np.triu(rng.random((m, m)) < density, 1)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import rectilink.geometry
 import rectilink.graph
 import rectilink.metrics
 import rectilink.pipeline
@@ -94,6 +95,18 @@ class TestComputedOnce:
             summarize_calls.clear()
             cli_json(capsys, "verify", path)
             assert len(summarize_calls) == 1, path
+
+    def test_verify_validates_once(self, capsys, tmp_path, monkeypatch, donut, lshape):
+        """``verify`` validates its domain once, inside the prepare stage it times; a bad domain still fails typed."""
+        calls = count_calls(monkeypatch, rectilink.geometry.require_valid)
+        for path in write_instances(tmp_path, [donut, lshape]):
+            calls.clear()
+            assert cli_json(capsys, "verify", path)["timings"]["prepare_seconds"] > 0
+            assert len(calls) == 1, path
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"outer": [[0, 0], [5, 0], [10, 0], [10, 10], [0, 10]]}))
+        assert main(["verify", str(bad)]) == 1
+        assert "alternation" in capsys.readouterr().err
 
     def test_engine_once_per_solve(self, monkeypatch, donut):
         """The router calls the requested engine through its module attribute, once."""
