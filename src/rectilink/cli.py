@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -194,6 +195,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: building it costs about half a millisecond
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rectilink",

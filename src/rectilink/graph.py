@@ -26,7 +26,6 @@ from each source in turn.  A point query reads one row of the table, which
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -128,7 +127,9 @@ def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
     fewer than ``m``), so no temporary outgrows the graph's size.
     """
     nh, m = len(hdec.rects), len(hdec.rects) + len(vdec.rects)
-    rects = hdec.rects + tuple(dataclasses.replace(r, id=nh + k) for k, r in enumerate(vdec.rects))
+    rects = hdec.rects + tuple(
+        Rect(nh + k, r.orientation, r.xmin, r.xmax, r.ymin, r.ymax) for k, r in enumerate(vdec.rects)
+    )
     box = np.array([(r.xmin, r.xmax, r.ymin, r.ymax) for r in rects], dtype=np.intp).reshape(m, 4)
     height = (box[:nh, 2] + box[:nh, 3]) // 2
     by_height = np.argsort(height, kind="stable")

@@ -9,7 +9,11 @@ Each engine decides between the two on the far relation ``dm >= ordiam`` (or
 crossing rectangle pairs or ``None``:
 
 * ``edge-scan``: direct scan over pairs of graph edges, with the cover test
-  packed into bits; the diameter scan visits only the edges between far rows,
+  packed into bits one block of ``_COLUMN_BLOCK`` edge columns at a time, so
+  the packed bits take ``2 * m * _COLUMN_BLOCK / 8`` bytes whatever chi; the
+  radius drops the edges a block covers, and the diameter scan visits only
+  the edges between far rows, and in later blocks only the rows before its
+  lowest hit,
 * ``matmul``: the same condition as thresholded boolean matrix products on
   rows packed 64 to a machine word: one product ``mid = cross·far``, then
   ``prod = far·mid`` read only on the crossing edges between far rows,
@@ -46,6 +50,7 @@ RADIUS_ALGOS = (EDGE_SCAN, MATMUL)
 ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind
 
 _EDGE_CHUNK = 512
+_COLUMN_BLOCK = 16 * _EDGE_CHUNK  # edge columns packed at once by the edge-scans
 
 log = logging.getLogger("rectilink")
 
@@ -129,16 +134,26 @@ def point_distance(hdec: Decomposition, vdec: Decomposition, graph: OrientedGrap
     return int(min(row[b] for b in rq))
 
 
-def _packed_columns(far: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``far[:, cols]`` packed into bits, eight columns per byte."""
-    width = -(-len(cols) // 8) * 8
-    out = np.empty((len(far), width // 8), np.uint8)
-    for start in range(0, len(far), _EDGE_CHUNK):
-        rows = far[start : start + _EDGE_CHUNK, cols]
-        block = np.zeros((len(rows), width), dtype=bool)
-        block[:, : len(cols)] = rows  # rows padded to whole bytes pack as one flat run
-        out[start : start + len(rows)] = np.packbits(block).reshape(len(rows), width // 8)
-    return out
+def _packed_block(far: np.ndarray, edges: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``F0 = far[:, edges[:, 0]]`` and ``F1 = far[:, edges[:, 1]]`` on ``rows``, in bits, eight columns per byte.
+
+    ``edges`` is a run of edges sorted by their horizontal end, so ``F0``
+    repeats the columns of those ends, each as often as it occurs.  Only the
+    rows ``rows`` are made, ``_EDGE_CHUNK`` at a time; the others stay unset.
+    ``packbits`` pads each row to whole bytes with zeros, which cover nothing.
+    """
+    lo = int(edges[0, 0])
+    counts = np.bincount(edges[:, 0] - lo)  # occurrences of each horizontal end from lo on
+    ends = np.flatnonzero(counts)
+    ends, counts = ends + lo, counts[ends]
+    f0 = np.empty((len(far), -(-len(edges) // 8)), dtype=np.uint8)
+    f1 = np.empty_like(f0)
+    for start in range(0, len(rows), _EDGE_CHUNK):
+        ids = rows[start : start + _EDGE_CHUNK]
+        part = far[ids]
+        f0[ids] = np.packbits(np.repeat(part[:, ends], counts, axis=1), axis=1)
+        f1[ids] = np.packbits(np.take(part, edges[:, 1], axis=1), axis=1)
+    return f0, f1
 
 
 def _far_row_edges(graph: OrientedGraph, rows: np.ndarray) -> np.ndarray:
@@ -150,46 +165,64 @@ def _far_row_edges(graph: OrientedGraph, rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(rows[edges[:, 0]] & rows[edges[:, 1]])
 
 
-def _edge_covers(far: np.ndarray, edges: np.ndarray):
-    """Chunks of ``edges`` (a k x 2 array) against each other: (chunk start, packed cover rows).
+def _edge_covers(far: np.ndarray, block: np.ndarray, scanning: np.ndarray):
+    """Chunks of the ``scanning`` edges against one ``block`` of column edges: (chunk start, packed cover rows).
 
     Edge (a, a') covers edge (b, b') when a-b and a'-b' are both far
-    (straight) or a-b' and a'-b are (crossed).  The two ends' far rows are
-    packed into bits once, ``F0 = far[:, b]`` and ``F1 = far[:, b']`` over the
-    columns ``edges``, so a chunk's cover rows are
-    ``(F0[a] & F1[a']) | (F1[a] & F0[a'])``, eight pairs per byte.  The
-    radius scans every edge; the diameter passes only the edges between far
-    rows, the only ones that can cover or be covered.
+    (straight) or a-b' and a'-b are (crossed).  The block's two ends are
+    packed into bits on the scanning edges' rows, ``F0 = far[:, b]`` and
+    ``F1 = far[:, b']`` over the columns ``block`` (:func:`_packed_block`),
+    so a chunk's cover rows are ``(F0[a] & F1[a']) | (F1[a] & F0[a'])``,
+    eight pairs per byte.  The scans pass ``_COLUMN_BLOCK`` columns at a
+    time, and one block is live at a time, so the packed bits take at most
+    ``2 * m * _COLUMN_BLOCK / 8`` bytes, whatever chi.
     """
-    f0, f1 = _packed_columns(far, edges[:, 0]), _packed_columns(far, edges[:, 1])
-    for start in range(0, len(edges), _EDGE_CHUNK):
-        a0, a1 = edges[start : start + _EDGE_CHUNK, 0], edges[start : start + _EDGE_CHUNK, 1]
+    rows = np.zeros(len(far), dtype=bool)
+    rows[scanning] = True
+    f0, f1 = _packed_block(far, block, np.flatnonzero(rows))
+    for start in range(0, len(scanning), _EDGE_CHUNK):
+        a0, a1 = scanning[start : start + _EDGE_CHUNK, 0], scanning[start : start + _EDGE_CHUNK, 1]
         yield start, (f0[a0] & f1[a1]) | (f1[a0] & f0[a1])
 
 
 def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
     """Scan pairs of graph edges for two far pairs covering each other; return them as (i, i', j, j').
 
-    The scan visits only the edges between far rows, in edge order: the first hit is the same quad.
+    The scan visits only the edges between far rows, the only ones that can
+    cover or be covered, in edge order, and returns the lowest row with a
+    cover and its lowest column.  Each column block scans only the rows
+    before the lowest hit row so far and stops at its first hit: a later
+    block can only find a lower row.
     """
     ids = _far_row_edges(graph, far.any(axis=1))
-    for start, hit in _edge_covers(far, graph.edges[ids]):
-        hits = np.flatnonzero(hit.any(axis=1))
-        if len(hits):
-            r = hits[0]
-            c = np.flatnonzero(np.unpackbits(hit[r], count=len(ids)))[0]
-            (i, ip), (j, jp) = graph.edges[[ids[start + r], ids[c]]].tolist()
-            return (i, ip, j, jp) if far[i, j] and far[ip, jp] else (i, ip, jp, j)
-    return None
+    edges = graph.edges[ids]
+    row = col = len(ids)  # the lowest hit row so far, and its first column
+    for first in range(0, len(ids), _COLUMN_BLOCK):
+        for start, hit in _edge_covers(far, edges[first : first + _COLUMN_BLOCK], edges[:row]):
+            hits = np.flatnonzero(hit.any(axis=1))
+            if len(hits):
+                row = start + int(hits[0])
+                col = first + int(np.flatnonzero(np.unpackbits(hit[hits[0]]))[0])
+                break
+    if row == len(ids):
+        return None
+    (i, ip), (j, jp) = graph.edges[[ids[row], ids[col]]].tolist()
+    return (i, ip, j, jp) if far[i, j] and far[ip, jp] else (i, ip, jp, j)
 
 
 def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
-    """For every edge, search an edge whose two far conditions both hold; return the first without one."""
-    for start, hit in _edge_covers(far, graph.edges):
-        covered = hit.any(axis=1)
-        if not covered.all():
-            return tuple(graph.edges[start + int(np.argmin(covered))].tolist())
-    return None
+    """For every edge, search an edge whose two far conditions both hold; return the first without one.
+
+    A ``covered`` flag per edge is collected over the column blocks; each
+    block scans only the edges no earlier block covered.
+    """
+    edges = graph.edges
+    covered = np.zeros(len(edges), dtype=bool)
+    for first in range(0, len(edges), _COLUMN_BLOCK):
+        open_ids = np.flatnonzero(~covered)
+        for start, hit in _edge_covers(far, edges[first : first + _COLUMN_BLOCK], edges[open_ids]):
+            covered[open_ids[start : start + len(hit)]] = hit.any(axis=1)
+    return None if covered.all() else tuple(edges[int(np.argmin(covered))].tolist())
 
 
 def _far_products(graph: OrientedGraph, far: np.ndarray):

@@ -2,16 +2,17 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criterion 10 is a soft performance check: it reports and flags instead
-of failing on a slow machine.
+of failing on a slow machine, but holds the edge-scan's memory to a hard bound.
 """
 
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rectilink import GenParams, gen_domain, oracle_distance, point_distance, prepare, run_verify, solve
+from rectilink import GenParams, gen_domain, metrics, oracle_distance, point_distance, prepare, run_verify, solve
 from rectilink.cli import main as cli_main
 from rectilink.crossing import CrossingStore, StoredSegment
 from rectilink.geometry import Orientation
@@ -223,6 +224,20 @@ def test_criterion_10_performance_soft(tmp_path, capsys):
     assert 4000 <= big.n <= 6500
     if fast_elapsed > 60:
         flags.append(f"fast pipeline took {fast_elapsed:.1f}s (> 60s)")
+
+    # The radius edge-scan packs one column block at a time, so its peak is bounded by m, the
+    # block width and the row chunk, not by chi.  The per-edge flags and indices, about 25
+    # bytes an edge (2 MB here), fit in the bound's slack.
+    far = prep.dm >= prep.summary.orrad
+    m, block, chunk = prep.graph.m, metrics._COLUMN_BLOCK, metrics._EDGE_CHUNK
+    bound = 2 * m * block // 8 + 4 * chunk * (m + block)  # packed block + row-chunk gathers
+    tracemalloc.start()
+    try:
+        metrics.radius_edge_scan(prep.graph, far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prep.graph.chi > 10 * block and peak < bound, (peak, bound)
 
     t0 = time.perf_counter()
     medium = gen_domain(GenParams(width=100, height=100, cells=int(100 * 100 * 0.4), holes=3, seed=13))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rectilink import parse_domain, render_svg
-from rectilink.cli import main
+from rectilink.cli import _build_parser, main
 
 from conftest import DONUT, LSHAPE, SQUARE
 
@@ -210,3 +210,15 @@ class TestByteStability:
         a, b = json.loads(out1), json.loads(out2)
         a.pop("timings"), b.pop("timings")
         assert a == b
+
+    def test_parser_reused_across_calls(self, capsys, files):
+        """One parser per process: repeated commands print the same, and a bad argument still exits 2."""
+        _, dist1 = run(capsys, "dist", files["donut"], "--p", "3,3", "--q", "11,11")
+        _, decompose1 = run(capsys, "decompose", files["donut"], "--compact")
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", files["donut"], "--algo", "fast"])
+        assert exc.value.code == 2
+        _, dist2 = run(capsys, "dist", files["donut"], "--p", "3,3", "--q", "11,11")
+        _, decompose2 = run(capsys, "decompose", files["donut"], "--compact")
+        assert (dist1, decompose1) == (dist2, decompose2)
+        assert _build_parser() is _build_parser()

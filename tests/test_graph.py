@@ -1,5 +1,6 @@
 """Crossing graph construction, BFS distances, summaries, invariants."""
 
+import dataclasses
 import logging
 import re
 from types import SimpleNamespace
@@ -112,6 +113,7 @@ class TestBuildGraph:
             rects = prep.hdec.rects + prep.vdec.rects
             assert [r.id for r in g.rects] == list(range(g.m))
             assert [r.box() for r in g.rects] == [r.box() for r in rects]
+            assert g.rects[g.nh :] == tuple(dataclasses.replace(r, id=g.nh + k) for k, r in enumerate(prep.vdec.rects))
             edges = edges_quadratic(rects, g.nh)
             assert g.edges.tolist() == [list(e) for e in edges]
             adj = [[] for _ in rects]

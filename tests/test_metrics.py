@@ -12,6 +12,7 @@ from rectilink.graph import build_graph
 from rectilink.metrics import (
     _edge_products,
     _far_products,
+    _far_row_edges,
     compute,
     diameter_edge_scan,
     diameter_fast,
@@ -275,6 +276,56 @@ class TestEdgeScanMatchesReference:
                 assert kept.index(position[quad[:2]]) > reference._EDGE_CHUNK, name
             if name == "all-but-late-rows":
                 assert position[edge] > reference._EDGE_CHUNK
+
+
+class TestEdgeScanColumnBlocks:
+    """With the column block forced small, the scans cross many blocks and still return the reference's decision."""
+
+    BLOCK = 60  # not a multiple of 8: every block's packed rows end in pad bits
+
+    @pytest.fixture(autouse=True)
+    def small_block(self, monkeypatch):
+        monkeypatch.setattr(rectilink.metrics, "_COLUMN_BLOCK", self.BLOCK)
+
+    def test_table_far_relations(self, grid60):
+        """At ordiam the edges between far rows are few, so the diameter also runs four thresholds below it."""
+        for k, prep in enumerate(grid60):
+            graph, summary = prep.graph, prep.summary
+            assert graph.chi > 50 * self.BLOCK
+            lowest = prep.dm >= summary.ordiam - 4
+            assert len(_far_row_edges(graph, lowest.any(axis=1))) > 2 * self.BLOCK
+            for t in range(summary.ordiam - 4, summary.ordiam + 1):
+                far = prep.dm >= t
+                assert diameter_edge_scan(graph, far) == reference.diameter_edge_scan(graph, far), (k, t)
+            for t in (summary.orrad, summary.orrad + 1):
+                far = prep.dm >= t
+                assert radius_edge_scan(graph, far) == reference.radius_edge_scan(graph, far), (k, t)
+
+    def test_synthetic_far_relations(self, grid60):
+        """The planted quads' covering edge and the first uncovered edge lie past the first two blocks.
+
+        In the planted chain p covers q and q covers r, three edges in three
+        blocks: the block of p finds row q, the block of q the lower row p,
+        and the block of r, scanning only the rows before p, finds none.
+        """
+        graph = grid60[0].graph
+        edges = graph.edges.tolist()
+        position = {e: k for k, e in enumerate(map(tuple, edges))}
+        (p0, p1), (q0, q1), (r0, r1) = (edges[k] for k in (len(edges) // 3, 2 * len(edges) // 3, len(edges) - 2))
+        relations = synthetic_far_relations(graph)
+        relations["planted-chain"] = sink_far(graph, [(p0, q0), (p1, q1), (q0, r0), (q1, r1)])
+        assert reference.diameter_edge_scan(graph, relations["planted-chain"]) == (p0, p1, q0, q1)
+        for name, far in relations.items():
+            quad, edge = reference.diameter_edge_scan(graph, far), reference.radius_edge_scan(graph, far)
+            assert diameter_edge_scan(graph, far) == quad, name
+            assert radius_edge_scan(graph, far) == edge, name
+            if name.startswith("planted"):
+                rows = far.any(axis=1)
+                kept = [k for k, (a, b) in enumerate(edges) if rows[a] and rows[b]]
+                column = kept.index(position[tuple(sorted(quad[2:]))])
+                assert column > 2 * self.BLOCK, name
+            if name == "all-but-late-rows":
+                assert position[edge] > 2 * self.BLOCK
 
 
 class TestFallback:
