@@ -3,6 +3,11 @@
 All coordinates are doubled on ingest, so midpoints of integer intervals
 (rectangle centers, middle segments) stay exact integers.  Everything in this
 package downstream of :func:`parse_domain` works in those doubled units.
+
+Each domain holds its boundary edges once, in :attr:`Domain.edge_table`,
+which :func:`validate` and both sweeps read.  One closed crossing test,
+:func:`crossings`, finds both the boundary edges that touch and the crossing
+graph's edges (:mod:`rectilink.graph`).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +86,22 @@ class Domain:
         yield self.outer
         yield from self.holes
 
+    @cached_property
+    def edge_table(self) -> np.ndarray:
+        """The boundary edges as one read-only int64 array, built once: ``(ring, index in ring, px, py, qx, qy)``.
+
+        One row per directed edge, in ring order (outer first); edge ``k`` of a
+        ring runs from its vertex ``k`` to the next.
+        """
+        sizes = np.array([len(r) for r in self.rings()])
+        ring = np.repeat(np.arange(len(sizes)), sizes)
+        p = np.array([v for r in self.rings() for v in r.vertices], dtype=np.int64)
+        start = (np.cumsum(sizes) - sizes)[ring]
+        index = np.arange(len(p)) - start
+        table = np.column_stack([ring, index, p, p[start + (index + 1) % sizes[ring]]])
+        table.flags.writeable = False
+        return table
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -102,11 +124,20 @@ class Rect:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """The rectangles of one slab decomposition, ``rects[i].id == i``."""
+
     orientation: Orientation
     rects: tuple[Rect, ...]
 
     def __len__(self) -> int:
         return len(self.rects)
+
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        """The rectangles' ``(xmin, xmax, ymin, ymax)`` as one read-only (k, 4) int64 array, built once."""
+        boxes = np.array([r.box() for r in self.rects], dtype=np.int64).reshape(-1, 4)
+        boxes.flags.writeable = False
+        return boxes
 
 
 @dataclass(frozen=True)
@@ -186,128 +217,125 @@ def domain_to_instance(domain: Domain) -> dict:
     return {"outer": undouble(domain.outer), "holes": [undouble(r) for r in domain.holes]}
 
 
-def _point_in_ring(p: Point, ring: Ring) -> bool:
-    """Even-odd test; undefined for points on the ring itself."""
-    px, py = p
-    inside = False
-    for (x1, y1), (x2, y2) in ring.edges():
-        if x1 == x2 and (y1 > py) != (y2 > py):
-            if x1 > px:
-                inside = not inside
-    return inside
+def blocks(ptr: np.ndarray, cap: int):
+    """Consecutive CSR groups ``[a, b)`` holding at most ``cap`` entries; a larger group comes alone."""
+    a, n = 0, len(ptr) - 1
+    while a < n:
+        b = int(ptr.searchsorted(ptr[a] + cap, side="right")) - 1
+        b = min(max(b, a + 1), n)
+        yield a, b
+        a = b
 
 
-def _edge_arrays(domain: Domain):
-    """Split all boundary edges into horizontal and vertical arrays.
+def crossings(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sorted ``(i, j)`` pairs where horizontal ``h[i] = (y, xlo, xhi)`` and vertical ``v[j] = (x, ylo, yhi)`` cross.
 
-    Returns (h, v, h_meta, v_meta): h rows are (y, xlo, xhi), v rows are
-    (x, ylo, yhi); meta rows are (ring index, edge index, ring length).
+    Both intervals are closed.  With ``h`` sorted by height, ``v[j]``'s
+    candidates are one ``searchsorted`` range, and its crossings the
+    candidates whose x-span holds ``x``.  Candidates are made for blocks of
+    ``v`` holding at most ``len(h) + len(v)`` of them, so no temporary
+    outgrows the input.
     """
-    hs, vs, hm, vm = [], [], [], []
-    for ri, ring in enumerate(domain.rings()):
-        nverts = len(ring)
-        for ei, (p, q) in enumerate(ring.edges()):
-            if p[1] == q[1]:
-                hs.append((p[1], min(p[0], q[0]), max(p[0], q[0])))
-                hm.append((ri, ei, nverts))
-            else:
-                vs.append((p[0], min(p[1], q[1]), max(p[1], q[1])))
-                vm.append((ri, ei, nverts))
-    return (
-        np.array(hs, dtype=np.int64).reshape(-1, 3),
-        np.array(vs, dtype=np.int64).reshape(-1, 3),
-        hm,
-        vm,
-    )
+    by_height = h[:, 0].argsort(kind="stable")
+    height = h[by_height, 0]
+    first = height.searchsorted(v[:, 1], side="left")
+    count = height.searchsorted(v[:, 2], side="right") - first
+    ptr = np.zeros(len(v) + 1, dtype=np.intp)
+    count.cumsum(out=ptr[1:])
+    first -= ptr[:-1]  # candidate k of the flat list, for v[j], is by_height[k + first[j]]
+    keys = [np.empty(0, dtype=np.intp)]  # i * len(v) + j per crossing
+    for a, b in blocks(ptr, len(h) + len(v)):
+        j = np.arange(a, b).repeat(count[a:b])
+        i, x = by_height[np.arange(ptr[a], ptr[b]) + first[j]], v[j, 0]
+        hit = (h[i, 1] <= x) & (x <= h[i, 2])
+        keys.append(i[hit] * len(v) + j[hit])
+    return np.stack(np.divmod(np.sort(np.concatenate(keys)), max(len(v), 1)), axis=1)
 
 
 def validate(domain: Domain) -> ValidationReport:
-    """Check alternation, simplicity, hole containment and general position.
+    """Check alternation, simplicity, hole containment and general position, on :attr:`Domain.edge_table`.
 
     Returns a report; an empty report means the domain is safe for every
-    downstream operation.
+    downstream operation.  Each check runs once for both axes, the second
+    axis's values shifted past the first's by ``2 * COORD_LIMIT + 1``.
     """
+    table = domain.edge_table
+    ring, index, flat = table[:, 0], table[:, 1], table[:, 3] == table[:, 5]  # flat: horizontal
+    n, shift = len(table), 2 * COORD_LIMIT + 1
+    sizes = np.bincount(ring)
+    stops = np.cumsum(sizes)
+    after = np.arange(1, n + 1)  # the ring's next edge, and next vertex
+    after[stops - 1] = stops - sizes
     violations: list[str] = []
 
-    for ri, ring in enumerate(domain.rings()):
+    repeat = np.flatnonzero(flat == flat[after])[::-1]  # edges followed by one of the same axis, last first
+    first_repeat = dict(zip(ring[repeat].tolist(), repeat.tolist()))  # ring -> its first such edge
+    for ri, size in enumerate(sizes.tolist()):
         name = "outer" if ri == 0 else f"hole {ri - 1}"
-        if len(ring) % 2 != 0:
+        if size % 2 != 0:
             violations.append(f"alternation: {name} has an odd vertex count")
-        axes = [("H" if p[1] == q[1] else "V") for p, q in ring.edges()]
-        for k in range(len(axes)):
-            if axes[k] == axes[(k + 1) % len(axes)]:
-                violations.append(f"alternation: {name} has consecutive {axes[k]} edges at vertex {k + 1}")
-                break
+        if (row := first_repeat.get(ri)) is not None:
+            axis = "H" if flat[row] else "V"
+            violations.append(f"alternation: {name} has consecutive {axis} edges at vertex {index[row] + 1}")
 
-    # General position: vertices sharing a coordinate must be edge-joined.
-    verts = []  # (x, y, ring, index)
-    for ri, ring in enumerate(domain.rings()):
-        for vi, (x, y) in enumerate(ring.vertices):
-            verts.append((x, y, ri, vi))
+    # General position: vertices sharing a coordinate must be edge-joined, so
+    # two may share one only if the first one's edge out or in keeps it.
+    xy = np.concatenate([table[:, 2], table[:, 3] + shift])  # each vertex's x, then its shifted y
+    coords, first, count = np.unique(xy, return_index=True, return_counts=True)
+    keeps, before = np.concatenate([~flat, flat]), after.argsort()  # keeps: the edge out keeps x, then y
+    joined = (count == 2) & (keeps[first] | keeps[before[first % n] + first // n * n])
+    for k in sorted(((count > 1) & ~joined).nonzero()[0].tolist(), key=first.__getitem__):
+        axis, coord = ("x", coords[k]) if first[k] < n else ("y", coords[k] - shift)
+        violations.append(
+            f"general position: {count[k]} vertices share {axis}={coord // SCALE} without being joined by an edge"
+        )
 
-    def adjacent(a, b) -> bool:
-        if a[2] != b[2]:
-            return False
-        size = len(list(domain.rings())[a[2]])
-        return (a[3] - b[3]) % size in (1, size - 1)
+    box = np.sort(table[:, 2:6].reshape(-1, 2, 2), axis=1).reshape(-1, 4)  # (xlo, ylo, xhi, yhi)
+    hrows, vrows = flat.nonzero()[0], (~flat).nonzero()[0]
+    hseg, vseg = box[hrows][:, [1, 0, 2]], box[vrows][:, [0, 1, 3]]  # (y, xlo, xhi) and (x, ylo, yhi)
 
-    for axis, key in (("x", 0), ("y", 1)):
-        groups: dict[int, list] = {}
-        for v in verts:
-            groups.setdefault(v[key], []).append(v)
-        for coord, group in groups.items():
-            if len(group) == 2 and adjacent(group[0], group[1]):
-                continue
-            if len(group) > 1:
-                violations.append(
-                    f"general position: {len(group)} vertices share {axis}={coord // SCALE}"
-                    " without being joined by an edge"
-                )
+    # Horizontal/horizontal and vertical/vertical contacts (only possible when two edges share a supporting
+    # line), per line in the order of its first edge.  Sorted by (line, lo), an edge meets the later ones up
+    # to the first whose lo passes its hi: one searchsorted on a key packing the line's rank with the
+    # coordinate, so it stays below (n + 1) * shift.
+    seg = np.concatenate([hseg, vseg + [shift, 0, 0]])
+    lines, line_first, line_of = np.unique(seg[:, 0], return_index=True, return_inverse=True)
+    start, stop = (line_of * shift + COORD_LIMIT + seg[:, k] for k in (1, 2))
+    order = start.argsort(kind="stable")
+    later = start[order].searchsorted(stop[order], side="right") - np.arange(len(seg)) - 1
+    per_line = np.bincount(line_of[order], weights=later, minlength=len(lines)).astype(np.intp)
+    by_first = line_first.argsort()
+    for line in lines[by_first].repeat(per_line[by_first]).tolist():
+        axis, line = ("horizontal", line) if line <= COORD_LIMIT else ("vertical", line - shift)
+        violations.append(f"simplicity: two {axis} edges touch on line {line // SCALE}")
 
-    h, v, hm, vm = _edge_arrays(domain)
-
-    # Horizontal/horizontal and vertical/vertical contacts (only possible when
-    # two edges share a supporting line).
-    for arr, meta, axis in ((h, hm, "horizontal"), (v, vm, "vertical")):
-        by_line: dict[int, list[int]] = {}
-        for idx in range(len(arr)):
-            by_line.setdefault(int(arr[idx, 0]), []).append(idx)
-        for line, idxs in by_line.items():
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    ia, ib = idxs[a], idxs[b]
-                    if arr[ia, 1] <= arr[ib, 2] and arr[ib, 1] <= arr[ia, 2]:
-                        violations.append(f"simplicity: two {axis} edges touch on line {line // SCALE}")
+    # The vertical edges meet the horizontal edges and, for hole containment,
+    # a rightward ray from each hole's first vertex, one unit (half an input
+    # unit) above it, (y + 1, x + 1, COORD_LIMIT): all vertex coordinates are
+    # even, so the ray meets no vertex, and crosses [ylo, yhi] when ylo <= y < yhi.
+    rays = np.column_stack([table[stops[:-1]][:, [3, 2]] + 1, np.full(domain.h, COORD_LIMIT)])
+    pairs = crossings(np.concatenate([hseg, rays]), vseg)
+    contacts, hits = np.split(pairs, [pairs[:, 0].searchsorted(len(hseg))])
 
     # Horizontal/vertical contacts: allowed only at the shared corner of two
     # consecutive edges of one ring.
-    if len(h) and len(v):
-        hy = h[:, 0][:, None]
-        hx1 = h[:, 1][:, None]
-        hx2 = h[:, 2][:, None]
-        vx = v[:, 0][None, :]
-        vy1 = v[:, 1][None, :]
-        vy2 = v[:, 2][None, :]
-        touching = (hx1 <= vx) & (vx <= hx2) & (vy1 <= hy) & (hy <= vy2)
-        for ia, ib in zip(*np.nonzero(touching)):
-            ra, ea, na = hm[ia]
-            rb, eb, nb = vm[ib]
-            if ra == rb and (ea - eb) % na in (1, na - 1):
-                continue
-            violations.append(
-                f"simplicity: edge contact between a horizontal edge of ring {ra}"
-                f" and a vertical edge of ring {rb}"
-            )
+    a, b = hrows[contacts[:, 0]], vrows[contacts[:, 1]]
+    contact = (after[a] != b) & (after[b] != a)
+    for ra, rb in zip(ring[a[contact]].tolist(), ring[b[contact]].tolist()):
+        violations.append(
+            f"simplicity: edge contact between a horizontal edge of ring {ra} and a vertical edge of ring {rb}"
+        )
 
-    # Hole containment and hole/hole nesting (touching is caught above).
-    for hi, hole in enumerate(domain.holes):
-        probe = hole.vertices[0]
-        if not _point_in_ring(probe, domain.outer):
+    # Hole containment and nesting (touching is caught above): a ring holds a hole when the hole's ray
+    # crosses an odd number of the ring's vertical edges.  Counting each hole once more for the outer ring,
+    # where it belongs, an odd count of hole * len(sizes) + ring flags a violation.
+    hole_ring = (hits[:, 0] - len(hseg)) * len(sizes) + ring[vrows[hits[:, 1]]]
+    keys, crossed = np.unique(np.concatenate([hole_ring, np.arange(domain.h) * len(sizes)]), return_counts=True)
+    for hi, ri in zip(*(part.tolist() for part in np.divmod(keys[crossed % 2 == 1], len(sizes)))):
+        if ri == 0:
             violations.append(f"containment: hole {hi} is not inside the outer ring")
-        for hj, other in enumerate(domain.holes):
-            if hi != hj and _point_in_ring(probe, other):
-                violations.append(f"containment: hole {hi} lies inside hole {hj}")
-
+        elif ri != hi + 1:
+            violations.append(f"containment: hole {hi} lies inside hole {ri - 1}")
     return ValidationReport(tuple(violations))
 
 
@@ -331,12 +359,11 @@ def _sweep_rects(events):
             left = intervals[li] if li >= 0 and intervals[li][1] == lo else None
             ri = bisect_left(intervals, hi, key=lambda iv: iv[0])
             right = intervals[ri] if ri < len(intervals) and intervals[ri][0] == hi else None
-            if (left is None and li >= 0 and intervals[li][1] > lo) or (
-                right is None and ri < len(intervals) and intervals[ri][0] < hi
-            ):
-                raise InvalidDomainError(
-                    [f"sweep: opening edge [{lo}, {hi}] at {coord} overlaps the cross-section"]
-                )
+            start = li if left is not None else li + 1
+            stop = ri + 1 if right is not None else ri
+            inside = left is None and li >= 0 and intervals[li][1] > lo  # the edge starts inside an interval
+            if inside or stop - start != (left is not None) + (right is not None):  # or one starts inside the edge
+                raise InvalidDomainError([f"sweep: opening edge [{lo}, {hi}] at {coord} overlaps the cross-section"])
             new_lo, new_hi = lo, hi
             if left is not None:
                 out.append((left[0], left[1], left[2], coord))
@@ -344,13 +371,6 @@ def _sweep_rects(events):
             if right is not None:
                 out.append((right[0], right[1], right[2], coord))
                 new_hi = right[1]
-            start = li if left is not None else li + 1
-            stop = ri + 1 if right is not None else ri
-            expected = (left is not None) + (right is not None)
-            if stop - start != expected:
-                raise InvalidDomainError(
-                    [f"sweep: opening edge [{lo}, {hi}] at {coord} overlaps the cross-section"]
-                )
             intervals[start:stop] = [[new_lo, new_hi, coord]]
         else:
             li = bisect_right(intervals, lo, key=lambda iv: iv[0]) - 1
@@ -383,13 +403,12 @@ def _decomposition(domain: Domain, orientation: Orientation) -> Decomposition:
     fixed = 1 if horizontal else 0  # the coordinate the sweep advances along
     span = 1 - fixed
     sign = 1 if horizontal else -1
-    events = []
-    for ring in domain.rings():
-        for p, q in ring.edges():
-            if p[fixed] == q[fixed]:
-                opens = sign * (q[span] - p[span]) > 0
-                events.append((p[fixed], min(p[span], q[span]), max(p[span], q[span]), opens))
-    events.sort(key=lambda e: (e[0], not e[3]))
+    p, q = domain.edge_table[:, 2:4], domain.edge_table[:, 4:6]
+    mine = p[:, fixed] == q[:, fixed]
+    coord, a, b = p[mine, fixed], p[mine, span], q[mine, span]
+    opens = sign * (b - a) > 0
+    order = np.lexsort((~opens, coord))  # by coord, openings first, else in ring order
+    events = zip(*(e[order].tolist() for e in (coord, np.minimum(a, b), np.maximum(a, b), opens)))
     slabs = _sweep_rects(events)
     slabs.sort(key=lambda s: (s[2], s[0]))
     rects = tuple(
@@ -415,7 +434,8 @@ def locate(dec: Decomposition, p: Point) -> set[int]:
     One id for a generic interior point, two across a shared slab boundary.
     Raises :class:`OutsidePointError` if no rectangle contains the point.
     """
-    found = {r.id for r in dec.rects if r.contains(p)}
+    inside = (dec.boxes[:, ::2] <= p).all(axis=1) & (dec.boxes[:, 1::2] >= p).all(axis=1)
+    found = set(np.flatnonzero(inside).tolist())
     if not found:
         raise OutsidePointError(f"point {p} lies outside the domain")
     return found

@@ -3,11 +3,11 @@
 Vertices are the rectangles of both decompositions (horizontal block first),
 edges join pairs of opposite orientation whose interiors overlap.  Two such
 rectangles overlap exactly when their middle segments cross, so the edges
-come from one vectorised test: with the horizontal rectangles sorted by
-middle height, a vertical rectangle's candidates are one ``searchsorted``
-range, and its edges are the candidates whose x-span holds its middle line.
-The graph is a few read-only arrays, built once: the edges sorted by (h, v)
-and the CSR groups that the searches and the engines read.  The oriented
+come from :func:`rectilink.geometry.crossings`, the closed crossing test that
+the validator runs on the boundary edges of the domain's edge table, here run
+on the middle segments of the decompositions' box arrays.  The graph is a
+few read-only arrays, built once: the edges sorted by (h, v) and the CSR
+groups that the searches and the engines read.  The oriented
 distance between two rectangles is the hop distance in this graph plus one;
 it equals the fewest links of a path that starts along the first
 rectangle's orientation and ends along the second's.
@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .crossing import StoredSegment
 from .errors import DisconnectedGraphError, ResourceLimitError
-from .geometry import Decomposition, Orientation, Rect
+from .geometry import Decomposition, Orientation, Rect, blocks, crossings
 
 DistanceMatrix = np.ndarray  # (m, m) uint16, entry = hop distance + 1
 
@@ -120,31 +120,18 @@ def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
     The horizontal rectangles keep their ids ``0..nh-1``, as the decomposition
     numbers them; the vertical ones are renumbered after them.  An edge joins
     a horizontal and a vertical rectangle whose middle segments cross, both
-    intervals closed: the horizontal height lies in the vertical y-span, one
-    ``searchsorted`` range over the sorted heights, and the vertical middle
-    line lies in the horizontal x-span.  The candidates are made for blocks
-    of vertical rectangles holding at most ``m`` of them (one rectangle has
-    fewer than ``m``), so no temporary outgrows the graph's size.
+    intervals closed; :func:`rectilink.geometry.crossings` finds them from
+    the decompositions' ``boxes`` with at most ``m`` candidates per block, so
+    no temporary outgrows the graph's size.
     """
     nh, m = len(hdec.rects), len(hdec.rects) + len(vdec.rects)
     rects = hdec.rects + tuple(
         Rect(nh + k, r.orientation, r.xmin, r.xmax, r.ymin, r.ymax) for k, r in enumerate(vdec.rects)
     )
-    box = np.array([(r.xmin, r.xmax, r.ymin, r.ymax) for r in rects], dtype=np.intp).reshape(m, 4)
-    height = (box[:nh, 2] + box[:nh, 3]) // 2
-    by_height = np.argsort(height, kind="stable")
-    height = height[by_height]
-    line = (box[nh:, 0] + box[nh:, 1]) // 2
-    first = np.searchsorted(height, box[nh:, 2], side="left")
-    ptr = np.zeros(m - nh + 1, dtype=np.intp)
-    np.cumsum(np.searchsorted(height, box[nh:, 3], side="right") - first, out=ptr[1:])
-    keys = []  # h * m + v per edge
-    for a, b in _blocks(ptr, m):
-        v = np.repeat(np.arange(a, b), np.diff(ptr[a : b + 1]))
-        h = by_height[np.arange(ptr[a], ptr[b]) - ptr[v] + first[v]]
-        hit = (box[h, 0] <= line[v]) & (line[v] <= box[h, 1])
-        keys.append(h[hit] * m + nh + v[hit])
-    edges = np.stack(np.divmod(np.sort(np.concatenate(keys)), m), axis=1)
+    hbox, vbox = hdec.boxes, vdec.boxes  # middle segments: (y, xlo, xhi) and (x, ylo, yhi)
+    hmid = np.stack([(hbox[:, 2] + hbox[:, 3]) // 2, hbox[:, 0], hbox[:, 1]], axis=1)
+    vmid = np.stack([(vbox[:, 0] + vbox[:, 1]) // 2, vbox[:, 2], vbox[:, 3]], axis=1)
+    edges = crossings(hmid, vmid) + [0, nh]
     indptr = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(np.bincount(edges.ravel(), minlength=m), out=indptr[1:])
     indices = np.concatenate([edges[:, 1], edges[np.argsort(edges[:, 1], kind="stable"), 0]])
@@ -194,16 +181,6 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
 # domains and on staircase corridors built in the tests alone.
 LEVEL_SEARCH_K = 128
 
-def _blocks(ptr: np.ndarray, cap: int):
-    """Consecutive CSR groups ``[a, b)`` holding at most ``cap`` entries; a larger group comes alone."""
-    a, n = 0, len(ptr) - 1
-    while a < n:
-        b = int(np.searchsorted(ptr, ptr[a] + cap, side="right")) - 1
-        b = min(max(b, a + 1), n)
-        yield a, b
-        a = b
-
-
 def _source_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
     """Fill ``dm[:nh]`` and ``dm[:, :nh]`` by a scipy search from each horizontal source.
 
@@ -252,7 +229,7 @@ def _level_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
         ptr, nbr, first = targets_of[1 - level % 2]
         targets = reached[first : first + len(ptr) - 1]
         new = np.empty_like(targets)
-        for a, b in _blocks(ptr, 4 * chunk):
+        for a, b in blocks(ptr, 4 * chunk):
             bits = np.bitwise_or.reduceat(frontier[nbr[ptr[a] : ptr[b]]], ptr[a:b] - ptr[a], axis=0)
             np.bitwise_and(bits, ~targets[a:b], out=new[a:b])
         if not new.any():
@@ -293,7 +270,7 @@ def _table(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
     search(graph, dm, chunk)
     # Horizontal neighbours grouped by vertical rectangle, as the min-plus step reads them.
     offset, neighbours = graph.indptr[nh:], graph.indices
-    for a, b in _blocks(offset, chunk):
+    for a, b in blocks(offset, chunk):
         block = dm[neighbours[offset[a] : offset[b]], nh:]
         nearest = np.minimum.reduceat(block, offset[a:b] - offset[a], axis=0)
         dm[nh + a : nh + b, nh:] = nearest + 1

@@ -4,8 +4,10 @@ Each is the direct, obviously correct phrasing of one decision the package
 makes faster: crossing of two middle segments, positive-area overlap of two
 rectangles, the crossing-graph edge list over all pairs, a report-and-remove
 store that scans every live segment, the edge-scan engines as boolean
-cover matrices, one byte per pair, and the matmul engines as products of
-rows packed into Python integers, one set bit at a time.
+cover matrices, one byte per pair, the matmul engines as products of
+rows packed into Python integers, one set bit at a time, and the domain
+validator as per-line pair loops and a dense horizontal-by-vertical contact
+matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from rectilink.crossing import StoredSegment
-from rectilink.geometry import Orientation, Rect
+from rectilink.geometry import SCALE, Domain, Orientation, Point, Rect, Ring, ValidationReport
 from rectilink.graph import OrientedGraph
 
 
@@ -196,3 +198,128 @@ def radius_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | No
             ip = _lowest(missed)
             return (i, ip) if i < graph.nh else (ip, i)
     return None
+
+
+def _point_in_ring(p: Point, ring: Ring) -> bool:
+    """Even-odd test; undefined for points on the ring itself."""
+    px, py = p
+    inside = False
+    for (x1, y1), (x2, y2) in ring.edges():
+        if x1 == x2 and (y1 > py) != (y2 > py):
+            if x1 > px:
+                inside = not inside
+    return inside
+
+
+def _edge_arrays(domain: Domain):
+    """Split all boundary edges into horizontal and vertical arrays.
+
+    Returns (h, v, h_meta, v_meta): h rows are (y, xlo, xhi), v rows are
+    (x, ylo, yhi); meta rows are (ring index, edge index, ring length).
+    """
+    hs, vs, hm, vm = [], [], [], []
+    for ri, ring in enumerate(domain.rings()):
+        nverts = len(ring)
+        for ei, (p, q) in enumerate(ring.edges()):
+            if p[1] == q[1]:
+                hs.append((p[1], min(p[0], q[0]), max(p[0], q[0])))
+                hm.append((ri, ei, nverts))
+            else:
+                vs.append((p[0], min(p[1], q[1]), max(p[1], q[1])))
+                vm.append((ri, ei, nverts))
+    return (
+        np.array(hs, dtype=np.int64).reshape(-1, 3),
+        np.array(vs, dtype=np.int64).reshape(-1, 3),
+        hm,
+        vm,
+    )
+
+
+def validate(domain: Domain) -> ValidationReport:
+    """Check alternation, simplicity, hole containment and general position.
+
+    Returns a report; an empty report means the domain is safe for every
+    downstream operation.
+    """
+    violations: list[str] = []
+
+    for ri, ring in enumerate(domain.rings()):
+        name = "outer" if ri == 0 else f"hole {ri - 1}"
+        if len(ring) % 2 != 0:
+            violations.append(f"alternation: {name} has an odd vertex count")
+        axes = [("H" if p[1] == q[1] else "V") for p, q in ring.edges()]
+        for k in range(len(axes)):
+            if axes[k] == axes[(k + 1) % len(axes)]:
+                violations.append(f"alternation: {name} has consecutive {axes[k]} edges at vertex {k + 1}")
+                break
+
+    # General position: vertices sharing a coordinate must be edge-joined.
+    verts = []  # (x, y, ring, index)
+    for ri, ring in enumerate(domain.rings()):
+        for vi, (x, y) in enumerate(ring.vertices):
+            verts.append((x, y, ri, vi))
+
+    def adjacent(a, b) -> bool:
+        if a[2] != b[2]:
+            return False
+        size = len(list(domain.rings())[a[2]])
+        return (a[3] - b[3]) % size in (1, size - 1)
+
+    for axis, key in (("x", 0), ("y", 1)):
+        groups: dict[int, list] = {}
+        for v in verts:
+            groups.setdefault(v[key], []).append(v)
+        for coord, group in groups.items():
+            if len(group) == 2 and adjacent(group[0], group[1]):
+                continue
+            if len(group) > 1:
+                violations.append(
+                    f"general position: {len(group)} vertices share {axis}={coord // SCALE}"
+                    " without being joined by an edge"
+                )
+
+    h, v, hm, vm = _edge_arrays(domain)
+
+    # Horizontal/horizontal and vertical/vertical contacts (only possible when
+    # two edges share a supporting line).
+    for arr, meta, axis in ((h, hm, "horizontal"), (v, vm, "vertical")):
+        by_line: dict[int, list[int]] = {}
+        for idx in range(len(arr)):
+            by_line.setdefault(int(arr[idx, 0]), []).append(idx)
+        for line, idxs in by_line.items():
+            for a in range(len(idxs)):
+                for b in range(a + 1, len(idxs)):
+                    ia, ib = idxs[a], idxs[b]
+                    if arr[ia, 1] <= arr[ib, 2] and arr[ib, 1] <= arr[ia, 2]:
+                        violations.append(f"simplicity: two {axis} edges touch on line {line // SCALE}")
+
+    # Horizontal/vertical contacts: allowed only at the shared corner of two
+    # consecutive edges of one ring.
+    if len(h) and len(v):
+        hy = h[:, 0][:, None]
+        hx1 = h[:, 1][:, None]
+        hx2 = h[:, 2][:, None]
+        vx = v[:, 0][None, :]
+        vy1 = v[:, 1][None, :]
+        vy2 = v[:, 2][None, :]
+        touching = (hx1 <= vx) & (vx <= hx2) & (vy1 <= hy) & (hy <= vy2)
+        for ia, ib in zip(*np.nonzero(touching)):
+            ra, ea, na = hm[ia]
+            rb, eb, nb = vm[ib]
+            if ra == rb and (ea - eb) % na in (1, na - 1):
+                continue
+            violations.append(
+                f"simplicity: edge contact between a horizontal edge of ring {ra}"
+                f" and a vertical edge of ring {rb}"
+            )
+
+    # Hole containment and hole/hole nesting (touching is caught above).
+    for hi, hole in enumerate(domain.holes):
+        probe = hole.vertices[0]
+        if not _point_in_ring(probe, domain.outer):
+            violations.append(f"containment: hole {hi} is not inside the outer ring")
+        for hj, other in enumerate(domain.holes):
+            if hi != hj and _point_in_ring(probe, other):
+                violations.append(f"containment: hole {hi} lies inside hole {hj}")
+
+    return ValidationReport(tuple(violations))

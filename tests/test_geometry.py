@@ -1,11 +1,16 @@
 """Parsing, validation, decompositions and point location."""
 
+import random
+import tracemalloc
+from collections import Counter
+
 import pytest
 
+import reference
 from rectilink import InstanceFormatError, OutsidePointError, domain_to_instance, parse_domain
-from rectilink.geometry import Orientation, locate, validate
+from rectilink.geometry import COORD_LIMIT, SCALE, Orientation, locate, validate
 
-from conftest import DONUT, LSHAPE, SQUARE
+from conftest import DONUT, LSHAPE, SQUARE, comb
 
 
 def boxes(dec):
@@ -84,29 +89,37 @@ class TestValidate:
             "outer": [[0, 0], [6, 0], [6, -2], [14, -2], [14, 14], [0, 14]],
             "holes": [[[6, 6], [8, 6], [8, 8], [6, 8]]],
         }
-        report = validate(parse_domain(inst))
-        assert any("general position" in v for v in report.violations)
+        assert validate(parse_domain(inst)).violations == (
+            "general position: 4 vertices share x=6 without being joined by an edge",
+        )
 
     def test_alternation_flagged(self):
         inst = {"outer": [[0, 0], [5, 0], [10, 0], [10, 10], [0, 10]]}
-        report = validate(parse_domain(inst))
-        assert any("alternation" in v for v in report.violations)
+        assert validate(parse_domain(inst)).violations == (
+            "alternation: outer has an odd vertex count",
+            "alternation: outer has consecutive H edges at vertex 1",
+            "general position: 3 vertices share y=0 without being joined by an edge",
+            "simplicity: two horizontal edges touch on line 0",
+        )
 
     def test_touching_hole_flagged(self):
         inst = {
             "outer": [[0, 0], [14, 0], [14, 14], [0, 14]],
             "holes": [[[0, 6], [2, 6], [2, 8], [0, 8]]],
         }
-        report = validate(parse_domain(inst))
-        assert any("simplicity" in v for v in report.violations)
+        assert validate(parse_domain(inst)).violations == (
+            "general position: 4 vertices share x=0 without being joined by an edge",
+            "simplicity: two vertical edges touch on line 0",
+            "simplicity: edge contact between a horizontal edge of ring 1 and a vertical edge of ring 0",
+            "simplicity: edge contact between a horizontal edge of ring 1 and a vertical edge of ring 0",
+        )
 
     def test_hole_outside_flagged(self):
         inst = {
             "outer": [[0, 0], [14, 0], [14, 14], [0, 14]],
             "holes": [[[20, 20], [22, 20], [22, 22], [20, 22]]],
         }
-        report = validate(parse_domain(inst))
-        assert any("containment" in v for v in report.violations)
+        assert validate(parse_domain(inst)).violations == ("containment: hole 0 is not inside the outer ring",)
 
     def test_self_touching_ring_flagged(self):
         # bowtie-like rectilinear ring touching itself at (4, 4)
@@ -115,8 +128,98 @@ class TestValidate:
                 [0, 0], [4, 0], [4, 4], [8, 4], [8, 8], [4, 8], [4, 4], [0, 4],
             ]
         }
-        report = validate(parse_domain(inst))
-        assert not report.ok
+        assert validate(parse_domain(inst)).violations == (
+            "general position: 4 vertices share x=4 without being joined by an edge",
+            "general position: 4 vertices share y=4 without being joined by an edge",
+            "simplicity: two horizontal edges touch on line 4",
+            "simplicity: two vertical edges touch on line 4",
+            "simplicity: edge contact between a horizontal edge of ring 0 and a vertical edge of ring 0",
+            "simplicity: edge contact between a horizontal edge of ring 0 and a vertical edge of ring 0",
+        )
+
+
+def fuzz_ring(rng: random.Random, size: int) -> list[list[int]]:
+    """A random rectilinear ring (x0, y0) -> (x1, y0) -> (x1, y1) -> ... in [0, size), often self-touching.
+
+    Up to two edges are split by a collinear vertex, each half the time,
+    which breaks the alternation of horizontal and vertical edges.
+    """
+    k = rng.randint(2, 5)
+    while True:
+        xs = [rng.randrange(size) for _ in range(k)]
+        ys = [rng.randrange(size) for _ in range(k)]
+        if all(xs[i] != xs[i - 1] and ys[i] != ys[i - 1] for i in range(k)):
+            break
+    ring = []
+    for i in range(k):
+        ring += [[xs[i], ys[i]], [xs[(i + 1) % k], ys[i]]]
+    for _ in range(2):
+        i = rng.randrange(len(ring))
+        (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % len(ring)]
+        if rng.random() < 0.5 and abs(x1 - x2) + abs(y1 - y2) >= 2:
+            ring.insert(i + 1, [(x1 + x2) // 2, (y1 + y2) // 2])
+    return ring
+
+
+def fuzz_instance(rng: random.Random) -> dict:
+    """An outer ring and 0-3 holes that overlap, touch, nest or sit outside it.
+
+    Holes are random rings or small rectangles on the same small grid.  One
+    instance in five has a ring, or the whole domain, moved to within a few
+    units of the coordinate limit, where a sort key packing two coordinates
+    would overflow.
+    """
+    size = rng.choice([6, 10, 16])
+    rings = [fuzz_ring(rng, size)]
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            rings.append(fuzz_ring(rng, size))
+        else:
+            x, y = rng.randrange(size - 1), rng.randrange(size - 1)
+            w, h = rng.randint(1, size - 1 - x), rng.randint(1, size - 1 - y)
+            rings.append([[x, y], [x + w, y], [x + w, y + h], [x, y + h]])
+    moved = {0: rings, 1: [rng.choice(rings)]}.get(rng.randrange(10), [])
+    if moved:
+        limit = COORD_LIMIT // SCALE
+        # the ring coordinates, in [0, size), end up at most 3 units inside the limit
+        dx, dy = (rng.choice([limit - (size - 1) - rng.randint(0, 3), -limit + rng.randint(0, 3)]) for _ in "xy")
+        for ring in moved:
+            ring[:] = [[x + dx, y + dy] for x, y in ring]
+    return {"outer": rings[0], "holes": rings[1:]}
+
+
+class TestValidateMatchesReference:
+    KINDS = {
+        "alternation": "alternation:",
+        "general position": "general position:",
+        "collinear contact": "simplicity: two",
+        "crossing contact": "simplicity: edge contact",
+        "containment": "containment:",
+    }
+
+    def test_fuzzed_domains(self):
+        """Violation lists equal the per-line, dense-matrix validator's, in text and order."""
+        rng = random.Random(20261018)
+        kinds = Counter()
+        for _ in range(2500):
+            domain = parse_domain(fuzz_instance(rng))
+            expected = reference.validate(domain).violations
+            assert validate(domain).violations == expected, domain_to_instance(domain)
+            for kind, prefix in self.KINDS.items():
+                kinds[kind] += sum(v.startswith(prefix) for v in expected)
+        assert all(kinds[kind] for kind in self.KINDS), kinds
+
+    def test_comb_memory(self):
+        """The contact checks hold no |h| x |v| temporary: comb(2000) has n = 8000."""
+        domain = parse_domain(comb(2000))
+        tracemalloc.start()
+        try:
+            report = validate(domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 4 * 2**20, peak
 
 
 class TestDecompositions:
