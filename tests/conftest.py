@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from rectilink import (
@@ -20,6 +21,18 @@ from rectilink import (
 SQUARE = {"outer": [[0, 0], [10, 0], [10, 10], [0, 10]], "holes": []}
 LSHAPE = {"outer": [[0, 0], [10, 0], [10, 4], [4, 4], [4, 10], [0, 10]], "holes": []}
 DONUT = {"outer": [[0, 0], [14, 0], [14, 14], [0, 14]], "holes": [[[6, 6], [8, 6], [8, 8], [6, 8]]]}
+# Two rooms with one hole each, joined by a narrow corridor.  All walls are
+# staggered so no two unjoined vertices share a coordinate.
+DUMBBELL = {
+    "outer": [
+        [0, 0], [14, 0], [14, 6], [30, 6], [30, 1], [44, 1],
+        [44, 13], [31, 13], [31, 8], [15, 8], [15, 14], [0, 14],
+    ],
+    "holes": [
+        [[5, 3], [7, 3], [7, 5], [5, 5]],
+        [[36, 9], [38, 9], [38, 11], [36, 11]],
+    ],
+}
 
 CORPUS_SIZE = 200
 
@@ -117,6 +130,54 @@ def comb(k: int) -> dict:
         if i:
             ring += [(4 * i, i), (4 * i - 2, i)]
     return {"outer": [list(p) for p in ring], "holes": []}
+
+
+def spiral(k: int) -> dict:
+    """A corridor 2 wide that spirals inward through ``k`` arms: n = 2k + 2 vertices, no holes.
+
+    The centre line turns left at each arm's end, running east, north, west
+    and south in turn; the arms are ``a + 2``, ``a``, ``a``, then pairs of
+    ``a - 4``, ``a - 8``, ... for ``a = 4 * (k // 2 + 2) + 1``, so that nested
+    arms lie 4 apart, and the walls run 1 to either side.  Vertical centre
+    lines sit at x = 0 or 1 mod 4 and horizontal ones at y = 0 or 1 mod 4,
+    so each wall has a coordinate of its own: general position.
+    """
+    a = 4 * (k // 2 + 2) + 1
+    steps = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    path = [(-2, 0)]
+    for i in range(k):
+        dx, dy = steps[i % 4]
+        length = a + 2 if i == 0 else a - 4 * ((i - 1) // 2)
+        path.append((path[-1][0] + length * dx, path[-1][1] + length * dy))
+    left = [(-dy, dx) for dx, dy in (steps[i % 4] for i in range(k))]  # left normal of each arm
+    # a wall corner sits at the sum of the two arms' normals; the ends at the one arm's
+    corners = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(left, left[1:])]
+    offsets = [left[0]] + corners + [left[-1]]
+    outer_wall = [(x - ox, y - oy) for (x, y), (ox, oy) in zip(path, offsets)]
+    inner_wall = [(x + ox, y + oy) for (x, y), (ox, oy) in zip(path, offsets)]
+    return {"outer": [list(p) for p in outer_wall + inner_wall[::-1]], "holes": []}
+
+
+def perforated(k: int) -> dict:
+    """A square with ``k`` holes of one unit each, 1-unit corridors between them: n = 4k + 4.
+
+    Hole i spans x in [2i + 1, 2i + 2] and y in [2r + 1, 2r + 2] for row r of
+    a seeded permutation, so no two holes share a coordinate, and each is one
+    unit from the next hole (or the wall) in both axes.
+    """
+    rows = np.random.default_rng(k).permutation(k).tolist()
+    holes = [
+        [[2 * i + 1, 2 * r + 1], [2 * i + 2, 2 * r + 1], [2 * i + 2, 2 * r + 2], [2 * i + 1, 2 * r + 2]]
+        for i, r in enumerate(rows)
+    ]
+    side = 2 * k + 1
+    return {"outer": [[0, 0], [side, 0], [side, side], [0, side]], "holes": holes}
+
+
+def medium_domain(seed: int) -> Domain:
+    """A generated domain of grid 16-22 with up to two holes: deeper than the corpus, still in the oracle's reach."""
+    width = 16 + (seed % 3) * 3
+    return gen_domain(GenParams(width=width, height=width, cells=int(width * width * 0.55), holes=seed % 3, seed=seed))
 
 
 @pytest.fixture(scope="session")

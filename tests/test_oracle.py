@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from rectilink import GridModel, OutsidePointError, build_grid, oracle_distance, parse_domain, point_distance
+from rectilink import oracle
 from rectilink.oracle import oracle_diameter, oracle_eccentricity, oracle_radius
 
-from conftest import DONUT
+from conftest import DONUT, DUMBBELL, comb, medium_domain, perforated, spiral, staircase
+from reference import RelaxationGrid
 
 
 class TestBuildGrid:
@@ -112,19 +114,19 @@ class TestOracleExtremes:
 
     def test_radius_reuses_face_matrix(self, monkeypatch):
         grid = build_grid(parse_domain(DONUT))
-        calls = []
-        costs_from = GridModel.costs_from
+        passes = []
+        levels = GridModel._levels
 
-        def counted(self, cell, cache=True):
-            calls.append(cell)
-            return costs_from(self, cell, cache)
+        def counted(self, sources, targets):
+            passes.append(len(sources))
+            return levels(self, sources, targets)
 
-        monkeypatch.setattr(GridModel, "costs_from", counted)
+        monkeypatch.setattr(GridModel, "_levels", counted)
         oracle_diameter(grid)
-        assert len(calls) == len(grid.faces())
-        calls.clear()
+        assert passes == [len(grid.faces())]  # one pass, every face a source
+        passes.clear()
         assert oracle_radius(grid).value == 2
-        assert calls == []
+        assert passes == []
 
 
 class TestFormulaCrossValidation:
@@ -161,3 +163,48 @@ class TestIndependenceDetails:
         a = oracle_distance(grid, (2, 2), (26, 26))
         b = oracle_distance(grid, (2, 2), (26, 26))
         assert a == b
+
+
+def assert_matches_relaxation(grid: GridModel, name: str) -> None:
+    ref = RelaxationGrid(grid.xs, grid.ys, grid.inside)
+    assert grid.faces() == ref.faces(), name
+    assert np.array_equal(grid.face_values(), ref.face_values()), name
+
+
+class TestPassMatchesRelaxation:
+    """The word-parallel pass and the array-built faces against the Gauss-Seidel relaxation and union-find faces."""
+
+    def test_fixtures_and_corpus(self, fixtures, corpus):
+        for inst in fixtures + corpus:
+            assert_matches_relaxation(inst.grid, inst.name)
+
+    def test_deeper_instances(self):
+        assert_matches_relaxation(build_grid(parse_domain(DUMBBELL)), "DUMBBELL")
+        for seed in range(101, 106):
+            assert_matches_relaxation(build_grid(medium_domain(seed)), f"medium-{seed}")
+
+    def test_rare_shapes(self):
+        shapes = [(f"staircase({k})", staircase(k)) for k in range(1, 7)]
+        shapes += [(f"comb({k})", comb(k)) for k in range(1, 6)]
+        shapes += [(f"spiral({k})", spiral(k)) for k in (3, 12)]
+        shapes += [(f"perforated({k})", perforated(k)) for k in (2, 11)]
+        for name, instance in shapes:
+            assert_matches_relaxation(build_grid(parse_domain(instance)), name)
+
+    @pytest.mark.parametrize("block", [3, 65])
+    def test_forced_source_blocks(self, monkeypatch, corpus, block):
+        """Blocks that end inside a machine word, or one source past it."""
+        monkeypatch.setattr(oracle, "_block_sources", lambda cells: block)
+        domains = [inst.domain for inst in corpus[::25]] + [parse_domain(DUMBBELL), medium_domain(105)]
+        assert max(len(build_grid(d).faces()) for d in domains) > 2 * 65
+        for domain in domains:
+            assert_matches_relaxation(build_grid(domain), f"block {block}")
+
+    def test_one_source_costs(self, corpus):
+        """``costs_from`` one face cell at a time equals the relaxation's arrays."""
+        for inst in corpus[:20]:
+            ref = RelaxationGrid(inst.grid.xs, inst.grid.ys, inst.grid.inside)
+            for face in inst.grid.faces():
+                got = inst.grid.costs_from(face.cell, cache=False)
+                want = ref.costs_from(face.cell, cache=False)
+                assert all(map(np.array_equal, got, want)), (inst.name, face.cell)
