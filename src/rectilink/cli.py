@@ -61,20 +61,21 @@ def _emit(payload, pretty: bool = True) -> None:
 def _cmd_decompose(args) -> int:
     domain = _load_domain(args.instance)
     prep = prepare(domain, validated=True)
+    graph = prep.graph
     rects = [
         {
-            "id": rect.id,
-            "orientation": rect.orientation.value,
-            "x": [rect.xmin // SCALE, rect.xmax // SCALE],
-            "y": [rect.ymin // SCALE, rect.ymax // SCALE],
+            "id": i,
+            "orientation": graph.orientation_of(i).value,
+            "x": [xmin // SCALE, xmax // SCALE],
+            "y": [ymin // SCALE, ymax // SCALE],
         }
-        for rect in prep.graph.rects
+        for i, (xmin, xmax, ymin, ymax) in enumerate(graph.boxes.tolist())
     ]
     report = instance_stats(prep)
     report["approx_diameter"] = prep.summary.ordiam - 1
     report["approx_radius"] = prep.summary.orrad - 1
     report["rects"] = rects
-    report["adjacency"] = [prep.graph.neighbours(i).tolist() for i in range(prep.graph.m)]
+    report["adjacency"] = [graph.neighbours(i).tolist() for i in range(graph.m)]
     _emit(report, not args.compact)
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, parse_domain, validate
+from .geometry import Domain, Ring, parse_domain, validate
 
 
 @dataclass(frozen=True)
@@ -303,15 +303,6 @@ def _extract_rings(mask: np.ndarray) -> list[list[tuple[int, int]]]:
     return rings
 
 
-def _ring_area2(vertices) -> int:
-    total = 0
-    for k in range(len(vertices)):
-        x1, y1 = vertices[k]
-        x2, y2 = vertices[(k + 1) % len(vertices)]
-        total += x1 * y2 - x2 * y1
-    return total
-
-
 def _perturb_rings(rng: random.Random, rings, scale: int | None):
     """Move every maximal edge to its own coordinate on its grid line's band."""
     edges = []  # (axis, line, ring index, edge index)
@@ -370,8 +361,8 @@ def gen_domain(params: GenParams) -> Domain:
     if params.holes:
         _punch_holes(rng, mask, params.holes)
     rings = _extract_rings(mask)
-    outer = [r for r in rings if _ring_area2(r) > 0]
-    holes = [r for r in rings if _ring_area2(r) < 0]
+    outer = [r for r in rings if Ring(tuple(r)).signed_area2() > 0]
+    holes = [r for r in rings if Ring(tuple(r)).signed_area2() < 0]
     if len(outer) != 1 or len(holes) != params.holes:
         raise ValueError(
             f"generation produced {len(outer)} outer rings and {len(holes)} holes"

@@ -105,7 +105,7 @@ class Domain:
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle of a slab decomposition."""
+    """Axis-aligned rectangle of a slab decomposition, one row of :attr:`Decomposition.boxes` as an object."""
 
     id: int
     orientation: Orientation
@@ -114,30 +114,24 @@ class Rect:
     ymin: int
     ymax: int
 
-    def contains(self, p: Point) -> bool:
-        """Closure containment."""
-        return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
 
-    def box(self) -> tuple[int, int, int, int]:
-        return (self.xmin, self.xmax, self.ymin, self.ymax)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    """The rectangles of one slab decomposition, ``rects[i].id == i``."""
+    """The rectangles of one slab decomposition as a read-only (k, 4) int64 array.
+
+    Row ``i`` of ``boxes`` is rectangle ``i``'s ``(xmin, xmax, ymin, ymax)``.
+    """
 
     orientation: Orientation
-    rects: tuple[Rect, ...]
+    boxes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.rects)
+        return len(self.boxes)
 
     @cached_property
-    def boxes(self) -> np.ndarray:
-        """The rectangles' ``(xmin, xmax, ymin, ymax)`` as one read-only (k, 4) int64 array, built once."""
-        boxes = np.array([r.box() for r in self.rects], dtype=np.int64).reshape(-1, 4)
-        boxes.flags.writeable = False
-        return boxes
+    def rects(self) -> tuple[Rect, ...]:
+        """The rows of ``boxes`` as :class:`Rect` objects, ``rects[i].id == i``, built when first read."""
+        return tuple(Rect(i, self.orientation, *box) for i, box in enumerate(self.boxes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -409,13 +403,11 @@ def _decomposition(domain: Domain, orientation: Orientation) -> Decomposition:
     opens = sign * (b - a) > 0
     order = np.lexsort((~opens, coord))  # by coord, openings first, else in ring order
     events = zip(*(e[order].tolist() for e in (coord, np.minimum(a, b), np.maximum(a, b), opens)))
-    slabs = _sweep_rects(events)
-    slabs.sort(key=lambda s: (s[2], s[0]))
-    rects = tuple(
-        Rect(i, orientation, *((lo, hi, birth, death) if horizontal else (birth, death, lo, hi)))
-        for i, (lo, hi, birth, death) in enumerate(slabs)
-    )
-    return Decomposition(orientation, rects)
+    slabs = np.array(_sweep_rects(events), dtype=np.int64).reshape(-1, 4)  # (lo, hi, birth, death)
+    slabs = slabs[np.lexsort((slabs[:, 0], slabs[:, 2]))]
+    boxes = slabs if horizontal else slabs[:, [2, 3, 0, 1]]
+    boxes.flags.writeable = False
+    return Decomposition(orientation, boxes)
 
 
 def horizontal_decomposition(domain: Domain) -> Decomposition:

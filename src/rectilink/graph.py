@@ -6,8 +6,9 @@ rectangles overlap exactly when their middle segments cross, so the edges
 come from :func:`rectilink.geometry.crossings`, the closed crossing test that
 the validator runs on the boundary edges of the domain's edge table, here run
 on the middle segments of the decompositions' box arrays.  The graph is a
-few read-only arrays, built once: the edges sorted by (h, v) and the CSR
-groups that the searches and the engines read.  The oriented
+few read-only arrays, built once: the rectangles' boxes and middle
+segments, the edges sorted by (h, v) and the CSR groups that the searches
+and the engines read; it holds no per-rectangle object.  The oriented
 distance between two rectangles is the hop distance in this graph plus one;
 it equals the fewest links of a path that starts along the first
 rectangle's orientation and ends along the second's.
@@ -34,9 +35,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .crossing import StoredSegment
 from .errors import DisconnectedGraphError, ResourceLimitError
-from .geometry import Decomposition, Orientation, Rect, blocks, crossings
+from .geometry import Decomposition, Orientation, blocks, crossings
 
 DistanceMatrix = np.ndarray  # (m, m) uint16, entry = hop distance + 1
 
@@ -45,14 +45,19 @@ log = logging.getLogger("rectilink")
 
 @dataclass(frozen=True, eq=False)
 class OrientedGraph:
-    """Crossing graph as read-only arrays; ``rects[i].id == i`` for the combined numbering.
+    """Crossing graph as read-only arrays, the horizontal rectangles numbered first.
 
-    ``edges`` holds the (horizontal id, vertical id) pairs, sorted.  Rectangle
-    i's neighbours, increasing, are ``indices[indptr[i] : indptr[i + 1]]``;
-    ``indptr[: nh + 1]`` and ``indptr[nh:]`` are the two sides' groups.
+    ``boxes[i]`` is rectangle i's ``(xmin, xmax, ymin, ymax)`` and ``mids[i]``
+    its middle segment ``(fixed, lo, hi)``: at height ``fixed`` from ``lo``
+    to ``hi`` for a horizontal rectangle, at abscissa ``fixed`` for a
+    vertical one.  ``edges`` holds the (horizontal id, vertical id) pairs,
+    sorted.  Rectangle i's neighbours, increasing, are ``indices[indptr[i] :
+    indptr[i + 1]]``; ``indptr[: nh + 1]`` and ``indptr[nh:]`` are the two
+    sides' groups.
     """
 
-    rects: tuple[Rect, ...]
+    boxes: np.ndarray  # (m, 4)
+    mids: np.ndarray  # (m, 3)
     nh: int
     edges: np.ndarray  # (chi, 2)
     indptr: np.ndarray  # (m + 1,)
@@ -60,11 +65,7 @@ class OrientedGraph:
 
     @property
     def m(self) -> int:
-        return len(self.rects)
-
-    @property
-    def nv(self) -> int:
-        return self.m - self.nh
+        return len(self.boxes)
 
     @property
     def chi(self) -> int:
@@ -90,53 +91,32 @@ class GraphSummary:
     center_rect: int
 
 
-def middle_segment(rect: Rect) -> StoredSegment:
-    """Axis-parallel segment joining the midpoints of the rectangle's short sides.
-
-    Exact because all domain coordinates are doubled on ingest.  Two
-    decomposition rectangles of opposite orientation overlap properly if and
-    only if their middle segments cross.
-    """
-    if rect.orientation is Orientation.HORIZONTAL:
-        return StoredSegment(
-            axis=Orientation.HORIZONTAL,
-            fixed=(rect.ymin + rect.ymax) // 2,
-            lo=rect.xmin,
-            hi=rect.xmax,
-            owner=rect.id,
-        )
-    return StoredSegment(
-        axis=Orientation.VERTICAL,
-        fixed=(rect.xmin + rect.xmax) // 2,
-        lo=rect.ymin,
-        hi=rect.ymax,
-        owner=rect.id,
-    )
-
-
 def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
     """Assemble the crossing graph from both decompositions of one domain.
 
-    The horizontal rectangles keep their ids ``0..nh-1``, as the decomposition
-    numbers them; the vertical ones are renumbered after them.  An edge joins
-    a horizontal and a vertical rectangle whose middle segments cross, both
-    intervals closed; :func:`rectilink.geometry.crossings` finds them from
-    the decompositions' ``boxes`` with at most ``m`` candidates per block, so
-    no temporary outgrows the graph's size.
+    The rectangles are ``hdec.boxes`` followed by ``vdec.boxes``, so the
+    horizontal ones keep their ids ``0..nh-1`` and the vertical ones follow.
+    A middle segment joins the midpoints of a rectangle's short sides, exact
+    because all coordinates are doubled on ingest; two rectangles of
+    opposite orientation overlap properly exactly when their middle segments
+    cross, both intervals closed.  :func:`rectilink.geometry.crossings`
+    finds those pairs with at most ``m`` candidates per block, so no
+    temporary outgrows the graph's size.
     """
-    nh, m = len(hdec.rects), len(hdec.rects) + len(vdec.rects)
-    rects = hdec.rects + tuple(
-        Rect(nh + k, r.orientation, r.xmin, r.xmax, r.ymin, r.ymax) for k, r in enumerate(vdec.rects)
+    nh = len(hdec)
+    boxes = np.concatenate([hdec.boxes, vdec.boxes])
+    m = len(boxes)
+    x, y = boxes[:, :2], boxes[:, 2:]
+    mids = np.concatenate(
+        [np.column_stack([y[:nh].sum(axis=1) // 2, x[:nh]]), np.column_stack([x[nh:].sum(axis=1) // 2, y[nh:]])]
     )
-    hbox, vbox = hdec.boxes, vdec.boxes  # middle segments: (y, xlo, xhi) and (x, ylo, yhi)
-    hmid = np.stack([(hbox[:, 2] + hbox[:, 3]) // 2, hbox[:, 0], hbox[:, 1]], axis=1)
-    vmid = np.stack([(vbox[:, 0] + vbox[:, 1]) // 2, vbox[:, 2], vbox[:, 3]], axis=1)
-    edges = crossings(hmid, vmid) + [0, nh]
+    edges = crossings(mids[:nh], mids[nh:]) + [0, nh]
     indptr = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(np.bincount(edges.ravel(), minlength=m), out=indptr[1:])
     indices = np.concatenate([edges[:, 1], edges[np.argsort(edges[:, 1], kind="stable"), 0]])
-    edges.flags.writeable = indptr.flags.writeable = indices.flags.writeable = False
-    return OrientedGraph(rects=rects, nh=nh, edges=edges, indptr=indptr, indices=indices)
+    for array in (boxes, mids, edges, indptr, indices):
+        array.flags.writeable = False
+    return OrientedGraph(boxes=boxes, mids=mids, nh=nh, edges=edges, indptr=indptr, indices=indices)
 
 
 def _check_table_ceiling(m: int) -> None:

@@ -23,7 +23,10 @@ crossing rectangle pairs or ``None``:
 The decision is only valid when the oriented value is at least 4.  The one
 router, :func:`compute`, sends smaller values to :func:`small_case_fallback`
 (exact enumeration of overlay faces), builds the far relation once for the
-engine, and turns its decision into the result and witness points.
+engine, and turns its decision into the result and witness points.  The
+overlay faces are one (chi, 4) box array, :func:`overlay_faces`, gathered
+from the graph's rectangle boxes by its edges: the fallback enumerates its
+rows, and every witness point is the centre of one of them.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossing import CrossingStore
+from .crossing import CrossingStore, StoredSegment
 from .errors import UnknownChoiceError
 from .geometry import Decomposition, Orientation, Point, locate
-from .graph import DistanceMatrix, GraphSummary, OrientedGraph, bfs_from, middle_segment
+from .graph import DistanceMatrix, GraphSummary, OrientedGraph, bfs_from
 
 EDGE_SCAN = "edge-scan"
 MATMUL = "matmul"
@@ -71,37 +74,20 @@ class RadiusResult:
     engine: str
 
 
-@dataclass(frozen=True)
-class Face:
-    """Overlay face: the full intersection box of one graph edge."""
+def overlay_faces(graph: OrientedGraph) -> np.ndarray:
+    """The overlay faces' ``(xmin, xmax, ymin, ymax)`` as one (chi, 4) array; faces partition the domain.
 
-    h: int
-    v: int
-    box: tuple[int, int, int, int]  # xmin, xmax, ymin, ymax
-
-    @property
-    def center(self) -> Point:
-        xmin, xmax, ymin, ymax = self.box
-        return ((xmin + xmax) // 2, (ymin + ymax) // 2)
+    Face k is the intersection of the two rectangles of edge k, so the faces
+    are in edge order.
+    """
+    pairs = graph.boxes[graph.edges]  # (chi, 2, 4)
+    faces = pairs.max(axis=1)
+    faces[:, 1::2] = pairs[:, :, 1::2].min(axis=1)
+    return faces
 
 
-def intersection_box(graph: OrientedGraph, a: int, b: int) -> tuple[int, int, int, int]:
-    ra, rb = graph.rects[a], graph.rects[b]
-    return (
-        max(ra.xmin, rb.xmin),
-        min(ra.xmax, rb.xmax),
-        max(ra.ymin, rb.ymin),
-        min(ra.ymax, rb.ymax),
-    )
-
-
-def overlay_faces(graph: OrientedGraph) -> list[Face]:
-    """One face per graph edge; faces partition the domain."""
-    return [Face(h, v, intersection_box(graph, h, v)) for h, v in graph.edges.tolist()]
-
-
-def face_center(graph: OrientedGraph, a: int, b: int) -> Point:
-    xmin, xmax, ymin, ymax = intersection_box(graph, a, b)
+def _center(box: np.ndarray) -> Point:
+    xmin, xmax, ymin, ymax = box.tolist()
     return ((xmin + xmax) // 2, (ymin + ymax) // 2)
 
 
@@ -308,7 +294,7 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
     enumerates each candidate pair exactly once.  One store is built per axis;
     every round restores the segments it popped.
     """
-    mids = [middle_segment(r) for r in graph.rects]
+    mids = [StoredSegment(graph.orientation_of(k), *mid, owner=k) for k, mid in enumerate(graph.mids.tolist())]
     stores = {
         orient: CrossingStore.reset([mids[k] for k in graph.ids_of(orient)], axis=orient)
         for orient in (Orientation.HORIZONTAL, Orientation.VERTICAL)
@@ -355,8 +341,7 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
     if which not in ("diameter", "radius"):
         raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
     faces = overlay_faces(graph)
-    hs = np.array([f.h for f in faces])
-    vs = np.array([f.v for f in faces])
+    hs, vs = graph.edges[:, 0], graph.edges[:, 1]
     values = np.minimum.reduce(
         [
             dm[np.ix_(hs, hs)],
@@ -373,21 +358,20 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
         a, b = divmod(flat, len(faces))
         value = max(2, int(values[a, b]))
         if a != b and not shared[a, b]:
-            pair = (faces[a].center, faces[b].center)
-            witness = (faces[a].h, faces[a].v, faces[b].h, faces[b].v)
+            pair = (_center(faces[a]), _center(faces[b]))
+            witness = tuple(graph.edges[[a, b]].ravel().tolist())
         else:
-            biggest = max(faces, key=lambda f: (f.box[1] - f.box[0]) * (f.box[3] - f.box[2]))
-            pair = generic_pair_in_box(biggest.box)
-            witness = (biggest.h, biggest.v)
+            biggest = int(np.argmax((faces[:, 1] - faces[:, 0]) * (faces[:, 3] - faces[:, 2])))
+            pair = generic_pair_in_box(tuple(faces[biggest].tolist()))
+            witness = tuple(graph.edges[biggest].tolist())
         return DiameterResult(value=value, pair=pair, witness_rects=witness, engine=FALLBACK)
 
     ecc = values.max(axis=1)
     best = int(np.argmin(ecc))
-    face = faces[best]
     return RadiusResult(
         value=max(2, int(ecc[best])),
-        center=face.center,
-        witness=("face", (face.h, face.v)),
+        center=_center(faces[best]),
+        witness=("face", tuple(graph.edges[best].tolist())),
         engine=FALLBACK,
     )
 
@@ -421,9 +405,12 @@ def compute(
         ("radius", MATMUL): radius_matmul,
     }[kind, algo]
     decision = engine(graph, dm >= oriented)
+    faces = overlay_faces(graph)
 
     def center(a: int, b: int | None = None) -> Point:
-        return face_center(graph, a, graph.neighbours(a)[0] if b is None else b)
+        """The centre of the face of edge (a, b), ``b`` by default ``a``'s lowest neighbour."""
+        h, v = sorted((a, int(graph.neighbours(a)[0]) if b is None else b))
+        return _center(faces[graph.indptr[h] + graph.neighbours(h).searchsorted(v)])
 
     if kind == "diameter":
         if decision is None:  # no witness quad: the far pair itself is at ordiam - 2

@@ -44,10 +44,10 @@ def render_svg(
         ' fill="#dbe7f5" stroke="#1f3a5f" stroke-width="0.15"/>'
     )
     if decomposition is not None:
-        for rect in decomposition.rects:
+        for xmin, xmax, ymin, ymax in decomposition.boxes.tolist():
             parts.append(
-                f'<rect class="cell" x="{_fmt(rect.xmin)}" y="{_fmt(rect.ymin)}"'
-                f' width="{_fmt(rect.xmax - rect.xmin)}" height="{_fmt(rect.ymax - rect.ymin)}"'
+                f'<rect class="cell" x="{_fmt(xmin)}" y="{_fmt(ymin)}"'
+                f' width="{_fmt(xmax - xmin)}" height="{_fmt(ymax - ymin)}"'
                 ' fill="none" stroke="#c05621" stroke-width="0.08" stroke-dasharray="0.4 0.2"/>'
             )
     for x, y in points:

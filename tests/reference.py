@@ -1,29 +1,32 @@
 """Quadratic references that the tests compare the package against.
 
 Each is the direct, obviously correct phrasing of one decision the package
-makes faster: crossing of two middle segments, positive-area overlap of two
-rectangles, the crossing-graph edge list over all pairs, a report-and-remove
+makes faster: the middle segments and overlay faces one rectangle object
+at a time (and the crossing-store engine on those segments), crossing of two
+middle segments, positive-area overlap of two rectangles, the
+crossing-graph edge list over all pairs, a report-and-remove
 store that scans every live segment, the edge-scan engines as boolean
 cover matrices, one byte per pair, the matmul engines as products of
 rows packed into Python integers, one set bit at a time, the domain
 validator as per-line pair loops and a dense horizontal-by-vertical contact
-matrix, and the cut-grid oracle as a fixpoint iteration of a turn-cost
-relaxation, one source at a time, with its faces merged by a union-find over
-grid runs.
+matrix, and the cut-grid oracle as its inside flags from one loop over the
+ring edges and a fixpoint iteration of a turn-cost relaxation, one source at
+a time, with its faces merged by a union-find over grid runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from rectilink.crossing import StoredSegment
+from rectilink.crossing import CrossingStore, StoredSegment
 from rectilink.geometry import SCALE, Domain, Orientation, Point, Rect, Ring, ValidationReport
 from rectilink.errors import OutsidePointError
 from rectilink.graph import OrientedGraph
-from rectilink.oracle import _OracleFace
+from rectilink.oracle import GridModel, _OracleFace
 
 
 def crosses(a: StoredSegment, b: StoredSegment) -> bool:
@@ -31,6 +34,36 @@ def crosses(a: StoredSegment, b: StoredSegment) -> bool:
     if a.axis is b.axis:
         return False
     return b.lo <= a.fixed <= b.hi and a.lo <= b.fixed <= a.hi
+
+
+def graph_rects(hdec, vdec) -> tuple[Rect, ...]:
+    """The crossing graph's rectangles as objects: ``hdec``'s, then ``vdec``'s renumbered after them."""
+    nh = len(hdec)
+    return hdec.rects + tuple(Rect(nh + k, r.orientation, r.xmin, r.xmax, r.ymin, r.ymax) for k, r in enumerate(vdec.rects))
+
+
+def middle_segment(rect: Rect) -> StoredSegment:
+    """Axis-parallel segment joining the midpoints of the rectangle's short sides.
+
+    Exact because all domain coordinates are doubled on ingest.  Two
+    decomposition rectangles of opposite orientation overlap properly if and
+    only if their middle segments cross.
+    """
+    if rect.orientation is Orientation.HORIZONTAL:
+        return StoredSegment(
+            axis=Orientation.HORIZONTAL,
+            fixed=(rect.ymin + rect.ymax) // 2,
+            lo=rect.xmin,
+            hi=rect.xmax,
+            owner=rect.id,
+        )
+    return StoredSegment(
+        axis=Orientation.VERTICAL,
+        fixed=(rect.xmin + rect.xmax) // 2,
+        lo=rect.ymin,
+        hi=rect.ymax,
+        owner=rect.id,
+    )
 
 
 def rects_cross(a: Rect, b: Rect) -> bool:
@@ -207,6 +240,59 @@ def radius_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | No
     return None
 
 
+def intersection_box(rects, a: int, b: int) -> tuple[int, int, int, int]:
+    ra, rb = rects[a], rects[b]
+    return (
+        max(ra.xmin, rb.xmin),
+        min(ra.xmax, rb.xmax),
+        max(ra.ymin, rb.ymin),
+        min(ra.ymax, rb.ymax),
+    )
+
+
+def overlay_faces(rects, edges: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """One face box per graph edge, in edge order, over the graph's rectangles as objects."""
+    return [intersection_box(rects, h, v) for h, v in edges.tolist()]
+
+
+def diameter_fast(graph: OrientedGraph, far: np.ndarray, rects) -> tuple[int, int, int, int] | None:
+    """The crossing-store engine with its middle segments made one rectangle object at a time."""
+    mids = [middle_segment(r) for r in rects]
+    stores = {
+        orient: CrossingStore.reset([mids[k] for k in graph.ids_of(orient)], axis=orient)
+        for orient in (Orientation.HORIZONTAL, Orientation.VERTICAL)
+    }
+    reverse: dict[int, list[int]] = defaultdict(list)
+    provenance: dict[tuple[int, int], int] = {}
+    for i in range(graph.m):
+        far_ids = np.nonzero(far[i])[0]
+        if not len(far_ids):
+            continue
+        store = stores[graph.orientation_of(int(far_ids[0])).opposite]
+        popped = []
+        for j in far_ids:
+            for seg in store.pop_crossing(mids[int(j)]):
+                reverse[seg.owner].append(i)
+                provenance[(i, seg.owner)] = int(j)
+                popped.append(seg)
+        store.restore(popped)
+    for jp in sorted(reverse):
+        by_orient: dict[Orientation, list[int]] = defaultdict(list)
+        for i in reverse[jp]:
+            by_orient[graph.orientation_of(i)].append(i)
+        for orient in sorted(by_orient, key=lambda o: o.value):
+            store = stores[orient.opposite]
+            popped = []
+            for i in sorted(by_orient[orient]):
+                for seg in store.pop_crossing(mids[i]):
+                    ip = seg.owner
+                    if far[ip, jp]:
+                        return (i, ip, provenance[(i, jp)], jp)
+                    popped.append(seg)
+            store.restore(popped)
+    return None
+
+
 def _point_in_ring(p: Point, ring: Ring) -> bool:
     """Even-odd test; undefined for points on the ring itself."""
     px, py = p
@@ -330,6 +416,29 @@ def validate(domain: Domain) -> ValidationReport:
                 violations.append(f"containment: hole {hi} lies inside hole {hj}")
 
     return ValidationReport(tuple(violations))
+
+
+def build_grid(domain: Domain) -> GridModel:
+    """Cut grid with exact inside flags (2D parity of vertical-edge crossings)."""
+    xs = np.array(sorted({x for ring in domain.rings() for x, _ in ring.vertices}), dtype=np.int64)
+    ys = np.array(sorted({y for ring in domain.rings() for _, y in ring.vertices}), dtype=np.int64)
+    ncols, nrows = len(xs) - 1, len(ys) - 1
+    delta = np.zeros((nrows + 1, ncols + 1), dtype=np.int64)
+    for ring in domain.rings():
+        for p, q in ring.edges():
+            if p[0] != q[0]:
+                continue
+            x = p[0]
+            ylo, yhi = min(p[1], q[1]), max(p[1], q[1])
+            col_stop = int(np.searchsorted(xs, x))  # affects columns left of the edge
+            r1 = int(np.searchsorted(ys, ylo))
+            r2 = int(np.searchsorted(ys, yhi))
+            delta[r1, 0] += 1
+            delta[r1, col_stop] -= 1
+            delta[r2, 0] -= 1
+            delta[r2, col_stop] += 1
+    counts = delta.cumsum(axis=0).cumsum(axis=1)[:nrows, :ncols]
+    return GridModel(xs=xs, ys=ys, inside=(counts % 2 == 1))
 
 
 _INF = np.int64(1) << 40

@@ -16,9 +16,8 @@ from rectilink import GenParams, gen_domain, metrics, oracle_distance, point_dis
 from rectilink.cli import main as cli_main
 from rectilink.crossing import CrossingStore, StoredSegment
 from rectilink.geometry import Orientation
-from rectilink.graph import middle_segment
 
-from reference import ScanCrossingStore
+from reference import ScanCrossingStore, middle_segment
 
 H, V = Orientation.HORIZONTAL, Orientation.VERTICAL
 
@@ -133,8 +132,7 @@ def test_criterion_6_structural(corpus):
         if g.m > 200:
             continue
         checked += 1
-        hs = [g.rects[i] for i in range(g.nh)]
-        vs = [g.rects[j] for j in range(g.nh, g.m)]
+        hs, vs = inst.prep.hdec.rects, inst.prep.vdec.rects
         hx1 = np.array([r.xmin for r in hs])[:, None]
         hx2 = np.array([r.xmax for r in hs])[:, None]
         hy1 = np.array([r.ymin for r in hs])[:, None]
@@ -147,6 +145,7 @@ def test_criterion_6_structural(corpus):
         containment = (hx1 <= vx1) & (vx2 <= hx2) & (vy1 <= hy1) & (hy2 <= vy2)
         mh = [middle_segment(r) for r in hs]
         mv = [middle_segment(r) for r in vs]
+        assert g.mids.tolist() == [[s.fixed, s.lo, s.hi] for s in mh + mv], inst.name
         mh_fixed = np.array([s.fixed for s in mh])[:, None]
         mh_lo = np.array([s.lo for s in mh])[:, None]
         mh_hi = np.array([s.hi for s in mh])[:, None]

@@ -1,11 +1,13 @@
 """CLI surface: commands, JSON schemas, exit codes, SVG output."""
 
 import json
+import sys
 
 import pytest
 
-from rectilink import parse_domain, render_svg
+from rectilink import GenParams, domain_to_instance, gen_domain, geometry, parse_domain, render_svg
 from rectilink.cli import _build_parser, main
+from rectilink.metrics import DIAMETER_ALGOS, ORACLE, RADIUS_ALGOS
 
 from conftest import DONUT, LSHAPE, SQUARE
 
@@ -222,3 +224,43 @@ class TestByteStability:
         _, decompose2 = run(capsys, "decompose", files["donut"], "--compact")
         assert (dist1, decompose1) == (dist2, decompose2)
         assert _build_parser() is _build_parser()
+
+
+def count_rects(monkeypatch) -> list:
+    """Count every :class:`~rectilink.geometry.Rect` built from now on, through each package module naming the class."""
+    built = []
+
+    class CountingRect(geometry.Rect):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "rectilink" and getattr(module, "Rect", None) is geometry.Rect:
+            monkeypatch.setattr(module, "Rect", CountingRect)
+    return built
+
+
+class TestNoRectOnSolvePath:
+    """The rectangles stay box arrays from the sweep to the engines: the solve commands build no Rect."""
+
+    @pytest.mark.parametrize("name", ["donut", "grid40"])
+    def test_no_rect_built(self, capsys, monkeypatch, tmp_path, name):
+        if name == "donut":
+            instance = DONUT
+        else:
+            instance = domain_to_instance(gen_domain(GenParams(40, 40, 720, holes=3, seed=1000)))
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        hdec = geometry.horizontal_decomposition(parse_domain(instance))
+        # p and q: the centres of the first and the last horizontal rectangle, in input units
+        p, q = (f"{(x0 + x1) / 4:g},{(y0 + y1) / 4:g}" for x0, x1, y0, y1 in hdec.boxes[[0, -1]].tolist())
+        commands = [("diameter", "--algo", algo) for algo in (*DIAMETER_ALGOS, ORACLE)]
+        commands += [("radius", "--algo", algo) for algo in (*RADIUS_ALGOS, ORACLE)]
+        commands += [("dist", "--p", p, "--q", q), ("dist", "--p", p, "--q", q, "--oracle"), ("verify",)]
+        built = count_rects(monkeypatch)
+        for command, *options in commands:
+            assert main([command, str(path), *options]) == 0, command
+            assert json.loads(capsys.readouterr().out)
+            assert built == [], (command, options)
+        assert len(hdec.rects) == len(built) > 0  # the counter sees the one reader that builds them

@@ -8,21 +8,33 @@ from hypothesis import strategies as st
 
 from rectilink.crossing import CrossingStore, StoredSegment
 from rectilink.geometry import Orientation
-from rectilink.graph import middle_segment
 
-from reference import ScanCrossingStore
+from reference import ScanCrossingStore, graph_rects, middle_segment
 
 H, V = Orientation.HORIZONTAL, Orientation.VERTICAL
 
 
-def vertical_middles(inst):
+def middles(inst, orientation):
+    """The reference middle segments of one orientation's rectangles, owned by their graph ids; ``graph.mids`` equals them."""
     g = inst.prep.graph
-    return [middle_segment(g.rects[i]) for i in g.ids_of(V)]
+    rects = graph_rects(inst.prep.hdec, inst.prep.vdec)
+    segments = [middle_segment(rects[i]) for i in g.ids_of(orientation)]
+    assert g.mids[list(g.ids_of(orientation))].tolist() == [[s.fixed, s.lo, s.hi] for s in segments]
+    return segments
+
+
+def vertical_middles(inst):
+    return middles(inst, V)
 
 
 def horizontal_middles(inst):
+    return middles(inst, H)
+
+
+def horizontal_middle_by_box(inst, box):
     g = inst.prep.graph
-    return [middle_segment(g.rects[i]) for i in g.ids_of(H)]
+    i = g.boxes[: g.nh].tolist().index(list(box))
+    return StoredSegment(H, *g.mids[i].tolist(), owner=i)
 
 
 class TestBasics:
@@ -76,19 +88,16 @@ class TestPopCrossing:
         # middle segment of the right-hand band (y = 14, x in [16, 28]) crosses
         # exactly the right vertical slab's middle segment
         store = CrossingStore.reset(vertical_middles(donut), axis=V)
-        g = donut.prep.graph
-        h4 = next(r for r in g.rects if r.box() == (16, 28, 12, 16))
-        popped = store.pop_crossing(middle_segment(h4))
+        popped = store.pop_crossing(horizontal_middle_by_box(donut, (16, 28, 12, 16)))
         assert len(popped) == 1
         assert popped[0].fixed == 22  # x = 11 in input units
         assert len(store) == 3
 
     def test_repeat_query_empty(self, donut):
         store = CrossingStore.reset(vertical_middles(donut), axis=V)
-        g = donut.prep.graph
-        h4 = next(r for r in g.rects if r.box() == (16, 28, 12, 16))
-        store.pop_crossing(middle_segment(h4))
-        assert store.pop_crossing(middle_segment(h4)) == []
+        h4 = horizontal_middle_by_box(donut, (16, 28, 12, 16))
+        store.pop_crossing(h4)
+        assert store.pop_crossing(h4) == []
 
     def test_disjoint_query_empty(self, donut):
         store = CrossingStore.reset(vertical_middles(donut), axis=V)

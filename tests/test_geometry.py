@@ -8,13 +8,13 @@ import pytest
 
 import reference
 from rectilink import InstanceFormatError, OutsidePointError, domain_to_instance, parse_domain
-from rectilink.geometry import COORD_LIMIT, SCALE, Orientation, locate, validate
+from rectilink.geometry import COORD_LIMIT, SCALE, Orientation, horizontal_decomposition, locate, validate
 
 from conftest import DONUT, LSHAPE, SQUARE, comb
 
 
 def boxes(dec):
-    return {r.box() for r in dec.rects}
+    return set(map(tuple, dec.boxes.tolist()))
 
 
 def domain_area2(domain):
@@ -25,7 +25,14 @@ def domain_area2(domain):
 
 
 def total_area(dec):
-    return sum((r.xmax - r.xmin) * (r.ymax - r.ymin) for r in dec.rects)
+    b = dec.boxes
+    return int(((b[:, 1] - b[:, 0]) * (b[:, 3] - b[:, 2])).sum())
+
+
+def contains(box, p):
+    """Closure containment of the point ``p`` in the box ``(xmin, xmax, ymin, ymax)``."""
+    xmin, xmax, ymin, ymax = box
+    return xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
 
 
 class TestParse:
@@ -249,6 +256,15 @@ class TestDecompositions:
         assert all(r.orientation is Orientation.HORIZONTAL for r in donut.prep.hdec.rects)
         assert all(r.orientation is Orientation.VERTICAL for r in donut.prep.vdec.rects)
 
+    def test_rects_view(self, fixtures, corpus):
+        """``rects`` is ``boxes`` as objects, built on the first read; a decomposition equals only itself."""
+        for inst in fixtures + corpus[:20]:
+            for dec in (inst.prep.hdec, inst.prep.vdec):
+                rects = [(r.id, r.orientation, r.xmin, r.xmax, r.ymin, r.ymax) for r in dec.rects]
+                assert rects == [(i, dec.orientation, *box) for i, box in enumerate(dec.boxes.tolist())]
+                assert dec.rects is dec.rects
+            assert inst.prep.hdec == inst.prep.hdec != horizontal_decomposition(inst.domain)
+
     @pytest.mark.parametrize("which", ["hdec", "vdec"])
     def test_area_sum_fixtures(self, fixtures, which):
         for inst in fixtures:
@@ -283,7 +299,7 @@ class TestDecompositions:
                         int(grid.ys[iy] + grid.ys[iy + 1]) // 2,
                     )
                     for dec in (inst.prep.hdec, inst.prep.vdec):
-                        hits = [r for r in dec.rects if r.contains(center)]
+                        hits = [box for box in dec.boxes.tolist() if contains(box, center)]
                         assert len(hits) == (1 if grid.inside[iy, ix] else 0)
 
     def test_disjoint_interiors(self, small_corpus):
@@ -302,8 +318,7 @@ class TestLocate:
     def test_donut_interior(self, donut):
         ids = locate(donut.prep.hdec, (14, 6))  # (7, 3) in input units
         assert len(ids) == 1
-        rect = donut.prep.hdec.rects[ids.pop()]
-        assert rect.box() == (0, 28, 0, 12)
+        assert donut.prep.hdec.boxes[ids.pop()].tolist() == [0, 28, 0, 12]
 
     def test_square_center(self, square):
         assert locate(square.prep.hdec, (10, 10)) == {0}
@@ -311,13 +326,13 @@ class TestLocate:
     def test_slab_boundary_two_rects(self, donut):
         ids = locate(donut.prep.hdec, (6, 12))  # (3, 6): chord between bottom and left
         assert len(ids) == 2
-        found = {donut.prep.hdec.rects[i].box() for i in ids}
+        found = {tuple(donut.prep.hdec.boxes[i].tolist()) for i in ids}
         assert found == {(0, 28, 0, 12), (0, 12, 12, 16)}
 
     def test_hole_edge_point_single_rect(self, donut):
         # (7, 6) sits on the hole's bottom edge: only the bottom slab contains it
         ids = locate(donut.prep.hdec, (14, 12))
-        assert {donut.prep.hdec.rects[i].box() for i in ids} == {(0, 28, 0, 12)}
+        assert {tuple(donut.prep.hdec.boxes[i].tolist()) for i in ids} == {(0, 28, 0, 12)}
 
     def test_outside_raises(self, donut):
         with pytest.raises(OutsidePointError):
@@ -331,4 +346,4 @@ class TestLocate:
         for dec in (donut.prep.hdec, donut.prep.vdec):
             for p in [(14, 6), (6, 12), (2, 2), (26, 26)]:
                 for i in locate(dec, p):
-                    assert dec.rects[i].contains(p)
+                    assert contains(dec.boxes[i].tolist(), p)

@@ -1,6 +1,5 @@
 """Crossing graph construction, BFS distances, summaries, invariants."""
 
-import dataclasses
 import logging
 import re
 from types import SimpleNamespace
@@ -22,7 +21,7 @@ from rectilink import (
     parse_domain,
     run_verify,
 )
-from rectilink.geometry import Orientation, Rect
+from rectilink.geometry import Orientation
 from rectilink.graph import (
     _level_search,
     _select_search,
@@ -31,33 +30,34 @@ from rectilink.graph import (
     all_pairs,
     bfs_from,
     build_graph,
-    middle_segment,
 )
 from rectilink.pipeline import decompose, prepare
 
 from conftest import comb, staircase
-from reference import crosses, edges_quadratic, rects_cross
+from reference import crosses, edges_quadratic, graph_rects, middle_segment, rects_cross
 
 
 def rect_by_box(graph, box):
-    for r in graph.rects:
-        if r.box() == box:
-            return r.id
-    raise AssertionError(f"no rect with box {box}")
+    rows = graph.boxes.tolist()
+    assert list(box) in rows, f"no rect with box {box}"
+    return rows.index(list(box))
+
+
+def middle_of(graph, i):
+    return (graph.orientation_of(i), *graph.mids[i].tolist())
 
 
 class TestMiddleSegment:
     def test_donut_bottom(self, donut):
-        seg = middle_segment(donut.prep.graph.rects[rect_by_box(donut.prep.graph, (0, 28, 0, 12))])
-        assert (seg.axis, seg.fixed, seg.lo, seg.hi) == (Orientation.HORIZONTAL, 6, 0, 28)
+        g = donut.prep.graph
+        assert middle_of(g, rect_by_box(g, (0, 28, 0, 12))) == (Orientation.HORIZONTAL, 6, 0, 28)
 
     def test_square(self, square):
-        seg = middle_segment(square.prep.graph.rects[0])
-        assert (seg.axis, seg.fixed, seg.lo, seg.hi) == (Orientation.HORIZONTAL, 10, 0, 20)
+        assert middle_of(square.prep.graph, 0) == (Orientation.HORIZONTAL, 10, 0, 20)
 
     def test_donut_vertical(self, donut):
-        seg = middle_segment(donut.prep.graph.rects[rect_by_box(donut.prep.graph, (12, 16, 0, 12))])
-        assert (seg.axis, seg.fixed, seg.lo, seg.hi) == (Orientation.VERTICAL, 14, 0, 12)
+        g = donut.prep.graph
+        assert middle_of(g, rect_by_box(g, (12, 16, 0, 12))) == (Orientation.VERTICAL, 14, 0, 12)
 
 
 class TestBuildGraph:
@@ -110,10 +110,8 @@ class TestBuildGraph:
         """Edges, adjacency and numbering equal the all-pairs area test, in order."""
         for prep in [inst.prep for inst in fixtures + corpus] + grid60:
             g = prep.graph
+            assert_rectangle_arrays(prep.hdec, prep.vdec, g)
             rects = prep.hdec.rects + prep.vdec.rects
-            assert [r.id for r in g.rects] == list(range(g.m))
-            assert [r.box() for r in g.rects] == [r.box() for r in rects]
-            assert g.rects[g.nh :] == tuple(dataclasses.replace(r, id=g.nh + k) for k, r in enumerate(prep.vdec.rects))
             edges = edges_quadratic(rects, g.nh)
             assert g.edges.tolist() == [list(e) for e in edges]
             adj = [[] for _ in rects]
@@ -126,6 +124,31 @@ class TestBuildGraph:
         """Read-only edge and CSR arrays; each CSR group is increasing and holds the rectangle's edges."""
         for g in [inst.prep.graph for inst in fixtures + corpus] + [prep.graph for prep in grid60]:
             assert_csr_matches_edges(g)
+
+
+def assert_rectangle_arrays(hdec, vdec, g):
+    """Read-only boxes and middle segments equal to the decompositions' rectangles and their reference segments."""
+    assert not (hdec.boxes.flags.writeable or vdec.boxes.flags.writeable)
+    assert not (g.boxes.flags.writeable or g.mids.flags.writeable)
+    assert g.boxes.shape == (len(hdec) + len(vdec), 4) and g.mids.shape == (g.m, 3) and g.nh == len(hdec)
+    rects = graph_rects(hdec, vdec)
+    assert g.boxes.tolist() == [[r.xmin, r.xmax, r.ymin, r.ymax] for r in rects]
+    segments = [middle_segment(r) for r in rects]
+    assert [s.owner for s in segments] == list(range(g.m))
+    assert [s.axis for s in segments] == [g.orientation_of(i) for i in range(g.m)]
+    assert g.mids.tolist() == [[s.fixed, s.lo, s.hi] for s in segments]
+
+
+class TestRectangleArrays:
+    """``graph.boxes`` and ``graph.mids`` against the reference middle segments of the rectangle objects.
+
+    ``test_edges_match_quadratic`` checks them on the fixtures, the corpus and grid 60.
+    """
+
+    def test_rare_shapes(self):
+        shapes = [comb(k) for k in (1, 2, 3, 8, 21, 50)] + [staircase(k) for k in (1, 2, 3, 7, 20)]
+        for instance in shapes:
+            assert_rectangle_arrays(*decompose(parse_domain(instance)))
 
 
 def assert_csr_matches_edges(g):
@@ -207,11 +230,10 @@ def reference_table(graph):
 def graph_of(h_boxes, v_boxes):
     """Crossing graph of hand-placed rectangles; its edges equal the direct area tests."""
 
-    def decomposition(orientation, boxes):
-        return Decomposition(orientation, tuple(Rect(k, orientation, *box) for k, box in enumerate(boxes)))
-
-    graph = build_graph(decomposition(Orientation.HORIZONTAL, h_boxes), decomposition(Orientation.VERTICAL, v_boxes))
-    assert graph.edges.tolist() == [list(e) for e in edges_quadratic(graph.rects, graph.nh)]
+    hdec = Decomposition(Orientation.HORIZONTAL, np.array(h_boxes, dtype=np.int64).reshape(-1, 4))
+    vdec = Decomposition(Orientation.VERTICAL, np.array(v_boxes, dtype=np.int64).reshape(-1, 4))
+    graph = build_graph(hdec, vdec)
+    assert graph.edges.tolist() == [list(e) for e in edges_quadratic(hdec.rects + vdec.rects, graph.nh)]
     return graph
 
 
@@ -235,12 +257,12 @@ class TestAllPairsDerivation:
 
     def test_square_one_rectangle_per_side(self, square):
         g = square.prep.graph
-        assert (g.m, g.nh, g.nv) == (2, 1, 1)
+        assert (g.m, g.nh) == (2, 1)
         assert np.array_equal(all_pairs(g), reference_table(g))
 
     def test_unequal_sides(self):
         g = graph_of(T_SHAPE_H, T_SHAPE_V)
-        assert (g.nh, g.nv) == (2, 3)
+        assert (g.nh, g.m) == (2, 5)
         assert g.edges.tolist() == [[0, 2], [0, 3], [0, 4], [1, 3]]
         dm = all_pairs(g)
         assert np.array_equal(dm, reference_table(g))
@@ -354,8 +376,8 @@ class TestStaircase:
             assert report["verdict"] == "ok", k
 
 
-def comb_graph(k):
-    return decompose(parse_domain(comb(k)))[2]
+def decompose_comb(k):
+    return decompose(parse_domain(comb(k)))
 
 
 class TestComb:
@@ -363,16 +385,16 @@ class TestComb:
 
     def test_shape(self):
         for k in (1, 2, 5, 32):
-            g = comb_graph(k)
-            assert (g.nh, g.nv, g.chi) == (2 * k - 1, 2 * k - 1, k * k + k - 1), k
-            heights = [(r.ymin + r.ymax) // 2 for r in g.rects[: g.nh]]
-            teeth = [r for r in g.rects[g.nh :] if r.ymax >= 4 * k]  # tops at 2k + i, doubled
-            assert len(teeth) == k and all(r.ymin <= min(heights) and max(heights) <= r.ymax for r in teeth), k
+            g = decompose_comb(k)[2]
+            assert (g.nh, g.m, g.chi) == (2 * k - 1, 4 * k - 2, k * k + k - 1), k
+            heights = (g.boxes[: g.nh, 2] + g.boxes[: g.nh, 3]) // 2
+            teeth = g.boxes[g.nh :][g.boxes[g.nh :, 3] >= 4 * k]  # tops at 2k + i, doubled
+            assert len(teeth) == k and (teeth[:, 2] <= heights.min()).all() and (heights.max() <= teeth[:, 3]).all(), k
 
     def test_edges_and_table(self):
         for k in (1, 2, 3, 5, 8, 32, 100):
-            g = comb_graph(k)
-            assert g.edges.tolist() == [list(e) for e in edges_quadratic(g.rects, g.nh)], k
+            hdec, vdec, g = decompose_comb(k)
+            assert g.edges.tolist() == [list(e) for e in edges_quadratic(hdec.rects + vdec.rects, g.nh)], k
             assert_csr_matches_edges(g)
             assert np.array_equal(all_pairs(g), reference_table(g)), k
 
@@ -398,8 +420,8 @@ def test_generated_graph_property(width, height, holes, seed, data):
         domain = gen_domain(GenParams(width=width, height=height, cells=cells, holes=holes, seed=seed))
     except ValueError:
         assume(False)
-    g = decompose(domain)[2]
-    assert g.edges.tolist() == [list(e) for e in edges_quadratic(g.rects, g.nh)]
+    hdec, vdec, g = decompose(domain)
+    assert g.edges.tolist() == [list(e) for e in edges_quadratic(hdec.rects + vdec.rects, g.nh)]
     assert_csr_matches_edges(g)
     sources = data.draw(st.lists(st.integers(0, g.m - 1), min_size=1, max_size=4, unique=True), label="sources")
     assert np.array_equal(bfs_from(g, sources), reference_table(g)[sources].min(axis=0))
@@ -407,7 +429,7 @@ def test_generated_graph_property(width, height, holes, seed, data):
 
 class TestTypedFailures:
     def test_table_ceiling_before_allocation(self):
-        stub = SimpleNamespace(m=65534, nh=32767, nv=32767)
+        stub = SimpleNamespace(m=65534, nh=32767)
         with pytest.raises(ResourceLimitError, match="65533"):
             all_pairs(stub)
         with pytest.raises(ResourceLimitError):
@@ -545,12 +567,13 @@ class TestCrossingCharacterization:
         # positive-area intersection <=> middle segments cross <=> range containment
         for inst in small_corpus[:15]:
             g = inst.prep.graph
+            rects = inst.prep.hdec.rects + inst.prep.vdec.rects
             edge_set = set(map(tuple, g.edges.tolist()))
             for h in range(g.nh):
-                rh = g.rects[h]
+                rh = rects[h]
                 mh = middle_segment(rh)
                 for v in range(g.nh, g.m):
-                    rv = g.rects[v]
+                    rv = rects[v]
                     mv = middle_segment(rv)
                     area = rects_cross(rh, rv)
                     crossing = crosses(mh, mv)

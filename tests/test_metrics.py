@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import rectilink.metrics
-from rectilink import oracle_distance, point_distance
-from rectilink.geometry import Decomposition, Orientation, Rect, locate
+from rectilink import oracle_distance, parse_domain, point_distance
+from rectilink.geometry import Decomposition, Orientation, locate
 from rectilink.graph import build_graph
+from rectilink.pipeline import decompose
 from rectilink.metrics import (
     _edge_products,
     _far_products,
@@ -25,14 +26,15 @@ from rectilink.metrics import (
 from rectilink.oracle import oracle_eccentricity
 
 import reference
-from reference import ScanCrossingStore
+from reference import ScanCrossingStore, graph_rects
+
+from conftest import comb, staircase
 
 
 def rect_by_box(graph, box):
-    for r in graph.rects:
-        if r.box() == box:
-            return r.id
-    raise AssertionError(f"no rect with box {box}")
+    rows = graph.boxes.tolist()
+    assert list(box) in rows, f"no rect with box {box}"
+    return rows.index(list(box))
 
 
 def dist(inst, p, q):
@@ -61,7 +63,7 @@ class TestPointDistance:
     def test_matches_table_on_grid_60(self, seed, grid60):
         """Instances too large for the oracle: the graph search equals the table's four-way minimum."""
         prep = grid60[seed - 1]
-        rects = prep.graph.rects
+        rects = prep.hdec.rects + prep.vdec.rects
         rng = np.random.default_rng(seed)
 
         def generic():
@@ -454,11 +456,11 @@ def ladder_graph(m, seed):
     strips, columns = [], []
     for i in range(nh):
         c, d = max(0, i - 1 - rng.integers(0, 4)), min(nv - 1, i + rng.integers(0, 4))
-        strips.append(Rect(i, h, 4 * c, 4 * d + 2, 4 * i, 4 * i + 2))
+        strips.append((4 * c, 4 * d + 2, 4 * i, 4 * i + 2))
     for j in range(nv):
         r, s = max(0, j - rng.integers(0, 4)), min(nh - 1, j + 1 + rng.integers(0, 4))
-        columns.append(Rect(j, v, 4 * j, 4 * j + 2, 4 * r, 4 * s + 2))
-    return build_graph(Decomposition(h, tuple(strips)), Decomposition(v, tuple(columns)))
+        columns.append((4 * j, 4 * j + 2, 4 * r, 4 * s + 2))
+    return build_graph(Decomposition(h, np.array(strips, dtype=np.int64)), Decomposition(v, np.array(columns, dtype=np.int64)))
 
 
 class TestMatmulMatchesReference:
@@ -546,6 +548,32 @@ class TestEngineAgreement:
 
     def test_faces_partition_area(self, small_corpus):
         for inst in small_corpus[:15]:
-            faces = overlay_faces(inst.prep.graph)
-            face_area = sum((f.box[1] - f.box[0]) * (f.box[3] - f.box[2]) for f in faces)
-            assert face_area == sum((r.xmax - r.xmin) * (r.ymax - r.ymin) for r in inst.prep.hdec.rects)
+            faces, boxes = overlay_faces(inst.prep.graph), inst.prep.hdec.boxes
+            face_area = ((faces[:, 1] - faces[:, 0]) * (faces[:, 3] - faces[:, 2])).sum()
+            assert face_area == ((boxes[:, 1] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 2])).sum()
+
+    def test_fast_matches_reference(self, corpus, grid40):
+        """The engine reading ``graph.mids`` returns the tuple of the engine building one segment per rectangle object.
+
+        At ``ordiam`` every far entry of a row has one parity, so one orientation, as the engine requires.
+        """
+        decisions = set()
+        for k, prep in enumerate([inst.prep for inst in corpus if inst.prep.summary.ordiam >= 4] + grid40):
+            far = prep.dm >= prep.summary.ordiam
+            decision = diameter_fast(prep.graph, far)
+            assert decision == reference.diameter_fast(prep.graph, far, graph_rects(prep.hdec, prep.vdec)), k
+            decisions.add(decision is None)
+        assert decisions == {True, False}
+
+
+class TestOverlayFaces:
+    """The face-box array against the intersection boxes of the rectangle objects, one edge at a time."""
+
+    def test_faces_equal_intersection_boxes(self, fixtures, corpus):
+        preps = [(inst.prep.hdec, inst.prep.vdec, inst.prep.graph) for inst in fixtures + corpus]
+        preps += [decompose(parse_domain(comb(k))) for k in (1, 2, 3, 8, 21, 50)]
+        preps += [decompose(parse_domain(staircase(k))) for k in (1, 2, 3, 7, 20)]
+        for hdec, vdec, g in preps:
+            faces = overlay_faces(g)
+            assert faces.shape == (g.chi, 4) and faces.dtype == np.int64
+            assert list(map(tuple, faces.tolist())) == reference.overlay_faces(hdec.rects + vdec.rects, g.edges)

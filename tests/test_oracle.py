@@ -8,6 +8,7 @@ from rectilink import oracle
 from rectilink.oracle import oracle_diameter, oracle_eccentricity, oracle_radius
 
 from conftest import DONUT, DUMBBELL, comb, medium_domain, perforated, spiral, staircase
+import reference
 from reference import RelaxationGrid
 
 
@@ -29,6 +30,27 @@ class TestBuildGrid:
     def test_cuts(self, donut):
         assert donut.grid.xs.tolist() == [0, 12, 16, 28]
         assert donut.grid.ys.tolist() == [0, 12, 16, 28]
+
+
+class TestBuildGridMatchesEdgeLoop:
+    """Cuts and inside flags equal the loop over the ring edges, one ``searchsorted`` per vertical edge."""
+
+    def test_fixtures_corpus_and_grids(self, fixtures, corpus, grid40, grid60):
+        domains = [inst.domain for inst in fixtures + corpus] + [prep.domain for prep in grid40 + grid60]
+        for k, domain in enumerate(domains):
+            assert_same_grid(build_grid(domain), reference.build_grid(domain), k)
+
+    def test_rare_shapes(self):
+        shapes = [staircase(k) for k in (1, 2, 7, 20)] + [comb(k) for k in (1, 2, 9, 50)]
+        shapes += [spiral(k) for k in (3, 4, 12)] + [perforated(k) for k in (1, 2, 11)] + [DUMBBELL]
+        for k, instance in enumerate(shapes):
+            domain = parse_domain(instance)
+            assert_same_grid(build_grid(domain), reference.build_grid(domain), k)
+
+
+def assert_same_grid(got: GridModel, want: GridModel, label) -> None:
+    for a, b in ((got.xs, want.xs), (got.ys, want.ys), (got.inside, want.inside)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), label
 
 
 class TestOracleDistance:
