@@ -18,6 +18,7 @@ horizontal sources need a search: the vertical-to-horizontal block is the
 transpose of the horizontal-to-vertical one, and the vertical-to-vertical
 block follows from one min-plus step over the crossing edges, since every
 path out of a vertical rectangle starts with an edge to a horizontal one.
+It runs over degree layers, one contiguous ``np.minimum`` per layer.
 The search advances every horizontal source one level per pass, 64 sources
 to a machine word, unless a level bound read off one breadth-first row says
 the levels are too many for the edges (a long corridor); then it searches
@@ -244,16 +245,25 @@ def _select_search(graph: OrientedGraph):
 
 
 def _table(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
-    """The table from ``search``'s horizontal rows and columns and one min-plus step."""
+    """The table from ``search``'s horizontal rows and columns and one min-plus step over degree layers.
+
+    Layer k, the k-th neighbour of each vertical of degree above k, is a prefix of the verticals ordered by
+    degree, descending.  A vertical with no neighbour would read the next one's, so :func:`_select_search`'s
+    connectivity check must run first.
+    """
     m, nh = graph.m, graph.nh
     dm = np.empty((m, m), dtype=np.uint16)
     search(graph, dm, chunk)
-    # Horizontal neighbours grouped by vertical rectangle, as the min-plus step reads them.
-    offset, neighbours = graph.indptr[nh:], graph.indices
-    for a, b in blocks(offset, chunk):
-        block = dm[neighbours[offset[a] : offset[b]], nh:]
-        nearest = np.minimum.reduceat(block, offset[a:b] - offset[a], axis=0)
-        dm[nh + a : nh + b, nh:] = nearest + 1
+    offset, neighbours, hv = graph.indptr[nh:], graph.indices, dm[:, nh:]
+    degree = np.diff(offset)
+    order = np.argsort(-degree, kind="stable")
+    first = offset[order]
+    nearest = hv[neighbours[first]]
+    for k in range(1, int(degree.max(initial=0))):
+        c = np.count_nonzero(degree > k)
+        np.minimum(nearest[:c], hv[neighbours[first[:c] + k]], out=nearest[:c])
+    nearest += 1
+    dm[nh + order, nh:] = nearest
     np.fill_diagonal(dm, 1)
     return dm
 
@@ -266,8 +276,9 @@ def all_pairs(graph: OrientedGraph, chunk: int = 256) -> DistanceMatrix:
        the other.
     2. ``dm[v, v'] = 1 + min over h in N(v) of dm[h, v']`` for ``v != v'``,
        and ``dm[v, v] = 1``: a shortest path out of ``v`` starts with an edge
-       to some ``h`` in ``N(v)``.  The minimum is one ``np.minimum.reduceat``
-       over the edges grouped by ``v``.
+       to some ``h`` in ``N(v)``.  The minimum is one in-place ``np.minimum``
+       per degree layer (:func:`_table`), as many as the largest vertical
+       degree, which the debug log reports.
 
     The search is one of two.  The level search (:func:`_level_search`)
     advances all ``nh`` sources one level per pass, 64 to a machine word,
@@ -290,20 +301,20 @@ def all_pairs(graph: OrientedGraph, chunk: int = 256) -> DistanceMatrix:
     128) lose at most 1.4 ms each.  The per-source search is kept only for
     corridors, which no benchmark workload exercises yet, and the constant
     is provisional until one does.  The same row refuses a disconnected
-    graph, before any ``reduceat`` could read an isolated rectangle's empty
-    group.
+    graph, before the level search's ``reduceat`` or a min-plus layer could
+    read an isolated rectangle's empty group.
 
     ``chunk`` caps the sources per scipy search, the edges gathered per
-    block (``4 * chunk`` of ``W`` words in the level search, ``chunk``
-    table rows in the min-plus step) and the rows decoded at once, so no
-    temporary grows with ``m`` squared.
+    block (``4 * chunk`` of ``W`` words) in the level search and the rows
+    decoded at once; the min-plus step holds at most ``nv`` squared.
     """
     _check_table_ceiling(graph.m)
     search, bound = _select_search(graph)
     log.debug(
-        "all_pairs: %s search, level bound %d, m=%d, chi=%d",
+        "all_pairs: %s search, level bound %d, %d min-plus layers, m=%d, chi=%d",
         "level" if search is _level_search else "per-source",
         bound,
+        np.diff(graph.indptr[graph.nh :]).max(initial=0),
         graph.m,
         graph.chi,
     )

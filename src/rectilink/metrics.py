@@ -80,9 +80,9 @@ def overlay_faces(graph: OrientedGraph) -> np.ndarray:
     Face k is the intersection of the two rectangles of edge k, so the faces
     are in edge order.
     """
-    pairs = graph.boxes[graph.edges]  # (chi, 2, 4)
-    faces = pairs.max(axis=1)
-    faces[:, 1::2] = pairs[:, :, 1::2].min(axis=1)
+    h, v = graph.boxes[graph.edges[:, 0]], graph.boxes[graph.edges[:, 1]]
+    faces = np.maximum(h, v)
+    np.minimum(h[:, 1::2], v[:, 1::2], out=faces[:, 1::2])
     return faces
 
 

@@ -1,7 +1,9 @@
 """Quadratic references that the tests compare the package against.
 
 Each is the direct, obviously correct phrasing of one decision the package
-makes faster: the middle segments and overlay faces one rectangle object
+makes faster: the all-pairs table's min-plus step as one
+``np.minimum.reduceat`` over the CSR groups of a block of vertical
+rectangles, the middle segments and overlay faces one rectangle object
 at a time (and the crossing-store engine on those segments), crossing of two
 middle segments, positive-area overlap of two rectangles, the
 crossing-graph edge list over all pairs, a report-and-remove
@@ -23,10 +25,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from rectilink.crossing import CrossingStore, StoredSegment
-from rectilink.geometry import SCALE, Domain, Orientation, Point, Rect, Ring, ValidationReport
+from rectilink.geometry import SCALE, Domain, Orientation, Point, Rect, Ring, ValidationReport, blocks
 from rectilink.errors import OutsidePointError
-from rectilink.graph import OrientedGraph
+from rectilink.graph import DistanceMatrix, OrientedGraph
 from rectilink.oracle import GridModel, _OracleFace
+
+
+def table_reduceat(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
+    """The table from ``search``'s horizontal rows and columns and one min-plus step."""
+    m, nh = graph.m, graph.nh
+    dm = np.empty((m, m), dtype=np.uint16)
+    search(graph, dm, chunk)
+    # Horizontal neighbours grouped by vertical rectangle, as the min-plus step reads them.
+    offset, neighbours = graph.indptr[nh:], graph.indices
+    for a, b in blocks(offset, chunk):
+        block = dm[neighbours[offset[a] : offset[b]], nh:]
+        nearest = np.minimum.reduceat(block, offset[a:b] - offset[a], axis=0)
+        dm[nh + a : nh + b, nh:] = nearest + 1
+    np.fill_diagonal(dm, 1)
+    return dm
 
 
 def crosses(a: StoredSegment, b: StoredSegment) -> bool:

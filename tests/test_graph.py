@@ -33,8 +33,8 @@ from rectilink.graph import (
 )
 from rectilink.pipeline import decompose, prepare
 
-from conftest import comb, staircase
-from reference import crosses, edges_quadratic, graph_rects, middle_segment, rects_cross
+from conftest import comb, perforated, spiral, staircase
+from reference import crosses, edges_quadratic, graph_rects, middle_segment, rects_cross, table_reduceat
 
 
 def rect_by_box(graph, box):
@@ -277,10 +277,40 @@ class TestAllPairsDerivation:
         assert np.array_equal(all_pairs(g), reference_table(g))
 
     def test_independent_of_chunk(self, corpus):
-        # chunk=1 makes every vertical rectangle's group larger than the cap
+        # chunk=1 makes most CSR groups larger than the level search's 4 * chunk edge cap
         for inst in corpus[:20]:
             for chunk in (1, 3):
                 assert np.array_equal(all_pairs(inst.prep.graph, chunk=chunk), inst.prep.dm)
+
+
+def assert_reduceat_table(graph, dm=None):
+    """``all_pairs`` (or ``dm``, when given) equals the ``reduceat`` min-plus step's table, dtype and every entry."""
+    dm = all_pairs(graph) if dm is None else dm
+    expected = table_reduceat(graph, _select_search(graph)[0], 256)
+    assert dm.dtype == expected.dtype
+    assert np.array_equal(dm, expected)
+
+
+class TestLayeredMinPlus:
+    """The min-plus step over degree layers builds the table of the ``reduceat`` step it replaced."""
+
+    def test_generated(self, fixtures, corpus, grid40, grid60):
+        for inst in fixtures + corpus:
+            assert_reduceat_table(inst.prep.graph, inst.prep.dm)
+        for prep in grid40 + grid60:
+            assert_reduceat_table(prep.graph, prep.dm)
+
+    def test_rare_shapes(self):
+        shapes = [comb(k) for k in (1, 2, 3, 5, 8, 32, 100)] + [staircase(k) for k in (1, 2, 16, 64)]
+        shapes += [spiral(k) for k in (3, 4, 12)] + [perforated(k) for k in (1, 2, 11)]
+        for shape in shapes:
+            assert_reduceat_table(decompose(parse_domain(shape))[2])
+
+    def test_unequal_degrees(self):
+        for h_boxes, v_boxes in [(T_SHAPE_H, T_SHAPE_V), *(ladder(65, seed) for seed in range(3))]:
+            g = graph_of(h_boxes, v_boxes)
+            assert len(set(np.diff(g.indptr[g.nh :]).tolist())) > 1
+            assert_reduceat_table(g)
 
 
 def ladder(n, seed, dx=0):
@@ -362,6 +392,15 @@ class TestSelection:
         ]
         assert "level bound 257" in caplog.records[0].getMessage()
 
+    def test_layers_logged(self, caplog):
+        """The min-plus step's layer count, the largest vertical degree, is k on comb(k) and 3 on a staircase."""
+        with caplog.at_level(logging.DEBUG, logger="rectilink"):
+            for k in (1, 5, 32):
+                all_pairs(decompose_comb(k)[2])
+            all_pairs(staircase_graph(64))
+        layers = [re.search(r"(\d+) min-plus layers", r.getMessage()).group(1) for r in caplog.records]
+        assert layers == ["1", "5", "32", "3"]
+
 
 class TestStaircase:
     def test_shape(self):
@@ -414,7 +453,8 @@ class TestComb:
 )
 def test_generated_graph_property(width, height, holes, seed, data):
     """On small generated domains: the edges equal the area test, the CSR groups match them, and a
-    multi-source row is the minimum of the sources' rows of the reference table."""
+    multi-source row is the minimum of the sources' rows of the reference table, and the table equals the
+    ``reduceat`` min-plus step's."""
     cells = data.draw(st.integers(1, width * height), label="cells")
     try:
         domain = gen_domain(GenParams(width=width, height=height, cells=cells, holes=holes, seed=seed))
@@ -425,6 +465,7 @@ def test_generated_graph_property(width, height, holes, seed, data):
     assert_csr_matches_edges(g)
     sources = data.draw(st.lists(st.integers(0, g.m - 1), min_size=1, max_size=4, unique=True), label="sources")
     assert np.array_equal(bfs_from(g, sources), reference_table(g)[sources].min(axis=0))
+    assert_reduceat_table(g)
 
 
 class TestTypedFailures:

@@ -575,5 +575,5 @@ class TestOverlayFaces:
         preps += [decompose(parse_domain(staircase(k))) for k in (1, 2, 3, 7, 20)]
         for hdec, vdec, g in preps:
             faces = overlay_faces(g)
-            assert faces.shape == (g.chi, 4) and faces.dtype == np.int64
+            assert faces.shape == (g.chi, 4) and faces.dtype == np.int64 and faces.flags.c_contiguous
             assert list(map(tuple, faces.tolist())) == reference.overlay_faces(hdec.rects + vdec.rects, g.edges)
