@@ -1,134 +1,139 @@
 """Report-and-remove store for orthogonal segment crossing queries.
 
-A store holds axis-parallel segments of one axis.  ``pop_crossing`` takes a
-segment of the opposite axis, returns every live stored segment crossing it
-(closed-interval semantics on both sides) and removes them, so each segment is
-reported at most once until ``restore`` puts it back.  :class:`CrossingStore`
-is the one implementation; the engine ``diameter_fast`` builds one per axis
-with ``reset`` and, after every round of queries, restores what the round
-popped.
+A store holds rows ``(fixed, lo, hi)`` of ``graph.mids``, row k owned by
+``first + k``.  ``pop_crossing`` takes a segment of the opposite axis,
+returns the owners of every live stored segment crossing it (closed
+intervals on both sides), sorted by (fixed, owner), and removes them, so each
+is reported at most once until ``restore`` puts it back.  ``diameter_fast``
+builds one store per axis with ``reset`` and restores what each round popped.
+
+It is a segment tree over the endpoint coordinates.  ``reset`` finds all
+canonical cover nodes in one vectorised loop over the levels and sorts the
+(node, fixed, owner) entries into CSR node groups.  A query bisects the group
+of each node on its fixed coordinate's root-to-leaf path.  A popped owner is
+dead; next-alive pointers skip its entries, so a round passes each dead
+entry once.  Pops run in Python on lists made once from the arrays, as a
+round makes few of them, each cheaper than one numpy call.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 
-from sortedcontainers import SortedList
-
-from .geometry import Orientation
-
-_LOW = float("-inf")
-_HIGH = float("inf")
-
-
-@dataclass(frozen=True)
-class StoredSegment:
-    """Segment at ``fixed`` on its axis, spanning ``[lo, hi]`` on the other."""
-
-    axis: Orientation
-    fixed: int
-    lo: int
-    hi: int
-    owner: int
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError(f"degenerate segment: lo={self.lo} >= hi={self.hi}")
+import numpy as np
 
 
 class CrossingStore:
-    """Segment tree over the interval axis with per-node orderings by fixed coordinate.
+    """Segment tree over the interval axis whose nodes hold their segments sorted by (fixed, owner).
 
-    Each segment lives in the O(log n) tree nodes covering its interval; a
-    query walks the root-to-leaf path of its fixed coordinate and pops the
-    matching fixed-coordinate range at every node.
+    Segments are numbered by rank in (fixed, owner) order: ``_owner[r]`` and
+    ``_alive[r]`` belong to rank r.  Node v's entries are ``_start[v] :
+    _start[v + 1]`` of ``_fixed`` and ``_rank``.  ``_next[e]`` is e, or an
+    entry after e such that every entry from e up to it has a dead owner;
+    ``_moved`` holds every entry whose pointer is not itself.  ``entries``,
+    ``pops`` and ``rounds`` count the stored (node, segment) pairs, the
+    segments popped and the restores.
     """
 
-    def __init__(self, axis: Orientation):
-        self.axis = axis
-        self._coords: list[int] = []
-        self._size = 0
-        self._nodes: list[SortedList] = []
-        self._live: dict[int, StoredSegment] = {}
-        self._node_ids: dict[int, list[int]] = {}
-
     @classmethod
-    def reset(cls, segments, axis: Orientation) -> "CrossingStore":
-        """Fresh store of ``axis`` over ``segments`` (bulk build)."""
-        segments = list(segments)
-        store = cls(axis)
-        store._coords = sorted({seg.lo for seg in segments} | {seg.hi for seg in segments})
-        store._size = max(2 * len(store._coords) - 1, 0)
-        store._nodes = [None] * (2 * store._size)
-        store.restore(segments)
+    def reset(cls, mids, first: int = 0) -> "CrossingStore":
+        """Fresh store over the segments ``mids`` (rows ``(fixed, lo, hi)``), row k owned by ``first + k``."""
+        fixed, lo, hi = np.asarray(mids, dtype=np.int64).reshape(-1, 3).T
+        if (lo >= hi).any():
+            k = int(np.argmax(lo >= hi))
+            raise ValueError(f"degenerate segment: lo={lo[k]} >= hi={hi[k]}")
+        coords = np.unique(np.concatenate([lo, hi]))
+        size = max(2 * len(coords) - 1, 0)  # leaf 2p is coordinate p, leaf 2p - 1 the gap before it
+        order = np.argsort(fixed, kind="stable")
+        # The canonical cover of [lo, hi], level by level, as in an iterative segment tree.
+        left = 2 * np.searchsorted(coords, lo[order]) + size
+        right = 2 * np.searchsorted(coords, hi[order]) + size + 1
+        rank = np.arange(len(order))
+        nodes, ranks = [rank[:0]], [rank[:0]]
+        while len(rank):
+            odd = (left & 1).astype(bool)
+            nodes.append(left[odd])
+            ranks.append(rank[odd])
+            left += odd
+            odd = (right & 1).astype(bool)
+            right -= odd
+            nodes.append(right[odd])
+            ranks.append(rank[odd])
+            left >>= 1
+            right >>= 1
+            more = left < right
+            left, right, rank = left[more], right[more], rank[more]
+        node, rank = np.concatenate(nodes), np.concatenate(ranks)
+        entries = np.lexsort((rank, node))
+        node, rank = node[entries], rank[entries]
+        store = cls()
+        store._coords = coords.tolist()
+        store._size = size
+        store._start = np.searchsorted(node, np.arange(2 * size + 1)).tolist()
+        store._fixed = fixed[order[rank]].tolist()
+        store._rank = rank.tolist()
+        store._owner = (order + first).tolist()
+        rank_of = np.empty_like(order)
+        rank_of[order] = np.arange(len(order))
+        store._rank_of = rank_of.tolist()
+        store._first = first
+        store._alive = [True] * len(order)
+        store._live = len(order)
+        store._next = list(range(len(rank) + 1))
+        store._moved = []
+        store.entries, store.pops, store.rounds = len(rank), 0, 0
         return store
 
     def __len__(self) -> int:
-        return len(self._live)
+        return self._live
 
-    def _leaf_of_coord(self, value: int) -> int:
-        pos = bisect_left(self._coords, value)
-        if pos == len(self._coords) or self._coords[pos] != value:
-            raise ValueError(f"coordinate {value} is not an endpoint of the segments the store was built over")
-        return 2 * pos
-
-    def _cover(self, lo: int, hi: int) -> list[int]:
-        left = self._leaf_of_coord(lo) + self._size
-        right = self._leaf_of_coord(hi) + self._size + 1
-        nodes = []
-        while left < right:
-            if left & 1:
-                nodes.append(left)
-                left += 1
-            if right & 1:
-                right -= 1
-                nodes.append(right)
-            left >>= 1
-            right >>= 1
-        return nodes
-
-    def restore(self, segments) -> None:
-        """Attach ``segments``, which the store was built over, so that queries report them again."""
-        for seg in segments:
-            if seg.axis is not self.axis:
-                raise ValueError(f"segment axis {seg.axis} does not match store axis {self.axis}")
-            if seg.owner in self._live:
-                raise ValueError(f"duplicate owner id {seg.owner}")
-            ids = self._cover(seg.lo, seg.hi)
-            key = (seg.fixed, seg.owner)
-            for node in ids:
-                if self._nodes[node] is None:
-                    self._nodes[node] = SortedList()
-                self._nodes[node].add(key)
-            self._live[seg.owner] = seg
-            self._node_ids[seg.owner] = ids
-
-    def pop_crossing(self, query: StoredSegment) -> list[StoredSegment]:
-        """Return and remove every live segment crossing ``query``."""
-        if query.axis is self.axis:
-            raise ValueError("query must have the axis opposite to the store")
-        if not self._coords or query.fixed < self._coords[0] or query.fixed > self._coords[-1]:
-            return []
-        pos = bisect_left(self._coords, query.fixed)
-        if pos < len(self._coords) and self._coords[pos] == query.fixed:
-            leaf = 2 * pos
-        else:
-            leaf = 2 * pos - 1
-        node = leaf + self._size
-        owners = []
-        while node >= 1:
-            bucket = self._nodes[node] if node < len(self._nodes) else None
-            if bucket:
-                hits = list(bucket.irange((query.lo, _LOW), (query.hi, _HIGH)))
-                owners.extend(owner for _, owner in hits)
-            node >>= 1
-        popped = []
+    def restore(self, owners) -> None:
+        """Make the popped ``owners`` live again, so that queries report them again."""
+        nxt = self._next
+        for e in self._moved:  # no pointer may pass over an entry that comes back
+            nxt[e] = e
+        self._moved = []
+        self.rounds += 1
+        alive, rank_of = self._alive, self._rank_of
         for owner in owners:
-            seg = self._live.pop(owner)
-            key = (seg.fixed, seg.owner)
-            for nid in self._node_ids.pop(owner):
-                self._nodes[nid].remove(key)
-            popped.append(seg)
-        popped.sort(key=lambda s: (s.fixed, s.owner))
-        return popped
+            k = owner - self._first
+            if not 0 <= k < len(rank_of):
+                raise ValueError(f"owner {owner} is not one the store was built over")
+            if alive[rank_of[k]]:
+                raise ValueError(f"duplicate owner id {owner}: it is live")
+            alive[rank_of[k]] = True
+            self._live += 1
+
+    def pop_crossing(self, fixed: int, lo: int, hi: int) -> list[int]:
+        """Return, sorted by (fixed, owner), and remove the owners of every live segment crossing ``(fixed, lo, hi)``."""
+        coords = self._coords
+        if not coords or fixed < coords[0] or fixed > coords[-1]:
+            return []
+        pos = bisect_left(coords, fixed)
+        node = 2 * pos - (coords[pos] != fixed) + self._size
+        start, keys, ranks, nxt, alive = self._start, self._fixed, self._rank, self._next, self._alive
+        found = []
+        while node:
+            a, b = start[node], start[node + 1]
+            e = bisect_left(keys, lo, a, b)
+            stop = bisect_right(keys, hi, e, b)
+            if e < stop:
+                passed = []
+                while e < stop:
+                    f = nxt[e]
+                    if f == e:
+                        if alive[ranks[e]]:
+                            alive[ranks[e]] = False
+                            found.append(ranks[e])
+                        f = e + 1
+                    passed.append(e)
+                    e = f
+                for p in passed:  # every entry from p up to e is dead now
+                    nxt[p] = e
+                self._moved += passed
+            node >>= 1
+        self._live -= len(found)
+        self.pops += len(found)
+        found.sort()
+        owner = self._owner
+        return [owner[r] for r in found]

@@ -78,11 +78,6 @@ class OrientedGraph:
     def orientation_of(self, i: int) -> Orientation:
         return Orientation.HORIZONTAL if i < self.nh else Orientation.VERTICAL
 
-    def ids_of(self, orientation: Orientation) -> range:
-        if orientation is Orientation.HORIZONTAL:
-            return range(self.nh)
-        return range(self.nh, self.m)
-
 
 @dataclass(frozen=True)
 class GraphSummary:

@@ -32,14 +32,15 @@ rows, and every witness point is the centre of one of them.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .crossing import CrossingStore, StoredSegment
+from .crossing import CrossingStore
 from .errors import UnknownChoiceError
-from .geometry import Decomposition, Orientation, Point, locate
+from .geometry import Decomposition, Point, locate
 from .graph import DistanceMatrix, GraphSummary, OrientedGraph, bfs_from
 
 EDGE_SCAN = "edge-scan"
@@ -288,46 +289,49 @@ def radius_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | No
 def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
     """Far-set sweep over the candidate pair set through a crossing store.
 
-    For each source the rectangles covering its far set are collected by
-    popping crossings from the store of middle segments of the opposite
-    orientation, then the reverse map drives one more pop round that
-    enumerates each candidate pair exactly once.  One store is built per axis;
-    every round restores the segments it popped.
+    For each far row i, one round pops from the store of the opposite axis
+    the rectangles crossing i's far set, which builds the reverse map; then,
+    for each j' in it, one round per orientation of its sources pops the
+    sources' crossings, which enumerates each candidate pair exactly once.
+    The store is one :class:`~rectilink.crossing.CrossingStore` per axis,
+    built once from ``graph.mids`` and queried with plain ints; every round
+    restores the segments it popped.  Store entries, rounds and pops go to
+    the ``rectilink`` logger at debug level.
     """
-    mids = [StoredSegment(graph.orientation_of(k), *mid, owner=k) for k, mid in enumerate(graph.mids.tolist())]
-    stores = {
-        orient: CrossingStore.reset([mids[k] for k in graph.ids_of(orient)], axis=orient)
-        for orient in (Orientation.HORIZONTAL, Orientation.VERTICAL)
-    }
+    nh, mids = graph.nh, graph.mids.tolist()
+    stores = (CrossingStore.reset(graph.mids[:nh], 0), CrossingStore.reset(graph.mids[nh:], nh))
     reverse: dict[int, list[int]] = defaultdict(list)
     provenance: dict[tuple[int, int], int] = {}
-    for i in range(graph.m):
-        far_ids = np.nonzero(far[i])[0]
-        if not len(far_ids):
-            continue
-        store = stores[graph.orientation_of(int(far_ids[0])).opposite]
-        popped = []
-        for j in far_ids:
-            for seg in store.pop_crossing(mids[int(j)]):
-                reverse[seg.owner].append(i)
-                provenance[(i, seg.owner)] = int(j)
-                popped.append(seg)
-        store.restore(popped)
-    for jp in sorted(reverse):
-        by_orient: dict[Orientation, list[int]] = defaultdict(list)
-        for i in reverse[jp]:
-            by_orient[graph.orientation_of(i)].append(i)
-        for orient in sorted(by_orient, key=lambda o: o.value):
-            store = stores[orient.opposite]
+    try:
+        for i in np.flatnonzero(far.any(axis=1)).tolist():
+            far_ids = np.flatnonzero(far[i]).tolist()
+            store = stores[far_ids[0] < nh]  # the axis opposite to the far set's
             popped = []
-            for i in sorted(by_orient[orient]):
-                for seg in store.pop_crossing(mids[i]):
-                    ip = seg.owner
-                    if far[ip, jp]:
-                        return (i, ip, provenance[(i, jp)], jp)
-                    popped.append(seg)
+            for j in far_ids:
+                for jp in store.pop_crossing(*mids[j]):
+                    reverse[jp].append(i)
+                    provenance[(i, jp)] = j
+                    popped.append(jp)
             store.restore(popped)
-    return None
+        for jp in sorted(reverse):
+            sources = reverse[jp]  # increasing: the horizontal rectangles, then the vertical ones
+            split = bisect_left(sources, nh)
+            for group in (sources[:split], sources[split:]):
+                if not group:
+                    continue
+                store, popped = stores[group[0] < nh], []
+                for i in group:
+                    for ip in store.pop_crossing(*mids[i]):
+                        if far[ip, jp]:
+                            return (i, ip, provenance[(i, jp)], jp)
+                        popped.append(ip)
+                store.restore(popped)
+        return None
+    finally:
+        if log.isEnabledFor(logging.DEBUG):
+            h, v = stores
+            rounds, pops = h.rounds + v.rounds, h.pops + v.pops
+            log.debug("diameter fast: %d/%d store entries (H/V), %d rounds, %d pops", h.entries, v.entries, rounds, pops)
 
 
 def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):

@@ -125,13 +125,17 @@ def instance_stats(prep: Prepared) -> dict:
     }
 
 
-def _witness_ok(grid: GridModel, result: DiameterResult | RadiusResult) -> bool | None:
-    try:
-        if isinstance(result, DiameterResult):
-            return oracle_distance(grid, *result.pair) == result.value
-        return oracle_eccentricity(grid, result.center) == result.value
-    except OutsidePointError:
-        return None  # witness on the boundary: the oracle cannot price it
+def _witness_ok(grid: GridModel, result: DiameterResult | RadiusResult, priced: dict) -> bool | None:
+    """Whether the oracle prices the witness at the result's value; each distinct witness once per ``priced``."""
+    diameter = isinstance(result, DiameterResult)
+    key = (diameter, result.pair if diameter else result.center, result.value)
+    if key not in priced:
+        try:
+            cost = oracle_distance(grid, *result.pair) if diameter else oracle_eccentricity(grid, result.center)
+            priced[key] = cost == result.value
+        except OutsidePointError:
+            priced[key] = None  # witness on the boundary: the oracle cannot price it
+    return priced[key]
 
 
 def run_verify(domain: Domain, prep: Prepared | None = None, grid: GridModel | None = None) -> dict:
@@ -145,13 +149,14 @@ def run_verify(domain: Domain, prep: Prepared | None = None, grid: GridModel | N
 
     report = {"instance": instance_stats(prep)}
     checks = set()  # False: values or a witness price disagree; None: a witness the oracle cannot price
+    priced = {}  # the engines and the oracle often share a witness
     for kind, algos in ALGOS.items():
         entries = {}
         for algo in algos + (ORACLE,):
             solution = solve(kind, algo, prep, grid)
             entries[algo] = solution.payload() | {
                 "seconds": solution.seconds,
-                "witness_ok": _witness_ok(grid, solution.result),
+                "witness_ok": _witness_ok(grid, solution.result, priced),
             }
         checks.add(len({e["value"] for e in entries.values()}) == 1)
         checks |= {e["witness_ok"] for e in entries.values()}

@@ -4,9 +4,10 @@ Each is the direct, obviously correct phrasing of one decision the package
 makes faster: the all-pairs table's min-plus step as one
 ``np.minimum.reduceat`` over the CSR groups of a block of vertical
 rectangles, the middle segments and overlay faces one rectangle object
-at a time (and the crossing-store engine on those segments), crossing of two
-middle segments, positive-area overlap of two rectangles, the
-crossing-graph edge list over all pairs, a report-and-remove
+at a time (and the crossing-store engine on those segments, with the store
+of segment objects and per-node ``SortedList``s it was written for),
+crossing of two middle segments, positive-area overlap of two rectangles,
+the crossing-graph edge list over all pairs, a report-and-remove
 store that scans every live segment, the edge-scan engines as boolean
 cover matrices, one byte per pair, the matmul engines as products of
 rows packed into Python integers, one set bit at a time, the domain
@@ -23,8 +24,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+from sortedcontainers import SortedList
 
-from rectilink.crossing import CrossingStore, StoredSegment
 from rectilink.geometry import SCALE, Domain, Orientation, Point, Rect, Ring, ValidationReport, blocks
 from rectilink.errors import OutsidePointError
 from rectilink.graph import DistanceMatrix, OrientedGraph
@@ -44,6 +45,125 @@ def table_reduceat(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
         dm[nh + a : nh + b, nh:] = nearest + 1
     np.fill_diagonal(dm, 1)
     return dm
+
+
+# The crossing store as segment objects in per-node ``SortedList``s, which
+# ``diameter_fast`` below runs on.
+
+_LOW = float("-inf")
+_HIGH = float("inf")
+
+
+@dataclass(frozen=True)
+class StoredSegment:
+    """Segment at ``fixed`` on its axis, spanning ``[lo, hi]`` on the other."""
+
+    axis: Orientation
+    fixed: int
+    lo: int
+    hi: int
+    owner: int
+
+    def __post_init__(self):
+        if self.lo >= self.hi:
+            raise ValueError(f"degenerate segment: lo={self.lo} >= hi={self.hi}")
+
+
+class CrossingStore:
+    """Segment tree over the interval axis with per-node orderings by fixed coordinate.
+
+    Each segment lives in the O(log n) tree nodes covering its interval; a
+    query walks the root-to-leaf path of its fixed coordinate and pops the
+    matching fixed-coordinate range at every node.
+    """
+
+    def __init__(self, axis: Orientation):
+        self.axis = axis
+        self._coords: list[int] = []
+        self._size = 0
+        self._nodes: list[SortedList] = []
+        self._live: dict[int, StoredSegment] = {}
+        self._node_ids: dict[int, list[int]] = {}
+
+    @classmethod
+    def reset(cls, segments, axis: Orientation) -> "CrossingStore":
+        """Fresh store of ``axis`` over ``segments`` (bulk build)."""
+        segments = list(segments)
+        store = cls(axis)
+        store._coords = sorted({seg.lo for seg in segments} | {seg.hi for seg in segments})
+        store._size = max(2 * len(store._coords) - 1, 0)
+        store._nodes = [None] * (2 * store._size)
+        store.restore(segments)
+        return store
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def _leaf_of_coord(self, value: int) -> int:
+        pos = bisect_left(self._coords, value)
+        if pos == len(self._coords) or self._coords[pos] != value:
+            raise ValueError(f"coordinate {value} is not an endpoint of the segments the store was built over")
+        return 2 * pos
+
+    def _cover(self, lo: int, hi: int) -> list[int]:
+        left = self._leaf_of_coord(lo) + self._size
+        right = self._leaf_of_coord(hi) + self._size + 1
+        nodes = []
+        while left < right:
+            if left & 1:
+                nodes.append(left)
+                left += 1
+            if right & 1:
+                right -= 1
+                nodes.append(right)
+            left >>= 1
+            right >>= 1
+        return nodes
+
+    def restore(self, segments) -> None:
+        """Attach ``segments``, which the store was built over, so that queries report them again."""
+        for seg in segments:
+            if seg.axis is not self.axis:
+                raise ValueError(f"segment axis {seg.axis} does not match store axis {self.axis}")
+            if seg.owner in self._live:
+                raise ValueError(f"duplicate owner id {seg.owner}")
+            ids = self._cover(seg.lo, seg.hi)
+            key = (seg.fixed, seg.owner)
+            for node in ids:
+                if self._nodes[node] is None:
+                    self._nodes[node] = SortedList()
+                self._nodes[node].add(key)
+            self._live[seg.owner] = seg
+            self._node_ids[seg.owner] = ids
+
+    def pop_crossing(self, query: StoredSegment) -> list[StoredSegment]:
+        """Return and remove every live segment crossing ``query``."""
+        if query.axis is self.axis:
+            raise ValueError("query must have the axis opposite to the store")
+        if not self._coords or query.fixed < self._coords[0] or query.fixed > self._coords[-1]:
+            return []
+        pos = bisect_left(self._coords, query.fixed)
+        if pos < len(self._coords) and self._coords[pos] == query.fixed:
+            leaf = 2 * pos
+        else:
+            leaf = 2 * pos - 1
+        node = leaf + self._size
+        owners = []
+        while node >= 1:
+            bucket = self._nodes[node] if node < len(self._nodes) else None
+            if bucket:
+                hits = list(bucket.irange((query.lo, _LOW), (query.hi, _HIGH)))
+                owners.extend(owner for _, owner in hits)
+            node >>= 1
+        popped = []
+        for owner in owners:
+            seg = self._live.pop(owner)
+            key = (seg.fixed, seg.owner)
+            for nid in self._node_ids.pop(owner):
+                self._nodes[nid].remove(key)
+            popped.append(seg)
+        popped.sort(key=lambda s: (s.fixed, s.owner))
+        return popped
 
 
 def crosses(a: StoredSegment, b: StoredSegment) -> bool:
@@ -106,35 +226,36 @@ def edges_quadratic(rects, nh: int) -> list[tuple[int, int]]:
 class ScanCrossingStore:
     """The contract of ``rectilink.crossing.CrossingStore``, by scanning every live segment."""
 
-    def __init__(self, axis: Orientation):
-        self.axis = axis
-        self._live: dict[int, StoredSegment] = {}
-
     @classmethod
-    def reset(cls, segments, axis: Orientation) -> "ScanCrossingStore":
-        store = cls(axis)
-        store.restore(segments)
+    def reset(cls, mids, first: int = 0) -> "ScanCrossingStore":
+        store = cls()
+        store._segments = {first + k: tuple(mid) for k, mid in enumerate(np.asarray(mids).reshape(-1, 3).tolist())}
+        for fixed, lo, hi in store._segments.values():
+            if lo >= hi:
+                raise ValueError(f"degenerate segment: lo={lo} >= hi={hi}")
+        store._live = set(store._segments)
         return store
 
-    def restore(self, segments) -> None:
-        for seg in segments:
-            if seg.axis is not self.axis:
-                raise ValueError(f"segment axis {seg.axis} does not match store axis {self.axis}")
-            if seg.owner in self._live:
-                raise ValueError(f"duplicate owner id {seg.owner}")
-            self._live[seg.owner] = seg
+    def restore(self, owners) -> None:
+        for owner in owners:
+            if owner not in self._segments:
+                raise ValueError(f"owner {owner} is not one the store was built over")
+            if owner in self._live:
+                raise ValueError(f"duplicate owner id {owner}: it is live")
+            self._live.add(owner)
 
     def __len__(self) -> int:
         return len(self._live)
 
-    def pop_crossing(self, query: StoredSegment) -> list[StoredSegment]:
-        if query.axis is self.axis:
-            raise ValueError("query must have the axis opposite to the store")
-        popped = [seg for seg in self._live.values() if crosses(seg, query)]
-        for seg in popped:
-            del self._live[seg.owner]
-        popped.sort(key=lambda s: (s.fixed, s.owner))
-        return popped
+    def pop_crossing(self, fixed: int, lo: int, hi: int) -> list[int]:
+        popped = []
+        for owner in self._live:
+            s_fixed, s_lo, s_hi = self._segments[owner]
+            if s_lo <= fixed <= s_hi and lo <= s_fixed <= hi:
+                popped.append((s_fixed, owner))
+        popped.sort()
+        self._live -= {owner for _, owner in popped}
+        return [owner for _, owner in popped]
 
 
 _EDGE_CHUNK = 512
@@ -273,10 +394,10 @@ def overlay_faces(rects, edges: np.ndarray) -> list[tuple[int, int, int, int]]:
 
 
 def diameter_fast(graph: OrientedGraph, far: np.ndarray, rects) -> tuple[int, int, int, int] | None:
-    """The crossing-store engine with its middle segments made one rectangle object at a time."""
+    """The crossing-store engine with its middle segments made one rectangle object at a time, on the object store."""
     mids = [middle_segment(r) for r in rects]
     stores = {
-        orient: CrossingStore.reset([mids[k] for k in graph.ids_of(orient)], axis=orient)
+        orient: CrossingStore.reset([seg for seg in mids if seg.axis is orient], axis=orient)
         for orient in (Orientation.HORIZONTAL, Orientation.VERTICAL)
     }
     reverse: dict[int, list[int]] = defaultdict(list)

@@ -14,12 +14,9 @@ import pytest
 
 from rectilink import GenParams, gen_domain, metrics, oracle_distance, point_distance, prepare, run_verify, solve
 from rectilink.cli import main as cli_main
-from rectilink.crossing import CrossingStore, StoredSegment
-from rectilink.geometry import Orientation
+from rectilink.crossing import CrossingStore
 
 from reference import ScanCrossingStore, middle_segment
-
-H, V = Orientation.HORIZONTAL, Orientation.VERTICAL
 
 
 @pytest.fixture(scope="module")
@@ -175,19 +172,18 @@ def test_criterion_8_crossing_store_oracle():
     rng = random.Random(808)
     sequences = 10_000
 
-    def segment(axis, owner):
+    def segment():
         lo = rng.randrange(-24, 23)
         hi = rng.randrange(lo + 1, 24)
-        return StoredSegment(axis, fixed=rng.randrange(-24, 24), lo=lo, hi=hi, owner=owner)
+        return [rng.randrange(-24, 24), lo, hi]
 
     for _ in range(sequences):
-        axis = H if rng.random() < 0.5 else V
-        segments = [segment(axis, owner) for owner in range(rng.randrange(0, 8))]
-        real = CrossingStore.reset(segments, axis=axis)
-        ref = ScanCrossingStore.reset(segments, axis=axis)
+        segments = [segment() for _ in range(rng.randrange(0, 8))]
+        real = CrossingStore.reset(np.array(segments, dtype=np.int64).reshape(-1, 3))
+        ref = ScanCrossingStore.reset(segments)
         for _ in range(rng.randrange(1, 6)):
-            q = segment(axis.opposite, 10_000)
-            assert real.pop_crossing(q) == ref.pop_crossing(q)
+            q = segment()
+            assert real.pop_crossing(*q) == ref.pop_crossing(*q)
             assert len(real) == len(ref)
     print(f"\nACCEPTANCE 8 PASS: {sequences} randomized reset/pop sequences match the quadratic reference")
 

@@ -7,9 +7,10 @@ import pytest
 
 import rectilink.metrics
 from rectilink import oracle_distance, parse_domain, point_distance
+from rectilink.crossing import CrossingStore
 from rectilink.geometry import Decomposition, Orientation, locate
 from rectilink.graph import build_graph
-from rectilink.pipeline import decompose
+from rectilink.pipeline import decompose, prepare
 from rectilink.metrics import (
     _edge_products,
     _far_products,
@@ -28,7 +29,7 @@ from rectilink.oracle import oracle_eccentricity
 import reference
 from reference import ScanCrossingStore, graph_rects
 
-from conftest import comb, staircase
+from conftest import comb, perforated, spiral, staircase
 
 
 def rect_by_box(graph, box):
@@ -374,6 +375,42 @@ class TestFallback:
         ]
         assert donut.prep.summary.orrad == 4 and donut_far > 0
 
+    def test_fast_logged(self, corpus, caplog, monkeypatch):
+        """``diameter_fast`` logs its store entries per axis, its rounds (restores) and its pops, at debug level only."""
+
+        class Counting(CrossingStore):
+            pops = restores = 0
+
+            def pop_crossing(self, fixed, lo, hi):
+                out = super().pop_crossing(fixed, lo, hi)
+                Counting.pops += len(out)
+                return out
+
+            def restore(self, owners):
+                Counting.restores += 1
+                super().restore(owners)
+
+        monkeypatch.setattr(rectilink.metrics, "CrossingStore", Counting)
+        cases = [inst.prep for inst in corpus if inst.prep.summary.ordiam >= 4][:30]
+        for prep in cases[:3]:
+            with caplog.at_level(logging.INFO, logger="rectilink"):
+                diameter_fast(prep.graph, prep.dm >= prep.summary.ordiam)
+        assert not caplog.records
+        decisions = set()
+        for prep in cases:
+            g = prep.graph
+            entries = [CrossingStore.reset(mids, 0).entries for mids in (g.mids[: g.nh], g.mids[g.nh :])]
+            Counting.pops = Counting.restores = 0
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="rectilink"):
+                decisions.add(diameter_fast(g, prep.dm >= prep.summary.ordiam) is None)
+            assert [r.getMessage() for r in caplog.records] == [
+                f"diameter fast: {entries[0]}/{entries[1]} store entries (H/V), "
+                f"{Counting.restores} rounds, {Counting.pops} pops"
+            ]
+            assert Counting.pops > 0
+        assert decisions == {True, False}
+
     def test_unknown_algo(self, square):
         with pytest.raises(ValueError):
             compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "quantum")
@@ -539,12 +576,13 @@ class TestEngineAgreement:
             assert len(values) == 1, inst.name
 
     def test_fast_engine_with_reference_store(self, corpus, monkeypatch):
-        cases = [(inst.prep.graph, far_of(inst, "diameter")) for inst in corpus[:25] if inst.prep.summary.ordiam >= 4]
+        """The engine returns the same tuple on the store that scans every live segment."""
+        cases = [(inst.prep.graph, far_of(inst, "diameter")) for inst in corpus if inst.prep.summary.ordiam >= 4]
         decisions = [diameter_fast(graph, far) for graph, far in cases]
         monkeypatch.setattr(rectilink.metrics, "CrossingStore", ScanCrossingStore)
         for (graph, far), a in zip(cases, decisions):
-            b = diameter_fast(graph, far)
-            assert (a is None) == (b is None)
+            assert diameter_fast(graph, far) == a
+        assert {a is None for a in decisions} == {True, False}
 
     def test_faces_partition_area(self, small_corpus):
         for inst in small_corpus[:15]:
@@ -552,13 +590,16 @@ class TestEngineAgreement:
             face_area = ((faces[:, 1] - faces[:, 0]) * (faces[:, 3] - faces[:, 2])).sum()
             assert face_area == ((boxes[:, 1] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 2])).sum()
 
-    def test_fast_matches_reference(self, corpus, grid40):
-        """The engine reading ``graph.mids`` returns the tuple of the engine building one segment per rectangle object.
+    def test_fast_matches_reference(self, fixtures, corpus, grid40, grid60):
+        """The engine on the array store returns the tuple of the engine on segment objects and ``SortedList``s.
 
         At ``ordiam`` every far entry of a row has one parity, so one orientation, as the engine requires.
         """
+        shapes = [(comb, (2, 3, 8, 21)), (staircase, (2, 3, 7, 20)), (spiral, (4, 9, 30)), (perforated, (4, 9, 25))]
+        preps = [inst.prep for inst in fixtures + corpus] + grid40 + grid60
+        preps += [prepare(parse_domain(shape(k))) for shape, sizes in shapes for k in sizes]
         decisions = set()
-        for k, prep in enumerate([inst.prep for inst in corpus if inst.prep.summary.ordiam >= 4] + grid40):
+        for k, prep in enumerate(p for p in preps if p.summary.ordiam >= 4):
             far = prep.dm >= prep.summary.ordiam
             decision = diameter_fast(prep.graph, far)
             assert decision == reference.diameter_fast(prep.graph, far, graph_rects(prep.hdec, prep.vdec)), k

@@ -8,6 +8,7 @@ import pytest
 import rectilink.geometry
 import rectilink.graph
 import rectilink.metrics
+import rectilink.oracle
 import rectilink.pipeline
 from rectilink import OutsidePointError, RectilinkError, UnknownChoiceError, domain_to_instance, run_verify, solve
 from rectilink.cli import main
@@ -107,6 +108,22 @@ class TestComputedOnce:
         bad.write_text(json.dumps({"outer": [[0, 0], [5, 0], [10, 0], [10, 10], [0, 10]]}))
         assert main(["verify", str(bad)]) == 1
         assert "alternation" in capsys.readouterr().err
+
+    def test_verify_prices_each_witness_once(self, monkeypatch, fixtures, corpus):
+        """``run_verify`` asks the oracle once per distinct (kind, pair or centre, value) of its report."""
+        distances = count_calls(monkeypatch, rectilink.oracle.oracle_distance)
+        eccentricities = count_calls(monkeypatch, rectilink.oracle.oracle_eccentricity)
+        shared = 0
+        for inst in fixtures + corpus[:40]:
+            distances.clear()
+            eccentricities.clear()
+            report = run_verify(inst.domain, inst.prep, inst.grid)
+            for kind, calls, field in (("diameter", distances, "pair"), ("radius", eccentricities, "center")):
+                witnesses = {(json.dumps(e["witness"][field]), e["value"]) for e in report[kind].values()}
+                assert len(calls) == len(witnesses), (inst.name, kind)
+                assert all(e["witness_ok"] for e in report[kind].values()), (inst.name, kind)
+                shared += len(report[kind]) - len(witnesses)
+        assert shared > 0
 
     def test_engine_once_per_solve(self, monkeypatch, donut):
         """The router calls the requested engine through its module attribute, once."""
