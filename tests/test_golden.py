@@ -1,7 +1,8 @@
 """CLI value fields on the three fixtures, byte for byte against ``golden_cli.json``.
 
 The file holds each command's exit code and its JSON output without the
-``timings`` and ``seconds`` fields, which change from run to run.  The test
+``timings`` and ``seconds`` fields, which change from run to run, or its SVG
+text for ``render``, plus ``gen`` at a few seeds with holes.  The test
 serialises both sides the way the CLI does, so a changed number type, key
 order or value fails it.  Regenerate the file only when an output is meant to
 change, from the root of a checkout::
@@ -43,6 +44,10 @@ def commands(name: str):
     yield ("verify",)
 
 
+RENDER_OPTIONS = [("--dec", "H"), ("--dec", "V"), ("--witness", "diameter"), ("--witness", "radius")]
+GEN = [("gen", "--width", "8", "--height", "7", "--cells", "40", "--holes", "2", "--seed", str(s)) for s in (1, 2, 3)]
+
+
 def strip(payload):
     """``payload`` without the ``timings`` and ``seconds`` fields, at any depth."""
     if isinstance(payload, dict):
@@ -52,17 +57,28 @@ def strip(payload):
     return payload
 
 
+def run(argv) -> dict:
+    """Exit code and output of one command: the SVG text for ``render``, else the stripped JSON."""
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(argv)
+    text = buffer.getvalue()
+    return {"exit": code, "output": text if argv[0] == "render" else strip(json.loads(text))}
+
+
 def outputs(directory: Path) -> dict:
-    """Exit code and stripped output of every command, keyed by the command line with the fixture's name."""
+    """Every command's entry, keyed by the command line with the fixture's name."""
     out = {}
+    paths = {name: directory / f"{name}.json" for name in FIXTURES}
     for name, instance in FIXTURES.items():
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(instance))
+        paths[name].write_text(json.dumps(instance))
         for command, *options in commands(name):
-            buffer = io.StringIO()
-            with redirect_stdout(buffer):
-                code = main([command, str(path), *options])
-            out[" ".join([command, name, *options])] = {"exit": code, "output": strip(json.loads(buffer.getvalue()))}
+            out[" ".join([command, name, *options])] = run([command, str(paths[name]), *options])
+    for name in FIXTURES:
+        for options in RENDER_OPTIONS:
+            out[" ".join(["render", name, *options])] = run(["render", str(paths[name]), *options])
+    for argv in GEN:
+        out[" ".join(argv)] = run(list(argv))
     return out
 
 
