@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, Ring, parse_domain, validate
+from .geometry import Domain, parse_domain, signed_area2, validate
 
 
 @dataclass(frozen=True)
@@ -361,8 +361,9 @@ def gen_domain(params: GenParams) -> Domain:
     if params.holes:
         _punch_holes(rng, mask, params.holes)
     rings = _extract_rings(mask)
-    outer = [r for r in rings if Ring(tuple(r)).signed_area2() > 0]
-    holes = [r for r in rings if Ring(tuple(r)).signed_area2() < 0]
+    areas = [signed_area2(np.array(r)) for r in rings]
+    outer = [r for r, area in zip(rings, areas) if area > 0]
+    holes = [r for r, area in zip(rings, areas) if area < 0]
     if len(outer) != 1 or len(holes) != params.holes:
         raise ValueError(
             f"generation produced {len(outer)} outer rings and {len(holes)} holes"

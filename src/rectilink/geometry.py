@@ -32,59 +32,28 @@ class Orientation(Enum):
     HORIZONTAL = "H"
     VERTICAL = "V"
 
-    @property
-    def opposite(self) -> "Orientation":
-        return Orientation.VERTICAL if self is Orientation.HORIZONTAL else Orientation.HORIZONTAL
 
-
-@dataclass(frozen=True)
-class Ring:
-    """Closed rectilinear vertex loop; the edge after the last vertex wraps to the first."""
-
-    vertices: tuple[Point, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def edges(self):
-        """Yield directed edges (p, q)."""
-        pts = self.vertices
-        for k in range(len(pts)):
-            yield pts[k], pts[(k + 1) % len(pts)]
-
-    def signed_area2(self) -> int:
-        """Twice the signed area (positive for counterclockwise)."""
-        total = 0
-        for (x1, y1), (x2, y2) in self.edges():
-            total += x1 * y2 - x2 * y1
-        return total
-
-    def reversed(self) -> "Ring":
-        return Ring(tuple(reversed(self.vertices)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
-    """Rectilinear polygonal domain: one outer ring plus hole rings.
+    """Rectilinear polygonal domain as two read-only int64 arrays.
 
-    The outer ring is counterclockwise and holes are clockwise, so the
-    interior always lies to the left of every directed edge.
+    ``vertices`` (n, 2) holds every ring's vertices in doubled coordinates:
+    the outer ring first, counterclockwise, then each hole, clockwise, so the
+    interior always lies to the left of every directed edge.  The vertices
+    of ring ``r`` are ``vertices[starts[r] : starts[r + 1]]``, so ``starts``
+    has h + 2 entries.
     """
 
-    outer: Ring
-    holes: tuple[Ring, ...]
+    vertices: np.ndarray
+    starts: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.outer) + sum(len(r) for r in self.holes)
+        return len(self.vertices)
 
     @property
     def h(self) -> int:
-        return len(self.holes)
-
-    def rings(self):
-        yield self.outer
-        yield from self.holes
+        return len(self.starts) - 2
 
     @cached_property
     def edge_table(self) -> np.ndarray:
@@ -93,12 +62,11 @@ class Domain:
         One row per directed edge, in ring order (outer first); edge ``k`` of a
         ring runs from its vertex ``k`` to the next.
         """
-        sizes = np.array([len(r) for r in self.rings()])
-        ring = np.repeat(np.arange(len(sizes)), sizes)
-        p = np.array([v for r in self.rings() for v in r.vertices], dtype=np.int64)
-        start = (np.cumsum(sizes) - sizes)[ring]
-        index = np.arange(len(p)) - start
-        table = np.column_stack([ring, index, p, p[start + (index + 1) % sizes[ring]]])
+        sizes = np.diff(self.starts)
+        ring = np.arange(len(sizes)).repeat(sizes)
+        start = self.starts[ring]
+        index = np.arange(self.n) - start
+        table = np.column_stack([ring, index, self.vertices, self.vertices[start + (index + 1) % sizes[ring]]])
         table.flags.writeable = False
         return table
 
@@ -143,32 +111,59 @@ class ValidationReport:
         return not self.violations
 
 
-def _parse_ring(obj, label: str) -> Ring:
+def signed_area2(points: np.ndarray) -> int:
+    """Twice the signed area of the ring through ``points`` (positive for counterclockwise), exactly.
+
+    Each term fits int64 for coordinates within ``COORD_LIMIT``; their sum is
+    taken in Python integers.
+    """
+    x, y = points.T
+    return sum((x * np.roll(y, -1) - np.roll(x, -1) * y).tolist())
+
+
+def _is_point(item) -> bool:
+    return (
+        isinstance(item, (list, tuple))
+        and len(item) == 2
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in item)
+    )
+
+
+def _parse_ring(obj, label: str) -> np.ndarray:
+    """One ring's vertices as a (k, 2) int64 array in doubled coordinates.
+
+    The points are checked for shape and type in one pass, the rest on the
+    array.  The first point with a type or overflow fault is reported, then
+    the first bad edge in edge order.
+    """
     if not isinstance(obj, (list, tuple)) or len(obj) < 3:
         raise InstanceFormatError(f"{label}: expected a list of at least 3 points")
-    pts = []
-    for item in obj:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in item)
-        ):
-            raise InstanceFormatError(f"{label}: points must be [int, int] pairs, got {item!r}")
-        x, y = item
-        if abs(x) * SCALE > COORD_LIMIT or abs(y) * SCALE > COORD_LIMIT:
-            raise InstanceFormatError(f"{label}: coordinate overflow at {item!r}")
-        pts.append((x * SCALE, y * SCALE))
-    if len(pts) > 1 and pts[0] == pts[-1]:  # tolerate explicitly closed rings
-        pts.pop()
+    typed = next((k for k, item in enumerate(obj) if not _is_point(item)), len(obj))
+    try:
+        pts = np.array(obj[:typed], dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # beyond int64: compared as Python integers
+        pts = np.array(obj[:typed], dtype=object).reshape(-1, 2)
+    limit = COORD_LIMIT // SCALE
+    over = ((pts > limit) | (pts < -limit)).any(axis=1)
+    if over.any():
+        raise InstanceFormatError(f"{label}: coordinate overflow at {obj[int(over.argmax())]!r}")
+    if typed < len(obj):
+        raise InstanceFormatError(f"{label}: points must be [int, int] pairs, got {obj[typed]!r}")
+    pts = pts * SCALE
+    if len(pts) > 1 and (pts[0] == pts[-1]).all():  # tolerate explicitly closed rings
+        pts = pts[:-1]
     if len(pts) < 4:
         raise InstanceFormatError(f"{label}: a rectilinear ring needs at least 4 vertices")
-    ring = Ring(tuple(pts))
-    for p, q in ring.edges():
-        if p == q:
+    nxt = np.roll(pts, -1, axis=0)
+    same = pts == nxt
+    zero, skew = same.all(axis=1), ~same.any(axis=1)
+    if (bad := zero | skew).any():
+        k = int(bad.argmax())
+        p, q = tuple(pts[k].tolist()), tuple(nxt[k].tolist())
+        if zero[k]:
             raise InstanceFormatError(f"{label}: zero-length edge at {p}")
-        if p[0] != q[0] and p[1] != q[1]:
-            raise InstanceFormatError(f"{label}: non-rectilinear edge {p} -> {q}")
-    return ring
+        raise InstanceFormatError(f"{label}: non-rectilinear edge {p} -> {q}")
+    return pts
 
 
 def parse_domain(text) -> Domain:
@@ -188,27 +183,24 @@ def parse_domain(text) -> Domain:
     if not isinstance(data, dict) or "outer" not in data:
         raise InstanceFormatError('instance must be an object with an "outer" ring')
     outer = _parse_ring(data["outer"], "outer")
-    if outer.signed_area2() < 0:
-        outer = outer.reversed()
+    rings = [outer if signed_area2(outer) >= 0 else outer[::-1]]
     hole_objs = data.get("holes") or []
     if not isinstance(hole_objs, (list, tuple)):
         raise InstanceFormatError(f'"holes" must be a list of rings, got {hole_objs!r}')
-    holes = []
     for k, ring_obj in enumerate(hole_objs):
         hole = _parse_ring(ring_obj, f"holes[{k}]")
-        if hole.signed_area2() > 0:
-            hole = hole.reversed()
-        holes.append(hole)
-    return Domain(outer=outer, holes=tuple(holes))
+        rings.append(hole if signed_area2(hole) <= 0 else hole[::-1])
+    vertices = np.concatenate(rings)
+    starts = np.zeros(len(rings) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rings], out=starts[1:])
+    vertices.flags.writeable = starts.flags.writeable = False
+    return Domain(vertices, starts)
 
 
 def domain_to_instance(domain: Domain) -> dict:
     """Inverse of :func:`parse_domain`: a JSON-ready dict in original units."""
-
-    def undouble(ring: Ring):
-        return [[x // SCALE, y // SCALE] for x, y in ring.vertices]
-
-    return {"outer": undouble(domain.outer), "holes": [undouble(r) for r in domain.holes]}
+    points, s = (domain.vertices // SCALE).tolist(), domain.starts.tolist()
+    return {"outer": points[: s[1]], "holes": [points[a:b] for a, b in zip(s[1:-1], s[2:])]}
 
 
 def blocks(ptr: np.ndarray, cap: int):

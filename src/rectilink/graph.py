@@ -156,21 +156,24 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
 # benchmark workload exercises yet, so it has been fitted on generated
 # domains and on staircase corridors built in the tests alone.
 LEVEL_SEARCH_K = 128
+# Sources per scipy search, edges gathered per block (4 * CHUNK of W words) in
+# the level search, and rows decoded at once.
+CHUNK = 256
 
-def _source_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
+def _source_search(graph: OrientedGraph, dm: DistanceMatrix) -> None:
     """Fill ``dm[:nh]`` and ``dm[:, :nh]`` by a scipy search from each horizontal source.
 
-    ``chunk`` sources are searched at a time.
+    ``CHUNK`` sources are searched at a time.
     """
     nh, sparse = graph.nh, _sparse(graph)
-    for start in range(0, nh, chunk):
-        stop = min(start + chunk, nh)
+    for start in range(0, nh, CHUNK):
+        stop = min(start + CHUNK, nh)
         rows = dijkstra(sparse, directed=True, unweighted=True, indices=np.arange(start, stop))
         dm[start:stop] = rows.astype(np.uint16) + 1
         dm[nh:, start:stop] = dm[start:stop, nh:].T
 
 
-def _level_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
+def _level_search(graph: OrientedGraph, dm: DistanceMatrix) -> None:
     """Fill ``dm[:, :nh]`` and ``dm[:nh]`` by one search from all horizontal sources at once.
 
     Every rectangle keeps a ``reached`` bitset over the sources, ``W =
@@ -179,11 +182,11 @@ def _level_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
     bipartite graph, alternating, and a target's new bits are the OR of its
     neighbours' frontier words, ``& ~reached``: one
     ``np.bitwise_or.reduceat`` over the target's CSR group, for blocks of
-    targets that gather at most ``4 * chunk`` edges of ``W`` words.
+    targets that gather at most ``4 * CHUNK`` edges of ``W`` words.
 
     A new bit's level goes into bit planes, plane ``p`` holding bit ``p`` of
     the level, so a level touches only the planes of its set bits.  Decoding
-    the planes, ``chunk`` rows at a time, writes ``dm[:, :nh]`` in place;
+    the planes, ``CHUNK`` rows at a time, writes ``dm[:, :nh]`` in place;
     ``dm[:nh, nh:]`` is its transpose.  (Scattering each level's new bits
     into the table as they appear measured three times slower.)
 
@@ -205,7 +208,7 @@ def _level_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
         ptr, nbr, first = targets_of[1 - level % 2]
         targets = reached[first : first + len(ptr) - 1]
         new = np.empty_like(targets)
-        for a, b in blocks(ptr, 4 * chunk):
+        for a, b in blocks(ptr, 4 * CHUNK):
             bits = np.bitwise_or.reduceat(frontier[nbr[ptr[a] : ptr[b]]], ptr[a:b] - ptr[a], axis=0)
             np.bitwise_and(bits, ~targets[a:b], out=new[a:b])
         if not new.any():
@@ -217,15 +220,15 @@ def _level_search(graph: OrientedGraph, dm: DistanceMatrix, chunk: int) -> None:
                     planes.append(np.zeros_like(reached))
                 planes[p][first : first + len(new)] |= new
         frontier = new
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
+    for start in range(0, m, CHUNK):
+        stop = min(start + CHUNK, m)
         levels = np.zeros((stop - start, 64 * words), dtype=np.uint16)
         for p, plane in enumerate(planes):
             bits = np.unpackbits(plane[start:stop].view(np.uint8), axis=1, bitorder="little")
             levels |= bits.astype(np.uint16) << p
         dm[start:stop, :nh] = levels[:, :nh]
-    for start in range(0, nh, chunk):
-        dm[start : start + chunk, nh:] = dm[nh:, start : start + chunk].T
+    for start in range(0, nh, CHUNK):
+        dm[start : start + CHUNK, nh:] = dm[nh:, start : start + CHUNK].T
 
 
 def _select_search(graph: OrientedGraph):
@@ -239,7 +242,7 @@ def _select_search(graph: OrientedGraph):
     return _source_search, bound
 
 
-def _table(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
+def _table(graph: OrientedGraph, search) -> DistanceMatrix:
     """The table from ``search``'s horizontal rows and columns and one min-plus step over degree layers.
 
     Layer k, the k-th neighbour of each vertical of degree above k, is a prefix of the verticals ordered by
@@ -248,7 +251,7 @@ def _table(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
     """
     m, nh = graph.m, graph.nh
     dm = np.empty((m, m), dtype=np.uint16)
-    search(graph, dm, chunk)
+    search(graph, dm)
     offset, neighbours, hv = graph.indptr[nh:], graph.indices, dm[:, nh:]
     degree = np.diff(offset)
     order = np.argsort(-degree, kind="stable")
@@ -263,7 +266,7 @@ def _table(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
     return dm
 
 
-def all_pairs(graph: OrientedGraph, chunk: int = 256) -> DistanceMatrix:
+def all_pairs(graph: OrientedGraph) -> DistanceMatrix:
     """All oriented distances from a search over the horizontal sources only.
 
     1. A search fills the horizontal rows and columns, ``dm[H, :]`` and
@@ -299,9 +302,7 @@ def all_pairs(graph: OrientedGraph, chunk: int = 256) -> DistanceMatrix:
     graph, before the level search's ``reduceat`` or a min-plus layer could
     read an isolated rectangle's empty group.
 
-    ``chunk`` caps the sources per scipy search, the edges gathered per
-    block (``4 * chunk`` of ``W`` words) in the level search and the rows
-    decoded at once; the min-plus step holds at most ``nv`` squared.
+    The min-plus step holds at most ``nv`` squared.
     """
     _check_table_ceiling(graph.m)
     search, bound = _select_search(graph)
@@ -313,7 +314,7 @@ def all_pairs(graph: OrientedGraph, chunk: int = 256) -> DistanceMatrix:
         graph.m,
         graph.chi,
     )
-    return _table(graph, search, chunk)
+    return _table(graph, search)
 
 
 def summarize(dm: DistanceMatrix) -> GraphSummary:

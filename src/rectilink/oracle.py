@@ -243,8 +243,9 @@ def build_grid(domain: Domain) -> GridModel:
     ends: four corner updates of a difference array, placed at once by
     ``np.add.at``, then two prefix sums.
     """
-    rings = [np.array(ring.vertices, dtype=np.int64) for ring in domain.rings()]
-    p, q = np.concatenate(rings), np.concatenate([np.roll(ring, -1, axis=0) for ring in rings])  # each edge p -> q
+    p = domain.vertices
+    q = np.roll(p, -1, axis=0)  # each edge p -> q, the last of each ring back to its first vertex
+    q[domain.starts[1:] - 1] = p[domain.starts[:-1]]
     xs, ys = np.unique(p[:, 0]), np.unique(p[:, 1])
     vertical = p[:, 0] == q[:, 0]
     col = xs.searchsorted(p[vertical, 0])  # the edge affects the columns left of it

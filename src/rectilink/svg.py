@@ -22,10 +22,7 @@ def render_svg(
     ``points`` are marked with circles (witness pairs / centers), in internal
     (doubled) coordinates.
     """
-    xs = [x for ring in domain.rings() for x, _ in ring.vertices]
-    ys = [y for ring in domain.rings() for _, y in ring.vertices]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    (xmin, ymin), (xmax, ymax) = domain.vertices.min(axis=0).tolist(), domain.vertices.max(axis=0).tolist()
     margin = max(xmax - xmin, ymax - ymin, SCALE) * 0.05 / SCALE
     width = (xmax - xmin) / SCALE + 2 * margin
     height = (ymax - ymin) / SCALE + 2 * margin
@@ -35,9 +32,10 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" width="640">',
         '<g transform="scale(1,-1)">',
     ]
+    vertices, s = domain.vertices.tolist(), domain.starts.tolist()
     subpaths = []
-    for ring in domain.rings():
-        coords = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in ring.vertices)
+    for a, b in zip(s[:-1], s[1:]):
+        coords = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in vertices[a:b])
         subpaths.append(f"M {coords} Z")
     parts.append(
         f'<path class="domain" d="{" ".join(subpaths)}" fill-rule="evenodd"'

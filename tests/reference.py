@@ -1,7 +1,7 @@
 """Quadratic references that the tests compare the package against.
 
 Each is the direct, obviously correct phrasing of one decision the package
-makes faster: the all-pairs table's min-plus step as one
+makes faster: the parser one point and one edge at a time, the all-pairs table's min-plus step as one
 ``np.minimum.reduceat`` over the CSR groups of a block of vertical
 rectangles, the middle segments and overlay faces one rectangle object
 at a time (and the crossing-store engine on those segments, with the store
@@ -19,6 +19,7 @@ a time, with its faces merged by a union-find over grid runs.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -26,17 +27,123 @@ from dataclasses import dataclass
 import numpy as np
 from sortedcontainers import SortedList
 
-from rectilink.geometry import SCALE, Domain, Orientation, Point, Rect, Ring, ValidationReport, blocks
-from rectilink.errors import OutsidePointError
+from rectilink.geometry import COORD_LIMIT, SCALE, Domain, Orientation, Point, Rect, ValidationReport, blocks
+from rectilink.errors import InstanceFormatError, OutsidePointError
 from rectilink.graph import DistanceMatrix, OrientedGraph
 from rectilink.oracle import GridModel, _OracleFace
+
+
+# The parser as it read each ring into a tuple of point tuples, one point at
+# a time: the reference for every parse error's text and order.
+
+
+@dataclass(frozen=True)
+class Ring:
+    """Closed rectilinear vertex loop; the edge after the last vertex wraps to the first."""
+
+    vertices: tuple[Point, ...]
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    def edges(self):
+        """Yield directed edges (p, q)."""
+        pts = self.vertices
+        for k in range(len(pts)):
+            yield pts[k], pts[(k + 1) % len(pts)]
+
+    def signed_area2(self) -> int:
+        """Twice the signed area (positive for counterclockwise)."""
+        total = 0
+        for (x1, y1), (x2, y2) in self.edges():
+            total += x1 * y2 - x2 * y1
+        return total
+
+    def reversed(self) -> "Ring":
+        return Ring(tuple(reversed(self.vertices)))
+
+
+def domain_of(outer: Ring, holes) -> Domain:
+    """The :class:`Domain` arrays of an outer ring and its holes, already oriented."""
+    rings = [outer, *holes]
+    vertices = np.array([v for r in rings for v in r.vertices], dtype=np.int64).reshape(-1, 2)
+    return Domain(vertices, np.cumsum([0] + [len(r) for r in rings]))
+
+
+def rings(domain: Domain) -> list[Ring]:
+    """The domain's rings as :class:`Ring` objects, the outer one first."""
+    s = domain.starts.tolist()
+    return [Ring(tuple(map(tuple, domain.vertices[a:b].tolist()))) for a, b in zip(s[:-1], s[1:])]
+
+
+def _parse_ring(obj, label: str) -> Ring:
+    if not isinstance(obj, (list, tuple)) or len(obj) < 3:
+        raise InstanceFormatError(f"{label}: expected a list of at least 3 points")
+    pts = []
+    for item in obj:
+        if (
+            not isinstance(item, (list, tuple))
+            or len(item) != 2
+            or not all(isinstance(c, int) and not isinstance(c, bool) for c in item)
+        ):
+            raise InstanceFormatError(f"{label}: points must be [int, int] pairs, got {item!r}")
+        x, y = item
+        if abs(x) * SCALE > COORD_LIMIT or abs(y) * SCALE > COORD_LIMIT:
+            raise InstanceFormatError(f"{label}: coordinate overflow at {item!r}")
+        pts.append((x * SCALE, y * SCALE))
+    if len(pts) > 1 and pts[0] == pts[-1]:  # tolerate explicitly closed rings
+        pts.pop()
+    if len(pts) < 4:
+        raise InstanceFormatError(f"{label}: a rectilinear ring needs at least 4 vertices")
+    ring = Ring(tuple(pts))
+    for p, q in ring.edges():
+        if p == q:
+            raise InstanceFormatError(f"{label}: zero-length edge at {p}")
+        if p[0] != q[0] and p[1] != q[1]:
+            raise InstanceFormatError(f"{label}: non-rectilinear edge {p} -> {q}")
+    return ring
+
+
+def parse_domain(text) -> Domain:
+    """Parse an instance document (JSON text or an already-decoded dict).
+
+    Instance format: ``{"outer": [[x, y], ...], "holes": [[[x, y], ...], ...]}``
+    with integer coordinates in any ring orientation.  Coordinates are doubled,
+    the outer ring is normalized counterclockwise and holes clockwise.
+    """
+    if isinstance(text, (str, bytes)):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+    else:
+        data = text
+    if not isinstance(data, dict) or "outer" not in data:
+        raise InstanceFormatError('instance must be an object with an "outer" ring')
+    outer = _parse_ring(data["outer"], "outer")
+    if outer.signed_area2() < 0:
+        outer = outer.reversed()
+    hole_objs = data.get("holes") or []
+    if not isinstance(hole_objs, (list, tuple)):
+        raise InstanceFormatError(f'"holes" must be a list of rings, got {hole_objs!r}')
+    holes = []
+    for k, ring_obj in enumerate(hole_objs):
+        hole = _parse_ring(ring_obj, f"holes[{k}]")
+        if hole.signed_area2() > 0:
+            hole = hole.reversed()
+        holes.append(hole)
+    return domain_of(outer, holes)
+
+
+def opposite(orient: Orientation) -> Orientation:
+    return Orientation.VERTICAL if orient is Orientation.HORIZONTAL else Orientation.HORIZONTAL
 
 
 def table_reduceat(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
     """The table from ``search``'s horizontal rows and columns and one min-plus step."""
     m, nh = graph.m, graph.nh
     dm = np.empty((m, m), dtype=np.uint16)
-    search(graph, dm, chunk)
+    search(graph, dm)
     # Horizontal neighbours grouped by vertical rectangle, as the min-plus step reads them.
     offset, neighbours = graph.indptr[nh:], graph.indices
     for a, b in blocks(offset, chunk):
@@ -406,7 +513,7 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray, rects) -> tuple[int, in
         far_ids = np.nonzero(far[i])[0]
         if not len(far_ids):
             continue
-        store = stores[graph.orientation_of(int(far_ids[0])).opposite]
+        store = stores[opposite(graph.orientation_of(int(far_ids[0])))]
         popped = []
         for j in far_ids:
             for seg in store.pop_crossing(mids[int(j)]):
@@ -419,7 +526,7 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray, rects) -> tuple[int, in
         for i in reverse[jp]:
             by_orient[graph.orientation_of(i)].append(i)
         for orient in sorted(by_orient, key=lambda o: o.value):
-            store = stores[orient.opposite]
+            store = stores[opposite(orient)]
             popped = []
             for i in sorted(by_orient[orient]):
                 for seg in store.pop_crossing(mids[i]):
@@ -449,7 +556,7 @@ def _edge_arrays(domain: Domain):
     (x, ylo, yhi); meta rows are (ring index, edge index, ring length).
     """
     hs, vs, hm, vm = [], [], [], []
-    for ri, ring in enumerate(domain.rings()):
+    for ri, ring in enumerate(rings(domain)):
         nverts = len(ring)
         for ei, (p, q) in enumerate(ring.edges()):
             if p[1] == q[1]:
@@ -473,8 +580,10 @@ def validate(domain: Domain) -> ValidationReport:
     downstream operation.
     """
     violations: list[str] = []
+    all_rings = rings(domain)
+    outer, holes = all_rings[0], all_rings[1:]
 
-    for ri, ring in enumerate(domain.rings()):
+    for ri, ring in enumerate(all_rings):
         name = "outer" if ri == 0 else f"hole {ri - 1}"
         if len(ring) % 2 != 0:
             violations.append(f"alternation: {name} has an odd vertex count")
@@ -486,14 +595,14 @@ def validate(domain: Domain) -> ValidationReport:
 
     # General position: vertices sharing a coordinate must be edge-joined.
     verts = []  # (x, y, ring, index)
-    for ri, ring in enumerate(domain.rings()):
+    for ri, ring in enumerate(all_rings):
         for vi, (x, y) in enumerate(ring.vertices):
             verts.append((x, y, ri, vi))
 
     def adjacent(a, b) -> bool:
         if a[2] != b[2]:
             return False
-        size = len(list(domain.rings())[a[2]])
+        size = len(all_rings[a[2]])
         return (a[3] - b[3]) % size in (1, size - 1)
 
     for axis, key in (("x", 0), ("y", 1)):
@@ -545,11 +654,11 @@ def validate(domain: Domain) -> ValidationReport:
             )
 
     # Hole containment and hole/hole nesting (touching is caught above).
-    for hi, hole in enumerate(domain.holes):
+    for hi, hole in enumerate(holes):
         probe = hole.vertices[0]
-        if not _point_in_ring(probe, domain.outer):
+        if not _point_in_ring(probe, outer):
             violations.append(f"containment: hole {hi} is not inside the outer ring")
-        for hj, other in enumerate(domain.holes):
+        for hj, other in enumerate(holes):
             if hi != hj and _point_in_ring(probe, other):
                 violations.append(f"containment: hole {hi} lies inside hole {hj}")
 
@@ -558,11 +667,12 @@ def validate(domain: Domain) -> ValidationReport:
 
 def build_grid(domain: Domain) -> GridModel:
     """Cut grid with exact inside flags (2D parity of vertical-edge crossings)."""
-    xs = np.array(sorted({x for ring in domain.rings() for x, _ in ring.vertices}), dtype=np.int64)
-    ys = np.array(sorted({y for ring in domain.rings() for _, y in ring.vertices}), dtype=np.int64)
+    all_rings = rings(domain)
+    xs = np.array(sorted({x for ring in all_rings for x, _ in ring.vertices}), dtype=np.int64)
+    ys = np.array(sorted({y for ring in all_rings for _, y in ring.vertices}), dtype=np.int64)
     ncols, nrows = len(xs) - 1, len(ys) - 1
     delta = np.zeros((nrows + 1, ncols + 1), dtype=np.int64)
-    for ring in domain.rings():
+    for ring in all_rings:
         for p, q in ring.edges():
             if p[0] != q[0]:
                 continue

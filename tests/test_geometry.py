@@ -1,14 +1,24 @@
 """Parsing, validation, decompositions and point location."""
 
+import json
 import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import reference
 from rectilink import InstanceFormatError, OutsidePointError, domain_to_instance, parse_domain
-from rectilink.geometry import COORD_LIMIT, SCALE, Orientation, horizontal_decomposition, locate, validate
+from rectilink.geometry import (
+    COORD_LIMIT,
+    SCALE,
+    Orientation,
+    horizontal_decomposition,
+    locate,
+    signed_area2,
+    validate,
+)
 
 from conftest import DONUT, LSHAPE, SQUARE, comb
 
@@ -18,10 +28,7 @@ def boxes(dec):
 
 
 def domain_area2(domain):
-    total = domain.outer.signed_area2()
-    for hole in domain.holes:
-        total += hole.signed_area2()  # holes are clockwise: negative
-    return total
+    return sum(ring.signed_area2() for ring in reference.rings(domain))  # holes are clockwise: negative
 
 
 def total_area(dec):
@@ -39,7 +46,10 @@ class TestParse:
     def test_square(self):
         d = parse_domain(SQUARE)
         assert d.n == 4 and d.h == 0
-        assert d.outer.vertices == ((0, 0), (20, 0), (20, 20), (0, 20))
+        assert d.vertices.tolist() == [[0, 0], [20, 0], [20, 20], [0, 20]]
+        assert d.starts.tolist() == [0, 4]
+        assert d.vertices.dtype == d.starts.dtype == np.int64
+        assert not d.vertices.flags.writeable and not d.starts.flags.writeable
 
     def test_donut(self):
         d = parse_domain(DONUT)
@@ -77,12 +87,134 @@ class TestParse:
             "holes": [list(reversed(DONUT["holes"][0]))],
         }
         d = parse_domain(inst)
-        assert d.outer.signed_area2() > 0
-        assert d.holes[0].signed_area2() < 0
+        outer, hole = reference.rings(d)
+        assert outer.signed_area2() > 0
+        assert hole.signed_area2() < 0
+        assert d.vertices.tolist() == parse_domain(DONUT).vertices.tolist()
 
     def test_round_trip(self):
         d = parse_domain(DONUT)
-        assert parse_domain(domain_to_instance(d)) == d
+        assert domain_to_instance(parse_domain(domain_to_instance(d))) == domain_to_instance(d)
+        assert d == d != parse_domain(DONUT)  # a domain equals only itself
+
+    def test_signed_area_at_the_limit(self):
+        """Twice the area of the largest square the parser accepts is 2**63, one past int64: the sum stays exact."""
+        limit = COORD_LIMIT // SCALE
+        square = [[-limit, -limit], [limit, -limit], [limit, limit], [-limit, limit]]
+        for ring in (square, square[::-1]):
+            d = parse_domain({"outer": ring})
+            assert signed_area2(d.vertices) == 2**63
+            assert d.vertices.tolist() == [[SCALE * x, SCALE * y] for x, y in square]
+
+    def test_edge_table(self, fixtures, corpus):
+        """One row per directed edge, ``(ring, index, p, q)``, as the ring objects list them."""
+        for domain in [inst.domain for inst in fixtures + corpus] + [parse_domain(comb(3))]:
+            expected = [
+                [ri, k, *p, *q] for ri, ring in enumerate(reference.rings(domain)) for k, (p, q) in enumerate(ring.edges())
+            ]
+            assert domain.edge_table.tolist() == expected
+            assert not domain.edge_table.flags.writeable
+
+
+LIMIT = COORD_LIMIT // SCALE  # the largest coordinate the parser accepts, in input units
+# one fault each, at point i of a ring of points
+POINT_FAULTS = [
+    lambda rng, p: [True, p[1]] if rng.random() < 0.5 else [p[0], False],  # a bool
+    lambda rng, p: [p[0] + 0.5, p[1]] if rng.random() < 0.5 else [p[0], float(p[1])],  # a float
+    lambda rng, p: p[:1],  # short
+    lambda rng, p: p + [0],  # long
+    lambda rng, p: rng.choice(["1,2", None, 7, {"x": 1}]),  # not a list
+    lambda rng, p: [rng.choice([LIMIT + 1, -LIMIT - 1, 2**64, -(2**63)]), p[1]],  # overflow
+    lambda rng, p: [p[0], rng.choice([LIMIT, -LIMIT])],  # at the limit, so accepted
+    lambda rng, p: [p[0] + 1, p[1]],  # a diagonal edge on each side
+    lambda rng, p: tuple(p),  # a tuple point, accepted
+]
+HOLE_VALUES = [None, [], 3, "holes", {"a": 1}, [[[6, 6], [8, 6], [8, 8]]], [[[6, 6], [8, 6], [8, 8], [6, 8]], 5]]
+
+
+def fuzz_document(rng: random.Random):
+    """A fixture's rings with zero to three faults: bad points, a repeated point, a closing vertex, bad holes."""
+    base = rng.choice([SQUARE, LSHAPE, DONUT])
+    rings = [[list(p) for p in ring] for ring in [base["outer"], *base["holes"]]]
+    if rng.random() < 0.2:  # near the limit, where an off-by-one overflow test shows
+        dx = rng.choice([LIMIT - 14, -LIMIT])
+        rings = [[[x + dx, y - dx] for x, y in ring] for ring in rings]
+    for _ in range(rng.randint(0, 3)):
+        ring = rng.choice(rings)
+        i, kind = rng.randrange(len(ring)), rng.randrange(len(POINT_FAULTS) + 3)
+        if kind < len(POINT_FAULTS):
+            point = [*ring[i], 0, 0][:2] if isinstance(ring[i], (list, tuple)) else [0, 0]
+            ring[i] = POINT_FAULTS[kind](rng, point)
+        elif kind == len(POINT_FAULTS):
+            ring.insert(i, ring[i])  # a zero-length edge
+        elif kind == len(POINT_FAULTS) + 1:
+            ring.append(ring[0])  # an explicit closing vertex
+        else:
+            del ring[i + 1 :]  # too few points, when i < 2
+    doc = {"outer": rings[0], "holes": rings[1:]}
+    if rng.random() < 0.1:
+        doc["holes"] = rng.choice(HOLE_VALUES)
+    return doc
+
+
+def outcome(parse, doc):
+    try:
+        domain = parse(doc)
+    except InstanceFormatError as exc:
+        return str(exc)
+    return domain.vertices.tolist(), domain.starts.tolist()
+
+
+class TestParseMatchesReference:
+    """The array parser against the one-point-at-a-time parser: the same arrays, or the same error text."""
+
+    KINDS = [
+        "expected a list of at least 3 points",
+        "points must be [int, int] pairs",
+        "coordinate overflow",
+        "needs at least 4 vertices",
+        "zero-length edge",
+        "non-rectilinear edge",
+        '"holes" must be a list',
+        "invalid JSON",
+    ]
+
+    def test_fuzzed_documents(self):
+        rng = random.Random(20261019)
+        kinds, accepted = Counter(), 0
+        for _ in range(4000):
+            doc = fuzz_document(rng)
+            if rng.random() < 0.1:
+                doc = json.dumps(doc) + rng.choice(["", "", "}"])
+            expected = outcome(reference.parse_domain, doc)
+            assert outcome(parse_domain, doc) == expected, doc
+            if isinstance(expected, str):
+                kinds.update(kind for kind in self.KINDS if kind in expected)
+            else:
+                accepted += 1
+        assert all(kinds[kind] for kind in self.KINDS) and accepted, (kinds, accepted)
+
+    def test_first_fault_reported(self):
+        """A type fault after an overflow reports the overflow; an overflow after a type fault reports the type."""
+        ring = [[0, 0], [10, 0], [10, 10], [0, 10]]
+        cases = [
+            ({2: [LIMIT + 1, 10], 3: [True, 10]}, "outer: coordinate overflow at [536870913, 10]"),
+            ({2: [10, 10.0], 3: [-LIMIT - 1, 10]}, "outer: points must be [int, int] pairs, got [10, 10.0]"),
+            ({1: [11, 0], 2: [10, 10, 1]}, "outer: points must be [int, int] pairs, got [10, 10, 1]"),
+            ({0: [0, 1], 2: [10, 11]}, "outer: non-rectilinear edge (0, 2) -> (20, 0)"),
+            ({1: [0, 0], 2: [10, 11]}, "outer: zero-length edge at (0, 0)"),
+            ({3: [0, 2**70]}, f"outer: coordinate overflow at [0, {2**70}]"),
+        ]
+        for faults, message in cases:
+            doc = {"outer": [faults.get(i, p) for i, p in enumerate(ring)]}
+            assert outcome(parse_domain, doc) == outcome(reference.parse_domain, doc) == message
+
+    def test_coordinate_limit(self):
+        for value in (LIMIT, -LIMIT):
+            assert parse_domain({"outer": [[0, 0], [value, 0], [value, 10], [0, 10]]}).n == 4
+        for value in (LIMIT + 1, -LIMIT - 1):
+            with pytest.raises(InstanceFormatError, match=rf"^outer: coordinate overflow at \[{value}, 0\]$"):
+                parse_domain({"outer": [[0, 0], [value, 0], [value, 10], [0, 10]]})
 
 
 class TestValidate:

@@ -21,6 +21,7 @@ from rectilink import (
     parse_domain,
     run_verify,
 )
+from rectilink import graph as graph_module
 from rectilink.geometry import Orientation
 from rectilink.graph import (
     _level_search,
@@ -276,11 +277,12 @@ class TestAllPairsDerivation:
         assert 1 in [len(g.neighbours(v)) for v in range(g.nh, g.m)]
         assert np.array_equal(all_pairs(g), reference_table(g))
 
-    def test_independent_of_chunk(self, corpus):
-        # chunk=1 makes most CSR groups larger than the level search's 4 * chunk edge cap
-        for inst in corpus[:20]:
-            for chunk in (1, 3):
-                assert np.array_equal(all_pairs(inst.prep.graph, chunk=chunk), inst.prep.dm)
+    def test_independent_of_chunk(self, corpus, monkeypatch):
+        # CHUNK = 1 makes most CSR groups larger than the level search's 4 * CHUNK edge cap
+        for chunk in (1, 3):
+            monkeypatch.setattr(graph_module, "CHUNK", chunk)
+            for inst in corpus[:20]:
+                assert np.array_equal(all_pairs(inst.prep.graph), inst.prep.dm)
 
 
 def assert_reduceat_table(graph, dm=None):
@@ -346,21 +348,22 @@ class TestSearches:
 
     def test_generated(self, search, corpus, fixtures, grid60):
         for prep in [inst.prep for inst in corpus + fixtures] + grid60:
-            assert np.array_equal(_table(prep.graph, search, 256), reference_table(prep.graph))
+            assert np.array_equal(_table(prep.graph, search), reference_table(prep.graph))
 
     def test_staircases(self, search):
         for k in (1, 2, 3, 5, 8, 16, 64):
             g = staircase_graph(k)
-            assert np.array_equal(_table(g, search, 256), reference_table(g)), k
+            assert np.array_equal(_table(g, search), reference_table(g)), k
 
     @pytest.mark.parametrize("nh", [63, 64, 65, 128, 129])
-    def test_word_boundaries(self, search, nh):
+    def test_word_boundaries(self, search, nh, monkeypatch):
         for seed in range(3):
             g = graph_of(*ladder(nh, seed))
             assert g.nh == nh
             expected = reference_table(g)
             for chunk in (3, 256):
-                dm = _table(g, search, chunk)
+                monkeypatch.setattr(graph_module, "CHUNK", chunk)
+                dm = _table(g, search)
                 assert dm.dtype == np.uint16
                 assert np.array_equal(dm, expected), (seed, chunk)
 
