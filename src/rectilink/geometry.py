@@ -4,8 +4,11 @@ All coordinates are doubled on ingest, so midpoints of integer intervals
 (rectangle centers, middle segments) stay exact integers.  Everything in this
 package downstream of :func:`parse_domain` works in those doubled units.
 
-Each domain holds its boundary edges once, in :attr:`Domain.edge_table`,
-which :func:`validate` and both sweeps read.  One closed crossing test,
+A domain is one vertex array, every ring after the other, with the ring
+offsets beside it.  The parser checks each point's shape and type in one
+pass and everything else on the ring's array.  Each domain holds its
+boundary edges once, in :attr:`Domain.edge_table`, which :func:`validate`
+and both sweeps read.  One closed crossing test,
 :func:`crossings`, finds both the boundary edges that touch and the crossing
 graph's edges (:mod:`rectilink.graph`).
 """
@@ -121,12 +124,15 @@ def signed_area2(points: np.ndarray) -> int:
     return sum((x * np.roll(y, -1) - np.roll(x, -1) * y).tolist())
 
 
-def _is_point(item) -> bool:
-    return (
-        isinstance(item, (list, tuple))
-        and len(item) == 2
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in item)
-    )
+def _typed_prefix(obj) -> int:
+    """How many leading items of ``obj`` are ``[int, int]`` pairs, bools not counting as ints."""
+    for k, item in enumerate(obj):
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            return k
+        x, y = item
+        if not (isinstance(x, int) and isinstance(y, int)) or isinstance(x, bool) or isinstance(y, bool):
+            return k
+    return len(obj)
 
 
 def _parse_ring(obj, label: str) -> np.ndarray:
@@ -138,7 +144,7 @@ def _parse_ring(obj, label: str) -> np.ndarray:
     """
     if not isinstance(obj, (list, tuple)) or len(obj) < 3:
         raise InstanceFormatError(f"{label}: expected a list of at least 3 points")
-    typed = next((k for k, item in enumerate(obj) if not _is_point(item)), len(obj))
+    typed = _typed_prefix(obj)
     try:
         pts = np.array(obj[:typed], dtype=np.int64).reshape(-1, 2)
     except OverflowError:  # beyond int64: compared as Python integers

@@ -23,10 +23,10 @@ crossing rectangle pairs or ``None``:
 The decision is only valid when the oriented value is at least 4.  The one
 router, :func:`compute`, sends smaller values to :func:`small_case_fallback`
 (exact enumeration of overlay faces), builds the far relation once for the
-engine, and turns its decision into the result and witness points.  The
-overlay faces are one (chi, 4) box array, :func:`overlay_faces`, gathered
-from the graph's rectangle boxes by its edges: the fallback enumerates its
-rows, and every witness point is the centre of one of them.
+engine, and turns its decision into the result and witness points.  Every
+witness point is the centre of an overlay face, the intersection of the
+boxes of two crossing rectangles; the fallback enumerates all of them, one
+(chi, 4) box array from :func:`overlay_faces`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind
 
 _EDGE_CHUNK = 512
 _COLUMN_BLOCK = 16 * _EDGE_CHUNK  # edge columns packed at once by the edge-scans
+_FALLBACK_PAIRS = 1 << 20  # face pairs the fallback holds at once
 
 log = logging.getLogger("rectilink")
 
@@ -81,10 +82,14 @@ def overlay_faces(graph: OrientedGraph) -> np.ndarray:
     Face k is the intersection of the two rectangles of edge k, so the faces
     are in edge order.
     """
-    h, v = graph.boxes[graph.edges[:, 0]], graph.boxes[graph.edges[:, 1]]
-    faces = np.maximum(h, v)
-    np.minimum(h[:, 1::2], v[:, 1::2], out=faces[:, 1::2])
-    return faces
+    return _intersection(graph.boxes[graph.edges[:, 0]], graph.boxes[graph.edges[:, 1]])
+
+
+def _intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The intersections of the boxes ``a`` and ``b``, ``(xmin, xmax, ymin, ymax)`` along the last axis."""
+    box = np.maximum(a, b)
+    np.minimum(a[..., 1::2], b[..., 1::2], out=box[..., 1::2])
+    return box
 
 
 def _center(box: np.ndarray) -> Point:
@@ -334,43 +339,53 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
             log.debug("diameter fast: %d/%d store entries (H/V), %d rounds, %d pops", h.entries, v.entries, rounds, pops)
 
 
+def _face_rows(graph: OrientedGraph, dm: DistanceMatrix, rows: slice) -> np.ndarray:
+    """The faces ``rows`` against every face: four-way minima, 2 where two faces share a rectangle.
+
+    Face a's row is ``min(R[a, h_b], R[a, v_b])``, where ``R[a]`` is the
+    elementwise minimum of the ``dm`` rows of face a's two rectangles.
+    """
+    hs, vs = graph.edges[:, 0], graph.edges[:, 1]
+    h, v = hs[rows], vs[rows]
+    nearest = np.minimum(dm[h], dm[v])
+    values = np.minimum(nearest[:, hs], nearest[:, vs])
+    values[(h[:, None] == hs) | (v[:, None] == vs)] = 2
+    return values
+
+
 def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
     """Exact diameter or radius by enumerating overlay faces.
 
     Covers the small oriented values the engines cannot decide: each face
     contributes one representative; face pairs sharing a rectangle are capped
     at 2, others use the four-way minimum.  The enumeration is exact for any
-    oriented value, so no upper precondition is enforced.
+    oriented value, so no upper precondition is enforced.  Rows of face pairs
+    are reduced to their maxima about ``_FALLBACK_PAIRS`` pairs at a time;
+    the diameter's pair is the first maximum in row-major order.
     """
     if which not in ("diameter", "radius"):
         raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
     faces = overlay_faces(graph)
-    hs, vs = graph.edges[:, 0], graph.edges[:, 1]
-    values = np.minimum.reduce(
-        [
-            dm[np.ix_(hs, hs)],
-            dm[np.ix_(hs, vs)],
-            dm[np.ix_(vs, hs)],
-            dm[np.ix_(vs, vs)],
-        ]
-    ).astype(np.int64)
-    shared = (hs[:, None] == hs[None, :]) | (vs[:, None] == vs[None, :])
-    values[shared] = 2
+    step = max(1, _FALLBACK_PAIRS // len(faces))
+    ecc = np.concatenate(
+        [_face_rows(graph, dm, slice(a, a + step)).max(axis=1) for a in range(0, len(faces), step)]
+    )
 
     if which == "diameter":
-        flat = int(np.argmax(values))
-        a, b = divmod(flat, len(faces))
-        value = max(2, int(values[a, b]))
-        if a != b and not shared[a, b]:
+        a = int(np.argmax(ecc))
+        row = _face_rows(graph, dm, slice(a, a + 1))[0]
+        b = int(np.argmax(row))
+        value = max(2, int(row[b]))
+        (h, v), (hb, vb) = graph.edges[[a, b]].tolist()
+        if a != b and h != hb and v != vb:
             pair = (_center(faces[a]), _center(faces[b]))
-            witness = tuple(graph.edges[[a, b]].ravel().tolist())
+            witness = (h, v, hb, vb)
         else:
             biggest = int(np.argmax((faces[:, 1] - faces[:, 0]) * (faces[:, 3] - faces[:, 2])))
             pair = generic_pair_in_box(tuple(faces[biggest].tolist()))
             witness = tuple(graph.edges[biggest].tolist())
         return DiameterResult(value=value, pair=pair, witness_rects=witness, engine=FALLBACK)
 
-    ecc = values.max(axis=1)
     best = int(np.argmin(ecc))
     return RadiusResult(
         value=max(2, int(ecc[best])),
@@ -409,12 +424,11 @@ def compute(
         ("radius", MATMUL): radius_matmul,
     }[kind, algo]
     decision = engine(graph, dm >= oriented)
-    faces = overlay_faces(graph)
 
     def center(a: int, b: int | None = None) -> Point:
         """The centre of the face of edge (a, b), ``b`` by default ``a``'s lowest neighbour."""
-        h, v = sorted((a, int(graph.neighbours(a)[0]) if b is None else b))
-        return _center(faces[graph.indptr[h] + graph.neighbours(h).searchsorted(v)])
+        b = int(graph.neighbours(a)[0]) if b is None else b
+        return _center(_intersection(graph.boxes[a], graph.boxes[b]))
 
     if kind == "diameter":
         if decision is None:  # no witness quad: the far pair itself is at ordiam - 2

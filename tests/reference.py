@@ -1,20 +1,21 @@
 """Quadratic references that the tests compare the package against.
 
 Each is the direct, obviously correct phrasing of one decision the package
-makes faster: the parser one point and one edge at a time, the all-pairs table's min-plus step as one
-``np.minimum.reduceat`` over the CSR groups of a block of vertical
-rectangles, the middle segments and overlay faces one rectangle object
-at a time (and the crossing-store engine on those segments, with the store
-of segment objects and per-node ``SortedList``s it was written for),
-crossing of two middle segments, positive-area overlap of two rectangles,
-the crossing-graph edge list over all pairs, a report-and-remove
-store that scans every live segment, the edge-scan engines as boolean
-cover matrices, one byte per pair, the matmul engines as products of
-rows packed into Python integers, one set bit at a time, the domain
-validator as per-line pair loops and a dense horizontal-by-vertical contact
-matrix, and the cut-grid oracle as its inside flags from one loop over the
-ring edges and a fixpoint iteration of a turn-cost relaxation, one source at
-a time, with its faces merged by a union-find over grid runs.
+makes faster: the parser one point and one edge at a time, the all-pairs
+table's min-plus step as one ``np.minimum.reduceat`` over the CSR groups of
+a block of vertical rectangles, the middle segments and overlay faces one
+rectangle object at a time (and the crossing-store engine on those
+segments, with the store of segment objects and per-node ``SortedList``s it
+was written for), crossing of two middle segments, positive-area overlap of
+two rectangles, the crossing-graph edge list over all pairs, a
+report-and-remove store that scans every live segment, the edge-scan
+engines as boolean cover matrices, one byte per pair, the matmul engines as
+products of rows packed into Python integers, one set bit at a time, the
+fallback over every pair of faces at once, the domain validator as per-line
+pair loops and a dense horizontal-by-vertical contact matrix, and the
+cut-grid oracle as its inside flags from one loop over the ring edges and a
+fixpoint iteration of a turn-cost relaxation, one source at a time, with
+its faces merged by a union-find over grid runs.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 from sortedcontainers import SortedList
 
+from rectilink import metrics
+from rectilink.errors import InstanceFormatError, OutsidePointError, UnknownChoiceError
 from rectilink.geometry import COORD_LIMIT, SCALE, Domain, Orientation, Point, Rect, ValidationReport, blocks
-from rectilink.errors import InstanceFormatError, OutsidePointError
 from rectilink.graph import DistanceMatrix, OrientedGraph
+from rectilink.metrics import FALLBACK, DiameterResult, RadiusResult, _center, generic_pair_in_box
 from rectilink.oracle import GridModel, _OracleFace
 
 
@@ -536,6 +539,56 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray, rects) -> tuple[int, in
                     popped.append(seg)
             store.restore(popped)
     return None
+
+
+# The fallback as it enumerated every pair of faces at once, in chi x chi
+# arrays (``overlay_faces`` here is the package's).
+
+
+def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
+    """Exact diameter or radius by enumerating overlay faces.
+
+    Covers the small oriented values the engines cannot decide: each face
+    contributes one representative; face pairs sharing a rectangle are capped
+    at 2, others use the four-way minimum.  The enumeration is exact for any
+    oriented value, so no upper precondition is enforced.
+    """
+    if which not in ("diameter", "radius"):
+        raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
+    faces = metrics.overlay_faces(graph)
+    hs, vs = graph.edges[:, 0], graph.edges[:, 1]
+    values = np.minimum.reduce(
+        [
+            dm[np.ix_(hs, hs)],
+            dm[np.ix_(hs, vs)],
+            dm[np.ix_(vs, hs)],
+            dm[np.ix_(vs, vs)],
+        ]
+    ).astype(np.int64)
+    shared = (hs[:, None] == hs[None, :]) | (vs[:, None] == vs[None, :])
+    values[shared] = 2
+
+    if which == "diameter":
+        flat = int(np.argmax(values))
+        a, b = divmod(flat, len(faces))
+        value = max(2, int(values[a, b]))
+        if a != b and not shared[a, b]:
+            pair = (_center(faces[a]), _center(faces[b]))
+            witness = tuple(graph.edges[[a, b]].ravel().tolist())
+        else:
+            biggest = int(np.argmax((faces[:, 1] - faces[:, 0]) * (faces[:, 3] - faces[:, 2])))
+            pair = generic_pair_in_box(tuple(faces[biggest].tolist()))
+            witness = tuple(graph.edges[biggest].tolist())
+        return DiameterResult(value=value, pair=pair, witness_rects=witness, engine=FALLBACK)
+
+    ecc = values.max(axis=1)
+    best = int(np.argmin(ecc))
+    return RadiusResult(
+        value=max(2, int(ecc[best])),
+        center=_center(faces[best]),
+        witness=("face", tuple(graph.edges[best].tolist())),
+        engine=FALLBACK,
+    )
 
 
 def _point_in_ring(p: Point, ring: Ring) -> bool:

@@ -1,6 +1,7 @@
 """Point distance formula, the three engines, boolean products, fallback, witnesses."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,41 @@ class TestFallback:
     def test_unknown_target(self, square):
         with pytest.raises(ValueError):
             small_case_fallback(square.prep.graph, square.prep.dm, "girth")
+
+    @pytest.fixture(scope="class")
+    def cases(self, fixtures, corpus):
+        """Prepared instances and the chi x chi version's results on each, by (index, kind)."""
+        shapes = [(comb, range(1, 41)), (staircase, (1, 2, 3, 7, 20)), (perforated, (1, 2, 4, 9))]
+        preps = [inst.prep for inst in fixtures + corpus]
+        preps += [prepare(parse_domain(shape(k))) for shape, sizes in shapes for k in sizes]
+        expected = {
+            (k, which): reference.small_case_fallback(prep.graph, prep.dm, which)
+            for k, prep in enumerate(preps)
+            for which in ("diameter", "radius")
+        }
+        return preps, expected
+
+    @pytest.mark.parametrize("pairs", [1, 1000, rectilink.metrics._FALLBACK_PAIRS])
+    def test_matches_reference(self, pairs, cases, monkeypatch):
+        """Face rows in blocks of one row, of a few rows and of the default size give the chi x chi version's results."""
+        preps, expected = cases
+        monkeypatch.setattr(rectilink.metrics, "_FALLBACK_PAIRS", pairs)
+        for (k, which), result in expected.items():
+            assert small_case_fallback(preps[k].graph, preps[k].dm, which) == result, (k, which)
+        assert {len(r.witness_rects) for (_, which), r in expected.items() if which == "diameter"} == {2, 4}
+
+    def test_memory(self):
+        """comb(60) has chi = 3659: all face pairs at once took 230 MiB, and the table is 0.1 MiB."""
+        prep = prepare(parse_domain(comb(60)))
+        assert prep.graph.chi == 3659 and prep.summary.orrad < 4
+        for which in ("diameter", "radius"):
+            tracemalloc.start()
+            try:
+                small_case_fallback(prep.graph, prep.dm, which)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (which, peak)
 
     def test_routing(self, square, lshape, donut):
         res, routed = compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "fast")
