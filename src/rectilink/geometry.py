@@ -20,6 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -115,13 +116,14 @@ class ValidationReport:
 
 
 def signed_area2(points: np.ndarray) -> int:
-    """Twice the signed area of the ring through ``points`` (positive for counterclockwise), exactly.
+    """Twice the signed area of the ring through ``points``, positive for counterclockwise."""
+    (x, y), (nx, ny) = points.T, _next(points).T
+    return sum((x * ny - nx * y).tolist())  # each term fits int64; the sum, 2**63 for the largest square, does not
 
-    Each term fits int64 for coordinates within ``COORD_LIMIT``; their sum is
-    taken in Python integers.
-    """
-    x, y = points.T
-    return sum((x * np.roll(y, -1) - np.roll(x, -1) * y).tolist())
+
+def _next(points: np.ndarray) -> np.ndarray:
+    """Each vertex's successor along the ring."""
+    return np.concatenate((points[1:], points[:1]))
 
 
 def _typed_prefix(obj) -> int:
@@ -138,21 +140,18 @@ def _typed_prefix(obj) -> int:
 def _parse_ring(obj, label: str) -> np.ndarray:
     """One ring's vertices as a (k, 2) int64 array in doubled coordinates.
 
-    The points are checked for shape and type in one pass, the rest on the
-    array.  The first point with a type or overflow fault is reported, then
-    the first bad edge in edge order.
+    Reports the first point with a type or overflow fault, then the first bad edge in edge order.
     """
     if not isinstance(obj, (list, tuple)) or len(obj) < 3:
         raise InstanceFormatError(f"{label}: expected a list of at least 3 points")
     typed = _typed_prefix(obj)
     try:
-        pts = np.array(obj[:typed], dtype=np.int64).reshape(-1, 2)
+        pts = np.fromiter(chain.from_iterable(obj[:typed]), dtype=np.int64, count=2 * typed).reshape(-1, 2)
     except OverflowError:  # beyond int64: compared as Python integers
         pts = np.array(obj[:typed], dtype=object).reshape(-1, 2)
     limit = COORD_LIMIT // SCALE
-    over = ((pts > limit) | (pts < -limit)).any(axis=1)
-    if over.any():
-        raise InstanceFormatError(f"{label}: coordinate overflow at {obj[int(over.argmax())]!r}")
+    if (over := (pts > limit) | (pts < -limit)).any():
+        raise InstanceFormatError(f"{label}: coordinate overflow at {obj[int(over.any(axis=1).argmax())]!r}")
     if typed < len(obj):
         raise InstanceFormatError(f"{label}: points must be [int, int] pairs, got {obj[typed]!r}")
     pts = pts * SCALE
@@ -160,13 +159,12 @@ def _parse_ring(obj, label: str) -> np.ndarray:
         pts = pts[:-1]
     if len(pts) < 4:
         raise InstanceFormatError(f"{label}: a rectilinear ring needs at least 4 vertices")
-    nxt = np.roll(pts, -1, axis=0)
+    nxt = _next(pts)
     same = pts == nxt
-    zero, skew = same.all(axis=1), ~same.any(axis=1)
-    if (bad := zero | skew).any():
+    if (bad := same[:, 0] == same[:, 1]).any():  # a zero-length edge keeps both coordinates, a diagonal one neither
         k = int(bad.argmax())
         p, q = tuple(pts[k].tolist()), tuple(nxt[k].tolist())
-        if zero[k]:
+        if same[k, 0]:
             raise InstanceFormatError(f"{label}: zero-length edge at {p}")
         raise InstanceFormatError(f"{label}: non-rectilinear edge {p} -> {q}")
     return pts

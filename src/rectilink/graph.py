@@ -156,9 +156,7 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
 # benchmark workload exercises yet, so it has been fitted on generated
 # domains and on staircase corridors built in the tests alone.
 LEVEL_SEARCH_K = 128
-# Sources per scipy search, edges gathered per block (4 * CHUNK of W words) in
-# the level search, and rows decoded at once.
-CHUNK = 256
+CHUNK = 256  # sources per scipy search, rows decoded at once, a quarter of the edges per level-search block
 
 def _source_search(graph: OrientedGraph, dm: DistanceMatrix) -> None:
     """Fill ``dm[:nh]`` and ``dm[:, :nh]`` by a scipy search from each horizontal source.

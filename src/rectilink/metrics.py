@@ -82,14 +82,10 @@ def overlay_faces(graph: OrientedGraph) -> np.ndarray:
     Face k is the intersection of the two rectangles of edge k, so the faces
     are in edge order.
     """
-    return _intersection(graph.boxes[graph.edges[:, 0]], graph.boxes[graph.edges[:, 1]])
-
-
-def _intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The intersections of the boxes ``a`` and ``b``, ``(xmin, xmax, ymin, ymax)`` along the last axis."""
-    box = np.maximum(a, b)
-    np.minimum(a[..., 1::2], b[..., 1::2], out=box[..., 1::2])
-    return box
+    h, v = graph.boxes[graph.edges[:, 0]], graph.boxes[graph.edges[:, 1]]
+    faces = np.maximum(h, v)
+    np.minimum(h[:, 1::2], v[:, 1::2], out=faces[:, 1::2])
+    return faces
 
 
 def _center(box: np.ndarray) -> Point:
@@ -342,8 +338,7 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
 def _face_rows(graph: OrientedGraph, dm: DistanceMatrix, rows: slice) -> np.ndarray:
     """The faces ``rows`` against every face: four-way minima, 2 where two faces share a rectangle.
 
-    Face a's row is ``min(R[a, h_b], R[a, v_b])``, where ``R[a]`` is the
-    elementwise minimum of the ``dm`` rows of face a's two rectangles.
+    Face a's row is ``min(R[a, h_b], R[a, v_b])``, ``R[a]`` the minimum of the ``dm`` rows of its rectangles.
     """
     hs, vs = graph.edges[:, 0], graph.edges[:, 1]
     h, v = hs[rows], vs[rows]
@@ -367,9 +362,7 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
         raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
     faces = overlay_faces(graph)
     step = max(1, _FALLBACK_PAIRS // len(faces))
-    ecc = np.concatenate(
-        [_face_rows(graph, dm, slice(a, a + step)).max(axis=1) for a in range(0, len(faces), step)]
-    )
+    ecc = np.concatenate([_face_rows(graph, dm, slice(a, a + step)).max(axis=1) for a in range(0, len(faces), step)])
 
     if which == "diameter":
         a = int(np.argmax(ecc))
@@ -427,8 +420,9 @@ def compute(
 
     def center(a: int, b: int | None = None) -> Point:
         """The centre of the face of edge (a, b), ``b`` by default ``a``'s lowest neighbour."""
-        b = int(graph.neighbours(a)[0]) if b is None else b
-        return _center(_intersection(graph.boxes[a], graph.boxes[b]))
+        boxes = graph.boxes[[a, int(graph.neighbours(a)[0]) if b is None else b]]
+        low, high = boxes[:, ::2].max(axis=0), boxes[:, 1::2].min(axis=0)  # the face's (xmin, ymin), (xmax, ymax)
+        return tuple(((low + high) // 2).tolist())
 
     if kind == "diameter":
         if decision is None:  # no witness quad: the far pair itself is at ordiam - 2

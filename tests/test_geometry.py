@@ -109,9 +109,8 @@ class TestParse:
     def test_edge_table(self, fixtures, corpus):
         """One row per directed edge, ``(ring, index, p, q)``, as the ring objects list them."""
         for domain in [inst.domain for inst in fixtures + corpus] + [parse_domain(comb(3))]:
-            expected = [
-                [ri, k, *p, *q] for ri, ring in enumerate(reference.rings(domain)) for k, (p, q) in enumerate(ring.edges())
-            ]
+            rings = enumerate(reference.rings(domain))
+            expected = [[ri, k, *p, *q] for ri, ring in rings for k, (p, q) in enumerate(ring.edges())]
             assert domain.edge_table.tolist() == expected
             assert not domain.edge_table.flags.writeable
 

@@ -2,7 +2,9 @@
 
 Swapping x and y, negating x, translating, and any strictly increasing map
 of each axis leave the diameter and the radius unchanged, whatever engine
-computes them.  The increasing map spreads each axis onto exactly
+computes them, and the oriented diameter and radius of the distance table:
+a swap exchanges the H and V decompositions, so the table's vertical block
+is checked against its mirror image.  The increasing map spreads each axis onto exactly
 ``[-LIMIT, LIMIT]``, the largest coordinates the parser accepts, so these
 checks also cover the edge of the input range on instances too large for
 the oracle.
@@ -30,7 +32,7 @@ def transform(instance: dict, fx, fy, swap: bool = False) -> dict:
 
 
 def spread(rng: random.Random, values) -> dict:
-    """A random strictly increasing map of ``values`` onto integers, the least at ``-LIMIT`` and the greatest at ``LIMIT``."""
+    """A random strictly increasing map of ``values`` onto integers from ``-LIMIT`` to ``LIMIT``, both reached."""
     values = sorted(set(values))
     inner = sorted(rng.sample(range(-LIMIT + 1, LIMIT), len(values) - 2))
     return dict(zip(values, [-LIMIT, *inner, LIMIT]))
@@ -50,9 +52,10 @@ def variants(instance: dict, seed: int) -> dict:
 
 
 def values(instance: dict) -> dict:
-    """Every engine's diameter and radius value."""
+    """Every engine's diameter and radius value, and the oriented diameter and radius."""
     prep = prepare(parse_domain(instance))
-    return {(kind, algo): solve(kind, algo, prep).result.value for kind, algos in ALGOS.items() for algo in algos}
+    out = {(kind, algo): solve(kind, algo, prep).result.value for kind, algos in ALGOS.items() for algo in algos}
+    return out | {"ordiam": prep.summary.ordiam, "orrad": prep.summary.orrad}
 
 
 def generated(size: int, seed: int) -> dict:
@@ -60,7 +63,9 @@ def generated(size: int, seed: int) -> dict:
     return domain_to_instance(gen_domain(params))
 
 
-@pytest.mark.parametrize("size, seed", [(40, 1000), (40, 1001), (120, 1005)], ids=["grid40-1000", "grid40-1001", "grid120-1005"])
+@pytest.mark.parametrize(
+    "size, seed", [(40, 1000), (40, 1001), (120, 1005)], ids=["grid40-1000", "grid40-1001", "grid120-1005"]
+)
 def test_values_invariant(size, seed):
     instance = generated(size, seed)
     expected = values(instance)
