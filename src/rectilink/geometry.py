@@ -117,13 +117,8 @@ class ValidationReport:
 
 def signed_area2(points: np.ndarray) -> int:
     """Twice the signed area of the ring through ``points``, positive for counterclockwise."""
-    (x, y), (nx, ny) = points.T, _next(points).T
+    (x, y), (nx, ny) = points.T, np.concatenate((points[1:], points[:1])).T
     return sum((x * ny - nx * y).tolist())  # each term fits int64; the sum, 2**63 for the largest square, does not
-
-
-def _next(points: np.ndarray) -> np.ndarray:
-    """Each vertex's successor along the ring."""
-    return np.concatenate((points[1:], points[:1]))
 
 
 def _typed_prefix(obj) -> int:
@@ -159,7 +154,7 @@ def _parse_ring(obj, label: str) -> np.ndarray:
         pts = pts[:-1]
     if len(pts) < 4:
         raise InstanceFormatError(f"{label}: a rectilinear ring needs at least 4 vertices")
-    nxt = _next(pts)
+    nxt = np.concatenate((pts[1:], pts[:1]))  # each vertex's successor
     same = pts == nxt
     if (bad := same[:, 0] == same[:, 1]).any():  # a zero-length edge keeps both coordinates, a diagonal one neither
         k = int(bad.argmax())
