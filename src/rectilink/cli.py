@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import statistics
 import sys
 import time
@@ -211,8 +212,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="link distance between two points")
     p.add_argument("instance")
-    p.add_argument("--p", required=True, help="first point as X,Y (0.5 steps allowed)")
-    p.add_argument("--q", required=True, help="second point as X,Y")
+    p.add_argument(
+        "--p", required=True, help="first point as X,Y (0.5 steps allowed); a negative X needs the form --p=-3.5,2"
+    )
+    p.add_argument("--q", required=True, help="second point as X,Y; a negative X needs the form --q=-3.5,2")
     p.add_argument("--oracle", action="store_true", help="use the grid oracle instead of the formula")
     p.set_defaults(func=_cmd_dist)
 
@@ -260,9 +263,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, inside the try
+        return code
     except RectilinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again (the
+        # recipe in the Python ``signal`` documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

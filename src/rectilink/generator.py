@@ -6,6 +6,14 @@ moved to its own coordinate (grid line ``i`` maps to ``i * scale`` plus a
 distinct per-edge offset below ``scale / 2``), which preserves the cell
 topology while guaranteeing that no two vertices share a coordinate unless an
 edge joins them.
+
+A domain is a function of its parameters only through the ``rng`` calls, so
+any change here keeps the same ``rng`` calls in the same order with the same
+arguments; then every seed gives the same domain as before.  The mask steps
+work on whole arrays: growth runs on a mask with a one-cell empty border, so
+no neighbour test needs a bounds check; connectivity and the filling of
+enclosed regions share one flood fill over a flat list; hole seeds and hole
+growth read one ``room`` mask per attempt, built from 3x3 sliding windows.
 """
 
 from __future__ import annotations
@@ -14,8 +22,11 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Domain, parse_domain, signed_area2, validate
+
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -36,16 +47,11 @@ class GenParams:
             raise ValueError("hole count must be non-negative")
 
 
-def _creates_pinch(mask: np.ndarray, y: int, x: int) -> bool:
-    """Would setting (y, x) create a diagonal-contact 2x2 block?"""
-    nrows, ncols = mask.shape
-
-    def on(yy, xx):
-        return 0 <= yy < nrows and 0 <= xx < ncols and mask[yy, xx]
-
+def _creates_pinch(mask, y: int, x: int) -> bool:
+    """Would setting (y, x), a cell off the mask's border, create a diagonal-contact 2x2 block?"""
     for dy in (-1, 1):
         for dx in (-1, 1):
-            if on(y + dy, x + dx) and not on(y + dy, x) and not on(y, x + dx):
+            if mask[y + dy][x + dx] and not mask[y + dy][x] and not mask[y][x + dx]:
                 return True
     return False
 
@@ -54,16 +60,16 @@ def _grow_polyomino(rng: random.Random, width: int, height: int, cells: int) -> 
     """Tendril-biased random growth: cells touching one inside cell are added
     freely, blob-forming adds happen rarely, so the boundary stays ragged and
     the vertex count grows with the area."""
-    mask = np.zeros((height, width), dtype=bool)
-    start = (rng.randrange(height), rng.randrange(width))
-    mask[start] = True
+    mask = [[False] * (width + 2) for _ in range(height + 2)]  # one empty cell of border all round
+    start = (rng.randrange(height) + 1, rng.randrange(width) + 1)
+    mask[start[0]][start[1]] = True
     frontier = []
     deferred = []
 
     def push_neighbors(y, x):
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        for dy, dx in _STEPS:
             yy, xx = y + dy, x + dx
-            if 0 <= yy < height and 0 <= xx < width and not mask[yy, xx]:
+            if 1 <= yy <= height and 1 <= xx <= width and not mask[yy][xx]:
                 frontier.append((yy, xx))
 
     push_neighbors(*start)
@@ -79,24 +85,39 @@ def _grow_polyomino(rng: random.Random, width: int, height: int, cells: int) -> 
             frontier, deferred = deferred, []
             added_this_pass = False
         y, x = frontier.pop(rng.randrange(len(frontier)))
-        if mask[y, x]:
+        if mask[y][x]:
             continue
         if _creates_pinch(mask, y, x):
             deferred.append((y, x))
             continue
-        touch = sum(
-            1
-            for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            if 0 <= y + dy < height and 0 <= x + dx < width and mask[y + dy, x + dx]
-        )
+        touch = mask[y + 1][x] + mask[y - 1][x] + mask[y][x + 1] + mask[y][x - 1]
         if touch >= 2 and not accept_all and rng.random() >= 0.08:
             deferred.append((y, x))
             continue
-        mask[y, x] = True
+        mask[y][x] = True
         count += 1
         added_this_pass = True
         push_neighbors(y, x)
-    return mask
+    return np.array(mask)[1:-1, 1:-1]
+
+
+def _flood(free: np.ndarray, start: int) -> np.ndarray:
+    """The cells of ``free`` that no 4-neighbour path through ``free`` joins to
+    the cell at flat index ``start``.
+
+    The border of ``free`` must be empty, so no neighbour index leaves the array.
+    """
+    width = free.shape[1]
+    left = free.ravel().tolist()
+    left[start] = False
+    stack = [int(start)]
+    while stack:
+        i = stack.pop()
+        for j in (i - width, i - 1, i + 1, i + width):
+            if left[j]:
+                left[j] = False
+                stack.append(j)
+    return np.array(left).reshape(free.shape)
 
 
 def _fill_enclosed(mask: np.ndarray, keep: np.ndarray | None = None) -> bool:
@@ -105,21 +126,10 @@ def _fill_enclosed(mask: np.ndarray, keep: np.ndarray | None = None) -> bool:
     Cells flagged in ``keep`` (already punched holes) are never filled.
     """
     nrows, ncols = mask.shape
-    outside = np.zeros_like(mask)
-    stack = []
-    for y in range(nrows):
-        for x in range(ncols):
-            if (y in (0, nrows - 1) or x in (0, ncols - 1)) and not mask[y, x]:
-                stack.append((y, x))
-                outside[y, x] = True
-    while stack:
-        y, x = stack.pop()
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            yy, xx = y + dy, x + dx
-            if 0 <= yy < nrows and 0 <= xx < ncols and not mask[yy, xx] and not outside[yy, xx]:
-                outside[yy, xx] = True
-                stack.append((yy, xx))
-    enclosed = ~mask & ~outside
+    free = np.zeros((nrows + 4, ncols + 4), dtype=bool)
+    free[1:-1, 1:-1] = True  # a ring of outside cells, joined to every empty border cell
+    free[2:-2, 2:-2] = ~mask
+    enclosed = _flood(free, free.shape[1] + 1)[2:-2, 2:-2]
     if keep is not None:
         enclosed &= ~keep
     if enclosed.any():
@@ -129,94 +139,68 @@ def _fill_enclosed(mask: np.ndarray, keep: np.ndarray | None = None) -> bool:
 
 
 def _repair_pinches(mask: np.ndarray) -> bool:
+    a, b, c, d = mask[:-1, :-1], mask[:-1, 1:], mask[1:, :-1], mask[1:, 1:]  # views: writes reach mask
     changed = False
     while True:
-        a = mask[:-1, :-1]
-        b = mask[:-1, 1:]
-        c = mask[1:, :-1]
-        d = mask[1:, 1:]
         bad1 = a & d & ~b & ~c
         bad2 = b & c & ~a & ~d
         if not bad1.any() and not bad2.any():
             return changed
         changed = True
-        ys, xs = np.nonzero(bad1)
-        for y, x in zip(ys, xs):
-            mask[y, x + 1] = True
-        ys, xs = np.nonzero(bad2)
-        for y, x in zip(ys, xs):
-            mask[y, x] = True
+        b |= bad1
+        a |= bad2
+
+
+def _settle(mask: np.ndarray, keep: np.ndarray | None = None) -> None:
+    """Fill enclosed regions and repair pinches until neither changes the mask."""
+    while _fill_enclosed(mask, keep) | _repair_pinches(mask):  # `|`: both run every round
+        pass
 
 
 def _connected(mask: np.ndarray) -> bool:
-    total = int(mask.sum())
-    if total == 0:
-        return False
-    ys, xs = np.nonzero(mask)
-    seen = np.zeros_like(mask)
-    stack = [(int(ys[0]), int(xs[0]))]
-    seen[stack[0]] = True
-    reached = 0
-    nrows, ncols = mask.shape
-    while stack:
-        y, x = stack.pop()
-        reached += 1
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            yy, xx = y + dy, x + dx
-            if 0 <= yy < nrows and 0 <= xx < ncols and mask[yy, xx] and not seen[yy, xx]:
-                seen[yy, xx] = True
-                stack.append((yy, xx))
-    return reached == total
+    free = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    free[1:-1, 1:-1] = mask
+    cells = np.flatnonzero(free)
+    return cells.size > 0 and not _flood(free, cells[0]).any()
+
+
+def _room(mask: np.ndarray, reserved: np.ndarray) -> np.ndarray:
+    """Interior cells whose 3x3 block lies in ``mask`` and holds no ``reserved`` cell."""
+    room = np.zeros_like(mask)
+    if min(mask.shape) >= 3:
+        inside = sliding_window_view(mask, (3, 3)).all(axis=(2, 3))
+        clear = ~sliding_window_view(reserved, (3, 3)).any(axis=(2, 3))
+        room[1:-1, 1:-1] = inside & clear
+    return room
 
 
 def _punch_holes(rng: random.Random, mask: np.ndarray, holes: int, attempts: int = 60):
     """Remove small polyominoes strictly interior to the mask, non-touching."""
-    nrows, ncols = mask.shape
     reserved = np.zeros_like(mask)  # hole cells plus their 8-rings
     punched = np.zeros_like(mask)  # hole cells only: never refilled
 
-    def deep_inside(y, x):
-        if not (1 <= y < nrows - 1 and 1 <= x < ncols - 1):
-            return False
-        return bool(mask[y - 1 : y + 2, x - 1 : x + 2].all())
-
-    def eligible_seeds():
-        return [
-            (y, x)
-            for y in range(nrows)
-            for x in range(ncols)
-            if deep_inside(y, x) and not reserved[y - 1 : y + 2, x - 1 : x + 2].any()
-        ]
-
     def thicken() -> bool:
         """Add a 5x5 patch (sparing punched cells) so a hole has room."""
-        spots = [
-            (y, x)
-            for y in range(2, nrows - 2)
-            for x in range(2, ncols - 2)
-            if mask[y, x]
-        ]
-        if not spots:
+        spots = np.argwhere(mask[2:-2, 2:-2]) + 2
+        if not len(spots):
             return False
         y, x = spots[rng.randrange(len(spots))]
-        block = np.zeros_like(mask)
-        block[y - 2 : y + 3, x - 2 : x + 3] = True
-        mask[:] = mask | (block & ~punched)
-        while True:
-            changed = _fill_enclosed(mask, keep=punched)
-            changed |= _repair_pinches(mask)
-            if not changed:
-                return True
+        block = np.s_[y - 2 : y + 3, x - 2 : x + 3]
+        mask[block] |= ~punched[block]
+        _settle(mask, punched)
+        return True
 
     for hole_index in range(holes):
         placed = False
         for _ in range(attempts):
-            seeds = eligible_seeds()
-            if not seeds:
+            # Neither mask nor reserved changes within an attempt, so one room mask serves it.
+            room = _room(mask, reserved)
+            seeds = np.argwhere(room)
+            if not len(seeds):
                 if not thicken():
                     break
                 continue
-            seed = seeds[rng.randrange(len(seeds))]
+            seed = tuple(seeds[rng.randrange(len(seeds))].tolist())
             goal = rng.randint(1, 4)
             hole = np.zeros_like(mask)
             hole[seed] = True
@@ -224,14 +208,9 @@ def _punch_holes(rng: random.Random, mask: np.ndarray, holes: int, attempts: int
             while len(cells) < goal:
                 options = []
                 for y, x in cells:
-                    for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    for dy, dx in _STEPS:
                         yy, xx = y + dy, x + dx
-                        if (
-                            deep_inside(yy, xx)
-                            and not hole[yy, xx]
-                            and not reserved[yy - 1 : yy + 2, xx - 1 : xx + 2].any()
-                            and not _creates_pinch(hole, yy, xx)
-                        ):
+                        if room[yy, xx] and not hole[yy, xx] and not _creates_pinch(hole, yy, xx):
                             options.append((yy, xx))
                 if not options:
                     break
@@ -242,8 +221,7 @@ def _punch_holes(rng: random.Random, mask: np.ndarray, holes: int, attempts: int
             if _connected(candidate):
                 mask[:] = candidate
                 punched |= hole
-                ys, xs = np.nonzero(hole)
-                for y, x in zip(ys, xs):
+                for y, x in cells:
                     reserved[y - 1 : y + 2, x - 1 : x + 2] = True
                 placed = True
                 break
@@ -353,11 +331,7 @@ def gen_domain(params: GenParams) -> Domain:
     params.check()
     rng = random.Random(params.seed)
     mask = _grow_polyomino(rng, params.width, params.height, params.cells)
-    while True:
-        changed = _fill_enclosed(mask)
-        changed |= _repair_pinches(mask)
-        if not changed:
-            break
+    _settle(mask)
     if params.holes:
         _punch_holes(rng, mask, params.holes)
     rings = _extract_rings(mask)

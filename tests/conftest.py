@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -69,28 +69,30 @@ def fixtures(square, lshape, donut) -> list[Instance]:
     return [square, lshape, donut]
 
 
-def corpus_domain(k: int) -> tuple[str, Domain]:
-    """Deterministic corpus member: grids 3..12, holes up to 3.
-
-    Hole placement can be infeasible on ragged small masks; holes are reduced
-    until generation succeeds, keeping the corpus deterministic.
-    """
+def corpus_params(k: int) -> GenParams:
+    """The first parameters tried for corpus member ``k``: grids 3..12, holes up to 3."""
     width = 3 + (7 * k) % 10
     height = 3 + (5 * k + 2) % 10
     fill = 0.45 + 0.12 * (k % 5)
     cells = max(1, min(width * height, int(width * height * fill)))
-    holes = k % 4
-    seed = 10_000 + k
+    return GenParams(width=width, height=height, cells=cells, holes=k % 4, seed=10_000 + k)
+
+
+def corpus_domain(k: int) -> tuple[str, Domain]:
+    """Deterministic corpus member.
+
+    Hole placement can be infeasible on ragged small masks; holes are reduced
+    until generation succeeds, keeping the corpus deterministic.
+    """
+    params = corpus_params(k)
     while True:
         try:
-            domain = gen_domain(
-                GenParams(width=width, height=height, cells=cells, holes=holes, seed=seed)
-            )
-            return (f"gen-{k}-w{width}h{height}c{cells}x{holes}", domain)
+            domain = gen_domain(params)
+            return (f"gen-{k}-w{params.width}h{params.height}c{params.cells}x{params.holes}", domain)
         except ValueError:
-            if holes == 0:
+            if params.holes == 0:
                 raise
-            holes -= 1
+            params = replace(params, holes=params.holes - 1)
 
 
 def staircase(k: int) -> dict:

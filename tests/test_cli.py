@@ -1,10 +1,14 @@
 """CLI surface: commands, JSON schemas, exit codes, SVG output."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rectilink
 from rectilink import GenParams, domain_to_instance, gen_domain, geometry, parse_domain, render_svg
 from rectilink.cli import _build_parser, main
 from rectilink.metrics import DIAMETER_ALGOS, ORACLE, RADIUS_ALGOS
@@ -92,6 +96,16 @@ class TestCommands:
     def test_dist_oracle_flag(self, capsys, files):
         code, out = run(capsys, "dist", files["donut"], "--p", "7,3", "--q", "7,11", "--oracle")
         assert code == 0 and json.loads(out)["value"] == 3
+
+    def test_dist_negative_x(self, capsys, tmp_path):
+        """A negative X needs the ``--p=X,Y`` form: argparse reads ``--p -3.5,2`` as an option."""
+        path = tmp_path / "west.json"
+        path.write_text(json.dumps({"outer": [[-10, 0], [0, 0], [0, 10], [-10, 10]]}))
+        code, out = run(capsys, "dist", str(path), "--p=-3.5,2", "--q=-1,7")
+        assert code == 0 and json.loads(out) == {"value": 2, "p": [-3.5, 2], "q": [-1, 7], "engine": "formula"}
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", str(path), "--p", "-3.5,2", "--q=-1,7"])
+        assert exc.value.code == 2
 
     def test_dist_half_units(self, capsys, files):
         code, out = run(capsys, "dist", files["square"], "--p", "0.5,0.5", "--q", "0.5,7")
@@ -198,6 +212,41 @@ class TestErrors:
     def test_bench_reps_below_one(self, capsys, files):
         for reps in ("0", "-1"):
             self.assert_clean_failure(capsys, ["bench", files["donut"], "--reps", reps])
+
+
+def _python(*args, **kwargs) -> subprocess.Popen:
+    """A fresh interpreter that imports the package from this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(rectilink.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    return subprocess.Popen([sys.executable, *args], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+class TestProcess:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--width", "8", "--height", "8", "--cells", "30", "--seed", "1"],
+            ["dist", "donut", "--p", "7,3", "--q", "7,11"],
+            ["render", "donut"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_reader(self, files, argv):
+        """A reader that closes the pipe at once ends the command with exit 1 and no traceback."""
+        argv = [files.get(arg, arg) for arg in argv]
+        proc = _python("-m", "rectilink.cli", *argv, stdout=subprocess.PIPE)
+        proc.stdout.close()  # long before the command, still importing, writes
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
+    def test_import_leaves_out_ndimage(self):
+        """``scipy.ndimage`` costs import time and memory on every command; the CLI needs none of it."""
+        proc = _python("-c", "import sys, rectilink.cli; print('scipy.ndimage' in sys.modules)", stdout=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out.decode().strip() == "False"
 
 
 class TestByteStability:
