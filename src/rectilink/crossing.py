@@ -1,19 +1,22 @@
 """Report-and-remove store for orthogonal segment crossing queries.
 
 A store holds rows ``(fixed, lo, hi)`` of ``graph.mids``, row k owned by
-``first + k``.  ``pop_crossing`` takes a segment of the opposite axis,
-returns the owners of every live stored segment crossing it (closed
-intervals on both sides), sorted by (fixed, owner), and removes them, so each
-is reported at most once until ``restore`` puts it back.  ``diameter_fast``
-builds one store per axis with ``reset`` and restores what each round popped.
+``first + k``, and is used in rounds.  ``pop_crossing`` takes a segment of
+the opposite axis, returns the owners of every live stored segment crossing
+it (closed intervals on both sides), sorted by (fixed, owner), and removes
+them, so each is reported at most once a round.  ``restore`` ends the round
+in constant time: every segment is live again.  ``diameter_fast`` builds one
+store per axis with ``reset`` and ends each of its rounds with ``restore``.
 
 It is a segment tree over the endpoint coordinates.  ``reset`` finds all
 canonical cover nodes in one vectorised loop over the levels and sorts the
 (node, fixed, owner) entries into CSR node groups.  A query bisects the group
-of each node on its fixed coordinate's root-to-leaf path.  A popped owner is
-dead; next-alive pointers skip its entries, so a round passes each dead
-entry once.  Pops run in Python on lists made once from the arrays, as a
-round makes few of them, each cheaper than one numpy call.
+of each node on its fixed coordinate's root-to-leaf path.  Segments popped
+this round are dead, and next-alive pointers set this round skip their
+entries, so a round passes each dead entry once.  Both carry the round they
+were set in, so a new round makes them stale without touching them.  Pops
+run in Python on lists made once from the arrays, as a round makes few of
+them, each cheaper than one numpy call.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ class CrossingStore:
     """Segment tree over the interval axis whose nodes hold their segments sorted by (fixed, owner).
 
     Segments are numbered by rank in (fixed, owner) order: ``_owner[r]`` and
-    ``_alive[r]`` belong to rank r.  Node v's entries are ``_start[v] :
-    _start[v + 1]`` of ``_fixed`` and ``_rank``.  ``_next[e]`` is e, or an
-    entry after e such that every entry from e up to it has a dead owner;
-    ``_moved`` holds every entry whose pointer is not itself.  ``entries``,
-    ``pops`` and ``rounds`` count the stored (node, segment) pairs, the
-    segments popped and the restores.
+    ``_dead[r]``, the round in which r was last popped, belong to rank r.
+    Node v's entries are ``_start[v] : _start[v + 1]`` of ``_fixed`` and
+    ``_rank``.  ``_next[e]`` counts only if ``_passed[e]``, the round in
+    which it was set, is the current one; then every entry from e up to
+    ``_next[e]`` has a rank popped this round.  ``entries``, ``pops`` and
+    ``rounds`` count the stored (node, segment) pairs, the segments popped
+    and the rounds ended.
     """
 
     @classmethod
@@ -73,36 +77,15 @@ class CrossingStore:
         store._fixed = fixed[order[rank]].tolist()
         store._rank = rank.tolist()
         store._owner = (order + first).tolist()
-        rank_of = np.empty_like(order)
-        rank_of[order] = np.arange(len(order))
-        store._rank_of = rank_of.tolist()
-        store._first = first
-        store._alive = [True] * len(order)
-        store._live = len(order)
-        store._next = list(range(len(rank) + 1))
-        store._moved = []
+        store._dead = [-1] * len(order)
+        store._next = [0] * len(rank)
+        store._passed = [-1] * len(rank)
         store.entries, store.pops, store.rounds = len(rank), 0, 0
         return store
 
-    def __len__(self) -> int:
-        return self._live
-
-    def restore(self, owners) -> None:
-        """Make the popped ``owners`` live again, so that queries report them again."""
-        nxt = self._next
-        for e in self._moved:  # no pointer may pass over an entry that comes back
-            nxt[e] = e
-        self._moved = []
+    def restore(self) -> None:
+        """End the round: every segment popped in it is live again."""
         self.rounds += 1
-        alive, rank_of = self._alive, self._rank_of
-        for owner in owners:
-            k = owner - self._first
-            if not 0 <= k < len(rank_of):
-                raise ValueError(f"owner {owner} is not one the store was built over")
-            if alive[rank_of[k]]:
-                raise ValueError(f"duplicate owner id {owner}: it is live")
-            alive[rank_of[k]] = True
-            self._live += 1
 
     def pop_crossing(self, fixed: int, lo: int, hi: int) -> list[int]:
         """Return, sorted by (fixed, owner), and remove the owners of every live segment crossing ``(fixed, lo, hi)``."""
@@ -111,28 +94,29 @@ class CrossingStore:
             return []
         pos = bisect_left(coords, fixed)
         node = 2 * pos - (coords[pos] != fixed) + self._size
-        start, keys, ranks, nxt, alive = self._start, self._fixed, self._rank, self._next, self._alive
+        start, keys, ranks, nxt, passed, dead = self._start, self._fixed, self._rank, self._next, self._passed, self._dead
+        now = self.rounds
         found = []
         while node:
             a, b = start[node], start[node + 1]
             e = bisect_left(keys, lo, a, b)
             stop = bisect_right(keys, hi, e, b)
             if e < stop:
-                passed = []
+                walked = []
                 while e < stop:
-                    f = nxt[e]
-                    if f == e:
-                        if alive[ranks[e]]:
-                            alive[ranks[e]] = False
-                            found.append(ranks[e])
-                        f = e + 1
-                    passed.append(e)
-                    e = f
-                for p in passed:  # every entry from p up to e is dead now
+                    walked.append(e)
+                    if passed[e] == now:
+                        e = nxt[e]
+                    else:
+                        r = ranks[e]
+                        if dead[r] != now:
+                            dead[r] = now
+                            found.append(r)
+                        e += 1
+                for p in walked:  # every entry from p up to e was popped this round
                     nxt[p] = e
-                self._moved += passed
+                    passed[p] = now
             node >>= 1
-        self._live -= len(found)
         self.pops += len(found)
         found.sort()
         owner = self._owner

@@ -316,14 +316,17 @@ def all_pairs(graph: OrientedGraph) -> DistanceMatrix:
 
 
 def summarize(dm: DistanceMatrix) -> GraphSummary:
-    """Extremes of the distance table with witnesses."""
-    flat = int(np.argmax(dm))
-    i, j = divmod(flat, dm.shape[1])
+    """Extremes of the distance table with witnesses, from one pass over it.
+
+    ``diam_pair`` is the first maximum in row-major order: the first row whose
+    maximum is the table's, and that row's first maximal column.
+    """
     row_max = dm.max(axis=1)
+    i = int(np.argmax(row_max))
     return GraphSummary(
-        ordiam=int(dm[i, j]),
+        ordiam=int(row_max[i]),
         orrad=int(row_max.min()),
-        diam_pair=(i, j),
+        diam_pair=(i, int(np.argmax(dm[i]))),
         center_rect=int(np.argmin(row_max)),
     )
 

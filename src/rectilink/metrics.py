@@ -22,11 +22,11 @@ crossing rectangle pairs or ``None``:
 
 The decision is only valid when the oriented value is at least 4.  The one
 router, :func:`compute`, sends smaller values to :func:`small_case_fallback`
-(exact enumeration of overlay faces), builds the far relation once for the
-engine, and turns its decision into the result and witness points.  Every
-witness point is the centre of an overlay face, the intersection of the
-boxes of two crossing rectangles; the fallback enumerates all of them, one
-(chi, 4) box array from :func:`overlay_faces`.
+(the diameter 2 in closed form, the radius by enumerating overlay faces),
+builds the far relation once for the engine, and turns its decision into the
+result and witness points.  Every witness point lies in an overlay face, the
+intersection of the boxes of two crossing rectangles; the fallback reads all
+of them from one (chi, 4) box array, :func:`overlay_faces`.
 """
 
 from __future__ import annotations
@@ -296,8 +296,9 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
     sources' crossings, which enumerates each candidate pair exactly once.
     The store is one :class:`~rectilink.crossing.CrossingStore` per axis,
     built once from ``graph.mids`` and queried with plain ints; every round
-    restores the segments it popped.  Store entries, rounds and pops go to
-    the ``rectilink`` logger at debug level.
+    ends with ``restore()``, which makes every segment live again in constant
+    time.  Store entries, rounds and pops go to the ``rectilink`` logger at
+    debug level.
     """
     nh, mids = graph.nh, graph.mids.tolist()
     stores = (CrossingStore.reset(graph.mids[:nh], 0), CrossingStore.reset(graph.mids[nh:], nh))
@@ -307,26 +308,23 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
         for i in np.flatnonzero(far.any(axis=1)).tolist():
             far_ids = np.flatnonzero(far[i]).tolist()
             store = stores[far_ids[0] < nh]  # the axis opposite to the far set's
-            popped = []
             for j in far_ids:
                 for jp in store.pop_crossing(*mids[j]):
                     reverse[jp].append(i)
                     provenance[(i, jp)] = j
-                    popped.append(jp)
-            store.restore(popped)
+            store.restore()
         for jp in sorted(reverse):
             sources = reverse[jp]  # increasing: the horizontal rectangles, then the vertical ones
             split = bisect_left(sources, nh)
             for group in (sources[:split], sources[split:]):
                 if not group:
                     continue
-                store, popped = stores[group[0] < nh], []
+                store = stores[group[0] < nh]
                 for i in group:
                     for ip in store.pop_crossing(*mids[i]):
                         if far[ip, jp]:
                             return (i, ip, provenance[(i, jp)], jp)
-                        popped.append(ip)
-                store.restore(popped)
+                store.restore()
         return None
     finally:
         if log.isEnabledFor(logging.DEBUG):
@@ -349,36 +347,29 @@ def _face_rows(graph: OrientedGraph, dm: DistanceMatrix, rows: slice) -> np.ndar
 
 
 def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
-    """Exact diameter or radius by enumerating overlay faces.
+    """The diameter or radius below the engines' threshold, from the overlay faces.
 
-    Covers the small oriented values the engines cannot decide: each face
-    contributes one representative; face pairs sharing a rectangle are capped
-    at 2, others use the four-way minimum.  The enumeration is exact for any
-    oriented value, so no upper precondition is enforced.  Rows of face pairs
-    are reduced to their maxima about ``_FALLBACK_PAIRS`` pairs at a time;
-    the diameter's pair is the first maximum in row-major order.
+    Each face contributes one representative; face pairs sharing a rectangle
+    are at 2, others at the four-way minimum.  Called by the router only when
+    the oriented value (``ordiam`` or ``orrad``) is below 4; the diameter
+    relies on it, as the engines rely on theirs.  Then two faces (h, v) and
+    (h', v') of different rectangles have ``dm[v, h']`` and ``dm[h, v']``,
+    even H-V distances of at most 3, at 2, so every face pair is at 2: the
+    diameter is 2, witnessed by a generic pair of the first largest face, in
+    O(chi).  The radius enumerates the face pairs, exact for any oriented
+    value, reducing rows to their maxima about ``_FALLBACK_PAIRS`` pairs at a
+    time, and takes the first face of least eccentricity.
     """
     if which not in ("diameter", "radius"):
         raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
     faces = overlay_faces(graph)
+    if which == "diameter":
+        biggest = int(np.argmax((faces[:, 1] - faces[:, 0]) * (faces[:, 3] - faces[:, 2])))
+        pair = generic_pair_in_box(tuple(faces[biggest].tolist()))
+        return DiameterResult(value=2, pair=pair, witness_rects=tuple(graph.edges[biggest].tolist()), engine=FALLBACK)
+
     step = max(1, _FALLBACK_PAIRS // len(faces))
     ecc = np.concatenate([_face_rows(graph, dm, slice(a, a + step)).max(axis=1) for a in range(0, len(faces), step)])
-
-    if which == "diameter":
-        a = int(np.argmax(ecc))
-        row = _face_rows(graph, dm, slice(a, a + 1))[0]
-        b = int(np.argmax(row))
-        value = max(2, int(row[b]))
-        (h, v), (hb, vb) = graph.edges[[a, b]].tolist()
-        if a != b and h != hb and v != vb:
-            pair = (_center(faces[a]), _center(faces[b]))
-            witness = (h, v, hb, vb)
-        else:
-            biggest = int(np.argmax((faces[:, 1] - faces[:, 0]) * (faces[:, 3] - faces[:, 2])))
-            pair = generic_pair_in_box(tuple(faces[biggest].tolist()))
-            witness = tuple(graph.edges[biggest].tolist())
-        return DiameterResult(value=value, pair=pair, witness_rects=witness, engine=FALLBACK)
-
     best = int(np.argmin(ecc))
     return RadiusResult(
         value=max(2, int(ecc[best])),
@@ -390,11 +381,11 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
 
 def compute(
     kind: str, graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary, algo: str = EDGE_SCAN
-) -> tuple[DiameterResult | RadiusResult, bool]:
+) -> DiameterResult | RadiusResult:
     """The diameter or radius by engine ``algo``, or by the fallback below 4.
 
     ``summary`` is ``summarize(dm)``, computed once by :func:`~rectilink.pipeline.prepare`.
-    Returns (result, routed_to_fallback).  The engine decides on the far
+    A routed result has engine ``fallback``.  The engine decides on the far
     relation ``dm >= oriented``; its decision becomes the result here.  The
     route, its reason and the far-entry count go to the ``rectilink`` logger
     at debug level, counted only when that level is on.
@@ -408,7 +399,7 @@ def compute(
         route = f"fallback, {name}={oriented} < 4" if oriented < 4 else f"{algo}, {name}={oriented}"
         log.debug("%s: %s, %d far entries", kind, route, np.count_nonzero(dm >= oriented))
     if oriented < 4:
-        return small_case_fallback(graph, dm, kind), True
+        return small_case_fallback(graph, dm, kind)
     engine = {  # looked up per call, so that rebinding a module attribute reaches the engine
         ("diameter", EDGE_SCAN): diameter_edge_scan,
         ("diameter", MATMUL): diameter_matmul,
@@ -427,10 +418,10 @@ def compute(
     if kind == "diameter":
         if decision is None:  # no witness quad: the far pair itself is at ordiam - 2
             i, j = summary.diam_pair
-            return DiameterResult(oriented - 2, (center(i), center(j)), (i, j), algo), False
+            return DiameterResult(oriented - 2, (center(i), center(j)), (i, j), algo)
         i, ip, j, jp = decision
-        return DiameterResult(oriented - 1, (center(i, ip), center(j, jp)), decision, algo), False
+        return DiameterResult(oriented - 1, (center(i, ip), center(j, jp)), decision, algo)
     if decision is None:  # every edge is covered: the centre rectangle is at orrad - 1
         rect = summary.center_rect
-        return RadiusResult(oriented - 1, center(rect), ("rect", (rect,)), algo), False
-    return RadiusResult(oriented - 2, center(*decision), ("edge", decision), algo), False
+        return RadiusResult(oriented - 1, center(rect), ("rect", (rect,)), algo)
+    return RadiusResult(oriented - 2, center(*decision), ("edge", decision), algo)

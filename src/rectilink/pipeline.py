@@ -25,7 +25,7 @@ from .geometry import (
     vertical_decomposition,
 )
 from .graph import DistanceMatrix, GraphSummary, OrientedGraph, all_pairs, build_graph, summarize
-from .metrics import ALGOS, DiameterResult, ORACLE, RadiusResult, compute
+from .metrics import ALGOS, FALLBACK, DiameterResult, ORACLE, RadiusResult, compute
 from .oracle import GridModel, build_grid, oracle_diameter, oracle_distance, oracle_eccentricity, oracle_radius
 
 
@@ -75,11 +75,15 @@ def point_out(p: Point):
 
 @dataclass(frozen=True)
 class Solution:
-    """A diameter or radius, whether it was routed to the fallback, and the seconds it took."""
+    """A diameter or radius and the seconds it took."""
 
     result: DiameterResult | RadiusResult
-    routed: bool
     seconds: float
+
+    @property
+    def routed(self) -> bool:
+        """Whether the router sent the call to the fallback; oracle results carry engine ``oracle``."""
+        return self.result.engine == FALLBACK
 
     def payload(self) -> dict:
         """The value fields: value, engine, routing and the witness in original units."""
@@ -108,10 +112,10 @@ def solve(kind: str, algo: str, prep: Prepared | None = None, grid: GridModel | 
         raise UnknownChoiceError(f"unknown kind {kind!r} (choose from {', '.join(ALGOS)})")
     t0 = time.perf_counter()
     if algo == ORACLE and grid is not None:
-        result, routed = (oracle_diameter if kind == "diameter" else oracle_radius)(grid), False
+        result = (oracle_diameter if kind == "diameter" else oracle_radius)(grid)
     else:
-        result, routed = compute(kind, prep.graph, prep.dm, prep.summary, algo)
-    return Solution(result, routed, time.perf_counter() - t0)
+        result = compute(kind, prep.graph, prep.dm, prep.summary, algo)
+    return Solution(result, time.perf_counter() - t0)
 
 
 def instance_stats(prep: Prepared) -> dict:
@@ -138,14 +142,12 @@ def _witness_ok(grid: GridModel, result: DiameterResult | RadiusResult, priced: 
     return priced[key]
 
 
-def run_verify(domain: Domain, prep: Prepared | None = None, grid: GridModel | None = None) -> dict:
+def run_verify(domain: Domain) -> dict:
     """Every engine plus the oracle, with witness validation and a verdict."""
     t0 = time.perf_counter()
-    if prep is None:
-        prep = prepare(domain)
+    prep = prepare(domain)
     prep_seconds = time.perf_counter() - t0
-    if grid is None:
-        grid = build_grid(domain)
+    grid = build_grid(domain)
 
     report = {"instance": instance_stats(prep)}
     checks = set()  # False: values or a witness price disagree; None: a witness the oracle cannot price

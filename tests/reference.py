@@ -337,7 +337,7 @@ def edges_quadratic(rects, nh: int) -> list[tuple[int, int]]:
 
 
 class ScanCrossingStore:
-    """The contract of ``rectilink.crossing.CrossingStore``, by scanning every live segment."""
+    """The contract of ``rectilink.crossing.CrossingStore``, by scanning every segment not popped this round."""
 
     @classmethod
     def reset(cls, mids, first: int = 0) -> "ScanCrossingStore":
@@ -346,28 +346,19 @@ class ScanCrossingStore:
         for fixed, lo, hi in store._segments.values():
             if lo >= hi:
                 raise ValueError(f"degenerate segment: lo={lo} >= hi={hi}")
-        store._live = set(store._segments)
+        store._popped = set()
         return store
 
-    def restore(self, owners) -> None:
-        for owner in owners:
-            if owner not in self._segments:
-                raise ValueError(f"owner {owner} is not one the store was built over")
-            if owner in self._live:
-                raise ValueError(f"duplicate owner id {owner}: it is live")
-            self._live.add(owner)
-
-    def __len__(self) -> int:
-        return len(self._live)
+    def restore(self) -> None:
+        self._popped = set()
 
     def pop_crossing(self, fixed: int, lo: int, hi: int) -> list[int]:
         popped = []
-        for owner in self._live:
-            s_fixed, s_lo, s_hi = self._segments[owner]
-            if s_lo <= fixed <= s_hi and lo <= s_fixed <= hi:
+        for owner, (s_fixed, s_lo, s_hi) in self._segments.items():
+            if owner not in self._popped and s_lo <= fixed <= s_hi and lo <= s_fixed <= hi:
                 popped.append((s_fixed, owner))
         popped.sort()
-        self._live -= {owner for _, owner in popped}
+        self._popped |= {owner for _, owner in popped}
         return [owner for _, owner in popped]
 
 
@@ -548,17 +539,8 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray, rects) -> tuple[int, in
 # arrays (``overlay_faces`` here is the package's).
 
 
-def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
-    """Exact diameter or radius by enumerating overlay faces.
-
-    Covers the small oriented values the engines cannot decide: each face
-    contributes one representative; face pairs sharing a rectangle are capped
-    at 2, others use the four-way minimum.  The enumeration is exact for any
-    oriented value, so no upper precondition is enforced.
-    """
-    if which not in ("diameter", "radius"):
-        raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
-    faces = metrics.overlay_faces(graph)
+def face_table(graph: OrientedGraph, dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of faces at once: the chi x chi four-way minima, 2 where two faces share a rectangle, and that mask."""
     hs, vs = graph.edges[:, 0], graph.edges[:, 1]
     values = np.minimum.reduce(
         [
@@ -570,6 +552,21 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
     ).astype(np.int64)
     shared = (hs[:, None] == hs[None, :]) | (vs[:, None] == vs[None, :])
     values[shared] = 2
+    return values, shared
+
+
+def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
+    """Exact diameter or radius by enumerating overlay faces.
+
+    Covers the small oriented values the engines cannot decide: each face
+    contributes one representative; face pairs sharing a rectangle are capped
+    at 2, others use the four-way minimum.  The enumeration is exact for any
+    oriented value, so no upper precondition is enforced.
+    """
+    if which not in ("diameter", "radius"):
+        raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
+    faces = metrics.overlay_faces(graph)
+    values, shared = face_table(graph, dm)
 
     if which == "diameter":
         flat = int(np.argmax(values))

@@ -42,49 +42,32 @@ def horizontal_middle_by_box(inst, box):
     return g.mids[g.boxes[: g.nh].tolist().index(list(box))].tolist()
 
 
+def drain(store, mids):
+    """Every owner the round has not popped yet, sorted: one pop at each stored segment's ``lo``, spanning every ``fixed``."""
+    mids = np.asarray(mids).reshape(-1, 3).tolist()
+    if not mids:
+        return []
+    low, high = min(m[0] for m in mids), max(m[0] for m in mids)
+    owners = [owner for _, lo, _ in mids for owner in store.pop_crossing(lo, low, high)]
+    assert len(owners) == len(set(owners))
+    return sorted(owners)
+
+
 class TestBasics:
     def test_reset_single(self, donut):
         mids, first = vertical_middles(donut)
         store = CrossingStore.reset(mids[:1], first)
-        assert len(store) == 1
+        assert drain(store, mids[:1]) == [first]
 
     def test_reset_all_donut(self, donut):
-        store = CrossingStore.reset(*vertical_middles(donut))
-        assert len(store) == 4
+        mids, first = vertical_middles(donut)
+        store = CrossingStore.reset(mids, first)
+        assert drain(store, mids) == list(range(first, first + 4))
 
     def test_degenerate_interval(self):
         for store_cls in STORES:
             with pytest.raises(ValueError, match="degenerate"):
                 store_cls.reset([[0, 1, 4], [3, 5, 5]])
-
-    def test_duplicate_owner(self, donut):
-        mids, first = vertical_middles(donut)
-        for store_cls in STORES:
-            store = store_cls.reset(mids, first)
-            popped = store.pop_crossing(*horizontal_middle_by_box(donut, (16, 28, 12, 16)))
-            assert len(popped) == 1
-            with pytest.raises(ValueError, match="duplicate owner"):
-                store.restore(popped + popped)
-
-    def test_restore_checks(self, donut):
-        mids, first = vertical_middles(donut)
-        for store_cls in STORES:
-            store = store_cls.reset(mids, first)
-            with pytest.raises(ValueError, match="duplicate owner"):
-                store.restore([first])
-            popped = store.pop_crossing(*horizontal_middle_by_box(donut, (16, 28, 12, 16)))
-            store.restore(popped)
-            assert len(store) == 4
-            with pytest.raises(ValueError, match="duplicate owner"):
-                store.restore(popped)
-
-    def test_restore_outside_the_built_coordinates(self, donut):
-        mids, first = vertical_middles(donut)
-        for store_cls in STORES:
-            store = store_cls.reset(mids[1:], first + 1)
-            for stranger in (first, first + len(mids)):
-                with pytest.raises(ValueError, match="built over"):
-                    store.restore([stranger])
 
 
 class TestPopCrossing:
@@ -92,11 +75,12 @@ class TestPopCrossing:
         # middle segment of the right-hand band (y = 14, x in [16, 28]) crosses
         # exactly the right vertical slab's middle segment
         g = donut.prep.graph
-        store = CrossingStore.reset(*vertical_middles(donut))
+        mids, first = vertical_middles(donut)
+        store = CrossingStore.reset(mids, first)
         popped = store.pop_crossing(*horizontal_middle_by_box(donut, (16, 28, 12, 16)))
         assert len(popped) == 1
         assert g.mids[popped[0], 0] == 22  # x = 11 in input units
-        assert len(store) == 3
+        assert drain(store, mids) == sorted(set(range(first, first + 4)) - set(popped))
 
     def test_repeat_query_empty(self, donut):
         store = CrossingStore.reset(*vertical_middles(donut))
@@ -112,19 +96,22 @@ class TestPopCrossing:
 class TestReset:
     def test_empty(self):
         store = CrossingStore.reset(np.empty((0, 3), dtype=np.int64))
-        assert len(store) == 0 and store.entries == 0
+        assert store.entries == 0
         assert store.pop_crossing(0, -5, 5) == []
-        store.restore([])
+        store.restore()
+        assert store.pop_crossing(0, -5, 5) == []
 
     def test_horizontal_middles(self, donut):
-        assert len(CrossingStore.reset(*horizontal_middles(donut))) == 4
+        mids, first = horizontal_middles(donut)
+        assert drain(CrossingStore.reset(mids, first), mids) == list(range(first, first + 4))
 
     def test_idempotent(self, donut):
         mids, first = horizontal_middles(donut)
         a, b = CrossingStore.reset(mids, first), CrossingStore.reset(mids, first)
-        assert len(a) == len(b) == 4
+        assert a.entries == b.entries >= 4
         query = vertical_middles(donut)[0][0].tolist()
         assert a.pop_crossing(*query) == b.pop_crossing(*query) != []
+        assert drain(a, mids) == drain(b, mids) != []
 
 
 def random_segment(rng, span=40):
@@ -145,30 +132,26 @@ def run_sequence(rng, op_count):
     for _ in range(op_count):
         query = random_segment(rng)
         assert real.pop_crossing(*query) == ref.pop_crossing(*query)
-        assert len(real) == len(ref)
 
 
 def run_restore_program(rng):
-    """Rounds of pops, each followed by a restore of all or part of what it popped.
+    """Rounds of pops, each ended by a restore.
 
     Every answer is compared with the scan reference driven the same way, and
-    whenever every segment is live again, with a freshly reset store.
+    with a store freshly reset at the start of the round.
     """
     segs, first, real, ref = random_stores(rng, rng.randrange(1, 25))
     for _ in range(rng.randrange(1, 8)):
-        fresh = CrossingStore.reset(segs, first) if len(real) == len(segs) else None
-        popped = []
+        fresh = CrossingStore.reset(segs, first)
         for _ in range(rng.randrange(1, 6)):
             query = random_segment(rng)
             got = real.pop_crossing(*query)
             assert got == ref.pop_crossing(*query)
-            if fresh is not None:
-                assert got == fresh.pop_crossing(*query)
-            popped.extend(got)
-        back = popped if rng.random() < 0.7 else rng.sample(popped, len(popped) // 2)
-        real.restore(back)
-        ref.restore(back)
-        assert len(real) == len(ref)
+            assert got == fresh.pop_crossing(*query)
+        if rng.random() < 0.3:  # end the round on a drain: every segment not popped yet
+            assert drain(real, segs) == drain(ref, segs) == drain(fresh, segs)
+        real.restore()
+        ref.restore()
 
 
 class TestAgainstReference:
@@ -194,13 +177,13 @@ class TestAgainstReference:
         # every stored segment is reported by at most one pop
         rng = random.Random(77)
         for _ in range(50):
-            _, first, store, _ = random_stores(rng, 25)
+            segs, first, store, _ = random_stores(rng, 25)
             seen = set()
             for _ in range(40):
                 for owner in store.pop_crossing(*random_segment(rng)):
                     assert owner not in seen and first <= owner < first + 25
                     seen.add(owner)
-            assert len(store) == 25 - len(seen)
+            assert drain(store, segs) == sorted(set(range(first, first + 25)) - seen)
 
 
 segment_values = st.integers(min_value=-30, max_value=30)
@@ -220,14 +203,14 @@ def segments(draw):
 )
 @settings(max_examples=150, deadline=None)
 def test_hypothesis_matches_reference(stored, queries, restores):
+    """Random pops; each boolean says whether a round ends after its query."""
     real = CrossingStore.reset(np.array(stored, dtype=np.int64).reshape(-1, 3), 7)
     ref = ScanCrossingStore.reset(stored, 7)
-    for query, back in zip(queries, restores):
-        popped = real.pop_crossing(*query)
-        assert popped == ref.pop_crossing(*query)
-        if back:
-            real.restore(popped)
-            ref.restore(popped)
+    for query, end in zip(queries, restores):
+        assert real.pop_crossing(*query) == ref.pop_crossing(*query)
+        if end:
+            real.restore()
+            ref.restore()
 
 
 def oracle_graphs(fixtures, corpus, grid40):
@@ -241,31 +224,25 @@ class TestAgainstGraph:
     """Two middle segments cross exactly when their rectangles share a graph edge, so a pop is a set of neighbours."""
 
     def test_pops_are_neighbours(self, fixtures, corpus, grid40):
+        """Each pop is the query's neighbours less the round's earlier pops; after a restore the store answers as if reset."""
         rng = random.Random(16)
         for g in oracle_graphs(fixtures, corpus, grid40):
             nh, mids = g.nh, g.mids.tolist()
             stores = (CrossingStore.reset(g.mids[:nh], 0), CrossingStore.reset(g.mids[nh:], nh))
-            dead = set()  # popped and not restored, per store's owners
             for _ in range(6):
                 side = rng.randrange(2)  # the queries' side; the store holds the other
                 store, queries = stores[1 - side], (range(nh), range(nh, g.m))[side]
                 owners = (range(nh), range(nh, g.m))[1 - side]
-                fresh = None
-                if not dead & set(owners):
-                    fresh = CrossingStore.reset(g.mids[owners.start : owners.stop], owners.start)
+                stored = g.mids[owners.start : owners.stop]
+                fresh = CrossingStore.reset(stored, owners.start)
                 popped = []
                 picks = queries if rng.random() < 0.3 else rng.sample(queries, min(len(queries), rng.randrange(1, 12)))
                 for j in picks:
-                    expect = sorted(set(g.neighbours(j).tolist()) - dead - set(popped), key=lambda k: (mids[k][0], k))
+                    expect = sorted(set(g.neighbours(j).tolist()) - set(popped), key=lambda k: (mids[k][0], k))
                     got = store.pop_crossing(*mids[j])
                     assert got == expect
-                    if fresh is not None:
-                        assert fresh.pop_crossing(*mids[j]) == got
+                    assert fresh.pop_crossing(*mids[j]) == got
                     popped += got
-                assert len(store) == len(owners) - len(dead & set(owners)) - len(popped)
-                back = popped if rng.random() < 0.6 else rng.sample(popped, len(popped) // 2)
-                store.restore(back)
-                dead |= set(popped) - set(back)
-                if rng.random() < 0.3:  # bring everything back
-                    store.restore(sorted(dead & set(owners)))
-                    dead -= set(owners)
+                if rng.random() < 0.3:  # the rest of the round: every owner not popped yet
+                    assert drain(store, stored) == sorted(set(owners) - set(popped))
+                store.restore()

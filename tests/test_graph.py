@@ -31,6 +31,7 @@ from rectilink.graph import (
     all_pairs,
     bfs_from,
     build_graph,
+    summarize,
 )
 from rectilink.pipeline import decompose, prepare
 
@@ -553,6 +554,18 @@ class TestSummary:
             s = inst.prep.summary
             assert inst.prep.dm[s.diam_pair] == s.ordiam
             assert inst.prep.dm[s.center_rect].max() == s.orrad
+
+    def test_matches_two_pass_form(self):
+        """One pass over the table gives the flat argmax's pair, on random tables full of ties."""
+        rng = np.random.default_rng(19)
+        for _ in range(3000):
+            rows, cols = rng.integers(1, 9, size=2)
+            dm = rng.integers(0, rng.integers(1, 5), size=(rows, cols)).astype(np.uint16)
+            i, j = divmod(int(np.argmax(dm)), dm.shape[1])
+            row_max = dm.max(axis=1)
+            s = summarize(dm)
+            assert (s.ordiam, s.diam_pair) == (int(dm[i, j]), (i, j))
+            assert (s.orrad, s.center_rect) == (int(row_max.min()), int(np.argmin(row_max)))
 
 
 class TestFarSet:

@@ -1,5 +1,6 @@
 """Point distance formula, the three engines, boolean products, fallback, witnesses."""
 
+import itertools
 import logging
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import rectilink.metrics
-from rectilink import oracle_distance, parse_domain, point_distance
+from rectilink import GenParams, gen_domain, oracle_distance, parse_domain, point_distance
 from rectilink.crossing import CrossingStore
 from rectilink.geometry import Decomposition, Orientation, locate
 from rectilink.graph import build_graph
@@ -173,7 +174,7 @@ def far_of(inst, kind):
 class TestEngineFixtures:
     def test_donut_diameter_all_engines(self, donut):
         for algo in ("edge-scan", "matmul", "fast"):
-            res, _ = compute("diameter", donut.prep.graph, donut.prep.dm, donut.prep.summary, algo)
+            res = compute("diameter", donut.prep.graph, donut.prep.dm, donut.prep.summary, algo)
             assert res.value == 3
             assert res.pair == ((6, 14), (22, 14))  # (3,7) and (11,7) in input units
 
@@ -184,7 +185,7 @@ class TestEngineFixtures:
         for engine in (radius_edge_scan, radius_matmul):
             assert engine(g, far_of(donut, "radius")) == (h1, v1)
         for algo in ("edge-scan", "matmul"):
-            res, _ = compute("radius", g, donut.prep.dm, donut.prep.summary, algo)
+            res = compute("radius", g, donut.prep.dm, donut.prep.summary, algo)
             assert res.value == 2
             assert res.witness == ("edge", (h1, v1))
             assert res.center == (6, 6)  # (3,3)
@@ -344,9 +345,10 @@ class TestFallback:
         assert res.center == (4, 4)  # (2,2): the corner face reaches everything in 2
 
     def test_lshape_diameter_out_of_range_call(self, lshape):
-        # enumeration is exact even above the routing threshold
-        res = small_case_fallback(lshape.prep.graph, lshape.prep.dm, "diameter")
-        assert res.value == 2
+        # the diameter's closed form holds below ordiam 4 only: LSHAPE's ordiam is 4, so the router sends it to an engine
+        assert lshape.prep.summary.ordiam == 4
+        res = compute("diameter", lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "edge-scan")
+        assert res.engine == "edge-scan" and res.value == 2
 
     def test_unknown_target(self, square):
         with pytest.raises(ValueError):
@@ -354,16 +356,35 @@ class TestFallback:
 
     @pytest.fixture(scope="class")
     def cases(self, fixtures, corpus):
-        """Prepared instances and the chi x chi version's results on each, by (index, kind)."""
+        """Prepared instances and the chi x chi version's results by (index, kind): the diameter where the router calls it.
+
+        Full small generated grids, whose ``ordiam`` is below 4, and the same grids less one cell are added.
+        """
         shapes = [(comb, range(1, 41)), (staircase, (1, 2, 3, 7, 20)), (perforated, (1, 2, 4, 9))]
         preps = [inst.prep for inst in fixtures + corpus]
         preps += [prepare(parse_domain(shape(k))) for shape, sizes in shapes for k in sizes]
+        for width, height, less in itertools.product(range(1, 6), range(1, 6), (0, 1)):
+            try:
+                domain = gen_domain(GenParams(width=width, height=height, cells=width * height - less, holes=0, seed=width))
+            except ValueError:
+                continue
+            preps.append(prepare(domain))
         expected = {
             (k, which): reference.small_case_fallback(prep.graph, prep.dm, which)
             for k, prep in enumerate(preps)
             for which in ("diameter", "radius")
+            if which == "radius" or prep.summary.ordiam < 4
         }
         return preps, expected
+
+    def test_face_table_is_two_below_ordiam_4(self, cases):
+        """Below ``ordiam`` 4 every pair of faces is at 2, so the diameter's closed form is the enumeration's value."""
+        preps, _ = cases
+        routed = [prep for prep in preps if prep.summary.ordiam < 4]
+        assert len(routed) >= 10
+        for prep in routed:
+            values, _ = reference.face_table(prep.graph, prep.dm)
+            assert (values == 2).all()
 
     @pytest.mark.parametrize("pairs", [1, 1000, rectilink.metrics._FALLBACK_PAIRS])
     def test_matches_reference(self, pairs, cases, monkeypatch):
@@ -372,7 +393,7 @@ class TestFallback:
         monkeypatch.setattr(rectilink.metrics, "_FALLBACK_PAIRS", pairs)
         for (k, which), result in expected.items():
             assert small_case_fallback(preps[k].graph, preps[k].dm, which) == result, (k, which)
-        assert {len(r.witness_rects) for (_, which), r in expected.items() if which == "diameter"} == {2, 4}
+        assert {len(r.witness_rects) for (_, which), r in expected.items() if which == "diameter"} == {2}
 
     def test_memory(self):
         """comb(60) has chi = 3659: all face pairs at once took 230 MiB, and the table is 0.1 MiB."""
@@ -388,12 +409,12 @@ class TestFallback:
             assert peak < 16 * 2**20, (which, peak)
 
     def test_routing(self, square, lshape, donut):
-        res, routed = compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "fast")
-        assert routed and res.engine == "fallback" and res.value == 2
-        res, routed = compute("radius", lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "matmul")
-        assert routed and res.engine == "fallback" and res.value == 2
-        res, routed = compute("diameter", donut.prep.graph, donut.prep.dm, donut.prep.summary, "fast")
-        assert not routed and res.engine == "fast"
+        res = compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "fast")
+        assert res.engine == "fallback" and res.value == 2
+        res = compute("radius", lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "matmul")
+        assert res.engine == "fallback" and res.value == 2
+        res = compute("diameter", donut.prep.graph, donut.prep.dm, donut.prep.summary, "fast")
+        assert res.engine == "fast"
 
     def test_routing_logged(self, square, donut, caplog):
         """The route, its reason and the far-entry count, at debug level only."""
@@ -422,9 +443,9 @@ class TestFallback:
                 Counting.pops += len(out)
                 return out
 
-            def restore(self, owners):
+            def restore(self):
                 Counting.restores += 1
-                super().restore(owners)
+                super().restore()
 
         monkeypatch.setattr(rectilink.metrics, "CrossingStore", Counting)
         cases = [inst.prep for inst in corpus if inst.prep.summary.ordiam >= 4][:30]
@@ -572,7 +593,7 @@ class TestMatmulMatchesReference:
 
 
 def edge_scan(inst, kind):
-    return compute(kind, inst.prep.graph, inst.prep.dm, inst.prep.summary, "edge-scan")[0]
+    return compute(kind, inst.prep.graph, inst.prep.dm, inst.prep.summary, "edge-scan")
 
 
 class TestWitnesses:
@@ -598,7 +619,7 @@ class TestEngineAgreement:
     def test_diameter_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute("diameter", inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)[0].value
+                compute("diameter", inst.prep.graph, inst.prep.dm, inst.prep.summary, algo).value
                 for algo in ("edge-scan", "matmul", "fast")
             }
             assert len(values) == 1, inst.name
@@ -606,7 +627,7 @@ class TestEngineAgreement:
     def test_radius_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute("radius", inst.prep.graph, inst.prep.dm, inst.prep.summary, algo)[0].value
+                compute("radius", inst.prep.graph, inst.prep.dm, inst.prep.summary, algo).value
                 for algo in ("edge-scan", "matmul")
             }
             assert len(values) == 1, inst.name

@@ -117,7 +117,7 @@ class TestComputedOnce:
         for inst in fixtures + corpus[:40]:
             distances.clear()
             eccentricities.clear()
-            report = run_verify(inst.domain, inst.prep, inst.grid)
+            report = run_verify(inst.domain)
             for kind, calls, field in (("diameter", distances, "pair"), ("radius", eccentricities, "center")):
                 witnesses = {(json.dumps(e["witness"][field]), e["value"]) for e in report[kind].values()}
                 assert len(calls) == len(witnesses), (inst.name, kind)
@@ -170,7 +170,7 @@ class TestVerdict:
 
         monkeypatch.setattr(rectilink.pipeline, "oracle_distance", unpriced)
         (path,) = write_instances(tmp_path, [lshape])
-        report = run_verify(lshape.domain, lshape.prep, lshape.grid)
+        report = run_verify(lshape.domain)
         assert {e["witness_ok"] for e in report["diameter"].values()} == {None}
         assert {e["witness_ok"] for e in report["radius"].values()} == {True}
         assert report["verdict"] == "unchecked"
@@ -178,7 +178,7 @@ class TestVerdict:
         assert json.loads(capsys.readouterr().out)["verdict"] == "unchecked"
 
         monkeypatch.setattr(rectilink.pipeline, "oracle_eccentricity", lambda grid, c: 0)
-        assert run_verify(lshape.domain, lshape.prep, lshape.grid)["verdict"] == "disagree"
+        assert run_verify(lshape.domain)["verdict"] == "disagree"
         assert main(["verify", path]) == 2
         assert json.loads(capsys.readouterr().out)["verdict"] == "disagree"
 

@@ -56,7 +56,7 @@ class TestFullCheckPastCorpus:
     def test_grid40_verify(self, grid40):
         """The whole check, oracle included, on the first grid-40 instance (seed 1000)."""
         prep = grid40[0]
-        assert_engines_equal_oracle(run_verify(prep.domain, prep=prep))
+        assert_engines_equal_oracle(run_verify(prep.domain))
 
     def test_grid40_face_table_memory(self, grid40):
         """The face-table pass holds the table and one block's arrays, nothing of order faces squared besides.
