@@ -334,42 +334,46 @@ def _sweep_rects(events):
     """Interval-set sweep shared by both decompositions.
 
     ``events`` are (coord, lo, hi, opens) with one boundary edge each,
-    pre-sorted by coord.  Yields (lo, hi, birth, death) slabs.
+    pre-sorted by coord.  Yields (lo, hi, birth, death) slabs.  The open
+    intervals are three parallel lists sorted by ``lo``, spliced together.
     """
-    intervals: list[list[int]] = []  # [lo, hi, birth], sorted by lo
+    los: list[int] = []
+    his: list[int] = []
+    births: list[int] = []
     out = []
     for coord, lo, hi, opens in events:
+        li = bisect_right(los, lo) - 1
         if opens:
-            li = bisect_right(intervals, lo, key=lambda iv: iv[0]) - 1
-            left = intervals[li] if li >= 0 and intervals[li][1] == lo else None
-            ri = bisect_left(intervals, hi, key=lambda iv: iv[0])
-            right = intervals[ri] if ri < len(intervals) and intervals[ri][0] == hi else None
-            start = li if left is not None else li + 1
-            stop = ri + 1 if right is not None else ri
-            inside = left is None and li >= 0 and intervals[li][1] > lo  # the edge starts inside an interval
-            if inside or stop - start != (left is not None) + (right is not None):  # or one starts inside the edge
+            left = li >= 0 and his[li] == lo
+            ri = bisect_left(los, hi)
+            right = ri < len(los) and los[ri] == hi
+            start = li if left else li + 1
+            stop = ri + 1 if right else ri
+            inside = not left and li >= 0 and his[li] > lo  # the edge starts inside an interval
+            if inside or stop - start != left + right:  # or one starts inside the edge
                 raise InvalidDomainError([f"sweep: opening edge [{lo}, {hi}] at {coord} overlaps the cross-section"])
             new_lo, new_hi = lo, hi
-            if left is not None:
-                out.append((left[0], left[1], left[2], coord))
-                new_lo = left[0]
-            if right is not None:
-                out.append((right[0], right[1], right[2], coord))
-                new_hi = right[1]
-            intervals[start:stop] = [[new_lo, new_hi, coord]]
+            if left:
+                out.append((los[li], his[li], births[li], coord))
+                new_lo = los[li]
+            if right:
+                out.append((los[ri], his[ri], births[ri], coord))
+                new_hi = his[ri]
+            los[start:stop], his[start:stop], births[start:stop] = [new_lo], [new_hi], [coord]
         else:
-            li = bisect_right(intervals, lo, key=lambda iv: iv[0]) - 1
-            if li < 0 or intervals[li][1] < hi:
+            if li < 0 or his[li] < hi:
                 raise InvalidDomainError([f"sweep: closing edge [{lo}, {hi}] at {coord} matches no interval"])
-            iv = intervals[li]
-            out.append((iv[0], iv[1], iv[2], coord))
-            pieces = []
-            if iv[0] < lo:
-                pieces.append([iv[0], lo, coord])
-            if hi < iv[1]:
-                pieces.append([hi, iv[1], coord])
-            intervals[li : li + 1] = pieces
-    if intervals:
+            a, b = los[li], his[li]
+            out.append((a, b, births[li], coord))
+            if a < lo and hi < b:  # pieces stay left and right of the edge
+                los[li : li + 1], his[li : li + 1], births[li : li + 1] = [a, hi], [lo, b], [coord, coord]
+            elif a < lo:
+                his[li], births[li] = lo, coord
+            elif hi < b:
+                los[li], births[li] = hi, coord
+            else:
+                del los[li], his[li], births[li]
+    if los:
         raise InvalidDomainError(["sweep: unterminated intervals (domain is not closed)"])
     return out
 

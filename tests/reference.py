@@ -1,7 +1,8 @@
 """Quadratic references that the tests compare the package against.
 
 Each is the direct, obviously correct phrasing of one decision the package
-makes faster: the parser one point and one edge at a time, the all-pairs
+makes faster: the parser one point and one edge at a time, the
+decomposition sweep over one list of intervals bisected by key, the all-pairs
 table's min-plus step as one ``np.minimum.reduceat`` over the CSR groups of
 a block of vertical rectangles, the middle segments and overlay faces one
 rectangle object at a time (and the crossing-store engine on those
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 from sortedcontainers import SortedList
 
 from rectilink import geometry, metrics
-from rectilink.errors import InstanceFormatError, OutsidePointError, UnknownChoiceError
+from rectilink.errors import InstanceFormatError, InvalidDomainError, OutsidePointError, UnknownChoiceError
 from rectilink.generator import GenParams
 from rectilink.geometry import COORD_LIMIT, SCALE, Domain, Orientation, Point, Rect, ValidationReport, blocks
 from rectilink.graph import DistanceMatrix, OrientedGraph
@@ -139,6 +140,55 @@ def parse_domain(text) -> Domain:
             hole = hole.reversed()
         holes.append(hole)
     return domain_of(outer, holes)
+
+
+# The decomposition sweep as it kept the open intervals in one list of
+# [lo, hi, birth] lists, bisected with a key: the reference for every box
+# and every sweep error's text.
+
+
+def _sweep_rects(events):
+    """Interval-set sweep shared by both decompositions.
+
+    ``events`` are (coord, lo, hi, opens) with one boundary edge each,
+    pre-sorted by coord.  Yields (lo, hi, birth, death) slabs.
+    """
+    intervals: list[list[int]] = []  # [lo, hi, birth], sorted by lo
+    out = []
+    for coord, lo, hi, opens in events:
+        if opens:
+            li = bisect_right(intervals, lo, key=lambda iv: iv[0]) - 1
+            left = intervals[li] if li >= 0 and intervals[li][1] == lo else None
+            ri = bisect_left(intervals, hi, key=lambda iv: iv[0])
+            right = intervals[ri] if ri < len(intervals) and intervals[ri][0] == hi else None
+            start = li if left is not None else li + 1
+            stop = ri + 1 if right is not None else ri
+            inside = left is None and li >= 0 and intervals[li][1] > lo  # the edge starts inside an interval
+            if inside or stop - start != (left is not None) + (right is not None):  # or one starts inside the edge
+                raise InvalidDomainError([f"sweep: opening edge [{lo}, {hi}] at {coord} overlaps the cross-section"])
+            new_lo, new_hi = lo, hi
+            if left is not None:
+                out.append((left[0], left[1], left[2], coord))
+                new_lo = left[0]
+            if right is not None:
+                out.append((right[0], right[1], right[2], coord))
+                new_hi = right[1]
+            intervals[start:stop] = [[new_lo, new_hi, coord]]
+        else:
+            li = bisect_right(intervals, lo, key=lambda iv: iv[0]) - 1
+            if li < 0 or intervals[li][1] < hi:
+                raise InvalidDomainError([f"sweep: closing edge [{lo}, {hi}] at {coord} matches no interval"])
+            iv = intervals[li]
+            out.append((iv[0], iv[1], iv[2], coord))
+            pieces = []
+            if iv[0] < lo:
+                pieces.append([iv[0], lo, coord])
+            if hi < iv[1]:
+                pieces.append([hi, iv[1], coord])
+            intervals[li : li + 1] = pieces
+    if intervals:
+        raise InvalidDomainError(["sweep: unterminated intervals (domain is not closed)"])
+    return out
 
 
 def opposite(orient: Orientation) -> Orientation:

@@ -220,8 +220,8 @@ def test_criterion_10_performance_soft(tmp_path, capsys):
         flags.append(f"fast pipeline took {fast_elapsed:.1f}s (> 60s)")
 
     # The radius edge-scan packs one column block at a time, so its peak is bounded by m, the
-    # block width and the row chunk, not by chi.  The per-edge flags and indices, about 25
-    # bytes an edge (2 MB here), fit in the bound's slack.
+    # block width and the row chunk, not by chi.  The per-edge flags, column order and indices,
+    # about 33 bytes an edge (2.7 MB here), fit in the bound's slack.
     far = prep.dm >= prep.summary.orrad
     m, block, chunk = prep.graph.m, metrics._COLUMN_BLOCK, metrics._EDGE_CHUNK
     bound = 2 * m * block // 8 + 4 * chunk * (m + block)  # packed block + row-chunk gathers

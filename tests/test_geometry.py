@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference
-from rectilink import InstanceFormatError, OutsidePointError, domain_to_instance, parse_domain
+from rectilink import InstanceFormatError, InvalidDomainError, OutsidePointError, domain_to_instance, geometry, parse_domain
 from rectilink.geometry import (
     COORD_LIMIT,
     SCALE,
@@ -18,6 +18,7 @@ from rectilink.geometry import (
     locate,
     signed_area2,
     validate,
+    vertical_decomposition,
 )
 
 from conftest import DONUT, LSHAPE, SQUARE, comb
@@ -443,6 +444,41 @@ class TestDecompositions:
                         overlap_x = min(ra.xmax, rb.xmax) - max(ra.xmin, rb.xmin)
                         overlap_y = min(ra.ymax, rb.ymax) - max(ra.ymin, rb.ymin)
                         assert overlap_x <= 0 or overlap_y <= 0
+
+
+def sweep_outcome(sweep, events):
+    """The slabs a sweep emits, or the messages of the error it raises."""
+    try:
+        return sweep(events)
+    except InvalidDomainError as exc:
+        return exc.violations
+
+
+class TestSweepMatchesReference:
+    """The sweep on three parallel lists emits the one-list sweep's slabs, and raises its errors word for word."""
+
+    @pytest.mark.parametrize("collection", ["fixtures", "corpus", "grid40", "grid60"])
+    def test_boxes(self, collection, request, monkeypatch):
+        for k, inst in enumerate(request.getfixturevalue(collection)):
+            got = [dec(inst.domain).boxes for dec in (horizontal_decomposition, vertical_decomposition)]
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "_sweep_rects", reference._sweep_rects)
+                want = [dec(inst.domain).boxes for dec in (horizontal_decomposition, vertical_decomposition)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), k
+
+    def test_fuzzed_events(self):
+        """Random event runs on a few coordinates, most of them invalid: the same slabs, or the same error word for word."""
+        rng = random.Random(5)
+        kinds = set()
+        for _ in range(4000):
+            events = []
+            for coord in sorted(rng.randrange(6) for _ in range(rng.randrange(1, 9))):
+                lo = rng.randrange(6)
+                events.append((coord, lo, lo + rng.randrange(1, 4), rng.random() < 0.5))
+            expected = sweep_outcome(reference._sweep_rects, events)
+            assert sweep_outcome(geometry._sweep_rects, events) == expected, events
+            kinds.add(expected[0].split(" ")[1] if isinstance(expected[0], str) else "slabs")
+        assert kinds == {"slabs", "opening", "closing", "unterminated"}
 
 
 class TestLocate:

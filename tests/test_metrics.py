@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -258,13 +259,22 @@ class TestEdgeScanMatchesReference:
 
     @pytest.mark.parametrize("collection", ["fixtures", "corpus", "grid40", "grid60"])
     def test_table_far_relations(self, collection, request):
+        """The radius at every threshold from ``orrad + 1`` down to 4, where its columns run by degree, not edge order.
+
+        The far relation only grows as the threshold falls, so once the
+        reference covers every edge it covers every edge below: its full
+        scan runs once per instance.
+        """
         preps = [getattr(inst, "prep", inst) for inst in request.getfixturevalue(collection)]
         for k, prep in enumerate(preps):
             summary = prep.summary
             far = prep.dm >= summary.ordiam
             assert diameter_edge_scan(prep.graph, far) == reference.diameter_edge_scan(prep.graph, far), k
-            far = prep.dm >= summary.orrad
-            assert radius_edge_scan(prep.graph, far) == reference.radius_edge_scan(prep.graph, far), k
+            edge = ()  # the reference's decision one threshold up: not yet None
+            for t in range(summary.orrad + 1, 3, -1):
+                far = prep.dm >= t
+                edge = None if edge is None else reference.radius_edge_scan(prep.graph, far)
+                assert radius_edge_scan(prep.graph, far) == radius_matmul(prep.graph, far) == edge, (k, t)
 
     def test_synthetic_far_relations(self, grid60):
         """Dense, random and planted relations; the planted quads and the first uncovered edge lie past the first chunk."""
@@ -331,6 +341,79 @@ class TestEdgeScanColumnBlocks:
                 assert column > 2 * self.BLOCK, name
             if name == "all-but-late-rows":
                 assert position[edge] > 2 * self.BLOCK
+
+
+def lone_cover(graph):
+    """A far relation, an edge e and the last edge c, whose degree key is the lowest, the only edge covering e.
+
+    Every rectangle is far from every other, except that e's ends h and v
+    are far only from c's ends c0 and c1 in turn, and c0 only from h.  So c
+    is the only cover of e, and its key ``min(deg c0, deg c1)`` is 1, the
+    lowest: of the edges with that key, c comes last in edge order, and last
+    in the radius scan's column order.  e is the first edge with ends apart
+    from c's.
+    """
+    edges = graph.edges.tolist()
+    c0, c1 = edges[-1]
+    h, v = next((h, v) for h, v in edges if h != c0 and v != c1)
+    far = np.ones((graph.m, graph.m), dtype=bool)
+    far[[h, v, c0]] = far[:, [h, v, c0]] = False
+    for a, b in ((h, c0), (v, c1)):
+        far[a, b] = far[b, a] = True
+    return far, edges.index([h, v])
+
+
+def radius_log(caplog, graph, far):
+    """The radius edge-scan's decision, and its debug line's blocks, widest block, columns packed and rows scanned."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="rectilink"):
+        edge = radius_edge_scan(graph, far)
+    (message,) = [r.getMessage() for r in caplog.records]
+    match = re.fullmatch(
+        r"radius edge-scan: (\d+) blocks of at most (\d+) columns, (\d+)/(\d+) columns packed, (\d+) rows scanned", message
+    )
+    blocks, widest, packed, chi, rows = map(int, match.groups())
+    assert chi == graph.chi
+    return edge, blocks, widest, packed, rows
+
+
+class TestRadiusColumnOrder:
+    """The radius scan takes the columns by degree in growing blocks, and stops once every edge is covered."""
+
+    @pytest.mark.parametrize("block", [None, 60])
+    def test_lone_cover_in_the_last_block(self, grid60, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(rectilink.metrics, "_COLUMN_BLOCK", block)
+        graph = grid60[0].graph
+        far, e = lone_cover(graph)
+        (h, v), e0, e1 = graph.edges[e], graph.edges[:, 0], graph.edges[:, 1]
+        covers = np.flatnonzero((far[h, e0] & far[v, e1]) | (far[h, e1] & far[v, e0]))
+        assert covers.tolist() == [graph.chi - 1]
+        degree = far.sum(axis=1)
+        order = np.argsort(-np.minimum(degree[e0], degree[e1]), kind="stable")
+        assert order[-1] == graph.chi - 1
+        edge = reference.radius_edge_scan(graph, far)
+        assert radius_edge_scan(graph, far) == radius_matmul(graph, far) == edge
+        assert edge is None or e < graph.edges.tolist().index(list(edge))  # without c, e would be the answer
+
+    def test_growing_blocks_logged(self, grid60, caplog, monkeypatch):
+        """Under a 60-column block the blocks grow 1, 4, 16, 60 and no block is wider; at info level nothing is logged."""
+        monkeypatch.setattr(rectilink.metrics, "_COLUMN_BLOCK", 60)
+        prep = grid60[0]
+        far = prep.dm >= prep.summary.orrad + 1
+        with caplog.at_level(logging.INFO, logger="rectilink"):
+            radius_edge_scan(prep.graph, far)
+        assert not caplog.records
+        edge, blocks, widest, packed, rows = radius_log(caplog, prep.graph, far)
+        assert edge == reference.radius_edge_scan(prep.graph, far) is not None
+        assert blocks > 2 and widest == 60 and packed == prep.graph.chi  # an open edge is left: every column is packed
+        assert blocks == 3 + -(-(prep.graph.chi - 21) // 60)
+
+    def test_early_stop(self, grid60, caplog):
+        """At ``orrad`` on grid-60 seed 1 every edge is covered before the last column is packed."""
+        prep = grid60[0]
+        edge, _, _, packed, _ = radius_log(caplog, prep.graph, prep.dm >= prep.summary.orrad)
+        assert edge is None and packed < prep.graph.chi
 
 
 class TestFallback:
