@@ -211,7 +211,7 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
     from ``_COLUMN_BLOCK // 32`` columns fourfold up to ``_COLUMN_BLOCK``.
     When every column fits in the first block, they stay in edge order.
     Blocks, columns packed and rows scanned go to the ``rectilink`` logger
-    at debug level.
+    at debug level, counted only when that level is on.
     """
     edges = graph.edges
     chi = len(edges)
@@ -223,20 +223,19 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
         order = np.argsort(-np.minimum(degree[edges[:, 0]], degree[edges[:, 1]]), kind="stable")
     covered = np.zeros(chi, dtype=bool)
     open_ids = np.arange(chi)
-    first = blocks = widest = rows = 0
+    debug = log.isEnabledFor(logging.DEBUG)
+    first = blocks = rows = 0
     while first < chi and len(open_ids):
         # each block in edge order, so sorted by horizontal end
         block = edges[first : first + width] if order is None else edges[np.sort(order[first : first + width])]
         for start, hit in _edge_covers(far, block, edges[open_ids]):
             covered[open_ids[start : start + len(hit)]] = hit.any(axis=1)
-        blocks, widest, rows = blocks + 1, max(widest, len(block)), rows + len(open_ids)
+        if debug:
+            blocks, rows = blocks + 1, rows + len(open_ids)
         first, width = first + len(block), min(4 * width, _COLUMN_BLOCK)
         open_ids = np.flatnonzero(~covered)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "radius edge-scan: %d blocks of at most %d columns, %d/%d columns packed, %d rows scanned",
-            blocks, widest, first, chi, rows,
-        )
+    if debug:
+        log.debug("radius edge-scan: %d blocks, %d/%d columns packed, %d rows scanned", blocks, first, chi, rows)
     return tuple(edges[open_ids[0]].tolist()) if len(open_ids) else None
 
 

@@ -259,11 +259,12 @@ class TestEdgeScanMatchesReference:
 
     @pytest.mark.parametrize("collection", ["fixtures", "corpus", "grid40", "grid60"])
     def test_table_far_relations(self, collection, request):
-        """The radius at every threshold from ``orrad + 1`` down to 4, where its columns run by degree, not edge order.
+        """The radius at every threshold from ``orrad + 1`` down to 4, or to ``orrad`` where that is lower.
 
-        The far relation only grows as the threshold falls, so once the
-        reference covers every edge it covers every edge below: its full
-        scan runs once per instance.
+        From 4 up the columns run by degree, not edge order.  The far
+        relation only grows as the threshold falls, so once the reference
+        covers every edge it covers every edge below: its full scan runs
+        once per instance.
         """
         preps = [getattr(inst, "prep", inst) for inst in request.getfixturevalue(collection)]
         for k, prep in enumerate(preps):
@@ -271,7 +272,7 @@ class TestEdgeScanMatchesReference:
             far = prep.dm >= summary.ordiam
             assert diameter_edge_scan(prep.graph, far) == reference.diameter_edge_scan(prep.graph, far), k
             edge = ()  # the reference's decision one threshold up: not yet None
-            for t in range(summary.orrad + 1, 3, -1):
+            for t in range(summary.orrad + 1, min(summary.orrad, 4) - 1, -1):
                 far = prep.dm >= t
                 edge = None if edge is None else reference.radius_edge_scan(prep.graph, far)
                 assert radius_edge_scan(prep.graph, far) == radius_matmul(prep.graph, far) == edge, (k, t)
@@ -364,17 +365,15 @@ def lone_cover(graph):
 
 
 def radius_log(caplog, graph, far):
-    """The radius edge-scan's decision, and its debug line's blocks, widest block, columns packed and rows scanned."""
+    """The radius edge-scan's decision, and its debug line's blocks, columns packed and rows scanned."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="rectilink"):
         edge = radius_edge_scan(graph, far)
     (message,) = [r.getMessage() for r in caplog.records]
-    match = re.fullmatch(
-        r"radius edge-scan: (\d+) blocks of at most (\d+) columns, (\d+)/(\d+) columns packed, (\d+) rows scanned", message
-    )
-    blocks, widest, packed, chi, rows = map(int, match.groups())
+    match = re.fullmatch(r"radius edge-scan: (\d+) blocks, (\d+)/(\d+) columns packed, (\d+) rows scanned", message)
+    blocks, packed, chi, rows = map(int, match.groups())
     assert chi == graph.chi
-    return edge, blocks, widest, packed, rows
+    return edge, blocks, packed, rows
 
 
 class TestRadiusColumnOrder:
@@ -397,22 +396,27 @@ class TestRadiusColumnOrder:
         assert edge is None or e < graph.edges.tolist().index(list(edge))  # without c, e would be the answer
 
     def test_growing_blocks_logged(self, grid60, caplog, monkeypatch):
-        """Under a 60-column block the blocks grow 1, 4, 16, 60 and no block is wider; at info level nothing is logged."""
+        """Under a 60-column block the blocks grow 1, 4, 16, 60 and no block is wider; at info level nothing is logged.
+
+        The block count with every column packed pins the widths: any block
+        wider than 60 would leave fewer blocks.
+        """
         monkeypatch.setattr(rectilink.metrics, "_COLUMN_BLOCK", 60)
         prep = grid60[0]
         far = prep.dm >= prep.summary.orrad + 1
         with caplog.at_level(logging.INFO, logger="rectilink"):
             radius_edge_scan(prep.graph, far)
         assert not caplog.records
-        edge, blocks, widest, packed, rows = radius_log(caplog, prep.graph, far)
+        edge, blocks, packed, rows = radius_log(caplog, prep.graph, far)
         assert edge == reference.radius_edge_scan(prep.graph, far) is not None
-        assert blocks > 2 and widest == 60 and packed == prep.graph.chi  # an open edge is left: every column is packed
-        assert blocks == 3 + -(-(prep.graph.chi - 21) // 60)
+        assert packed == prep.graph.chi  # an open edge is left: every column is packed
+        assert rows >= prep.graph.chi + blocks - 1  # the first block scans every row, each later one at least one
+        assert blocks == 3 + -(-(prep.graph.chi - 21) // 60)  # 1 + 4 + 16 columns, then blocks of 60
 
     def test_early_stop(self, grid60, caplog):
         """At ``orrad`` on grid-60 seed 1 every edge is covered before the last column is packed."""
         prep = grid60[0]
-        edge, _, _, packed, _ = radius_log(caplog, prep.graph, prep.dm >= prep.summary.orrad)
+        edge, _, packed, _ = radius_log(caplog, prep.graph, prep.dm >= prep.summary.orrad)
         assert edge is None and packed < prep.graph.chi
 
 
