@@ -20,9 +20,12 @@ block follows from one min-plus step over the crossing edges, since every
 path out of a vertical rectangle starts with an edge to a horizontal one.
 It runs over degree layers, one contiguous ``np.minimum`` per layer.
 The search advances every horizontal source one level per pass, 64 sources
-to a machine word, unless a level bound read off one breadth-first row says
-the levels are too many for the edges (a long corridor); then it searches
-from each source in turn.  A point query reads one row of the table, which
+to a machine word, and stops gathering for targets that every source has
+reached, unless a level bound read off one breadth-first row says the
+levels are too many for the edges (a long corridor); then it searches from
+each source in turn.  The same bound caps every entry, so the table takes
+one byte per entry when the bound (or m) is at most 255, and two
+otherwise.  A point query reads one row of the table, which
 :func:`bfs_from` computes without it.
 """
 
@@ -39,7 +42,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import DisconnectedGraphError, ResourceLimitError
 from .geometry import Decomposition, Orientation, blocks, crossings
 
-DistanceMatrix = np.ndarray  # (m, m) uint16, entry = hop distance + 1
+DistanceMatrix = np.ndarray  # (m, m) uint8 when every entry fits, else uint16; entry = hop distance + 1
 
 log = logging.getLogger("rectilink")
 
@@ -156,22 +159,43 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
 # benchmark workload exercises yet, so it has been fitted on generated
 # domains and on staircase corridors built in the tests alone.
 LEVEL_SEARCH_K = 128
-CHUNK = 256  # sources per scipy search, rows decoded at once, a quarter of the edges per level-search block
+# sources per scipy search, rows decoded at once, twice the transpose tile, a quarter of the edges per
+# level-search block and of the edges from which the level search skips saturated targets
+CHUNK = 256
 
-def _source_search(graph: OrientedGraph, dm: DistanceMatrix) -> None:
+
+def _transpose(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[:] = src.T`` in square tiles of ``CHUNK // 2``, so that the rows read and written stay in cache."""
+    tile = -(-CHUNK // 2)
+    for i in range(0, src.shape[0], tile):
+        for j in range(0, src.shape[1], tile):
+            dst[j : j + tile, i : i + tile] = src[i : i + tile, j : j + tile].T
+
+
+def _source_search(graph: OrientedGraph, dm: DistanceMatrix) -> int:
     """Fill ``dm[:nh]`` and ``dm[:, :nh]`` by a scipy search from each horizontal source.
 
-    ``CHUNK`` sources are searched at a time.
+    ``CHUNK`` sources are searched at a time.  Returns 0: no target is skipped.
     """
     nh, sparse = graph.nh, _sparse(graph)
     for start in range(0, nh, CHUNK):
         stop = min(start + CHUNK, nh)
         rows = dijkstra(sparse, directed=True, unweighted=True, indices=np.arange(start, stop))
-        dm[start:stop] = rows.astype(np.uint16) + 1
-        dm[nh:, start:stop] = dm[start:stop, nh:].T
+        dm[start:stop] = rows.astype(dm.dtype) + 1
+    _transpose(dm[nh:, :nh], dm[:nh, nh:])
+    return 0
 
 
-def _level_search(graph: OrientedGraph, dm: DistanceMatrix) -> None:
+def _open_groups(ptr: np.ndarray, nbr: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR groups ``keep`` of ``(ptr, nbr)`` as new groups ``0..len(keep)-1``."""
+    lo = ptr[keep]
+    degree = ptr[keep + 1] - lo
+    kept = np.zeros(len(keep) + 1, dtype=np.intp)
+    np.cumsum(degree, out=kept[1:])
+    return kept, nbr[np.repeat(lo - kept[:-1], degree) + np.arange(kept[-1])]
+
+
+def _level_search(graph: OrientedGraph, dm: DistanceMatrix) -> int:
     """Fill ``dm[:, :nh]`` and ``dm[:nh]`` by one search from all horizontal sources at once.
 
     Every rectangle keeps a ``reached`` bitset over the sources, ``W =
@@ -182,51 +206,80 @@ def _level_search(graph: OrientedGraph, dm: DistanceMatrix) -> None:
     ``np.bitwise_or.reduceat`` over the target's CSR group, for blocks of
     targets that gather at most ``4 * CHUNK`` edges of ``W`` words.
 
+    A target that every source has reached gets no new bit, so its gather is
+    wasted; leaving it out is the bottom-up step of multi-source BFS.  When
+    the graph has more than ``4 * CHUNK`` edges, each level tests its side's
+    open targets against the full source mask, and once more than a quarter
+    of them are saturated, it rebuilds the side's CSR groups for the rest;
+    later levels on that side gather only those.  Below that size the test
+    costs more than it saves.  Returns the number of target gathers skipped,
+    counted only when the debug log is on.
+
     A new bit's level goes into bit planes, plane ``p`` holding bit ``p`` of
-    the level, so a level touches only the planes of its set bits.  Decoding
-    the planes, ``CHUNK`` rows at a time, writes ``dm[:, :nh]`` in place;
-    ``dm[:nh, nh:]`` is its transpose.  (Scattering each level's new bits
-    into the table as they appear measured three times slower.)
+    the level, so a level touches only the planes of its set bits.  Bit 0
+    is the target's side, horizontal targets sitting at odd levels and
+    vertical ones at even levels, so no plane 0 is kept: decoding ``CHUNK``
+    rows at a time, in ``dm``'s dtype, sets that bit on the horizontal rows
+    and ORs in the planes, writing ``dm[:, :nh]`` in place.  ``dm[:nh, nh:]``
+    is its transpose, written in square tiles.  (Scattering each level's new
+    bits into the table as they appear measured three times slower.)
 
     The graph must be connected: ``reduceat`` returns a group's first
     element, not zero, for an empty group, and unreached entries would stay
     unwritten.
     """
-    m, nh = graph.m, graph.nh
+    m, nh, chi = graph.m, graph.nh, graph.chi
     words = -(-nh // 64)
     indptr, indices = graph.indptr, graph.indices
-    # per target side: CSR groups, the neighbours as rows of the other side's frontier, the first id
-    targets_of = ((indptr[: nh + 1], indices[: graph.chi] - nh, 0), (indptr[nh:], indices, nh))
     reached = np.zeros((m, words), dtype=np.uint64)
     ids = np.arange(nh)
     reached.view(np.uint8)[ids, ids >> 3] = np.left_shift(1, ids & 7)
-    planes = [reached.copy()]
+    full = np.bitwise_or.reduce(reached[:nh], axis=0)
+    prune, debug, skipped = chi > 4 * CHUNK, log.isEnabledFor(logging.DEBUG), 0
+    # per target side: its rows, the open targets (None: all), their CSR groups with the neighbours as
+    # rows of the other side's frontier, and the groups' blocks
+    sides = []
+    for rows, ptr, nbr in ((slice(0, nh), indptr[: nh + 1], indices[:chi] - nh), (slice(nh, m), indptr[nh:], indices)):
+        sides.append((rows, None, ptr, nbr, list(blocks(ptr, 4 * CHUNK))))
+    planes = []
     frontier = reached[:nh].copy()
     for level in range(2, m + 1):
-        ptr, nbr, first = targets_of[1 - level % 2]
-        targets = reached[first : first + len(ptr) - 1]
-        new = np.empty_like(targets)
-        for a, b in blocks(ptr, 4 * CHUNK):
+        side = 1 - level % 2
+        rows, open_ids, ptr, nbr, spans = sides[side]
+        targets = reached[rows]
+        new = np.empty_like(targets) if open_ids is None else np.zeros_like(targets)
+        for a, b in spans:
             bits = np.bitwise_or.reduceat(frontier[nbr[ptr[a] : ptr[b]]], ptr[a:b] - ptr[a], axis=0)
-            np.bitwise_and(bits, ~targets[a:b], out=new[a:b])
+            at = slice(a, b) if open_ids is None else open_ids[a:b]
+            new[at] = bits & ~targets[at]
         if not new.any():
             break
         targets |= new
-        for p in range(level.bit_length()):
+        for p in range(1, level.bit_length()):
             if level >> p & 1:
-                if p == len(planes):
+                if p > len(planes):
                     planes.append(np.zeros_like(reached))
-                planes[p][first : first + len(new)] |= new
+                planes[p - 1][rows] |= new
         frontier = new
+        if open_ids is not None and debug:
+            skipped += len(new) - len(open_ids)
+        if prune:
+            saturated = ((targets if open_ids is None else targets[open_ids]) == full).all(axis=1)
+            if 4 * np.count_nonzero(saturated) > len(saturated):
+                keep = np.flatnonzero(~saturated)
+                ptr, nbr = _open_groups(ptr, nbr, keep)
+                keep = keep if open_ids is None else open_ids[keep]
+                sides[side] = (rows, keep, ptr, nbr, list(blocks(ptr, 4 * CHUNK)))
     for start in range(0, m, CHUNK):
         stop = min(start + CHUNK, m)
-        levels = np.zeros((stop - start, 64 * words), dtype=np.uint16)
-        for p, plane in enumerate(planes):
+        levels = np.zeros((stop - start, 64 * words), dtype=dm.dtype)
+        levels[: max(nh - start, 0)] = 1
+        for p, plane in enumerate(planes, 1):
             bits = np.unpackbits(plane[start:stop].view(np.uint8), axis=1, bitorder="little")
-            levels |= bits.astype(np.uint16) << p
+            levels |= np.left_shift(bits, p, dtype=dm.dtype)
         dm[start:stop, :nh] = levels[:, :nh]
-    for start in range(0, nh, CHUNK):
-        dm[start : start + CHUNK, nh:] = dm[nh:, start : start + CHUNK].T
+    _transpose(dm[:nh, nh:], dm[nh:, :nh])
+    return skipped
 
 
 def _select_search(graph: OrientedGraph):
@@ -240,27 +293,39 @@ def _select_search(graph: OrientedGraph):
     return _source_search, bound
 
 
-def _table(graph: OrientedGraph, search) -> DistanceMatrix:
+def _table(graph: OrientedGraph, search, bound: int) -> DistanceMatrix:
     """The table from ``search``'s horizontal rows and columns and one min-plus step over degree layers.
 
-    Layer k, the k-th neighbour of each vertical of degree above k, is a prefix of the verticals ordered by
-    degree, descending.  A vertical with no neighbour would read the next one's, so :func:`_select_search`'s
-    connectivity check must run first.
+    Every entry is at most ``min(bound, m)``, so the table is uint8 when that fits, else uint16, and
+    ``nearest += 1`` cannot wrap.  Layer k, the k-th neighbour of each vertical of degree above k, is a
+    prefix of the verticals ordered by degree, descending.  A vertical with no neighbour would read the
+    next one's, so :func:`_select_search`'s connectivity check must run first.
     """
     m, nh = graph.m, graph.nh
-    dm = np.empty((m, m), dtype=np.uint16)
-    search(graph, dm)
+    dm = np.empty((m, m), dtype=np.min_scalar_type(min(bound, m)))
+    skipped = search(graph, dm)
     offset, neighbours, hv = graph.indptr[nh:], graph.indices, dm[:, nh:]
     degree = np.diff(offset)
     order = np.argsort(-degree, kind="stable")
     first = offset[order]
     nearest = hv[neighbours[first]]
-    for k in range(1, int(degree.max(initial=0))):
+    layers = int(degree.max(initial=0))
+    for k in range(1, layers):
         c = np.count_nonzero(degree > k)
         np.minimum(nearest[:c], hv[neighbours[first[:c] + k]], out=nearest[:c])
     nearest += 1
     dm[nh + order, nh:] = nearest
     np.fill_diagonal(dm, 1)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "all_pairs: %s search, level bound %d, %d min-plus layers, %d targets skipped as saturated, m=%d, chi=%d",
+            "level" if search is _level_search else "per-source",
+            bound,
+            layers,
+            skipped,
+            m,
+            graph.chi,
+        )
     return dm
 
 
@@ -274,7 +339,8 @@ def all_pairs(graph: OrientedGraph) -> DistanceMatrix:
        and ``dm[v, v] = 1``: a shortest path out of ``v`` starts with an edge
        to some ``h`` in ``N(v)``.  The minimum is one in-place ``np.minimum``
        per degree layer (:func:`_table`), as many as the largest vertical
-       degree, which the debug log reports.
+       degree, which the debug log reports with the targets the level search
+       skipped as saturated.
 
     The search is one of two.  The level search (:func:`_level_search`)
     advances all ``nh`` sources one level per pass, 64 to a machine word,
@@ -298,21 +364,13 @@ def all_pairs(graph: OrientedGraph) -> DistanceMatrix:
     corridors, which no benchmark workload exercises yet, and the constant
     is provisional until one does.  The same row refuses a disconnected
     graph, before the level search's ``reduceat`` or a min-plus layer could
-    read an isolated rectangle's empty group.
+    read an isolated rectangle's empty group.  The bound also sets the
+    table's dtype: one byte per entry when ``min(bound, m) <= 255``.
 
     The min-plus step holds at most ``nv`` squared.
     """
     _check_table_ceiling(graph.m)
-    search, bound = _select_search(graph)
-    log.debug(
-        "all_pairs: %s search, level bound %d, %d min-plus layers, m=%d, chi=%d",
-        "level" if search is _level_search else "per-source",
-        bound,
-        np.diff(graph.indptr[graph.nh :]).max(initial=0),
-        graph.m,
-        graph.chi,
-    )
-    return _table(graph, search)
+    return _table(graph, *_select_search(graph))
 
 
 def summarize(dm: DistanceMatrix) -> GraphSummary:

@@ -222,6 +222,11 @@ class TestDistances:
         assert pairs == {(h3, h4), (h4, h3), (v3, v4), (v4, v3)}
 
 
+def table_dtype(graph):
+    """The dtype the level bound selects: uint8 when every entry, at most ``min(bound, m)``, fits in a byte."""
+    return np.uint8 if min(_select_search(graph)[1], graph.m) <= 255 else np.uint16
+
+
 def reference_table(graph):
     """Undirected scipy search from every one of the m sources, over the edge list."""
     h, v = graph.edges.T
@@ -252,7 +257,7 @@ class TestAllPairsDerivation:
         preps = [inst.prep for inst in corpus + fixtures] + grid60
         for prep in preps:
             dm = prep.dm
-            assert dm.dtype == np.uint16
+            assert dm.dtype == table_dtype(prep.graph)
             assert np.array_equal(dm, reference_table(prep.graph))
             assert np.array_equal(dm, dm.T)
             assert (np.diag(dm) == 1).all()
@@ -278,19 +283,46 @@ class TestAllPairsDerivation:
         assert 1 in [len(g.neighbours(v)) for v in range(g.nh, g.m)]
         assert np.array_equal(all_pairs(g), reference_table(g))
 
-    def test_independent_of_chunk(self, corpus, monkeypatch):
-        # CHUNK = 1 makes most CSR groups larger than the level search's 4 * CHUNK edge cap
+    def test_independent_of_chunk(self, corpus, monkeypatch, caplog):
+        """CHUNK = 1 makes most CSR groups larger than the level search's 4 * CHUNK edge cap, and CHUNK 1 and 3
+        put the corpus graphs above the 4 * CHUNK edges from which the level search skips saturated targets."""
         for chunk in (1, 3):
             monkeypatch.setattr(graph_module, "CHUNK", chunk)
-            for inst in corpus[:20]:
-                assert np.array_equal(all_pairs(inst.prep.graph), inst.prep.dm)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="rectilink"):
+                for inst in corpus[:20]:
+                    assert np.array_equal(all_pairs(inst.prep.graph), inst.prep.dm)
+            assert sum(skipped_targets(r) for r in caplog.records) > 0, chunk
+
+    def test_dtype_follows_bound(self):
+        """Staircases on either side of bound 255: a uint8 table at 253, a uint16 one at 257, both exact."""
+        for k, bound, dtype in ((63, 253, np.uint8), (64, 257, np.uint16)):
+            g = staircase_graph(k)
+            assert _select_search(g)[1] == bound, k
+            dm = all_pairs(g)
+            assert dm.dtype == dtype, k
+            assert np.array_equal(dm, reference_table(g)), k
+
+    def test_grid120_skips_saturated_targets(self, caplog):
+        """An extremes-large benchmark instance, where the level search skips saturated targets at the default CHUNK."""
+        g = decompose(gen_domain(GenParams(width=120, height=120, cells=6480, holes=3, seed=1005)))[2]
+        with caplog.at_level(logging.DEBUG, logger="rectilink"):
+            dm = all_pairs(g)
+        assert skipped_targets(caplog.records[-1]) > 0
+        assert dm.dtype == np.uint8
+        assert np.array_equal(dm, reference_table(g))
+
+
+def skipped_targets(record):
+    return int(re.search(r"(\d+) targets skipped as saturated", record.getMessage()).group(1))
 
 
 def assert_reduceat_table(graph, dm=None):
-    """``all_pairs`` (or ``dm``, when given) equals the ``reduceat`` min-plus step's table, dtype and every entry."""
+    """``all_pairs`` (or ``dm``, when given) equals the ``reduceat`` min-plus step's uint16 table in every entry,
+    in the dtype the level bound selects."""
     dm = all_pairs(graph) if dm is None else dm
     expected = table_reduceat(graph, _select_search(graph)[0], 256)
-    assert dm.dtype == expected.dtype
+    assert dm.dtype == table_dtype(graph)
     assert np.array_equal(dm, expected)
 
 
@@ -343,18 +375,23 @@ def staircase_graph(k):
 SEARCHES = [_level_search, _source_search]
 
 
+def search_table(graph, search):
+    """The table built with ``search``, in the dtype that the level bound selects."""
+    return _table(graph, search, _select_search(graph)[1])
+
+
 @pytest.mark.parametrize("search", SEARCHES, ids=["level", "per-source"])
 class TestSearches:
     """Each search, called directly, builds the reference table."""
 
     def test_generated(self, search, corpus, fixtures, grid60):
         for prep in [inst.prep for inst in corpus + fixtures] + grid60:
-            assert np.array_equal(_table(prep.graph, search), reference_table(prep.graph))
+            assert np.array_equal(search_table(prep.graph, search), reference_table(prep.graph))
 
     def test_staircases(self, search):
-        for k in (1, 2, 3, 5, 8, 16, 64):
+        for k in (1, 2, 3, 5, 8, 16, 63, 64):
             g = staircase_graph(k)
-            assert np.array_equal(_table(g, search), reference_table(g)), k
+            assert np.array_equal(search_table(g, search), reference_table(g)), k
 
     @pytest.mark.parametrize("nh", [63, 64, 65, 128, 129])
     def test_word_boundaries(self, search, nh, monkeypatch):
@@ -364,8 +401,8 @@ class TestSearches:
             expected = reference_table(g)
             for chunk in (3, 256):
                 monkeypatch.setattr(graph_module, "CHUNK", chunk)
-                dm = _table(g, search)
-                assert dm.dtype == np.uint16
+                dm = search_table(g, search)
+                assert dm.dtype == table_dtype(g)
                 assert np.array_equal(dm, expected), (seed, chunk)
 
 
