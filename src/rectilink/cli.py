@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import RectilinkError
+from .errors import RectilinkError, UnknownChoiceError
 from .generator import GenParams, gen_domain
 from .geometry import (
     Point,
@@ -35,6 +35,13 @@ def _read_domain(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise RectilinkError(f"cannot read {path}: {exc}") from exc
     return parse_domain(text)
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise RectilinkError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_domain(path: str):
@@ -131,7 +138,7 @@ def _cmd_gen(args) -> int:
         raise RectilinkError(str(exc)) from exc
     instance = domain_to_instance(domain)
     if args.out:
-        Path(args.out).write_text(json.dumps(instance) + "\n")
+        _write_text(args.out, json.dumps(instance) + "\n")
         _emit({"out": args.out, "n": domain.n, "h": domain.h, "seed": args.seed})
     else:
         _emit(instance, pretty=False)
@@ -148,6 +155,8 @@ def _cmd_bench(args) -> int:
     if args.reps < 1:
         raise RectilinkError(f"--reps must be at least 1, got {args.reps}")
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+    if not engines:
+        raise UnknownChoiceError(f"--engines names no engine (choose from {', '.join(DIAMETER_ALGOS)})")
     rows = []
     for path in args.instances:
         domain = _load_domain(path)
@@ -191,7 +200,7 @@ def _cmd_render(args) -> int:
         decomposition = (horizontal_decomposition if args.dec == "H" else vertical_decomposition)(domain)
     text = render_svg(domain, decomposition=decomposition, points=points)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_text(args.out, text + "\n")
     else:
         print(text)
     return 0

@@ -1,4 +1,4 @@
-"""Bipartite crossing graph over the two decompositions and its distance table.
+"""Bipartite crossing graph over the two decompositions and its oriented distances as bit planes.
 
 Vertices are the rectangles of both decompositions (horizontal block first),
 edges join pairs of opposite orientation whose interiors overlap.  Two such
@@ -13,27 +13,30 @@ distance between two rectangles is the hop distance in this graph plus one;
 it equals the fewest links of a path that starts along the first
 rectangle's orientation and ends along the second's.
 
-The graph is bipartite and undirected, so the table is symmetric and only the
-horizontal sources need a search: the vertical-to-horizontal block is the
-transpose of the horizontal-to-vertical one, and the vertical-to-vertical
-block follows from one min-plus step over the crossing edges, since every
-path out of a vertical rectangle starts with an edge to a horizontal one.
-It runs over degree layers, one contiguous ``np.minimum`` per layer.
-The search advances every horizontal source one level per pass, 64 sources
-to a machine word, and stops gathering for targets that every source has
-reached, unless a level bound read off one breadth-first row says the
-levels are too many for the edges (a long corridor); then it searches from
-each source in turn.  The same bound caps every entry, so the table takes
-one byte per entry when the bound (or m) is at most 255, and two
-otherwise.  A point query reads one row of the table, which
-:func:`bfs_from` computes without it.
+The graph is bipartite and undirected, so the distances are symmetric and
+only the horizontal sources need a search.  The search advances every
+horizontal source one level per pass, 64 sources to a machine word, and
+stops gathering for targets that every source has reached, unless a level
+bound read off one breadth-first row says the levels are too many for the
+edges (a long corridor); then it searches from each source in turn.  Either
+way the result is :class:`Levels`, the levels as bit planes, 64 sources to a
+word.  No table is built: the engines decide on a far relation ``dm >= t``,
+which :meth:`Levels.far` reads off the planes as packed bits, the
+vertical-to-horizontal block by a bit-sliced compare, the
+horizontal-to-vertical block as its transpose, and the vertical-to-vertical
+block as one AND over the crossing edges, since every path out of a
+vertical rectangle starts with an edge to a horizontal one.  The summary
+comes from the planes, with that AND only on the few verticals that could
+change an extreme.  A point query reads one row of distances, which
+:func:`bfs_from` computes alone.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -41,8 +44,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DisconnectedGraphError, ResourceLimitError
 from .geometry import Decomposition, Orientation, blocks, crossings
-
-DistanceMatrix = np.ndarray  # (m, m) uint8 when every entry fits, else uint16; entry = hop distance + 1
 
 log = logging.getLogger("rectilink")
 
@@ -119,7 +120,7 @@ def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
 
 
 def _check_table_ceiling(m: int) -> None:
-    """Refuse, before allocating, a graph whose distances could overflow uint16."""
+    """Refuse, before allocating, a graph whose distances could overflow :func:`bfs_from`'s uint16 row."""
     limit = int(np.iinfo(np.uint16).max)
     if m + 1 >= limit:
         raise ResourceLimitError(
@@ -159,31 +160,55 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
 # benchmark workload exercises yet, so it has been fitted on generated
 # domains and on staircase corridors built in the tests alone.
 LEVEL_SEARCH_K = 128
-# sources per scipy search, rows decoded at once, twice the transpose tile, a quarter of the edges per
-# level-search block and of the edges from which the level search skips saturated targets
+# sources per scipy search (rounded up to whole words), rows bit-transposed at once, a quarter of the edges
+# per block of a level search or of an AND over the vertical groups, and of the edges from which the level
+# search skips saturated targets
 CHUNK = 256
 
 
-def _transpose(dst: np.ndarray, src: np.ndarray) -> None:
-    """``dst[:] = src.T`` in square tiles of ``CHUNK // 2``, so that the rows read and written stay in cache."""
-    tile = -(-CHUNK // 2)
-    for i in range(0, src.shape[0], tile):
-        for j in range(0, src.shape[1], tile):
-            dst[j : j + tile, i : i + tile] = src[i : i + tile, j : j + tile].T
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
-def _source_search(graph: OrientedGraph, dm: DistanceMatrix) -> int:
-    """Fill ``dm[:nh]`` and ``dm[:, :nh]`` by a scipy search from each horizontal source.
+def _check_memory(graph: OrientedGraph, bound: int) -> None:
+    """Refuse, before the search allocates, a graph whose planes, ``reached`` and one far relation exceed memory.
 
-    ``CHUNK`` sources are searched at a time.  Returns 0: no target is skipped.
+    Every level is at most ``min(bound, m)``, so the search keeps at most that many bits' planes, less bit 0.
     """
-    nh, sparse = graph.nh, _sparse(graph)
-    for start in range(0, nh, CHUNK):
-        stop = min(start + CHUNK, nh)
-        rows = dijkstra(sparse, directed=True, unweighted=True, indices=np.arange(start, stop))
-        dm[start:stop] = rows.astype(dm.dtype) + 1
-    _transpose(dm[nh:, :nh], dm[:nh, nh:])
-    return 0
+    m, words = graph.m, -(-graph.nh // 64)
+    planes = max(min(bound, m).bit_length() - 1, 0)
+    need = 8 * m * ((planes + 1) * words + -(-m // 64))
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ResourceLimitError(
+            f"{m} rectangles need {need} bytes for {planes} bit planes, the reached sets and one far relation,"
+            f" more than the {have} bytes of physical memory"
+        )
+
+
+def _source_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
+    """The bit planes of :func:`_level_search`, from a scipy search out of each horizontal source.
+
+    ``CHUNK`` sources, rounded up to whole words, are searched at a time,
+    and each bit of their levels is packed into its plane.  Returns the
+    planes and 0: no target is skipped.
+    """
+    m, nh, sparse = graph.m, graph.nh, _sparse(graph)
+    words, step = -(-nh // 64), 64 * -(-CHUNK // 64)
+    planes: list[np.ndarray] = []
+    for start in range(0, nh, step):
+        stop = min(start + step, nh)
+        levels = dijkstra(sparse, directed=True, unweighted=True, indices=np.arange(start, stop)).T.astype(np.intp) + 1
+        for p in range(1, int(levels.max()).bit_length()):
+            if p > len(planes):
+                planes.append(np.zeros((m, words), dtype=np.uint64))
+            bits = np.packbits(levels >> p & 1, axis=1, bitorder="little")
+            planes[p - 1].view(np.uint8)[:, start // 8 : start // 8 + bits.shape[1]] = bits
+    return planes, 0
 
 
 def _open_groups(ptr: np.ndarray, nbr: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,8 +220,8 @@ def _open_groups(ptr: np.ndarray, nbr: np.ndarray, keep: np.ndarray) -> tuple[np
     return kept, nbr[np.repeat(lo - kept[:-1], degree) + np.arange(kept[-1])]
 
 
-def _level_search(graph: OrientedGraph, dm: DistanceMatrix) -> int:
-    """Fill ``dm[:, :nh]`` and ``dm[:nh]`` by one search from all horizontal sources at once.
+def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
+    """The levels from every horizontal source, as bit planes, by one search from all of them at once.
 
     Every rectangle keeps a ``reached`` bitset over the sources, ``W =
     ceil(nh / 64)`` words, source ``s`` at bit ``s``.  Level 1 reaches the
@@ -212,21 +237,17 @@ def _level_search(graph: OrientedGraph, dm: DistanceMatrix) -> int:
     open targets against the full source mask, and once more than a quarter
     of them are saturated, it rebuilds the side's CSR groups for the rest;
     later levels on that side gather only those.  Below that size the test
-    costs more than it saves.  Returns the number of target gathers skipped,
-    counted only when the debug log is on.
+    costs more than it saves.
 
-    A new bit's level goes into bit planes, plane ``p`` holding bit ``p`` of
-    the level, so a level touches only the planes of its set bits.  Bit 0
-    is the target's side, horizontal targets sitting at odd levels and
-    vertical ones at even levels, so no plane 0 is kept: decoding ``CHUNK``
-    rows at a time, in ``dm``'s dtype, sets that bit on the horizontal rows
-    and ORs in the planes, writing ``dm[:, :nh]`` in place.  ``dm[:nh, nh:]``
-    is its transpose, written in square tiles.  (Scattering each level's new
-    bits into the table as they appear measured three times slower.)
+    A new bit's level goes into bit planes, plane ``p - 1`` holding bit
+    ``p`` of the level, so a level touches only the planes of its set bits.
+    Bit 0 is the target's side, horizontal targets sitting at odd levels and
+    vertical ones at even levels, so it needs no plane.  Returns the planes,
+    ``(m, W)`` words each, and the number of target gathers skipped, counted
+    only when the debug log is on.
 
     The graph must be connected: ``reduceat`` returns a group's first
-    element, not zero, for an empty group, and unreached entries would stay
-    unwritten.
+    element, not zero, for an empty group.
     """
     m, nh, chi = graph.m, graph.nh, graph.chi
     words = -(-nh // 64)
@@ -270,16 +291,7 @@ def _level_search(graph: OrientedGraph, dm: DistanceMatrix) -> int:
                 ptr, nbr = _open_groups(ptr, nbr, keep)
                 keep = keep if open_ids is None else open_ids[keep]
                 sides[side] = (rows, keep, ptr, nbr, list(blocks(ptr, 4 * CHUNK)))
-    for start in range(0, m, CHUNK):
-        stop = min(start + CHUNK, m)
-        levels = np.zeros((stop - start, 64 * words), dtype=dm.dtype)
-        levels[: max(nh - start, 0)] = 1
-        for p, plane in enumerate(planes, 1):
-            bits = np.unpackbits(plane[start:stop].view(np.uint8), axis=1, bitorder="little")
-            levels |= np.left_shift(bits, p, dtype=dm.dtype)
-        dm[start:stop, :nh] = levels[:, :nh]
-    _transpose(dm[:nh, nh:], dm[nh:, :nh])
-    return skipped
+    return planes, skipped
 
 
 def _select_search(graph: OrientedGraph):
@@ -293,54 +305,137 @@ def _select_search(graph: OrientedGraph):
     return _source_search, bound
 
 
-def _table(graph: OrientedGraph, search, bound: int) -> DistanceMatrix:
-    """The table from ``search``'s horizontal rows and columns and one min-plus step over degree layers.
+def _transpose_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
+    """The ``(ncols, ceil(rows / 64))`` words of the bit rows ``bits`` transposed, ``CHUNK`` rows at a time.
 
-    Every entry is at most ``min(bound, m)``, so the table is uint8 when that fits, else uint16, and
-    ``nearest += 1`` cannot wrap.  Layer k, the k-th neighbour of each vertical of degree above k, is a
-    prefix of the verticals ordered by degree, descending.  A vertical with no neighbour would read the
-    next one's, so :func:`_select_search`'s connectivity check must run first.
+    Each run of rows is unpacked, one byte per bit, transposed and packed
+    into the output bytes of those rows, so no temporary outgrows ``CHUNK``
+    rows of ``ncols`` bytes.
     """
-    m, nh = graph.m, graph.nh
-    dm = np.empty((m, m), dtype=np.min_scalar_type(min(bound, m)))
-    skipped = search(graph, dm)
-    offset, neighbours, hv = graph.indptr[nh:], graph.indices, dm[:, nh:]
-    degree = np.diff(offset)
-    order = np.argsort(-degree, kind="stable")
-    first = offset[order]
-    nearest = hv[neighbours[first]]
-    layers = int(degree.max(initial=0))
-    for k in range(1, layers):
-        c = np.count_nonzero(degree > k)
-        np.minimum(nearest[:c], hv[neighbours[first[:c] + k]], out=nearest[:c])
-    nearest += 1
-    dm[nh + order, nh:] = nearest
-    np.fill_diagonal(dm, 1)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "all_pairs: %s search, level bound %d, %d min-plus layers, %d targets skipped as saturated, m=%d, chi=%d",
-            "level" if search is _level_search else "per-source",
-            bound,
-            layers,
-            skipped,
-            m,
-            graph.chi,
-        )
-    return dm
+    out = np.zeros((ncols, -(-len(bits) // 64)), dtype=np.uint64)
+    step = 8 * -(-CHUNK // 8)
+    for a in range(0, len(bits), step):
+        block = np.unpackbits(bits[a : a + step].view(np.uint8), axis=1, count=ncols, bitorder="little")
+        packed = np.packbits(np.ascontiguousarray(block.T), axis=1, bitorder="little")
+        out.view(np.uint8)[:, a // 8 : a // 8 + packed.shape[1]] = packed
+    return out
 
 
-def all_pairs(graph: OrientedGraph) -> DistanceMatrix:
-    """All oriented distances from a search over the horizontal sources only.
+def _join(h_bits: np.ndarray, v_bits: np.ndarray, nh: int, m: int) -> np.ndarray:
+    """Rows of bits over the ``nh`` horizontal columns, then the vertical ones from bit ``nh``: ``ceil(m / 64)`` words.
 
-    1. A search fills the horizontal rows and columns, ``dm[H, :]`` and
-       ``dm[:, H]``; the table is symmetric, so one half is the transpose of
-       the other.
-    2. ``dm[v, v'] = 1 + min over h in N(v) of dm[h, v']`` for ``v != v'``,
-       and ``dm[v, v] = 1``: a shortest path out of ``v`` starts with an edge
-       to some ``h`` in ``N(v)``.  The minimum is one in-place ``np.minimum``
-       per degree layer (:func:`_table`), as many as the largest vertical
-       degree, which the debug log reports with the targets the level search
-       skipped as saturated.
+    Both inputs hold zeros past their last column, so the vertical words
+    shift into place across a word boundary by two ORs.
+    """
+    words, shift = h_bits.shape[1], nh % 64
+    out = np.zeros((len(h_bits), -(-m // 64)), dtype=np.uint64)
+    out[:, :words] = h_bits
+    if shift == 0:
+        out[:, words:] = v_bits
+    else:
+        out[:, words - 1 : words - 1 + v_bits.shape[1]] |= v_bits << np.uint64(shift)
+        out[:, words:] |= (v_bits >> np.uint64(64 - shift))[:, : out.shape[1] - words]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Levels:
+    """The oriented distances to the horizontal rectangles as bit planes, and the far relations they give.
+
+    ``planes[p - 1][x]`` holds bit ``p`` of ``dm[x, h]`` at bit ``h``, ``W =
+    ceil(nh / 64)`` words per row; bit 0 of ``dm[x, h]`` is 1 exactly when
+    ``x`` is horizontal, so it has no plane.  The table is symmetric, so
+    these are also the horizontal rows.  :meth:`far` reads the relation
+    ``dm >= t`` off the planes, with no table, and keeps each threshold's
+    relation for the next caller; the blocks it is made of are not kept.
+    """
+
+    graph: OrientedGraph
+    planes: tuple[np.ndarray, ...]
+    _far: dict = field(default_factory=dict, init=False, repr=False)  # threshold -> far relation
+
+    def _far_h(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """``far[:, H]`` at ``t >= 2``, ``(m, W)`` words, and ``far[V, H]`` at ``t - 1``, from one compare.
+
+        Bit 0 of a level is the row's side, so only ``level >> 1`` needs the
+        planes, against ``u = t >> 1``: a bit-sliced compare from the top
+        plane down keeps the bits already above ``u`` and those still equal
+        to it.  A horizontal row (odd levels) reaches ``t`` when ``level >>
+        1 >= u``; a vertical row (even levels) reaches ``t - 1`` then, and
+        ``t`` too for even ``t``, but only when ``level >> 1 > u`` for odd
+        ``t``.  ``u >= 1`` leaves the pad bits past column ``nh`` clear, as
+        they sit at level 0 or 1.
+        """
+        nh, u = self.graph.nh, t >> 1
+        shape = (self.graph.m, -(-nh // 64))
+        if u >= 1 << len(self.planes):  # above every level
+            return np.zeros(shape, dtype=np.uint64), np.zeros((shape[0] - nh, shape[1]), dtype=np.uint64)
+        above = np.zeros(shape, dtype=np.uint64)
+        equal = np.full(shape, ~np.uint64(0))
+        for b in range(len(self.planes) - 1, -1, -1):
+            bit = self.planes[b]
+            if u >> b & 1:
+                equal &= bit
+            else:
+                above |= equal & bit
+                equal &= ~bit
+        before = above[nh:] | equal[nh:]
+        above[:nh] |= equal[:nh]
+        if t % 2 == 0:
+            above[nh:] = before
+        return above, before
+
+    def _far_vv(self, t: int, hv: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        """``far[V, V]`` at ``t >= 2`` on the verticals ``keep`` (numbered from 0; None: all of them).
+
+        ``hv`` is ``far[H, V]`` at ``t - 1``, ``(nh, ceil(nv / 64))`` words.
+        Off the diagonal ``dm[v, v'] = 1 + min over h in N(v) of dm[h, v']``,
+        so ``far[v, V]`` at ``t`` is the AND of the ``hv`` rows over
+        ``N(v)``: one ``np.bitwise_and.reduceat`` over the CSR groups of
+        ``keep``, in blocks of at most ``4 * CHUNK`` edges.  The same AND
+        puts ``dm[v, v] = 1`` at 3, so the diagonal is cleared for ``t <=
+        3``.  Every vertical must have a neighbour.
+        """
+        g = self.graph
+        ptr, nbr = g.indptr[g.nh :], g.indices
+        if keep is not None:
+            ptr, nbr = _open_groups(ptr, nbr, keep)
+        out = np.empty((len(ptr) - 1, hv.shape[1]), dtype=np.uint64)
+        for a, b in blocks(ptr, 4 * CHUNK):
+            out[a:b] = np.bitwise_and.reduceat(hv[nbr[ptr[a] : ptr[b]]], ptr[a:b] - ptr[a], axis=0)
+        if t <= 3:
+            ids = np.arange(len(out)) if keep is None else keep
+            out.view(np.uint8)[np.arange(len(out)), ids >> 3] &= ~np.left_shift(1, ids & 7).astype(np.uint8)
+        return out
+
+    def far(self, t: int) -> np.ndarray:
+        """The far relation ``dm >= t``, ``t >= 2``: ``(m, ceil(m / 64))`` read-only words, row x's column j at bit j.
+
+        On a little-endian host its bytes are ``np.packbits(dm >= t, axis=1,
+        bitorder="little")``, padded to whole words.  The columns H come from :meth:`_far_h`,
+        ``far[H, V]`` is the bit transpose of ``far[V, H]`` and ``far[V,
+        V]`` the AND of :meth:`_far_vv` over ``far[H, V]`` at ``t - 1``,
+        the same block for even ``t``, as vertical-to-horizontal distances
+        are even.  Computed once per threshold.
+        """
+        if t not in self._far:
+            g = self.graph
+            rows, before = self._far_h(t)
+            hv = _transpose_bits(rows[g.nh :], g.nh)
+            vv = self._far_vv(t, hv if t % 2 == 0 else _transpose_bits(before, g.nh))
+            out = _join(rows, np.concatenate([hv, vv]), g.nh, g.m)
+            out.flags.writeable = False
+            self._far[t] = out
+        return self._far[t]
+
+
+def all_pairs(graph: OrientedGraph) -> Levels:
+    """The oriented distances to the horizontal rectangles, as the bit planes of one search from them.
+
+    The table is symmetric and every path out of a vertical rectangle
+    starts with an edge to a horizontal one, so these rows determine the
+    rest: :meth:`Levels.far` reads any threshold's far relation off them,
+    and no table is built.
 
     The search is one of two.  The level search (:func:`_level_search`)
     advances all ``nh`` sources one level per pass, 64 to a machine word,
@@ -363,28 +458,105 @@ def all_pairs(graph: OrientedGraph) -> DistanceMatrix:
     128) lose at most 1.4 ms each.  The per-source search is kept only for
     corridors, which no benchmark workload exercises yet, and the constant
     is provisional until one does.  The same row refuses a disconnected
-    graph, before the level search's ``reduceat`` or a min-plus layer could
-    read an isolated rectangle's empty group.  The bound also sets the
-    table's dtype: one byte per entry when ``min(bound, m) <= 255``.
+    graph, before the level search's ``reduceat`` could read an isolated
+    rectangle's empty group.  The bound also caps the planes, so the bytes
+    of the planes, the reached sets and one far relation are checked against
+    physical memory before either search allocates.
 
-    The min-plus step holds at most ``nv`` squared.
+    The search chosen, its bound, the planes and the targets the level
+    search skipped as saturated go to the debug log.
     """
-    _check_table_ceiling(graph.m)
-    return _table(graph, *_select_search(graph))
+    search, bound = _select_search(graph)
+    _check_memory(graph, bound)
+    planes, skipped = search(graph)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "all_pairs: %s search, level bound %d, %d planes, %d targets skipped as saturated, m=%d, chi=%d",
+            "level" if search is _level_search else "per-source",
+            bound,
+            len(planes),
+            skipped,
+            graph.m,
+            graph.chi,
+        )
+    return Levels(graph, tuple(planes))
 
 
-def summarize(dm: DistanceMatrix) -> GraphSummary:
-    """Extremes of the distance table with witnesses, from one pass over it.
+def _first_bit(words: np.ndarray) -> int:
+    """The lowest set bit of a row of words; the row must have one."""
+    return int(np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))[0])
 
-    ``diam_pair`` is the first maximum in row-major order: the first row whose
-    maximum is the table's, and that row's first maximal column.
+
+def _horizontal_eccentricities(levels: Levels) -> tuple[np.ndarray, np.ndarray]:
+    """Each horizontal rectangle's largest oriented distance, the maximum of its column, and the rows attaining it.
+
+    Bit-sliced from the top plane down: a column's maximum has bit p when
+    one of the rows still attaining its higher bits has bit p, and then only
+    those rows stay.  Bit 0 is set when a horizontal row is among the last,
+    so the rows at the maximum are the last rows of column h on the
+    horizontal side for an odd maximum and on the vertical side for an even
+    one.  Returns the maxima and those last rows, ``(m, W)`` words.
     """
-    row_max = dm.max(axis=1)
-    i = int(np.argmax(row_max))
-    return GraphSummary(
-        ordiam=int(row_max[i]),
-        orrad=int(row_max.min()),
-        diam_pair=(i, int(np.argmax(dm[i]))),
-        center_rect=int(np.argmin(row_max)),
-    )
+    graph = levels.graph
+    rows = np.full((graph.m, -(-graph.nh // 64)), ~np.uint64(0))
+    hits = np.empty((len(levels.planes) + 1, rows.shape[1]), dtype=np.uint64)  # the maxima's bits, top bit first
+    for k, plane in enumerate(reversed(levels.planes)):
+        hits[k] = np.bitwise_or.reduce(rows & plane, axis=0)
+        rows &= plane | ~hits[k]
+    hits[-1] = np.bitwise_or.reduce(rows[: graph.nh], axis=0)
+    bits = np.unpackbits(hits.view(np.uint8), axis=1, count=graph.nh, bitorder="little")
+    return np.left_shift(1, np.arange(len(hits) - 1, -1, -1)) @ bits, rows
 
+
+def summarize(levels: Levels) -> GraphSummary:
+    """Extremes of the oriented distances with witnesses, from the planes and two tests on the verticals.
+
+    The planes give every horizontal rectangle's eccentricity exactly; let
+    ``D`` and ``R`` be their largest and smallest.  Rectangles that cross
+    are at most 1 apart in eccentricity, and every vertical crosses a
+    horizontal, so ``ordiam`` is ``D`` or ``D + 1`` and ``orrad`` is ``R -
+    1`` or ``R``; only a vertical whose neighbours all sit at ``D`` (at
+    ``R``) can reach the other value, and mostly there is none:
+
+    * ``ordiam = D + 1`` when some ``far[v, V]`` at ``D + 1`` is set, the
+      AND over such a vertical's neighbours.  ``diam_pair`` is the first
+      such entry.  Otherwise it is the first horizontal ``i`` of
+      eccentricity ``D`` and the first row at ``D`` in column ``i``.
+    * ``orrad = R - 1`` when such a vertical has no far entry at ``R``, in
+      the horizontal columns nor by the AND.  ``center_rect`` is the first
+      one, else the first horizontal of eccentricity ``R``.
+
+    ``diam_pair`` is the first maximum in row-major order, and
+    ``center_rect`` the first row of least eccentricity.
+    """
+    g = levels.graph
+    nh, m = g.nh, g.m
+    neighbours, starts = g.indices[g.chi :], g.indptr[nh:m] - g.chi  # each vertical's horizontals, grouped
+    ecc, last = _horizontal_eccentricities(levels)
+    top, low = int(ecc.max()), int(ecc.min())
+
+    keep = np.flatnonzero(np.logical_and.reduceat(ecc[neighbours] == top, starts))
+    hits = keep
+    if len(keep):
+        rows, _ = levels._far_h(top)
+        vv = levels._far_vv(top + 1, _transpose_bits(rows[nh:], nh), keep)
+        hits = np.flatnonzero(vv.any(axis=1))
+    if len(hits):
+        ordiam, diam_pair = top + 1, (nh + int(keep[hits[0]]), nh + _first_bit(vv[hits[0]]))
+    else:
+        i = int(np.argmax(ecc))
+        side = nh * (1 - top % 2)  # the first row of the side at odd or even distances from i
+        column = last[side : nh if top % 2 else m, i >> 6] >> np.uint64(i & 63) & np.uint64(1)
+        ordiam, diam_pair = top, (i, side + int(np.flatnonzero(column)[0]))
+
+    center = np.flatnonzero(np.logical_and.reduceat(ecc[neighbours] == low, starts))
+    if len(center):
+        rows, before = levels._far_h(low)
+        center = center[~rows[nh:][center].any(axis=1)]  # no far entry at low in the horizontal columns
+    if len(center):
+        center = center[~levels._far_vv(low, _transpose_bits(before, nh), center).any(axis=1)]
+    if len(center):
+        orrad, center_rect = low - 1, nh + int(center[0])
+    else:
+        orrad, center_rect = low, int(np.argmin(ecc))
+    return GraphSummary(ordiam=ordiam, orrad=orrad, diam_pair=diam_pair, center_rect=center_rect)

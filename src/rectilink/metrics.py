@@ -5,27 +5,32 @@ over the rectangles containing them.  For the global extremes, the oriented
 diameter ``ordiam`` pins the diameter to ``ordiam - 1`` or ``ordiam - 2``, and
 the oriented radius ``orrad`` pins the radius to ``orrad - 1`` or ``orrad - 2``.
 Each engine decides between the two on the far relation ``dm >= ordiam`` (or
-``dm >= orrad``) and returns only its decision, a witness configuration of
-crossing rectangle pairs or ``None``:
+``dm >= orrad``), packed 64 columns to a machine word as
+:meth:`~rectilink.graph.Levels.far` reads it off the level search's planes,
+and returns only its decision, a witness configuration of crossing
+rectangle pairs or ``None``:
 
-* ``edge-scan``: direct scan over pairs of graph edges, with the cover test
-  packed into bits one block of at most ``_COLUMN_BLOCK`` edge columns at a
-  time, so the packed bits take ``2 * m * _COLUMN_BLOCK / 8`` bytes whatever
-  chi; the radius takes the columns by the smaller far degree of their two
-  ends, highest first, in blocks growing fourfold from ``_COLUMN_BLOCK //
-  32``, drops the edges each block covers and stops when none is left; the
-  diameter scan visits only the edges between far rows, in edge order, and
-  in later blocks only the rows before its lowest hit,
+* ``edge-scan``: direct scan over pairs of graph edges, unpacking the far
+  rows ``_EDGE_CHUNK`` at a time, with the cover test packed into bits one
+  block of at most ``_COLUMN_BLOCK`` edge columns at a time, so the packed
+  bits take ``2 * m * _COLUMN_BLOCK / 8`` bytes whatever chi; the radius
+  takes the columns by the smaller far degree of their two ends, highest
+  first, in blocks growing fourfold from ``_COLUMN_BLOCK // 32``, drops the
+  edges each block covers and stops when none is left; the diameter scan
+  visits only the edges between far rows, in edge order, and in later
+  blocks only the rows before its lowest hit,
 * ``matmul``: the same condition as thresholded boolean matrix products on
-  rows packed 64 to a machine word: one product ``mid = cross·far``, then
+  the packed rows: one product ``mid = cross·far``, then
   ``prod = far·mid`` read only on the crossing edges between far rows,
-* ``fast`` (diameter only): per-source far sets explored through a
-  report-and-remove crossing store, visiting each candidate pair once.
+* ``fast`` (diameter only): per-source far sets, unpacked one far row at a
+  time, explored through a report-and-remove crossing store, visiting each
+  candidate pair once.
 
 The decision is only valid when the oriented value is at least 4.  The one
 router, :func:`compute`, sends smaller values to :func:`small_case_fallback`
-(the diameter 2 in closed form, the radius by enumerating overlay faces),
-builds the far relation once for the engine, and turns its decision into the
+(the diameter 2 in closed form, the radius by enumerating overlay faces on
+the table ``1 + sum of far(t)``, the one table left), hands the engine the
+far relation, computed once per threshold, and turns its decision into the
 result and witness points.  Every witness point lies in an overlay face, the
 intersection of the boxes of two crossing rectangles; the fallback reads all
 of them from one (chi, 4) box array, :func:`overlay_faces`.
@@ -43,7 +48,9 @@ import numpy as np
 from .crossing import CrossingStore
 from .errors import UnknownChoiceError
 from .geometry import Decomposition, Point, locate
-from .graph import DistanceMatrix, GraphSummary, OrientedGraph, bfs_from
+from .graph import GraphSummary, Levels, OrientedGraph, bfs_from
+
+DistanceMatrix = np.ndarray  # (m, m) uint8, entry = hop distance + 1; only the radius fallback builds one
 
 EDGE_SCAN = "edge-scan"
 MATMUL = "matmul"
@@ -58,6 +65,12 @@ ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind
 _EDGE_CHUNK = 512
 _COLUMN_BLOCK = 16 * _EDGE_CHUNK  # the most edge columns the edge-scans pack at once
 _FALLBACK_PAIRS = 1 << 20  # face pairs the fallback holds at once
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)  # per byte
+
+
+def _popcount(far: np.ndarray) -> np.ndarray:
+    """Set bits per row of packed words, by table lookup per byte; at most m, below the uint16 ceiling."""
+    return np.take(_POPCOUNT, far.view(np.uint8)).sum(axis=-1, dtype=np.uint16)
 
 log = logging.getLogger("rectilink")
 
@@ -124,12 +137,24 @@ def point_distance(hdec: Decomposition, vdec: Decomposition, graph: OrientedGrap
     return int(min(row[b] for b in rq))
 
 
+def _far_rows(far: np.ndarray, rows) -> np.ndarray:
+    """Rows ``rows`` of the packed far relation, one bool per column."""
+    return np.unpackbits(far[rows].view(np.uint8), axis=-1, count=len(far), bitorder="little").view(bool)
+
+
+def _far_at(far: np.ndarray, i: int, cols: np.ndarray) -> np.ndarray:
+    """``far[i, cols]`` read from the packed words, as bools."""
+    cols = np.asarray(cols)
+    return (far[i, cols >> 6] >> (cols & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
+
+
 def _packed_block(far: np.ndarray, edges: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``F0 = far[:, edges[:, 0]]`` and ``F1 = far[:, edges[:, 1]]`` on ``rows``, in bits, eight columns per byte.
 
     ``edges`` is a run of edges sorted by their horizontal end, so ``F0``
     repeats the columns of those ends, each as often as it occurs.  Only the
-    rows ``rows`` are made, ``_EDGE_CHUNK`` at a time; the others stay unset.
+    rows ``rows`` are made, each ``_EDGE_CHUNK`` of them unpacked from
+    ``far``'s words at a time; the others stay unset.
     ``packbits`` pads each row to whole bytes with zeros, which cover nothing.
     """
     lo = int(edges[0, 0])
@@ -140,7 +165,7 @@ def _packed_block(far: np.ndarray, edges: np.ndarray, rows: np.ndarray) -> tuple
     f1 = np.empty_like(f0)
     for start in range(0, len(rows), _EDGE_CHUNK):
         ids = rows[start : start + _EDGE_CHUNK]
-        part = far[ids]
+        part = _far_rows(far, ids)
         f0[ids] = np.packbits(np.repeat(part[:, ends], counts, axis=1), axis=1)
         f1[ids] = np.packbits(np.take(part, edges[:, 1], axis=1), axis=1)
     return f0, f1
@@ -197,7 +222,7 @@ def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int,
     if row == len(ids):
         return None
     (i, ip), (j, jp) = graph.edges[[ids[row], ids[col]]].tolist()
-    return (i, ip, j, jp) if far[i, j] and far[ip, jp] else (i, ip, jp, j)
+    return (i, ip, j, jp) if _far_at(far, i, j) and _far_at(far, ip, jp) else (i, ip, jp, j)
 
 
 def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
@@ -218,8 +243,7 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
     width = max(1, _COLUMN_BLOCK // 32)
     order = None  # edge order: one block's order cannot matter
     if chi > width:
-        # far entries per row, at most m, so below the table's uint16 ceiling; a uint16 sum is several times faster
-        degree = far.view(np.uint8).sum(axis=1, dtype=np.uint16).astype(np.intp)
+        degree = _popcount(far).astype(np.intp)  # far entries per row
         order = np.argsort(-np.minimum(degree[edges[:, 0]], degree[edges[:, 1]]), kind="stable")
     covered = np.zeros(chi, dtype=bool)
     open_ids = np.arange(chi)
@@ -240,10 +264,10 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
 
 
 def _far_products(graph: OrientedGraph, far: np.ndarray):
-    """Packed ``far``, ``mid = cross·far`` transposed on the far rows, and the edges ``prod`` can be set on.
+    """``far``, ``mid = cross·far`` transposed on the far rows, and the edges ``prod`` can be set on.
 
-    Returns ``(far_bits, mid_t, slot, ids)``.  ``far_bits[i]`` is row i of
-    ``far`` in bits, 64 to a word.  With R the far rows (those holding any
+    Returns ``(far, mid_t, slot, ids)``, ``far`` as given, row i's column j
+    at bit j.  With R the far rows (those holding any
     entry), ``mid_t[slot[r]]`` is column r of ``mid`` for r in R, in the same
     bits; every other column of ``mid`` is zero, since ``far`` is symmetric.
     ``ids`` are the positions, in edge order, of the edges between far rows,
@@ -263,19 +287,17 @@ def _far_products(graph: OrientedGraph, far: np.ndarray):
     m = graph.m
     rows = far.any(axis=1)
     far_rows = np.flatnonzero(rows)
-    far_bits = np.zeros((m, -(-m // 64)), dtype=np.uint64)
-    far_bits.view(np.uint8)[:, : -(-m // 8)] = np.packbits(far, axis=1)
-    mid_t = np.zeros((len(far_rows), far_bits.shape[1]), dtype=np.uint64)
+    mid_t = np.zeros((len(far_rows), far.shape[1]), dtype=np.uint64)
     indptr, indices = graph.indptr, graph.indices
     for start in 64 * np.unique(far_rows // 64):
         stop = min(start + 64, m)
         first = indptr[start]
-        mid = np.bitwise_or.reduceat(far_bits[indices[first : indptr[stop]]], indptr[start:stop] - first, axis=0)
-        columns = np.unpackbits(mid.view(np.uint8), axis=1)[:, far_rows]
-        mid_t.view(np.uint8)[:, start // 8 : -(-stop // 8)] = np.packbits(columns.T, axis=1)
+        mid = np.bitwise_or.reduceat(far[indices[first : indptr[stop]]], indptr[start:stop] - first, axis=0)
+        columns = np.unpackbits(mid.view(np.uint8), axis=1, bitorder="little")[:, far_rows]
+        mid_t.view(np.uint8)[:, start // 8 : -(-stop // 8)] = np.packbits(columns.T, axis=1, bitorder="little")
     slot = np.zeros(m, dtype=np.intp)
     slot[far_rows] = np.arange(len(far_rows))
-    return far_bits, mid_t, slot, _far_row_edges(graph, rows)
+    return far, mid_t, slot, _far_row_edges(graph, rows)
 
 
 def _edge_products(graph: OrientedGraph, far_bits: np.ndarray, mid_t: np.ndarray, slot: np.ndarray, ids: np.ndarray):
@@ -297,9 +319,10 @@ def diameter_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, in
     for start, prod in _edge_products(graph, far_bits, mid_t, slot, ids):
         if prod.any():
             i, ip = graph.edges[ids[start + int(np.argmax(prod))]].tolist()
-            j = int(np.flatnonzero(np.unpackbits((far_bits[i] & mid_t[slot[ip]]).view(np.uint8)))[0])
+            hits = (far_bits[i] & mid_t[slot[ip]]).view(np.uint8)
+            j = int(np.flatnonzero(np.unpackbits(hits, bitorder="little"))[0])
             neighbours = graph.neighbours(j)
-            jp = int(neighbours[far[ip, neighbours]][0])
+            jp = int(neighbours[_far_at(far, ip, neighbours)][0])
             return (i, ip, j, jp)
     return None
 
@@ -320,27 +343,34 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
     the rectangles crossing i's far set, which builds the reverse map; then,
     for each j' in it, one round per orientation of its sources pops the
     sources' crossings, which enumerates each candidate pair exactly once.
+    Only the far rows are unpacked from the words, once, and only theirs
+    are queried (i, its far set and the sources of j'), so only their middle
+    segments become Python ints.  A j' that is no far row has no far entry
+    ``far[i', j']``, so its rounds are skipped.
     The store is one :class:`~rectilink.crossing.CrossingStore` per axis,
     built once from ``graph.mids`` and queried with plain ints; every round
     ends with ``restore()``, which makes every segment live again in constant
     time.  Store entries, rounds and pops go to the ``rectilink`` logger at
     debug level.
     """
-    nh, mids = graph.nh, graph.mids.tolist()
+    nh, far_rows = graph.nh, np.flatnonzero(far.any(axis=1)).tolist()
+    mids = dict(zip(far_rows, graph.mids[far_rows].tolist()))
+    rows = dict(zip(far_rows, _far_rows(far, far_rows)))  # far row i, one bool per column
     stores = (CrossingStore.reset(graph.mids[:nh], 0), CrossingStore.reset(graph.mids[nh:], nh))
     reverse: dict[int, list[int]] = defaultdict(list)
     provenance: dict[tuple[int, int], int] = {}
     try:
-        for i in np.flatnonzero(far.any(axis=1)).tolist():
-            far_ids = np.flatnonzero(far[i]).tolist()
+        for i, row in rows.items():
+            far_ids = np.flatnonzero(row).tolist()
             store = stores[far_ids[0] < nh]  # the axis opposite to the far set's
             for j in far_ids:
                 for jp in store.pop_crossing(*mids[j]):
                     reverse[jp].append(i)
                     provenance[(i, jp)] = j
             store.restore()
-        for jp in sorted(reverse):
+        for jp in sorted(reverse.keys() & rows.keys()):
             sources = reverse[jp]  # increasing: the horizontal rectangles, then the vertical ones
+            far_jp = rows[jp]  # far[i', j'] = far[j', i']
             split = bisect_left(sources, nh)
             for group in (sources[:split], sources[split:]):
                 if not group:
@@ -348,7 +378,7 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
                 store = stores[group[0] < nh]
                 for i in group:
                     for ip in store.pop_crossing(*mids[i]):
-                        if far[ip, jp]:
+                        if far_jp[ip]:
                             return (i, ip, provenance[(i, jp)], jp)
                 store.restore()
         return None
@@ -372,7 +402,23 @@ def _face_rows(graph: OrientedGraph, dm: DistanceMatrix, rows: slice) -> np.ndar
     return values
 
 
-def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
+def fallback_table(levels: Levels, ordiam: int) -> DistanceMatrix:
+    """The oriented distances as a table, ``1 + sum of far(t)`` for ``t`` from 2 to ``ordiam`` (at most 255).
+
+    ``dm[x, y]`` counts the thresholds it reaches, so every entry is exact.
+    ``far(2)`` holds every pair but the diagonal, so the sum starts at 3.
+    The radius fallback builds it only below ``orrad`` 4, where every entry
+    is at most ``2 * orrad - 1 <= 5``.
+    """
+    m = levels.graph.m
+    dm = np.full((m, m), 2, dtype=np.uint8)
+    np.fill_diagonal(dm, 1)
+    for t in range(3, ordiam + 1):
+        dm += _far_rows(levels.far(t), slice(None))
+    return dm
+
+
+def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix | None, which: str):
     """The diameter or radius below the engines' threshold, from the overlay faces.
 
     Each face contributes one representative; face pairs sharing a rectangle
@@ -382,9 +428,10 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
     (h', v') of different rectangles have ``dm[v, h']`` and ``dm[h, v']``,
     even H-V distances of at most 3, at 2, so every face pair is at 2: the
     diameter is 2, witnessed by a generic pair of the first largest face, in
-    O(chi).  The radius enumerates the face pairs, exact for any oriented
-    value, reducing rows to their maxima about ``_FALLBACK_PAIRS`` pairs at a
-    time, and takes the first face of least eccentricity.
+    O(chi), and reads no table (``dm`` may be None).  The radius enumerates
+    the face pairs, exact for any oriented value, reducing rows to their
+    maxima about ``_FALLBACK_PAIRS`` pairs at a time, and takes the first
+    face of least eccentricity.
     """
     if which not in ("diameter", "radius"):
         raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
@@ -406,15 +453,17 @@ def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix, which: str):
 
 
 def compute(
-    kind: str, graph: OrientedGraph, dm: DistanceMatrix, summary: GraphSummary, algo: str = EDGE_SCAN
+    kind: str, graph: OrientedGraph, levels: Levels, summary: GraphSummary, algo: str = EDGE_SCAN
 ) -> DiameterResult | RadiusResult:
     """The diameter or radius by engine ``algo``, or by the fallback below 4.
 
-    ``summary`` is ``summarize(dm)``, computed once by :func:`~rectilink.pipeline.prepare`.
-    A routed result has engine ``fallback``.  The engine decides on the far
-    relation ``dm >= oriented``; its decision becomes the result here.  The
-    route, its reason and the far-entry count go to the ``rectilink`` logger
-    at debug level, counted only when that level is on.
+    ``levels`` is ``all_pairs(graph)`` and ``summary`` is ``summarize(levels)``,
+    computed once by :func:`~rectilink.pipeline.prepare`.  A routed result
+    has engine ``fallback``.  The engine decides on the far relation
+    ``levels.far(oriented)``, which later calls at the same threshold share;
+    its decision becomes the result here.  The route, its reason and the
+    far-entry count go to the ``rectilink`` logger at debug level, counted
+    only when that level is on.
     """
     if kind not in ALGOS:
         raise UnknownChoiceError(f"unknown kind {kind!r} (choose from {', '.join(ALGOS)})")
@@ -423,9 +472,10 @@ def compute(
     name, oriented = ("ordiam", summary.ordiam) if kind == "diameter" else ("orrad", summary.orrad)
     if log.isEnabledFor(logging.DEBUG):
         route = f"fallback, {name}={oriented} < 4" if oriented < 4 else f"{algo}, {name}={oriented}"
-        log.debug("%s: %s, %d far entries", kind, route, np.count_nonzero(dm >= oriented))
+        far_entries = int(_popcount(levels.far(oriented)).sum(dtype=np.int64))
+        log.debug("%s: %s, %d far entries", kind, route, far_entries)
     if oriented < 4:
-        return small_case_fallback(graph, dm, kind)
+        return small_case_fallback(graph, fallback_table(levels, summary.ordiam) if kind == "radius" else None, kind)
     engine = {  # looked up per call, so that rebinding a module attribute reaches the engine
         ("diameter", EDGE_SCAN): diameter_edge_scan,
         ("diameter", MATMUL): diameter_matmul,
@@ -433,7 +483,7 @@ def compute(
         ("radius", EDGE_SCAN): radius_edge_scan,
         ("radius", MATMUL): radius_matmul,
     }[kind, algo]
-    decision = engine(graph, dm >= oriented)
+    decision = engine(graph, levels.far(oriented))
 
     def center(a: int, b: int | None = None) -> Point:
         """The centre of the face of edge (a, b), ``b`` by default ``a``'s lowest neighbour."""

@@ -1,10 +1,11 @@
 """One path from a domain to every answer.
 
 :func:`decompose` runs the pipeline up to the crossing graph, which is all a
-point query searches.  :func:`prepare` goes on to the oriented-distance table
-and its summary (``ordiam``, ``orrad``), once per domain.  :func:`solve` is
+point query searches.  :func:`prepare` goes on to the oriented distances,
+as the level search's bit planes, and their summary (``ordiam``, ``orrad``),
+once per domain.  :func:`solve` is
 the one way to a diameter or radius: an engine through the router (from the
-prepared table and summary) or the cut-grid oracle (from the grid).  Every
+prepared planes and summary) or the cut-grid oracle (from the grid).  Every
 command reaches the engines through it; :func:`run_verify` runs each engine
 and the oracle and checks every witness against the oracle.
 """
@@ -24,7 +25,7 @@ from .geometry import (
     require_valid,
     vertical_decomposition,
 )
-from .graph import DistanceMatrix, GraphSummary, OrientedGraph, all_pairs, build_graph, summarize
+from .graph import GraphSummary, Levels, OrientedGraph, all_pairs, build_graph, summarize
 from .metrics import ALGOS, FALLBACK, DiameterResult, ORACLE, RadiusResult, compute
 from .oracle import GridModel, build_grid, oracle_diameter, oracle_distance, oracle_eccentricity, oracle_radius
 
@@ -35,7 +36,7 @@ class Prepared:
     hdec: Decomposition
     vdec: Decomposition
     graph: OrientedGraph
-    dm: DistanceMatrix
+    levels: Levels
     summary: GraphSummary
     seconds: dict[str, float]  # per stage of prepare
 
@@ -53,7 +54,7 @@ def decompose(domain: Domain, validated: bool = False) -> tuple[Decomposition, D
 
 
 def prepare(domain: Domain, validated: bool = False) -> Prepared:
-    """Decompositions, crossing graph, all-pairs distances and their extremes, each stage timed."""
+    """Decompositions, crossing graph, all-pairs distances (as bit planes) and their extremes, each stage timed."""
     seconds = {}
 
     def timed(stage, fn, *args):
@@ -64,8 +65,8 @@ def prepare(domain: Domain, validated: bool = False) -> Prepared:
 
     hdec, vdec = timed("decompose", _decompositions, domain, validated)
     graph = timed("graph", build_graph, hdec, vdec)
-    dm = timed("all_pairs", all_pairs, graph)
-    return Prepared(domain, hdec, vdec, graph, dm, timed("summarize", summarize, dm), seconds)
+    levels = timed("all_pairs", all_pairs, graph)
+    return Prepared(domain, hdec, vdec, graph, levels, timed("summarize", summarize, levels), seconds)
 
 
 def point_out(p: Point):
@@ -114,7 +115,7 @@ def solve(kind: str, algo: str, prep: Prepared | None = None, grid: GridModel | 
     if algo == ORACLE and grid is not None:
         result = (oracle_diameter if kind == "diameter" else oracle_radius)(grid)
     else:
-        result = compute(kind, prep.graph, prep.dm, prep.summary, algo)
+        result = compute(kind, prep.graph, prep.levels, prep.summary, algo)
     return Solution(result, time.perf_counter() - t0)
 
 

@@ -2,9 +2,11 @@
 
 Each is the direct, obviously correct phrasing of one decision the package
 makes faster: the parser one point and one edge at a time, the
-decomposition sweep over one list of intervals bisected by key, the all-pairs
-table's min-plus step as one ``np.minimum.reduceat`` over the CSR groups of
-a block of vertical rectangles, the middle segments and overlay faces one
+decomposition sweep over one list of intervals bisected by key, the
+all-pairs table as a scipy search from every rectangle, and as one from the
+horizontal ones with the min-plus step as one ``np.minimum.reduceat`` over
+the CSR groups of a block of vertical rectangles, its summary in one pass
+over the table, the far relation packed from the table, the middle segments and overlay faces one
 rectangle object at a time (and the crossing-store engine on those
 segments, with the store of segment objects and per-node ``SortedList``s it
 was written for), crossing of two middle segments, positive-area overlap of
@@ -22,6 +24,7 @@ generator with its flood fills and 3x3 scans one cell at a time.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from bisect import bisect_left, bisect_right
@@ -29,14 +32,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 from sortedcontainers import SortedList
 
 from rectilink import geometry, metrics
 from rectilink.errors import InstanceFormatError, InvalidDomainError, OutsidePointError, UnknownChoiceError
 from rectilink.generator import GenParams
 from rectilink.geometry import COORD_LIMIT, SCALE, Domain, Orientation, Point, Rect, ValidationReport, blocks
-from rectilink.graph import DistanceMatrix, OrientedGraph
-from rectilink.metrics import FALLBACK, DiameterResult, RadiusResult, _center, generic_pair_in_box
+from rectilink.graph import GraphSummary, Levels, OrientedGraph, summarize
+from rectilink.metrics import FALLBACK, DiameterResult, DistanceMatrix, RadiusResult, _center, generic_pair_in_box
 from rectilink.oracle import GridModel, _OracleFace
 
 
@@ -195,11 +200,22 @@ def opposite(orient: Orientation) -> Orientation:
     return Orientation.VERTICAL if orient is Orientation.HORIZONTAL else Orientation.HORIZONTAL
 
 
-def table_reduceat(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
-    """The table from ``search``'s horizontal rows and columns and one min-plus step."""
+@functools.cache
+def reference_table(graph: OrientedGraph) -> DistanceMatrix:
+    """Undirected scipy search from every one of the m sources, over the edge list; read-only, once per graph."""
+    h, v = graph.edges.T
+    sparse = csr_matrix((np.ones(2 * graph.chi, dtype=np.uint8), (np.r_[h, v], np.r_[v, h])), shape=(graph.m, graph.m))
+    dm = shortest_path(sparse, method="D", directed=False, unweighted=True).astype(np.uint16) + 1
+    dm.flags.writeable = False
+    return dm
+
+
+def table_reduceat(graph: OrientedGraph, chunk: int) -> DistanceMatrix:
+    """The table from a scipy search out of the horizontal sources, its transpose and one min-plus step."""
     m, nh = graph.m, graph.nh
     dm = np.empty((m, m), dtype=np.uint16)
-    search(graph, dm)
+    dm[:nh] = reference_table(graph)[:nh]
+    dm[nh:, :nh] = dm[:nh, nh:].T
     # Horizontal neighbours grouped by vertical rectangle, as the min-plus step reads them.
     offset, neighbours = graph.indptr[nh:], graph.indices
     for a, b in blocks(offset, chunk):
@@ -208,6 +224,36 @@ def table_reduceat(graph: OrientedGraph, search, chunk: int) -> DistanceMatrix:
         dm[nh + a : nh + b, nh:] = nearest + 1
     np.fill_diagonal(dm, 1)
     return dm
+
+
+def summarize_table(dm: DistanceMatrix) -> GraphSummary:
+    """Extremes of a distance table with witnesses, from one pass over it: the first maximum in row-major order."""
+    row_max = dm.max(axis=1)
+    i = int(np.argmax(row_max))
+    return GraphSummary(
+        ordiam=int(row_max[i]),
+        orrad=int(row_max.min()),
+        diam_pair=(i, int(np.argmax(dm[i]))),
+        center_rect=int(np.argmin(row_max)),
+    )
+
+
+def packed(far: np.ndarray) -> np.ndarray:
+    """A boolean (m, m) far relation in the engines' layout: row x's column j at bit j of uint64 words."""
+    m = len(far)
+    bits = np.zeros((m, -(-m // 64)), dtype=np.uint64)
+    bits.view(np.uint8)[:, : -(-m // 8)] = np.packbits(far, axis=1, bitorder="little")
+    return bits
+
+
+def unpacked(bits: np.ndarray) -> np.ndarray:
+    """The boolean (m, m) far relation of packed words."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=len(bits), bitorder="little").view(bool)
+
+
+def levels_table(levels: Levels) -> DistanceMatrix:
+    """The package's distances as a table: the radius fallback's sum of far relations, up to the summary's ordiam."""
+    return metrics.fallback_table(levels, summarize(levels).ordiam)
 
 
 # The crossing store as segment objects in per-node ``SortedList``s, which

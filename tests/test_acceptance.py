@@ -16,7 +16,7 @@ from rectilink import GenParams, gen_domain, metrics, oracle_distance, point_dis
 from rectilink.cli import main as cli_main
 from rectilink.crossing import CrossingStore
 
-from reference import ScanCrossingStore, middle_segment
+from reference import ScanCrossingStore, levels_table, middle_segment
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_criterion_3_candidate_sandwich(reports):
 def test_criterion_4_distance_laws(corpus):
     rng = np.random.default_rng(404)
     for inst in corpus:
-        dm = inst.prep.dm.astype(np.int64)
+        dm = levels_table(inst.prep.levels).astype(np.int64)
         assert np.array_equal(dm, dm.T), inst.name
         edges = np.asarray(inst.prep.graph.edges)
         flips = np.abs(dm[edges[:, 0]] - dm[edges[:, 1]])
@@ -222,7 +222,7 @@ def test_criterion_10_performance_soft(tmp_path, capsys):
     # The radius edge-scan packs one column block at a time, so its peak is bounded by m, the
     # block width and the row chunk, not by chi.  The per-edge flags, column order and indices,
     # about 33 bytes an edge (2.7 MB here), fit in the bound's slack.
-    far = prep.dm >= prep.summary.orrad
+    far = prep.levels.far(prep.summary.orrad)
     m, block, chunk = prep.graph.m, metrics._COLUMN_BLOCK, metrics._EDGE_CHUNK
     bound = 2 * m * block // 8 + 4 * chunk * (m + block)  # packed block + row-chunk gathers
     tracemalloc.start()

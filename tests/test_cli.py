@@ -213,6 +213,24 @@ class TestErrors:
         for reps in ("0", "-1"):
             self.assert_clean_failure(capsys, ["bench", files["donut"], "--reps", reps])
 
+    def test_bench_no_engine(self, capsys, files):
+        for engines in ("", ",", " , "):
+            self.assert_clean_failure(capsys, ["bench", files["donut"], "--engines", engines])
+        assert main(["bench", files["donut"], "--engines", ","]) == 1
+        assert "names no engine (choose from edge-scan, matmul, fast)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "render"])
+    def test_out_into_missing_directory(self, capsys, files, tmp_path, command):
+        out = tmp_path / "missing" / "out.txt"
+        argv = {
+            "gen": ["gen", "--width", "6", "--height", "6", "--cells", "20", "--out", str(out)],
+            "render": ["render", files["donut"], "--out", str(out)],
+        }[command]
+        self.assert_clean_failure(capsys, argv)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert not out.parent.exists()
+
 
 def _python(*args, **kwargs) -> subprocess.Popen:
     """A fresh interpreter that imports the package from this source tree."""

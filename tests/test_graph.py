@@ -1,15 +1,15 @@
-"""Crossing graph construction, BFS distances, summaries, invariants."""
+"""Crossing graph construction, BFS distances, bit planes and far relations, summaries, invariants."""
 
+import json
 import logging
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from rectilink import (
     Decomposition,
@@ -17,26 +17,40 @@ from rectilink import (
     GenParams,
     RectilinkError,
     ResourceLimitError,
+    domain_to_instance,
     gen_domain,
     parse_domain,
     run_verify,
 )
 from rectilink import graph as graph_module
 from rectilink.geometry import Orientation
+from rectilink.cli import main
 from rectilink.graph import (
+    Levels,
     _level_search,
     _select_search,
     _source_search,
-    _table,
     all_pairs,
     bfs_from,
     build_graph,
     summarize,
 )
+from rectilink.metrics import compute
 from rectilink.pipeline import decompose, prepare
 
 from conftest import comb, perforated, spiral, staircase
-from reference import crosses, edges_quadratic, graph_rects, middle_segment, rects_cross, table_reduceat
+from reference import (
+    crosses,
+    edges_quadratic,
+    graph_rects,
+    levels_table,
+    middle_segment,
+    packed,
+    rects_cross,
+    reference_table,
+    summarize_table,
+    table_reduceat,
+)
 
 
 def rect_by_box(graph, box):
@@ -170,7 +184,7 @@ def assert_csr_matches_edges(g):
 
 class TestDistances:
     def test_square_matrix(self, square):
-        assert square.prep.dm.tolist() == [[1, 2], [2, 1]]
+        assert levels_table(square.prep.levels).tolist() == [[1, 2], [2, 1]]
 
     def test_donut_bfs_from_bottom(self, donut):
         g = donut.prep.graph
@@ -194,7 +208,7 @@ class TestDistances:
         for inst in corpus[:25]:
             g = inst.prep.graph
             for source in range(0, g.m, max(1, g.m // 5)):
-                assert np.array_equal(inst.prep.dm[source], bfs_from(g, [source]))
+                assert np.array_equal(levels_table(inst.prep.levels)[source], bfs_from(g, [source]))
 
     def test_multi_source_row_is_table_minimum(self, fixtures, corpus):
         rng = np.random.default_rng(5)
@@ -202,36 +216,24 @@ class TestDistances:
             g = inst.prep.graph
             for size in (1, 2, 3, 4):
                 sources = sorted(rng.choice(g.m, size=min(size, g.m), replace=False).tolist())
-                expected = inst.prep.dm[sources].min(axis=0)
+                expected = reference_table(g)[sources].min(axis=0)
                 assert np.array_equal(bfs_from(g, sources), expected), (inst.name, sources)
 
     def test_lshape_max(self, lshape):
         g = lshape.prep.graph
         h2 = rect_by_box(g, (0, 8, 8, 20))
         v2 = rect_by_box(g, (8, 20, 0, 8))
-        dm = lshape.prep.dm
+        dm = levels_table(lshape.prep.levels)
         assert dm.max() == 4 and dm[h2, v2] == 4
 
     def test_donut_max_pairs(self, donut):
-        g, dm = donut.prep.graph, donut.prep.dm
+        g, dm = donut.prep.graph, levels_table(donut.prep.levels)
         pairs = {(int(i), int(j)) for i, j in np.argwhere(dm == 5)}
         h3 = rect_by_box(g, (0, 12, 12, 16))
         h4 = rect_by_box(g, (16, 28, 12, 16))
         v3 = rect_by_box(g, (12, 16, 0, 12))
         v4 = rect_by_box(g, (12, 16, 16, 28))
         assert pairs == {(h3, h4), (h4, h3), (v3, v4), (v4, v3)}
-
-
-def table_dtype(graph):
-    """The dtype the level bound selects: uint8 when every entry, at most ``min(bound, m)``, fits in a byte."""
-    return np.uint8 if min(_select_search(graph)[1], graph.m) <= 255 else np.uint16
-
-
-def reference_table(graph):
-    """Undirected scipy search from every one of the m sources, over the edge list."""
-    h, v = graph.edges.T
-    sparse = csr_matrix((np.ones(2 * graph.chi, dtype=np.uint8), (np.r_[h, v], np.r_[v, h])), shape=(graph.m, graph.m))
-    return shortest_path(sparse, method="D", directed=False, unweighted=True).astype(np.uint16) + 1
 
 
 def graph_of(h_boxes, v_boxes):
@@ -251,13 +253,12 @@ T_SHAPE_V = [(0, 6, 14, 20), (6, 14, 0, 20), (14, 20, 14, 20)]
 
 
 class TestAllPairsDerivation:
-    """The table built from horizontal sources equals a search from all sources."""
+    """The distances read off the planes of a search from the horizontal sources equal a search from all sources."""
 
     def test_every_row_matches_reference(self, corpus, fixtures, grid60):
         preps = [inst.prep for inst in corpus + fixtures] + grid60
         for prep in preps:
-            dm = prep.dm
-            assert dm.dtype == table_dtype(prep.graph)
+            dm = levels_table(prep.levels)
             assert np.array_equal(dm, reference_table(prep.graph))
             assert np.array_equal(dm, dm.T)
             assert (np.diag(dm) == 1).all()
@@ -265,75 +266,81 @@ class TestAllPairsDerivation:
     def test_square_one_rectangle_per_side(self, square):
         g = square.prep.graph
         assert (g.m, g.nh) == (2, 1)
-        assert np.array_equal(all_pairs(g), reference_table(g))
+        assert np.array_equal(levels_table(all_pairs(g)), reference_table(g))
 
     def test_unequal_sides(self):
         g = graph_of(T_SHAPE_H, T_SHAPE_V)
         assert (g.nh, g.m) == (2, 5)
         assert g.edges.tolist() == [[0, 2], [0, 3], [0, 4], [1, 3]]
-        dm = all_pairs(g)
+        dm = levels_table(all_pairs(g))
         assert np.array_equal(dm, reference_table(g))
         assert dm[2, 4] == 3 and dm[1, 2] == 4
 
     def test_degree_one_verticals(self, lshape):
         g = graph_of(T_SHAPE_H, T_SHAPE_V)
         assert [len(g.neighbours(v)) for v in range(g.nh, g.m)] == [1, 2, 1]
-        assert np.array_equal(all_pairs(g), reference_table(g))
+        assert np.array_equal(levels_table(all_pairs(g)), reference_table(g))
         g = lshape.prep.graph
         assert 1 in [len(g.neighbours(v)) for v in range(g.nh, g.m)]
-        assert np.array_equal(all_pairs(g), reference_table(g))
+        assert np.array_equal(levels_table(all_pairs(g)), reference_table(g))
 
     def test_independent_of_chunk(self, corpus, monkeypatch, caplog):
-        """CHUNK = 1 makes most CSR groups larger than the level search's 4 * CHUNK edge cap, and CHUNK 1 and 3
-        put the corpus graphs above the 4 * CHUNK edges from which the level search skips saturated targets."""
+        """CHUNK = 1 makes most CSR groups larger than the level search's and the vertical AND's 4 * CHUNK edge
+        cap, and CHUNK 1 and 3 put the corpus graphs above the 4 * CHUNK edges from which the level search skips
+        saturated targets; the bit transpose runs eight rows at a time."""
         for chunk in (1, 3):
             monkeypatch.setattr(graph_module, "CHUNK", chunk)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="rectilink"):
                 for inst in corpus[:20]:
-                    assert np.array_equal(all_pairs(inst.prep.graph), inst.prep.dm)
+                    assert np.array_equal(levels_table(all_pairs(inst.prep.graph)), levels_table(inst.prep.levels))
             assert sum(skipped_targets(r) for r in caplog.records) > 0, chunk
-
-    def test_dtype_follows_bound(self):
-        """Staircases on either side of bound 255: a uint8 table at 253, a uint16 one at 257, both exact."""
-        for k, bound, dtype in ((63, 253, np.uint8), (64, 257, np.uint16)):
-            g = staircase_graph(k)
-            assert _select_search(g)[1] == bound, k
-            dm = all_pairs(g)
-            assert dm.dtype == dtype, k
-            assert np.array_equal(dm, reference_table(g)), k
 
     def test_grid120_skips_saturated_targets(self, caplog):
         """An extremes-large benchmark instance, where the level search skips saturated targets at the default CHUNK."""
-        g = decompose(gen_domain(GenParams(width=120, height=120, cells=6480, holes=3, seed=1005)))[2]
+        g = decompose(grid120_domain())[2]
         with caplog.at_level(logging.DEBUG, logger="rectilink"):
-            dm = all_pairs(g)
+            levels = all_pairs(g)
         assert skipped_targets(caplog.records[-1]) > 0
-        assert dm.dtype == np.uint8
-        assert np.array_equal(dm, reference_table(g))
+        assert np.array_equal(levels_table(levels), reference_table(g))
+
+    def test_grid120_holds_no_table(self):
+        """``prepare`` and either engine it feeds on grid 120 stay below m² bytes: any m²-byte array fails this."""
+        domain = grid120_domain()
+        m = prepare(domain).graph.m
+        for kind, algo in (("radius", "matmul"), ("diameter", "fast")):
+            tracemalloc.start()
+            try:
+                prep = prepare(domain)
+                compute(kind, prep.graph, prep.levels, prep.summary, algo)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < m * m, (kind, peak, m * m)
+
+
+def grid120_domain():
+    return gen_domain(GenParams(width=120, height=120, cells=6480, holes=3, seed=1005))
 
 
 def skipped_targets(record):
     return int(re.search(r"(\d+) targets skipped as saturated", record.getMessage()).group(1))
 
 
-def assert_reduceat_table(graph, dm=None):
-    """``all_pairs`` (or ``dm``, when given) equals the ``reduceat`` min-plus step's uint16 table in every entry,
-    in the dtype the level bound selects."""
-    dm = all_pairs(graph) if dm is None else dm
-    expected = table_reduceat(graph, _select_search(graph)[0], 256)
-    assert dm.dtype == table_dtype(graph)
-    assert np.array_equal(dm, expected)
+def assert_reduceat_table(graph, levels=None):
+    """The distances of ``all_pairs`` (or of ``levels``, when given) equal the ``reduceat`` min-plus step's table."""
+    levels = all_pairs(graph) if levels is None else levels
+    assert np.array_equal(levels_table(levels), table_reduceat(graph, 256))
 
 
 class TestLayeredMinPlus:
-    """The min-plus step over degree layers builds the table of the ``reduceat`` step it replaced."""
+    """The vertical rows ANDed from ``far[H, V]`` over the crossing edges give the table of a min-plus step."""
 
     def test_generated(self, fixtures, corpus, grid40, grid60):
         for inst in fixtures + corpus:
-            assert_reduceat_table(inst.prep.graph, inst.prep.dm)
+            assert_reduceat_table(inst.prep.graph, inst.prep.levels)
         for prep in grid40 + grid60:
-            assert_reduceat_table(prep.graph, prep.dm)
+            assert_reduceat_table(prep.graph, prep.levels)
 
     def test_rare_shapes(self):
         shapes = [comb(k) for k in (1, 2, 3, 5, 8, 32, 100)] + [staircase(k) for k in (1, 2, 16, 64)]
@@ -376,8 +383,8 @@ SEARCHES = [_level_search, _source_search]
 
 
 def search_table(graph, search):
-    """The table built with ``search``, in the dtype that the level bound selects."""
-    return _table(graph, search, _select_search(graph)[1])
+    """The distances read off the planes of ``search``."""
+    return levels_table(Levels(graph, tuple(search(graph)[0])))
 
 
 @pytest.mark.parametrize("search", SEARCHES, ids=["level", "per-source"])
@@ -402,7 +409,6 @@ class TestSearches:
             for chunk in (3, 256):
                 monkeypatch.setattr(graph_module, "CHUNK", chunk)
                 dm = search_table(g, search)
-                assert dm.dtype == table_dtype(g)
                 assert np.array_equal(dm, expected), (seed, chunk)
 
 
@@ -421,7 +427,7 @@ class TestSelection:
         for prep in grid40 + grid60:
             search, bound = _select_search(prep.graph)
             assert search is _level_search
-            assert prep.dm.max() <= bound
+            assert levels_table(prep.levels).max() <= bound
 
     def test_choice_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="rectilink"):
@@ -432,15 +438,6 @@ class TestSelection:
             "all_pairs: level search",
         ]
         assert "level bound 257" in caplog.records[0].getMessage()
-
-    def test_layers_logged(self, caplog):
-        """The min-plus step's layer count, the largest vertical degree, is k on comb(k) and 3 on a staircase."""
-        with caplog.at_level(logging.DEBUG, logger="rectilink"):
-            for k in (1, 5, 32):
-                all_pairs(decompose_comb(k)[2])
-            all_pairs(staircase_graph(64))
-        layers = [re.search(r"(\d+) min-plus layers", r.getMessage()).group(1) for r in caplog.records]
-        assert layers == ["1", "5", "32", "3"]
 
 
 class TestStaircase:
@@ -476,7 +473,7 @@ class TestComb:
             hdec, vdec, g = decompose_comb(k)
             assert g.edges.tolist() == [list(e) for e in edges_quadratic(hdec.rects + vdec.rects, g.nh)], k
             assert_csr_matches_edges(g)
-            assert np.array_equal(all_pairs(g), reference_table(g)), k
+            assert np.array_equal(levels_table(all_pairs(g)), reference_table(g)), k
 
     def test_against_oracle(self):
         for k in (1, 2, 3, 4, 5):
@@ -584,30 +581,91 @@ class TestSummary:
     def test_donut(self, donut):
         s = donut.prep.summary
         assert (s.ordiam, s.orrad) == (5, 4)
-        assert sorted(donut.prep.dm.max(axis=1).tolist()) == [4, 4, 4, 4, 5, 5, 5, 5]
+        assert sorted(levels_table(donut.prep.levels).max(axis=1).tolist()) == [4, 4, 4, 4, 5, 5, 5, 5]
 
     def test_diam_pair_attains_max(self, corpus):
         for inst in corpus[:30]:
             s = inst.prep.summary
-            assert inst.prep.dm[s.diam_pair] == s.ordiam
-            assert inst.prep.dm[s.center_rect].max() == s.orrad
+            dm = levels_table(inst.prep.levels)
+            assert dm[s.diam_pair] == s.ordiam
+            assert dm[s.center_rect].max() == s.orrad
 
-    def test_matches_two_pass_form(self):
-        """One pass over the table gives the flat argmax's pair, on random tables full of ties."""
-        rng = np.random.default_rng(19)
-        for _ in range(3000):
-            rows, cols = rng.integers(1, 9, size=2)
-            dm = rng.integers(0, rng.integers(1, 5), size=(rows, cols)).astype(np.uint16)
-            i, j = divmod(int(np.argmax(dm)), dm.shape[1])
-            row_max = dm.max(axis=1)
-            s = summarize(dm)
-            assert (s.ordiam, s.diam_pair) == (int(dm[i, j]), (i, j))
-            assert (s.orrad, s.center_rect) == (int(row_max.min()), int(np.argmin(row_max)))
+    def test_matches_table_summary(self, fixtures, corpus, grid60):
+        """The summary from the planes equals one pass over the reference table: the extremes, the first maximum
+        in row-major order and the first row of least eccentricity, on both sides of both tests on the verticals.
+
+        With ``D`` and ``R`` the largest and smallest eccentricity of a horizontal rectangle, the corpus has
+        instances with ``ordiam = D + 1`` and with ``orrad = R - 1``.
+        """
+        graphs = [inst.prep.graph for inst in fixtures + corpus] + [prep.graph for prep in grid60] + rare_graphs()
+        branches = {"ordiam = D + 1": 0, "orrad = R - 1": 0}
+        for k, g in enumerate(graphs):
+            dm = reference_table(g)
+            s = summarize(all_pairs(g))
+            assert s == summarize_table(dm), k
+            ecc = dm[: g.nh].max(axis=1)
+            branches["ordiam = D + 1"] += s.ordiam == ecc.max() + 1
+            branches["orrad = R - 1"] += s.orrad == ecc.min() - 1
+        assert min(branches.values()) >= 10, branches
+
+
+def rare_graphs():
+    """Combs, and staircases on both searches, each on both sides of a word of horizontal rectangles."""
+    shapes = [comb(k) for k in (1, 2, 3, 5, 8, 32, 33)] + [staircase(k) for k in (1, 2, 16, 31, 32, 64, 100)]
+    graphs = [decompose(parse_domain(shape))[2] for shape in shapes]
+    assert {_select_search(g)[0] for g in graphs} == {_level_search, _source_search}
+    return graphs
+
+
+class TestFarRelation:
+    """``Levels.far(t)`` is the reference table's ``dm >= t``, packed, at every threshold."""
+
+    def test_matches_reference_table(self, fixtures, corpus, grid60):
+        graphs = [inst.prep.graph for inst in fixtures + corpus] + [prep.graph for prep in grid60] + rare_graphs()
+        for k, g in enumerate(graphs):
+            dm, levels = reference_table(g), all_pairs(g)
+            for t in range(2, int(dm.max()) + 2):
+                assert np.array_equal(levels.far(t), packed(dm >= t)), (k, t)
+
+    def test_cached_read_only(self, donut):
+        levels = donut.prep.levels
+        far = levels.far(4)
+        assert levels.far(4) is far and not far.flags.writeable
+        with pytest.raises(ValueError):
+            far[0, 0] = 0
+
+
+class TestMemoryBudget:
+    """Planes, reached sets and one far relation are priced before the search allocates any of them."""
+
+    def test_refused_before_allocation(self, capsys, tmp_path, monkeypatch, donut):
+        g = decompose(grid120_domain())[2]
+        words = -(-g.nh // 64)
+        tracemalloc.start()
+        try:
+            _select_search(g)
+            bounding = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(graph_module, "_physical_memory", lambda: 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"\d+ bytes for \d+ bit planes.* more than the \d+ bytes"):
+                all_pairs(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bounding + 8 * g.m * words  # no plane beyond what the bounding row needs
+        path = tmp_path / "donut.json"
+        path.write_text(json.dumps(domain_to_instance(donut.domain)))
+        assert main(["diameter", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bytes of physical memory" in err
 
 
 class TestFarSet:
     def test_donut(self, donut):
-        g, dm = donut.prep.graph, donut.prep.dm
+        g, dm = donut.prep.graph, levels_table(donut.prep.levels)
         h3 = rect_by_box(g, (0, 12, 12, 16))
         h4 = rect_by_box(g, (16, 28, 12, 16))
         v3 = rect_by_box(g, (12, 16, 0, 12))
@@ -616,12 +674,12 @@ class TestFarSet:
         assert np.nonzero(dm[v3] == 5)[0].tolist() == [v4]
 
     def test_square(self, square):
-        assert np.nonzero(square.prep.dm[0] == 2)[0].tolist() == [1]
+        assert np.nonzero(levels_table(square.prep.levels)[0] == 2)[0].tolist() == [1]
 
     def test_parity(self, corpus):
         # distance parity matches orientation: odd iff same side of the bipartition
         for inst in corpus[:30]:
-            g, dm = inst.prep.graph, inst.prep.dm
+            g, dm = inst.prep.graph, levels_table(inst.prep.levels)
             horiz = np.arange(g.m) < g.nh
             same = horiz[:, None] == horiz[None, :]
             assert np.array_equal((dm % 2) == 1, same)
@@ -630,11 +688,12 @@ class TestFarSet:
 class TestOrientedDistanceLaws:
     def test_symmetry(self, corpus):
         for inst in corpus[:30]:
-            assert np.array_equal(inst.prep.dm, inst.prep.dm.T)
+            dm = levels_table(inst.prep.levels)
+            assert np.array_equal(dm, dm.T)
 
     def test_edge_flip_is_one(self, corpus):
         for inst in corpus[:30]:
-            dm = inst.prep.dm.astype(np.int64)
+            dm = levels_table(inst.prep.levels).astype(np.int64)
             edges = np.asarray(inst.prep.graph.edges)
             diff = np.abs(dm[edges[:, 0]] - dm[edges[:, 1]])
             assert (diff == 1).all()
@@ -642,7 +701,7 @@ class TestOrientedDistanceLaws:
     def test_edge_pair_flip_in_0_2(self, corpus):
         rng = np.random.default_rng(7)
         for inst in corpus[:30]:
-            dm = inst.prep.dm.astype(np.int64)
+            dm = levels_table(inst.prep.levels).astype(np.int64)
             edges = np.asarray(inst.prep.graph.edges)
             a = edges[rng.integers(0, len(edges), 2000)]
             b = edges[rng.integers(0, len(edges), 2000)]
@@ -651,7 +710,7 @@ class TestOrientedDistanceLaws:
 
     def test_entry_bounds(self, corpus):
         for inst in corpus[:30]:
-            dm = inst.prep.dm
+            dm = levels_table(inst.prep.levels)
             assert dm.min() == 1 and dm.max() <= inst.prep.graph.m + 1
             assert (np.diag(dm) == 1).all()
 

@@ -30,7 +30,7 @@ from rectilink.metrics import (
 from rectilink.oracle import oracle_eccentricity
 
 import reference
-from reference import ScanCrossingStore, graph_rects
+from reference import ScanCrossingStore, graph_rects, levels_table, packed, reference_table, unpacked
 
 from conftest import comb, perforated, spiral, staircase
 
@@ -54,7 +54,8 @@ def table_distance(prep, p, q):
     rq = locate(prep.hdec, q) | {nh + i for i in locate(prep.vdec, q)}
     if rp & rq:
         return 1 if (p[0] == q[0] or p[1] == q[1]) else 2
-    return int(min(prep.dm[a, b] for a in rp for b in rq))
+    dm = reference_table(prep.graph)
+    return int(min(dm[a, b] for a in rp for b in rq))
 
 
 def odd_between(rng, lo, hi):
@@ -115,7 +116,7 @@ class TestOrientedSpan:
     """The largest of the four oriented distances bounds the link distance to [span-2, span-1]."""
 
     def test_donut(self, donut):
-        g, dm = donut.prep.graph, donut.prep.dm
+        g, dm = donut.prep.graph, levels_table(donut.prep.levels)
         h1 = rect_by_box(g, (0, 28, 0, 12))
         h2 = rect_by_box(g, (0, 28, 16, 28))
         v3 = rect_by_box(g, (12, 16, 0, 12))
@@ -126,7 +127,7 @@ class TestOrientedSpan:
         assert span - 2 <= rld <= span - 1
 
     def test_lshape(self, lshape):
-        g, dm = lshape.prep.graph, lshape.prep.dm
+        g, dm = lshape.prep.graph, levels_table(lshape.prep.levels)
         h1 = rect_by_box(g, (0, 20, 0, 8))
         h2 = rect_by_box(g, (0, 8, 8, 20))
         v1 = rect_by_box(g, (0, 8, 0, 20))
@@ -144,7 +145,7 @@ class TestOrientedSpan:
                 rq = containing_pair(inst, q)
                 if rp is None or rq is None or set(rp) & set(rq):
                     continue
-                span = int(inst.prep.dm[np.ix_(rp, rq)].max())
+                span = int(levels_table(inst.prep.levels)[np.ix_(rp, rq)].max())
                 rld = dist(inst, p, q)
                 assert span - 2 <= rld <= span - 1
 
@@ -168,14 +169,15 @@ def containing_pair(inst, p):
 
 
 def far_of(inst, kind):
+    """The packed far relation the router hands the ``kind`` engines."""
     summary = inst.prep.summary
-    return inst.prep.dm >= (summary.ordiam if kind == "diameter" else summary.orrad)
+    return inst.prep.levels.far(summary.ordiam if kind == "diameter" else summary.orrad)
 
 
 class TestEngineFixtures:
     def test_donut_diameter_all_engines(self, donut):
         for algo in ("edge-scan", "matmul", "fast"):
-            res = compute("diameter", donut.prep.graph, donut.prep.dm, donut.prep.summary, algo)
+            res = compute("diameter", donut.prep.graph, donut.prep.levels, donut.prep.summary, algo)
             assert res.value == 3
             assert res.pair == ((6, 14), (22, 14))  # (3,7) and (11,7) in input units
 
@@ -186,7 +188,7 @@ class TestEngineFixtures:
         for engine in (radius_edge_scan, radius_matmul):
             assert engine(g, far_of(donut, "radius")) == (h1, v1)
         for algo in ("edge-scan", "matmul"):
-            res = compute("radius", g, donut.prep.dm, donut.prep.summary, algo)
+            res = compute("radius", g, donut.prep.levels, donut.prep.summary, algo)
             assert res.value == 2
             assert res.witness == ("edge", (h1, v1))
             assert res.center == (6, 6)  # (3,3)
@@ -198,7 +200,7 @@ class TestEngineFixtures:
     def test_decisions_are_witnesses(self, small_corpus):
         """A diameter quad joins two far pairs by edges; a radius edge is covered by no edge."""
         for inst in small_corpus[:40]:
-            g, dm, summary = inst.prep.graph, inst.prep.dm, inst.prep.summary
+            g, dm, summary = inst.prep.graph, levels_table(inst.prep.levels), inst.prep.summary
             edge_list = list(map(tuple, g.edges.tolist()))
             edges = set(edge_list) | {(b, a) for a, b in edge_list}
             far = far_of(inst, "diameter")
@@ -208,9 +210,10 @@ class TestEngineFixtures:
                     i, ip, j, jp = quad
                     assert (i, ip) in edges and (j, jp) in edges, (inst.name, engine.__name__)
                     assert dm[i, j] == dm[ip, jp] == summary.ordiam, (inst.name, engine.__name__)
-            far = far_of(inst, "radius")
+            bits = far_of(inst, "radius")
+            far = unpacked(bits)
             for engine in (radius_edge_scan, radius_matmul):
-                edge = engine(g, far)
+                edge = engine(g, bits)
                 if edge is not None:
                     h, v = edge
                     assert (h, v) in edge_list and h < g.nh <= v, (inst.name, engine.__name__)
@@ -269,12 +272,12 @@ class TestEdgeScanMatchesReference:
         preps = [getattr(inst, "prep", inst) for inst in request.getfixturevalue(collection)]
         for k, prep in enumerate(preps):
             summary = prep.summary
-            far = prep.dm >= summary.ordiam
-            assert diameter_edge_scan(prep.graph, far) == reference.diameter_edge_scan(prep.graph, far), k
+            far = prep.levels.far(summary.ordiam)
+            assert diameter_edge_scan(prep.graph, far) == reference.diameter_edge_scan(prep.graph, unpacked(far)), k
             edge = ()  # the reference's decision one threshold up: not yet None
             for t in range(summary.orrad + 1, min(summary.orrad, 4) - 1, -1):
-                far = prep.dm >= t
-                edge = None if edge is None else reference.radius_edge_scan(prep.graph, far)
+                far = prep.levels.far(t)
+                edge = None if edge is None else reference.radius_edge_scan(prep.graph, unpacked(far))
                 assert radius_edge_scan(prep.graph, far) == radius_matmul(prep.graph, far) == edge, (k, t)
 
     def test_synthetic_far_relations(self, grid60):
@@ -284,8 +287,8 @@ class TestEdgeScanMatchesReference:
         position = {e: k for k, e in enumerate(map(tuple, graph.edges.tolist()))}
         for name, far in synthetic_far_relations(graph).items():
             quad, edge = reference.diameter_edge_scan(graph, far), reference.radius_edge_scan(graph, far)
-            assert diameter_edge_scan(graph, far) == quad, name
-            assert radius_edge_scan(graph, far) == edge, name
+            assert diameter_edge_scan(graph, packed(far)) == quad, name
+            assert radius_edge_scan(graph, packed(far)) == edge, name
             if name.startswith("planted"):
                 rows = far.any(axis=1)
                 kept = [k for k, (a, b) in enumerate(graph.edges.tolist()) if rows[a] and rows[b]]
@@ -308,14 +311,14 @@ class TestEdgeScanColumnBlocks:
         for k, prep in enumerate(grid60):
             graph, summary = prep.graph, prep.summary
             assert graph.chi > 50 * self.BLOCK
-            lowest = prep.dm >= summary.ordiam - 4
+            lowest = prep.levels.far(summary.ordiam - 4)
             assert len(_far_row_edges(graph, lowest.any(axis=1))) > 2 * self.BLOCK
             for t in range(summary.ordiam - 4, summary.ordiam + 1):
-                far = prep.dm >= t
-                assert diameter_edge_scan(graph, far) == reference.diameter_edge_scan(graph, far), (k, t)
+                far = prep.levels.far(t)
+                assert diameter_edge_scan(graph, far) == reference.diameter_edge_scan(graph, unpacked(far)), (k, t)
             for t in (summary.orrad, summary.orrad + 1):
-                far = prep.dm >= t
-                assert radius_edge_scan(graph, far) == reference.radius_edge_scan(graph, far), (k, t)
+                far = prep.levels.far(t)
+                assert radius_edge_scan(graph, far) == reference.radius_edge_scan(graph, unpacked(far)), (k, t)
 
     def test_synthetic_far_relations(self, grid60):
         """The planted quads' covering edge and the first uncovered edge lie past the first two blocks.
@@ -333,8 +336,8 @@ class TestEdgeScanColumnBlocks:
         assert reference.diameter_edge_scan(graph, relations["planted-chain"]) == (p0, p1, q0, q1)
         for name, far in relations.items():
             quad, edge = reference.diameter_edge_scan(graph, far), reference.radius_edge_scan(graph, far)
-            assert diameter_edge_scan(graph, far) == quad, name
-            assert radius_edge_scan(graph, far) == edge, name
+            assert diameter_edge_scan(graph, packed(far)) == quad, name
+            assert radius_edge_scan(graph, packed(far)) == edge, name
             if name.startswith("planted"):
                 rows = far.any(axis=1)
                 kept = [k for k, (a, b) in enumerate(edges) if rows[a] and rows[b]]
@@ -365,7 +368,7 @@ def lone_cover(graph):
 
 
 def radius_log(caplog, graph, far):
-    """The radius edge-scan's decision, and its debug line's blocks, columns packed and rows scanned."""
+    """The radius edge-scan's decision on packed ``far``, and its debug line's blocks, columns packed, rows scanned."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="rectilink"):
         edge = radius_edge_scan(graph, far)
@@ -392,7 +395,7 @@ class TestRadiusColumnOrder:
         order = np.argsort(-np.minimum(degree[e0], degree[e1]), kind="stable")
         assert order[-1] == graph.chi - 1
         edge = reference.radius_edge_scan(graph, far)
-        assert radius_edge_scan(graph, far) == radius_matmul(graph, far) == edge
+        assert radius_edge_scan(graph, packed(far)) == radius_matmul(graph, packed(far)) == edge
         assert edge is None or e < graph.edges.tolist().index(list(edge))  # without c, e would be the answer
 
     def test_growing_blocks_logged(self, grid60, caplog, monkeypatch):
@@ -403,12 +406,12 @@ class TestRadiusColumnOrder:
         """
         monkeypatch.setattr(rectilink.metrics, "_COLUMN_BLOCK", 60)
         prep = grid60[0]
-        far = prep.dm >= prep.summary.orrad + 1
+        far = prep.levels.far(prep.summary.orrad + 1)
         with caplog.at_level(logging.INFO, logger="rectilink"):
             radius_edge_scan(prep.graph, far)
         assert not caplog.records
         edge, blocks, packed, rows = radius_log(caplog, prep.graph, far)
-        assert edge == reference.radius_edge_scan(prep.graph, far) is not None
+        assert edge == reference.radius_edge_scan(prep.graph, unpacked(far)) is not None
         assert packed == prep.graph.chi  # an open edge is left: every column is packed
         assert rows >= prep.graph.chi + blocks - 1  # the first block scans every row, each later one at least one
         assert blocks == 3 + -(-(prep.graph.chi - 21) // 60)  # 1 + 4 + 16 columns, then blocks of 60
@@ -416,34 +419,35 @@ class TestRadiusColumnOrder:
     def test_early_stop(self, grid60, caplog):
         """At ``orrad`` on grid-60 seed 1 every edge is covered before the last column is packed."""
         prep = grid60[0]
-        edge, _, packed, _ = radius_log(caplog, prep.graph, prep.dm >= prep.summary.orrad)
+        edge, _, packed, _ = radius_log(caplog, prep.graph, prep.levels.far(prep.summary.orrad))
         assert edge is None and packed < prep.graph.chi
 
 
 class TestFallback:
     def test_square(self, square):
-        g, dm = square.prep.graph, square.prep.dm
+        g, dm = square.prep.graph, levels_table(square.prep.levels)
         assert small_case_fallback(g, dm, "diameter").value == 2
         assert small_case_fallback(g, dm, "radius").value == 2
 
     def test_lshape_radius(self, lshape):
-        res = small_case_fallback(lshape.prep.graph, lshape.prep.dm, "radius")
+        res = small_case_fallback(lshape.prep.graph, levels_table(lshape.prep.levels), "radius")
         assert res.value == 2
         assert res.center == (4, 4)  # (2,2): the corner face reaches everything in 2
 
     def test_lshape_diameter_out_of_range_call(self, lshape):
         # the diameter's closed form holds below ordiam 4 only: LSHAPE's ordiam is 4, so the router sends it to an engine
         assert lshape.prep.summary.ordiam == 4
-        res = compute("diameter", lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "edge-scan")
+        res = compute("diameter", lshape.prep.graph, lshape.prep.levels, lshape.prep.summary, "edge-scan")
         assert res.engine == "edge-scan" and res.value == 2
 
     def test_unknown_target(self, square):
         with pytest.raises(ValueError):
-            small_case_fallback(square.prep.graph, square.prep.dm, "girth")
+            small_case_fallback(square.prep.graph, levels_table(square.prep.levels), "girth")
 
     @pytest.fixture(scope="class")
     def cases(self, fixtures, corpus):
-        """Prepared instances and the chi x chi version's results by (index, kind): the diameter where the router calls it.
+        """Prepared instances, their fallback tables and the chi x chi version's results by (index, kind): the diameter
+        where the router calls it.
 
         Full small generated grids, whose ``ordiam`` is below 4, and the same grids less one cell are added.
         """
@@ -456,63 +460,65 @@ class TestFallback:
             except ValueError:
                 continue
             preps.append(prepare(domain))
+        tables = [levels_table(prep.levels) for prep in preps]
         expected = {
-            (k, which): reference.small_case_fallback(prep.graph, prep.dm, which)
+            (k, which): reference.small_case_fallback(prep.graph, tables[k], which)
             for k, prep in enumerate(preps)
             for which in ("diameter", "radius")
             if which == "radius" or prep.summary.ordiam < 4
         }
-        return preps, expected
+        return preps, tables, expected
 
     def test_face_table_is_two_below_ordiam_4(self, cases):
         """Below ``ordiam`` 4 every pair of faces is at 2, so the diameter's closed form is the enumeration's value."""
-        preps, _ = cases
-        routed = [prep for prep in preps if prep.summary.ordiam < 4]
+        preps, tables, _ = cases
+        routed = [(prep, dm) for prep, dm in zip(preps, tables) if prep.summary.ordiam < 4]
         assert len(routed) >= 10
-        for prep in routed:
-            values, _ = reference.face_table(prep.graph, prep.dm)
+        for prep, dm in routed:
+            values, _ = reference.face_table(prep.graph, dm)
             assert (values == 2).all()
 
     @pytest.mark.parametrize("pairs", [1, 1000, rectilink.metrics._FALLBACK_PAIRS])
     def test_matches_reference(self, pairs, cases, monkeypatch):
         """Face rows in blocks of one row, of a few rows and of the default size give the chi x chi version's results."""
-        preps, expected = cases
+        preps, tables, expected = cases
         monkeypatch.setattr(rectilink.metrics, "_FALLBACK_PAIRS", pairs)
         for (k, which), result in expected.items():
-            assert small_case_fallback(preps[k].graph, preps[k].dm, which) == result, (k, which)
+            assert small_case_fallback(preps[k].graph, tables[k], which) == result, (k, which)
         assert {len(r.witness_rects) for (_, which), r in expected.items() if which == "diameter"} == {2}
 
     def test_memory(self):
         """comb(60) has chi = 3659: all face pairs at once took 230 MiB, and the table is 0.1 MiB."""
         prep = prepare(parse_domain(comb(60)))
+        dm = levels_table(prep.levels)
         assert prep.graph.chi == 3659 and prep.summary.orrad < 4
         for which in ("diameter", "radius"):
             tracemalloc.start()
             try:
-                small_case_fallback(prep.graph, prep.dm, which)
+                small_case_fallback(prep.graph, dm, which)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2**20, (which, peak)
 
     def test_routing(self, square, lshape, donut):
-        res = compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "fast")
+        res = compute("diameter", square.prep.graph, square.prep.levels, square.prep.summary, "fast")
         assert res.engine == "fallback" and res.value == 2
-        res = compute("radius", lshape.prep.graph, lshape.prep.dm, lshape.prep.summary, "matmul")
+        res = compute("radius", lshape.prep.graph, lshape.prep.levels, lshape.prep.summary, "matmul")
         assert res.engine == "fallback" and res.value == 2
-        res = compute("diameter", donut.prep.graph, donut.prep.dm, donut.prep.summary, "fast")
+        res = compute("diameter", donut.prep.graph, donut.prep.levels, donut.prep.summary, "fast")
         assert res.engine == "fast"
 
     def test_routing_logged(self, square, donut, caplog):
         """The route, its reason and the far-entry count, at debug level only."""
         with caplog.at_level(logging.INFO, logger="rectilink"):
-            compute("radius", donut.prep.graph, donut.prep.dm, donut.prep.summary, "matmul")
+            compute("radius", donut.prep.graph, donut.prep.levels, donut.prep.summary, "matmul")
         assert not caplog.records
         with caplog.at_level(logging.DEBUG, logger="rectilink"):
-            compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "fast")
-            compute("radius", donut.prep.graph, donut.prep.dm, donut.prep.summary, "matmul")
-        square_far = np.count_nonzero(square.prep.dm >= square.prep.summary.ordiam)
-        donut_far = np.count_nonzero(donut.prep.dm >= 4)
+            compute("diameter", square.prep.graph, square.prep.levels, square.prep.summary, "fast")
+            compute("radius", donut.prep.graph, donut.prep.levels, donut.prep.summary, "matmul")
+        square_far = np.count_nonzero(levels_table(square.prep.levels) >= square.prep.summary.ordiam)
+        donut_far = np.count_nonzero(levels_table(donut.prep.levels) >= 4)
         assert [r.getMessage() for r in caplog.records] == [
             f"diameter: fallback, ordiam={square.prep.summary.ordiam} < 4, {square_far} far entries",
             f"radius: matmul, orrad=4, {donut_far} far entries",
@@ -538,7 +544,7 @@ class TestFallback:
         cases = [inst.prep for inst in corpus if inst.prep.summary.ordiam >= 4][:30]
         for prep in cases[:3]:
             with caplog.at_level(logging.INFO, logger="rectilink"):
-                diameter_fast(prep.graph, prep.dm >= prep.summary.ordiam)
+                diameter_fast(prep.graph, prep.levels.far(prep.summary.ordiam))
         assert not caplog.records
         decisions = set()
         for prep in cases:
@@ -547,7 +553,7 @@ class TestFallback:
             Counting.pops = Counting.restores = 0
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="rectilink"):
-                decisions.add(diameter_fast(g, prep.dm >= prep.summary.ordiam) is None)
+                decisions.add(diameter_fast(g, prep.levels.far(prep.summary.ordiam)) is None)
             assert [r.getMessage() for r in caplog.records] == [
                 f"diameter fast: {entries[0]}/{entries[1]} store entries (H/V), "
                 f"{Counting.restores} rounds, {Counting.pops} pops"
@@ -557,16 +563,16 @@ class TestFallback:
 
     def test_unknown_algo(self, square):
         with pytest.raises(ValueError):
-            compute("diameter", square.prep.graph, square.prep.dm, square.prep.summary, "quantum")
+            compute("diameter", square.prep.graph, square.prep.levels, square.prep.summary, "quantum")
 
 
 def matmul_products(graph, far):
     """``mid`` on the far rows and columns, and ``prod`` on every crossing edge, read off the packed engine state."""
-    far_bits, mid_t, slot, ids = _far_products(graph, far)
+    far_bits, mid_t, slot, ids = _far_products(graph, packed(far))
     rows = np.flatnonzero(far.any(axis=1))
     mid = np.zeros((graph.m, graph.m), dtype=bool)
     for r in rows:
-        mid[rows, r] = np.unpackbits(mid_t[slot[r]].view(np.uint8))[rows]
+        mid[rows, r] = np.unpackbits(mid_t[slot[r]].view(np.uint8), bitorder="little")[rows]
     prod = np.zeros(graph.chi, dtype=bool)
     for start, hits in _edge_products(graph, far_bits, mid_t, slot, ids):
         prod[ids[start : start + len(hits)]] = hits
@@ -577,19 +583,19 @@ class TestMatmulPathEquivalence:
     def test_donut_product_entry(self, donut):
         # crossing row of the left vertical slab reaches the right band through
         # the left band: I[v1, h3] and D[h3, h4] force M[v1, h4]
-        g, dm = donut.prep.graph, donut.prep.dm
+        g, dm = donut.prep.graph, levels_table(donut.prep.levels)
         v1 = rect_by_box(g, (0, 12, 0, 28))
         h3 = rect_by_box(g, (0, 12, 12, 16))
         h4 = rect_by_box(g, (16, 28, 12, 16))
         assert h3 in g.neighbours(v1).tolist() and dm[h3, h4] == 5
-        _, mid_t, slot, _ = _far_products(g, dm == 5)
-        assert np.unpackbits(mid_t[slot[h4]].view(np.uint8))[v1]  # column h4 of mid, row v1
+        _, mid_t, slot, _ = _far_products(g, packed(dm == 5))
+        assert np.unpackbits(mid_t[slot[h4]].view(np.uint8), bitorder="little")[v1]  # column h4 of mid, row v1
 
     def test_product_matches_quadruple_enumeration(self, small_corpus):
         """``mid = cross·far`` on the far rows and columns, and ``prod = far·mid`` on every crossing edge, by brute force."""
         checked = 0
         for inst in small_corpus:
-            g, dm, summary = inst.prep.graph, inst.prep.dm, inst.prep.summary
+            g, dm, summary = inst.prep.graph, levels_table(inst.prep.levels), inst.prep.summary
             if g.m > 30 or summary.ordiam < 4:
                 continue
             checked += 1
@@ -652,9 +658,9 @@ class TestMatmulMatchesReference:
         preps = [getattr(inst, "prep", inst) for inst in request.getfixturevalue(collection)]
         for k, prep in enumerate(preps):
             for t in range(2, prep.summary.ordiam + 1):
-                far = prep.dm >= t
-                assert diameter_matmul(prep.graph, far) == reference.diameter_matmul(prep.graph, far), (k, t)
-                assert radius_matmul(prep.graph, far) == reference.radius_matmul(prep.graph, far), (k, t)
+                far = prep.levels.far(t)
+                assert diameter_matmul(prep.graph, far) == reference.diameter_matmul(prep.graph, unpacked(far)), (k, t)
+                assert radius_matmul(prep.graph, far) == reference.radius_matmul(prep.graph, unpacked(far)), (k, t)
 
     @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
     def test_word_boundaries(self, m, one_reference_product):
@@ -670,7 +676,7 @@ class TestMatmulMatchesReference:
                 upper[0, m - 1] = True  # one pair no edge joins, so density 0 leaves the rest empty
                 far = upper | upper.T
                 partial += not far.any(axis=1).all()
-                quad, edge = diameter_matmul(graph, far), radius_matmul(graph, far)
+                quad, edge = diameter_matmul(graph, packed(far)), radius_matmul(graph, packed(far))
                 assert quad == reference.diameter_matmul(graph, far), (seed, density)
                 assert edge == reference.radius_matmul(graph, far), (seed, density)
                 decisions["diameter"].add(quad is None)
@@ -680,7 +686,7 @@ class TestMatmulMatchesReference:
 
 
 def edge_scan(inst, kind):
-    return compute(kind, inst.prep.graph, inst.prep.dm, inst.prep.summary, "edge-scan")
+    return compute(kind, inst.prep.graph, inst.prep.levels, inst.prep.summary, "edge-scan")
 
 
 class TestWitnesses:
@@ -693,20 +699,20 @@ class TestWitnesses:
         assert oracle_eccentricity(donut.grid, res.center) == res.value
 
     def test_square_center(self, square):
-        res = small_case_fallback(square.prep.graph, square.prep.dm, "radius")
+        res = small_case_fallback(square.prep.graph, levels_table(square.prep.levels), "radius")
         assert oracle_eccentricity(square.grid, res.center) == 2
 
     def test_far_pair_witness_distance(self, donut):
         res = edge_scan(donut, "diameter")
         i, j = res.witness_rects
-        assert donut.prep.dm[i, j] == donut.prep.summary.ordiam
+        assert levels_table(donut.prep.levels)[i, j] == donut.prep.summary.ordiam
 
 
 class TestEngineAgreement:
     def test_diameter_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute("diameter", inst.prep.graph, inst.prep.dm, inst.prep.summary, algo).value
+                compute("diameter", inst.prep.graph, inst.prep.levels, inst.prep.summary, algo).value
                 for algo in ("edge-scan", "matmul", "fast")
             }
             assert len(values) == 1, inst.name
@@ -714,7 +720,7 @@ class TestEngineAgreement:
     def test_radius_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute("radius", inst.prep.graph, inst.prep.dm, inst.prep.summary, algo).value
+                compute("radius", inst.prep.graph, inst.prep.levels, inst.prep.summary, algo).value
                 for algo in ("edge-scan", "matmul")
             }
             assert len(values) == 1, inst.name
@@ -744,9 +750,9 @@ class TestEngineAgreement:
         preps += [prepare(parse_domain(shape(k))) for shape, sizes in shapes for k in sizes]
         decisions = set()
         for k, prep in enumerate(p for p in preps if p.summary.ordiam >= 4):
-            far = prep.dm >= prep.summary.ordiam
+            far = prep.levels.far(prep.summary.ordiam)
             decision = diameter_fast(prep.graph, far)
-            assert decision == reference.diameter_fast(prep.graph, far, graph_rects(prep.hdec, prep.vdec)), k
+            assert decision == reference.diameter_fast(prep.graph, unpacked(far), graph_rects(prep.hdec, prep.vdec)), k
             decisions.add(decision is None)
         assert decisions == {True, False}
 

@@ -191,10 +191,10 @@ class TestTypedChoices:
             lambda: solve("radius", "fast", prep),
             lambda: solve("diameter", ORACLE, prep),  # the oracle needs a grid
             lambda: solve("girth", "matmul", prep),
-            lambda: compute("diameter", prep.graph, prep.dm, prep.summary, "quantum"),
-            lambda: compute("radius", prep.graph, prep.dm, prep.summary, "fast"),
-            lambda: compute("girth", prep.graph, prep.dm, prep.summary, "matmul"),
-            lambda: small_case_fallback(prep.graph, prep.dm, "girth"),
+            lambda: compute("diameter", prep.graph, prep.levels, prep.summary, "quantum"),
+            lambda: compute("radius", prep.graph, prep.levels, prep.summary, "fast"),
+            lambda: compute("girth", prep.graph, prep.levels, prep.summary, "matmul"),
+            lambda: small_case_fallback(prep.graph, None, "girth"),
         ]
         for call in calls:
             with pytest.raises(UnknownChoiceError) as info:
