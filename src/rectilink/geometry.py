@@ -10,7 +10,11 @@ pass and everything else on the ring's array.  Each domain holds its
 boundary edges once, in :attr:`Domain.edge_table`, which :func:`validate`
 and both sweeps read.  One closed crossing test,
 :func:`crossings`, finds both the boundary edges that touch and the crossing
-graph's edges (:mod:`rectilink.graph`).
+graph's edges (:mod:`rectilink.graph`).  It cuts the x-axis into strips of
+``STRIP`` verticals each and copies every horizontal into the strips it
+meets, so a vertical walks only the horizontals of its own strip in its
+y-span: about one candidate per crossing, where a walk over the whole width
+takes five or six on generated domains.
 """
 
 from __future__ import annotations
@@ -212,29 +216,74 @@ def blocks(ptr: np.ndarray, cap: int):
         a = b
 
 
+# Verticals per x-strip in crossings.  Narrower strips cut the candidates
+# further (on grid 120's middle segments, 1.05 per crossing at 32 and 1.0001
+# at 4) but copy each horizontal into more strips.  Timed on a shared 2-core
+# host at 4, 8, 16, 32 and 64 on both call sites (validate's boundary edges,
+# build_graph's middle segments) on grids 40, 120 and 200: 4 and 8 were
+# slower everywhere, 16 to 64 within a tenth of one another, and 32 the
+# fastest or level on grids 40 and 120, where 64 lost a tenth on grid 40's
+# middle segments.
+STRIP = 32
+
+
 def crossings(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sorted ``(i, j)`` pairs where horizontal ``h[i] = (y, xlo, xhi)`` and vertical ``v[j] = (x, ylo, yhi)`` cross.
 
-    Both intervals are closed.  With ``h`` sorted by height, ``v[j]``'s
-    candidates are one ``searchsorted`` range, and its crossings the
-    candidates whose x-span holds ``x``.  Candidates are made for blocks of
-    ``v`` holding at most ``len(h) + len(v)`` of them, so no temporary
-    outgrows the input.
+    Both intervals are closed.  The x-axis is cut into strips that start at
+    every ``STRIP``-th vertical's x, in sorted order, and each horizontal is
+    copied into every strip its ``[xlo, xhi]`` meets, the copies sorted by
+    (strip, height).  ``v[j]``'s candidates are then one ``searchsorted``
+    range of its own strip, and its crossings the candidates whose x-span
+    holds ``x``: about one candidate per crossing on generated domains,
+    where a search over the whole width walks five or six.  While the copies
+    number more than ``4 * (len(h) + len(v))`` the strips widen fourfold; four
+    strips make no more than that, so the copies never outgrow the input, and
+    no vertical gets more candidates than a search over the whole width
+    would give it.  With at most ``STRIP`` verticals there is one strip, and
+    the search is that plain height search.  Candidates are made for blocks
+    of ``v`` holding at most ``len(h) + len(v)`` of them, so no temporary
+    outgrows a constant times the input.
     """
+    nh, nv = len(h), len(v)
+    x = v[:, 0]
     by_height = h[:, 0].argsort(kind="stable")
-    height = h[by_height, 0]
-    first = height.searchsorted(v[:, 1], side="left")
-    count = height.searchsorted(v[:, 2], side="right") - first
-    ptr = np.zeros(len(v) + 1, dtype=np.intp)
+    height, left, right = h[by_height].T
+    lo = height.searchsorted(v[:, 1], side="left")  # the candidates of v[j] are heights lo[j]..hi[j] - 1
+    hi = height.searchsorted(v[:, 2], side="right")
+    owner = by_height  # owner[k]: the horizontal of candidate position k
+    if nv > STRIP:
+        xs, width = np.sort(x), STRIP
+        while True:  # four strips at most make at most 4 * nh copies, so the strips stop widening there
+            bounds = xs[::width]  # strip s is [bounds[s], bounds[s + 1])
+            first = np.maximum(bounds.searchsorted(left, side="right") - 1, 0)
+            spans = np.maximum(bounds.searchsorted(right, side="right") - first, 0)  # strips met
+            if (total := int(spans.sum())) <= 4 * (nh + nv):
+                break
+            width *= 4
+        # One key strip * nh + height rank per copy: copy c, of height rank r, lies in strip first[r] + c - start[r],
+        # where start[r] = spans[:r].sum() is rank r's first copy.
+        copies = ((first - spans.cumsum() + spans) * nh + np.arange(nh)).repeat(spans) + np.arange(total) * nh
+        copies.sort()
+        rank = copies % nh
+        owner, left, right = by_height[rank], left[rank], right[rank]
+        strip = (bounds.searchsorted(x, side="right") - 1) * nh
+        lo, hi = copies.searchsorted(strip + lo), copies.searchsorted(strip + hi)
+    count = hi - lo
+    ptr = np.zeros(nv + 1, dtype=np.intp)
     count.cumsum(out=ptr[1:])
-    first -= ptr[:-1]  # candidate k of the flat list, for v[j], is by_height[k + first[j]]
-    keys = [np.empty(0, dtype=np.intp)]  # i * len(v) + j per crossing
-    for a, b in blocks(ptr, len(h) + len(v)):
+    lo -= ptr[:-1]  # candidate k of the flat list, for v[j], is at position k + lo[j]
+    keys = [np.empty(0, dtype=np.intp)]  # i * nv + j per crossing
+    for a, b in blocks(ptr, nh + nv):
         j = np.arange(a, b).repeat(count[a:b])
-        i, x = by_height[np.arange(ptr[a], ptr[b]) + first[j]], v[j, 0]
-        hit = (h[i, 1] <= x) & (x <= h[i, 2])
-        keys.append(i[hit] * len(v) + j[hit])
-    return np.stack(np.divmod(np.sort(np.concatenate(keys)), max(len(v), 1)), axis=1)
+        k, xj = np.arange(ptr[a], ptr[b]) + lo[j], x[j]
+        hit = (left[k] <= xj) & (xj <= right[k])
+        keys.append(owner[k[hit]] * nv + j[hit])
+    keys = np.sort(np.concatenate(keys))
+    pairs = np.empty((len(keys), 2), dtype=np.intp)
+    np.floor_divide(keys, max(nv, 1), out=pairs[:, 0])
+    np.subtract(keys, pairs[:, 0] * nv, out=pairs[:, 1])
+    return pairs
 
 
 def validate(domain: Domain) -> ValidationReport:

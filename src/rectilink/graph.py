@@ -113,18 +113,23 @@ def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
     edges = crossings(mids[:nh], mids[nh:]) + [0, nh]
     indptr = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(np.bincount(edges.ravel(), minlength=m), out=indptr[1:])
-    indices = np.concatenate([edges[:, 1], edges[np.argsort(edges[:, 1], kind="stable"), 0]])
+    # The vertical side's groups: keys v * nh + h, sorted, hold each v's neighbours in increasing order.
+    indices = np.concatenate([edges[:, 1], np.sort(edges[:, 1] * nh + edges[:, 0]) % nh])
     for array in (boxes, mids, edges, indptr, indices):
         array.flags.writeable = False
     return OrientedGraph(boxes=boxes, mids=mids, nh=nh, edges=edges, indptr=indptr, indices=indices)
 
 
 def _check_table_ceiling(m: int) -> None:
-    """Refuse, before allocating, a graph whose distances could overflow :func:`bfs_from`'s uint16 row."""
+    """Refuse, before allocating, a graph whose distances could overflow :func:`bfs_from`'s uint16 row.
+
+    :func:`all_pairs` takes its level bound from that row, so the ceiling holds for it too.
+    """
     limit = int(np.iinfo(np.uint16).max)
     if m + 1 >= limit:
         raise ResourceLimitError(
-            f"{m} rectangles exceed the uint16 distance table ceiling of {limit - 2}"
+            f"{m} rectangles exceed the {limit - 2} that bfs_from's uint16 distance row holds"
+            f" (it refuses m + 1 >= {limit}); all_pairs takes its level bound from that row"
         )
 
 

@@ -432,6 +432,13 @@ def edges_quadratic(rects, nh: int) -> list[tuple[int, int]]:
     return edges
 
 
+def crossings_quadratic(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``geometry.crossings`` by testing every (horizontal, vertical) pair, both intervals closed."""
+    y, xlo, xhi = (h[:, k, None] for k in range(3))
+    x, ylo, yhi = (v[None, :, k] for k in range(3))
+    return np.argwhere((ylo <= y) & (y <= yhi) & (xlo <= x) & (x <= xhi))
+
+
 class ScanCrossingStore:
     """The contract of ``rectilink.crossing.CrossingStore``, by scanning every segment not popped this round."""
 

@@ -7,13 +7,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from rectilink import InstanceFormatError, InvalidDomainError, OutsidePointError, domain_to_instance, geometry, parse_domain
 from rectilink.geometry import (
     COORD_LIMIT,
     SCALE,
+    STRIP,
     Orientation,
+    crossings,
     horizontal_decomposition,
     locate,
     signed_area2,
@@ -359,6 +363,79 @@ class TestValidateMatchesReference:
             tracemalloc.stop()
         assert report.ok
         assert peak < 4 * 2**20, peak
+
+
+def strip_copies(h: np.ndarray, v: np.ndarray, width: int) -> int:
+    """How many strips of ``width`` verticals the horizontals meet, together: the copies ``crossings`` would make."""
+    bounds = np.sort(v[:, 0])[::width]
+    first = np.maximum(bounds.searchsorted(h[:, 1], side="right") - 1, 0)
+    return int(np.maximum(bounds.searchsorted(h[:, 2], side="right") - first, 0).sum())
+
+
+def segments(rng: np.random.Generator, count: int, span: int) -> np.ndarray:
+    """``count`` segments ``(fixed, lo, hi)`` on the coordinates ``0..span``, lo <= hi."""
+    fixed = rng.integers(0, span + 1, count)
+    ends = np.sort(rng.integers(0, span + 1, (count, 2)), axis=1)
+    return np.column_stack([fixed, ends]).astype(np.int64)
+
+
+class TestCrossings:
+    """The x-strip search reports exactly the pairs that a test of every pair does, sorted."""
+
+    def assert_brute_force(self, h, v):
+        got = crossings(h, v)
+        assert got.dtype == np.intp and got.shape[1:] == (2,)
+        assert np.array_equal(got, reference.crossings_quadratic(h, v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nh=st.integers(0, 60),
+        nv=st.one_of(st.integers(0, 40), st.integers(60, 300)),
+        span=st.integers(1, 12),
+        spanning=st.one_of(st.integers(0, 40), st.integers(200, 400)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(self, nh, nv, span, spanning, seed):
+        """Few coordinates, so verticals share x, strips share a bound and segment ends fall on bounds.
+
+        ``spanning`` horizontals reach past every vertical and meet every
+        strip; a few hundred of them against ten strips or more push the
+        copies past their budget.
+        """
+        rng = np.random.default_rng(seed)
+        h, v = segments(rng, nh, span), segments(rng, nv, span)
+        wide = np.column_stack([rng.integers(0, span + 1, spanning), np.full((spanning, 2), [-1, span + 1])])
+        self.assert_brute_force(np.concatenate([h, wide]), v)
+
+    @pytest.mark.parametrize("nh, nv", [(0, 0), (0, 7), (7, 0), (0, 200), (200, 0)])
+    def test_empty(self, nh, nv):
+        rng = np.random.default_rng(nh + nv)
+        self.assert_brute_force(segments(rng, nh, 9).reshape(-1, 3), segments(rng, nv, 9).reshape(-1, 3))
+
+    def test_bounds_on_segment_ends(self):
+        """Every horizontal starts or ends on a strip's bound, and some bounds repeat."""
+        rng = np.random.default_rng(1)
+        v = segments(rng, 8 * STRIP, 20)
+        v[: 3 * STRIP, 0] = 7
+        bounds = np.sort(v[:, 0])[::STRIP]
+        assert len(np.unique(bounds)) < len(bounds)  # strips that start at one x
+        ends = rng.choice(bounds, (300, 2))
+        h = np.column_stack([rng.integers(0, 21, 300), ends.min(axis=1), ends.max(axis=1)])
+        h[::3, 1] += rng.integers(-1, 2, 100)  # one unit either side of a bound, or on it
+        h[1::3, 2] += rng.integers(-1, 2, 100)
+        h[:, 1:] = np.sort(h[:, 1:], axis=1)
+        self.assert_brute_force(h, v)
+
+    @pytest.mark.parametrize("nh", [200, 900])
+    def test_widening(self, nh):
+        """Horizontals across the whole width make too many copies; the strips widen once (200) or twice (900)."""
+        rng = np.random.default_rng(nh)
+        nv = 40 * STRIP
+        v = np.column_stack([rng.permutation(nv), np.sort(rng.integers(0, 50, (nv, 2)), axis=1)])
+        h = np.column_stack([rng.integers(0, 50, nh), np.full((nh, 2), [-1, nv])])
+        assert strip_copies(h, v, STRIP) > 4 * (nh + nv)
+        assert (strip_copies(h, v, 4 * STRIP) > 4 * (nh + nv)) == (nh == 900)
+        self.assert_brute_force(h, v)
 
 
 class TestDecompositions:
