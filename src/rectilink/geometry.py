@@ -227,6 +227,20 @@ def blocks(ptr: np.ndarray, cap: int):
 STRIP = 32
 
 
+def _search(haystack: np.ndarray, needles: np.ndarray, side: str = "left") -> np.ndarray:
+    """``haystack.searchsorted(needles, side)``, the needles searched in sorted order and the results scattered back.
+
+    Sorted needles let each search start from the last one's position: on
+    grid 120's 1273 verticals, about 16 ns a needle against 75 unsorted,
+    which pays for the sort; on a few dozen needles the sort and the
+    scatter cost about 2 us more than they save.
+    """
+    order = needles.argsort()
+    out = np.empty(len(needles), dtype=np.intp)
+    out[order] = haystack.searchsorted(needles[order], side=side)
+    return out
+
+
 def crossings(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sorted ``(i, j)`` pairs where horizontal ``h[i] = (y, xlo, xhi)`` and vertical ``v[j] = (x, ylo, yhi)`` cross.
 
@@ -249,11 +263,12 @@ def crossings(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     x = v[:, 0]
     by_height = h[:, 0].argsort(kind="stable")
     height, left, right = h[by_height].T
-    lo = height.searchsorted(v[:, 1], side="left")  # the candidates of v[j] are heights lo[j]..hi[j] - 1
-    hi = height.searchsorted(v[:, 2], side="right")
+    lo = _search(height, v[:, 1])  # the candidates of v[j] are heights lo[j]..hi[j] - 1
+    hi = _search(height, v[:, 2], side="right")
     owner = by_height  # owner[k]: the horizontal of candidate position k
     if nv > STRIP:
-        xs, width = np.sort(x), STRIP
+        by_x, width = x.argsort(), STRIP
+        xs = x[by_x]
         while True:  # four strips at most make at most 4 * nh copies, so the strips stop widening there
             bounds = xs[::width]  # strip s is [bounds[s], bounds[s + 1])
             first = np.maximum(bounds.searchsorted(left, side="right") - 1, 0)
@@ -267,8 +282,9 @@ def crossings(h: np.ndarray, v: np.ndarray) -> np.ndarray:
         copies.sort()
         rank = copies % nh
         owner, left, right = by_height[rank], left[rank], right[rank]
-        strip = (bounds.searchsorted(x, side="right") - 1) * nh
-        lo, hi = copies.searchsorted(strip + lo), copies.searchsorted(strip + hi)
+        strip = np.empty(nv, dtype=np.intp)
+        strip[by_x] = (bounds.searchsorted(xs, side="right") - 1) * nh
+        lo, hi = _search(copies, strip + lo), _search(copies, strip + hi)
     count = hi - lo
     ptr = np.zeros(nv + 1, dtype=np.intp)
     count.cumsum(out=ptr[1:])

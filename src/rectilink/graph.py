@@ -17,7 +17,7 @@ The graph is bipartite and undirected, so the distances are symmetric and
 only the horizontal sources need a search.  The search advances every
 horizontal source one level per pass, 64 sources to a machine word, and
 stops gathering for targets that every source has reached, unless a level
-bound read off one breadth-first row says the levels are too many for the
+bound read off one breadth-first order says the levels are too many for the
 edges (a long corridor); then it searches from each source in turn.  Either
 way the result is :class:`Levels`, the levels as bit planes, 64 sources to a
 word.  No table is built: the engines decide on a far relation ``dm >= t``,
@@ -25,9 +25,11 @@ which :meth:`Levels.far` reads off the planes as packed bits, the
 vertical-to-horizontal block by a bit-sliced compare, the
 horizontal-to-vertical block as its transpose, and the vertical-to-vertical
 block as one AND over the crossing edges, since every path out of a
-vertical rectangle starts with an edge to a horizontal one.  The summary
-comes from the planes, with that AND only on the few verticals that could
-change an extreme.  A point query reads one row of distances, which
+vertical rectangle starts with an edge to a horizontal one.  The searches
+and the AND gather rows of words with ``take``; the one bit transpose,
+which the matmul engines share, moves 8x8 bit tiles held in single words.
+The summary comes from the planes, with that AND only on the few verticals
+that could change an extreme.  A point query reads one row of distances, which
 :func:`bfs_from` computes alone.
 """
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import DisconnectedGraphError, ResourceLimitError
 from .geometry import Decomposition, Orientation, blocks, crossings
@@ -123,13 +125,13 @@ def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
 def _check_table_ceiling(m: int) -> None:
     """Refuse, before allocating, a graph whose distances could overflow :func:`bfs_from`'s uint16 row.
 
-    :func:`all_pairs` takes its level bound from that row, so the ceiling holds for it too.
+    :func:`all_pairs` refuses the same graphs, so every command has one limit.
     """
     limit = int(np.iinfo(np.uint16).max)
     if m + 1 >= limit:
         raise ResourceLimitError(
             f"{m} rectangles exceed the {limit - 2} that bfs_from's uint16 distance row holds"
-            f" (it refuses m + 1 >= {limit}); all_pairs takes its level bound from that row"
+            f" (it refuses m + 1 >= {limit}); all_pairs keeps the same limit"
         )
 
 
@@ -152,11 +154,16 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
     hops = dijkstra(_sparse(graph), directed=True, unweighted=True, indices=sources, min_only=True)
     unreached = np.flatnonzero(np.isinf(hops))
     if len(unreached):
-        names = [f"{graph.orientation_of(i).name.lower()} rectangle {i}" for i in (unreached[0], *sources)]
-        raise DisconnectedGraphError(
-            f"{names[0]} is unreachable from {', '.join(names[1:])}; the domain is not connected"
-        )
+        raise _disconnected(graph, int(unreached[0]), sources)
     return hops.astype(np.uint16) + 1
+
+
+def _disconnected(graph: OrientedGraph, unreached: int, sources: Sequence[int]) -> DisconnectedGraphError:
+    """The error naming rectangle ``unreached``, which the search from ``sources`` did not reach."""
+    names = [f"{graph.orientation_of(i).name.lower()} rectangle {i}" for i in (unreached, *sources)]
+    return DisconnectedGraphError(
+        f"{names[0]} is unreachable from {', '.join(names[1:])}; the domain is not connected"
+    )
 
 
 # all_pairs takes the level search when bound * m <= LEVEL_SEARCH_K * chi;
@@ -275,7 +282,7 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
         targets = reached[rows]
         new = np.empty_like(targets) if open_ids is None else np.zeros_like(targets)
         for a, b in spans:
-            bits = np.bitwise_or.reduceat(frontier[nbr[ptr[a] : ptr[b]]], ptr[a:b] - ptr[a], axis=0)
+            bits = np.bitwise_or.reduceat(frontier.take(nbr[ptr[a] : ptr[b]], axis=0), ptr[a:b] - ptr[a], axis=0)
             at = slice(a, b) if open_ids is None else open_ids[a:b]
             new[at] = bits & ~targets[at]
         if not new.any():
@@ -302,28 +309,70 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
 def _select_search(graph: OrientedGraph):
     """The search :func:`all_pairs` takes, and the level bound it chose by.
 
-    Raises :class:`DisconnectedGraphError` from the bounding row.
+    No two rectangles are further apart than their hops to rectangle 0
+    together, so with ``e`` the most hops from it, no oriented distance
+    exceeds ``bound = 2 * e + 1``.  One breadth-first order from rectangle
+    0 gives ``e``: the hops from its last rectangle back to 0 along the
+    predecessors.  Raises :class:`DisconnectedGraphError` when the order
+    misses a rectangle.
     """
-    bound = 2 * int(bfs_from(graph, [0]).max()) - 1
+    _check_table_ceiling(graph.m)
+    order, pred = breadth_first_order(_sparse(graph), 0, directed=True, return_predecessors=True)
+    if len(order) < graph.m:
+        reached = np.zeros(graph.m, dtype=bool)
+        reached[order] = True
+        raise _disconnected(graph, int(np.argmin(reached)), [0])
+    hops, at = 0, int(order[-1])
+    while at:
+        at, hops = int(pred[at]), hops + 1
+    bound = 2 * hops + 1
     if bound * graph.m <= LEVEL_SEARCH_K * graph.chi:
         return _level_search, bound
     return _source_search, bound
 
 
+# The three rounds of an 8x8 bit transpose in one word, byte i holding row i, as (shift, mask, 1 + 2**shift):
+# each swaps the bits of the 1x1, 2x2 and 4x4 blocks off the diagonal that the mask selects with those
+# ``shift`` bits above them (Warren, Hacker's Delight 7-3).  The swap bits t and t << shift never overlap, so
+# one multiply by 1 + 2**shift makes both.
+_TILE_ROUNDS = tuple(
+    tuple(np.array(c, dtype=np.uint64) for c in (shift, mask, 1 + (1 << shift)))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
+
 def _transpose_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
     """The ``(ncols, ceil(rows / 64))`` words of the bit rows ``bits`` transposed, ``CHUNK`` rows at a time.
 
-    Each run of rows is unpacked, one byte per bit, transposed and packed
-    into the output bytes of those rows, so no temporary outgrows ``CHUNK``
-    rows of ``ncols`` bytes.
+    Row r's column c is bit c of ``bits[r]``; it becomes bit r of row c.
+    Each run of ``CHUNK`` rows, rounded up to eight, is cut into 8x8 tiles,
+    eight rows by one byte of columns, each held in one word, byte i for
+    row i.  Three mask-shift-xor rounds, through one scratch buffer,
+    transpose every tile in place, and byte j of a tile is then column j
+    over the tile's eight rows: one output byte.  The tiles start at zero,
+    so the bits past the last row are zero.  No temporary outgrows two
+    runs of ``CHUNK`` rows of ``ncols`` bits.
     """
-    out = np.zeros((ncols, -(-len(bits) // 64)), dtype=np.uint64)
+    rows, nbytes = len(bits), -(-ncols // 8)
+    out = np.zeros((8 * nbytes, -(-rows // 64)), dtype=np.uint64)
+    dst = out.view(np.uint8).reshape(nbytes, 8, -1)  # output row 8k + j at [k, j]
+    src = bits.view(np.uint8)[:, :nbytes]
     step = 8 * -(-CHUNK // 8)
-    for a in range(0, len(bits), step):
-        block = np.unpackbits(bits[a : a + step].view(np.uint8), axis=1, count=ncols, bitorder="little")
-        packed = np.packbits(np.ascontiguousarray(block.T), axis=1, bitorder="little")
-        out.view(np.uint8)[:, a // 8 : a // 8 + packed.shape[1]] = packed
-    return out
+    for a in range(0, rows, step):
+        block = src[a : a + step]
+        groups = -(-len(block) // 8)
+        tile_bytes = np.zeros((nbytes, groups, 8), dtype=np.uint8)  # tile (k, g): byte k of rows 8g..8g+7
+        tile_bytes.reshape(nbytes, 8 * groups).T[: len(block)] = block
+        tiles = tile_bytes.view(np.uint64)
+        scratch = np.empty_like(tiles)
+        for shift, mask, both in _TILE_ROUNDS:
+            np.right_shift(tiles, shift, scratch)
+            np.bitwise_xor(scratch, tiles, scratch)
+            np.bitwise_and(scratch, mask, scratch)
+            np.multiply(scratch, both, scratch)
+            np.bitwise_xor(tiles, scratch, tiles)
+        dst[:, :, a // 8 : a // 8 + groups] = tile_bytes.transpose(0, 2, 1)
+    return out[:ncols]
 
 
 def _join(h_bits: np.ndarray, v_bits: np.ndarray, nh: int, m: int) -> np.ndarray:
@@ -407,7 +456,7 @@ class Levels:
             ptr, nbr = _open_groups(ptr, nbr, keep)
         out = np.empty((len(ptr) - 1, hv.shape[1]), dtype=np.uint64)
         for a, b in blocks(ptr, 4 * CHUNK):
-            out[a:b] = np.bitwise_and.reduceat(hv[nbr[ptr[a] : ptr[b]]], ptr[a:b] - ptr[a], axis=0)
+            out[a:b] = np.bitwise_and.reduceat(hv.take(nbr[ptr[a] : ptr[b]], axis=0), ptr[a:b] - ptr[a], axis=0)
         if t <= 3:
             ids = np.arange(len(out)) if keep is None else keep
             out.view(np.uint8)[np.arange(len(out)), ids >> 3] &= ~np.left_shift(1, ids & 7).astype(np.uint8)
@@ -421,13 +470,21 @@ class Levels:
         ``far[H, V]`` is the bit transpose of ``far[V, H]`` and ``far[V,
         V]`` the AND of :meth:`_far_vv` over ``far[H, V]`` at ``t - 1``,
         the same block for even ``t``, as vertical-to-horizontal distances
-        are even.  Computed once per threshold.
+        are even.  For odd ``t`` both ``far[V, H]`` blocks, at ``t`` and at
+        ``t - 1``, are transposed in one :func:`_transpose_bits` call, side
+        by side, so a small graph pays its fixed cost once.  Computed once
+        per threshold.
         """
         if t not in self._far:
             g = self.graph
             rows, before = self._far_h(t)
-            hv = _transpose_bits(rows[g.nh :], g.nh)
-            vv = self._far_vv(t, hv if t % 2 == 0 else _transpose_bits(before, g.nh))
+            if t % 2 == 0:  # far[V, H] is the same at t - 1
+                hv = hv_before = _transpose_bits(before, g.nh)
+            else:  # both blocks side by side in one transpose, the second's columns from bit 64 * W on
+                words = before.shape[1]
+                both = _transpose_bits(np.concatenate([rows[g.nh :], before], axis=1), 64 * words + g.nh)
+                hv, hv_before = both[: g.nh], both[64 * words :]
+            vv = self._far_vv(t, hv_before)
             out = _join(rows, np.concatenate([hv, vv]), g.nh, g.m)
             out.flags.writeable = False
             self._far[t] = out
@@ -448,9 +505,9 @@ def all_pairs(graph: OrientedGraph) -> Levels:
     the per-source search, a scipy search from each source, costs about
     ``nh * chi * log m``.  Long corridors have ``levels`` near ``m``, where
     the level search loses badly, so the choice rests on a level bound the
-    code can observe: one breadth-first row from rectangle 0 bounds every
-    entry by ``bound = 2 * max(row) - 1``.  The level search is taken when
-    ``bound * m <= LEVEL_SEARCH_K * chi``.  ``LEVEL_SEARCH_K = 128`` sits
+    code can observe: the most hops ``e`` from rectangle 0, read off one
+    breadth-first order, bounds every entry by ``bound = 2 * e + 1``.  The
+    level search is taken when ``bound * m <= LEVEL_SEARCH_K * chi``.  ``LEVEL_SEARCH_K = 128`` sits
     between the crossovers measured for the whole table with each search
     (2-core x86 host, best of 3): on generated domains, 40x40 to 2000x3
     cells, the level search took 0.2-0.4 of the per-source time up to
@@ -462,7 +519,7 @@ def all_pairs(graph: OrientedGraph) -> Levels:
     traffic the benchmark measures; the corridors it misroutes (ratios 25 to
     128) lose at most 1.4 ms each.  The per-source search is kept only for
     corridors, which no benchmark workload exercises yet, and the constant
-    is provisional until one does.  The same row refuses a disconnected
+    is provisional until one does.  The same order refuses a disconnected
     graph, before the level search's ``reduceat`` could read an isolated
     rectangle's empty group.  The bound also caps the planes, so the bytes
     of the planes, the reached sets and one far relation are checked against

@@ -48,7 +48,7 @@ import numpy as np
 from .crossing import CrossingStore
 from .errors import UnknownChoiceError
 from .geometry import Decomposition, Point, locate
-from .graph import GraphSummary, Levels, OrientedGraph, bfs_from
+from .graph import CHUNK, GraphSummary, Levels, OrientedGraph, _transpose_bits, bfs_from
 
 DistanceMatrix = np.ndarray  # (m, m) uint8, entry = hop distance + 1; only the radius fallback builds one
 
@@ -65,12 +65,22 @@ ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind
 _EDGE_CHUNK = 512
 _COLUMN_BLOCK = 16 * _EDGE_CHUNK  # the most edge columns the edge-scans pack at once
 _FALLBACK_PAIRS = 1 << 20  # face pairs the fallback holds at once
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)  # per byte
+# SWAR popcount masks: bit pairs, nibbles and bytes, and the multiplier that sums a word's bytes into its top byte
+_M1, _M2, _M4, _BYTES = (
+    np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
 
 
 def _popcount(far: np.ndarray) -> np.ndarray:
-    """Set bits per row of packed words, by table lookup per byte; at most m, below the uint16 ceiling."""
-    return np.take(_POPCOUNT, far.view(np.uint8)).sum(axis=-1, dtype=np.uint16)
+    """Set bits per row of packed words, counted per word in registers (SWAR); at most m, below the uint16 ceiling."""
+    x = far - (far >> np.uint64(1) & _M1)
+    x = (x & _M2) + (x >> np.uint64(2) & _M2)
+    x += x >> np.uint64(4)
+    x &= _M4
+    x *= _BYTES
+    x >>= np.uint64(56)
+    return x.sum(axis=-1, dtype=np.uint16)
+
 
 log = logging.getLogger("rectilink")
 
@@ -275,26 +285,33 @@ def _far_products(graph: OrientedGraph, far: np.ndarray):
     ``prod[h, v] = any(far_bits[h] & mid_t[slot[v]])``.
 
     Row j of ``mid`` is the OR of the far rows of j's neighbours, one
-    ``np.bitwise_or.reduceat`` over the CSR groups of 64 rows at a time.
-    Each block is unpacked, cut to the columns R, transposed and packed into
-    the block's word of ``mid_t``, so ``mid`` is never whole.  ``prod`` reads
-    row j of ``mid`` only through bit j of a far row, so only the blocks
-    holding a far row are made; the bits of the others stay zero.  Every
-    rectangle must have a neighbour, as in any graph ``all_pairs`` accepts:
-    ``reduceat`` returns the next group's first row, not zero, for an empty
-    group.
+    ``np.bitwise_or.reduceat`` over the CSR groups of 64 rows at a time, so
+    ``mid`` is never whole.  ``prod`` reads row j of ``mid`` only through
+    bit j of a far row, so only the blocks holding a far row are made; the
+    bits of the others stay zero.  Up to ``CHUNK`` rows of blocks, one run
+    of :func:`~rectilink.graph._transpose_bits`, are stacked and transposed
+    into one word per block, of which the rows R go to ``mid_t``.  Every rectangle must have a neighbour, as in any graph
+    ``all_pairs`` accepts: ``reduceat`` returns the next group's first row,
+    not zero, for an empty group.
     """
     m = graph.m
     rows = far.any(axis=1)
     far_rows = np.flatnonzero(rows)
     mid_t = np.zeros((len(far_rows), far.shape[1]), dtype=np.uint64)
     indptr, indices = graph.indptr, graph.indices
-    for start in 64 * np.unique(far_rows // 64):
-        stop = min(start + 64, m)
-        first = indptr[start]
-        mid = np.bitwise_or.reduceat(far[indices[first : indptr[stop]]], indptr[start:stop] - first, axis=0)
-        columns = np.unpackbits(mid.view(np.uint8), axis=1, bitorder="little")[:, far_rows]
-        mid_t.view(np.uint8)[:, start // 8 : -(-stop // 8)] = np.packbits(columns.T, axis=1, bitorder="little")
+    held = np.flatnonzero(np.bincount(far_rows >> 6))  # the blocks holding a far row
+    per_stack = -(-CHUNK // 64)
+    stack = np.empty((64 * min(per_stack, len(held)), far.shape[1]), dtype=np.uint64)
+    for at in range(0, len(held), per_stack):
+        group = held[at : at + per_stack]
+        for k, block in enumerate(group.tolist()):
+            start, stop = 64 * block, min(64 * block + 64, m)
+            first = indptr[start]
+            stack[64 * k : 64 * k + stop - start] = np.bitwise_or.reduceat(
+                far.take(indices[first : indptr[stop]], axis=0), indptr[start:stop] - first, axis=0
+            )
+        # only the last block of all can be short, and it ends the last stack
+        mid_t[:, group] = _transpose_bits(stack[: 64 * (len(group) - 1) + stop - start], m)[far_rows]
     slot = np.zeros(m, dtype=np.intp)
     slot[far_rows] = np.arange(len(far_rows))
     return far, mid_t, slot, _far_row_edges(graph, rows)

@@ -6,7 +6,8 @@ decomposition sweep over one list of intervals bisected by key, the
 all-pairs table as a scipy search from every rectangle, and as one from the
 horizontal ones with the min-plus step as one ``np.minimum.reduceat`` over
 the CSR groups of a block of vertical rectangles, its summary in one pass
-over the table, the far relation packed from the table, the middle segments and overlay faces one
+over the table, the far relation packed from the table, the bit transpose
+one byte per bit, the middle segments and overlay faces one
 rectangle object at a time (and the crossing-store engine on those
 segments, with the store of segment objects and per-node ``SortedList``s it
 was written for), crossing of two middle segments, positive-area overlap of
@@ -249,6 +250,14 @@ def packed(far: np.ndarray) -> np.ndarray:
 def unpacked(bits: np.ndarray) -> np.ndarray:
     """The boolean (m, m) far relation of packed words."""
     return np.unpackbits(bits.view(np.uint8), axis=1, count=len(bits), bitorder="little").view(bool)
+
+
+def transpose_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
+    """The bit rows ``bits`` over ``ncols`` columns transposed: unpacked one byte per bit, ``.T``, packed into words."""
+    out = np.zeros((ncols, -(-len(bits) // 64)), dtype=np.uint64)
+    flat = np.unpackbits(bits.view(np.uint8), axis=1, count=ncols, bitorder="little")
+    out.view(np.uint8)[:, : -(-len(bits) // 8)] = np.packbits(flat.T, axis=1, bitorder="little")
+    return out
 
 
 def levels_table(levels: Levels) -> DistanceMatrix:

@@ -30,6 +30,7 @@ from rectilink.graph import (
     _level_search,
     _select_search,
     _source_search,
+    _transpose_bits,
     all_pairs,
     bfs_from,
     build_graph,
@@ -50,6 +51,7 @@ from reference import (
     reference_table,
     summarize_table,
     table_reduceat,
+    transpose_bits,
 )
 
 
@@ -633,6 +635,29 @@ class TestFarRelation:
         assert levels.far(4) is far and not far.flags.writeable
         with pytest.raises(ValueError):
             far[0, 0] = 0
+
+
+class TestTransposeBits:
+    """``_transpose_bits`` equals the unpack, ``.T`` and pack reference, with zero bits past the last row."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.02, 0.5, 0.98]))
+    def test_matches_reference(self, seed, density):
+        """Rows and columns either side of a byte and of a word; CHUNK 1 and 3 run several eight-row runs and
+        a short last one.  The bits past ``ncols`` are random too: neither side may read them."""
+        rng = np.random.default_rng(seed)
+        for chunk in (1, 3, graph_module.CHUNK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graph_module, "CHUNK", chunk)
+                for rows in (0, 1, 7, 8, 9, 63, 64, 65, 129, 200):
+                    for ncols in (1, 7, 8, 9, 63, 64, 65, 200):
+                        words = -(-ncols // 64)
+                        bits = np.packbits(rng.random((rows, 64 * words)) < density, axis=1).view(np.uint64)
+                        out = _transpose_bits(bits, ncols)
+                        assert out.shape == (ncols, -(-rows // 64)), (chunk, rows, ncols)
+                        assert out.tobytes() == transpose_bits(bits, ncols).tobytes(), (chunk, rows, ncols)
+                        pad = np.unpackbits(out.view(np.uint8), axis=1, bitorder="little")[:, rows:]
+                        assert not pad.any(), (chunk, rows, ncols)
 
 
 class TestMemoryBudget:

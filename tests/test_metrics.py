@@ -18,6 +18,7 @@ from rectilink.metrics import (
     _edge_products,
     _far_products,
     _far_row_edges,
+    _popcount,
     compute,
     diameter_edge_scan,
     diameter_fast,
@@ -415,6 +416,15 @@ class TestRadiusColumnOrder:
         assert packed == prep.graph.chi  # an open edge is left: every column is packed
         assert rows >= prep.graph.chi + blocks - 1  # the first block scans every row, each later one at least one
         assert blocks == 3 + -(-(prep.graph.chi - 21) // 60)  # 1 + 4 + 16 columns, then blocks of 60
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 300])
+    def test_far_degrees(self, m):
+        """The degrees the columns are ordered by are the rows' set bits, full and empty words and counts past 255
+        included."""
+        rng = np.random.default_rng(m)
+        for density in (0, 0.3, 0.9, 1):
+            far = rng.random((m, m)) < density
+            assert _popcount(packed(far)).tolist() == far.sum(axis=1).tolist(), density
 
     def test_early_stop(self, grid60, caplog):
         """At ``orrad`` on grid-60 seed 1 every edge is covered before the last column is packed."""
