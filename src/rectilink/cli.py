@@ -9,23 +9,26 @@ import os
 import statistics
 import sys
 import time
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import RectilinkError, UnknownChoiceError
 from .generator import GenParams, gen_domain
 from .geometry import (
+    COORD_LIMIT,
     Point,
     SCALE,
     domain_to_instance,
     horizontal_decomposition,
     parse_domain,
+    point_out,
     require_valid,
     vertical_decomposition,
 )
 from .metrics import DIAMETER_ALGOS, EDGE_SCAN, ORACLE, RADIUS_ALGOS, point_distance
 from .oracle import build_grid, oracle_distance
-from .pipeline import decompose, instance_stats, point_out, prepare, run_verify, solve
+from .pipeline import decompose, instance_stats, prepare, run_verify, solve
 from .svg import render_svg
 
 
@@ -50,16 +53,32 @@ def _load_domain(path: str):
     return domain
 
 
+def _coordinate(part: str, text: str) -> int:
+    """One coordinate of the point ``text``, doubled; a decimal is sized before its exponent is expanded."""
+    limit = COORD_LIMIT // SCALE  # the bound the rings' coordinates keep
+    try:
+        value = Decimal(part)
+    except InvalidOperation:
+        value = Fraction(part)  # "3/2"; anything else raises ValueError
+    else:
+        if not value.is_finite():
+            raise ValueError(f"{part!r} is not finite")
+    if not -limit <= value <= limit:
+        raise RectilinkError(f"bad point {text!r}: coordinates must lie within ±{limit}")
+    # a nonzero decimal below 0.1 is no multiple of 0.5, and its exponent may be too long to expand
+    tiny = isinstance(value, Decimal) and value and value.adjusted() < -1
+    scaled = None if tiny else Fraction(value) * SCALE
+    if scaled is None or scaled.denominator != 1:
+        raise RectilinkError(f"bad point {text!r}: finest supported resolution is 0.5")
+    return int(scaled)
+
+
 def _parse_point(text: str) -> Point:
     try:
         xs, ys = text.split(",")
-        scaled = [Fraction(part.strip()) * SCALE for part in (xs, ys)]
+        return (_coordinate(xs.strip(), text), _coordinate(ys.strip(), text))
     except (ValueError, ZeroDivisionError) as exc:
         raise RectilinkError(f"bad point {text!r}: expected X,Y") from exc
-    for value in scaled:
-        if value.denominator != 1:
-            raise RectilinkError(f"bad point {text!r}: finest supported resolution is 0.5")
-    return (int(scaled[0]), int(scaled[1]))
 
 
 def _emit(payload, pretty: bool = True) -> None:
@@ -277,6 +296,9 @@ def main(argv=None) -> int:
         return code
     except RectilinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # a backstop: the memory check before the search is the stated limit
+        print("error: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Point stdout at devnull so the flush at exit cannot raise again (the

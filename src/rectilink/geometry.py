@@ -36,6 +36,11 @@ COORD_LIMIT = 2**30
 Point = tuple[int, int]
 
 
+def point_out(p: Point) -> list:
+    """Internal (doubled) point to original units, integer when exact."""
+    return [c // SCALE if c % SCALE == 0 else c / SCALE for c in p]
+
+
 class Orientation(Enum):
     HORIZONTAL = "H"
     VERTICAL = "V"
@@ -179,7 +184,7 @@ def parse_domain(text) -> Domain:
     if isinstance(text, (str, bytes)):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep for the decoder
             raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     else:
         data = text
@@ -489,5 +494,5 @@ def locate(dec: Decomposition, p: Point) -> set[int]:
     inside = (dec.boxes[:, ::2] <= p).all(axis=1) & (dec.boxes[:, 1::2] >= p).all(axis=1)
     found = set(np.flatnonzero(inside).tolist())
     if not found:
-        raise OutsidePointError(f"point {p} lies outside the domain")
+        raise OutsidePointError(f"point {tuple(point_out(p))} lies outside the domain")
     return found

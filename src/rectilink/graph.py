@@ -122,19 +122,6 @@ def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
     return OrientedGraph(boxes=boxes, mids=mids, nh=nh, edges=edges, indptr=indptr, indices=indices)
 
 
-def _check_table_ceiling(m: int) -> None:
-    """Refuse, before allocating, a graph whose distances could overflow :func:`bfs_from`'s uint16 row.
-
-    :func:`all_pairs` refuses the same graphs, so every command has one limit.
-    """
-    limit = int(np.iinfo(np.uint16).max)
-    if m + 1 >= limit:
-        raise ResourceLimitError(
-            f"{m} rectangles exceed the {limit - 2} that bfs_from's uint16 distance row holds"
-            f" (it refuses m + 1 >= {limit}); all_pairs keeps the same limit"
-        )
-
-
 def _sparse(graph: OrientedGraph) -> csr_matrix:
     """The CSR groups as a scipy matrix; they store both directions, so a directed search is exact.
 
@@ -150,12 +137,11 @@ def bfs_from(graph: OrientedGraph, sources: Sequence[int]) -> np.ndarray:
     sources' rows of the table: a point query searches from the rectangles
     containing its first point and builds no table.
     """
-    _check_table_ceiling(graph.m)
     hops = dijkstra(_sparse(graph), directed=True, unweighted=True, indices=sources, min_only=True)
     unreached = np.flatnonzero(np.isinf(hops))
     if len(unreached):
         raise _disconnected(graph, int(unreached[0]), sources)
-    return hops.astype(np.uint16) + 1
+    return hops.astype(np.intp) + 1
 
 
 def _disconnected(graph: OrientedGraph, unreached: int, sources: Sequence[int]) -> DisconnectedGraphError:
@@ -316,7 +302,6 @@ def _select_search(graph: OrientedGraph):
     predecessors.  Raises :class:`DisconnectedGraphError` when the order
     misses a rectangle.
     """
-    _check_table_ceiling(graph.m)
     order, pred = breadth_first_order(_sparse(graph), 0, directed=True, return_predecessors=True)
     if len(order) < graph.m:
         reached = np.zeros(graph.m, dtype=bool)

@@ -28,12 +28,12 @@ rectangle pairs or ``None``:
 
 The decision is only valid when the oriented value is at least 4.  The one
 router, :func:`compute`, sends smaller values to :func:`small_case_fallback`
-(the diameter 2 in closed form, the radius by enumerating overlay faces on
-the table ``1 + sum of far(t)``, the one table left), hands the engine the
-far relation, computed once per threshold, and turns its decision into the
-result and witness points.  Every witness point lies in an overlay face, the
-intersection of the boxes of two crossing rectangles; the fallback reads all
-of them from one (chi, 4) box array, :func:`overlay_faces`.
+(the diameter 2 in closed form, the radius by the radius edge-scan with the
+cover test's OR turned into an AND, on ``far(3)``, ``far(4)`` and so on
+until an overlay face is left uncovered), hands the engine the far relation,
+computed once per threshold, and turns its decision into the result and
+witness points.  No distance table is built.  Every witness point lies in an
+overlay face, the intersection of the boxes of two crossing rectangles.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ from .errors import UnknownChoiceError
 from .geometry import Decomposition, Point, locate
 from .graph import CHUNK, GraphSummary, Levels, OrientedGraph, _transpose_bits, bfs_from
 
-DistanceMatrix = np.ndarray  # (m, m) uint8, entry = hop distance + 1; only the radius fallback builds one
-
 EDGE_SCAN = "edge-scan"
 MATMUL = "matmul"
 FAST = "fast"
@@ -64,7 +62,6 @@ ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind
 
 _EDGE_CHUNK = 512
 _COLUMN_BLOCK = 16 * _EDGE_CHUNK  # the most edge columns the edge-scans pack at once
-_FALLBACK_PAIRS = 1 << 20  # face pairs the fallback holds at once
 # SWAR popcount masks: bit pairs, nibbles and bytes, and the multiplier that sums a word's bytes into its top byte
 _M1, _M2, _M4, _BYTES = (
     np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
@@ -72,14 +69,14 @@ _M1, _M2, _M4, _BYTES = (
 
 
 def _popcount(far: np.ndarray) -> np.ndarray:
-    """Set bits per row of packed words, counted per word in registers (SWAR); at most m, below the uint16 ceiling."""
+    """Set bits per row of packed words, counted per word in registers (SWAR) and summed in ``intp``."""
     x = far - (far >> np.uint64(1) & _M1)
     x = (x & _M2) + (x >> np.uint64(2) & _M2)
     x += x >> np.uint64(4)
     x &= _M4
     x *= _BYTES
     x >>= np.uint64(56)
-    return x.sum(axis=-1, dtype=np.uint16)
+    return x.sum(axis=-1, dtype=np.intp)
 
 
 log = logging.getLogger("rectilink")
@@ -111,11 +108,6 @@ def overlay_faces(graph: OrientedGraph) -> np.ndarray:
     faces = np.maximum(h, v)
     np.minimum(h[:, 1::2], v[:, 1::2], out=faces[:, 1::2])
     return faces
-
-
-def _center(box: np.ndarray) -> Point:
-    xmin, xmax, ymin, ymax = box.tolist()
-    return ((xmin + xmax) // 2, (ymin + ymax) // 2)
 
 
 def generic_pair_in_box(box: tuple[int, int, int, int]) -> tuple[Point, Point]:
@@ -190,24 +182,26 @@ def _far_row_edges(graph: OrientedGraph, rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(rows[edges[:, 0]] & rows[edges[:, 1]])
 
 
-def _edge_covers(far: np.ndarray, block: np.ndarray, scanning: np.ndarray):
+def _edge_covers(far: np.ndarray, block: np.ndarray, scanning: np.ndarray, combine=np.bitwise_or):
     """Chunks of the ``scanning`` edges against one ``block`` of column edges: (chunk start, packed cover rows).
 
     Edge (a, a') covers edge (b, b') when a-b and a'-b' are both far
-    (straight) or a-b' and a'-b are (crossed).  The block's two ends are
-    packed into bits on the scanning edges' rows, ``F0 = far[:, b]`` and
-    ``F1 = far[:, b']`` over the columns ``block`` (:func:`_packed_block`),
-    so a chunk's cover rows are ``(F0[a] & F1[a']) | (F1[a] & F0[a'])``,
-    eight pairs per byte.  The scans pass at most ``_COLUMN_BLOCK`` columns
-    at a time, and one block is live at a time, so the packed bits take at
-    most ``2 * m * _COLUMN_BLOCK / 8`` bytes, whatever chi.
+    (straight) or a-b' and a'-b are (crossed); with ``combine`` set to
+    ``np.bitwise_and``, when both pairs of pairs are.  The block's two ends
+    are packed into bits on the scanning edges' rows, ``F0 = far[:, b]``
+    and ``F1 = far[:, b']`` over the columns ``block``
+    (:func:`_packed_block`), so a chunk's cover rows are ``combine(F0[a] &
+    F1[a'], F1[a] & F0[a'])``, eight pairs per byte.  The scans pass at
+    most ``_COLUMN_BLOCK`` columns at a time, and one block is live at a
+    time, so the packed bits take at most ``2 * m * _COLUMN_BLOCK / 8``
+    bytes, whatever chi.
     """
     rows = np.zeros(len(far), dtype=bool)
     rows[scanning] = True
     f0, f1 = _packed_block(far, block, np.flatnonzero(rows))
     for start in range(0, len(scanning), _EDGE_CHUNK):
         a0, a1 = scanning[start : start + _EDGE_CHUNK, 0], scanning[start : start + _EDGE_CHUNK, 1]
-        yield start, (f0[a0] & f1[a1]) | (f1[a0] & f0[a1])
+        yield start, combine(f0[a0] & f1[a1], f1[a0] & f0[a1])
 
 
 def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -235,8 +229,8 @@ def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int,
     return (i, ip, j, jp) if _far_at(far, i, j) and _far_at(far, ip, jp) else (i, ip, jp, j)
 
 
-def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
-    """For every edge, search an edge whose two far conditions both hold; return the first without one.
+def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_or) -> tuple[int, int] | None:
+    """For every edge, search an edge that covers it (:func:`_edge_covers`); return the first without one.
 
     A ``covered`` flag per edge is collected over the column blocks; each
     block scans only the edges no earlier block covered, and the scan stops
@@ -245,6 +239,8 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
     (the fewer far entries of their two ends), descending, in blocks growing
     from ``_COLUMN_BLOCK // 32`` columns fourfold up to ``_COLUMN_BLOCK``.
     When every column fits in the first block, they stay in edge order.
+    ``combine`` is the cover test's (:func:`_edge_covers`): the engine's OR,
+    or the AND with which :func:`small_case_fallback` finds the centre face.
     Blocks, columns packed and rows scanned go to the ``rectilink`` logger
     at debug level, counted only when that level is on.
     """
@@ -253,7 +249,7 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
     width = max(1, _COLUMN_BLOCK // 32)
     order = None  # edge order: one block's order cannot matter
     if chi > width:
-        degree = _popcount(far).astype(np.intp)  # far entries per row
+        degree = _popcount(far)  # far entries per row
         order = np.argsort(-np.minimum(degree[edges[:, 0]], degree[edges[:, 1]]), kind="stable")
     covered = np.zeros(chi, dtype=bool)
     open_ids = np.arange(chi)
@@ -262,7 +258,7 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] |
     while first < chi and len(open_ids):
         # each block in edge order, so sorted by horizontal end
         block = edges[first : first + width] if order is None else edges[np.sort(order[first : first + width])]
-        for start, hit in _edge_covers(far, block, edges[open_ids]):
+        for start, hit in _edge_covers(far, block, edges[open_ids], combine):
             covered[open_ids[start : start + len(hit)]] = hit.any(axis=1)
         if debug:
             blocks, rows = blocks + 1, rows + len(open_ids)
@@ -406,67 +402,43 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
             log.debug("diameter fast: %d/%d store entries (H/V), %d rounds, %d pops", h.entries, v.entries, rounds, pops)
 
 
-def _face_rows(graph: OrientedGraph, dm: DistanceMatrix, rows: slice) -> np.ndarray:
-    """The faces ``rows`` against every face: four-way minima, 2 where two faces share a rectangle.
-
-    Face a's row is ``min(R[a, h_b], R[a, v_b])``, ``R[a]`` the minimum of the ``dm`` rows of its rectangles.
-    """
-    hs, vs = graph.edges[:, 0], graph.edges[:, 1]
-    h, v = hs[rows], vs[rows]
-    nearest = np.minimum(dm[h], dm[v])
-    values = np.minimum(nearest[:, hs], nearest[:, vs])
-    values[(h[:, None] == hs) | (v[:, None] == vs)] = 2
-    return values
+def _face_center(graph: OrientedGraph, a: int, b: int | None = None) -> Point:
+    """The centre of the face of edge (a, b), ``b`` by default ``a``'s lowest neighbour."""
+    boxes = graph.boxes[[a, int(graph.neighbours(a)[0]) if b is None else b]]
+    low, high = boxes[:, ::2].max(axis=0), boxes[:, 1::2].min(axis=0)  # the face's (xmin, ymin), (xmax, ymax)
+    return tuple(((low + high) // 2).tolist())
 
 
-def fallback_table(levels: Levels, ordiam: int) -> DistanceMatrix:
-    """The oriented distances as a table, ``1 + sum of far(t)`` for ``t`` from 2 to ``ordiam`` (at most 255).
-
-    ``dm[x, y]`` counts the thresholds it reaches, so every entry is exact.
-    ``far(2)`` holds every pair but the diagonal, so the sum starts at 3.
-    The radius fallback builds it only below ``orrad`` 4, where every entry
-    is at most ``2 * orrad - 1 <= 5``.
-    """
-    m = levels.graph.m
-    dm = np.full((m, m), 2, dtype=np.uint8)
-    np.fill_diagonal(dm, 1)
-    for t in range(3, ordiam + 1):
-        dm += _far_rows(levels.far(t), slice(None))
-    return dm
-
-
-def small_case_fallback(graph: OrientedGraph, dm: DistanceMatrix | None, which: str):
+def small_case_fallback(graph: OrientedGraph, levels: Levels | None, which: str):
     """The diameter or radius below the engines' threshold, from the overlay faces.
 
-    Each face contributes one representative; face pairs sharing a rectangle
-    are at 2, others at the four-way minimum.  Called by the router only when
-    the oriented value (``ordiam`` or ``orrad``) is below 4; the diameter
-    relies on it, as the engines rely on theirs.  Then two faces (h, v) and
-    (h', v') of different rectangles have ``dm[v, h']`` and ``dm[h, v']``,
-    even H-V distances of at most 3, at 2, so every face pair is at 2: the
+    Each face stands for its centre; face pairs sharing a rectangle are at
+    2, others at the four-way minimum.  Called by the router only when the
+    oriented value (``ordiam`` or ``orrad``) is below 4; the diameter relies
+    on it, as the engines rely on theirs.  Then two faces (h, v) and (h',
+    v') of different rectangles have ``dm[v, h']`` and ``dm[h, v']``, even
+    H-V distances of at most 3, at 2, so every face pair is at 2: the
     diameter is 2, witnessed by a generic pair of the first largest face, in
-    O(chi), and reads no table (``dm`` may be None).  The radius enumerates
-    the face pairs, exact for any oriented value, reducing rows to their
-    maxima about ``_FALLBACK_PAIRS`` pairs at a time, and takes the first
-    face of least eccentricity.
+    O(chi), and reads no far relation (``levels`` may be None).  Face a has
+    eccentricity at least t exactly when some face b is far at t on all
+    four pairs, the edge-scan's cover test with AND for OR; faces sharing a
+    rectangle never are, as ``dm[x, x] = 1``.  So the radius is ``t - 1``
+    for the least ``t >= 3`` at which :func:`radius_edge_scan` with that
+    test leaves an edge uncovered, and the first such face is the centre,
+    the first face of least eccentricity.  Exact for any oriented value.
     """
     if which not in ("diameter", "radius"):
         raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
-    faces = overlay_faces(graph)
     if which == "diameter":
+        faces = overlay_faces(graph)
         biggest = int(np.argmax((faces[:, 1] - faces[:, 0]) * (faces[:, 3] - faces[:, 2])))
         pair = generic_pair_in_box(tuple(faces[biggest].tolist()))
         return DiameterResult(value=2, pair=pair, witness_rects=tuple(graph.edges[biggest].tolist()), engine=FALLBACK)
 
-    step = max(1, _FALLBACK_PAIRS // len(faces))
-    ecc = np.concatenate([_face_rows(graph, dm, slice(a, a + step)).max(axis=1) for a in range(0, len(faces), step)])
-    best = int(np.argmin(ecc))
-    return RadiusResult(
-        value=max(2, int(ecc[best])),
-        center=_center(faces[best]),
-        witness=("face", tuple(graph.edges[best].tolist())),
-        engine=FALLBACK,
-    )
+    t = 3  # every face pair is at 2 or more
+    while (edge := radius_edge_scan(graph, levels.far(t), np.bitwise_and)) is None:
+        t += 1  # ends by ordiam + 1, where nothing is far
+    return RadiusResult(value=t - 1, center=_face_center(graph, *edge), witness=("face", edge), engine=FALLBACK)
 
 
 def compute(
@@ -489,10 +461,10 @@ def compute(
     name, oriented = ("ordiam", summary.ordiam) if kind == "diameter" else ("orrad", summary.orrad)
     if log.isEnabledFor(logging.DEBUG):
         route = f"fallback, {name}={oriented} < 4" if oriented < 4 else f"{algo}, {name}={oriented}"
-        far_entries = int(_popcount(levels.far(oriented)).sum(dtype=np.int64))
+        far_entries = int(_popcount(levels.far(oriented)).sum())
         log.debug("%s: %s, %d far entries", kind, route, far_entries)
     if oriented < 4:
-        return small_case_fallback(graph, fallback_table(levels, summary.ordiam) if kind == "radius" else None, kind)
+        return small_case_fallback(graph, levels, kind)
     engine = {  # looked up per call, so that rebinding a module attribute reaches the engine
         ("diameter", EDGE_SCAN): diameter_edge_scan,
         ("diameter", MATMUL): diameter_matmul,
@@ -501,20 +473,13 @@ def compute(
         ("radius", MATMUL): radius_matmul,
     }[kind, algo]
     decision = engine(graph, levels.far(oriented))
-
-    def center(a: int, b: int | None = None) -> Point:
-        """The centre of the face of edge (a, b), ``b`` by default ``a``'s lowest neighbour."""
-        boxes = graph.boxes[[a, int(graph.neighbours(a)[0]) if b is None else b]]
-        low, high = boxes[:, ::2].max(axis=0), boxes[:, 1::2].min(axis=0)  # the face's (xmin, ymin), (xmax, ymax)
-        return tuple(((low + high) // 2).tolist())
-
     if kind == "diameter":
         if decision is None:  # no witness quad: the far pair itself is at ordiam - 2
             i, j = summary.diam_pair
-            return DiameterResult(oriented - 2, (center(i), center(j)), (i, j), algo)
+            return DiameterResult(oriented - 2, (_face_center(graph, i), _face_center(graph, j)), (i, j), algo)
         i, ip, j, jp = decision
-        return DiameterResult(oriented - 1, (center(i, ip), center(j, jp)), decision, algo)
+        return DiameterResult(oriented - 1, (_face_center(graph, i, ip), _face_center(graph, j, jp)), decision, algo)
     if decision is None:  # every edge is covered: the centre rectangle is at orrad - 1
         rect = summary.center_rect
-        return RadiusResult(oriented - 1, center(rect), ("rect", (rect,)), algo)
-    return RadiusResult(oriented - 2, center(*decision), ("edge", decision), algo)
+        return RadiusResult(oriented - 1, _face_center(graph, rect), ("rect", (rect,)), algo)
+    return RadiusResult(oriented - 2, _face_center(graph, *decision), ("edge", decision), algo)

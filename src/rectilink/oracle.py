@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsidePointError
-from .geometry import Domain, Point
+from .geometry import Domain, Point, point_out
 from .metrics import DiameterResult, ORACLE, RadiusResult, generic_pair_in_box
 
 _INF = np.int64(1) << 40
@@ -88,7 +88,7 @@ class GridModel:
             for ix in cands_x:
                 if 0 <= iy < nrows and 0 <= ix < ncols and self.inside[iy, ix]:
                     return (iy, ix)
-        raise OutsidePointError(f"point {p} is outside the domain")
+        raise OutsidePointError(f"point {tuple(point_out(p))} lies outside the domain")
 
     @staticmethod
     def _axis_candidates(cuts: np.ndarray, value: int) -> list[int]:

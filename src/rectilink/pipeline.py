@@ -19,9 +19,8 @@ from .errors import OutsidePointError, UnknownChoiceError
 from .geometry import (
     Decomposition,
     Domain,
-    Point,
-    SCALE,
     horizontal_decomposition,
+    point_out,
     require_valid,
     vertical_decomposition,
 )
@@ -67,11 +66,6 @@ def prepare(domain: Domain, validated: bool = False) -> Prepared:
     graph = timed("graph", build_graph, hdec, vdec)
     levels = timed("all_pairs", all_pairs, graph)
     return Prepared(domain, hdec, vdec, graph, levels, timed("summarize", summarize, levels), seconds)
-
-
-def point_out(p: Point):
-    """Internal (doubled) point to original units, integer when exact."""
-    return [c // SCALE if c % SCALE == 0 else c / SCALE for c in p]
 
 
 @dataclass(frozen=True)

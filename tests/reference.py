@@ -42,8 +42,10 @@ from rectilink.errors import InstanceFormatError, InvalidDomainError, OutsidePoi
 from rectilink.generator import GenParams
 from rectilink.geometry import COORD_LIMIT, SCALE, Domain, Orientation, Point, Rect, ValidationReport, blocks
 from rectilink.graph import GraphSummary, Levels, OrientedGraph, summarize
-from rectilink.metrics import FALLBACK, DiameterResult, DistanceMatrix, RadiusResult, _center, generic_pair_in_box
+from rectilink.metrics import FALLBACK, DiameterResult, RadiusResult, generic_pair_in_box
 from rectilink.oracle import GridModel, _OracleFace
+
+DistanceMatrix = np.ndarray  # (m, m), entry = hop distance + 1
 
 
 # The parser as it read each ring into a tuple of point tuples, one point at
@@ -261,8 +263,17 @@ def transpose_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
 
 
 def levels_table(levels: Levels) -> DistanceMatrix:
-    """The package's distances as a table: the radius fallback's sum of far relations, up to the summary's ordiam."""
-    return metrics.fallback_table(levels, summarize(levels).ordiam)
+    """The package's distances as a uint8 table, ``1 + sum of far(t)`` for ``t`` from 2 to the summary's ordiam.
+
+    ``dm[x, y]`` counts the thresholds it reaches, so every entry is exact.
+    ``far(2)`` holds every pair but the diagonal, so the sum starts at 3.
+    """
+    m = levels.graph.m
+    dm = np.full((m, m), 2, dtype=np.uint8)
+    np.fill_diagonal(dm, 1)
+    for t in range(3, summarize(levels).ordiam + 1):
+        dm += unpacked(levels.far(t))
+    return dm
 
 
 # The crossing store as segment objects in per-node ``SortedList``s, which
@@ -649,6 +660,11 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray, rects) -> tuple[int, in
 
 # The fallback as it enumerated every pair of faces at once, in chi x chi
 # arrays (``overlay_faces`` here is the package's).
+
+
+def _center(box: np.ndarray) -> Point:
+    xmin, xmax, ymin, ymax = box.tolist()
+    return ((xmin + xmax) // 2, (ymin + ymax) // 2)
 
 
 def face_table(graph: OrientedGraph, dm: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -213,6 +213,38 @@ class TestErrors:
         for reps in ("0", "-1"):
             self.assert_clean_failure(capsys, ["bench", files["donut"], "--reps", reps])
 
+    def assert_one_error_line(self, capsys, argv) -> str:
+        """Exit 1 and exactly one stderr line, an ``error:`` line; returns that line."""
+        code = main(argv)  # an uncaught exception would fail the test here
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in lines[0]
+        return lines[0]
+
+    def test_deep_document(self, capsys, tmp_path):
+        """Nesting too deep for the JSON decoder is a format error, not a RecursionError."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        assert self.assert_one_error_line(capsys, ["diameter", str(deep)]).startswith("error: invalid JSON: ")
+
+    @pytest.mark.parametrize("point", ["1e100000,1", "1e1000000000,1", "1e-1000000000,1"])
+    def test_point_past_limit(self, capsys, files, point):
+        """A coordinate too large or too fine is refused as a bad point, without expanding its exponent."""
+        line = self.assert_one_error_line(capsys, ["dist", files["square"], "--p", point, "--q", "1,1"])
+        assert line.startswith(f"error: bad point {point!r}: ")
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_outside_point_in_input_units(self, capsys, files, oracle):
+        """The formula and the oracle print an outside point as it was given, not in doubled units."""
+        line = self.assert_one_error_line(capsys, ["dist", files["square"], "--p", "1,1", "--q", "11.5,12", *oracle])
+        assert line == "error: point (11.5, 12) lies outside the domain"
+
+    def test_memory_error(self, capsys, files, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(rectilink.cli, "prepare", exhausted)
+        assert self.assert_one_error_line(capsys, ["radius", files["donut"]]) == "error: out of memory"
+
     def test_bench_no_engine(self, capsys, files):
         for engines in ("", ",", " , "):
             self.assert_clean_failure(capsys, ["bench", files["donut"], "--engines", engines])

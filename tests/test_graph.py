@@ -4,7 +4,6 @@ import json
 import logging
 import re
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from rectilink.graph import (
     build_graph,
     summarize,
 )
-from rectilink.metrics import compute
+from rectilink.metrics import _popcount, compute
 from rectilink.pipeline import decompose, prepare
 
 from conftest import comb, perforated, spiral, staircase
@@ -509,12 +508,12 @@ def test_generated_graph_property(width, height, holes, seed, data):
 
 
 class TestTypedFailures:
-    def test_table_ceiling_before_allocation(self):
-        stub = SimpleNamespace(m=65534, nh=32767)
-        with pytest.raises(ResourceLimitError, match="65533"):
-            all_pairs(stub)
-        with pytest.raises(ResourceLimitError):
-            bfs_from(stub, [0])
+    def test_counts_past_uint16(self, donut):
+        """No count wraps at 65536: a row of 70401 set bits counts exactly, and a point query's row is ``intp``."""
+        row = np.full((1, 1101), ~np.uint64(0))
+        row[0, -1] = np.uint64(1)
+        assert _popcount(row).tolist() == [64 * 1100 + 1]
+        assert bfs_from(donut.prep.graph, [0]).dtype == np.intp
         assert issubclass(ResourceLimitError, RectilinkError)
 
     def test_unreachable_horizontal(self):

@@ -12,7 +12,7 @@ import rectilink.metrics
 from rectilink import GenParams, gen_domain, oracle_distance, parse_domain, point_distance
 from rectilink.crossing import CrossingStore
 from rectilink.geometry import Decomposition, Orientation, locate
-from rectilink.graph import build_graph
+from rectilink.graph import all_pairs, build_graph
 from rectilink.pipeline import decompose, prepare
 from rectilink.metrics import (
     _edge_products,
@@ -28,7 +28,7 @@ from rectilink.metrics import (
     radius_matmul,
     small_case_fallback,
 )
-from rectilink.oracle import oracle_eccentricity
+from rectilink.oracle import build_grid, oracle_eccentricity
 
 import reference
 from reference import ScanCrossingStore, graph_rects, levels_table, packed, reference_table, unpacked
@@ -435,12 +435,12 @@ class TestRadiusColumnOrder:
 
 class TestFallback:
     def test_square(self, square):
-        g, dm = square.prep.graph, levels_table(square.prep.levels)
-        assert small_case_fallback(g, dm, "diameter").value == 2
-        assert small_case_fallback(g, dm, "radius").value == 2
+        g, levels = square.prep.graph, square.prep.levels
+        assert small_case_fallback(g, levels, "diameter").value == 2
+        assert small_case_fallback(g, levels, "radius").value == 2
 
     def test_lshape_radius(self, lshape):
-        res = small_case_fallback(lshape.prep.graph, levels_table(lshape.prep.levels), "radius")
+        res = small_case_fallback(lshape.prep.graph, lshape.prep.levels, "radius")
         assert res.value == 2
         assert res.center == (4, 4)  # (2,2): the corner face reaches everything in 2
 
@@ -452,12 +452,12 @@ class TestFallback:
 
     def test_unknown_target(self, square):
         with pytest.raises(ValueError):
-            small_case_fallback(square.prep.graph, levels_table(square.prep.levels), "girth")
+            small_case_fallback(square.prep.graph, square.prep.levels, "girth")
 
     @pytest.fixture(scope="class")
     def cases(self, fixtures, corpus):
-        """Prepared instances, their fallback tables and the chi x chi version's results by (index, kind): the diameter
-        where the router calls it.
+        """Prepared instances, their distance tables and the chi x chi version's results by (index, kind): the
+        diameter where the router calls it.
 
         Full small generated grids, whose ``ordiam`` is below 4, and the same grids less one cell are added.
         """
@@ -488,28 +488,44 @@ class TestFallback:
             values, _ = reference.face_table(prep.graph, dm)
             assert (values == 2).all()
 
-    @pytest.mark.parametrize("pairs", [1, 1000, rectilink.metrics._FALLBACK_PAIRS])
-    def test_matches_reference(self, pairs, cases, monkeypatch):
-        """Face rows in blocks of one row, of a few rows and of the default size give the chi x chi version's results."""
-        preps, tables, expected = cases
-        monkeypatch.setattr(rectilink.metrics, "_FALLBACK_PAIRS", pairs)
+    def test_matches_reference(self, cases):
+        """The scan on far bits gives the chi x chi version's results: value, centre and witness face."""
+        preps, _, expected = cases
         for (k, which), result in expected.items():
-            assert small_case_fallback(preps[k].graph, tables[k], which) == result, (k, which)
+            assert small_case_fallback(preps[k].graph, preps[k].levels, which) == result, (k, which)
         assert {len(r.witness_rects) for (_, which), r in expected.items() if which == "diameter"} == {2}
 
     def test_memory(self):
-        """comb(60) has chi = 3659: all face pairs at once took 230 MiB, and the table is 0.1 MiB."""
+        """comb(60) has chi = 3659: all face pairs at once took 230 MiB; the scan, far(3) included, stays far below."""
         prep = prepare(parse_domain(comb(60)))
-        dm = levels_table(prep.levels)
         assert prep.graph.chi == 3659 and prep.summary.orrad < 4
         for which in ("diameter", "radius"):
             tracemalloc.start()
             try:
-                small_case_fallback(prep.graph, dm, which)
+                small_case_fallback(prep.graph, prep.levels, which)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2**20, (which, peak)
+
+    def test_comb_300(self):
+        """comb(300) has chi = 90299, 80 times comb(100)'s face pairs; the oracle prices the centre at the radius."""
+        domain = parse_domain(comb(300))
+        prep = prepare(domain)
+        assert prep.graph.chi == 90299
+        res = compute("radius", prep.graph, prep.levels, prep.summary, "edge-scan")
+        assert res.engine == "fallback" and res.value == 2
+        assert oracle_eccentricity(build_grid(domain), res.center) == 2
+
+    def test_routed_radius_thresholds(self, cases):
+        """A routed radius reads far(3), where a face is left uncovered on every case, and no threshold but orrad."""
+        preps, _, _ = cases
+        routed = [prep for prep in preps if prep.summary.orrad < 4]
+        assert len(routed) >= 10
+        for prep in routed:
+            levels = all_pairs(prep.graph)  # a fresh far cache
+            compute("radius", prep.graph, levels, prep.summary, "edge-scan")
+            assert 3 in levels._far and set(levels._far) <= {3, prep.summary.orrad}
 
     def test_routing(self, square, lshape, donut):
         res = compute("diameter", square.prep.graph, square.prep.levels, square.prep.summary, "fast")
@@ -709,7 +725,7 @@ class TestWitnesses:
         assert oracle_eccentricity(donut.grid, res.center) == res.value
 
     def test_square_center(self, square):
-        res = small_case_fallback(square.prep.graph, levels_table(square.prep.levels), "radius")
+        res = small_case_fallback(square.prep.graph, square.prep.levels, "radius")
         assert oracle_eccentricity(square.grid, res.center) == 2
 
     def test_far_pair_witness_distance(self, donut):
