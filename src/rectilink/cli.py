@@ -99,8 +99,8 @@ def _cmd_decompose(args) -> int:
         for i, (xmin, xmax, ymin, ymax) in enumerate(graph.boxes.tolist())
     ]
     report = instance_stats(prep)
-    report["approx_diameter"] = prep.summary.ordiam - 1
-    report["approx_radius"] = prep.summary.orrad - 1
+    report["approx_diameter"] = report["ordiam"] - 1
+    report["approx_radius"] = report["orrad"] - 1
     report["rects"] = rects
     report["adjacency"] = [graph.neighbours(i).tolist() for i in range(graph.m)]
     _emit(report, not args.compact)
@@ -134,7 +134,7 @@ def _cmd_extreme(args) -> int:
     timings = {"prepare_seconds": prep_seconds, "engine_seconds": solution.seconds}
     if prep is not None:
         oriented = "ordiam" if args.command == "diameter" else "orrad"
-        payload[oriented] = getattr(prep.summary, oriented)
+        payload[oriented] = prep.levels.extreme(args.command)[0]
         timings["stage_seconds"] = prep.seconds
     payload["requested_algo"] = args.algo
     payload["timings"] = timings

@@ -20,11 +20,13 @@ takes five or six on generated domains.
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -141,6 +143,38 @@ def _typed_prefix(obj) -> int:
     return len(obj)
 
 
+# the most characters of an offending value that a parse error echoes
+ECHO_LIMIT = 80
+
+
+class _Echo(reprlib.Repr):
+    """``repr`` of at most ``ECHO_LIMIT`` items per container and as many levels, so no container is written whole.
+
+    Strings and other scalars are written as ``repr`` writes them, dicts
+    keep their order, and an int past 256 bits is written as its size.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.maxlevel = self.maxtuple = self.maxlist = self.maxdict = ECHO_LIMIT
+        self.maxstring = self.maxother = sys.maxsize
+
+    def repr_int(self, x: int, level: int) -> str:
+        return f"<int of {x.bit_length()} bits>" if x.bit_length() > 256 else repr(x)
+
+    def repr_dict(self, x: dict, level: int) -> str:
+        if level <= 0:
+            return "{...}"
+        pairs = (f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in islice(x.items(), self.maxdict))
+        return "{" + ", ".join(pairs) + (", ...}" if len(x) > self.maxdict else "}")
+
+
+def _echo(value) -> str:
+    """``repr(value)``, cut to ``ECHO_LIMIT`` characters and an ellipsis when longer."""
+    text = _Echo().repr(value)
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "…"
+
+
 def _parse_ring(obj, label: str) -> np.ndarray:
     """One ring's vertices as a (k, 2) int64 array in doubled coordinates.
 
@@ -155,9 +189,9 @@ def _parse_ring(obj, label: str) -> np.ndarray:
         pts = np.array(obj[:typed], dtype=object).reshape(-1, 2)
     limit = COORD_LIMIT // SCALE
     if (over := (pts > limit) | (pts < -limit)).any():
-        raise InstanceFormatError(f"{label}: coordinate overflow at {obj[int(over.any(axis=1).argmax())]!r}")
+        raise InstanceFormatError(f"{label}: coordinate overflow at {_echo(obj[int(over.any(axis=1).argmax())])}")
     if typed < len(obj):
-        raise InstanceFormatError(f"{label}: points must be [int, int] pairs, got {obj[typed]!r}")
+        raise InstanceFormatError(f"{label}: points must be [int, int] pairs, got {_echo(obj[typed])}")
     pts = pts * SCALE
     if len(pts) > 1 and (pts[0] == pts[-1]).all():  # tolerate explicitly closed rings
         pts = pts[:-1]
@@ -184,7 +218,9 @@ def parse_domain(text) -> Domain:
     if isinstance(text, (str, bytes)):
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep for the decoder
+        # ValueError: malformed JSON, or an integer literal past the interpreter's digit limit; RecursionError:
+        # nesting too deep for the decoder
+        except (ValueError, RecursionError) as exc:
             raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     else:
         data = text
@@ -194,7 +230,7 @@ def parse_domain(text) -> Domain:
     rings = [outer if signed_area2(outer) >= 0 else outer[::-1]]
     hole_objs = data.get("holes") or []
     if not isinstance(hole_objs, (list, tuple)):
-        raise InstanceFormatError(f'"holes" must be a list of rings, got {hole_objs!r}')
+        raise InstanceFormatError(f'"holes" must be a list of rings, got {_echo(hole_objs)}')
     for k, ring_obj in enumerate(hole_objs):
         hole = _parse_ring(ring_obj, f"holes[{k}]")
         rings.append(hole if signed_area2(hole) <= 0 else hole[::-1])

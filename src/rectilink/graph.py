@@ -26,11 +26,13 @@ vertical-to-horizontal block by a bit-sliced compare, the
 horizontal-to-vertical block as its transpose, and the vertical-to-vertical
 block as one AND over the crossing edges, since every path out of a
 vertical rectangle starts with an edge to a horizontal one.  The searches
-and the AND gather rows of words with ``take``; the one bit transpose,
-which the matmul engines share, moves 8x8 bit tiles held in single words.
-The summary comes from the planes, with that AND only on the few verticals
-that could change an extreme.  A point query reads one row of distances, which
-:func:`bfs_from` computes alone.
+and the AND are one group reduce, :func:`_group_reduce`, which gathers rows
+of words with ``take``; the one bit transpose, which the matmul engines
+share, moves 8x8 bit tiles held in single words.  :meth:`Levels.extreme`
+computes the oriented diameter or radius from the planes and, for the few
+verticals that could change the extreme, one read of their rows of the far
+relation, mostly at the threshold the engine then reads.  A point query
+reads one row of distances, which :func:`bfs_from` computes alone.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import logging
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -83,14 +86,6 @@ class OrientedGraph:
 
     def orientation_of(self, i: int) -> Orientation:
         return Orientation.HORIZONTAL if i < self.nh else Orientation.VERTICAL
-
-
-@dataclass(frozen=True)
-class GraphSummary:
-    ordiam: int
-    orrad: int
-    diam_pair: tuple[int, int]
-    center_rect: int
 
 
 def build_graph(hdec: Decomposition, vdec: Decomposition) -> OrientedGraph:
@@ -159,8 +154,8 @@ def _disconnected(graph: OrientedGraph, unreached: int, sources: Sequence[int]) 
 # domains and on staircase corridors built in the tests alone.
 LEVEL_SEARCH_K = 128
 # sources per scipy search (rounded up to whole words), rows bit-transposed at once, a quarter of the edges
-# per block of a level search or of an AND over the vertical groups, and of the edges from which the level
-# search skips saturated targets
+# per block of a group reduce (the level search's OR, the far relation's AND), and of the edges from which the
+# level search skips saturated targets
 CHUNK = 256
 
 
@@ -209,13 +204,32 @@ def _source_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
     return planes, 0
 
 
-def _open_groups(ptr: np.ndarray, nbr: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR groups ``keep`` of ``(ptr, nbr)`` as new groups ``0..len(keep)-1``."""
+def _groups(ptr: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """CSR groups ``(ptr, nbr)`` and their blocks of at most ``4 * CHUNK`` entries, cut once for every reduce."""
+    return ptr, nbr, list(blocks(ptr, 4 * CHUNK))
+
+
+def _open_groups(ptr: np.ndarray, nbr: np.ndarray, keep: np.ndarray):
+    """The CSR groups ``keep`` of ``(ptr, nbr)`` as new groups ``0..len(keep)-1``, as :func:`_groups` returns them."""
     lo = ptr[keep]
     degree = ptr[keep + 1] - lo
     kept = np.zeros(len(keep) + 1, dtype=np.intp)
     np.cumsum(degree, out=kept[1:])
-    return kept, nbr[np.repeat(lo - kept[:-1], degree) + np.arange(kept[-1])]
+    return _groups(kept, nbr[np.repeat(lo - kept[:-1], degree) + np.arange(kept[-1])])
+
+
+def _group_reduce(ufunc: np.ufunc, rows: np.ndarray, groups):
+    """``ufunc`` over the rows ``rows[nbr[ptr[g] : ptr[g + 1]]]`` of each group g of ``groups = (ptr, nbr, spans)``.
+
+    Yields ``(a, b, out)`` per block ``[a, b)`` of :func:`_groups`, ``out[k]``
+    the result of group ``a + k``: one ``take`` and one ``reduceat`` that
+    gather at most ``4 * CHUNK`` rows, unless one group is larger.  Every
+    group must be non-empty: ``reduceat`` returns the next group's first row,
+    not the identity, for an empty one.
+    """
+    ptr, nbr, spans = groups
+    for a, b in spans:
+        yield a, b, ufunc.reduceat(rows.take(nbr[ptr[a] : ptr[b]], axis=0), ptr[a:b] - ptr[a], axis=0)
 
 
 def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
@@ -225,9 +239,9 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
     ceil(nh / 64)`` words, source ``s`` at bit ``s``.  Level 1 reaches the
     sources themselves.  Each later level's targets lie on one side of the
     bipartite graph, alternating, and a target's new bits are the OR of its
-    neighbours' frontier words, ``& ~reached``: one
-    ``np.bitwise_or.reduceat`` over the target's CSR group, for blocks of
-    targets that gather at most ``4 * CHUNK`` edges of ``W`` words.
+    neighbours' frontier words, ``& ~reached``: the OR over the targets' CSR
+    groups of :func:`_group_reduce`, whose blocks gather at most ``4 *
+    CHUNK`` edges of ``W`` words.
 
     A target that every source has reached gets no new bit, so its gather is
     wasted; leaving it out is the bottom-up step of multi-source BFS.  When
@@ -242,10 +256,8 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
     Bit 0 is the target's side, horizontal targets sitting at odd levels and
     vertical ones at even levels, so it needs no plane.  Returns the planes,
     ``(m, W)`` words each, and the number of target gathers skipped, counted
-    only when the debug log is on.
-
-    The graph must be connected: ``reduceat`` returns a group's first
-    element, not zero, for an empty group.
+    only when the debug log is on.  The graph must be connected, so that no
+    group is empty.
     """
     m, nh, chi = graph.m, graph.nh, graph.chi
     words = -(-nh // 64)
@@ -255,20 +267,20 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
     reached.view(np.uint8)[ids, ids >> 3] = np.left_shift(1, ids & 7)
     full = np.bitwise_or.reduce(reached[:nh], axis=0)
     prune, debug, skipped = chi > 4 * CHUNK, log.isEnabledFor(logging.DEBUG), 0
-    # per target side: its rows, the open targets (None: all), their CSR groups with the neighbours as
-    # rows of the other side's frontier, and the groups' blocks
-    sides = []
-    for rows, ptr, nbr in ((slice(0, nh), indptr[: nh + 1], indices[:chi] - nh), (slice(nh, m), indptr[nh:], indices)):
-        sides.append((rows, None, ptr, nbr, list(blocks(ptr, 4 * CHUNK))))
+    # per target side: its rows, the open targets (None: all) and their CSR groups with the neighbours as
+    # rows of the other side's frontier
+    sides = [
+        (slice(0, nh), None, _groups(indptr[: nh + 1], indices[:chi] - nh)),
+        (slice(nh, m), None, _groups(indptr[nh:], indices)),
+    ]
     planes = []
     frontier = reached[:nh].copy()
     for level in range(2, m + 1):
         side = 1 - level % 2
-        rows, open_ids, ptr, nbr, spans = sides[side]
+        rows, open_ids, groups = sides[side]
         targets = reached[rows]
         new = np.empty_like(targets) if open_ids is None else np.zeros_like(targets)
-        for a, b in spans:
-            bits = np.bitwise_or.reduceat(frontier.take(nbr[ptr[a] : ptr[b]], axis=0), ptr[a:b] - ptr[a], axis=0)
+        for a, b, bits in _group_reduce(np.bitwise_or, frontier, groups):
             at = slice(a, b) if open_ids is None else open_ids[a:b]
             new[at] = bits & ~targets[at]
         if not new.any():
@@ -286,9 +298,7 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
             saturated = ((targets if open_ids is None else targets[open_ids]) == full).all(axis=1)
             if 4 * np.count_nonzero(saturated) > len(saturated):
                 keep = np.flatnonzero(~saturated)
-                ptr, nbr = _open_groups(ptr, nbr, keep)
-                keep = keep if open_ids is None else open_ids[keep]
-                sides[side] = (rows, keep, ptr, nbr, list(blocks(ptr, 4 * CHUNK)))
+                sides[side] = (rows, keep if open_ids is None else open_ids[keep], _open_groups(*groups[:2], keep))
     return planes, skipped
 
 
@@ -377,6 +387,11 @@ def _join(h_bits: np.ndarray, v_bits: np.ndarray, nh: int, m: int) -> np.ndarray
     return out
 
 
+def _first_bit(words: np.ndarray) -> int:
+    """The lowest set bit of a row of words; the row must have one."""
+    return int(np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))[0])
+
+
 @dataclass(frozen=True, eq=False)
 class Levels:
     """The oriented distances to the horizontal rectangles as bit planes, and the far relations they give.
@@ -387,11 +402,15 @@ class Levels:
     these are also the horizontal rows.  :meth:`far` reads the relation
     ``dm >= t`` off the planes, with no table, and keeps each threshold's
     relation for the next caller; the blocks it is made of are not kept.
+    :meth:`extreme` computes the oriented diameter or radius on first use,
+    from the horizontal eccentricities, computed once, and at most one row
+    read of a far relation.
     """
 
     graph: OrientedGraph
     planes: tuple[np.ndarray, ...]
     _far: dict = field(default_factory=dict, init=False, repr=False)  # threshold -> far relation
+    _extremes: dict = field(default_factory=dict, init=False, repr=False)  # kind -> extreme
 
     def _far_h(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """``far[:, H]`` at ``t >= 2``, ``(m, W)`` words, and ``far[V, H]`` at ``t - 1``, from one compare.
@@ -424,56 +443,121 @@ class Levels:
             above[nh:] = before
         return above, before
 
-    def _far_vv(self, t: int, hv: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-        """``far[V, V]`` at ``t >= 2`` on the verticals ``keep`` (numbered from 0; None: all of them).
-
-        ``hv`` is ``far[H, V]`` at ``t - 1``, ``(nh, ceil(nv / 64))`` words.
-        Off the diagonal ``dm[v, v'] = 1 + min over h in N(v) of dm[h, v']``,
-        so ``far[v, V]`` at ``t`` is the AND of the ``hv`` rows over
-        ``N(v)``: one ``np.bitwise_and.reduceat`` over the CSR groups of
-        ``keep``, in blocks of at most ``4 * CHUNK`` edges.  The same AND
-        puts ``dm[v, v] = 1`` at 3, so the diagonal is cleared for ``t <=
-        3``.  Every vertical must have a neighbour.
-        """
-        g = self.graph
-        ptr, nbr = g.indptr[g.nh :], g.indices
-        if keep is not None:
-            ptr, nbr = _open_groups(ptr, nbr, keep)
-        out = np.empty((len(ptr) - 1, hv.shape[1]), dtype=np.uint64)
-        for a, b in blocks(ptr, 4 * CHUNK):
-            out[a:b] = np.bitwise_and.reduceat(hv.take(nbr[ptr[a] : ptr[b]], axis=0), ptr[a:b] - ptr[a], axis=0)
-        if t <= 3:
-            ids = np.arange(len(out)) if keep is None else keep
-            out.view(np.uint8)[np.arange(len(out)), ids >> 3] &= ~np.left_shift(1, ids & 7).astype(np.uint8)
-        return out
-
     def far(self, t: int) -> np.ndarray:
         """The far relation ``dm >= t``, ``t >= 2``: ``(m, ceil(m / 64))`` read-only words, row x's column j at bit j.
 
         On a little-endian host its bytes are ``np.packbits(dm >= t, axis=1,
         bitorder="little")``, padded to whole words.  The columns H come from :meth:`_far_h`,
-        ``far[H, V]`` is the bit transpose of ``far[V, H]`` and ``far[V,
-        V]`` the AND of :meth:`_far_vv` over ``far[H, V]`` at ``t - 1``,
-        the same block for even ``t``, as vertical-to-horizontal distances
-        are even.  For odd ``t`` both ``far[V, H]`` blocks, at ``t`` and at
-        ``t - 1``, are transposed in one :func:`_transpose_bits` call, side
-        by side, so a small graph pays its fixed cost once.  Computed once
-        per threshold.
+        ``far[H, V]`` is the bit transpose of ``far[V, H]``, and ``far[V,
+        V]`` comes from ``far[H, V]`` at ``t - 1``, the same block for even
+        ``t``, as vertical-to-horizontal distances are even: off the
+        diagonal ``dm[v, v'] = 1 + min over h in N(v) of dm[h, v']``, so row
+        v is the AND of those rows over ``N(v)``, by :func:`_group_reduce`
+        over the vertical side's CSR groups.  The same AND puts ``dm[v, v] =
+        1`` at 3, so the diagonal is cleared for ``t <= 3``.  For odd ``t``
+        both ``far[V, H]`` blocks, at ``t`` and at ``t - 1``, are transposed
+        in one :func:`_transpose_bits` call, side by side, so a small graph
+        pays its fixed cost once.  Computed once per threshold.
         """
         if t not in self._far:
             g = self.graph
+            nh, nv = g.nh, g.m - g.nh
             rows, before = self._far_h(t)
             if t % 2 == 0:  # far[V, H] is the same at t - 1
-                hv = hv_before = _transpose_bits(before, g.nh)
+                hv = hv_before = _transpose_bits(before, nh)
             else:  # both blocks side by side in one transpose, the second's columns from bit 64 * W on
                 words = before.shape[1]
-                both = _transpose_bits(np.concatenate([rows[g.nh :], before], axis=1), 64 * words + g.nh)
-                hv, hv_before = both[: g.nh], both[64 * words :]
-            vv = self._far_vv(t, hv_before)
-            out = _join(rows, np.concatenate([hv, vv]), g.nh, g.m)
+                both = _transpose_bits(np.concatenate([rows[nh:], before], axis=1), 64 * words + nh)
+                hv, hv_before = both[:nh], both[64 * words :]
+            columns = np.empty((g.m, hv.shape[1]), dtype=np.uint64)  # far[:, V]: far[H, V], then far[V, V]
+            columns[:nh] = hv
+            for a, b, bits in _group_reduce(np.bitwise_and, hv_before, _groups(g.indptr[nh:], g.indices)):
+                columns[nh + a : nh + b] = bits
+            if t <= 3:
+                ids = np.arange(nv)
+                columns.view(np.uint8)[nh + ids, ids >> 3] &= ~np.left_shift(1, ids & 7).astype(np.uint8)
+            out = _join(rows, columns, nh, g.m)
             out.flags.writeable = False
             self._far[t] = out
         return self._far[t]
+
+    @cached_property
+    def _eccentricities(self) -> tuple[np.ndarray, tuple[int, int]]:
+        """Each horizontal's eccentricity, the maximum of its column, and the table's first maximum over them.
+
+        Bit-sliced from the top plane down: a column's maximum has bit p when
+        one of the rows still attaining its higher bits has bit p, and then
+        only those rows stay.  Bit 0 is set when a horizontal row is among
+        the last, so the rows at the maximum are the last rows of column h on
+        the horizontal side for an odd maximum and on the vertical side for
+        an even one.  The first maximum is the first horizontal ``i`` of the
+        largest eccentricity and the first of those rows in column ``i``.
+        Computed once, for both extremes.
+        """
+        nh, m = self.graph.nh, self.graph.m
+        rows = np.full((m, -(-nh // 64)), ~np.uint64(0))
+        hits = np.empty((len(self.planes) + 1, rows.shape[1]), dtype=np.uint64)  # the maxima's bits, top bit first
+        for k, plane in enumerate(reversed(self.planes)):
+            hits[k] = np.bitwise_or.reduce(rows & plane, axis=0)
+            rows &= plane | ~hits[k]
+        hits[-1] = np.bitwise_or.reduce(rows[:nh], axis=0)
+        bits = np.unpackbits(hits.view(np.uint8), axis=1, count=nh, bitorder="little")
+        ecc = np.left_shift(1, np.arange(len(hits) - 1, -1, -1)) @ bits
+        i = int(np.argmax(ecc))
+        top = int(ecc[i])
+        side = nh * (1 - top % 2)  # the first row of the side at odd or even distances from i
+        column = rows[side : nh if top % 2 else m, i >> 6] >> np.uint64(i & 63) & np.uint64(1)
+        return ecc, (i, side + int(np.flatnonzero(column)[0]))
+
+    def _centred_verticals(self, e: int) -> np.ndarray:
+        """The verticals, numbered from 0, whose neighbours all have eccentricity ``e``."""
+        g = self.graph
+        ecc, _ = self._eccentricities
+        return np.flatnonzero(np.logical_and.reduceat(ecc[g.indices[g.chi :]] == e, g.indptr[g.nh : g.m] - g.chi))
+
+    def extreme(self, kind: str) -> tuple[int, tuple[int, ...]]:
+        """``(ordiam, diam_pair)`` for ``"diameter"``, else ``(orrad, (center_rect,))``; computed once per kind.
+
+        ``diam_pair`` is the table's first maximum in row-major order and
+        ``center_rect`` its first row of least eccentricity.  Let ``D`` and
+        ``R`` be the largest and smallest eccentricity of a horizontal.
+        Crossing rectangles are at most 1 apart in eccentricity, and every
+        vertical crosses a horizontal, so ``ordiam`` is ``D`` or ``D + 1``
+        and ``orrad`` is ``R - 1`` or ``R``; only a vertical whose neighbours
+        all sit at ``D`` (at ``R``) can reach the other value, a test on its
+        row of one far relation, and mostly there is none.
+        """
+        if kind not in self._extremes:
+            self._extremes[kind] = self._diameter() if kind == "diameter" else self._radius()
+        return self._extremes[kind]
+
+    def _diameter(self) -> tuple[int, tuple[int, int]]:
+        """``D + 1`` and the first such vertical with a ``far(D + 1)`` entry, with that entry; else ``D``.
+
+        Such verticals reach ``D + 1`` far more often than not, so the engine
+        mostly reads the same relation.  For ``D`` the eccentricities give
+        the first maximum.
+        """
+        ecc, pair = self._eccentricities
+        top, nh = int(ecc.max()), self.graph.nh
+        keep = self._centred_verticals(top)
+        if len(keep):
+            rows = self.far(top + 1)[nh + keep]
+            hits = np.flatnonzero(rows.any(axis=1))
+            if len(hits):
+                return top + 1, (nh + int(keep[hits[0]]), _first_bit(rows[hits[0]]))
+        return top, pair
+
+    def _radius(self) -> tuple[int, tuple[int]]:
+        """``R - 1`` and the first such vertical with no ``far(R)`` entry; else ``R`` and the first horizontal there."""
+        ecc, _ = self._eccentricities
+        low, nh = int(ecc.min()), self.graph.nh
+        center = self._centred_verticals(low)
+        if len(center):
+            center = center[~self.far(low)[nh + center].any(axis=1)]
+        if len(center):
+            return low - 1, (nh + int(center[0]),)
+        return low, (int(np.argmin(ecc)),)
 
 
 def all_pairs(graph: OrientedGraph) -> Levels:
@@ -527,83 +611,3 @@ def all_pairs(graph: OrientedGraph) -> Levels:
             graph.chi,
         )
     return Levels(graph, tuple(planes))
-
-
-def _first_bit(words: np.ndarray) -> int:
-    """The lowest set bit of a row of words; the row must have one."""
-    return int(np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))[0])
-
-
-def _horizontal_eccentricities(levels: Levels) -> tuple[np.ndarray, np.ndarray]:
-    """Each horizontal rectangle's largest oriented distance, the maximum of its column, and the rows attaining it.
-
-    Bit-sliced from the top plane down: a column's maximum has bit p when
-    one of the rows still attaining its higher bits has bit p, and then only
-    those rows stay.  Bit 0 is set when a horizontal row is among the last,
-    so the rows at the maximum are the last rows of column h on the
-    horizontal side for an odd maximum and on the vertical side for an even
-    one.  Returns the maxima and those last rows, ``(m, W)`` words.
-    """
-    graph = levels.graph
-    rows = np.full((graph.m, -(-graph.nh // 64)), ~np.uint64(0))
-    hits = np.empty((len(levels.planes) + 1, rows.shape[1]), dtype=np.uint64)  # the maxima's bits, top bit first
-    for k, plane in enumerate(reversed(levels.planes)):
-        hits[k] = np.bitwise_or.reduce(rows & plane, axis=0)
-        rows &= plane | ~hits[k]
-    hits[-1] = np.bitwise_or.reduce(rows[: graph.nh], axis=0)
-    bits = np.unpackbits(hits.view(np.uint8), axis=1, count=graph.nh, bitorder="little")
-    return np.left_shift(1, np.arange(len(hits) - 1, -1, -1)) @ bits, rows
-
-
-def summarize(levels: Levels) -> GraphSummary:
-    """Extremes of the oriented distances with witnesses, from the planes and two tests on the verticals.
-
-    The planes give every horizontal rectangle's eccentricity exactly; let
-    ``D`` and ``R`` be their largest and smallest.  Rectangles that cross
-    are at most 1 apart in eccentricity, and every vertical crosses a
-    horizontal, so ``ordiam`` is ``D`` or ``D + 1`` and ``orrad`` is ``R -
-    1`` or ``R``; only a vertical whose neighbours all sit at ``D`` (at
-    ``R``) can reach the other value, and mostly there is none:
-
-    * ``ordiam = D + 1`` when some ``far[v, V]`` at ``D + 1`` is set, the
-      AND over such a vertical's neighbours.  ``diam_pair`` is the first
-      such entry.  Otherwise it is the first horizontal ``i`` of
-      eccentricity ``D`` and the first row at ``D`` in column ``i``.
-    * ``orrad = R - 1`` when such a vertical has no far entry at ``R``, in
-      the horizontal columns nor by the AND.  ``center_rect`` is the first
-      one, else the first horizontal of eccentricity ``R``.
-
-    ``diam_pair`` is the first maximum in row-major order, and
-    ``center_rect`` the first row of least eccentricity.
-    """
-    g = levels.graph
-    nh, m = g.nh, g.m
-    neighbours, starts = g.indices[g.chi :], g.indptr[nh:m] - g.chi  # each vertical's horizontals, grouped
-    ecc, last = _horizontal_eccentricities(levels)
-    top, low = int(ecc.max()), int(ecc.min())
-
-    keep = np.flatnonzero(np.logical_and.reduceat(ecc[neighbours] == top, starts))
-    hits = keep
-    if len(keep):
-        rows, _ = levels._far_h(top)
-        vv = levels._far_vv(top + 1, _transpose_bits(rows[nh:], nh), keep)
-        hits = np.flatnonzero(vv.any(axis=1))
-    if len(hits):
-        ordiam, diam_pair = top + 1, (nh + int(keep[hits[0]]), nh + _first_bit(vv[hits[0]]))
-    else:
-        i = int(np.argmax(ecc))
-        side = nh * (1 - top % 2)  # the first row of the side at odd or even distances from i
-        column = last[side : nh if top % 2 else m, i >> 6] >> np.uint64(i & 63) & np.uint64(1)
-        ordiam, diam_pair = top, (i, side + int(np.flatnonzero(column)[0]))
-
-    center = np.flatnonzero(np.logical_and.reduceat(ecc[neighbours] == low, starts))
-    if len(center):
-        rows, before = levels._far_h(low)
-        center = center[~rows[nh:][center].any(axis=1)]  # no far entry at low in the horizontal columns
-    if len(center):
-        center = center[~levels._far_vv(low, _transpose_bits(before, nh), center).any(axis=1)]
-    if len(center):
-        orrad, center_rect = low - 1, nh + int(center[0])
-    else:
-        orrad, center_rect = low, int(np.argmin(ecc))
-    return GraphSummary(ordiam=ordiam, orrad=orrad, diam_pair=diam_pair, center_rect=center_rect)

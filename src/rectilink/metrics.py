@@ -48,7 +48,7 @@ import numpy as np
 from .crossing import CrossingStore
 from .errors import UnknownChoiceError
 from .geometry import Decomposition, Point, locate
-from .graph import CHUNK, GraphSummary, Levels, OrientedGraph, _transpose_bits, bfs_from
+from .graph import CHUNK, Levels, OrientedGraph, _first_bit, _group_reduce, _groups, _transpose_bits, bfs_from
 
 EDGE_SCAN = "edge-scan"
 MATMUL = "matmul"
@@ -270,55 +270,51 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_o
 
 
 def _far_products(graph: OrientedGraph, far: np.ndarray):
-    """``far``, ``mid = cross·far`` transposed on the far rows, and the edges ``prod`` can be set on.
+    """``mid = cross·far`` transposed on the far rows, and the edges ``prod = far·mid`` can be set on.
 
-    Returns ``(far, mid_t, slot, ids)``, ``far`` as given, row i's column j
-    at bit j.  With R the far rows (those holding any
-    entry), ``mid_t[slot[r]]`` is column r of ``mid`` for r in R, in the same
-    bits; every other column of ``mid`` is zero, since ``far`` is symmetric.
-    ``ids`` are the positions, in edge order, of the edges between far rows,
-    and ``prod = far·mid`` can be set only there:
-    ``prod[h, v] = any(far_bits[h] & mid_t[slot[v]])``.
+    Returns ``(mid_t, slot, ids)``.  With R the far rows (those holding any
+    entry), ``mid_t[slot[r]]`` is column r of ``mid`` for r in R, in the
+    bits of ``far``, row i's column j at bit j; every other column of
+    ``mid`` is zero, since ``far`` is symmetric.  ``ids`` are the
+    positions, in edge order, of the edges between far rows, and ``prod``
+    can be set only there: ``prod[h, v] = any(far[h] & mid_t[slot[v]])``.
 
-    Row j of ``mid`` is the OR of the far rows of j's neighbours, one
-    ``np.bitwise_or.reduceat`` over the CSR groups of 64 rows at a time, so
-    ``mid`` is never whole.  ``prod`` reads row j of ``mid`` only through
-    bit j of a far row, so only the blocks holding a far row are made; the
-    bits of the others stay zero.  Up to ``CHUNK`` rows of blocks, one run
-    of :func:`~rectilink.graph._transpose_bits`, are stacked and transposed
-    into one word per block, of which the rows R go to ``mid_t``.  Every rectangle must have a neighbour, as in any graph
-    ``all_pairs`` accepts: ``reduceat`` returns the next group's first row,
-    not zero, for an empty group.
+    Row j of ``mid`` is the OR of the far rows of j's neighbours, by
+    :func:`~rectilink.graph._group_reduce`, so ``mid`` is never whole.
+    ``prod`` reads row j of ``mid`` only through bit j of a far row, so only
+    the 64-row blocks holding a far row are made; the bits of the others
+    stay zero.  A run of consecutive such blocks, up to ``CHUNK`` rows, is
+    one range of CSR groups; its rows are stacked and transposed by one
+    :func:`~rectilink.graph._transpose_bits` into one word per block, of
+    which the rows R go to ``mid_t``.
     """
     m = graph.m
     rows = far.any(axis=1)
     far_rows = np.flatnonzero(rows)
     mid_t = np.zeros((len(far_rows), far.shape[1]), dtype=np.uint64)
-    indptr, indices = graph.indptr, graph.indices
     held = np.flatnonzero(np.bincount(far_rows >> 6))  # the blocks holding a far row
-    per_stack = -(-CHUNK // 64)
-    stack = np.empty((64 * min(per_stack, len(held)), far.shape[1]), dtype=np.uint64)
-    for at in range(0, len(held), per_stack):
-        group = held[at : at + per_stack]
-        for k, block in enumerate(group.tolist()):
-            start, stop = 64 * block, min(64 * block + 64, m)
-            first = indptr[start]
-            stack[64 * k : 64 * k + stop - start] = np.bitwise_or.reduceat(
-                far.take(indices[first : indptr[stop]], axis=0), indptr[start:stop] - first, axis=0
-            )
-        # only the last block of all can be short, and it ends the last stack
-        mid_t[:, group] = _transpose_bits(stack[: 64 * (len(group) - 1) + stop - start], m)[far_rows]
+    stacks: list[list[int]] = []  # runs of consecutive held blocks, at most CHUNK rows each: one range of rows
+    for block in held.tolist():
+        if not stacks or block != stacks[-1][-1] + 1 or 64 * len(stacks[-1]) >= CHUNK:
+            stacks.append([])
+        stacks[-1].append(block)
+    for group in stacks:
+        lo, hi = 64 * group[0], min(64 * group[-1] + 64, m)
+        stack = np.empty((hi - lo, far.shape[1]), dtype=np.uint64)
+        for a, b, bits in _group_reduce(np.bitwise_or, far, _groups(graph.indptr[lo : hi + 1], graph.indices)):
+            stack[a:b] = bits
+        mid_t[:, group] = _transpose_bits(stack, m)[far_rows]
     slot = np.zeros(m, dtype=np.intp)
     slot[far_rows] = np.arange(len(far_rows))
-    return far, mid_t, slot, _far_row_edges(graph, rows)
+    return mid_t, slot, _far_row_edges(graph, rows)
 
 
-def _edge_products(graph: OrientedGraph, far_bits: np.ndarray, mid_t: np.ndarray, slot: np.ndarray, ids: np.ndarray):
+def _edge_products(graph: OrientedGraph, far: np.ndarray, mid_t: np.ndarray, slot: np.ndarray, ids: np.ndarray):
     """``prod`` on the edges ``ids``, in ``_EDGE_CHUNK`` blocks: (block start in ``ids``, prod)."""
     edges = graph.edges[ids]
     for start in range(0, len(ids), _EDGE_CHUNK):
         h, v = edges[start : start + _EDGE_CHUNK, 0], slot[edges[start : start + _EDGE_CHUNK, 1]]
-        yield start, (far_bits[h] & mid_t[v]).any(axis=1)
+        yield start, (far[h] & mid_t[v]).any(axis=1)
 
 
 def diameter_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -328,12 +324,11 @@ def diameter_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, in
     ``prod = far·cross·far`` being symmetric; j is the lowest rectangle far
     from i with ``mid[j, i']`` set, and j' the lowest neighbour of j far from i'.
     """
-    far_bits, mid_t, slot, ids = _far_products(graph, far)
-    for start, prod in _edge_products(graph, far_bits, mid_t, slot, ids):
+    mid_t, slot, ids = _far_products(graph, far)
+    for start, prod in _edge_products(graph, far, mid_t, slot, ids):
         if prod.any():
             i, ip = graph.edges[ids[start + int(np.argmax(prod))]].tolist()
-            hits = (far_bits[i] & mid_t[slot[ip]]).view(np.uint8)
-            j = int(np.flatnonzero(np.unpackbits(hits, bitorder="little"))[0])
+            j = _first_bit(far[i] & mid_t[slot[ip]])
             neighbours = graph.neighbours(j)
             jp = int(neighbours[_far_at(far, ip, neighbours)][0])
             return (i, ip, j, jp)
@@ -342,9 +337,9 @@ def diameter_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, in
 
 def radius_matmul(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
     """Boolean matrix-product phrasing of the radius witness condition: the first crossing edge with ``prod`` unset."""
-    far_bits, mid_t, slot, ids = _far_products(graph, far)
+    mid_t, slot, ids = _far_products(graph, far)
     covered = np.zeros(graph.chi, dtype=bool)
-    for start, prod in _edge_products(graph, far_bits, mid_t, slot, ids):
+    for start, prod in _edge_products(graph, far, mid_t, slot, ids):
         covered[ids[start : start + len(prod)]] = prod
     return None if covered.all() else tuple(graph.edges[int(np.argmin(covered))].tolist())
 
@@ -409,8 +404,8 @@ def _face_center(graph: OrientedGraph, a: int, b: int | None = None) -> Point:
     return tuple(((low + high) // 2).tolist())
 
 
-def small_case_fallback(graph: OrientedGraph, levels: Levels | None, which: str):
-    """The diameter or radius below the engines' threshold, from the overlay faces.
+def small_case_fallback(levels: Levels, which: str):
+    """The diameter or radius below the engines' threshold, from the overlay faces of ``levels.graph``.
 
     Each face stands for its centre; face pairs sharing a rectangle are at
     2, others at the four-way minimum.  Called by the router only when the
@@ -419,7 +414,7 @@ def small_case_fallback(graph: OrientedGraph, levels: Levels | None, which: str)
     v') of different rectangles have ``dm[v, h']`` and ``dm[h, v']``, even
     H-V distances of at most 3, at 2, so every face pair is at 2: the
     diameter is 2, witnessed by a generic pair of the first largest face, in
-    O(chi), and reads no far relation (``levels`` may be None).  Face a has
+    O(chi), and reads no far relation.  Face a has
     eccentricity at least t exactly when some face b is far at t on all
     four pairs, the edge-scan's cover test with AND for OR; faces sharing a
     rectangle never are, as ``dm[x, x] = 1``.  So the radius is ``t - 1``
@@ -429,6 +424,7 @@ def small_case_fallback(graph: OrientedGraph, levels: Levels | None, which: str)
     """
     if which not in ("diameter", "radius"):
         raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
+    graph = levels.graph
     if which == "diameter":
         faces = overlay_faces(graph)
         biggest = int(np.argmax((faces[:, 1] - faces[:, 0]) * (faces[:, 3] - faces[:, 2])))
@@ -441,16 +437,16 @@ def small_case_fallback(graph: OrientedGraph, levels: Levels | None, which: str)
     return RadiusResult(value=t - 1, center=_face_center(graph, *edge), witness=("face", edge), engine=FALLBACK)
 
 
-def compute(
-    kind: str, graph: OrientedGraph, levels: Levels, summary: GraphSummary, algo: str = EDGE_SCAN
-) -> DiameterResult | RadiusResult:
+def compute(kind: str, levels: Levels, algo: str = EDGE_SCAN) -> DiameterResult | RadiusResult:
     """The diameter or radius by engine ``algo``, or by the fallback below 4.
 
-    ``levels`` is ``all_pairs(graph)`` and ``summary`` is ``summarize(levels)``,
-    computed once by :func:`~rectilink.pipeline.prepare`.  A routed result
-    has engine ``fallback``.  The engine decides on the far relation
-    ``levels.far(oriented)``, which later calls at the same threshold share;
-    its decision becomes the result here.  The route, its reason and the
+    ``levels`` is ``all_pairs(graph)``, computed once by
+    :func:`~rectilink.pipeline.prepare`; the router reads only the extreme
+    of ``kind`` from it (:meth:`~rectilink.graph.Levels.extreme`), computed
+    on first use.  A routed result has engine ``fallback``.  The engine
+    decides on the far relation ``levels.far(oriented)``, which the
+    extreme's own test and later calls at the same threshold share; its
+    decision becomes the result here.  The route, its reason and the
     far-entry count go to the ``rectilink`` logger at debug level, counted
     only when that level is on.
     """
@@ -458,13 +454,15 @@ def compute(
         raise UnknownChoiceError(f"unknown kind {kind!r} (choose from {', '.join(ALGOS)})")
     if algo not in ALGOS[kind]:
         raise UnknownChoiceError(f"unknown {kind} algorithm {algo!r} (choose from {', '.join(ALGOS[kind])})")
-    name, oriented = ("ordiam", summary.ordiam) if kind == "diameter" else ("orrad", summary.orrad)
+    graph = levels.graph
+    oriented, rects = levels.extreme(kind)
     if log.isEnabledFor(logging.DEBUG):
+        name = "ordiam" if kind == "diameter" else "orrad"
         route = f"fallback, {name}={oriented} < 4" if oriented < 4 else f"{algo}, {name}={oriented}"
         far_entries = int(_popcount(levels.far(oriented)).sum())
         log.debug("%s: %s, %d far entries", kind, route, far_entries)
     if oriented < 4:
-        return small_case_fallback(graph, levels, kind)
+        return small_case_fallback(levels, kind)
     engine = {  # looked up per call, so that rebinding a module attribute reaches the engine
         ("diameter", EDGE_SCAN): diameter_edge_scan,
         ("diameter", MATMUL): diameter_matmul,
@@ -475,11 +473,10 @@ def compute(
     decision = engine(graph, levels.far(oriented))
     if kind == "diameter":
         if decision is None:  # no witness quad: the far pair itself is at ordiam - 2
-            i, j = summary.diam_pair
-            return DiameterResult(oriented - 2, (_face_center(graph, i), _face_center(graph, j)), (i, j), algo)
+            i, j = rects
+            return DiameterResult(oriented - 2, (_face_center(graph, i), _face_center(graph, j)), rects, algo)
         i, ip, j, jp = decision
         return DiameterResult(oriented - 1, (_face_center(graph, i, ip), _face_center(graph, j, jp)), decision, algo)
     if decision is None:  # every edge is covered: the centre rectangle is at orrad - 1
-        rect = summary.center_rect
-        return RadiusResult(oriented - 1, _face_center(graph, rect), ("rect", (rect,)), algo)
+        return RadiusResult(oriented - 1, _face_center(graph, *rects), ("rect", rects), algo)
     return RadiusResult(oriented - 2, _face_center(graph, *decision), ("edge", decision), algo)

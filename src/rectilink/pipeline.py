@@ -2,12 +2,12 @@
 
 :func:`decompose` runs the pipeline up to the crossing graph, which is all a
 point query searches.  :func:`prepare` goes on to the oriented distances,
-as the level search's bit planes, and their summary (``ordiam``, ``orrad``),
-once per domain.  :func:`solve` is
-the one way to a diameter or radius: an engine through the router (from the
-prepared planes and summary) or the cut-grid oracle (from the grid).  Every
-command reaches the engines through it; :func:`run_verify` runs each engine
-and the oracle and checks every witness against the oracle.
+as the level search's bit planes, once per domain.  :func:`solve` is the one
+way to a diameter or radius: an engine through the router (from the
+prepared planes, which compute ``ordiam`` or ``orrad`` when the router first
+asks) or the cut-grid oracle (from the grid).  Every command reaches the
+engines through it; :func:`run_verify` runs each engine and the oracle and
+checks every witness against the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .geometry import (
     require_valid,
     vertical_decomposition,
 )
-from .graph import GraphSummary, Levels, OrientedGraph, all_pairs, build_graph, summarize
+from .graph import Levels, OrientedGraph, all_pairs, build_graph
 from .metrics import ALGOS, FALLBACK, DiameterResult, ORACLE, RadiusResult, compute
 from .oracle import GridModel, build_grid, oracle_diameter, oracle_distance, oracle_eccentricity, oracle_radius
 
@@ -36,7 +36,6 @@ class Prepared:
     vdec: Decomposition
     graph: OrientedGraph
     levels: Levels
-    summary: GraphSummary
     seconds: dict[str, float]  # per stage of prepare
 
 
@@ -53,7 +52,7 @@ def decompose(domain: Domain, validated: bool = False) -> tuple[Decomposition, D
 
 
 def prepare(domain: Domain, validated: bool = False) -> Prepared:
-    """Decompositions, crossing graph, all-pairs distances (as bit planes) and their extremes, each stage timed."""
+    """Decompositions, crossing graph and all-pairs distances (as bit planes), each stage timed."""
     seconds = {}
 
     def timed(stage, fn, *args):
@@ -64,8 +63,7 @@ def prepare(domain: Domain, validated: bool = False) -> Prepared:
 
     hdec, vdec = timed("decompose", _decompositions, domain, validated)
     graph = timed("graph", build_graph, hdec, vdec)
-    levels = timed("all_pairs", all_pairs, graph)
-    return Prepared(domain, hdec, vdec, graph, levels, timed("summarize", summarize, levels), seconds)
+    return Prepared(domain, hdec, vdec, graph, timed("all_pairs", all_pairs, graph), seconds)
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def solve(kind: str, algo: str, prep: Prepared | None = None, grid: GridModel | 
     if algo == ORACLE and grid is not None:
         result = (oracle_diameter if kind == "diameter" else oracle_radius)(grid)
     else:
-        result = compute(kind, prep.graph, prep.levels, prep.summary, algo)
+        result = compute(kind, prep.levels, algo)
     return Solution(result, time.perf_counter() - t0)
 
 
@@ -119,8 +117,8 @@ def instance_stats(prep: Prepared) -> dict:
         "h": prep.domain.h,
         "m": prep.graph.m,
         "chi": prep.graph.chi,
-        "ordiam": prep.summary.ordiam,
-        "orrad": prep.summary.orrad,
+        "ordiam": prep.levels.extreme("diameter")[0],
+        "orrad": prep.levels.extreme("radius")[0],
     }
 
 
@@ -149,8 +147,10 @@ def run_verify(domain: Domain) -> dict:
     priced = {}  # the engines and the oracle often share a witness
     for kind, algos in ALGOS.items():
         entries = {}
+        routed = None  # once one engine routes to the fallback, every engine of the kind would: its one answer
         for algo in algos + (ORACLE,):
-            solution = solve(kind, algo, prep, grid)
+            solution = routed if routed and algo != ORACLE else solve(kind, algo, prep, grid)
+            routed = solution if solution.routed else None
             entries[algo] = solution.payload() | {
                 "seconds": solution.seconds,
                 "witness_ok": _witness_ok(grid, solution.result, priced),

@@ -41,7 +41,7 @@ from rectilink import geometry, metrics
 from rectilink.errors import InstanceFormatError, InvalidDomainError, OutsidePointError, UnknownChoiceError
 from rectilink.generator import GenParams
 from rectilink.geometry import COORD_LIMIT, SCALE, Domain, Orientation, Point, Rect, ValidationReport, blocks
-from rectilink.graph import GraphSummary, Levels, OrientedGraph, summarize
+from rectilink.graph import Levels, OrientedGraph
 from rectilink.metrics import FALLBACK, DiameterResult, RadiusResult, generic_pair_in_box
 from rectilink.oracle import GridModel, _OracleFace
 
@@ -91,6 +91,35 @@ def rings(domain: Domain) -> list[Ring]:
     return [Ring(tuple(map(tuple, domain.vertices[a:b].tolist()))) for a, b in zip(s[:-1], s[1:])]
 
 
+class _SizedInt:
+    """Stands in for an int past 256 bits in an echoed value: its size, not its digits."""
+
+    def __init__(self, value: int):
+        self.bits = value.bit_length()
+
+    def __repr__(self) -> str:
+        return f"<int of {self.bits} bits>"
+
+
+def _sized(value):
+    """``value`` with every int past 256 bits replaced by its size."""
+    if isinstance(value, list):
+        return [_sized(v) for v in value]
+    if isinstance(value, tuple):
+        return tuple(_sized(v) for v in value)
+    if isinstance(value, dict):
+        return {_sized(k): _sized(v) for k, v in value.items()}
+    if isinstance(value, int) and not isinstance(value, bool) and value.bit_length() > 256:
+        return _SizedInt(value)
+    return value
+
+
+def echo(value) -> str:
+    """The whole ``repr`` of ``value`` with its huge ints sized, cut to 80 characters and an ellipsis when longer."""
+    text = repr(_sized(value))
+    return text if len(text) <= 80 else text[:80] + "…"
+
+
 def _parse_ring(obj, label: str) -> Ring:
     if not isinstance(obj, (list, tuple)) or len(obj) < 3:
         raise InstanceFormatError(f"{label}: expected a list of at least 3 points")
@@ -101,10 +130,10 @@ def _parse_ring(obj, label: str) -> Ring:
             or len(item) != 2
             or not all(isinstance(c, int) and not isinstance(c, bool) for c in item)
         ):
-            raise InstanceFormatError(f"{label}: points must be [int, int] pairs, got {item!r}")
+            raise InstanceFormatError(f"{label}: points must be [int, int] pairs, got {echo(item)}")
         x, y = item
         if abs(x) * SCALE > COORD_LIMIT or abs(y) * SCALE > COORD_LIMIT:
-            raise InstanceFormatError(f"{label}: coordinate overflow at {item!r}")
+            raise InstanceFormatError(f"{label}: coordinate overflow at {echo(item)}")
         pts.append((x * SCALE, y * SCALE))
     if len(pts) > 1 and pts[0] == pts[-1]:  # tolerate explicitly closed rings
         pts.pop()
@@ -129,7 +158,7 @@ def parse_domain(text) -> Domain:
     if isinstance(text, (str, bytes)):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer literal past the interpreter's digit limit
             raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     else:
         data = text
@@ -140,7 +169,7 @@ def parse_domain(text) -> Domain:
         outer = outer.reversed()
     hole_objs = data.get("holes") or []
     if not isinstance(hole_objs, (list, tuple)):
-        raise InstanceFormatError(f'"holes" must be a list of rings, got {hole_objs!r}')
+        raise InstanceFormatError(f'"holes" must be a list of rings, got {echo(hole_objs)}')
     holes = []
     for k, ring_obj in enumerate(hole_objs):
         hole = _parse_ring(ring_obj, f"holes[{k}]")
@@ -229,11 +258,19 @@ def table_reduceat(graph: OrientedGraph, chunk: int) -> DistanceMatrix:
     return dm
 
 
-def summarize_table(dm: DistanceMatrix) -> GraphSummary:
+@dataclass(frozen=True)
+class TableSummary:
+    ordiam: int
+    orrad: int
+    diam_pair: tuple[int, int]
+    center_rect: int
+
+
+def summarize_table(dm: DistanceMatrix) -> TableSummary:
     """Extremes of a distance table with witnesses, from one pass over it: the first maximum in row-major order."""
     row_max = dm.max(axis=1)
     i = int(np.argmax(row_max))
-    return GraphSummary(
+    return TableSummary(
         ordiam=int(row_max[i]),
         orrad=int(row_max.min()),
         diam_pair=(i, int(np.argmax(dm[i]))),
@@ -263,7 +300,7 @@ def transpose_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
 
 
 def levels_table(levels: Levels) -> DistanceMatrix:
-    """The package's distances as a uint8 table, ``1 + sum of far(t)`` for ``t`` from 2 to the summary's ordiam.
+    """The package's distances as a uint8 table, ``1 + sum of far(t)`` for ``t`` from 2 to the package's ordiam.
 
     ``dm[x, y]`` counts the thresholds it reaches, so every entry is exact.
     ``far(2)`` holds every pair but the diagonal, so the sum starts at 3.
@@ -271,7 +308,7 @@ def levels_table(levels: Levels) -> DistanceMatrix:
     m = levels.graph.m
     dm = np.full((m, m), 2, dtype=np.uint8)
     np.fill_diagonal(dm, 1)
-    for t in range(3, summarize(levels).ordiam + 1):
+    for t in range(3, levels.extreme("diameter")[0] + 1):
         dm += unpacked(levels.far(t))
     return dm
 

@@ -32,8 +32,8 @@ def test_criterion_1_fixture_exactness(square, lshape, donut):
             assert solve("diameter", algo, inst.prep).result.value == dia, (inst.name, algo)
         for algo in ("edge-scan", "matmul"):
             assert solve("radius", algo, inst.prep).result.value == rad, (inst.name, algo)
-    assert (donut.prep.summary.ordiam, donut.prep.summary.orrad) == (5, 4)
-    assert lshape.prep.summary.orrad == 3  # radius must route to the fallback
+    assert (donut.prep.levels.extreme("diameter")[0], donut.prep.levels.extreme("radius")[0]) == (5, 4)
+    assert lshape.prep.levels.extreme("radius")[0] == 3  # radius must route to the fallback
     assert solve("radius", "edge-scan", lshape.prep).routed
     print("\nACCEPTANCE 1 PASS: fixture exactness (SQUARE 2/2, LSHAPE 2/2, DONUT 3/2; DONUT extremes 5/4)")
 
@@ -53,8 +53,8 @@ def test_criterion_2_oracle_equivalence(reports):
 def test_criterion_3_candidate_sandwich(reports):
     checked_dia = checked_rad = 0
     for inst, report in reports:
-        ordiam = inst.prep.summary.ordiam
-        orrad = inst.prep.summary.orrad
+        ordiam = inst.prep.levels.extreme("diameter")[0]
+        orrad = inst.prep.levels.extreme("radius")[0]
         if ordiam >= 4:
             checked_dia += 1
             assert report["diameter"]["oracle"]["value"] in (ordiam - 1, ordiam - 2), inst.name
@@ -190,8 +190,8 @@ def test_criterion_8_crossing_store_oracle():
 def test_criterion_9_branch_coverage(reports):
     seen = set()
     for inst, report in reports:
-        ordiam = inst.prep.summary.ordiam
-        orrad = inst.prep.summary.orrad
+        ordiam = inst.prep.levels.extreme("diameter")[0]
+        orrad = inst.prep.levels.extreme("radius")[0]
         dia = report["diameter"]["edge-scan"]
         rad = report["radius"]["edge-scan"]
         if dia["routed_to_fallback"]:
@@ -222,7 +222,7 @@ def test_criterion_10_performance_soft(tmp_path, capsys):
     # The radius edge-scan packs one column block at a time, so its peak is bounded by m, the
     # block width and the row chunk, not by chi.  The per-edge flags, column order and indices,
     # about 33 bytes an edge (2.7 MB here), fit in the bound's slack.
-    far = prep.levels.far(prep.summary.orrad)
+    far = prep.levels.far(prep.levels.extreme("radius")[0])
     m, block, chunk = prep.graph.m, metrics._COLUMN_BLOCK, metrics._EDGE_CHUNK
     bound = 2 * m * block // 8 + 4 * chunk * (m + block)  # packed block + row-chunk gathers
     tracemalloc.start()

@@ -79,7 +79,7 @@ class TestCommands:
             _, out = run(capsys, kind, files["donut"])
             timings = json.loads(out)["timings"]
             stages = timings["stage_seconds"]
-            assert list(stages) == ["decompose", "graph", "all_pairs", "summarize"]
+            assert list(stages) == ["decompose", "graph", "all_pairs"]
             assert min(stages.values()) >= 0
             assert sum(stages.values()) <= timings["prepare_seconds"]
         _, out = run(capsys, "diameter", files["donut"], "--algo", "oracle")
@@ -244,6 +244,31 @@ class TestErrors:
 
         monkeypatch.setattr(rectilink.cli, "prepare", exhausted)
         assert self.assert_one_error_line(capsys, ["radius", files["donut"]]) == "error: out of memory"
+
+    def test_integer_literal_past_digit_limit(self, capsys, tmp_path):
+        """A 5001-digit integer literal is a format error, not the decoder's ValueError."""
+        doc = tmp_path / "huge.json"
+        doc.write_text('{"outer": [[0, 0], [1' + "0" * 5000 + ", 0], [1, 1], [0, 1]]}")
+        line = self.assert_one_error_line(capsys, ["diameter", str(doc)])
+        assert line.startswith("error: invalid JSON: ") and len(line) < 200
+
+    @pytest.mark.parametrize("fault", ["deep point", "long string point", "long string holes"])
+    def test_offending_value_echo_bounded(self, capsys, tmp_path, fault):
+        """An offending value is echoed to 80 characters and an ellipsis, however deep or long it is."""
+        deep = [0]
+        for _ in range(900):
+            deep = [deep]
+        outer, pairs = [[0, 0], [1, 0], [1, 1]], "error: outer: points must be [int, int] pairs, got "
+        instance, prefix = {
+            "deep point": ({"outer": outer + [deep]}, pairs + "[[[["),
+            "long string point": ({"outer": outer + ["x" * 10**6]}, pairs + "'xx"),
+            "long string holes": ({"outer": SQUARE["outer"], "holes": "h" * 10**6}, 'error: "holes" must be a list'),
+        }[fault]
+        doc = tmp_path / "fault.json"
+        doc.write_text(json.dumps(instance))
+        line = self.assert_one_error_line(capsys, ["diameter", str(doc)])
+        head = line.split(" got ")[0] + " got "
+        assert line.startswith(prefix) and line.endswith("…") and len(line) == len(head) + 81
 
     def test_bench_no_engine(self, capsys, files):
         for engines in ("", ",", " , "):

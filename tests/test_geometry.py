@@ -220,6 +220,28 @@ class TestParseMatchesReference:
             with pytest.raises(InstanceFormatError, match=rf"^outer: coordinate overflow at \[{value}, 0\]$"):
                 parse_domain({"outer": [[0, 0], [value, 0], [value, 10], [0, 10]]})
 
+    def test_huge_coordinate_not_formatted(self):
+        """A decoded coordinate past the interpreter's digit limit is echoed by its size; both parsers agree."""
+        doc = {"outer": [[0, 0], [10**5000, 0], [10, 10], [0, 10]]}
+        message = "outer: coordinate overflow at [<int of 16610 bits>, 0]"
+        assert outcome(parse_domain, doc) == outcome(reference.parse_domain, doc) == message
+
+    def test_long_values_echoed_alike(self):
+        """Long and deep offending values are cut at the same 80 characters by both parsers."""
+        deep = [1]
+        for _ in range(300):
+            deep = [deep]
+        ring = [[0, 0], [10, 0], [10, 10]]
+        for doc in (
+            {"outer": ring + [deep]},
+            {"outer": ring + [list(range(100))]},
+            {"outer": ring + [[2**300, "x" * 200]]},
+            {"outer": ring + [[0, 10]], "holes": {"ring": "y" * 200}},
+        ):
+            message = outcome(parse_domain, doc)
+            assert message == outcome(reference.parse_domain, doc) and message.endswith("…"), doc
+            assert len(message.split(" got " if " got " in message else " at ")[1]) == 81, doc
+
 
 class TestValidate:
     @pytest.mark.parametrize("inst", [SQUARE, LSHAPE, DONUT], ids=["square", "lshape", "donut"])

@@ -33,13 +33,13 @@ from rectilink.graph import (
     all_pairs,
     bfs_from,
     build_graph,
-    summarize,
 )
 from rectilink.metrics import _popcount, compute
 from rectilink.pipeline import decompose, prepare
 
 from conftest import comb, perforated, spiral, staircase
 from reference import (
+    TableSummary,
     crosses,
     edges_quadratic,
     graph_rects,
@@ -313,7 +313,7 @@ class TestAllPairsDerivation:
             tracemalloc.start()
             try:
                 prep = prepare(domain)
-                compute(kind, prep.graph, prep.levels, prep.summary, algo)
+                compute(kind, prep.levels, algo)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -446,7 +446,7 @@ class TestStaircase:
         for k in (1, 4, 16):
             prep = prepare(parse_domain(staircase(k)))
             assert prep.domain.n == 4 * k + 2
-            assert prep.summary.ordiam == 2 * k + 2
+            assert prep.levels.extreme("diameter")[0] == 2 * k + 2
 
     def test_against_oracle(self):
         for k in (1, 2, 3, 4, 6):
@@ -570,29 +570,35 @@ class TestTypedFailures:
         assert issubclass(DisconnectedGraphError, RectilinkError)
 
 
+def extremes(levels) -> TableSummary:
+    """Both extremes of ``levels`` with their witnesses, in the reference's form."""
+    (ordiam, diam_pair), (orrad, (center_rect,)) = levels.extreme("diameter"), levels.extreme("radius")
+    return TableSummary(ordiam=ordiam, orrad=orrad, diam_pair=diam_pair, center_rect=center_rect)
+
+
 class TestSummary:
     def test_square(self, square):
-        s = square.prep.summary
+        s = extremes(square.prep.levels)
         assert (s.ordiam, s.orrad) == (2, 2)
 
     def test_lshape(self, lshape):
-        s = lshape.prep.summary
+        s = extremes(lshape.prep.levels)
         assert (s.ordiam, s.orrad) == (4, 3)
 
     def test_donut(self, donut):
-        s = donut.prep.summary
+        s = extremes(donut.prep.levels)
         assert (s.ordiam, s.orrad) == (5, 4)
         assert sorted(levels_table(donut.prep.levels).max(axis=1).tolist()) == [4, 4, 4, 4, 5, 5, 5, 5]
 
     def test_diam_pair_attains_max(self, corpus):
         for inst in corpus[:30]:
-            s = inst.prep.summary
+            s = extremes(inst.prep.levels)
             dm = levels_table(inst.prep.levels)
             assert dm[s.diam_pair] == s.ordiam
             assert dm[s.center_rect].max() == s.orrad
 
     def test_matches_table_summary(self, fixtures, corpus, grid60):
-        """The summary from the planes equals one pass over the reference table: the extremes, the first maximum
+        """The extremes from the planes equal one pass over the reference table: the extremes, the first maximum
         in row-major order and the first row of least eccentricity, on both sides of both tests on the verticals.
 
         With ``D`` and ``R`` the largest and smallest eccentricity of a horizontal rectangle, the corpus has
@@ -602,7 +608,7 @@ class TestSummary:
         branches = {"ordiam = D + 1": 0, "orrad = R - 1": 0}
         for k, g in enumerate(graphs):
             dm = reference_table(g)
-            s = summarize(all_pairs(g))
+            s = extremes(all_pairs(g))
             assert s == summarize_table(dm), k
             ecc = dm[: g.nh].max(axis=1)
             branches["ordiam = D + 1"] += s.ordiam == ecc.max() + 1

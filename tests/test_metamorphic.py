@@ -55,7 +55,7 @@ def values(instance: dict) -> dict:
     """Every engine's diameter and radius value, and the oriented diameter and radius."""
     prep = prepare(parse_domain(instance))
     out = {(kind, algo): solve(kind, algo, prep).result.value for kind, algos in ALGOS.items() for algo in algos}
-    return out | {"ordiam": prep.summary.ordiam, "orrad": prep.summary.orrad}
+    return out | {"ordiam": prep.levels.extreme("diameter")[0], "orrad": prep.levels.extreme("radius")[0]}
 
 
 def generated(size: int, seed: int) -> dict:

@@ -171,14 +171,13 @@ def containing_pair(inst, p):
 
 def far_of(inst, kind):
     """The packed far relation the router hands the ``kind`` engines."""
-    summary = inst.prep.summary
-    return inst.prep.levels.far(summary.ordiam if kind == "diameter" else summary.orrad)
+    return inst.prep.levels.far(inst.prep.levels.extreme(kind)[0])
 
 
 class TestEngineFixtures:
     def test_donut_diameter_all_engines(self, donut):
         for algo in ("edge-scan", "matmul", "fast"):
-            res = compute("diameter", donut.prep.graph, donut.prep.levels, donut.prep.summary, algo)
+            res = compute("diameter", donut.prep.levels, algo)
             assert res.value == 3
             assert res.pair == ((6, 14), (22, 14))  # (3,7) and (11,7) in input units
 
@@ -189,7 +188,7 @@ class TestEngineFixtures:
         for engine in (radius_edge_scan, radius_matmul):
             assert engine(g, far_of(donut, "radius")) == (h1, v1)
         for algo in ("edge-scan", "matmul"):
-            res = compute("radius", g, donut.prep.levels, donut.prep.summary, algo)
+            res = compute("radius", donut.prep.levels, algo)
             assert res.value == 2
             assert res.witness == ("edge", (h1, v1))
             assert res.center == (6, 6)  # (3,3)
@@ -201,7 +200,7 @@ class TestEngineFixtures:
     def test_decisions_are_witnesses(self, small_corpus):
         """A diameter quad joins two far pairs by edges; a radius edge is covered by no edge."""
         for inst in small_corpus[:40]:
-            g, dm, summary = inst.prep.graph, levels_table(inst.prep.levels), inst.prep.summary
+            g, dm, (ordiam, _) = inst.prep.graph, levels_table(inst.prep.levels), inst.prep.levels.extreme("diameter")
             edge_list = list(map(tuple, g.edges.tolist()))
             edges = set(edge_list) | {(b, a) for a, b in edge_list}
             far = far_of(inst, "diameter")
@@ -210,7 +209,7 @@ class TestEngineFixtures:
                 if quad is not None:
                     i, ip, j, jp = quad
                     assert (i, ip) in edges and (j, jp) in edges, (inst.name, engine.__name__)
-                    assert dm[i, j] == dm[ip, jp] == summary.ordiam, (inst.name, engine.__name__)
+                    assert dm[i, j] == dm[ip, jp] == ordiam, (inst.name, engine.__name__)
             bits = far_of(inst, "radius")
             far = unpacked(bits)
             for engine in (radius_edge_scan, radius_matmul):
@@ -272,11 +271,11 @@ class TestEdgeScanMatchesReference:
         """
         preps = [getattr(inst, "prep", inst) for inst in request.getfixturevalue(collection)]
         for k, prep in enumerate(preps):
-            summary = prep.summary
-            far = prep.levels.far(summary.ordiam)
+            (ordiam, _), (orrad, _) = (prep.levels.extreme(kind) for kind in ("diameter", "radius"))
+            far = prep.levels.far(ordiam)
             assert diameter_edge_scan(prep.graph, far) == reference.diameter_edge_scan(prep.graph, unpacked(far)), k
             edge = ()  # the reference's decision one threshold up: not yet None
-            for t in range(summary.orrad + 1, min(summary.orrad, 4) - 1, -1):
+            for t in range(orrad + 1, min(orrad, 4) - 1, -1):
                 far = prep.levels.far(t)
                 edge = None if edge is None else reference.radius_edge_scan(prep.graph, unpacked(far))
                 assert radius_edge_scan(prep.graph, far) == radius_matmul(prep.graph, far) == edge, (k, t)
@@ -310,14 +309,15 @@ class TestEdgeScanColumnBlocks:
     def test_table_far_relations(self, grid60):
         """At ordiam the edges between far rows are few, so the diameter also runs four thresholds below it."""
         for k, prep in enumerate(grid60):
-            graph, summary = prep.graph, prep.summary
+            graph = prep.graph
+            (ordiam, _), (orrad, _) = (prep.levels.extreme(kind) for kind in ("diameter", "radius"))
             assert graph.chi > 50 * self.BLOCK
-            lowest = prep.levels.far(summary.ordiam - 4)
+            lowest = prep.levels.far(ordiam - 4)
             assert len(_far_row_edges(graph, lowest.any(axis=1))) > 2 * self.BLOCK
-            for t in range(summary.ordiam - 4, summary.ordiam + 1):
+            for t in range(ordiam - 4, ordiam + 1):
                 far = prep.levels.far(t)
                 assert diameter_edge_scan(graph, far) == reference.diameter_edge_scan(graph, unpacked(far)), (k, t)
-            for t in (summary.orrad, summary.orrad + 1):
+            for t in (orrad, orrad + 1):
                 far = prep.levels.far(t)
                 assert radius_edge_scan(graph, far) == reference.radius_edge_scan(graph, unpacked(far)), (k, t)
 
@@ -407,7 +407,7 @@ class TestRadiusColumnOrder:
         """
         monkeypatch.setattr(rectilink.metrics, "_COLUMN_BLOCK", 60)
         prep = grid60[0]
-        far = prep.levels.far(prep.summary.orrad + 1)
+        far = prep.levels.far(prep.levels.extreme("radius")[0] + 1)
         with caplog.at_level(logging.INFO, logger="rectilink"):
             radius_edge_scan(prep.graph, far)
         assert not caplog.records
@@ -429,30 +429,30 @@ class TestRadiusColumnOrder:
     def test_early_stop(self, grid60, caplog):
         """At ``orrad`` on grid-60 seed 1 every edge is covered before the last column is packed."""
         prep = grid60[0]
-        edge, _, packed, _ = radius_log(caplog, prep.graph, prep.levels.far(prep.summary.orrad))
+        edge, _, packed, _ = radius_log(caplog, prep.graph, prep.levels.far(prep.levels.extreme("radius")[0]))
         assert edge is None and packed < prep.graph.chi
 
 
 class TestFallback:
     def test_square(self, square):
-        g, levels = square.prep.graph, square.prep.levels
-        assert small_case_fallback(g, levels, "diameter").value == 2
-        assert small_case_fallback(g, levels, "radius").value == 2
+        levels = square.prep.levels
+        assert small_case_fallback(levels, "diameter").value == 2
+        assert small_case_fallback(levels, "radius").value == 2
 
     def test_lshape_radius(self, lshape):
-        res = small_case_fallback(lshape.prep.graph, lshape.prep.levels, "radius")
+        res = small_case_fallback(lshape.prep.levels, "radius")
         assert res.value == 2
         assert res.center == (4, 4)  # (2,2): the corner face reaches everything in 2
 
     def test_lshape_diameter_out_of_range_call(self, lshape):
         # the diameter's closed form holds below ordiam 4 only: LSHAPE's ordiam is 4, so the router sends it to an engine
-        assert lshape.prep.summary.ordiam == 4
-        res = compute("diameter", lshape.prep.graph, lshape.prep.levels, lshape.prep.summary, "edge-scan")
+        assert lshape.prep.levels.extreme("diameter")[0] == 4
+        res = compute("diameter", lshape.prep.levels, "edge-scan")
         assert res.engine == "edge-scan" and res.value == 2
 
     def test_unknown_target(self, square):
         with pytest.raises(ValueError):
-            small_case_fallback(square.prep.graph, square.prep.levels, "girth")
+            small_case_fallback(square.prep.levels, "girth")
 
     @pytest.fixture(scope="class")
     def cases(self, fixtures, corpus):
@@ -475,14 +475,14 @@ class TestFallback:
             (k, which): reference.small_case_fallback(prep.graph, tables[k], which)
             for k, prep in enumerate(preps)
             for which in ("diameter", "radius")
-            if which == "radius" or prep.summary.ordiam < 4
+            if which == "radius" or prep.levels.extreme("diameter")[0] < 4
         }
         return preps, tables, expected
 
     def test_face_table_is_two_below_ordiam_4(self, cases):
         """Below ``ordiam`` 4 every pair of faces is at 2, so the diameter's closed form is the enumeration's value."""
         preps, tables, _ = cases
-        routed = [(prep, dm) for prep, dm in zip(preps, tables) if prep.summary.ordiam < 4]
+        routed = [(prep, dm) for prep, dm in zip(preps, tables) if prep.levels.extreme("diameter")[0] < 4]
         assert len(routed) >= 10
         for prep, dm in routed:
             values, _ = reference.face_table(prep.graph, dm)
@@ -492,17 +492,17 @@ class TestFallback:
         """The scan on far bits gives the chi x chi version's results: value, centre and witness face."""
         preps, _, expected = cases
         for (k, which), result in expected.items():
-            assert small_case_fallback(preps[k].graph, preps[k].levels, which) == result, (k, which)
+            assert small_case_fallback(preps[k].levels, which) == result, (k, which)
         assert {len(r.witness_rects) for (_, which), r in expected.items() if which == "diameter"} == {2}
 
     def test_memory(self):
         """comb(60) has chi = 3659: all face pairs at once took 230 MiB; the scan, far(3) included, stays far below."""
         prep = prepare(parse_domain(comb(60)))
-        assert prep.graph.chi == 3659 and prep.summary.orrad < 4
+        assert prep.graph.chi == 3659 and prep.levels.extreme("radius")[0] < 4
         for which in ("diameter", "radius"):
             tracemalloc.start()
             try:
-                small_case_fallback(prep.graph, prep.levels, which)
+                small_case_fallback(prep.levels, which)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -513,43 +513,46 @@ class TestFallback:
         domain = parse_domain(comb(300))
         prep = prepare(domain)
         assert prep.graph.chi == 90299
-        res = compute("radius", prep.graph, prep.levels, prep.summary, "edge-scan")
+        res = compute("radius", prep.levels, "edge-scan")
         assert res.engine == "fallback" and res.value == 2
         assert oracle_eccentricity(build_grid(domain), res.center) == 2
 
     def test_routed_radius_thresholds(self, cases):
-        """A routed radius reads far(3), where a face is left uncovered on every case, and no threshold but orrad."""
+        """A routed radius reads far(3), where a face is left uncovered on every case, and no threshold but orrad
+        and the radius test's ``R``, the least eccentricity of a horizontal rectangle."""
         preps, _, _ = cases
-        routed = [prep for prep in preps if prep.summary.orrad < 4]
+        routed = [prep for prep in preps if prep.levels.extreme("radius")[0] < 4]
         assert len(routed) >= 10
         for prep in routed:
             levels = all_pairs(prep.graph)  # a fresh far cache
-            compute("radius", prep.graph, levels, prep.summary, "edge-scan")
-            assert 3 in levels._far and set(levels._far) <= {3, prep.summary.orrad}
+            compute("radius", levels, "edge-scan")
+            least = int(levels_table(prep.levels)[: prep.graph.nh].max(axis=1).min())
+            assert 3 in levels._far and set(levels._far) <= {3, prep.levels.extreme("radius")[0], least}
 
     def test_routing(self, square, lshape, donut):
-        res = compute("diameter", square.prep.graph, square.prep.levels, square.prep.summary, "fast")
+        res = compute("diameter", square.prep.levels, "fast")
         assert res.engine == "fallback" and res.value == 2
-        res = compute("radius", lshape.prep.graph, lshape.prep.levels, lshape.prep.summary, "matmul")
+        res = compute("radius", lshape.prep.levels, "matmul")
         assert res.engine == "fallback" and res.value == 2
-        res = compute("diameter", donut.prep.graph, donut.prep.levels, donut.prep.summary, "fast")
+        res = compute("diameter", donut.prep.levels, "fast")
         assert res.engine == "fast"
 
     def test_routing_logged(self, square, donut, caplog):
         """The route, its reason and the far-entry count, at debug level only."""
         with caplog.at_level(logging.INFO, logger="rectilink"):
-            compute("radius", donut.prep.graph, donut.prep.levels, donut.prep.summary, "matmul")
+            compute("radius", donut.prep.levels, "matmul")
         assert not caplog.records
         with caplog.at_level(logging.DEBUG, logger="rectilink"):
-            compute("diameter", square.prep.graph, square.prep.levels, square.prep.summary, "fast")
-            compute("radius", donut.prep.graph, donut.prep.levels, donut.prep.summary, "matmul")
-        square_far = np.count_nonzero(levels_table(square.prep.levels) >= square.prep.summary.ordiam)
+            compute("diameter", square.prep.levels, "fast")
+            compute("radius", donut.prep.levels, "matmul")
+        square_ordiam, _ = square.prep.levels.extreme("diameter")
+        square_far = np.count_nonzero(levels_table(square.prep.levels) >= square_ordiam)
         donut_far = np.count_nonzero(levels_table(donut.prep.levels) >= 4)
         assert [r.getMessage() for r in caplog.records] == [
-            f"diameter: fallback, ordiam={square.prep.summary.ordiam} < 4, {square_far} far entries",
+            f"diameter: fallback, ordiam={square_ordiam} < 4, {square_far} far entries",
             f"radius: matmul, orrad=4, {donut_far} far entries",
         ]
-        assert donut.prep.summary.orrad == 4 and donut_far > 0
+        assert donut.prep.levels.extreme("radius")[0] == 4 and donut_far > 0
 
     def test_fast_logged(self, corpus, caplog, monkeypatch):
         """``diameter_fast`` logs its store entries per axis, its rounds (restores) and its pops, at debug level only."""
@@ -567,10 +570,10 @@ class TestFallback:
                 super().restore()
 
         monkeypatch.setattr(rectilink.metrics, "CrossingStore", Counting)
-        cases = [inst.prep for inst in corpus if inst.prep.summary.ordiam >= 4][:30]
+        cases = [inst.prep for inst in corpus if inst.prep.levels.extreme("diameter")[0] >= 4][:30]
         for prep in cases[:3]:
             with caplog.at_level(logging.INFO, logger="rectilink"):
-                diameter_fast(prep.graph, prep.levels.far(prep.summary.ordiam))
+                diameter_fast(prep.graph, prep.levels.far(prep.levels.extreme("diameter")[0]))
         assert not caplog.records
         decisions = set()
         for prep in cases:
@@ -579,7 +582,7 @@ class TestFallback:
             Counting.pops = Counting.restores = 0
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="rectilink"):
-                decisions.add(diameter_fast(g, prep.levels.far(prep.summary.ordiam)) is None)
+                decisions.add(diameter_fast(g, prep.levels.far(prep.levels.extreme("diameter")[0])) is None)
             assert [r.getMessage() for r in caplog.records] == [
                 f"diameter fast: {entries[0]}/{entries[1]} store entries (H/V), "
                 f"{Counting.restores} rounds, {Counting.pops} pops"
@@ -589,12 +592,13 @@ class TestFallback:
 
     def test_unknown_algo(self, square):
         with pytest.raises(ValueError):
-            compute("diameter", square.prep.graph, square.prep.levels, square.prep.summary, "quantum")
+            compute("diameter", square.prep.levels, "quantum")
 
 
 def matmul_products(graph, far):
     """``mid`` on the far rows and columns, and ``prod`` on every crossing edge, read off the packed engine state."""
-    far_bits, mid_t, slot, ids = _far_products(graph, packed(far))
+    far_bits = packed(far)
+    mid_t, slot, ids = _far_products(graph, far_bits)
     rows = np.flatnonzero(far.any(axis=1))
     mid = np.zeros((graph.m, graph.m), dtype=bool)
     for r in rows:
@@ -614,20 +618,21 @@ class TestMatmulPathEquivalence:
         h3 = rect_by_box(g, (0, 12, 12, 16))
         h4 = rect_by_box(g, (16, 28, 12, 16))
         assert h3 in g.neighbours(v1).tolist() and dm[h3, h4] == 5
-        _, mid_t, slot, _ = _far_products(g, packed(dm == 5))
+        mid_t, slot, _ = _far_products(g, packed(dm == 5))
         assert np.unpackbits(mid_t[slot[h4]].view(np.uint8), bitorder="little")[v1]  # column h4 of mid, row v1
 
     def test_product_matches_quadruple_enumeration(self, small_corpus):
         """``mid = cross·far`` on the far rows and columns, and ``prod = far·mid`` on every crossing edge, by brute force."""
         checked = 0
         for inst in small_corpus:
-            g, dm, summary = inst.prep.graph, levels_table(inst.prep.levels), inst.prep.summary
-            if g.m > 30 or summary.ordiam < 4:
+            g, dm = inst.prep.graph, levels_table(inst.prep.levels)
+            (ordiam, _), (orrad, _) = (inst.prep.levels.extreme(kind) for kind in ("diameter", "radius"))
+            if g.m > 30 or ordiam < 4:
                 continue
             checked += 1
             edge_list = g.edges.tolist()
             both_ways = edge_list + [[b, a] for a, b in edge_list]
-            for t in (summary.orrad, summary.ordiam):
+            for t in (orrad, ordiam):
                 far = dm >= t
                 mid, prod = matmul_products(g, far)
                 rows = far.any(axis=1)
@@ -683,7 +688,7 @@ class TestMatmulMatchesReference:
     def test_every_threshold(self, collection, request, one_reference_product):
         preps = [getattr(inst, "prep", inst) for inst in request.getfixturevalue(collection)]
         for k, prep in enumerate(preps):
-            for t in range(2, prep.summary.ordiam + 1):
+            for t in range(2, prep.levels.extreme("diameter")[0] + 1):
                 far = prep.levels.far(t)
                 assert diameter_matmul(prep.graph, far) == reference.diameter_matmul(prep.graph, unpacked(far)), (k, t)
                 assert radius_matmul(prep.graph, far) == reference.radius_matmul(prep.graph, unpacked(far)), (k, t)
@@ -712,7 +717,7 @@ class TestMatmulMatchesReference:
 
 
 def edge_scan(inst, kind):
-    return compute(kind, inst.prep.graph, inst.prep.levels, inst.prep.summary, "edge-scan")
+    return compute(kind, inst.prep.levels, "edge-scan")
 
 
 class TestWitnesses:
@@ -725,20 +730,20 @@ class TestWitnesses:
         assert oracle_eccentricity(donut.grid, res.center) == res.value
 
     def test_square_center(self, square):
-        res = small_case_fallback(square.prep.graph, square.prep.levels, "radius")
+        res = small_case_fallback(square.prep.levels, "radius")
         assert oracle_eccentricity(square.grid, res.center) == 2
 
     def test_far_pair_witness_distance(self, donut):
         res = edge_scan(donut, "diameter")
         i, j = res.witness_rects
-        assert levels_table(donut.prep.levels)[i, j] == donut.prep.summary.ordiam
+        assert levels_table(donut.prep.levels)[i, j] == donut.prep.levels.extreme("diameter")[0]
 
 
 class TestEngineAgreement:
     def test_diameter_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute("diameter", inst.prep.graph, inst.prep.levels, inst.prep.summary, algo).value
+                compute("diameter", inst.prep.levels, algo).value
                 for algo in ("edge-scan", "matmul", "fast")
             }
             assert len(values) == 1, inst.name
@@ -746,14 +751,15 @@ class TestEngineAgreement:
     def test_radius_engines_agree(self, corpus):
         for inst in corpus[:50]:
             values = {
-                compute("radius", inst.prep.graph, inst.prep.levels, inst.prep.summary, algo).value
+                compute("radius", inst.prep.levels, algo).value
                 for algo in ("edge-scan", "matmul")
             }
             assert len(values) == 1, inst.name
 
     def test_fast_engine_with_reference_store(self, corpus, monkeypatch):
         """The engine returns the same tuple on the store that scans every live segment."""
-        cases = [(inst.prep.graph, far_of(inst, "diameter")) for inst in corpus if inst.prep.summary.ordiam >= 4]
+        routed = [inst for inst in corpus if inst.prep.levels.extreme("diameter")[0] < 4]
+        cases = [(inst.prep.graph, far_of(inst, "diameter")) for inst in corpus if inst not in routed]
         decisions = [diameter_fast(graph, far) for graph, far in cases]
         monkeypatch.setattr(rectilink.metrics, "CrossingStore", ScanCrossingStore)
         for (graph, far), a in zip(cases, decisions):
@@ -775,8 +781,8 @@ class TestEngineAgreement:
         preps = [inst.prep for inst in fixtures + corpus] + grid40 + grid60
         preps += [prepare(parse_domain(shape(k))) for shape, sizes in shapes for k in sizes]
         decisions = set()
-        for k, prep in enumerate(p for p in preps if p.summary.ordiam >= 4):
-            far = prep.levels.far(prep.summary.ordiam)
+        for k, prep in enumerate(p for p in preps if p.levels.extreme("diameter")[0] >= 4):
+            far = prep.levels.far(prep.levels.extreme("diameter")[0])
             decision = diameter_fast(prep.graph, far)
             assert decision == reference.diameter_fast(prep.graph, unpacked(far), graph_rects(prep.hdec, prep.vdec)), k
             decisions.add(decision is None)

@@ -1,4 +1,4 @@
-"""The one solve path: CLI, verify and bench agree; the summary and the engine run once; typed choices."""
+"""The one solve path: CLI, verify and bench agree; each extreme, far relation and engine runs once; typed choices."""
 
 import json
 import sys
@@ -12,6 +12,7 @@ import rectilink.oracle
 import rectilink.pipeline
 from rectilink import OutsidePointError, RectilinkError, UnknownChoiceError, domain_to_instance, run_verify, solve
 from rectilink.cli import main
+from rectilink.graph import Levels
 from rectilink.metrics import DIAMETER_ALGOS, ORACLE, RADIUS_ALGOS, compute, small_case_fallback
 
 ALGOS = {"diameter": DIAMETER_ALGOS + (ORACLE,), "radius": RADIUS_ALGOS + (ORACLE,)}
@@ -71,8 +72,18 @@ def count_calls(monkeypatch, original) -> list:
 
 
 @pytest.fixture()
-def summarize_calls(monkeypatch):
-    return count_calls(monkeypatch, rectilink.graph.summarize)
+def levels_calls(monkeypatch) -> dict:
+    """The arguments of every call of each extreme's computation and of the far relation's compare, by name."""
+    calls = {}
+    for name in ("_diameter", "_radius", "_far_h"):
+        calls[name] = []
+
+        def counted(self, *args, _original=getattr(Levels, name), _calls=calls[name]):
+            _calls.append(args)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Levels, name, counted)
+    return calls
 
 
 ENGINES = (
@@ -86,16 +97,31 @@ ENGINES = (
 
 
 class TestComputedOnce:
-    def test_summary_once_per_command(self, capsys, tmp_path, summarize_calls, donut, lshape):
+    def test_extremes_once_per_command(self, capsys, tmp_path, levels_calls, donut, lshape):
+        """A ``diameter`` command computes its extreme once and no radius extreme, a ``radius`` command the
+        reverse, ``verify`` and ``decompose`` each extreme once, and no command builds a far threshold twice."""
         for path in write_instances(tmp_path, [donut, lshape]):
-            for kind, algos in ALGOS.items():
-                for algo in algos:
-                    summarize_calls.clear()
-                    cli_json(capsys, kind, path, "--algo", algo)
-                    assert len(summarize_calls) == (0 if algo == ORACLE else 1), (path, kind, algo)
-            summarize_calls.clear()
-            cli_json(capsys, "verify", path)
-            assert len(summarize_calls) == 1, path
+            commands = [(kind, path, "--algo", algo) for kind, algos in ALGOS.items() for algo in algos]
+            for argv in commands + [("verify", path), ("decompose", path)]:
+                for calls in levels_calls.values():
+                    calls.clear()
+                cli_json(capsys, *argv)
+                both = argv[0] in ("verify", "decompose")
+                expected = {
+                    f"_{kind}": int(argv[-1] != ORACLE and (both or argv[0] == kind)) for kind in ("diameter", "radius")
+                }
+                assert {name: len(levels_calls[name]) for name in expected} == expected, argv
+                thresholds = [t for (t,) in levels_calls["_far_h"]]
+                assert len(thresholds) == len(set(thresholds)), (argv, thresholds)
+                assert thresholds or argv[-1] == ORACLE or argv[0] == "decompose", argv
+
+    def test_verify_runs_each_fallback_once(self, monkeypatch, lshape):
+        """Every radius engine routes the L-shape to the fallback; ``verify`` runs it once and reports it per engine."""
+        calls = count_calls(monkeypatch, rectilink.metrics.small_case_fallback)
+        report = run_verify(lshape.domain)
+        assert len(calls) == 1
+        assert [report["radius"][algo]["engine"] for algo in RADIUS_ALGOS] == ["fallback"] * len(RADIUS_ALGOS)
+        assert report["radius"][ORACLE]["value"] == report["radius"][RADIUS_ALGOS[0]]["value"]
 
     def test_verify_validates_once(self, capsys, tmp_path, monkeypatch, donut, lshape):
         """``verify`` validates its domain once, inside the prepare stage it times; a bad domain still fails typed."""
@@ -191,10 +217,10 @@ class TestTypedChoices:
             lambda: solve("radius", "fast", prep),
             lambda: solve("diameter", ORACLE, prep),  # the oracle needs a grid
             lambda: solve("girth", "matmul", prep),
-            lambda: compute("diameter", prep.graph, prep.levels, prep.summary, "quantum"),
-            lambda: compute("radius", prep.graph, prep.levels, prep.summary, "fast"),
-            lambda: compute("girth", prep.graph, prep.levels, prep.summary, "matmul"),
-            lambda: small_case_fallback(prep.graph, None, "girth"),
+            lambda: compute("diameter", prep.levels, "quantum"),
+            lambda: compute("radius", prep.levels, "fast"),
+            lambda: compute("girth", prep.levels, "matmul"),
+            lambda: small_case_fallback(prep.levels, "girth"),
         ]
         for call in calls:
             with pytest.raises(UnknownChoiceError) as info:
