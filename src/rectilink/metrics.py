@@ -10,15 +10,17 @@ Each engine decides between the two on the far relation ``dm >= ordiam`` (or
 and returns only its decision, a witness configuration of crossing
 rectangle pairs or ``None``:
 
-* ``edge-scan``: direct scan over pairs of graph edges, unpacking the far
-  rows ``_EDGE_CHUNK`` at a time, with the cover test packed into bits one
-  block of at most ``_COLUMN_BLOCK`` edge columns at a time, so the packed
-  bits take ``2 * m * _COLUMN_BLOCK / 8`` bytes whatever chi; the radius
-  takes the columns by the smaller far degree of their two ends, highest
-  first, in blocks growing fourfold from ``_COLUMN_BLOCK // 32``, drops the
-  edges each block covers and stops when none is left; the diameter scan
-  visits only the edges between far rows, in edge order, and in later
-  blocks only the rows before its lowest hit,
+* ``edge-scan``: direct scan over pairs of graph edges, ``_EDGE_CHUNK``
+  rows at a time, against one block of at most ``_COLUMN_BLOCK`` edge
+  columns at a time, whose two ends' far rows are gathered and transposed
+  into the words' own layout, so the block's bits take ``2 * m *
+  _COLUMN_BLOCK / 8`` bytes whatever chi; the radius takes the columns by
+  the smaller far degree of their two ends, highest first, in blocks
+  growing fourfold from ``_COLUMN_BLOCK // 32``, drops the edges each block
+  covers, and once no more edges are open than the next block would take,
+  tests them against every column left in one pass with the roles swapped;
+  the diameter scan visits only the edges between far rows, in edge order,
+  and in later blocks only the rows before its lowest hit,
 * ``matmul``: the same condition as thresholded boolean matrix products on
   the packed rows: one product ``mid = cross·far``, then
   ``prod = far·mid`` read only on the crossing edges between far rows,
@@ -61,22 +63,12 @@ RADIUS_ALGOS = (EDGE_SCAN, MATMUL)
 ALGOS = {"diameter": DIAMETER_ALGOS, "radius": RADIUS_ALGOS}  # engines per kind
 
 _EDGE_CHUNK = 512
-_COLUMN_BLOCK = 16 * _EDGE_CHUNK  # the most edge columns the edge-scans pack at once
-# SWAR popcount masks: bit pairs, nibbles and bytes, and the multiplier that sums a word's bytes into its top byte
-_M1, _M2, _M4, _BYTES = (
-    np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
-)
+_COLUMN_BLOCK = 16 * _EDGE_CHUNK  # the most edge columns the edge-scans transpose at once
 
 
 def _popcount(far: np.ndarray) -> np.ndarray:
-    """Set bits per row of packed words, counted per word in registers (SWAR) and summed in ``intp``."""
-    x = far - (far >> np.uint64(1) & _M1)
-    x = (x & _M2) + (x >> np.uint64(2) & _M2)
-    x += x >> np.uint64(4)
-    x &= _M4
-    x *= _BYTES
-    x >>= np.uint64(56)
-    return x.sum(axis=-1, dtype=np.intp)
+    """Set bits per row of packed words, summed in ``intp``."""
+    return np.bitwise_count(far).sum(axis=-1, dtype=np.intp)
 
 
 log = logging.getLogger("rectilink")
@@ -150,29 +142,6 @@ def _far_at(far: np.ndarray, i: int, cols: np.ndarray) -> np.ndarray:
     return (far[i, cols >> 6] >> (cols & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
 
 
-def _packed_block(far: np.ndarray, edges: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``F0 = far[:, edges[:, 0]]`` and ``F1 = far[:, edges[:, 1]]`` on ``rows``, in bits, eight columns per byte.
-
-    ``edges`` is a run of edges sorted by their horizontal end, so ``F0``
-    repeats the columns of those ends, each as often as it occurs.  Only the
-    rows ``rows`` are made, each ``_EDGE_CHUNK`` of them unpacked from
-    ``far``'s words at a time; the others stay unset.
-    ``packbits`` pads each row to whole bytes with zeros, which cover nothing.
-    """
-    lo = int(edges[0, 0])
-    counts = np.bincount(edges[:, 0] - lo)  # occurrences of each horizontal end from lo on
-    ends = np.flatnonzero(counts)
-    ends, counts = ends + lo, counts[ends]
-    f0 = np.empty((len(far), -(-len(edges) // 8)), dtype=np.uint8)
-    f1 = np.empty_like(f0)
-    for start in range(0, len(rows), _EDGE_CHUNK):
-        ids = rows[start : start + _EDGE_CHUNK]
-        part = _far_rows(far, ids)
-        f0[ids] = np.packbits(np.repeat(part[:, ends], counts, axis=1), axis=1)
-        f1[ids] = np.packbits(np.take(part, edges[:, 1], axis=1), axis=1)
-    return f0, f1
-
-
 def _far_row_edges(graph: OrientedGraph, rows: np.ndarray) -> np.ndarray:
     """Positions, in edge order, of the edges between far rows (``rows = far.any(axis=1)``).
 
@@ -183,22 +152,23 @@ def _far_row_edges(graph: OrientedGraph, rows: np.ndarray) -> np.ndarray:
 
 
 def _edge_covers(far: np.ndarray, block: np.ndarray, scanning: np.ndarray, combine=np.bitwise_or):
-    """Chunks of the ``scanning`` edges against one ``block`` of column edges: (chunk start, packed cover rows).
+    """Chunks of the ``scanning`` edges against one ``block`` of column edges: (chunk start, cover words).
 
     Edge (a, a') covers edge (b, b') when a-b and a'-b' are both far
     (straight) or a-b' and a'-b are (crossed); with ``combine`` set to
-    ``np.bitwise_and``, when both pairs of pairs are.  The block's two ends
-    are packed into bits on the scanning edges' rows, ``F0 = far[:, b]``
-    and ``F1 = far[:, b']`` over the columns ``block``
-    (:func:`_packed_block`), so a chunk's cover rows are ``combine(F0[a] &
-    F1[a'], F1[a] & F0[a'])``, eight pairs per byte.  The scans pass at
-    most ``_COLUMN_BLOCK`` columns at a time, and one block is live at a
-    time, so the packed bits take at most ``2 * m * _COLUMN_BLOCK / 8``
-    bytes, whatever chi.
+    ``np.bitwise_and``, when both pairs of pairs are.  ``far`` is symmetric,
+    so the block's ends over every row, ``F0 = far[:, b]`` and ``F1 =
+    far[:, b']``, are the far rows of ``b`` and ``b'`` gathered and
+    transposed (:func:`~rectilink.graph._transpose_bits`), column k of the
+    block at bit k, and a chunk's cover words are ``combine(F0[a] &
+    F1[a'], F1[a] & F0[a'])``; the bits past the block are zero and cover
+    nothing.  The scans pass at most ``_COLUMN_BLOCK`` columns at a time,
+    and one block is live at a time, so its bits take at most ``2 * m *
+    _COLUMN_BLOCK / 8`` bytes, whatever chi.  The test is symmetric in the
+    two edges, by ``far[x, y] = far[y, x]``, so a caller may swap the roles
+    of block and scanning edges.
     """
-    rows = np.zeros(len(far), dtype=bool)
-    rows[scanning] = True
-    f0, f1 = _packed_block(far, block, np.flatnonzero(rows))
+    f0, f1 = (_transpose_bits(far.take(block[:, k], axis=0), len(far)) for k in (0, 1))
     for start in range(0, len(scanning), _EDGE_CHUNK):
         a0, a1 = scanning[start : start + _EDGE_CHUNK, 0], scanning[start : start + _EDGE_CHUNK, 1]
         yield start, combine(f0[a0] & f1[a1], f1[a0] & f0[a1])
@@ -209,9 +179,10 @@ def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int,
 
     The scan visits only the edges between far rows, the only ones that can
     cover or be covered, in edge order, and returns the lowest row with a
-    cover and its lowest column.  Each column block scans only the rows
-    before the lowest hit row so far and stops at its first hit: a later
-    block can only find a lower row.
+    cover and its lowest column, the first set bit of the row's cover
+    words.  Each column block scans only the rows before the lowest hit row
+    so far and stops at its first hit: a later block can only find a lower
+    row.
     """
     ids = _far_row_edges(graph, far.any(axis=1))
     edges = graph.edges[ids]
@@ -221,7 +192,7 @@ def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int,
             hits = np.flatnonzero(hit.any(axis=1))
             if len(hits):
                 row = start + int(hits[0])
-                col = first + int(np.flatnonzero(np.unpackbits(hit[hits[0]]))[0])
+                col = first + _first_bit(hit[hits[0]])
                 break
     if row == len(ids):
         return None
@@ -238,16 +209,21 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_o
     order of the columns, so they go likeliest to cover first: by far degree
     (the fewer far entries of their two ends), descending, in blocks growing
     from ``_COLUMN_BLOCK // 32`` columns fourfold up to ``_COLUMN_BLOCK``.
-    When every column fits in the first block, they stay in edge order.
-    ``combine`` is the cover test's (:func:`_edge_covers`): the engine's OR,
-    or the AND with which :func:`small_case_fallback` finds the centre face.
-    Blocks, columns packed and rows scanned go to the ``rectilink`` logger
-    at debug level, counted only when that level is on.
+    When no more edges are open than the next block would take, the cover
+    test's symmetry settles them in one pass that ends the scan: the open
+    edges become the block, every column not yet taken is scanned as rows,
+    and the hits are OR-reduced along the rows.  This tail counts as one
+    block, taking every column left, with the open edges as its rows.  When
+    every column fits in the first block, the tail is the whole scan, in
+    edge order.  ``combine`` is the cover test's (:func:`_edge_covers`): the
+    engine's OR, or the AND with which :func:`small_case_fallback` finds the
+    centre face.  Blocks, columns packed and rows scanned go to the
+    ``rectilink`` logger at debug level, counted only when that level is on.
     """
     edges = graph.edges
     chi = len(edges)
     width = max(1, _COLUMN_BLOCK // 32)
-    order = None  # edge order: one block's order cannot matter
+    order = np.arange(chi)  # edge order: one block's order cannot matter
     if chi > width:
         degree = _popcount(far)  # far entries per row
         order = np.argsort(-np.minimum(degree[edges[:, 0]], degree[edges[:, 1]]), kind="stable")
@@ -256,13 +232,19 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_o
     debug = log.isEnabledFor(logging.DEBUG)
     first = blocks = rows = 0
     while first < chi and len(open_ids):
-        # each block in edge order, so sorted by horizontal end
-        block = edges[first : first + width] if order is None else edges[np.sort(order[first : first + width])]
-        for start, hit in _edge_covers(far, block, edges[open_ids], combine):
-            covered[open_ids[start : start + len(hit)]] = hit.any(axis=1)
+        tail = len(open_ids) <= width  # no more open edges than the block would take: settle them in one pass
+        columns = edges[order[first : chi if tail else first + width]]
+        if tail:
+            cover = np.zeros(-(-len(open_ids) // 64), dtype=np.uint64)
+            for _, hit in _edge_covers(far, edges[open_ids], columns, combine):
+                cover |= np.bitwise_or.reduce(hit, axis=0)
+            covered[open_ids] = np.unpackbits(cover.view(np.uint8), count=len(open_ids), bitorder="little")
+        else:
+            for start, hit in _edge_covers(far, columns, edges[open_ids], combine):
+                covered[open_ids[start : start + len(hit)]] = hit.any(axis=1)
         if debug:
             blocks, rows = blocks + 1, rows + len(open_ids)
-        first, width = first + len(block), min(4 * width, _COLUMN_BLOCK)
+        first, width = first + len(columns), min(4 * width, _COLUMN_BLOCK)
         open_ids = np.flatnonzero(~covered)
     if debug:
         log.debug("radius edge-scan: %d blocks, %d/%d columns packed, %d rows scanned", blocks, first, chi, rows)

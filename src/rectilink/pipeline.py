@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import OutsidePointError, UnknownChoiceError
+from .errors import OutsidePointError, RectilinkError, UnknownChoiceError
 from .geometry import (
     Decomposition,
     Domain,
@@ -99,10 +99,15 @@ def solve(kind: str, algo: str, prep: Prepared | None = None, grid: GridModel | 
 
     Engines run through the router :func:`~rectilink.metrics.compute` on
     ``prep``; ``algo="oracle"`` runs the cut-grid oracle on ``grid`` and,
-    without a grid, is an unknown engine.
+    without a grid, is an unknown engine.  A call without the input it
+    needs, ``prep`` or, for the oracle with no ``prep`` either, ``grid``,
+    raises a typed error naming it before any work.
     """
     if kind not in ALGOS:
         raise UnknownChoiceError(f"unknown kind {kind!r} (choose from {', '.join(ALGOS)})")
+    if prep is None and not (algo == ORACLE and grid is not None):
+        needed = "grid=build_grid(domain)" if algo == ORACLE else "prep=prepare(domain)"
+        raise RectilinkError(f"{kind} algorithm {algo!r} needs {needed}")
     t0 = time.perf_counter()
     if algo == ORACLE and grid is not None:
         result = (oracle_diameter if kind == "diameter" else oracle_radius)(grid)

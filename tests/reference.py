@@ -525,17 +525,18 @@ class ScanCrossingStore:
 _EDGE_CHUNK = 512
 
 
-def _edge_covers(graph: OrientedGraph, far: np.ndarray):
+def _edge_covers(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_or):
     """Chunks of edges against every edge: (first edge index, cover matrix).
 
     Edge (a, a') covers edge (b, b') when a-b and a'-b' are both far
-    (straight) or a-b' and a'-b are (crossed).
+    (straight) or a-b' and a'-b are (crossed); with ``combine`` set to
+    ``np.bitwise_and``, when both pairs of pairs are.
     """
     edges = np.asarray(graph.edges)
     e0, e1 = edges[:, 0], edges[:, 1]
     for start in range(0, len(edges), _EDGE_CHUNK):
         a0, a1 = e0[start : start + _EDGE_CHUNK], e1[start : start + _EDGE_CHUNK]
-        yield start, (far[np.ix_(a0, e0)] & far[np.ix_(a1, e1)]) | (far[np.ix_(a0, e1)] & far[np.ix_(a1, e0)])
+        yield start, combine(far[np.ix_(a0, e0)] & far[np.ix_(a1, e1)], far[np.ix_(a0, e1)] & far[np.ix_(a1, e0)])
 
 
 def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -548,9 +549,12 @@ def diameter_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int,
     return None
 
 
-def radius_edge_scan(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int] | None:
-    """For every edge, search an edge whose two far conditions both hold; return the first without one."""
-    for start, hit in _edge_covers(graph, far):
+def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_or) -> tuple[int, int] | None:
+    """For every edge, search an edge whose two far conditions both hold; return the first without one.
+
+    ``combine`` is the cover test's: the engine's OR, or the fallback's AND.
+    """
+    for start, hit in _edge_covers(graph, far, combine):
         covered = hit.any(axis=1)
         if not covered.all():
             return tuple(graph.edges[start + int(np.argmin(covered))].tolist())

@@ -344,6 +344,7 @@ class TestEdgeScanColumnBlocks:
                 kept = [k for k, (a, b) in enumerate(edges) if rows[a] and rows[b]]
                 column = kept.index(position[tuple(sorted(quad[2:]))])
                 assert column > 2 * self.BLOCK, name
+                assert column % self.BLOCK % 8, name  # not bit 0 of a byte: a wrong bit order reads another column
             if name == "all-but-late-rows":
                 assert position[edge] > 2 * self.BLOCK
 
@@ -368,11 +369,11 @@ def lone_cover(graph):
     return far, edges.index([h, v])
 
 
-def radius_log(caplog, graph, far):
+def radius_log(caplog, graph, far, combine=np.bitwise_or):
     """The radius edge-scan's decision on packed ``far``, and its debug line's blocks, columns packed, rows scanned."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="rectilink"):
-        edge = radius_edge_scan(graph, far)
+        edge = radius_edge_scan(graph, far, combine)
     (message,) = [r.getMessage() for r in caplog.records]
     match = re.fullmatch(r"radius edge-scan: (\d+) blocks, (\d+)/(\d+) columns packed, (\d+) rows scanned", message)
     blocks, packed, chi, rows = map(int, match.groups())
@@ -384,7 +385,9 @@ class TestRadiusColumnOrder:
     """The radius scan takes the columns by degree in growing blocks, and stops once every edge is covered."""
 
     @pytest.mark.parametrize("block", [None, 60])
-    def test_lone_cover_in_the_last_block(self, grid60, block, monkeypatch):
+    def test_lone_cover_in_the_last_block(self, grid60, block, caplog, monkeypatch):
+        """Under the default block, the first block leaves between 1 and the next block's width of edges open, and
+        the tail settles them against every column left: two blocks take every column, with the OR and the AND."""
         if block:
             monkeypatch.setattr(rectilink.metrics, "_COLUMN_BLOCK", block)
         graph = grid60[0].graph
@@ -398,6 +401,12 @@ class TestRadiusColumnOrder:
         edge = reference.radius_edge_scan(graph, far)
         assert radius_edge_scan(graph, packed(far)) == radius_matmul(graph, packed(far)) == edge
         assert edge is None or e < graph.edges.tolist().index(list(edge))  # without c, e would be the answer
+        width = rectilink.metrics._COLUMN_BLOCK // 32  # the first block's
+        for combine in (np.bitwise_or, np.bitwise_and):
+            decision, blocks, columns, rows = radius_log(caplog, graph, packed(far), combine)
+            assert decision == reference.radius_edge_scan(graph, far, combine), combine
+            if not block:
+                assert (blocks, columns) == (2, graph.chi) and 0 < rows - graph.chi <= 4 * width, combine
 
     def test_growing_blocks_logged(self, grid60, caplog, monkeypatch):
         """Under a 60-column block the blocks grow 1, 4, 16, 60 and no block is wider; at info level nothing is logged.

@@ -226,3 +226,12 @@ class TestTypedChoices:
             with pytest.raises(UnknownChoiceError) as info:
                 call()
             assert isinstance(info.value, RectilinkError) and isinstance(info.value, ValueError)
+
+    def test_missing_input_names_it(self, monkeypatch):
+        """An engine without ``prep``, or the oracle without ``grid`` or ``prep``, is refused first, naming it."""
+        for name in ("compute", "oracle_diameter"):
+            monkeypatch.setattr(rectilink.pipeline, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        with pytest.raises(RectilinkError, match=r"\bprep\b"):
+            solve("diameter", "edge-scan")
+        with pytest.raises(RectilinkError, match=r"\bgrid\b"):
+            solve("diameter", ORACLE)
