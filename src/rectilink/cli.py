@@ -87,7 +87,7 @@ def _emit(payload, pretty: bool = True) -> None:
 
 def _cmd_decompose(args) -> int:
     domain = _load_domain(args.instance)
-    prep = prepare(domain, validated=True)
+    prep = prepare(domain)
     graph = prep.graph
     rects = [
         {
@@ -114,7 +114,7 @@ def _cmd_dist(args) -> int:
     if args.oracle:
         value, engine = oracle_distance(build_grid(domain), p, q), ORACLE
     else:
-        value, engine = point_distance(*decompose(domain, validated=True), p, q), "formula"
+        value, engine = point_distance(*decompose(domain), p, q), "formula"
     _emit({"value": value, "p": point_out(p), "q": point_out(q), "engine": engine})
     return 0
 
@@ -127,7 +127,7 @@ def _cmd_extreme(args) -> int:
     if args.algo == ORACLE:
         grid = build_grid(domain)
     else:
-        prep = prepare(domain, validated=True)
+        prep = prepare(domain)
     prep_seconds = time.perf_counter() - t0
     solution = solve(args.command, args.algo, prep, grid)
     payload = solution.payload()
@@ -165,7 +165,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verify(_read_domain(args.instance))  # validated once, in its timed prepare stage
+    report = run_verify(_read_domain(args.instance))  # checked once, in its timed prepare stage
     _emit(report)
     return 2 if report["verdict"] == "disagree" else 0
 
@@ -180,7 +180,7 @@ def _cmd_bench(args) -> int:
     for path in args.instances:
         domain = _load_domain(path)
         t0 = time.perf_counter()
-        prep = prepare(domain, validated=True)
+        prep = prepare(domain)
         prep_seconds = time.perf_counter() - t0
         row = {"instance": path} | instance_stats(prep)
         row["prep_seconds"] = round(prep_seconds, 6)
@@ -211,7 +211,7 @@ def _cmd_render(args) -> int:
     decomposition = None
     points: tuple[Point, ...] = ()
     if args.witness:
-        prep = prepare(domain, validated=True)
+        prep = prepare(domain)
         result = solve(args.witness, EDGE_SCAN, prep).result
         points = result.pair if args.witness == "diameter" else (result.center,)
         decomposition = {"H": prep.hdec, "V": prep.vdec}.get(args.dec)

@@ -8,7 +8,8 @@ A domain is one vertex array, every ring after the other, with the ring
 offsets beside it.  The parser checks each point's shape and type in one
 pass and everything else on the ring's array.  Each domain holds its
 boundary edges once, in :attr:`Domain.edge_table`, which :func:`validate`
-and both sweeps read.  One closed crossing test,
+and both sweeps read, and its validity once, in :attr:`Domain.violations`,
+which :func:`require_valid` reads.  One closed crossing test,
 :func:`crossings`, finds both the boundary edges that touch and the crossing
 graph's edges (:mod:`rectilink.graph`).  It cuts the x-axis into strips of
 ``STRIP`` verticals each and copies every horizontal into the strips it
@@ -84,6 +85,11 @@ class Domain:
         table = np.column_stack([ring, index, self.vertices, self.vertices[start + (index + 1) % sizes[ring]]])
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """What :func:`validate` finds wrong with the domain, found once; empty when it is valid."""
+        return validate(self).violations
 
 
 @dataclass(frozen=True)
@@ -431,9 +437,9 @@ def validate(domain: Domain) -> ValidationReport:
 
 
 def require_valid(domain: Domain) -> None:
-    report = validate(domain)
-    if not report.ok:
-        raise InvalidDomainError(report.violations)
+    """Raise :class:`InvalidDomainError` unless the domain is valid; validates it only on its first check."""
+    if domain.violations:
+        raise InvalidDomainError(domain.violations)
 
 
 def _sweep_rects(events):
@@ -491,7 +497,7 @@ def _decomposition(domain: Domain, orientation: Orientation) -> Decomposition:
     horizontal edges, left to right for vertical ones); the cross-section
     interval touched by each edge is cut, all others continue.  The interior
     lies to the left of every directed edge, so a rightward horizontal edge
-    and a downward vertical edge open an interval.  Requires a validated
+    and a downward vertical edge open an interval.  Requires a valid
     domain.
     """
     horizontal = orientation is Orientation.HORIZONTAL

@@ -255,9 +255,8 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
     ``p`` of the level, so a level touches only the planes of its set bits.
     Bit 0 is the target's side, horizontal targets sitting at odd levels and
     vertical ones at even levels, so it needs no plane.  Returns the planes,
-    ``(m, W)`` words each, and the number of target gathers skipped, counted
-    only when the debug log is on.  The graph must be connected, so that no
-    group is empty.
+    ``(m, W)`` words each, and the number of target gathers skipped.  The
+    graph must be connected, so that no group is empty.
     """
     m, nh, chi = graph.m, graph.nh, graph.chi
     words = -(-nh // 64)
@@ -266,7 +265,7 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
     ids = np.arange(nh)
     reached.view(np.uint8)[ids, ids >> 3] = np.left_shift(1, ids & 7)
     full = np.bitwise_or.reduce(reached[:nh], axis=0)
-    prune, debug, skipped = chi > 4 * CHUNK, log.isEnabledFor(logging.DEBUG), 0
+    prune, skipped = chi > 4 * CHUNK, 0
     # per target side: its rows, the open targets (None: all) and their CSR groups with the neighbours as
     # rows of the other side's frontier
     sides = [
@@ -292,7 +291,7 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
                     planes.append(np.zeros_like(reached))
                 planes[p - 1][rows] |= new
         frontier = new
-        if open_ids is not None and debug:
+        if open_ids is not None:
             skipped += len(new) - len(open_ids)
         if prune:
             saturated = ((targets if open_ids is None else targets[open_ids]) == full).all(axis=1)

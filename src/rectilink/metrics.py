@@ -217,8 +217,8 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_o
     every column fits in the first block, the tail is the whole scan, in
     edge order.  ``combine`` is the cover test's (:func:`_edge_covers`): the
     engine's OR, or the AND with which :func:`small_case_fallback` finds the
-    centre face.  Blocks, columns packed and rows scanned go to the
-    ``rectilink`` logger at debug level, counted only when that level is on.
+    centre face.  Blocks, columns taken and rows scanned, counted on every
+    call, go to the ``rectilink`` logger at debug level.
     """
     edges = graph.edges
     chi = len(edges)
@@ -229,7 +229,6 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_o
         order = np.argsort(-np.minimum(degree[edges[:, 0]], degree[edges[:, 1]]), kind="stable")
     covered = np.zeros(chi, dtype=bool)
     open_ids = np.arange(chi)
-    debug = log.isEnabledFor(logging.DEBUG)
     first = blocks = rows = 0
     while first < chi and len(open_ids):
         tail = len(open_ids) <= width  # no more open edges than the block would take: settle them in one pass
@@ -242,12 +241,10 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_o
         else:
             for start, hit in _edge_covers(far, columns, edges[open_ids], combine):
                 covered[open_ids[start : start + len(hit)]] = hit.any(axis=1)
-        if debug:
-            blocks, rows = blocks + 1, rows + len(open_ids)
+        blocks, rows = blocks + 1, rows + len(open_ids)
         first, width = first + len(columns), min(4 * width, _COLUMN_BLOCK)
         open_ids = np.flatnonzero(~covered)
-    if debug:
-        log.debug("radius edge-scan: %d blocks, %d/%d columns packed, %d rows scanned", blocks, first, chi, rows)
+    log.debug("radius edge-scan: %d blocks, %d/%d columns taken, %d rows scanned", blocks, first, chi, rows)
     return tuple(edges[open_ids[0]].tolist()) if len(open_ids) else None
 
 
@@ -403,9 +400,8 @@ def small_case_fallback(levels: Levels, which: str):
     for the least ``t >= 3`` at which :func:`radius_edge_scan` with that
     test leaves an edge uncovered, and the first such face is the centre,
     the first face of least eccentricity.  Exact for any oriented value.
+    ``which`` is ``"diameter"`` or ``"radius"``, as :func:`compute` checks.
     """
-    if which not in ("diameter", "radius"):
-        raise UnknownChoiceError(f"unknown fallback target {which!r} (choose from diameter, radius)")
     graph = levels.graph
     if which == "diameter":
         faces = overlay_faces(graph)

@@ -7,13 +7,15 @@ inside cells (straight moves along a row or column run are free, each turn and
 the initial segment cost one), 64 sources to a machine word.  Distances
 between generic points are exact; diameter and radius are evaluated over one
 representative per overlay face, which the model derives on its own by merging
-stacked grid runs that no boundary chord separates.
+stacked grid runs that no boundary chord separates.  The faces are computed
+once per grid, as one record array (:meth:`GridModel.faces`): each face's box,
+representative and the inside cell the representative lies in.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,13 +41,6 @@ def _runs(line: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_sources(cells: int) -> int:
     """Face sources per pass: as many 64-source words as keep ``cells x words`` within ``_BLOCK_CELL_WORDS``."""
     return 64 * max(1, _BLOCK_CELL_WORDS // cells)
-
-
-@dataclass(frozen=True)
-class _OracleFace:
-    box: tuple[int, int, int, int]
-    rep: Point
-    cell: tuple[int, int]
 
 
 class GridModel:
@@ -76,8 +71,6 @@ class GridModel:
         # Each level before the pass settles reaches a new run, so no level reaches the run count.
         self._level_dtype = np.min_scalar_type(len(self._starts))
         self._cost_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._faces: list[_OracleFace] | None = None
-        self._face_values: np.ndarray | None = None
 
     def cell_of(self, p: Point) -> tuple[int, int]:
         """Cell containing ``p``; on a cut line, any adjacent inside cell."""
@@ -157,11 +150,17 @@ class GridModel:
             cost[self.inside] = np.where(level > 0, level, _INF)
         return costs
 
-    def faces(self) -> list[_OracleFace]:
-        if self._faces is None:
-            self._faces = self._compute_faces()
+    def faces(self) -> np.recarray:
+        """The overlay faces, computed once, as one read-only record array with a row per face.
+
+        Its fields are ``box`` (k x 4), the faces' ``(xmin, xmax, ymin,
+        ymax)``; ``rep`` (k x 2), their representatives, the centres; and
+        ``cell_id`` (k), the id of the inside cell each representative lies
+        in.  A row holds one face's: ``faces()[i].rep``.
+        """
         return self._faces
 
+    @cached_property
     def face_values(self) -> np.ndarray:
         """Read-only link distances between face representatives; 2 on the diagonal.
 
@@ -169,18 +168,16 @@ class GridModel:
         word array of a pass holds at most ``max(cells, _BLOCK_CELL_WORDS)``
         words, and each level array ``2 * faces * block`` entries.
         """
-        if self._face_values is None:
-            reps, cells = _face_points(self.faces())
-            ids = self._ids[cells[:, 0], cells[:, 1]]
-            values = np.empty((len(ids), len(ids)), dtype=self._level_dtype)
-            block = _block_sources(len(self._iy))
-            for start in range(0, len(ids), block):
-                rows = slice(start, start + block)
-                values[rows] = _prices(*self._levels(ids[rows], ids), reps[rows], reps)
-            np.fill_diagonal(values, 2)
-            values.flags.writeable = False
-            self._face_values = values
-        return self._face_values
+        faces = self.faces()
+        ids, reps = faces.cell_id, faces.rep
+        values = np.empty((len(ids), len(ids)), dtype=self._level_dtype)
+        block = _block_sources(len(self._iy))
+        for start in range(0, len(ids), block):
+            rows = slice(start, start + block)
+            values[rows] = _prices(*self._levels(ids[rows], ids), reps[rows], reps)
+        np.fill_diagonal(values, 2)
+        values.flags.writeable = False
+        return values
 
     def _stack_labels(self) -> np.ndarray:
         """Per run, the lowest run of its stack.
@@ -207,7 +204,8 @@ class GridModel:
         labels[stack] = stack[bottom]
         return labels
 
-    def _compute_faces(self) -> list[_OracleFace]:
+    @cached_property
+    def _faces(self) -> np.recarray:
         """Overlay faces, by (row stack, column stack) of their cells, in that key's order."""
         key_h, key_v = self._stack_labels()[self._run_of]
         order = np.lexsort((key_v, key_h))
@@ -228,12 +226,12 @@ class GridModel:
         # centre lies inside it: the cell left of and below the centre, the
         # first that :meth:`cell_of` tries, is a cell of the face.
         cell_y, cell_x = np.searchsorted(self.ys, ry) - 1, np.searchsorted(self.xs, rx) - 1
-        return [
-            _OracleFace(box=tuple(box), rep=(x, y), cell=(iy, ix))
-            for box, x, y, iy, ix in zip(
-                np.stack([x0, x1, y0, y1], axis=1).tolist(), rx.tolist(), ry.tolist(), cell_y.tolist(), cell_x.tolist()
-            )
-        ]
+        faces = np.rec.fromarrays(
+            [np.stack([x0, x1, y0, y1], axis=1), np.stack([rx, ry], axis=1), self._ids[cell_y, cell_x]],
+            dtype=[("box", np.int64, 4), ("rep", np.int64, 2), ("cell_id", np.intp)],
+        )
+        faces.flags.writeable = False
+        return faces
 
 
 def build_grid(domain: Domain) -> GridModel:
@@ -282,14 +280,6 @@ def _prices(ch: np.ndarray, cv: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.
     return values
 
 
-def _face_points(faces: list[_OracleFace]) -> tuple[np.ndarray, np.ndarray]:
-    """Representatives and their cells, as (k x 2) arrays."""
-    return (
-        np.array([f.rep for f in faces], dtype=np.int64).reshape(-1, 2),
-        np.array([f.cell for f in faces], dtype=np.int64).reshape(-1, 2),
-    )
-
-
 def oracle_distance(grid: GridModel, p: Point, q: Point) -> int:
     """Exact link distance for points interior to faces (doubled coordinates)."""
     cell_p, target = grid.cell_of(p), grid._ids[grid.cell_of(q)]
@@ -299,36 +289,33 @@ def oracle_distance(grid: GridModel, p: Point, q: Point) -> int:
 
 def oracle_eccentricity(grid: GridModel, p: Point) -> int:
     """Max link distance from ``p`` to anywhere: max over face representatives, floor 2."""
-    reps, cells = _face_points(grid.faces())
-    targets = grid._ids[cells[:, 0], cells[:, 1]]
-    ch, cv = (level[None, targets] for level in grid._levels_from(grid.cell_of(p)))
-    return int(_prices(ch, cv, np.array([p]), reps).max(initial=2))
+    faces = grid.faces()
+    ch, cv = (level[None, faces.cell_id] for level in grid._levels_from(grid.cell_of(p)))
+    return int(_prices(ch, cv, np.array([p]), faces.rep).max(initial=2))
 
 
 def oracle_diameter(grid: GridModel) -> DiameterResult:
     """Exhaustive max over face representatives (same-face pairs contribute 2)."""
-    faces = grid.faces()
-    values = grid.face_values()
-    flat = int(np.argmax(values))
-    a, b = divmod(flat, len(faces))
+    faces, values = grid.faces(), grid.face_values
+    a, b = divmod(int(np.argmax(values)), len(faces))
     value = max(2, int(values[a, b]))
     if a != b and values[a, b] >= 2:
-        pair = (faces[a].rep, faces[b].rep)
+        pair = tuple(map(tuple, faces.rep[[a, b]].tolist()))
     else:
-        biggest = max(faces, key=lambda f: (f.box[1] - f.box[0]) * (f.box[3] - f.box[2]))
-        pair = generic_pair_in_box(biggest.box)
+        box = faces.box
+        biggest = int(np.argmax((box[:, 1] - box[:, 0]) * (box[:, 3] - box[:, 2])))
+        pair = generic_pair_in_box(tuple(box[biggest].tolist()))
     return DiameterResult(value=value, pair=pair, witness_rects=(), engine=ORACLE)
 
 
 def oracle_radius(grid: GridModel) -> RadiusResult:
     """Exhaustive min-max over face representatives."""
-    faces = grid.faces()
-    values = grid.face_values()
-    ecc = values.max(axis=1) if len(faces) > 1 else np.array([2])
+    values = grid.face_values
+    ecc = values.max(axis=1) if len(values) > 1 else np.array([2])
     best = int(np.argmin(ecc))
     return RadiusResult(
         value=max(2, int(ecc[best])),
-        center=faces[best].rep,
+        center=tuple(grid.faces().rep[best].tolist()),
         witness=("face", ()),
         engine=ORACLE,
     )

@@ -39,31 +39,33 @@ class Prepared:
     seconds: dict[str, float]  # per stage of prepare
 
 
-def _decompositions(domain: Domain, validated: bool) -> tuple[Decomposition, Decomposition]:
-    if not validated:
-        require_valid(domain)
-    return horizontal_decomposition(domain), vertical_decomposition(domain)
+def decompose(domain: Domain) -> tuple[Decomposition, Decomposition, OrientedGraph]:
+    """Both slab decompositions and the crossing graph of a valid domain: everything a point query needs.
 
-
-def decompose(domain: Domain, validated: bool = False) -> tuple[Decomposition, Decomposition, OrientedGraph]:
-    """Both slab decompositions and the crossing graph: everything a point query needs."""
-    hdec, vdec = _decompositions(domain, validated)
+    Raises :class:`~rectilink.InvalidDomainError` for an invalid domain;
+    each domain is checked once (:attr:`~rectilink.geometry.Domain.violations`).
+    """
+    require_valid(domain)
+    hdec, vdec = horizontal_decomposition(domain), vertical_decomposition(domain)
     return hdec, vdec, build_graph(hdec, vdec)
 
 
-def prepare(domain: Domain, validated: bool = False) -> Prepared:
-    """Decompositions, crossing graph and all-pairs distances (as bit planes), each stage timed."""
-    seconds = {}
+def prepare(domain: Domain) -> Prepared:
+    """Decompositions, crossing graph and all-pairs distances (as bit planes) of a valid domain, each stage timed.
 
-    def timed(stage, fn, *args):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        seconds[stage] = time.perf_counter() - t0
-        return out
-
-    hdec, vdec = timed("decompose", _decompositions, domain, validated)
-    graph = timed("graph", build_graph, hdec, vdec)
-    return Prepared(domain, hdec, vdec, graph, timed("all_pairs", all_pairs, graph), seconds)
+    Raises :class:`~rectilink.InvalidDomainError` for an invalid domain.  The
+    ``decompose`` stage includes the check, which runs once per domain
+    (:attr:`~rectilink.geometry.Domain.violations`).
+    """
+    t0 = time.perf_counter()
+    require_valid(domain)
+    hdec, vdec = horizontal_decomposition(domain), vertical_decomposition(domain)
+    t1 = time.perf_counter()
+    graph = build_graph(hdec, vdec)
+    t2 = time.perf_counter()
+    levels = all_pairs(graph)
+    seconds = {"decompose": t1 - t0, "graph": t2 - t1, "all_pairs": time.perf_counter() - t2}
+    return Prepared(domain, hdec, vdec, graph, levels, seconds)
 
 
 @dataclass(frozen=True)

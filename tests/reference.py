@@ -43,7 +43,7 @@ from rectilink.generator import GenParams
 from rectilink.geometry import COORD_LIMIT, SCALE, Domain, Orientation, Point, Rect, ValidationReport, blocks
 from rectilink.graph import Levels, OrientedGraph
 from rectilink.metrics import FALLBACK, DiameterResult, RadiusResult, generic_pair_in_box
-from rectilink.oracle import GridModel, _OracleFace
+from rectilink.oracle import GridModel
 
 DistanceMatrix = np.ndarray  # (m, m), entry = hop distance + 1
 
@@ -916,6 +916,15 @@ _MAX_CACHED_SOURCES = 4096
 
 
 @dataclass(frozen=True)
+class Face:
+    """One overlay face of :class:`RelaxationGrid`: its box, its representative and the cell that holds it."""
+
+    box: tuple[int, int, int, int]
+    rep: Point
+    cell: tuple[int, int]
+
+
+@dataclass(frozen=True)
 class _RunAxis:
     """reduceat/repeat bookkeeping for one movement axis."""
 
@@ -937,7 +946,7 @@ class RelaxationGrid:
         self._h_runs = self._build_runs("C")
         self._v_runs = self._build_runs("F")
         self._cost_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._faces: list[_OracleFace] | None = None
+        self._faces: list[Face] | None = None
         self._face_values: np.ndarray | None = None
 
     def _build_runs(self, order: str) -> _RunAxis:
@@ -995,7 +1004,7 @@ class RelaxationGrid:
             self._cost_cache[cell] = (cost_h, cost_v)
         return cost_h, cost_v
 
-    def faces(self) -> list[_OracleFace]:
+    def faces(self) -> list[Face]:
         if self._faces is None:
             self._faces = self._compute_faces()
         return self._faces
@@ -1056,7 +1065,7 @@ class RelaxationGrid:
         )
         return labels.T if transposed else labels
 
-    def _compute_faces(self) -> list[_OracleFace]:
+    def _compute_faces(self) -> list[Face]:
         h_labels = self._merge_labels(transposed=False)
         v_labels = self._merge_labels(transposed=True)
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -1083,7 +1092,7 @@ class RelaxationGrid:
             if member_area != (box[1] - box[0]) * (box[3] - box[2]):
                 raise AssertionError("face cells do not fill their bounding box")
             rep = ((box[0] + box[1]) // 2, (box[2] + box[3]) // 2)
-            faces.append(_OracleFace(box=box, rep=rep, cell=self.cell_of(rep)))
+            faces.append(Face(box=box, rep=rep, cell=self.cell_of(rep)))
         return faces
 
 
@@ -1108,7 +1117,7 @@ def _prices(costs, p: Point, points: np.ndarray, cells: np.ndarray) -> np.ndarra
     return values
 
 
-def _face_points(faces: list[_OracleFace]) -> tuple[np.ndarray, np.ndarray]:
+def _face_points(faces: list[Face]) -> tuple[np.ndarray, np.ndarray]:
     """Representatives and their cells, as (k x 2) arrays."""
     return (
         np.array([f.rep for f in faces], dtype=np.int64).reshape(-1, 2),

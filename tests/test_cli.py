@@ -1,5 +1,7 @@
 """CLI surface: commands, JSON schemas, exit codes, SVG output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rectilink
 from rectilink import GenParams, domain_to_instance, gen_domain, geometry, parse_domain, render_svg
@@ -287,6 +291,83 @@ class TestErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
         assert not out.parent.exists()
+
+
+# Documents: any JSON value, NaN, Infinity and ints past int64 included, or an object whose rings are short
+# lists of small integer pairs (mostly unclosed or diagonal), or nesting deeper than the decoder's recursion.
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+_KEYS = st.sampled_from(["outer", "holes", "x"])
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=2),
+    max_leaves=12,
+)
+_RING = st.lists(st.lists(st.integers(min_value=-2, max_value=12), min_size=2, max_size=2), max_size=7)
+_DOCUMENTS = st.one_of(
+    _VALUES.map(json.dumps),
+    st.fixed_dictionaries(
+        {"outer": _RING | _VALUES}, optional={"holes": st.lists(_RING, max_size=2) | _VALUES}
+    ).map(json.dumps),
+    st.integers(min_value=1, max_value=5000).map(lambda depth: '{"outer": ' + "[" * depth + "]" * depth + "}"),
+)
+# Point coordinates: non-finite, undefined, past the coordinate bound or too fine, or any short text.
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1/0", "0/0", "1e999999999", "1e-999999999", "1_0", "0x1"]),
+    st.integers(min_value=-(2**80), max_value=2**80).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.decimals(allow_nan=True, allow_infinity=True).map(str),
+    st.fractions().map(str),
+    st.text(max_size=8),
+)
+_POINTS = st.one_of(st.tuples(_NUMBERS, _NUMBERS).map(",".join), _NUMBERS)
+
+
+def assert_clean_exit(argv) -> None:
+    """``main`` returns or exits without a traceback: exit 0 with nothing on stderr, exit 1 with one ``error:``
+    line, or argparse's exit 2 with its usage and one ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)  # any other exception fails the test with its traceback
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert not any("Traceback" in line for line in lines), lines
+    if code == 0:
+        assert lines == [], lines
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert code == 2 and sum("error:" in line for line in lines) == 1 and lines[0].startswith("usage:"), lines
+
+
+class TestFuzz:
+    """Hostile documents and point arguments through ``main``, in-process: never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz")
+        (path / "square.json").write_text(json.dumps(SQUARE))
+        return path
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=_DOCUMENTS, command=st.sampled_from(["decompose", "diameter", "radius", "render"]))
+    def test_documents(self, workdir, text, command):
+        path = workdir / "doc.json"
+        path.write_text(text)
+        assert_clean_exit([command, str(path)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=_POINTS, q=_POINTS, attached=st.booleans(), oracle=st.booleans())
+    def test_points(self, workdir, p, q, attached, oracle):
+        points = [f"--p={p}", f"--q={q}"] if attached else ["--p", p, "--q", q]
+        assert_clean_exit(["dist", str(workdir / "square.json"), *points] + ["--oracle"] * oracle)
 
 
 def _python(*args, **kwargs) -> subprocess.Popen:

@@ -370,15 +370,15 @@ def lone_cover(graph):
 
 
 def radius_log(caplog, graph, far, combine=np.bitwise_or):
-    """The radius edge-scan's decision on packed ``far``, and its debug line's blocks, columns packed, rows scanned."""
+    """The radius edge-scan's decision on packed ``far``, and its debug line's blocks, columns taken, rows scanned."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="rectilink"):
         edge = radius_edge_scan(graph, far, combine)
     (message,) = [r.getMessage() for r in caplog.records]
-    match = re.fullmatch(r"radius edge-scan: (\d+) blocks, (\d+)/(\d+) columns packed, (\d+) rows scanned", message)
-    blocks, packed, chi, rows = map(int, match.groups())
+    match = re.fullmatch(r"radius edge-scan: (\d+) blocks, (\d+)/(\d+) columns taken, (\d+) rows scanned", message)
+    blocks, taken, chi, rows = map(int, match.groups())
     assert chi == graph.chi
-    return edge, blocks, packed, rows
+    return edge, blocks, taken, rows
 
 
 class TestRadiusColumnOrder:
@@ -411,7 +411,7 @@ class TestRadiusColumnOrder:
     def test_growing_blocks_logged(self, grid60, caplog, monkeypatch):
         """Under a 60-column block the blocks grow 1, 4, 16, 60 and no block is wider; at info level nothing is logged.
 
-        The block count with every column packed pins the widths: any block
+        The block count with every column taken pins the widths: any block
         wider than 60 would leave fewer blocks.
         """
         monkeypatch.setattr(rectilink.metrics, "_COLUMN_BLOCK", 60)
@@ -420,9 +420,9 @@ class TestRadiusColumnOrder:
         with caplog.at_level(logging.INFO, logger="rectilink"):
             radius_edge_scan(prep.graph, far)
         assert not caplog.records
-        edge, blocks, packed, rows = radius_log(caplog, prep.graph, far)
+        edge, blocks, taken, rows = radius_log(caplog, prep.graph, far)
         assert edge == reference.radius_edge_scan(prep.graph, unpacked(far)) is not None
-        assert packed == prep.graph.chi  # an open edge is left: every column is packed
+        assert taken == prep.graph.chi  # an open edge is left: every column is taken
         assert rows >= prep.graph.chi + blocks - 1  # the first block scans every row, each later one at least one
         assert blocks == 3 + -(-(prep.graph.chi - 21) // 60)  # 1 + 4 + 16 columns, then blocks of 60
 
@@ -436,10 +436,10 @@ class TestRadiusColumnOrder:
             assert _popcount(packed(far)).tolist() == far.sum(axis=1).tolist(), density
 
     def test_early_stop(self, grid60, caplog):
-        """At ``orrad`` on grid-60 seed 1 every edge is covered before the last column is packed."""
+        """At ``orrad`` on grid-60 seed 1 every edge is covered before the last column is taken."""
         prep = grid60[0]
-        edge, _, packed, _ = radius_log(caplog, prep.graph, prep.levels.far(prep.levels.extreme("radius")[0]))
-        assert edge is None and packed < prep.graph.chi
+        edge, _, taken, _ = radius_log(caplog, prep.graph, prep.levels.far(prep.levels.extreme("radius")[0]))
+        assert edge is None and taken < prep.graph.chi
 
 
 class TestFallback:
@@ -459,9 +459,11 @@ class TestFallback:
         res = compute("diameter", lshape.prep.levels, "edge-scan")
         assert res.engine == "edge-scan" and res.value == 2
 
-    def test_unknown_target(self, square):
+    def test_unknown_target(self, square, monkeypatch):
+        """The fallback checks no kind: on an instance it would be routed to, the router refuses one before it runs."""
+        monkeypatch.setattr(rectilink.metrics, "small_case_fallback", lambda *args: pytest.fail("fallback ran"))
         with pytest.raises(ValueError):
-            small_case_fallback(square.prep.levels, "girth")
+            compute("girth", square.prep.levels)
 
     @pytest.fixture(scope="class")
     def cases(self, fixtures, corpus):

@@ -112,6 +112,16 @@ class TestOracleExtremes:
         for inst in fixtures + corpus[:40]:
             assert len(inst.grid.faces()) == inst.prep.graph.chi
 
+    def test_faces_computed_once(self, monkeypatch):
+        """One read-only face array per grid serves the face table, both extremes and every eccentricity."""
+        grid = build_grid(parse_domain(DONUT))
+        calls, labels = [], GridModel._stack_labels
+        monkeypatch.setattr(GridModel, "_stack_labels", lambda self: calls.append(1) or labels(self))
+        diameter, radius = oracle_diameter(grid), oracle_radius(grid)
+        assert oracle_eccentricity(grid, radius.center) == radius.value
+        assert calls == [1] and grid.faces() is grid.faces() and not grid.faces().flags.writeable
+        assert all(type(c) is int for point in (*diameter.pair, radius.center) for c in point)
+
     def test_diameter_pair_realizes_value(self, donut):
         res = oracle_diameter(donut.grid)
         assert oracle_distance(donut.grid, *res.pair) == res.value
@@ -123,14 +133,14 @@ class TestOracleExtremes:
     def test_face_values_match_formula(self, fixtures, corpus):
         pairs = 0
         for inst in fixtures + corpus[::10]:
-            faces = inst.grid.faces()
-            values = inst.grid.face_values()
+            reps = list(map(tuple, inst.grid.faces().rep.tolist()))
+            values = inst.grid.face_values
             prep = inst.prep
-            for a, fa in enumerate(faces):
-                for b, fb in enumerate(faces):
+            for a, pa in enumerate(reps):
+                for b, pb in enumerate(reps):
                     if a != b:
-                        args = (prep.hdec, prep.vdec, prep.graph, fa.rep, fb.rep)
-                        assert values[a, b] == point_distance(*args), (inst.name, fa.rep, fb.rep)
+                        args = (prep.hdec, prep.vdec, prep.graph, pa, pb)
+                        assert values[a, b] == point_distance(*args), (inst.name, pa, pb)
                         pairs += 1
         assert pairs == 1674
 
@@ -188,9 +198,13 @@ class TestIndependenceDetails:
 
 
 def assert_matches_relaxation(grid: GridModel, name: str) -> None:
+    """The grid's face arrays, row by row, equal the relaxation's face records, and so do the face tables."""
     ref = RelaxationGrid(grid.xs, grid.ys, grid.inside)
-    assert grid.faces() == ref.faces(), name
-    assert np.array_equal(grid.face_values(), ref.face_values()), name
+    faces, want = grid.faces(), ref.faces()
+    assert faces.box.tolist() == [list(f.box) for f in want], name
+    assert faces.rep.tolist() == [list(f.rep) for f in want], name
+    assert faces.cell_id.tolist() == [int(grid._ids[f.cell]) for f in want], name
+    assert np.array_equal(grid.face_values, ref.face_values()), name
 
 
 class TestPassMatchesRelaxation:
@@ -223,10 +237,14 @@ class TestPassMatchesRelaxation:
             assert_matches_relaxation(build_grid(domain), f"block {block}")
 
     def test_one_source_costs(self, corpus):
-        """``costs_from`` one face cell at a time equals the relaxation's arrays."""
+        """``costs_from`` one face cell at a time equals the relaxation's arrays, from the same face cells."""
         for inst in corpus[:20]:
-            ref = RelaxationGrid(inst.grid.xs, inst.grid.ys, inst.grid.inside)
-            for face in inst.grid.faces():
-                got = inst.grid.costs_from(face.cell, cache=False)
+            grid = inst.grid
+            ref = RelaxationGrid(grid.xs, grid.ys, grid.inside)
+            cell_ids, faces = grid.faces().cell_id.tolist(), ref.faces()
+            assert len(cell_ids) == len(faces), inst.name
+            for cell_id, face in zip(cell_ids, faces):
+                assert grid._ids[face.cell] == cell_id, (inst.name, face.cell)
+                got = grid.costs_from(face.cell, cache=False)
                 want = ref.costs_from(face.cell, cache=False)
                 assert all(map(np.array_equal, got, want)), (inst.name, face.cell)

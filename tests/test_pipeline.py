@@ -10,10 +10,21 @@ import rectilink.graph
 import rectilink.metrics
 import rectilink.oracle
 import rectilink.pipeline
-from rectilink import OutsidePointError, RectilinkError, UnknownChoiceError, domain_to_instance, run_verify, solve
+from rectilink import (
+    InvalidDomainError,
+    OutsidePointError,
+    RectilinkError,
+    UnknownChoiceError,
+    decompose,
+    domain_to_instance,
+    parse_domain,
+    prepare,
+    run_verify,
+    solve,
+)
 from rectilink.cli import main
 from rectilink.graph import Levels
-from rectilink.metrics import DIAMETER_ALGOS, ORACLE, RADIUS_ALGOS, compute, small_case_fallback
+from rectilink.metrics import DIAMETER_ALGOS, ORACLE, RADIUS_ALGOS, compute
 
 ALGOS = {"diameter": DIAMETER_ALGOS + (ORACLE,), "radius": RADIUS_ALGOS + (ORACLE,)}
 VALUE_FIELDS = ("value", "engine", "routed_to_fallback", "witness")
@@ -125,7 +136,7 @@ class TestComputedOnce:
 
     def test_verify_validates_once(self, capsys, tmp_path, monkeypatch, donut, lshape):
         """``verify`` validates its domain once, inside the prepare stage it times; a bad domain still fails typed."""
-        calls = count_calls(monkeypatch, rectilink.geometry.require_valid)
+        calls = count_calls(monkeypatch, rectilink.geometry.validate)
         for path in write_instances(tmp_path, [donut, lshape]):
             calls.clear()
             assert cli_json(capsys, "verify", path)["timings"]["prepare_seconds"] > 0
@@ -134,6 +145,27 @@ class TestComputedOnce:
         bad.write_text(json.dumps({"outer": [[0, 0], [5, 0], [10, 0], [10, 10], [0, 10]]}))
         assert main(["verify", str(bad)]) == 1
         assert "alternation" in capsys.readouterr().err
+
+    def test_each_command_validates_once(self, capsys, tmp_path, monkeypatch, donut, lshape):
+        """Each command validates its domain once, on loading, however often it is checked after; ``prepare`` and
+        ``decompose`` still refuse a bad domain with the typed error."""
+        calls = count_calls(monkeypatch, rectilink.geometry.validate)
+        for path in write_instances(tmp_path, [donut, lshape]):
+            commands = [
+                ("diameter", path),
+                ("radius", path),
+                ("dist", path, "--p", "1.5,2.5", "--q", "2.5,8.5"),
+                ("bench", path),
+                ("render", path, "--witness", "radius"),
+            ]
+            for argv in commands:
+                calls.clear()
+                assert main(list(argv)) == 0, argv
+                capsys.readouterr()
+                assert len(calls) == 1, argv
+        for step in (prepare, decompose):
+            with pytest.raises(InvalidDomainError, match="alternation"):
+                step(parse_domain({"outer": [[0, 0], [5, 0], [10, 0], [10, 10], [0, 10]]}))
 
     def test_verify_prices_each_witness_once(self, monkeypatch, fixtures, corpus):
         """``run_verify`` asks the oracle once per distinct (kind, pair or centre, value) of its report."""
@@ -220,7 +252,6 @@ class TestTypedChoices:
             lambda: compute("diameter", prep.levels, "quantum"),
             lambda: compute("radius", prep.levels, "fast"),
             lambda: compute("girth", prep.levels, "matmul"),
-            lambda: small_case_fallback(prep.levels, "girth"),
         ]
         for call in calls:
             with pytest.raises(UnknownChoiceError) as info:

@@ -73,7 +73,7 @@ class TestFullCheckPastCorpus:
         words = block // 64
         tracemalloc.start()
         try:
-            values = grid.face_values()
+            values = grid.face_values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

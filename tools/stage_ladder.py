@@ -8,8 +8,9 @@ Each rung is ``gen_domain(GenParams(w, w, int(0.45 * w * w), holes=3,
 seed=s))`` for (w, s) in (40, 1000), (120, 1005), (200, 3).  Every stage is
 timed in-process, best of 7 after one warm-up call, in milliseconds:
 
-* ``parse``, ``validate``, ``sweeps`` (both decompositions), ``build_graph``
-  and ``all_pairs``;
+* ``parse``, ``validate`` (the check itself, which ``require_valid`` runs
+  once per domain and then reads from ``Domain.violations``), ``sweeps``
+  (both decompositions), ``build_graph`` and ``all_pairs``;
 * ``diameter`` and ``radius``: the extreme alone, on fresh ``Levels``, with
   any far relation its test reads;
 * ``far_ordiam`` and ``far_orrad``: ``Levels.far`` at each extreme's
@@ -29,7 +30,7 @@ import json
 import time
 
 from rectilink import GenParams, domain_to_instance, gen_domain, parse_domain
-from rectilink.geometry import horizontal_decomposition, require_valid, vertical_decomposition
+from rectilink.geometry import horizontal_decomposition, validate, vertical_decomposition
 from rectilink.graph import Levels, all_pairs, build_graph
 from rectilink.metrics import (
     diameter_edge_scan,
@@ -80,7 +81,7 @@ def rung(width: int, seed: int) -> dict:
     out |= {"ordiam": oriented["diameter"], "orrad": oriented["radius"]}
     ms = {
         "parse": best_ms(lambda: parse_domain(text)),
-        "validate": best_ms(lambda: require_valid(domain)),
+        "validate": best_ms(lambda: validate(domain)),
         "sweeps": best_ms(lambda: (horizontal_decomposition(domain), vertical_decomposition(domain))),
         "build_graph": best_ms(lambda: build_graph(hdec, vdec)),
         "all_pairs": best_ms(lambda: all_pairs(graph)),
