@@ -1,6 +1,7 @@
 """Rectilinear link distance, diameter and radius in rectilinear domains with holes."""
 
 from .errors import (
+    CappedLevelsError,
     DisconnectedGraphError,
     InstanceFormatError,
     InvalidDomainError,
@@ -29,6 +30,7 @@ from .svg import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
+    "CappedLevelsError",
     "Decomposition",
     "DiameterResult",
     "DisconnectedGraphError",

@@ -127,7 +127,7 @@ def _cmd_extreme(args) -> int:
     if args.algo == ORACLE:
         grid = build_grid(domain)
     else:
-        prep = prepare(domain)
+        prep = prepare(domain, args.command)
     prep_seconds = time.perf_counter() - t0
     solution = solve(args.command, args.algo, prep, grid)
     payload = solution.payload()
@@ -211,7 +211,7 @@ def _cmd_render(args) -> int:
     decomposition = None
     points: tuple[Point, ...] = ()
     if args.witness:
-        prep = prepare(domain)
+        prep = prepare(domain, args.witness)
         result = solve(args.witness, EDGE_SCAN, prep).result
         points = result.pair if args.witness == "diameter" else (result.center,)
         decomposition = {"H": prep.hdec, "V": prep.vdec}.get(args.dec)

@@ -25,6 +25,10 @@ class ResourceLimitError(RectilinkError):
     """The input exceeds a stated size limit; raised before anything is allocated."""
 
 
+class CappedLevelsError(RectilinkError):
+    """A far relation or extreme needs levels past those a radius-only search computed exactly."""
+
+
 class DisconnectedGraphError(RectilinkError):
     """Some rectangle cannot be reached in the crossing graph."""
 

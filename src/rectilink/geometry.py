@@ -89,7 +89,7 @@ class Domain:
     @cached_property
     def violations(self) -> tuple[str, ...]:
         """What :func:`validate` finds wrong with the domain, found once; empty when it is valid."""
-        return validate(self).violations
+        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,6 @@ class Decomposition:
     def rects(self) -> tuple[Rect, ...]:
         """The rows of ``boxes`` as :class:`Rect` objects, ``rects[i].id == i``, built when first read."""
         return tuple(Rect(i, self.orientation, *box) for i, box in enumerate(self.boxes.tolist()))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def signed_area2(points: np.ndarray) -> int:
@@ -349,11 +340,11 @@ def crossings(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def validate(domain: Domain) -> ValidationReport:
+def validate(domain: Domain) -> tuple[str, ...]:
     """Check alternation, simplicity, hole containment and general position, on :attr:`Domain.edge_table`.
 
-    Returns a report; an empty report means the domain is safe for every
-    downstream operation.  Each check runs once for both axes, the second
+    Returns the violations found, one message each; none means the domain
+    is safe for every downstream operation.  Each check runs once for both axes, the second
     axis's values shifted past the first's by ``2 * COORD_LIMIT + 1``.
     """
     table = domain.edge_table
@@ -433,7 +424,7 @@ def validate(domain: Domain) -> ValidationReport:
             violations.append(f"containment: hole {hi} is not inside the outer ring")
         elif ri != hi + 1:
             violations.append(f"containment: hole {hi} lies inside hole {ri - 1}")
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def require_valid(domain: Domain) -> None:

@@ -18,10 +18,12 @@ only the horizontal sources need a search.  The search advances every
 horizontal source one level per pass, 64 sources to a machine word, and
 stops gathering for targets that every source has reached, unless a level
 bound read off one breadth-first order says the levels are too many for the
-edges (a long corridor); then it searches from each source in turn.  Either
-way the result is :class:`Levels`, the levels as bit planes, 64 sources to a
-word.  No table is built: the engines decide on a far relation ``dm >= t``,
-which :meth:`Levels.far` reads off the planes as packed bits, the
+edges (a long corridor); then it searches from each source in turn.  A
+caller that reads only the radius stops the level search at the least
+eccentricity, past which the radius reads no level.  Either way the result
+is :class:`Levels`, the levels as bit planes, 64 sources to a word.  No
+table is built: the engines decide on a far relation ``dm >= t``, which
+:meth:`Levels.far` reads off the planes as packed bits, the
 vertical-to-horizontal block by a bit-sliced compare, the
 horizontal-to-vertical block as its transpose, and the vertical-to-vertical
 block as one AND over the crossing edges, since every path out of a
@@ -47,7 +49,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from .errors import DisconnectedGraphError, ResourceLimitError
+from .errors import CappedLevelsError, DisconnectedGraphError, ResourceLimitError
 from .geometry import Decomposition, Orientation, blocks, crossings
 
 log = logging.getLogger("rectilink")
@@ -183,12 +185,14 @@ def _check_memory(graph: OrientedGraph, bound: int) -> None:
         )
 
 
-def _source_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
+def _source_search(graph: OrientedGraph, stop_from: int | None = None) -> tuple[list[np.ndarray], int, None]:
     """The bit planes of :func:`_level_search`, from a scipy search out of each horizontal source.
 
     ``CHUNK`` sources, rounded up to whole words, are searched at a time,
-    and each bit of their levels is packed into its plane.  Returns the
-    planes and 0: no target is skipped.
+    and each bit of their levels is packed into its plane.  Each chunk's
+    search runs to its last level, so ``stop_from`` changes nothing.
+    Returns the planes, 0 (no target is skipped) and None (every level is
+    exact).
     """
     m, nh, sparse = graph.m, graph.nh, _sparse(graph)
     words, step = -(-nh // 64), 64 * -(-CHUNK // 64)
@@ -201,7 +205,7 @@ def _source_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
                 planes.append(np.zeros((m, words), dtype=np.uint64))
             bits = np.packbits(levels >> p & 1, axis=1, bitorder="little")
             planes[p - 1].view(np.uint8)[:, start // 8 : start // 8 + bits.shape[1]] = bits
-    return planes, 0
+    return planes, 0, None
 
 
 def _groups(ptr: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
@@ -232,7 +236,7 @@ def _group_reduce(ufunc: np.ufunc, rows: np.ndarray, groups):
         yield a, b, ufunc.reduceat(rows.take(nbr[ptr[a] : ptr[b]], axis=0), ptr[a:b] - ptr[a], axis=0)
 
 
-def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
+def _level_search(graph: OrientedGraph, stop_from: int | None = None) -> tuple[list[np.ndarray], int, int | None]:
     """The levels from every horizontal source, as bit planes, by one search from all of them at once.
 
     Every rectangle keeps a ``reached`` bitset over the sources, ``W =
@@ -249,14 +253,29 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
     open targets against the full source mask, and once more than a quarter
     of them are saturated, it rebuilds the side's CSR groups for the rest;
     later levels on that side gather only those.  Below that size the test
-    costs more than it saves.
+    costs more than it saves, and so it does in a search that stops at the
+    radius (below): a target saturates only once every source lies within
+    the level, which makes one of its neighbours' or its own eccentricity
+    at most two above it, so no target saturates before level ``R - 2``.
 
     A new bit's level goes into bit planes, plane ``p - 1`` holding bit
     ``p`` of the level, so a level touches only the planes of its set bits.
     Bit 0 is the target's side, horizontal targets sitting at odd levels and
-    vertical ones at even levels, so it needs no plane.  Returns the planes,
-    ``(m, W)`` words each, and the number of target gathers skipped.  The
-    graph must be connected, so that no group is empty.
+    vertical ones at even levels, so it needs no plane.
+
+    With ``stop_from``, the search stops after the first level ``R`` at
+    which some source has reached every rectangle, testing from level
+    ``stop_from`` on, which must not exceed ``R``: ``R`` is the least
+    eccentricity of a horizontal rectangle, and the radius reads no level
+    past it.  Every pair not reached by then is at ``R + 1`` or more, so it
+    is written as the least level above ``R`` of its row's side, its bits
+    masked to the sources so that the pad bits stay clear.  The planes then
+    give every far relation ``dm >= t`` exactly for ``t <= R + 1``, the cap,
+    and every eccentricity exactly where it is ``R``.
+
+    Returns the planes, ``(m, W)`` words each, the number of target gathers
+    skipped and the cap, or None when every level was searched.  The graph
+    must be connected, so that no group is empty.
     """
     m, nh, chi = graph.m, graph.nh, graph.chi
     words = -(-nh // 64)
@@ -265,14 +284,23 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
     ids = np.arange(nh)
     reached.view(np.uint8)[ids, ids >> 3] = np.left_shift(1, ids & 7)
     full = np.bitwise_or.reduce(reached[:nh], axis=0)
-    prune, skipped = chi > 4 * CHUNK, 0
+    prune, skipped = chi > 4 * CHUNK and stop_from is None, 0
     # per target side: its rows, the open targets (None: all) and their CSR groups with the neighbours as
     # rows of the other side's frontier
     sides = [
         (slice(0, nh), None, _groups(indptr[: nh + 1], indices[:chi] - nh)),
         (slice(nh, m), None, _groups(indptr[nh:], indices)),
     ]
-    planes = []
+    planes: list[np.ndarray] = []
+
+    def write(rows: slice, bits: np.ndarray, level: int) -> None:
+        """OR ``bits`` into the rows ``rows`` of the planes of ``level``'s set bits, bit 0 aside."""
+        for p in range(1, level.bit_length()):
+            if level >> p & 1:
+                while p > len(planes):
+                    planes.append(np.zeros_like(reached))
+                planes[p - 1][rows] |= bits
+
     frontier = reached[:nh].copy()
     for level in range(2, m + 1):
         side = 1 - level % 2
@@ -285,20 +313,20 @@ def _level_search(graph: OrientedGraph) -> tuple[list[np.ndarray], int]:
         if not new.any():
             break
         targets |= new
-        for p in range(1, level.bit_length()):
-            if level >> p & 1:
-                if p > len(planes):
-                    planes.append(np.zeros_like(reached))
-                planes[p - 1][rows] |= new
+        write(rows, new, level)
         frontier = new
         if open_ids is not None:
             skipped += len(new) - len(open_ids)
+        if stop_from is not None and level >= stop_from and np.bitwise_and.reduce(reached, axis=0).any():
+            for k, (part, _, _) in enumerate(sides):  # horizontal rows sit at odd levels, vertical ones at even
+                write(part, full & ~reached[part], level + 1 + (level + k) % 2)
+            return planes, skipped, level + 1
         if prune:
             saturated = ((targets if open_ids is None else targets[open_ids]) == full).all(axis=1)
             if 4 * np.count_nonzero(saturated) > len(saturated):
                 keep = np.flatnonzero(~saturated)
                 sides[side] = (rows, keep if open_ids is None else open_ids[keep], _open_groups(*groups[:2], keep))
-    return planes, skipped
+    return planes, skipped, None
 
 
 def _select_search(graph: OrientedGraph):
@@ -404,10 +432,16 @@ class Levels:
     :meth:`extreme` computes the oriented diameter or radius on first use,
     from the horizontal eccentricities, computed once, and at most one row
     read of a far relation.
+
+    A search stopped at the radius (``all_pairs(graph, "radius")``) sets
+    ``cap``: the levels past it are clamped, so :meth:`far` is exact up to
+    ``t = cap`` and refuses any larger ``t``, and :meth:`extreme` gives the
+    radius only; both refusals raise :class:`~rectilink.CappedLevelsError`.
     """
 
     graph: OrientedGraph
     planes: tuple[np.ndarray, ...]
+    cap: int | None = None  # the largest exact threshold, or None: every level
     _far: dict = field(default_factory=dict, init=False, repr=False)  # threshold -> far relation
     _extremes: dict = field(default_factory=dict, init=False, repr=False)  # kind -> extreme
 
@@ -458,6 +492,11 @@ class Levels:
         in one :func:`_transpose_bits` call, side by side, so a small graph
         pays its fixed cost once.  Computed once per threshold.
         """
+        if self.cap is not None and t > self.cap:
+            raise CappedLevelsError(
+                f"far({t}) needs levels past {self.cap - 1}, where the search stopped for the radius;"
+                " prepare the domain without kind='radius'"
+            )
         if t not in self._far:
             g = self.graph
             nh, nv = g.nh, g.m - g.nh
@@ -527,6 +566,11 @@ class Levels:
         row of one far relation, and mostly there is none.
         """
         if kind not in self._extremes:
+            if kind == "diameter" and self.cap is not None:
+                raise CappedLevelsError(
+                    "the diameter needs every level, and the search stopped at the radius;"
+                    " prepare the domain without kind='radius'"
+                )
             self._extremes[kind] = self._diameter() if kind == "diameter" else self._radius()
         return self._extremes[kind]
 
@@ -559,13 +603,23 @@ class Levels:
         return low, (int(np.argmin(ecc)),)
 
 
-def all_pairs(graph: OrientedGraph) -> Levels:
+def all_pairs(graph: OrientedGraph, kind: str | None = None) -> Levels:
     """The oriented distances to the horizontal rectangles, as the bit planes of one search from them.
 
     The table is symmetric and every path out of a vertical rectangle
     starts with an edge to a horizontal one, so these rows determine the
     rest: :meth:`Levels.far` reads any threshold's far relation off them,
     and no table is built.
+
+    ``kind`` is the one extreme the caller will read.  With ``"radius"``,
+    the level search stops at the least eccentricity ``R`` of a horizontal
+    rectangle, about half of ``ordiam``, since the radius and its engines
+    read no far relation past ``R``; the result is capped at ``R + 1``
+    (:class:`Levels`).  Any other ``kind`` searches every level.  The
+    search tests for ``R`` only from level ``(bound + 1) // 4 + 1`` on,
+    with ``bound = 2 * e + 1`` below: by the triangle inequality through
+    the rectangle ``e`` hops from rectangle 0, every rectangle has some
+    rectangle ``ceil(e / 2)`` hops away, so no eccentricity is lower.
 
     The search is one of two.  The level search (:func:`_level_search`)
     advances all ``nh`` sources one level per pass, 64 to a machine word,
@@ -593,20 +647,21 @@ def all_pairs(graph: OrientedGraph) -> Levels:
     of the planes, the reached sets and one far relation are checked against
     physical memory before either search allocates.
 
-    The search chosen, its bound, the planes and the targets the level
-    search skipped as saturated go to the debug log.
+    The search chosen, its bound, the planes, the targets the level search
+    skipped as saturated and where it stopped go to the debug log.
     """
     search, bound = _select_search(graph)
     _check_memory(graph, bound)
-    planes, skipped = search(graph)
+    planes, skipped, cap = search(graph, (bound + 1) // 4 + 1 if kind == "radius" else None)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "all_pairs: %s search, level bound %d, %d planes, %d targets skipped as saturated, m=%d, chi=%d",
+            "all_pairs: %s search, level bound %d, %d planes, %d targets skipped as saturated, %s, m=%d, chi=%d",
             "level" if search is _level_search else "per-source",
             bound,
             len(planes),
             skipped,
+            "every level" if cap is None else f"stopped at level {cap - 1}, cap {cap}",
             graph.m,
             graph.chi,
         )
-    return Levels(graph, tuple(planes))
+    return Levels(graph, tuple(planes), cap)

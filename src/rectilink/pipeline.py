@@ -2,7 +2,8 @@
 
 :func:`decompose` runs the pipeline up to the crossing graph, which is all a
 point query searches.  :func:`prepare` goes on to the oriented distances,
-as the level search's bit planes, once per domain.  :func:`solve` is the one
+as the level search's bit planes, once per domain, and only up to the
+radius for a caller that reads the radius alone.  :func:`solve` is the one
 way to a diameter or radius: an engine through the router (from the
 prepared planes, which compute ``ordiam`` or ``orrad`` when the router first
 asks) or the cut-grid oracle (from the grid).  Every command reaches the
@@ -50,12 +51,15 @@ def decompose(domain: Domain) -> tuple[Decomposition, Decomposition, OrientedGra
     return hdec, vdec, build_graph(hdec, vdec)
 
 
-def prepare(domain: Domain) -> Prepared:
+def prepare(domain: Domain, kind: str | None = None) -> Prepared:
     """Decompositions, crossing graph and all-pairs distances (as bit planes) of a valid domain, each stage timed.
 
-    Raises :class:`~rectilink.InvalidDomainError` for an invalid domain.  The
-    ``decompose`` stage includes the check, which runs once per domain
-    (:attr:`~rectilink.geometry.Domain.violations`).
+    ``kind`` is the one extreme the caller will read: with ``"radius"`` the
+    all-pairs search stops at the radius and the levels give the radius
+    only (:func:`~rectilink.graph.all_pairs`); otherwise every level is
+    searched.  Raises :class:`~rectilink.InvalidDomainError` for an invalid
+    domain.  The ``decompose`` stage includes the check, which runs once per
+    domain (:attr:`~rectilink.geometry.Domain.violations`).
     """
     t0 = time.perf_counter()
     require_valid(domain)
@@ -63,7 +67,7 @@ def prepare(domain: Domain) -> Prepared:
     t1 = time.perf_counter()
     graph = build_graph(hdec, vdec)
     t2 = time.perf_counter()
-    levels = all_pairs(graph)
+    levels = all_pairs(graph, kind)
     seconds = {"decompose": t1 - t0, "graph": t2 - t1, "all_pairs": time.perf_counter() - t2}
     return Prepared(domain, hdec, vdec, graph, levels, seconds)
 

@@ -40,7 +40,7 @@ from sortedcontainers import SortedList
 from rectilink import geometry, metrics
 from rectilink.errors import InstanceFormatError, InvalidDomainError, OutsidePointError, UnknownChoiceError
 from rectilink.generator import GenParams
-from rectilink.geometry import COORD_LIMIT, SCALE, Domain, Orientation, Point, Rect, ValidationReport, blocks
+from rectilink.geometry import COORD_LIMIT, SCALE, Domain, Orientation, Point, Rect, blocks
 from rectilink.graph import Levels, OrientedGraph
 from rectilink.metrics import FALLBACK, DiameterResult, RadiusResult, generic_pair_in_box
 from rectilink.oracle import GridModel
@@ -795,10 +795,10 @@ def _edge_arrays(domain: Domain):
     )
 
 
-def validate(domain: Domain) -> ValidationReport:
+def validate(domain: Domain) -> tuple[str, ...]:
     """Check alternation, simplicity, hole containment and general position.
 
-    Returns a report; an empty report means the domain is safe for every
+    Returns the violations found; none means the domain is safe for every
     downstream operation.
     """
     violations: list[str] = []
@@ -884,7 +884,7 @@ def validate(domain: Domain) -> ValidationReport:
             if hi != hj and _point_in_ring(probe, other):
                 violations.append(f"containment: hole {hi} lies inside hole {hj}")
 
-    return ValidationReport(tuple(violations))
+    return tuple(violations)
 
 
 def build_grid(domain: Domain) -> GridModel:
@@ -1469,7 +1469,7 @@ def gen_domain(params: GenParams) -> Domain:
         "holes": [[[x, y] for x, y in ring] for ring in perturbed[1:]],
     }
     domain = geometry.parse_domain(instance)
-    report = geometry.validate(domain)
-    if not report.ok:  # pragma: no cover - construction guarantees validity
-        raise RuntimeError(f"generated domain failed validation: {report.violations}")
+    violations = geometry.validate(domain)
+    if violations:  # pragma: no cover - construction guarantees validity
+        raise RuntimeError(f"generated domain failed validation: {violations}")
     return domain

@@ -11,6 +11,7 @@ from conftest import DONUT
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = [
+    "CappedLevelsError",
     "Decomposition",
     "DiameterResult",
     "DisconnectedGraphError",

@@ -246,7 +246,7 @@ class TestParseMatchesReference:
 class TestValidate:
     @pytest.mark.parametrize("inst", [SQUARE, LSHAPE, DONUT], ids=["square", "lshape", "donut"])
     def test_fixtures_clean(self, inst):
-        assert validate(parse_domain(inst)).ok
+        assert not validate(parse_domain(inst))
 
     def test_general_position_flagged(self):
         # hole corner shares x=6 with nothing adjacent; outer has a vertex at x=6
@@ -254,13 +254,13 @@ class TestValidate:
             "outer": [[0, 0], [6, 0], [6, -2], [14, -2], [14, 14], [0, 14]],
             "holes": [[[6, 6], [8, 6], [8, 8], [6, 8]]],
         }
-        assert validate(parse_domain(inst)).violations == (
+        assert validate(parse_domain(inst)) == (
             "general position: 4 vertices share x=6 without being joined by an edge",
         )
 
     def test_alternation_flagged(self):
         inst = {"outer": [[0, 0], [5, 0], [10, 0], [10, 10], [0, 10]]}
-        assert validate(parse_domain(inst)).violations == (
+        assert validate(parse_domain(inst)) == (
             "alternation: outer has an odd vertex count",
             "alternation: outer has consecutive H edges at vertex 1",
             "general position: 3 vertices share y=0 without being joined by an edge",
@@ -272,7 +272,7 @@ class TestValidate:
             "outer": [[0, 0], [14, 0], [14, 14], [0, 14]],
             "holes": [[[0, 6], [2, 6], [2, 8], [0, 8]]],
         }
-        assert validate(parse_domain(inst)).violations == (
+        assert validate(parse_domain(inst)) == (
             "general position: 4 vertices share x=0 without being joined by an edge",
             "simplicity: two vertical edges touch on line 0",
             "simplicity: edge contact between a horizontal edge of ring 1 and a vertical edge of ring 0",
@@ -284,7 +284,7 @@ class TestValidate:
             "outer": [[0, 0], [14, 0], [14, 14], [0, 14]],
             "holes": [[[20, 20], [22, 20], [22, 22], [20, 22]]],
         }
-        assert validate(parse_domain(inst)).violations == ("containment: hole 0 is not inside the outer ring",)
+        assert validate(parse_domain(inst)) == ("containment: hole 0 is not inside the outer ring",)
 
     def test_self_touching_ring_flagged(self):
         # bowtie-like rectilinear ring touching itself at (4, 4)
@@ -293,7 +293,7 @@ class TestValidate:
                 [0, 0], [4, 0], [4, 4], [8, 4], [8, 8], [4, 8], [4, 4], [0, 4],
             ]
         }
-        assert validate(parse_domain(inst)).violations == (
+        assert validate(parse_domain(inst)) == (
             "general position: 4 vertices share x=4 without being joined by an edge",
             "general position: 4 vertices share y=4 without being joined by an edge",
             "simplicity: two horizontal edges touch on line 4",
@@ -368,8 +368,8 @@ class TestValidateMatchesReference:
         kinds = Counter()
         for _ in range(2500):
             domain = parse_domain(fuzz_instance(rng))
-            expected = reference.validate(domain).violations
-            assert validate(domain).violations == expected, domain_to_instance(domain)
+            expected = reference.validate(domain)
+            assert validate(domain) == expected, domain_to_instance(domain)
             for kind, prefix in self.KINDS.items():
                 kinds[kind] += sum(v.startswith(prefix) for v in expected)
         assert all(kinds[kind] for kind in self.KINDS), kinds
@@ -379,11 +379,11 @@ class TestValidateMatchesReference:
         domain = parse_domain(comb(2000))
         tracemalloc.start()
         try:
-            report = validate(domain)
+            violations = validate(domain)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.ok
+        assert not violations
         assert peak < 4 * 2**20, peak
 
 

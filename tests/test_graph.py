@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rectilink import (
+    CappedLevelsError,
     Decomposition,
     DisconnectedGraphError,
     GenParams,
@@ -439,6 +440,74 @@ class TestSelection:
             "all_pairs: level search",
         ]
         assert "level bound 257" in caplog.records[0].getMessage()
+
+
+def stop_of(record):
+    """The level where the search stopped and its cap, read off the ``all_pairs`` debug line; None for every level."""
+    message = record.getMessage()
+    if ", every level," in message:
+        return None
+    level, cap = re.search(r"stopped at level (\d+), cap (\d+)", message).groups()
+    return int(level), int(cap)
+
+
+class TestRadiusCap:
+    """``all_pairs(g, "radius")`` stops the level search at the least horizontal eccentricity and is exact to it."""
+
+    def capped_and_full(self, g, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rectilink"):
+            capped = all_pairs(g, "radius")
+            full = all_pairs(g)
+        return capped, full, [stop_of(r) for r in caplog.records]
+
+    def test_matches_full_search(self, corpus, grid40, caplog):
+        """The corpus, the grid-40 seeds 1000-1003, combs with ``orrad < 4`` (which the fallback takes) and short
+        corridors, spirals and perforated squares, where the least eccentricity can sit at the level from which
+        the search tests for it: the same radius and centre, and the same far words at every threshold up to the
+        cap, which the log names."""
+        assert len(grid40) == 32  # seeds 1000-1031 all generate, so the first four are seeds 1000-1003
+        graphs = [inst.prep.graph for inst in corpus] + [prep.graph for prep in grid40[:4]]
+        shapes = [staircase(k) for k in (1, 2, 3, 16, 31)] + [spiral(k) for k in (3, 4, 12)]
+        graphs += [decompose(parse_domain(shape))[2] for shape in shapes + [perforated(k) for k in (1, 2, 11)]]
+        graphs += [decompose_comb(k)[2] for k in (2, 5, 20)]
+        for k, g in enumerate(graphs):
+            capped, full, stops = self.capped_and_full(g, caplog)
+            least = int(full._eccentricities[0].min())
+            assert stops == [(least, least + 1), None], k
+            assert capped.cap == least + 1
+            assert capped.extreme("radius") == full.extreme("radius"), k
+            for t in range(2, capped.cap + 1):
+                assert np.array_equal(capped.far(t), full.far(t)), (k, t)
+        assert all(all_pairs(g, "radius").extreme("radius")[0] < 4 for g in graphs[-3:])
+
+    def test_corridors_search_every_level(self, caplog):
+        """The per-source search has no early stop: staircase corridors get the full planes, uncapped."""
+        for k in (64, 100):
+            g = staircase_graph(k)
+            capped, full, stops = self.capped_and_full(g, caplog)
+            assert stops == [None, None] and capped.cap is None
+            assert all(np.array_equal(a, b) for a, b in zip(capped.planes, full.planes, strict=True))
+            assert capped.extreme("radius") == full.extreme("radius")
+            assert capped.extreme("diameter") == full.extreme("diameter")
+
+    def test_pad_bits_clear(self, grid40):
+        """The pairs filled in past the stop are masked to the sources: no plane sets a bit past column ``nh``."""
+        g = grid40[0].graph
+        for plane in all_pairs(g, "radius").planes:
+            bits = np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")
+            assert not bits[:, g.nh :].any()
+
+    def test_refused_past_the_cap(self, donut, grid40):
+        assert issubclass(CappedLevelsError, RectilinkError)
+        for g in (donut.prep.graph, grid40[0].graph):
+            levels = all_pairs(g, "radius")
+            levels.far(levels.cap)
+            with pytest.raises(CappedLevelsError, match=f"far\\({levels.cap + 1}\\)"):
+                levels.far(levels.cap + 1)
+            with pytest.raises(CappedLevelsError, match="diameter"):
+                levels.extreme("diameter")
+            assert all_pairs(g, "diameter").cap is None
 
 
 class TestStaircase:

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import rectilink.metrics
-from rectilink import GenParams, gen_domain, oracle_distance, parse_domain, point_distance
+from rectilink import CappedLevelsError, GenParams, gen_domain, oracle_distance, parse_domain, point_distance
 from rectilink.crossing import CrossingStore
 from rectilink.geometry import Decomposition, Orientation, locate
 from rectilink.graph import all_pairs, build_graph
-from rectilink.pipeline import decompose, prepare
+from rectilink.pipeline import decompose, prepare, solve
 from rectilink.metrics import (
     _edge_products,
     _far_products,
@@ -748,6 +748,28 @@ class TestWitnesses:
         res = edge_scan(donut, "diameter")
         i, j = res.witness_rects
         assert levels_table(donut.prep.levels)[i, j] == donut.prep.levels.extreme("diameter")[0]
+
+
+class TestCappedRadius:
+    """``prepare(domain, "radius")`` stops the search at the radius and gives the full search's radius payload."""
+
+    def test_same_payload(self, corpus, grid40):
+        """Both engines on the corpus, the grid-40 seeds 1000-1003 and combs, the fallback included."""
+        domains = [inst.domain for inst in corpus] + [prep.domain for prep in grid40[:4]]
+        domains += [parse_domain(comb(k)) for k in (2, 5, 20)]
+        routed = 0
+        for k, domain in enumerate(domains):
+            full, capped = prepare(domain), prepare(domain, "radius")
+            assert capped.levels.cap is not None, k
+            for algo in ("edge-scan", "matmul"):
+                solution = solve("radius", algo, capped)
+                assert solution.payload() == solve("radius", algo, full).payload(), (k, algo)
+                routed += solution.routed
+        assert routed >= 2 * 3
+
+    def test_diameter_refused(self, donut):
+        with pytest.raises(CappedLevelsError):
+            solve("diameter", "edge-scan", prepare(donut.domain, "radius"))
 
 
 class TestEngineAgreement:

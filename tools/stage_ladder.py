@@ -10,7 +10,9 @@ timed in-process, best of 7 after one warm-up call, in milliseconds:
 
 * ``parse``, ``validate`` (the check itself, which ``require_valid`` runs
   once per domain and then reads from ``Domain.violations``), ``sweeps``
-  (both decompositions), ``build_graph`` and ``all_pairs``;
+  (both decompositions), ``build_graph``, ``all_pairs`` and
+  ``all_pairs_radius`` (the search stopped at the radius, as the ``radius``
+  command runs it);
 * ``diameter`` and ``radius``: the extreme alone, on fresh ``Levels``, with
   any far relation its test reads;
 * ``far_ordiam`` and ``far_orrad``: ``Levels.far`` at each extreme's
@@ -65,8 +67,13 @@ def extreme_and_far(levels: Levels, kind: str, t: int) -> None:
     levels.far(t)
 
 
+def rung_domain(width: int, seed: int):
+    """The generated domain of the rung (``width``, ``seed``)."""
+    return gen_domain(GenParams(width, width, int(0.45 * width * width), holes=3, seed=seed))
+
+
 def rung(width: int, seed: int) -> dict:
-    domain = gen_domain(GenParams(width, width, int(0.45 * width * width), holes=3, seed=seed))
+    domain = rung_domain(width, seed)
     text = json.dumps(domain_to_instance(domain))
     hdec, vdec = horizontal_decomposition(domain), vertical_decomposition(domain)
     graph = build_graph(hdec, vdec)
@@ -85,6 +92,7 @@ def rung(width: int, seed: int) -> dict:
         "sweeps": best_ms(lambda: (horizontal_decomposition(domain), vertical_decomposition(domain))),
         "build_graph": best_ms(lambda: build_graph(hdec, vdec)),
         "all_pairs": best_ms(lambda: all_pairs(graph)),
+        "all_pairs_radius": best_ms(lambda: all_pairs(graph, "radius")),
     }
     for kind, engines in ENGINES.items():
         t, name = oriented[kind], "ordiam" if kind == "diameter" else "orrad"
