@@ -9,7 +9,10 @@ between generic points are exact; diameter and radius are evaluated over one
 representative per overlay face, which the model derives on its own by merging
 stacked grid runs that no boundary chord separates.  The faces are computed
 once per grid, as one record array (:meth:`GridModel.faces`): each face's box,
-representative and the inside cell the representative lies in.
+representative and the inside cell the representative lies in.  Both extremes
+read each face's eccentricity and the first face at it, kept from one pass over
+blocks of source faces: at most ``max(cells, _BLOCK_CELL_WORDS)`` words per word
+array and ``2 * faces * block`` level entries at a time, never a faces² table.
 """
 
 from __future__ import annotations
@@ -160,24 +163,22 @@ class GridModel:
         """
         return self._faces
 
-    @cached_property
-    def face_values(self) -> np.ndarray:
-        """Read-only link distances between face representatives; 2 on the diagonal.
-
-        Built one block of source faces at a time, one pass per block: each
-        word array of a pass holds at most ``max(cells, _BLOCK_CELL_WORDS)``
-        words, and each level array ``2 * faces * block`` entries.
-        """
+    def _face_rows(self):
+        """The face table's rows, one pass per block of source faces: representatives' distances, 2 on the diagonal."""
         faces = self.faces()
         ids, reps = faces.cell_id, faces.rep
-        values = np.empty((len(ids), len(ids)), dtype=self._level_dtype)
         block = _block_sources(len(self._iy))
         for start in range(0, len(ids), block):
             rows = slice(start, start + block)
-            values[rows] = _prices(*self._levels(ids[rows], ids), reps[rows], reps)
-        np.fill_diagonal(values, 2)
-        values.flags.writeable = False
-        return values
+            values = _prices(*self._levels(ids[rows], ids), reps[rows], reps)
+            np.fill_diagonal(values[:, rows], 2)
+            yield values
+
+    @cached_property
+    def _farthest(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per face, its row maximum in the face table and the first face at it, from one pass over the rows."""
+        blocks = [(values.max(axis=1), values.argmax(axis=1)) for values in self._face_rows()]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
 
     def _stack_labels(self) -> np.ndarray:
         """Per run, the lowest run of its stack.
@@ -295,26 +296,25 @@ def oracle_eccentricity(grid: GridModel, p: Point) -> int:
 
 
 def oracle_diameter(grid: GridModel) -> DiameterResult:
-    """Exhaustive max over face representatives (same-face pairs contribute 2)."""
-    faces, values = grid.faces(), grid.face_values
-    a, b = divmod(int(np.argmax(values)), len(faces))
-    value = max(2, int(values[a, b]))
-    if a != b and values[a, b] >= 2:
+    """Exhaustive max over face representatives (same-face pairs contribute 2), at the table's first maximum."""
+    faces, (ecc, farthest) = grid.faces(), grid._farthest
+    a = int(np.argmax(ecc))
+    b = int(farthest[a])
+    if a != b:
         pair = tuple(map(tuple, faces.rep[[a, b]].tolist()))
     else:
         box = faces.box
         biggest = int(np.argmax((box[:, 1] - box[:, 0]) * (box[:, 3] - box[:, 2])))
         pair = generic_pair_in_box(tuple(box[biggest].tolist()))
-    return DiameterResult(value=value, pair=pair, witness_rects=(), engine=ORACLE)
+    return DiameterResult(value=int(ecc[a]), pair=pair, witness_rects=(), engine=ORACLE)
 
 
 def oracle_radius(grid: GridModel) -> RadiusResult:
     """Exhaustive min-max over face representatives."""
-    values = grid.face_values
-    ecc = values.max(axis=1) if len(values) > 1 else np.array([2])
+    ecc = grid._farthest[0]
     best = int(np.argmin(ecc))
     return RadiusResult(
-        value=max(2, int(ecc[best])),
+        value=int(ecc[best]),
         center=tuple(grid.faces().rep[best].tolist()),
         witness=("face", ()),
         engine=ORACLE,

@@ -413,6 +413,13 @@ class TestSearches:
                 dm = search_table(g, search)
                 assert np.array_equal(dm, expected), (seed, chunk)
 
+    def test_grid120(self, search):
+        """An extremes-large benchmark instance (grid 120, seed 1005): the same planes as the other search."""
+        g = decompose(grid120_domain())[2]
+        other = _source_search if search is _level_search else _level_search
+        got, want = search(g)[0], other(g)[0]
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
 
 class TestSelection:
     """The level bound sends corridors to the per-source search and generated domains to the level search."""

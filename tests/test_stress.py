@@ -59,13 +59,15 @@ class TestFullCheckPastCorpus:
         assert_engines_equal_oracle(run_verify(prep.domain))
 
     def test_grid40_face_table_memory(self, grid40):
-        """The face-table pass holds the table and one block's arrays, nothing of order faces squared besides.
+        """The pass behind the oracle's extremes holds per-face arrays and one block's arrays, nothing of order faces².
 
         A pass from a block of ``64 * words`` sources holds at most about 40
         word arrays of ``cells * words`` words (the sources, the gathered and
         per-run words and the bit planes; there are at most ``2 * cells``
         runs), and its levels and prices about 16 bytes per (face, source)
-        entry.  A dense faces-by-faces int64 intermediate would exceed this.
+        entry.  The two per-face arrays, each face's eccentricity and first
+        farthest face, are held twice: per block and joined.  The face table
+        alone, faces² entries, exceeds what the pass may hold.
         """
         grid = build_grid(grid40[0].domain)
         faces, cells = len(grid.faces()), int(grid.inside.sum())
@@ -73,14 +75,14 @@ class TestFullCheckPastCorpus:
         words = block // 64
         tracemalloc.start()
         try:
-            values = grid.face_values
+            ecc, farthest = grid._farthest
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = values.nbytes + 40 * 8 * cells * words + 16 * faces * block
-        assert values.nbytes == faces * faces * values.itemsize
+        bound = 40 * 8 * cells * words + 16 * faces * block + 2 * (ecc.nbytes + farthest.nbytes)
+        assert len(ecc) == len(farthest) == faces
         assert peak <= bound, (peak, bound, faces, cells, words)
-        assert peak < values.nbytes + faces * faces * 8
+        assert peak < faces * faces * ecc.itemsize, (peak, faces)
 
 
 class TestRareShapes:

@@ -1,4 +1,4 @@
-"""Three sha256 digests of what the engines decide, to show that a change left every value field as it was.
+"""Four sha256 digests of what the engines decide, to show that a change left every value field as it was.
 
 Run from the root of a checkout::
 
@@ -15,6 +15,11 @@ Run from the root of a checkout::
   ``timings``, for both engines on each corpus instance and each ladder rung.
   It runs only the CLI, so it compares what a command prints whatever the
   library inside it does.
+* ``oracle``: the oracle's diameter and radius payloads, through
+  ``solve(kind, "oracle", grid=...)``, on the grid-40 rung, the test suite's
+  dumbbell and its five medium domains (``medium_domain(101..105)``), past
+  the corpus.  Each witness is the first face to attain its extreme, so this
+  pins the order in which the faces are searched as well as the values.
 
 Run it on the parent and on the change; equal digests mean equal decisions.
 Each digest reads only the checkout's ``tests`` and ``tools``, and the
@@ -32,12 +37,12 @@ from pathlib import Path
 
 import numpy as np
 
-from rectilink import domain_to_instance, prepare, run_verify
+from rectilink import build_grid, domain_to_instance, parse_domain, prepare, run_verify, solve
 
 from stage_ladder import ENGINES, LADDER, rung_domain
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import CORPUS_SIZE, corpus_domain  # noqa: E402
+from conftest import CORPUS_SIZE, DUMBBELL, corpus_domain, medium_domain  # noqa: E402
 from test_golden import run, strip  # noqa: E402
 
 
@@ -78,8 +83,23 @@ def radius_commands():
                 yield name, algo, run(["radius", str(path), "--algo", algo])
 
 
+def oracle_payloads():
+    width, seed = LADDER[0]
+    domains = [(f"grid{width}", rung_domain(width, seed)), ("dumbbell", parse_domain(DUMBBELL))]
+    domains += [(f"medium-{seed}", medium_domain(seed)) for seed in range(101, 106)]
+    for name, domain in domains:
+        grid = build_grid(domain)
+        for kind in ("diameter", "radius"):
+            yield name, kind, solve(kind, "oracle", grid=grid).payload()
+
+
 def main() -> None:
-    digests = {"verify": verify_reports, "decisions": ladder_decisions, "radius": radius_commands}
+    digests = {
+        "verify": verify_reports,
+        "decisions": ladder_decisions,
+        "radius": radius_commands,
+        "oracle": oracle_payloads,
+    }
     print(json.dumps({name: digest(records()) for name, records in digests.items()}))
 
 
