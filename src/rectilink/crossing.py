@@ -1,12 +1,13 @@
 """Report-and-remove store for orthogonal segment crossing queries.
 
-A store holds rows ``(fixed, lo, hi)`` of ``graph.mids``, row k owned by
-``first + k``, and is used in rounds.  ``pop_crossing`` takes a segment of
+A store holds rows ``(fixed, lo, hi)`` of ``graph.mids``, each owned by its
+rectangle's id, and is used in rounds.  ``pop_crossing`` takes a segment of
 the opposite axis, returns the owners of every live stored segment crossing
 it (closed intervals on both sides), sorted by (fixed, owner), and removes
 them, so each is reported at most once a round.  ``restore`` ends the round
 in constant time: every segment is live again.  ``diameter_fast`` builds one
-store per axis with ``reset`` and ends each of its rounds with ``restore``.
+store per axis over its far rows' segments with ``reset`` and ends each of
+its rounds with ``restore``.
 
 It is a segment tree over the endpoint coordinates.  ``reset`` finds all
 canonical cover nodes in one vectorised loop over the levels and sorts the
@@ -40,8 +41,8 @@ class CrossingStore:
     """
 
     @classmethod
-    def reset(cls, mids, first: int = 0) -> "CrossingStore":
-        """Fresh store over the segments ``mids`` (rows ``(fixed, lo, hi)``), row k owned by ``first + k``."""
+    def reset(cls, mids, owners) -> "CrossingStore":
+        """Fresh store over ``mids`` (rows ``(fixed, lo, hi)``), row k owned by ``owners[k]``; the owners increase."""
         fixed, lo, hi = np.asarray(mids, dtype=np.int64).reshape(-1, 3).T
         if (lo >= hi).any():
             k = int(np.argmax(lo >= hi))
@@ -76,7 +77,7 @@ class CrossingStore:
         store._start = np.searchsorted(node, np.arange(2 * size + 1)).tolist()
         store._fixed = fixed[order[rank]].tolist()
         store._rank = rank.tolist()
-        store._owner = (order + first).tolist()
+        store._owner = np.asarray(owners)[order].tolist()
         store._dead = [-1] * len(order)
         store._next = [0] * len(rank)
         store._passed = [-1] * len(rank)

@@ -27,10 +27,12 @@ table is built: the engines decide on a far relation ``dm >= t``, which
 vertical-to-horizontal block by a bit-sliced compare, the
 horizontal-to-vertical block as its transpose, and the vertical-to-vertical
 block as one AND over the crossing edges, since every path out of a
-vertical rectangle starts with an edge to a horizontal one.  The searches
-and the AND are one group reduce, :func:`_group_reduce`, which gathers rows
-of words with ``take``; the one bit transpose, which the matmul engines
-share, moves 8x8 bit tiles held in single words.  :meth:`Levels.extreme`
+vertical rectangle starts with an edge to a horizontal one; it computes only
+the rows that the eccentricities say can hold an entry, a handful at the
+diameter and all of them at the radius.  The searches and the AND are one
+group reduce, :func:`_group_reduce`, which gathers rows of words with
+``take``; the one bit transpose, which the matmul engines share, moves 8x8
+bit tiles held in single words.  :meth:`Levels.extreme`
 computes the oriented diameter or radius from the planes and, for the few
 verticals that could change the extreme, one read of their rows of the far
 relation, mostly at the threshold the engine then reads.  A point query
@@ -185,12 +187,12 @@ def _check_memory(graph: OrientedGraph, bound: int) -> None:
         )
 
 
-def _source_search(graph: OrientedGraph, stop_from: int | None = None) -> tuple[list[np.ndarray], int, None]:
+def _source_search(graph: OrientedGraph, low: int = 2, stop: bool = False) -> tuple[list[np.ndarray], int, None]:
     """The bit planes of :func:`_level_search`, from a scipy search out of each horizontal source.
 
     ``CHUNK`` sources, rounded up to whole words, are searched at a time,
     and each bit of their levels is packed into its plane.  Each chunk's
-    search runs to its last level, so ``stop_from`` changes nothing.
+    search runs to its last level, so ``low`` and ``stop`` change nothing.
     Returns the planes, 0 (no target is skipped) and None (every level is
     exact).
     """
@@ -236,7 +238,7 @@ def _group_reduce(ufunc: np.ufunc, rows: np.ndarray, groups):
         yield a, b, ufunc.reduceat(rows.take(nbr[ptr[a] : ptr[b]], axis=0), ptr[a:b] - ptr[a], axis=0)
 
 
-def _level_search(graph: OrientedGraph, stop_from: int | None = None) -> tuple[list[np.ndarray], int, int | None]:
+def _level_search(graph: OrientedGraph, low: int = 2, stop: bool = False) -> tuple[list[np.ndarray], int, int | None]:
     """The levels from every horizontal source, as bit planes, by one search from all of them at once.
 
     Every rectangle keeps a ``reached`` bitset over the sources, ``W =
@@ -256,22 +258,22 @@ def _level_search(graph: OrientedGraph, stop_from: int | None = None) -> tuple[l
     costs more than it saves, and so it does in a search that stops at the
     radius (below): a target saturates only once every source lies within
     the level, which makes one of its neighbours' or its own eccentricity
-    at most two above it, so no target saturates before level ``R - 2``.
+    at most two above it, so no target saturates before level ``R - 2``,
+    and the test runs from level ``low - 2`` on, ``low <= R`` being a lower
+    bound on ``R``, the least eccentricity of a horizontal rectangle.
 
     A new bit's level goes into bit planes, plane ``p - 1`` holding bit
     ``p`` of the level, so a level touches only the planes of its set bits.
     Bit 0 is the target's side, horizontal targets sitting at odd levels and
     vertical ones at even levels, so it needs no plane.
 
-    With ``stop_from``, the search stops after the first level ``R`` at
-    which some source has reached every rectangle, testing from level
-    ``stop_from`` on, which must not exceed ``R``: ``R`` is the least
-    eccentricity of a horizontal rectangle, and the radius reads no level
-    past it.  Every pair not reached by then is at ``R + 1`` or more, so it
-    is written as the least level above ``R`` of its row's side, its bits
-    masked to the sources so that the pad bits stay clear.  The planes then
-    give every far relation ``dm >= t`` exactly for ``t <= R + 1``, the cap,
-    and every eccentricity exactly where it is ``R``.
+    With ``stop``, the search stops after the first level ``R`` at which
+    some source has reached every rectangle, testing from level ``low`` on:
+    the radius reads no level past ``R``.  Every pair not reached by then is
+    at ``R + 1`` or more, so it is written as the least level above ``R`` of
+    its row's side, its bits masked to the sources so that the pad bits stay
+    clear.  The planes then give every far relation ``dm >= t`` exactly for
+    ``t <= R + 1``, the cap, and every eccentricity exactly where it is ``R``.
 
     Returns the planes, ``(m, W)`` words each, the number of target gathers
     skipped and the cap, or None when every level was searched.  The graph
@@ -284,7 +286,7 @@ def _level_search(graph: OrientedGraph, stop_from: int | None = None) -> tuple[l
     ids = np.arange(nh)
     reached.view(np.uint8)[ids, ids >> 3] = np.left_shift(1, ids & 7)
     full = np.bitwise_or.reduce(reached[:nh], axis=0)
-    prune, skipped = chi > 4 * CHUNK and stop_from is None, 0
+    prune, skipped = chi > 4 * CHUNK and not stop, 0
     # per target side: its rows, the open targets (None: all) and their CSR groups with the neighbours as
     # rows of the other side's frontier
     sides = [
@@ -317,11 +319,11 @@ def _level_search(graph: OrientedGraph, stop_from: int | None = None) -> tuple[l
         frontier = new
         if open_ids is not None:
             skipped += len(new) - len(open_ids)
-        if stop_from is not None and level >= stop_from and np.bitwise_and.reduce(reached, axis=0).any():
+        if stop and level >= low and np.bitwise_and.reduce(reached, axis=0).any():
             for k, (part, _, _) in enumerate(sides):  # horizontal rows sit at odd levels, vertical ones at even
                 write(part, full & ~reached[part], level + 1 + (level + k) % 2)
             return planes, skipped, level + 1
-        if prune:
+        if prune and level >= low - 2:
             saturated = ((targets if open_ids is None else targets[open_ids]) == full).all(axis=1)
             if 4 * np.count_nonzero(saturated) > len(saturated):
                 keep = np.flatnonzero(~saturated)
@@ -397,21 +399,35 @@ def _transpose_bits(bits: np.ndarray, ncols: int) -> np.ndarray:
     return out[:ncols]
 
 
-def _join(h_bits: np.ndarray, v_bits: np.ndarray, nh: int, m: int) -> np.ndarray:
-    """Rows of bits over the ``nh`` horizontal columns, then the vertical ones from bit ``nh``: ``ceil(m / 64)`` words.
+def _join(out: np.ndarray, at, h_bits: np.ndarray, v_bits: np.ndarray, nh: int) -> None:
+    """Into the zero rows ``at`` of ``out``: bits over the ``nh`` horizontal columns, then the vertical ones.
 
     Both inputs hold zeros past their last column, so the vertical words
-    shift into place across a word boundary by two ORs.
+    shift into place from bit ``nh`` across a word boundary by two ORs.
     """
     words, shift = h_bits.shape[1], nh % 64
-    out = np.zeros((len(h_bits), -(-m // 64)), dtype=np.uint64)
-    out[:, :words] = h_bits
+    out[at, :words] = h_bits
     if shift == 0:
-        out[:, words:] = v_bits
+        out[at, words:] = v_bits
     else:
-        out[:, words - 1 : words - 1 + v_bits.shape[1]] |= v_bits << np.uint64(shift)
-        out[:, words:] |= (v_bits >> np.uint64(64 - shift))[:, : out.shape[1] - words]
-    return out
+        out[at, words - 1 : words - 1 + v_bits.shape[1]] |= v_bits << np.uint64(shift)
+        out[at, words:] |= (v_bits >> np.uint64(64 - shift))[:, : out.shape[1] - words]
+
+
+def _run(ids: np.ndarray):
+    """The increasing ``ids`` as a slice when they are consecutive, so that indexing by them copies nothing."""
+    return slice(int(ids[0]), int(ids[-1]) + 1) if len(ids) and ids[-1] - ids[0] == len(ids) - 1 else ids
+
+
+def _block_runs(held: np.ndarray, n: int, limit: int) -> list[tuple[int, int]]:
+    """Rows ``[lo, hi)`` below ``n`` of each run of consecutive 64-row blocks ``held``, at most ``limit`` rows a run."""
+    runs: list[list[int]] = []
+    for block in held.tolist():
+        if runs and block == runs[-1][1] and 64 * (block - runs[-1][0]) < limit:
+            runs[-1][1] = block + 1
+        else:
+            runs.append([block, block + 1])
+    return [(64 * a, min(64 * b, n)) for a, b in runs]
 
 
 def _first_bit(words: np.ndarray) -> int:
@@ -445,52 +461,56 @@ class Levels:
     _far: dict = field(default_factory=dict, init=False, repr=False)  # threshold -> far relation
     _extremes: dict = field(default_factory=dict, init=False, repr=False)  # kind -> extreme
 
-    def _far_h(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """``far[:, H]`` at ``t >= 2``, ``(m, W)`` words, and ``far[V, H]`` at ``t - 1``, from one compare.
+    def _far_h(self, t: int, rows: np.ndarray, nhc: int) -> tuple[np.ndarray, np.ndarray]:
+        """``far[rows, H]`` at ``t >= 2`` and, on ``rows[nhc:]``, ``far[V, H]`` at ``t - 1``, from one compare.
 
-        Bit 0 of a level is the row's side, so only ``level >> 1`` needs the
-        planes, against ``u = t >> 1``: a bit-sliced compare from the top
-        plane down keeps the bits already above ``u`` and those still equal
-        to it.  A horizontal row (odd levels) reaches ``t`` when ``level >>
-        1 >= u``; a vertical row (even levels) reaches ``t - 1`` then, and
-        ``t`` too for even ``t``, but only when ``level >> 1 > u`` for odd
-        ``t``.  ``u >= 1`` leaves the pad bits past column ``nh`` clear, as
-        they sit at level 0 or 1.
+        ``rows`` increase, the ``nhc`` horizontal ones first.  Bit 0 of a
+        level is the row's side, so only ``level >> 1`` needs the planes,
+        against ``u = t >> 1``, below ``2 ** len(planes)``: a bit-sliced
+        compare from the top plane down keeps the bits already above ``u``
+        and those still equal to it.  A horizontal row (odd levels) reaches
+        ``t`` when ``level >> 1 >= u``; a vertical row (even levels) reaches
+        ``t - 1`` then, and ``t`` too for even ``t``, but only when ``level
+        >> 1 > u`` for odd ``t``.  ``u >= 1`` leaves the pad bits past column
+        ``nh`` clear, as they sit at level 0 or 1.
         """
-        nh, u = self.graph.nh, t >> 1
-        shape = (self.graph.m, -(-nh // 64))
-        if u >= 1 << len(self.planes):  # above every level
-            return np.zeros(shape, dtype=np.uint64), np.zeros((shape[0] - nh, shape[1]), dtype=np.uint64)
+        u, at = t >> 1, _run(rows)
+        shape = (len(rows), -(-self.graph.nh // 64))
         above = np.zeros(shape, dtype=np.uint64)
         equal = np.full(shape, ~np.uint64(0))
         for b in range(len(self.planes) - 1, -1, -1):
-            bit = self.planes[b]
+            bit = self.planes[b][at]
             if u >> b & 1:
                 equal &= bit
             else:
                 above |= equal & bit
                 equal &= ~bit
-        before = above[nh:] | equal[nh:]
-        above[:nh] |= equal[:nh]
+        before = above[nhc:] | equal[nhc:]
+        above[:nhc] |= equal[:nhc]
         if t % 2 == 0:
-            above[nh:] = before
+            above[nhc:] = before
         return above, before
 
     def far(self, t: int) -> np.ndarray:
         """The far relation ``dm >= t``, ``t >= 2``: ``(m, ceil(m / 64))`` read-only words, row x's column j at bit j.
 
         On a little-endian host its bytes are ``np.packbits(dm >= t, axis=1,
-        bitorder="little")``, padded to whole words.  The columns H come from :meth:`_far_h`,
-        ``far[H, V]`` is the bit transpose of ``far[V, H]``, and ``far[V,
-        V]`` comes from ``far[H, V]`` at ``t - 1``, the same block for even
-        ``t``, as vertical-to-horizontal distances are even: off the
+        bitorder="little")``, padded to whole words.  Only the rows that
+        :attr:`_reach` says can hold an entry are computed; by symmetry they
+        hold every column too, and the rest stay zero.  The columns H come
+        from :meth:`_far_h`, ``far[H, V]`` is the bit transpose of ``far[V,
+        H]``, each 64-row block of verticals giving one word of columns, and
+        ``far[V, V]`` comes from ``far[H, V]`` at ``t - 1``, the same block
+        for even ``t``, as vertical-to-horizontal distances are even: off the
         diagonal ``dm[v, v'] = 1 + min over h in N(v) of dm[h, v']``, so row
         v is the AND of those rows over ``N(v)``, by :func:`_group_reduce`
-        over the vertical side's CSR groups.  The same AND puts ``dm[v, v] =
-        1`` at 3, so the diagonal is cleared for ``t <= 3``.  For odd ``t``
-        both ``far[V, H]`` blocks, at ``t`` and at ``t - 1``, are transposed
-        in one :func:`_transpose_bits` call, side by side, so a small graph
-        pays its fixed cost once.  Computed once per threshold.
+        over the CSR groups of each run of consecutive blocks.  The same AND
+        puts ``dm[v, v] = 1`` at 3, so the diagonal is cleared for ``t <=
+        3``.  For odd ``t`` both ``far[V, H]`` blocks, at ``t`` and at ``t -
+        1``, go through one :func:`_transpose_bits` call, side by side, so a
+        small graph pays its fixed cost once.  Where every row can hold an
+        entry, as at the radius, each selection is a whole slice and copies
+        nothing.  Computed once per threshold.
         """
         if self.cap is not None and t > self.cap:
             raise CappedLevelsError(
@@ -500,21 +520,31 @@ class Levels:
         if t not in self._far:
             g = self.graph
             nh, nv = g.nh, g.m - g.nh
-            rows, before = self._far_h(t)
-            if t % 2 == 0:  # far[V, H] is the same at t - 1
-                hv = hv_before = _transpose_bits(before, nh)
-            else:  # both blocks side by side in one transpose, the second's columns from bit 64 * W on
-                words = before.shape[1]
-                both = _transpose_bits(np.concatenate([rows[nh:], before], axis=1), 64 * words + nh)
-                hv, hv_before = both[:nh], both[64 * words :]
-            columns = np.empty((g.m, hv.shape[1]), dtype=np.uint64)  # far[:, V]: far[H, V], then far[V, V]
-            columns[:nh] = hv
-            for a, b, bits in _group_reduce(np.bitwise_and, hv_before, _groups(g.indptr[nh:], g.indices)):
-                columns[nh + a : nh + b] = bits
-            if t <= 3:
-                ids = np.arange(nv)
-                columns.view(np.uint8)[nh + ids, ids >> 3] &= ~np.left_shift(1, ids & 7).astype(np.uint8)
-            out = _join(rows, columns, nh, g.m)
+            rows = np.flatnonzero(self._reach >= t)  # the horizontals, then the verticals by 64-row blocks
+            nhc = int(np.searchsorted(rows, nh))
+            held, at = rows[nhc::64] - nh >> 6, nhc  # the vertical blocks, one word of columns each
+            out = np.zeros((g.m, -(-g.m // 64)), dtype=np.uint64)
+            if len(rows) and t >> 1 < 1 << len(self.planes):  # else no level reaches t
+                h_bits, before = self._far_h(t, rows, nhc)
+                if t % 2 == 0:  # far[V, H] is the same at t - 1
+                    hv = hv_before = _transpose_bits(before, nh)
+                else:  # both blocks side by side in one transpose, the second's columns from bit 64 * W on
+                    words = before.shape[1]
+                    both = _transpose_bits(np.concatenate([h_bits[nhc:], before], axis=1), 64 * words + nh)
+                    hv, hv_before = both[:nh], both[64 * words :]
+                cols = _run(held)
+                v_bits = np.zeros((len(rows), -(-nv // 64)), dtype=np.uint64)  # far[rows, V]
+                v_bits[:nhc, cols] = hv[_run(rows[:nhc])]
+                for lo, hi in _block_runs(held, nv, nv):
+                    groups = _groups(g.indptr[nh + lo : nh + hi + 1], g.indices)
+                    for a, b, bits in _group_reduce(np.bitwise_and, hv_before, groups):
+                        v_bits[at + a : at + b, cols] = bits
+                    at += hi - lo
+                if t <= 3:
+                    ids = rows[nhc:] - nh
+                    bit = np.left_shift(1, ids & 7).astype(np.uint8)
+                    v_bits.view(np.uint8)[np.arange(nhc, len(rows)), ids >> 3] &= ~bit
+                _join(out, _run(rows), h_bits, v_bits, nh)
             out.flags.writeable = False
             self._far[t] = out
         return self._far[t]
@@ -547,11 +577,19 @@ class Levels:
         column = rows[side : nh if top % 2 else m, i >> 6] >> np.uint64(i & 63) & np.uint64(1)
         return ecc, (i, side + int(np.flatnonzero(column)[0]))
 
-    def _centred_verticals(self, e: int) -> np.ndarray:
-        """The verticals, numbered from 0, whose neighbours all have eccentricity ``e``."""
+    @cached_property
+    def _reach(self) -> np.ndarray:
+        """Per row, the largest ``t`` at which :meth:`far` computes it, as the row can hold an entry only up to there.
+
+        A horizontal's eccentricity; for a vertical, one more than the least
+        among its neighbours', by the identity in :meth:`far`, the largest in
+        its 64-row block.  Computed once.
+        """
         g = self.graph
         ecc, _ = self._eccentricities
-        return np.flatnonzero(np.logical_and.reduceat(ecc[g.indices[g.chi :]] == e, g.indptr[g.nh : g.m] - g.chi))
+        bound = 1 + np.minimum.reduceat(ecc[g.indices[g.chi :]], g.indptr[g.nh : g.m] - g.chi)
+        block = np.maximum.reduceat(bound, np.arange(0, len(bound), 64))
+        return np.concatenate([ecc, np.repeat(block, 64)[: len(bound)]])
 
     def extreme(self, kind: str) -> tuple[int, tuple[int, ...]]:
         """``(ordiam, diam_pair)`` for ``"diameter"``, else ``(orrad, (center_rect,))``; computed once per kind.
@@ -583,7 +621,7 @@ class Levels:
         """
         ecc, pair = self._eccentricities
         top, nh = int(ecc.max()), self.graph.nh
-        keep = self._centred_verticals(top)
+        keep = np.flatnonzero(self._reach[nh:] > top)
         if len(keep):
             rows = self.far(top + 1)[nh + keep]
             hits = np.flatnonzero(rows.any(axis=1))
@@ -594,12 +632,12 @@ class Levels:
     def _radius(self) -> tuple[int, tuple[int]]:
         """``R - 1`` and the first such vertical with no ``far(R)`` entry; else ``R`` and the first horizontal there."""
         ecc, _ = self._eccentricities
-        low, nh = int(ecc.min()), self.graph.nh
-        center = self._centred_verticals(low)
+        g, low = self.graph, int(ecc.min())
+        center = np.flatnonzero(np.maximum.reduceat(ecc[g.indices[g.chi :]], g.indptr[g.nh : g.m] - g.chi) == low)
         if len(center):
-            center = center[~self.far(low)[nh + center].any(axis=1)]
+            center = center[~self.far(low)[g.nh + center].any(axis=1)]
         if len(center):
-            return low - 1, (nh + int(center[0]),)
+            return low - 1, (g.nh + int(center[0]),)
         return low, (int(np.argmin(ecc)),)
 
 
@@ -619,7 +657,9 @@ def all_pairs(graph: OrientedGraph, kind: str | None = None) -> Levels:
     search tests for ``R`` only from level ``(bound + 1) // 4 + 1`` on,
     with ``bound = 2 * e + 1`` below: by the triangle inequality through
     the rectangle ``e`` hops from rectangle 0, every rectangle has some
-    rectangle ``ceil(e / 2)`` hops away, so no eccentricity is lower.
+    rectangle ``ceil(e / 2)`` hops away, so no eccentricity is lower.  A
+    search of every level tests for saturated targets from two levels
+    below that bound on.
 
     The search is one of two.  The level search (:func:`_level_search`)
     advances all ``nh`` sources one level per pass, 64 to a machine word,
@@ -652,7 +692,7 @@ def all_pairs(graph: OrientedGraph, kind: str | None = None) -> Levels:
     """
     search, bound = _select_search(graph)
     _check_memory(graph, bound)
-    planes, skipped, cap = search(graph, (bound + 1) // 4 + 1 if kind == "radius" else None)
+    planes, skipped, cap = search(graph, (bound + 1) // 4 + 1, kind == "radius")
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "all_pairs: %s search, level bound %d, %d planes, %d targets skipped as saturated, %s, m=%d, chi=%d",

@@ -25,8 +25,8 @@ rectangle pairs or ``None``:
   the packed rows: one product ``mid = cross·far``, then
   ``prod = far·mid`` read only on the crossing edges between far rows,
 * ``fast`` (diameter only): per-source far sets, unpacked one far row at a
-  time, explored through a report-and-remove crossing store, visiting each
-  candidate pair once.
+  time, explored through a report-and-remove crossing store per axis that
+  holds the far rows' segments alone, visiting each candidate pair once.
 
 The decision is only valid when the oriented value is at least 4.  The one
 router, :func:`compute`, sends smaller values to :func:`small_case_fallback`
@@ -50,7 +50,8 @@ import numpy as np
 from .crossing import CrossingStore
 from .errors import UnknownChoiceError
 from .geometry import Decomposition, Point, locate
-from .graph import CHUNK, Levels, OrientedGraph, _first_bit, _group_reduce, _groups, _transpose_bits, bfs_from
+from .graph import CHUNK, Levels, OrientedGraph, _block_runs, _first_bit, _group_reduce, _groups, _transpose_bits
+from .graph import bfs_from
 
 EDGE_SCAN = "edge-scan"
 MATMUL = "matmul"
@@ -271,18 +272,11 @@ def _far_products(graph: OrientedGraph, far: np.ndarray):
     rows = far.any(axis=1)
     far_rows = np.flatnonzero(rows)
     mid_t = np.zeros((len(far_rows), far.shape[1]), dtype=np.uint64)
-    held = np.flatnonzero(np.bincount(far_rows >> 6))  # the blocks holding a far row
-    stacks: list[list[int]] = []  # runs of consecutive held blocks, at most CHUNK rows each: one range of rows
-    for block in held.tolist():
-        if not stacks or block != stacks[-1][-1] + 1 or 64 * len(stacks[-1]) >= CHUNK:
-            stacks.append([])
-        stacks[-1].append(block)
-    for group in stacks:
-        lo, hi = 64 * group[0], min(64 * group[-1] + 64, m)
+    for lo, hi in _block_runs(np.flatnonzero(np.bincount(far_rows >> 6)), m, CHUNK):  # the blocks with a far row
         stack = np.empty((hi - lo, far.shape[1]), dtype=np.uint64)
         for a, b, bits in _group_reduce(np.bitwise_or, far, _groups(graph.indptr[lo : hi + 1], graph.indices)):
             stack[a:b] = bits
-        mid_t[:, group] = _transpose_bits(stack, m)[far_rows]
+        mid_t[:, lo // 64 : -(-hi // 64)] = _transpose_bits(stack, m)[far_rows]
     slot = np.zeros(m, dtype=np.intp)
     slot[far_rows] = np.arange(len(far_rows))
     return mid_t, slot, _far_row_edges(graph, rows)
@@ -335,15 +329,20 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
     segments become Python ints.  A j' that is no far row has no far entry
     ``far[i', j']``, so its rounds are skipped.
     The store is one :class:`~rectilink.crossing.CrossingStore` per axis,
-    built once from ``graph.mids`` and queried with plain ints; every round
-    ends with ``restore()``, which makes every segment live again in constant
-    time.  Store entries, rounds and pops go to the ``rectilink`` logger at
-    debug level.
+    built once from the far rows' middle segments alone: ``reverse`` is read
+    only at far rows j', and a later round returns i' only when ``far[j',
+    i']`` is set, which makes i' a far row, so no other segment can change a
+    decision, and the kept ones pop in the same (fixed, owner) order.  Every
+    round ends with ``restore()``, which makes every segment live again in
+    constant time.  Store entries, rounds and pops go to the ``rectilink``
+    logger at debug level.
     """
-    nh, far_rows = graph.nh, np.flatnonzero(far.any(axis=1)).tolist()
+    nh, far_rows = graph.nh, np.flatnonzero(far.any(axis=1))
+    split = int(np.searchsorted(far_rows, nh))
+    stores = tuple(CrossingStore.reset(graph.mids[ids], ids) for ids in (far_rows[:split], far_rows[split:]))
+    far_rows = far_rows.tolist()
     mids = dict(zip(far_rows, graph.mids[far_rows].tolist()))
     rows = dict(zip(far_rows, _far_rows(far, far_rows)))  # far row i, one bool per column
-    stores = (CrossingStore.reset(graph.mids[:nh], 0), CrossingStore.reset(graph.mids[nh:], nh))
     reverse: dict[int, list[int]] = defaultdict(list)
     provenance: dict[tuple[int, int], int] = {}
     try:

@@ -500,9 +500,10 @@ class ScanCrossingStore:
     """The contract of ``rectilink.crossing.CrossingStore``, by scanning every segment not popped this round."""
 
     @classmethod
-    def reset(cls, mids, first: int = 0) -> "ScanCrossingStore":
+    def reset(cls, mids, owners) -> "ScanCrossingStore":
         store = cls()
-        store._segments = {first + k: tuple(mid) for k, mid in enumerate(np.asarray(mids).reshape(-1, 3).tolist())}
+        rows = np.asarray(mids).reshape(-1, 3).tolist()
+        store._segments = {int(owner): tuple(mid) for owner, mid in zip(owners, rows)}
         for fixed, lo, hi in store._segments.values():
             if lo >= hi:
                 raise ValueError(f"degenerate segment: lo={lo} >= hi={hi}")

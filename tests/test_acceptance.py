@@ -179,8 +179,8 @@ def test_criterion_8_crossing_store_oracle():
 
     for _ in range(sequences):
         segments = [segment() for _ in range(rng.randrange(0, 8))]
-        real = CrossingStore.reset(np.array(segments, dtype=np.int64).reshape(-1, 3))
-        ref = ScanCrossingStore.reset(segments)
+        real = CrossingStore.reset(np.array(segments, dtype=np.int64).reshape(-1, 3), range(len(segments)))
+        ref = ScanCrossingStore.reset(segments, range(len(segments)))
         for _ in range(rng.randrange(1, 6)):
             q = segment()
             assert real.pop_crossing(*q) == ref.pop_crossing(*q)

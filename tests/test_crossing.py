@@ -20,13 +20,13 @@ STORES = (CrossingStore, ScanCrossingStore)
 
 
 def middles(inst, orientation):
-    """One orientation's rows of ``graph.mids`` and the id of the first; they equal the reference middle segments."""
+    """One orientation's rows of ``graph.mids`` and their owners; they equal the reference middle segments."""
     g = inst.prep.graph
     ids = range(g.nh) if orientation is H else range(g.nh, g.m)
     rects = graph_rects(inst.prep.hdec, inst.prep.vdec)
     segments = [middle_segment(rects[i]) for i in ids]
     assert g.mids[ids.start : ids.stop].tolist() == [[s.fixed, s.lo, s.hi] for s in segments]
-    return g.mids[ids.start : ids.stop], ids.start
+    return g.mids[ids.start : ids.stop], list(ids)
 
 
 def vertical_middles(inst):
@@ -55,19 +55,19 @@ def drain(store, mids):
 
 class TestBasics:
     def test_reset_single(self, donut):
-        mids, first = vertical_middles(donut)
-        store = CrossingStore.reset(mids[:1], first)
-        assert drain(store, mids[:1]) == [first]
+        mids, owners = vertical_middles(donut)
+        store = CrossingStore.reset(mids[:1], owners[:1])
+        assert drain(store, mids[:1]) == owners[:1]
 
     def test_reset_all_donut(self, donut):
-        mids, first = vertical_middles(donut)
-        store = CrossingStore.reset(mids, first)
-        assert drain(store, mids) == list(range(first, first + 4))
+        mids, owners = vertical_middles(donut)
+        store = CrossingStore.reset(mids, owners)
+        assert drain(store, mids) == owners and len(owners) == 4
 
     def test_degenerate_interval(self):
         for store_cls in STORES:
             with pytest.raises(ValueError, match="degenerate"):
-                store_cls.reset([[0, 1, 4], [3, 5, 5]])
+                store_cls.reset([[0, 1, 4], [3, 5, 5]], [0, 1])
 
 
 class TestPopCrossing:
@@ -75,12 +75,12 @@ class TestPopCrossing:
         # middle segment of the right-hand band (y = 14, x in [16, 28]) crosses
         # exactly the right vertical slab's middle segment
         g = donut.prep.graph
-        mids, first = vertical_middles(donut)
-        store = CrossingStore.reset(mids, first)
+        mids, owners = vertical_middles(donut)
+        store = CrossingStore.reset(mids, owners)
         popped = store.pop_crossing(*horizontal_middle_by_box(donut, (16, 28, 12, 16)))
         assert len(popped) == 1
         assert g.mids[popped[0], 0] == 22  # x = 11 in input units
-        assert drain(store, mids) == sorted(set(range(first, first + 4)) - set(popped))
+        assert drain(store, mids) == sorted(set(owners) - set(popped))
 
     def test_repeat_query_empty(self, donut):
         store = CrossingStore.reset(*vertical_middles(donut))
@@ -95,19 +95,20 @@ class TestPopCrossing:
 
 class TestReset:
     def test_empty(self):
-        store = CrossingStore.reset(np.empty((0, 3), dtype=np.int64))
+        """An empty axis, as a store over no far row of that orientation is."""
+        store = CrossingStore.reset(np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.intp))
         assert store.entries == 0
         assert store.pop_crossing(0, -5, 5) == []
         store.restore()
         assert store.pop_crossing(0, -5, 5) == []
 
     def test_horizontal_middles(self, donut):
-        mids, first = horizontal_middles(donut)
-        assert drain(CrossingStore.reset(mids, first), mids) == list(range(first, first + 4))
+        mids, owners = horizontal_middles(donut)
+        assert drain(CrossingStore.reset(mids, owners), mids) == owners and len(owners) == 4
 
     def test_idempotent(self, donut):
-        mids, first = horizontal_middles(donut)
-        a, b = CrossingStore.reset(mids, first), CrossingStore.reset(mids, first)
+        mids, owners = horizontal_middles(donut)
+        a, b = CrossingStore.reset(mids, owners), CrossingStore.reset(mids, owners)
         assert a.entries == b.entries >= 4
         query = vertical_middles(donut)[0][0].tolist()
         assert a.pop_crossing(*query) == b.pop_crossing(*query) != []
@@ -122,8 +123,9 @@ def random_segment(rng, span=40):
 
 def random_stores(rng, count):
     segs = [random_segment(rng) for _ in range(count)]
-    first = rng.randrange(0, 50)
-    return segs, first, CrossingStore.reset(np.array(segs).reshape(-1, 3), first), ScanCrossingStore.reset(segs, first)
+    owners = sorted(rng.sample(range(200), count))  # increasing ids with gaps, as the far rows of one axis are
+    real = CrossingStore.reset(np.array(segs).reshape(-1, 3), owners)
+    return segs, owners, real, ScanCrossingStore.reset(segs, owners)
 
 
 def run_sequence(rng, op_count):
@@ -140,9 +142,9 @@ def run_restore_program(rng):
     Every answer is compared with the scan reference driven the same way, and
     with a store freshly reset at the start of the round.
     """
-    segs, first, real, ref = random_stores(rng, rng.randrange(1, 25))
+    segs, owners, real, ref = random_stores(rng, rng.randrange(1, 25))
     for _ in range(rng.randrange(1, 8)):
-        fresh = CrossingStore.reset(segs, first)
+        fresh = CrossingStore.reset(segs, owners)
         for _ in range(rng.randrange(1, 6)):
             query = random_segment(rng)
             got = real.pop_crossing(*query)
@@ -177,13 +179,13 @@ class TestAgainstReference:
         # every stored segment is reported by at most one pop
         rng = random.Random(77)
         for _ in range(50):
-            segs, first, store, _ = random_stores(rng, 25)
+            segs, owners, store, _ = random_stores(rng, 25)
             seen = set()
             for _ in range(40):
                 for owner in store.pop_crossing(*random_segment(rng)):
-                    assert owner not in seen and first <= owner < first + 25
+                    assert owner not in seen and owner in owners
                     seen.add(owner)
-            assert drain(store, segs) == sorted(set(range(first, first + 25)) - seen)
+            assert drain(store, segs) == sorted(set(owners) - seen)
 
 
 segment_values = st.integers(min_value=-30, max_value=30)
@@ -204,8 +206,9 @@ def segments(draw):
 @settings(max_examples=150, deadline=None)
 def test_hypothesis_matches_reference(stored, queries, restores):
     """Random pops; each boolean says whether a round ends after its query."""
-    real = CrossingStore.reset(np.array(stored, dtype=np.int64).reshape(-1, 3), 7)
-    ref = ScanCrossingStore.reset(stored, 7)
+    owners = [7 + 3 * k for k in range(len(stored))]
+    real = CrossingStore.reset(np.array(stored, dtype=np.int64).reshape(-1, 3), owners)
+    ref = ScanCrossingStore.reset(stored, owners)
     for query, end in zip(queries, restores):
         assert real.pop_crossing(*query) == ref.pop_crossing(*query)
         if end:
@@ -228,13 +231,13 @@ class TestAgainstGraph:
         rng = random.Random(16)
         for g in oracle_graphs(fixtures, corpus, grid40):
             nh, mids = g.nh, g.mids.tolist()
-            stores = (CrossingStore.reset(g.mids[:nh], 0), CrossingStore.reset(g.mids[nh:], nh))
+            stores = (CrossingStore.reset(g.mids[:nh], range(nh)), CrossingStore.reset(g.mids[nh:], range(nh, g.m)))
             for _ in range(6):
                 side = rng.randrange(2)  # the queries' side; the store holds the other
                 store, queries = stores[1 - side], (range(nh), range(nh, g.m))[side]
                 owners = (range(nh), range(nh, g.m))[1 - side]
                 stored = g.mids[owners.start : owners.stop]
-                fresh = CrossingStore.reset(stored, owners.start)
+                fresh = CrossingStore.reset(stored, owners)
                 popped = []
                 picks = queries if rng.random() < 0.3 else rng.sample(queries, min(len(queries), rng.randrange(1, 12)))
                 for j in picks:

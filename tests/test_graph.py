@@ -710,6 +710,17 @@ class TestFarRelation:
             for t in range(2, int(dm.max()) + 2):
                 assert np.array_equal(levels.far(t), packed(dm >= t)), (k, t)
 
+    def test_candidates_hold_every_far_row(self, fixtures, corpus, grid60):
+        """Every row with an entry of the reference table's ``dm >= t`` is one that ``far(t)`` computes, at every
+        threshold, on the full levels and, up to the cap, on the levels of a search stopped at the radius."""
+        graphs = [inst.prep.graph for inst in fixtures + corpus] + [prep.graph for prep in grid60] + rare_graphs()
+        for k, g in enumerate(graphs):
+            dm = reference_table(g)
+            for levels in (all_pairs(g), all_pairs(g, "radius")):
+                for t in range(2, (levels.cap or int(dm.max()) + 1) + 1):
+                    far_rows = (dm >= t).any(axis=1)
+                    assert not (far_rows & (levels._reach < t)).any(), (k, t, levels.cap)
+
     def test_cached_read_only(self, donut):
         levels = donut.prep.levels
         far = levels.far(4)

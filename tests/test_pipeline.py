@@ -122,7 +122,7 @@ class TestComputedOnce:
                     f"_{kind}": int(argv[-1] != ORACLE and (both or argv[0] == kind)) for kind in ("diameter", "radius")
                 }
                 assert {name: len(levels_calls[name]) for name in expected} == expected, argv
-                thresholds = [t for (t,) in levels_calls["_far_h"]]
+                thresholds = [args[0] for args in levels_calls["_far_h"]]
                 assert len(thresholds) == len(set(thresholds)), (argv, thresholds)
                 assert thresholds or argv[-1] == ORACLE or argv[0] == "decompose", argv
 

@@ -7,11 +7,14 @@ and check full engine/oracle agreement there.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rectilink import GenParams, build_grid, gen_domain, parse_domain, run_verify
 from rectilink.geometry import validate
+from rectilink.graph import Levels, all_pairs
 from rectilink.oracle import _block_sources
+from rectilink.pipeline import decompose
 
 from conftest import DUMBBELL, medium_domain, perforated, spiral
 
@@ -83,6 +86,27 @@ class TestFullCheckPastCorpus:
         assert len(ecc) == len(farthest) == faces
         assert peak <= bound, (peak, bound, faces, cells, words)
         assert peak < faces * faces * ecc.itemsize, (peak, faces)
+
+
+class TestFarRowsOnly:
+    def test_grid120_far_ordiam_memory(self):
+        """``far(ordiam)`` on the grid-120 ladder rung allocates its output and, past it, little more than its
+        candidate rows: ``8 * ceil(m / 64)`` bytes each, plus the cached ``Levels._reach`` (8 bytes per row)
+        and 32 KiB of small temporaries.  Computing every row costs about three outputs."""
+        graph = decompose(gen_domain(GenParams(120, 120, int(0.45 * 120 * 120), holes=3, seed=1005)))[2]
+        levels = all_pairs(graph)
+        ordiam = levels.extreme("diameter")[0]
+        fresh = Levels(graph, levels.planes)
+        fresh._eccentricities
+        tracemalloc.start()
+        try:
+            far = fresh.far(ordiam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = np.count_nonzero(fresh._reach >= ordiam)
+        assert rows < graph.m // 100, rows
+        assert peak < far.nbytes + rows * far.itemsize * far.shape[1] + 8 * graph.m + 32 * 1024, (peak, rows)
 
 
 class TestRareShapes:

@@ -1,4 +1,4 @@
-"""Four sha256 digests of what the engines decide, to show that a change left every value field as it was.
+"""Five sha256 digests of what the engines decide, to show that a change left every value field as it was.
 
 Run from the root of a checkout::
 
@@ -15,6 +15,8 @@ Run from the root of a checkout::
   ``timings``, for both engines on each corpus instance and each ladder rung.
   It runs only the CLI, so it compares what a command prints whatever the
   library inside it does.
+* ``diameter``: the same for the CLI ``diameter`` command and its three
+  engines, ``edge-scan``, ``matmul`` and ``fast``.
 * ``oracle``: the oracle's diameter and radius payloads, through
   ``solve(kind, "oracle", grid=...)``, on the grid-40 rung, the test suite's
   dumbbell and its five medium domains (``medium_domain(101..105)``), past
@@ -72,15 +74,16 @@ def ladder_decisions():
             yield width, "diameter", algo, ordiam, engine(graph, far)
 
 
-def radius_commands():
+def commands(kind: str):
+    """The CLI ``kind`` command's exit code and payload for each engine, on the corpus and the ladder."""
     domains = [corpus_domain(k) for k in range(CORPUS_SIZE)]
     domains += [(f"grid{width}", rung_domain(width, seed)) for width, seed in LADDER]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.json"
         for name, domain in domains:
             path.write_text(json.dumps(domain_to_instance(domain)))
-            for algo in ENGINES["radius"]:
-                yield name, algo, run(["radius", str(path), "--algo", algo])
+            for algo in ENGINES[kind]:
+                yield name, algo, run([kind, str(path), "--algo", algo])
 
 
 def oracle_payloads():
@@ -97,7 +100,8 @@ def main() -> None:
     digests = {
         "verify": verify_reports,
         "decisions": ladder_decisions,
-        "radius": radius_commands,
+        "radius": lambda: commands("radius"),
+        "diameter": lambda: commands("diameter"),
         "oracle": oracle_payloads,
     }
     print(json.dumps({name: digest(records()) for name, records in digests.items()}))

@@ -16,13 +16,19 @@ timed in-process, best of 7 after one warm-up call, in milliseconds:
 * ``diameter`` and ``radius``: the extreme alone, on fresh ``Levels``, with
   any far relation its test reads;
 * ``far_ordiam`` and ``far_orrad``: ``Levels.far`` at each extreme's
-  threshold alone, on fresh ``Levels``;
+  threshold alone, on fresh ``Levels``, so with the eccentricities it reads
+  its candidate rows from;
 * ``diameter+far`` and ``radius+far``: the extreme and then the far relation
   its engine reads, on fresh ``Levels``: what a command pays between
   ``all_pairs`` and its engine;
 * one entry per engine, ``diameter_edge-scan`` and so on, on the far
   relation already built, for a kind whose oriented value routes to no
   fallback.
+
+Beside the times, ``rows_ordiam`` and ``rows_orrad`` count the far
+relation's rows at each threshold: ``far``, those holding an entry, and
+``candidates``, those ``Levels.far`` computes because they can hold one (the
+verticals by whole 64-row word blocks), out of ``m``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import time
+
+import numpy as np
 
 from rectilink import GenParams, domain_to_instance, gen_domain, parse_domain
 from rectilink.geometry import horizontal_decomposition, validate, vertical_decomposition
@@ -86,6 +94,9 @@ def rung(width: int, seed: int) -> dict:
     oriented = {kind: levels.extreme(kind)[0] for kind in ENGINES}
     out = {"grid": width, "seed": seed, "m": graph.m, "chi": graph.chi}
     out |= {"ordiam": oriented["diameter"], "orrad": oriented["radius"]}
+    for name, t in (("ordiam", oriented["diameter"]), ("orrad", oriented["radius"])):
+        far, candidates = levels.far(t).any(axis=1), levels._reach >= t
+        out[f"rows_{name}"] = {"far": int(np.count_nonzero(far)), "candidates": int(np.count_nonzero(candidates))}
     ms = {
         "parse": best_ms(lambda: parse_domain(text)),
         "validate": best_ms(lambda: validate(domain)),
