@@ -122,20 +122,29 @@ def _cmd_dist(args) -> int:
 def _cmd_extreme(args) -> int:
     """``diameter`` and ``radius``: one engine, or the oracle, with the stage timings."""
     domain = _load_domain(args.instance)
-    t0 = time.perf_counter()
     prep = grid = None
     if args.algo == ORACLE:
+        t0 = time.perf_counter()
         grid = build_grid(domain)
+        prep_seconds = time.perf_counter() - t0
     else:
         prep = prepare(domain, args.command)
-    prep_seconds = time.perf_counter() - t0
+        prep_seconds = sum(prep.seconds.values())
     solution = solve(args.command, args.algo, prep, grid)
     payload = solution.payload()
     timings = {"prepare_seconds": prep_seconds, "engine_seconds": solution.seconds}
     if prep is not None:
+        levels = prep.levels
         oriented = "ordiam" if args.command == "diameter" else "orrad"
-        payload[oriented] = prep.levels.extreme(args.command)[0]
+        payload[oriented] = levels.extreme(args.command)[0]
         timings["stage_seconds"] = prep.seconds
+        timings["counters"] = {
+            "search": levels.search,
+            "level_bound": levels.bound,
+            "planes": len(levels.planes),
+            "skipped_targets": levels.skipped,
+            "stop_level": None if levels.cap is None else levels.cap - 1,
+        }
     payload["requested_algo"] = args.algo
     payload["timings"] = timings
     _emit(payload)
@@ -178,12 +187,9 @@ def _cmd_bench(args) -> int:
         raise UnknownChoiceError(f"--engines names no engine (choose from {', '.join(DIAMETER_ALGOS)})")
     rows = []
     for path in args.instances:
-        domain = _load_domain(path)
-        t0 = time.perf_counter()
-        prep = prepare(domain)
-        prep_seconds = time.perf_counter() - t0
+        prep = prepare(_load_domain(path))
         row = {"instance": path} | instance_stats(prep)
-        row["prep_seconds"] = round(prep_seconds, 6)
+        row["prep_seconds"] = round(sum(prep.seconds.values()), 6)
         for kind, algos in (("diameter", engines), ("radius", [a for a in engines if a in RADIUS_ALGOS])):
             for algo in algos:
                 runs = [solve(kind, algo, prep) for _ in range(args.reps)]

@@ -35,9 +35,9 @@ class CrossingStore:
     Node v's entries are ``_start[v] : _start[v + 1]`` of ``_fixed`` and
     ``_rank``.  ``_next[e]`` counts only if ``_passed[e]``, the round in
     which it was set, is the current one; then every entry from e up to
-    ``_next[e]`` has a rank popped this round.  ``entries``, ``pops`` and
-    ``rounds`` count the stored (node, segment) pairs, the segments popped
-    and the rounds ended.
+    ``_next[e]`` has a rank popped this round.  ``entries`` and ``rounds``
+    count the stored (node, segment) pairs, none for an empty store, and
+    the rounds ended.
     """
 
     @classmethod
@@ -81,7 +81,7 @@ class CrossingStore:
         store._dead = [-1] * len(order)
         store._next = [0] * len(rank)
         store._passed = [-1] * len(rank)
-        store.entries, store.pops, store.rounds = len(rank), 0, 0
+        store.entries, store.rounds = len(rank), 0
         return store
 
     def restore(self) -> None:
@@ -118,7 +118,6 @@ class CrossingStore:
                     nxt[p] = e
                     passed[p] = now
             node >>= 1
-        self.pops += len(found)
         found.sort()
         owner = self._owner
         return [owner[r] for r in found]

@@ -41,7 +41,6 @@ reads one row of distances, which :func:`bfs_from` computes alone.
 
 from __future__ import annotations
 
-import logging
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -53,8 +52,6 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import CappedLevelsError, DisconnectedGraphError, ResourceLimitError
 from .geometry import Decomposition, Orientation, blocks, crossings
-
-log = logging.getLogger("rectilink")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +197,8 @@ def _source_search(graph: OrientedGraph, low: int = 2, stop: bool = False) -> tu
     words, step = -(-nh // 64), 64 * -(-CHUNK // 64)
     planes: list[np.ndarray] = []
     for start in range(0, nh, step):
-        stop = min(start + step, nh)
-        levels = dijkstra(sparse, directed=True, unweighted=True, indices=np.arange(start, stop)).T.astype(np.intp) + 1
+        end = min(start + step, nh)
+        levels = dijkstra(sparse, directed=True, unweighted=True, indices=np.arange(start, end)).T.astype(np.intp) + 1
         for p in range(1, int(levels.max()).bit_length()):
             if p > len(planes):
                 planes.append(np.zeros((m, words), dtype=np.uint64))
@@ -453,11 +450,19 @@ class Levels:
     ``cap``: the levels past it are clamped, so :meth:`far` is exact up to
     ``t = cap`` and refuses any larger ``t``, and :meth:`extreme` gives the
     radius only; both refusals raise :class:`~rectilink.CappedLevelsError`.
+
+    :func:`all_pairs` also records how it filled the planes: ``search``,
+    ``"level"`` or ``"per-source"``, the level ``bound`` it chose by and the
+    targets the level search ``skipped`` as saturated; a capped search
+    stopped at level ``cap - 1``.
     """
 
     graph: OrientedGraph
     planes: tuple[np.ndarray, ...]
     cap: int | None = None  # the largest exact threshold, or None: every level
+    search: str | None = None  # "level" or "per-source"; None for planes not from all_pairs
+    bound: int | None = None  # the level bound the search was chosen by
+    skipped: int = 0  # target gathers the level search skipped as saturated
     _far: dict = field(default_factory=dict, init=False, repr=False)  # threshold -> far relation
     _extremes: dict = field(default_factory=dict, init=False, repr=False)  # kind -> extreme
 
@@ -687,21 +692,11 @@ def all_pairs(graph: OrientedGraph, kind: str | None = None) -> Levels:
     of the planes, the reached sets and one far relation are checked against
     physical memory before either search allocates.
 
-    The search chosen, its bound, the planes, the targets the level search
-    skipped as saturated and where it stopped go to the debug log.
+    The search chosen, its bound and the targets the level search skipped
+    as saturated are kept on the result, beside the cap (:class:`Levels`).
     """
     search, bound = _select_search(graph)
     _check_memory(graph, bound)
     planes, skipped, cap = search(graph, (bound + 1) // 4 + 1, kind == "radius")
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "all_pairs: %s search, level bound %d, %d planes, %d targets skipped as saturated, %s, m=%d, chi=%d",
-            "level" if search is _level_search else "per-source",
-            bound,
-            len(planes),
-            skipped,
-            "every level" if cap is None else f"stopped at level {cap - 1}, cap {cap}",
-            graph.m,
-            graph.chi,
-        )
-    return Levels(graph, tuple(planes), cap)
+    name = "level" if search is _level_search else "per-source"
+    return Levels(graph, tuple(planes), cap, search=name, bound=bound, skipped=skipped)

@@ -40,7 +40,6 @@ overlay face, the intersection of the boxes of two crossing rectangles.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -70,9 +69,6 @@ _COLUMN_BLOCK = 16 * _EDGE_CHUNK  # the most edge columns the edge-scans transpo
 def _popcount(far: np.ndarray) -> np.ndarray:
     """Set bits per row of packed words, summed in ``intp``."""
     return np.bitwise_count(far).sum(axis=-1, dtype=np.intp)
-
-
-log = logging.getLogger("rectilink")
 
 
 @dataclass(frozen=True)
@@ -213,13 +209,10 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_o
     When no more edges are open than the next block would take, the cover
     test's symmetry settles them in one pass that ends the scan: the open
     edges become the block, every column not yet taken is scanned as rows,
-    and the hits are OR-reduced along the rows.  This tail counts as one
-    block, taking every column left, with the open edges as its rows.  When
-    every column fits in the first block, the tail is the whole scan, in
-    edge order.  ``combine`` is the cover test's (:func:`_edge_covers`): the
-    engine's OR, or the AND with which :func:`small_case_fallback` finds the
-    centre face.  Blocks, columns taken and rows scanned, counted on every
-    call, go to the ``rectilink`` logger at debug level.
+    and the hits are OR-reduced along the rows.  When every column fits in
+    the first block, the tail is the whole scan, in edge order.  ``combine``
+    is the cover test's (:func:`_edge_covers`): the engine's OR, or the AND
+    with which :func:`small_case_fallback` finds the centre face.
     """
     edges = graph.edges
     chi = len(edges)
@@ -230,7 +223,7 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_o
         order = np.argsort(-np.minimum(degree[edges[:, 0]], degree[edges[:, 1]]), kind="stable")
     covered = np.zeros(chi, dtype=bool)
     open_ids = np.arange(chi)
-    first = blocks = rows = 0
+    first = 0
     while first < chi and len(open_ids):
         tail = len(open_ids) <= width  # no more open edges than the block would take: settle them in one pass
         columns = edges[order[first : chi if tail else first + width]]
@@ -242,10 +235,8 @@ def radius_edge_scan(graph: OrientedGraph, far: np.ndarray, combine=np.bitwise_o
         else:
             for start, hit in _edge_covers(far, columns, edges[open_ids], combine):
                 covered[open_ids[start : start + len(hit)]] = hit.any(axis=1)
-        blocks, rows = blocks + 1, rows + len(open_ids)
         first, width = first + len(columns), min(4 * width, _COLUMN_BLOCK)
         open_ids = np.flatnonzero(~covered)
-    log.debug("radius edge-scan: %d blocks, %d/%d columns taken, %d rows scanned", blocks, first, chi, rows)
     return tuple(edges[open_ids[0]].tolist()) if len(open_ids) else None
 
 
@@ -334,45 +325,43 @@ def diameter_fast(graph: OrientedGraph, far: np.ndarray) -> tuple[int, int, int,
     i']`` is set, which makes i' a far row, so no other segment can change a
     decision, and the kept ones pop in the same (fixed, owner) order.  Every
     round ends with ``restore()``, which makes every segment live again in
-    constant time.  Store entries, rounds and pops go to the ``rectilink``
-    logger at debug level.
+    constant time.  A far row whose far set's opposite store holds no
+    segment pops nothing, so its round is skipped.
     """
     nh, far_rows = graph.nh, np.flatnonzero(far.any(axis=1))
     split = int(np.searchsorted(far_rows, nh))
-    stores = tuple(CrossingStore.reset(graph.mids[ids], ids) for ids in (far_rows[:split], far_rows[split:]))
+    sides = (far_rows[:split], far_rows[split:])  # the far rows per axis, whose segments each store holds
+    stores = tuple(CrossingStore.reset(graph.mids[ids], ids) for ids in sides)
     far_rows = far_rows.tolist()
     mids = dict(zip(far_rows, graph.mids[far_rows].tolist()))
     rows = dict(zip(far_rows, _far_rows(far, far_rows)))  # far row i, one bool per column
     reverse: dict[int, list[int]] = defaultdict(list)
     provenance: dict[tuple[int, int], int] = {}
-    try:
-        for i, row in rows.items():
-            far_ids = np.flatnonzero(row).tolist()
-            store = stores[far_ids[0] < nh]  # the axis opposite to the far set's
-            for j in far_ids:
-                for jp in store.pop_crossing(*mids[j]):
-                    reverse[jp].append(i)
-                    provenance[(i, jp)] = j
+    for i, row in rows.items():
+        far_ids = np.flatnonzero(row)
+        axis = int(far_ids[0]) < nh  # the axis opposite to the far set's
+        if not len(sides[axis]):
+            continue
+        store = stores[axis]
+        for j in far_ids.tolist():
+            for jp in store.pop_crossing(*mids[j]):
+                reverse[jp].append(i)
+                provenance[(i, jp)] = j
+        store.restore()
+    for jp in sorted(reverse.keys() & rows.keys()):
+        sources = reverse[jp]  # increasing: the horizontal rectangles, then the vertical ones
+        far_jp = rows[jp]  # far[i', j'] = far[j', i']
+        split = bisect_left(sources, nh)
+        for group in (sources[:split], sources[split:]):
+            if not group:
+                continue
+            store = stores[group[0] < nh]
+            for i in group:
+                for ip in store.pop_crossing(*mids[i]):
+                    if far_jp[ip]:
+                        return (i, ip, provenance[(i, jp)], jp)
             store.restore()
-        for jp in sorted(reverse.keys() & rows.keys()):
-            sources = reverse[jp]  # increasing: the horizontal rectangles, then the vertical ones
-            far_jp = rows[jp]  # far[i', j'] = far[j', i']
-            split = bisect_left(sources, nh)
-            for group in (sources[:split], sources[split:]):
-                if not group:
-                    continue
-                store = stores[group[0] < nh]
-                for i in group:
-                    for ip in store.pop_crossing(*mids[i]):
-                        if far_jp[ip]:
-                            return (i, ip, provenance[(i, jp)], jp)
-                store.restore()
-        return None
-    finally:
-        if log.isEnabledFor(logging.DEBUG):
-            h, v = stores
-            rounds, pops = h.rounds + v.rounds, h.pops + v.pops
-            log.debug("diameter fast: %d/%d store entries (H/V), %d rounds, %d pops", h.entries, v.entries, rounds, pops)
+    return None
 
 
 def _face_center(graph: OrientedGraph, a: int, b: int | None = None) -> Point:
@@ -423,9 +412,9 @@ def compute(kind: str, levels: Levels, algo: str = EDGE_SCAN) -> DiameterResult 
     on first use.  A routed result has engine ``fallback``.  The engine
     decides on the far relation ``levels.far(oriented)``, which the
     extreme's own test and later calls at the same threshold share; its
-    decision becomes the result here.  The route, its reason and the
-    far-entry count go to the ``rectilink`` logger at debug level, counted
-    only when that level is on.
+    decision becomes the result here.  The route needs no record of its
+    own: the result's ``engine`` names it, and the oriented value, read
+    from ``levels.extreme(kind)``, is its reason.
     """
     if kind not in ALGOS:
         raise UnknownChoiceError(f"unknown kind {kind!r} (choose from {', '.join(ALGOS)})")
@@ -433,11 +422,6 @@ def compute(kind: str, levels: Levels, algo: str = EDGE_SCAN) -> DiameterResult 
         raise UnknownChoiceError(f"unknown {kind} algorithm {algo!r} (choose from {', '.join(ALGOS[kind])})")
     graph = levels.graph
     oriented, rects = levels.extreme(kind)
-    if log.isEnabledFor(logging.DEBUG):
-        name = "ordiam" if kind == "diameter" else "orrad"
-        route = f"fallback, {name}={oriented} < 4" if oriented < 4 else f"{algo}, {name}={oriented}"
-        far_entries = int(_popcount(levels.far(oriented)).sum())
-        log.debug("%s: %s, %d far entries", kind, route, far_entries)
     if oriented < 4:
         return small_case_fallback(levels, kind)
     engine = {  # looked up per call, so that rebinding a module attribute reaches the engine

@@ -210,6 +210,11 @@ def grid40() -> list[Prepared]:
     return preps
 
 
+def grid120_domain() -> Domain:
+    """The grid-120 rung of the stage ladder (seed 1005), an extremes-large benchmark instance."""
+    return gen_domain(GenParams(width=120, height=120, cells=6480, holes=3, seed=1005))
+
+
 @pytest.fixture(scope="session")
 def grid60() -> list[Prepared]:
     """Two grid-60 instances (seeds 1 and 2), too large for the full oracle."""

@@ -13,11 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rectilink
-from rectilink import GenParams, domain_to_instance, gen_domain, geometry, parse_domain, render_svg
+from rectilink import GenParams, decompose, domain_to_instance, gen_domain, geometry, parse_domain, render_svg
 from rectilink.cli import _build_parser, main
+from rectilink.graph import all_pairs
 from rectilink.metrics import DIAMETER_ALGOS, ORACLE, RADIUS_ALGOS
 
-from conftest import DONUT, LSHAPE, SQUARE
+from conftest import DONUT, LSHAPE, SQUARE, corpus_domain, grid120_domain
 
 
 @pytest.fixture()
@@ -85,9 +86,35 @@ class TestCommands:
             stages = timings["stage_seconds"]
             assert list(stages) == ["decompose", "graph", "all_pairs"]
             assert min(stages.values()) >= 0
-            assert sum(stages.values()) <= timings["prepare_seconds"]
+            assert sum(stages.values()) == timings["prepare_seconds"]
         _, out = run(capsys, "diameter", files["donut"], "--algo", "oracle")
         assert "stage_seconds" not in json.loads(out)["timings"]
+
+    @pytest.mark.parametrize("name", ["corpus", "grid120"])
+    def test_counters(self, capsys, tmp_path, name):
+        """``timings.counters`` states the search ``all_pairs`` ran for the command; the radius search stops, the
+        diameter's runs to the last level.  The oracle runs no search and has no counters (on the corpus instance
+        alone: on grid 120 it takes most of a minute)."""
+        domain = corpus_domain(0)[1] if name == "corpus" else grid120_domain()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(domain_to_instance(domain)))
+        graph = decompose(domain)[2]
+        for kind in ("diameter", "radius"):
+            _, out = run(capsys, kind, str(path))
+            counters = json.loads(out)["timings"]["counters"]
+            levels = all_pairs(graph, kind)
+            assert counters == {
+                "search": levels.search,
+                "level_bound": levels.bound,
+                "planes": len(levels.planes),
+                "skipped_targets": levels.skipped,
+                "stop_level": None if levels.cap is None else levels.cap - 1,
+            }
+            assert counters["search"] == "level"
+            assert (counters["stop_level"] is None) == (kind == "diameter")
+            if name == "corpus":
+                _, out = run(capsys, kind, str(path), "--algo", "oracle")
+                assert "counters" not in json.loads(out)["timings"]
 
     def test_render_stdout(self, capsys, files):
         code, out = run(capsys, "render", files["square"])

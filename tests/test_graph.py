@@ -1,7 +1,6 @@
 """Crossing graph construction, BFS distances, bit planes and far relations, summaries, invariants."""
 
 import json
-import logging
 import re
 import tracemalloc
 
@@ -38,7 +37,7 @@ from rectilink.graph import (
 from rectilink.metrics import _popcount, compute
 from rectilink.pipeline import decompose, prepare
 
-from conftest import comb, perforated, spiral, staircase
+from conftest import comb, grid120_domain, perforated, spiral, staircase
 from reference import (
     TableSummary,
     crosses,
@@ -286,24 +285,24 @@ class TestAllPairsDerivation:
         assert 1 in [len(g.neighbours(v)) for v in range(g.nh, g.m)]
         assert np.array_equal(levels_table(all_pairs(g)), reference_table(g))
 
-    def test_independent_of_chunk(self, corpus, monkeypatch, caplog):
+    def test_independent_of_chunk(self, corpus, monkeypatch):
         """CHUNK = 1 makes most CSR groups larger than the level search's and the vertical AND's 4 * CHUNK edge
         cap, and CHUNK 1 and 3 put the corpus graphs above the 4 * CHUNK edges from which the level search skips
         saturated targets; the bit transpose runs eight rows at a time."""
         for chunk in (1, 3):
             monkeypatch.setattr(graph_module, "CHUNK", chunk)
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="rectilink"):
-                for inst in corpus[:20]:
-                    assert np.array_equal(levels_table(all_pairs(inst.prep.graph)), levels_table(inst.prep.levels))
-            assert sum(skipped_targets(r) for r in caplog.records) > 0, chunk
+            skipped = 0
+            for inst in corpus[:20]:
+                levels = all_pairs(inst.prep.graph)
+                assert np.array_equal(levels_table(levels), levels_table(inst.prep.levels))
+                skipped += levels.skipped
+            assert skipped > 0, chunk
 
-    def test_grid120_skips_saturated_targets(self, caplog):
+    def test_grid120_skips_saturated_targets(self):
         """An extremes-large benchmark instance, where the level search skips saturated targets at the default CHUNK."""
         g = decompose(grid120_domain())[2]
-        with caplog.at_level(logging.DEBUG, logger="rectilink"):
-            levels = all_pairs(g)
-        assert skipped_targets(caplog.records[-1]) > 0
+        levels = all_pairs(g)
+        assert levels.search == "level" and levels.skipped > 0
         assert np.array_equal(levels_table(levels), reference_table(g))
 
     def test_grid120_holds_no_table(self):
@@ -319,14 +318,6 @@ class TestAllPairsDerivation:
             finally:
                 tracemalloc.stop()
             assert peak < m * m, (kind, peak, m * m)
-
-
-def grid120_domain():
-    return gen_domain(GenParams(width=120, height=120, cells=6480, holes=3, seed=1005))
-
-
-def skipped_targets(record):
-    return int(re.search(r"(\d+) targets skipped as saturated", record.getMessage()).group(1))
 
 
 def assert_reduceat_table(graph, levels=None):
@@ -438,62 +429,41 @@ class TestSelection:
             assert search is _level_search
             assert levels_table(prep.levels).max() <= bound
 
-    def test_choice_logged(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="rectilink"):
-            all_pairs(staircase_graph(64))
-            all_pairs(staircase_graph(2))
-        assert [r.getMessage().split(",")[0] for r in caplog.records] == [
-            "all_pairs: per-source search",
-            "all_pairs: level search",
-        ]
-        assert "level bound 257" in caplog.records[0].getMessage()
-
-
-def stop_of(record):
-    """The level where the search stopped and its cap, read off the ``all_pairs`` debug line; None for every level."""
-    message = record.getMessage()
-    if ", every level," in message:
-        return None
-    level, cap = re.search(r"stopped at level (\d+), cap (\d+)", message).groups()
-    return int(level), int(cap)
+    def test_choice_logged(self):
+        """The search chosen and its bound are recorded on the levels; the per-source search skips no target."""
+        corridor, short = all_pairs(staircase_graph(64)), all_pairs(staircase_graph(2))
+        assert (corridor.search, corridor.bound, corridor.skipped) == ("per-source", 257, 0)
+        assert short.search == "level" and short.bound == _select_search(staircase_graph(2))[1]
 
 
 class TestRadiusCap:
     """``all_pairs(g, "radius")`` stops the level search at the least horizontal eccentricity and is exact to it."""
 
-    def capped_and_full(self, g, caplog):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="rectilink"):
-            capped = all_pairs(g, "radius")
-            full = all_pairs(g)
-        return capped, full, [stop_of(r) for r in caplog.records]
-
-    def test_matches_full_search(self, corpus, grid40, caplog):
+    def test_matches_full_search(self, corpus, grid40):
         """The corpus, the grid-40 seeds 1000-1003, combs with ``orrad < 4`` (which the fallback takes) and short
         corridors, spirals and perforated squares, where the least eccentricity can sit at the level from which
         the search tests for it: the same radius and centre, and the same far words at every threshold up to the
-        cap, which the log names."""
+        cap, one above the level where the search stopped."""
         assert len(grid40) == 32  # seeds 1000-1031 all generate, so the first four are seeds 1000-1003
         graphs = [inst.prep.graph for inst in corpus] + [prep.graph for prep in grid40[:4]]
         shapes = [staircase(k) for k in (1, 2, 3, 16, 31)] + [spiral(k) for k in (3, 4, 12)]
         graphs += [decompose(parse_domain(shape))[2] for shape in shapes + [perforated(k) for k in (1, 2, 11)]]
         graphs += [decompose_comb(k)[2] for k in (2, 5, 20)]
         for k, g in enumerate(graphs):
-            capped, full, stops = self.capped_and_full(g, caplog)
+            capped, full = all_pairs(g, "radius"), all_pairs(g)
             least = int(full._eccentricities[0].min())
-            assert stops == [(least, least + 1), None], k
-            assert capped.cap == least + 1
+            assert (capped.cap, full.cap) == (least + 1, None), k
             assert capped.extreme("radius") == full.extreme("radius"), k
             for t in range(2, capped.cap + 1):
                 assert np.array_equal(capped.far(t), full.far(t)), (k, t)
         assert all(all_pairs(g, "radius").extreme("radius")[0] < 4 for g in graphs[-3:])
 
-    def test_corridors_search_every_level(self, caplog):
+    def test_corridors_search_every_level(self):
         """The per-source search has no early stop: staircase corridors get the full planes, uncapped."""
         for k in (64, 100):
             g = staircase_graph(k)
-            capped, full, stops = self.capped_and_full(g, caplog)
-            assert stops == [None, None] and capped.cap is None
+            capped, full = all_pairs(g, "radius"), all_pairs(g)
+            assert capped.search == full.search == "per-source" and capped.cap is full.cap is None
             assert all(np.array_equal(a, b) for a, b in zip(capped.planes, full.planes, strict=True))
             assert capped.extreme("radius") == full.extreme("radius")
             assert capped.extreme("diameter") == full.extreme("diameter")

@@ -1,8 +1,6 @@
 """Point distance formula, the three engines, boolean products, fallback, witnesses."""
 
 import itertools
-import logging
-import re
 import tracemalloc
 
 import numpy as np
@@ -369,23 +367,30 @@ def lone_cover(graph):
     return far, edges.index([h, v])
 
 
-def radius_log(caplog, graph, far, combine=np.bitwise_or):
-    """The radius edge-scan's decision on packed ``far``, and its debug line's blocks, columns taken, rows scanned."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="rectilink"):
+def radius_blocks(monkeypatch, graph, far, combine=np.bitwise_or):
+    """The radius edge-scan's decision on packed ``far``, and the (block, scanning) edge counts of its cover calls.
+
+    A column block scans the open edges as rows; the tail passes the open
+    edges as its block and scans every column left.
+    """
+    calls = []
+    covers = rectilink.metrics._edge_covers
+
+    def spy(far, block, scanning, combine=np.bitwise_or):
+        calls.append((len(block), len(scanning)))
+        return covers(far, block, scanning, combine)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rectilink.metrics, "_edge_covers", spy)
         edge = radius_edge_scan(graph, far, combine)
-    (message,) = [r.getMessage() for r in caplog.records]
-    match = re.fullmatch(r"radius edge-scan: (\d+) blocks, (\d+)/(\d+) columns taken, (\d+) rows scanned", message)
-    blocks, taken, chi, rows = map(int, match.groups())
-    assert chi == graph.chi
-    return edge, blocks, taken, rows
+    return edge, calls
 
 
 class TestRadiusColumnOrder:
     """The radius scan takes the columns by degree in growing blocks, and stops once every edge is covered."""
 
     @pytest.mark.parametrize("block", [None, 60])
-    def test_lone_cover_in_the_last_block(self, grid60, block, caplog, monkeypatch):
+    def test_lone_cover_in_the_last_block(self, grid60, block, monkeypatch):
         """Under the default block, the first block leaves between 1 and the next block's width of edges open, and
         the tail settles them against every column left: two blocks take every column, with the OR and the AND."""
         if block:
@@ -403,28 +408,29 @@ class TestRadiusColumnOrder:
         assert edge is None or e < graph.edges.tolist().index(list(edge))  # without c, e would be the answer
         width = rectilink.metrics._COLUMN_BLOCK // 32  # the first block's
         for combine in (np.bitwise_or, np.bitwise_and):
-            decision, blocks, columns, rows = radius_log(caplog, graph, packed(far), combine)
+            decision, calls = radius_blocks(monkeypatch, graph, packed(far), combine)
             assert decision == reference.radius_edge_scan(graph, far, combine), combine
-            if not block:
-                assert (blocks, columns) == (2, graph.chi) and 0 < rows - graph.chi <= 4 * width, combine
+            if not block:  # the first block scans every row; the tail settles the rest against every column left
+                (first, rows), (tail, columns) = calls
+                assert (first, rows, columns) == (width, graph.chi, graph.chi - width), combine
+                assert 0 < tail <= 4 * width, combine
 
-    def test_growing_blocks_logged(self, grid60, caplog, monkeypatch):
-        """Under a 60-column block the blocks grow 1, 4, 16, 60 and no block is wider; at info level nothing is logged.
+    def test_growing_blocks_logged(self, grid60, monkeypatch):
+        """Under a 60-column block the blocks grow 1, 4, 16, then take 60 columns at a time up to the last column.
 
-        The block count with every column taken pins the widths: any block
-        wider than 60 would leave fewer blocks.
+        An open edge is left, so every column is taken; the first block
+        scans every row, and each later one only the edges still open.
         """
         monkeypatch.setattr(rectilink.metrics, "_COLUMN_BLOCK", 60)
         prep = grid60[0]
+        chi = prep.graph.chi
         far = prep.levels.far(prep.levels.extreme("radius")[0] + 1)
-        with caplog.at_level(logging.INFO, logger="rectilink"):
-            radius_edge_scan(prep.graph, far)
-        assert not caplog.records
-        edge, blocks, taken, rows = radius_log(caplog, prep.graph, far)
+        edge, calls = radius_blocks(monkeypatch, prep.graph, far)
         assert edge == reference.radius_edge_scan(prep.graph, unpacked(far)) is not None
-        assert taken == prep.graph.chi  # an open edge is left: every column is taken
-        assert rows >= prep.graph.chi + blocks - 1  # the first block scans every row, each later one at least one
-        assert blocks == 3 + -(-(prep.graph.chi - 21) // 60)  # 1 + 4 + 16 columns, then blocks of 60
+        full, rest = divmod(chi - 21, 60)
+        assert [block for block, _ in calls] == [1, 4, 16] + [60] * full + [rest] * (rest > 0)
+        rows = [rows for _, rows in calls]
+        assert rows[0] == chi and rows == sorted(rows, reverse=True) and rows[-1] > 0
 
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 300])
     def test_far_degrees(self, m):
@@ -435,11 +441,38 @@ class TestRadiusColumnOrder:
             far = rng.random((m, m)) < density
             assert _popcount(packed(far)).tolist() == far.sum(axis=1).tolist(), density
 
-    def test_early_stop(self, grid60, caplog):
-        """At ``orrad`` on grid-60 seed 1 every edge is covered before the last column is taken."""
+    def test_early_stop(self, grid60, monkeypatch):
+        """At ``orrad`` on grid-60 seed 1 the first block covers every edge, and no other column is taken."""
         prep = grid60[0]
-        edge, _, taken, _ = radius_log(caplog, prep.graph, prep.levels.far(prep.levels.extreme("radius")[0]))
-        assert edge is None and taken < prep.graph.chi
+        far = prep.levels.far(prep.levels.extreme("radius")[0])
+        edge, calls = radius_blocks(monkeypatch, prep.graph, far)
+        assert edge is None and calls == [(rectilink.metrics._COLUMN_BLOCK // 32, prep.graph.chi)]
+
+
+class Counting(CrossingStore):
+    """A crossing store that keeps every store made and counts, over them all, the segments popped and the rounds."""
+
+    made: list = []
+    pops = restores = 0
+
+    @classmethod
+    def clear(cls) -> None:
+        cls.made, cls.pops, cls.restores = [], 0, 0
+
+    @classmethod
+    def reset(cls, mids, owners):
+        store = super().reset(mids, owners)
+        cls.made.append(store)
+        return store
+
+    def pop_crossing(self, fixed, lo, hi):
+        out = super().pop_crossing(fixed, lo, hi)
+        Counting.pops += len(out)
+        return out
+
+    def restore(self):
+        Counting.restores += 1
+        super().restore()
 
 
 class TestFallback:
@@ -548,59 +581,29 @@ class TestFallback:
         res = compute("diameter", donut.prep.levels, "fast")
         assert res.engine == "fast"
 
-    def test_routing_logged(self, square, donut, caplog):
-        """The route, its reason and the far-entry count, at debug level only."""
-        with caplog.at_level(logging.INFO, logger="rectilink"):
-            compute("radius", donut.prep.levels, "matmul")
-        assert not caplog.records
-        with caplog.at_level(logging.DEBUG, logger="rectilink"):
-            compute("diameter", square.prep.levels, "fast")
-            compute("radius", donut.prep.levels, "matmul")
+    def test_routing_logged(self, square, donut):
+        """The result names the route: ``fallback`` below 4, else the engine, by the oriented value of the table."""
         square_ordiam, _ = square.prep.levels.extreme("diameter")
-        square_far = np.count_nonzero(levels_table(square.prep.levels) >= square_ordiam)
-        donut_far = np.count_nonzero(levels_table(donut.prep.levels) >= 4)
-        assert [r.getMessage() for r in caplog.records] == [
-            f"diameter: fallback, ordiam={square_ordiam} < 4, {square_far} far entries",
-            f"radius: matmul, orrad=4, {donut_far} far entries",
-        ]
-        assert donut.prep.levels.extreme("radius")[0] == 4 and donut_far > 0
+        assert square_ordiam == levels_table(square.prep.levels).max() < 4
+        assert compute("diameter", square.prep.levels, "fast").engine == "fallback"
+        donut_orrad, _ = donut.prep.levels.extreme("radius")
+        assert donut_orrad == levels_table(donut.prep.levels).max(axis=1).min() == 4
+        assert compute("radius", donut.prep.levels, "matmul").engine == "matmul"
 
-    def test_fast_logged(self, corpus, caplog, monkeypatch):
-        """``diameter_fast`` logs its store entries per axis, its rounds (restores) and its pops, at debug level only."""
-
-        class Counting(CrossingStore):
-            pops = restores = 0
-
-            def pop_crossing(self, fixed, lo, hi):
-                out = super().pop_crossing(fixed, lo, hi)
-                Counting.pops += len(out)
-                return out
-
-            def restore(self):
-                Counting.restores += 1
-                super().restore()
-
+    def test_fast_logged(self, corpus, monkeypatch):
+        """``diameter_fast`` builds one store per axis over the far rows' segments and ends its rounds there."""
         monkeypatch.setattr(rectilink.metrics, "CrossingStore", Counting)
         cases = [inst.prep for inst in corpus if inst.prep.levels.extreme("diameter")[0] >= 4][:30]
-        for prep in cases[:3]:
-            with caplog.at_level(logging.INFO, logger="rectilink"):
-                diameter_fast(prep.graph, prep.levels.far(prep.levels.extreme("diameter")[0]))
-        assert not caplog.records
         decisions, popped = set(), []
         for prep in cases:
             g, far = prep.graph, prep.levels.far(prep.levels.extreme("diameter")[0])
-            rows = np.flatnonzero(far.any(axis=1))  # the stores hold the far rows' segments, one store per axis
+            rows = np.flatnonzero(far.any(axis=1))
             sides = (rows[rows < g.nh], rows[rows >= g.nh])
             entries = [CrossingStore.reset(g.mids[ids], ids).entries for ids in sides]
-            Counting.pops = Counting.restores = 0
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="rectilink"):
-                none = diameter_fast(g, far) is None
+            Counting.clear()
+            none = diameter_fast(g, far) is None
             decisions.add(none)
-            assert [r.getMessage() for r in caplog.records] == [
-                f"diameter fast: {entries[0]}/{entries[1]} store entries (H/V), "
-                f"{Counting.restores} rounds, {Counting.pops} pops"
-            ]
+            assert [store.entries for store in Counting.made] == entries
             # A witness pops its i'; with no witness the far rows' segments may cross none of the far sets.
             assert Counting.pops > 0 or none
             popped.append(none and Counting.pops > 0)
@@ -825,6 +828,19 @@ class TestEngineAgreement:
             assert decision == reference.diameter_fast(prep.graph, unpacked(far), graph_rects(prep.hdec, prep.vdec)), k
             decisions.add(decision is None)
         assert decisions == {True, False}
+
+    def test_fast_skips_empty_store(self, monkeypatch):
+        """On a comb every far row is horizontal at ``ordiam`` and so is its far set: the vertical store is empty, and
+        no far row runs a round or pops, with the decision of the engine on segment objects."""
+        monkeypatch.setattr(rectilink.metrics, "CrossingStore", Counting)
+        for k in (2, 8, 21, 50):
+            prep = prepare(parse_domain(comb(k)))
+            far = prep.levels.far(prep.levels.extreme("diameter")[0])
+            Counting.clear()
+            decision = diameter_fast(prep.graph, far)
+            assert [store.entries > 0 for store in Counting.made] == [True, False], k
+            assert Counting.pops == Counting.restores == 0, k
+            assert decision == reference.diameter_fast(prep.graph, unpacked(far), graph_rects(prep.hdec, prep.vdec)), k
 
 
 class TestOverlayFaces:

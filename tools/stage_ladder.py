@@ -25,10 +25,14 @@ timed in-process, best of 7 after one warm-up call, in milliseconds:
   relation already built, for a kind whose oriented value routes to no
   fallback.
 
-Beside the times, ``rows_ordiam`` and ``rows_orrad`` count the far
-relation's rows at each threshold: ``far``, those holding an entry, and
-``candidates``, those ``Levels.far`` computes because they can hold one (the
-verticals by whole 64-row word blocks), out of ``m``.
+Beside the times, ``search``, ``level_bound`` and ``skipped_targets`` say
+how ``all_pairs`` filled the planes (:class:`rectilink.graph.Levels`): the
+search it chose, the level bound it chose by, which ``LEVEL_SEARCH_K`` weighs
+against ``chi / m``, and the targets the level search skipped as saturated.
+``rows_ordiam`` and ``rows_orrad`` count the far relation's rows at each
+threshold: ``far``, those holding an entry, and ``candidates``, those
+``Levels.far`` computes because they can hold one (the verticals by whole
+64-row word blocks), out of ``m``.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ def rung(width: int, seed: int) -> dict:
 
     oriented = {kind: levels.extreme(kind)[0] for kind in ENGINES}
     out = {"grid": width, "seed": seed, "m": graph.m, "chi": graph.chi}
+    out |= {"search": levels.search, "level_bound": levels.bound, "skipped_targets": levels.skipped}
     out |= {"ordiam": oriented["diameter"], "orrad": oriented["radius"]}
     for name, t in (("ordiam", oriented["diameter"]), ("orrad", oriented["radius"])):
         far, candidates = levels.far(t).any(axis=1), levels._reach >= t
