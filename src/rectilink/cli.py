@@ -144,6 +144,8 @@ def _cmd_extreme(args) -> int:
             "planes": len(levels.planes),
             "skipped_targets": levels.skipped,
             "stop_level": None if levels.cap is None else levels.cap - 1,
+            "sources": levels.sources,
+            "rounds": levels.rounds,
         }
     payload["requested_algo"] = args.algo
     payload["timings"] = timings

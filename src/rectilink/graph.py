@@ -20,8 +20,13 @@ stops gathering for targets that every source has reached, unless a level
 bound read off one breadth-first order says the levels are too many for the
 edges (a long corridor); then it searches from each source in turn.  A
 caller that reads only the radius stops the level search at the least
-eccentricity, past which the radius reads no level.  Either way the result
-is :class:`Levels`, the levels as bit planes, 64 sources to a word.  No
+eccentricity, past which the radius reads no level.  A caller that reads
+only the diameter needs the levels of the few horizontals within one of
+the largest eccentricity ``D``: on a graph of ``ROUND_WORDS`` or more words
+of sources it searches rounds of 64, which eccentricity bounds choose, and
+stops once every unsearched horizontal is bounded below ``D - 1``, unless a
+round shows the bounds too loose to pay.  Either way the result is
+:class:`Levels`, the levels as bit planes, 64 sources to a word.  No
 table is built: the engines decide on a far relation ``dm >= t``, which
 :meth:`Levels.far` reads off the planes as packed bits, the
 vertical-to-horizontal block by a bit-sliced compare, the
@@ -35,8 +40,10 @@ group reduce, :func:`_group_reduce`, which gathers rows of words with
 bit tiles held in single words.  :meth:`Levels.extreme`
 computes the oriented diameter or radius from the planes and, for the few
 verticals that could change the extreme, one read of their rows of the far
-relation, mostly at the threshold the engine then reads.  A point query
-reads one row of distances, which :func:`bfs_from` computes alone.
+relation at the threshold the engine mostly then reads (the diameter) or
+the same compare and AND on their own rows of the planes (the radius).  A
+point query reads one row of distances, which :func:`bfs_from` computes
+alone.
 """
 
 from __future__ import annotations
@@ -154,6 +161,10 @@ def _disconnected(graph: OrientedGraph, unreached: int, sources: Sequence[int]) 
 # benchmark workload exercises yet, so it has been fitted on generated
 # domains and on staircase corridors built in the tests alone.
 LEVEL_SEARCH_K = 128
+# all_pairs(graph, "diameter") searches in rounds of 64 sources when W = ceil(nh / 64) >= ROUND_WORDS, and falls
+# back to the one full search once a round leaves more than three quarters of the horizontals open; the measured
+# crossover behind both is in the all_pairs docstring.
+ROUND_WORDS = 16
 # sources per scipy search (rounded up to whole words), rows bit-transposed at once, a quarter of the edges
 # per block of a group reduce (the level search's OR, the far relation's AND), and of the edges from which the
 # level search skips saturated targets
@@ -184,7 +195,9 @@ def _check_memory(graph: OrientedGraph, bound: int) -> None:
         )
 
 
-def _source_search(graph: OrientedGraph, low: int = 2, stop: bool = False) -> tuple[list[np.ndarray], int, None]:
+def _source_search(
+    graph: OrientedGraph, sources: np.ndarray | None = None, low: int = 2, stop: bool = False
+) -> tuple[list[np.ndarray], int, None]:
     """The bit planes of :func:`_level_search`, from a scipy search out of each horizontal source.
 
     ``CHUNK`` sources, rounded up to whole words, are searched at a time,
@@ -193,12 +206,13 @@ def _source_search(graph: OrientedGraph, low: int = 2, stop: bool = False) -> tu
     Returns the planes, 0 (no target is skipped) and None (every level is
     exact).
     """
-    m, nh, sparse = graph.m, graph.nh, _sparse(graph)
-    words, step = -(-nh // 64), 64 * -(-CHUNK // 64)
+    m, sparse = graph.m, _sparse(graph)
+    sources = np.arange(graph.nh) if sources is None else sources
+    words, step = -(-len(sources) // 64), 64 * -(-CHUNK // 64)
     planes: list[np.ndarray] = []
-    for start in range(0, nh, step):
-        end = min(start + step, nh)
-        levels = dijkstra(sparse, directed=True, unweighted=True, indices=np.arange(start, end)).T.astype(np.intp) + 1
+    for start in range(0, len(sources), step):
+        chunk = sources[start : start + step]
+        levels = dijkstra(sparse, directed=True, unweighted=True, indices=chunk).T.astype(np.intp) + 1
         for p in range(1, int(levels.max()).bit_length()):
             if p > len(planes):
                 planes.append(np.zeros((m, words), dtype=np.uint64))
@@ -207,18 +221,18 @@ def _source_search(graph: OrientedGraph, low: int = 2, stop: bool = False) -> tu
     return planes, 0, None
 
 
-def _groups(ptr: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """CSR groups ``(ptr, nbr)`` and their blocks of at most ``4 * CHUNK`` entries, cut once for every reduce."""
-    return ptr, nbr, list(blocks(ptr, 4 * CHUNK))
+def _groups(ptr: np.ndarray, nbr: np.ndarray, cap: int = 4 * CHUNK) -> tuple[np.ndarray, np.ndarray, list]:
+    """CSR groups ``(ptr, nbr)`` and their blocks of at most ``cap`` entries, cut once for every reduce."""
+    return ptr, nbr, list(blocks(ptr, cap))
 
 
-def _open_groups(ptr: np.ndarray, nbr: np.ndarray, keep: np.ndarray):
+def _open_groups(ptr: np.ndarray, nbr: np.ndarray, keep: np.ndarray, cap: int):
     """The CSR groups ``keep`` of ``(ptr, nbr)`` as new groups ``0..len(keep)-1``, as :func:`_groups` returns them."""
     lo = ptr[keep]
     degree = ptr[keep + 1] - lo
     kept = np.zeros(len(keep) + 1, dtype=np.intp)
     np.cumsum(degree, out=kept[1:])
-    return _groups(kept, nbr[np.repeat(lo - kept[:-1], degree) + np.arange(kept[-1])])
+    return _groups(kept, nbr[np.repeat(lo - kept[:-1], degree) + np.arange(kept[-1])], cap)
 
 
 def _group_reduce(ufunc: np.ufunc, rows: np.ndarray, groups):
@@ -235,16 +249,21 @@ def _group_reduce(ufunc: np.ufunc, rows: np.ndarray, groups):
         yield a, b, ufunc.reduceat(rows.take(nbr[ptr[a] : ptr[b]], axis=0), ptr[a:b] - ptr[a], axis=0)
 
 
-def _level_search(graph: OrientedGraph, low: int = 2, stop: bool = False) -> tuple[list[np.ndarray], int, int | None]:
-    """The levels from every horizontal source, as bit planes, by one search from all of them at once.
+def _level_search(
+    graph: OrientedGraph, sources: np.ndarray | None = None, low: int = 2, stop: bool = False
+) -> tuple[list[np.ndarray], int, int | None]:
+    """The levels from the horizontal ``sources`` (None: all), as bit planes, by one search from all of them at once.
 
     Every rectangle keeps a ``reached`` bitset over the sources, ``W =
-    ceil(nh / 64)`` words, source ``s`` at bit ``s``.  Level 1 reaches the
-    sources themselves.  Each later level's targets lie on one side of the
+    ceil(len(sources) / 64)`` words, the k-th source at bit ``k``, so the
+    planes' column k holds its levels.  Level 1 reaches the sources
+    themselves.  Each later level's targets lie on one side of the
     bipartite graph, alternating, and a target's new bits are the OR of its
     neighbours' frontier words, ``& ~reached``: the OR over the targets' CSR
     groups of :func:`_group_reduce`, whose blocks gather at most ``4 *
-    CHUNK`` edges of ``W`` words.
+    CHUNK`` edges of ``W`` words; they only bound those temporaries, so with
+    one word a row (64 sources or fewer) each level gathers every edge at
+    once.
 
     A target that every source has reached gets no new bit, so its gather is
     wasted; leaving it out is the bottom-up step of multi-source BFS.  When
@@ -277,18 +296,20 @@ def _level_search(graph: OrientedGraph, low: int = 2, stop: bool = False) -> tup
     must be connected, so that no group is empty.
     """
     m, nh, chi = graph.m, graph.nh, graph.chi
-    words = -(-nh // 64)
+    sources = np.arange(nh) if sources is None else sources
+    words = -(-len(sources) // 64)
+    cap = 4 * CHUNK if words > 1 else chi
     indptr, indices = graph.indptr, graph.indices
     reached = np.zeros((m, words), dtype=np.uint64)
-    ids = np.arange(nh)
-    reached.view(np.uint8)[ids, ids >> 3] = np.left_shift(1, ids & 7)
+    ids = np.arange(len(sources))
+    reached.view(np.uint8)[sources, ids >> 3] = np.left_shift(1, ids & 7)
     full = np.bitwise_or.reduce(reached[:nh], axis=0)
     prune, skipped = chi > 4 * CHUNK and not stop, 0
     # per target side: its rows, the open targets (None: all) and their CSR groups with the neighbours as
     # rows of the other side's frontier
     sides = [
-        (slice(0, nh), None, _groups(indptr[: nh + 1], indices[:chi] - nh)),
-        (slice(nh, m), None, _groups(indptr[nh:], indices)),
+        (slice(0, nh), None, _groups(indptr[: nh + 1], indices[:chi] - nh, cap)),
+        (slice(nh, m), None, _groups(indptr[nh:], indices, cap)),
     ]
     planes: list[np.ndarray] = []
 
@@ -324,7 +345,7 @@ def _level_search(graph: OrientedGraph, low: int = 2, stop: bool = False) -> tup
             saturated = ((targets if open_ids is None else targets[open_ids]) == full).all(axis=1)
             if 4 * np.count_nonzero(saturated) > len(saturated):
                 keep = np.flatnonzero(~saturated)
-                sides[side] = (rows, keep if open_ids is None else open_ids[keep], _open_groups(*groups[:2], keep))
+                sides[side] = (rows, keep if open_ids is None else open_ids[keep], _open_groups(*groups[:2], keep, cap))
     return planes, skipped, None
 
 
@@ -350,6 +371,85 @@ def _select_search(graph: OrientedGraph):
     if bound * graph.m <= LEVEL_SEARCH_K * graph.chi:
         return _level_search, bound
     return _source_search, bound
+
+
+def _maxima(planes: Sequence[np.ndarray], nh: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The largest level of each of the ``count`` columns over all rows, and the rows that attain it, as bits.
+
+    Bit-sliced from the top plane down: a column's maximum has bit p when
+    one of the rows still attaining its higher bits has bit p, and then
+    only those rows stay.  Bit 0 is set when a horizontal row (the first
+    ``nh``) is among the last, so the rows at the maximum are the last rows
+    on the horizontal side for an odd maximum and on the vertical side for
+    an even one.
+    """
+    rows = np.full(planes[0].shape, ~np.uint64(0))
+    hits = np.empty((len(planes) + 1, rows.shape[1]), dtype=np.uint64)  # the maxima's bits, top bit first
+    for k, plane in enumerate(reversed(planes)):
+        hits[k] = np.bitwise_or.reduce(rows & plane, axis=0)
+        rows &= plane | ~hits[k]
+    hits[-1] = np.bitwise_or.reduce(rows[:nh], axis=0)
+    bits = np.unpackbits(hits.view(np.uint8), axis=1, count=count, bitorder="little")
+    return np.left_shift(1, np.arange(len(hits) - 1, -1, -1)) @ bits, rows
+
+
+def _rounds(graph: OrientedGraph, search, low: int) -> tuple[list[np.ndarray], int, int | None, int, int]:
+    """The planes that give the diameter, from rounds of 64 horizontal sources that eccentricity bounds choose.
+
+    A round runs ``search`` from its sources, one word a row, and gives
+    their exact eccentricities, the column maxima of :func:`_maxima`, and
+    their levels to every horizontal h, which bound h's eccentricity (Takes
+    and Kosters, CIKM 2011): ``ecc(h) <= ub(h) = min over searched s of
+    ecc(s) + dm[s, h] - 1``, as a path from h through s has one link fewer
+    than its two parts.  Let ``D`` be the largest eccentricity found.  The
+    next round takes the 64 unsearched horizontals of largest ``ub``, the
+    lowest ids first, and the rounds end once every unsearched horizontal
+    has ``ub < D - 1``: then every horizontal of eccentricity ``D - 1`` or
+    more has been searched, and ``D`` is the largest eccentricity.
+
+    The planes are full width, ``W`` words a row.  The columns of the
+    searched horizontals with ``ecc >= D - 1`` hold their exact levels and
+    every other column is zero, which reads as a level below 2: the same
+    far relation ``dm >= t`` for every ``t >= D`` (:class:`Levels`, whose
+    floor is ``D``).  A round that leaves more than three quarters of the
+    horizontals open shows bounds too loose to pay (all of them, on a comb,
+    where every eccentricity sits near ``D``), and the one full search
+    from every source runs instead, with no floor.
+
+    Returns the planes, the target gathers the searches skipped, the floor
+    (None after the full search), the sources searched and the searches run.
+    """
+    m, nh = graph.m, graph.nh
+    ub = np.full(nh, np.iinfo(np.intp).max)
+    unsearched = np.ones(nh, dtype=bool)
+    top, skipped, found = 0, 0, []
+    while (open_ids := np.flatnonzero(unsearched & (ub >= top - 1))).size:
+        if 4 * len(open_ids) > 3 * nh and found:
+            planes, gathers, _ = search(graph, None, low)
+            searched = nh - int(np.count_nonzero(unsearched))
+            return planes, skipped + gathers, None, searched + nh, len(found) + 1
+        sources = np.sort(open_ids[np.lexsort((open_ids, -ub[open_ids]))[:64]])
+        planes, gathers, _ = search(graph, sources, low)
+        ecc = _maxima(planes, nh, len(sources))[0]
+        bound = np.repeat(ecc[None].astype(np.int32), nh, axis=0)  # ecc(s) + dm[h, s] - 1, dm odd on this side
+        for p, plane in enumerate(planes, 1):
+            bits = np.unpackbits(plane[:nh].view(np.uint8), axis=1, count=len(sources), bitorder="little")
+            bound += np.left_shift(bits, p, dtype=np.int32)
+        np.minimum(ub, bound.min(axis=1), out=ub)
+        top, skipped = max(top, int(ecc.max())), skipped + gathers
+        unsearched[sources] = False
+        found.append((sources, planes, ecc))
+    out = [np.zeros((m, -(-nh // 64)), dtype=np.uint64) for _ in range(top.bit_length() - 1)]
+    for sources, planes, ecc in found:
+        keep = np.flatnonzero(ecc >= top - 1)
+        if not len(keep):
+            continue
+        ids = sources[keep]
+        words, starts = np.unique(ids >> 6, return_index=True)
+        for plane, part in zip(out, planes):
+            bits = part[:, :1] >> keep.astype(np.uint64) & np.uint64(1)
+            plane[:, words] |= np.bitwise_or.reduceat(bits << (ids & 63).astype(np.uint64), starts, axis=1)
+    return out, skipped, top, nh - int(np.count_nonzero(unsearched)), len(found)
 
 
 # The three rounds of an 8x8 bit transpose in one word, byte i holding row i, as (shift, mask, 1 + 2**shift):
@@ -449,20 +549,30 @@ class Levels:
     A search stopped at the radius (``all_pairs(graph, "radius")``) sets
     ``cap``: the levels past it are clamped, so :meth:`far` is exact up to
     ``t = cap`` and refuses any larger ``t``, and :meth:`extreme` gives the
-    radius only; both refusals raise :class:`~rectilink.CappedLevelsError`.
+    radius only.  The rounds of a search for the diameter
+    (``all_pairs(graph, "diameter")``) set ``floor = D``, the largest
+    eccentricity of a horizontal: only the columns of the horizontals of
+    eccentricity ``D - 1`` or more hold levels, the others are zero, so
+    :meth:`far` is exact from ``t = floor`` on and refuses any smaller ``t``,
+    and :meth:`extreme` gives the diameter only.  Every refusal raises
+    :class:`~rectilink.CappedLevelsError`.
 
     :func:`all_pairs` also records how it filled the planes: ``search``,
-    ``"level"`` or ``"per-source"``, the level ``bound`` it chose by and the
-    targets the level search ``skipped`` as saturated; a capped search
+    ``"level"`` or ``"per-source"``, the level ``bound`` it chose by, the
+    targets the level search ``skipped`` as saturated, the horizontal
+    ``sources`` searched and the searches (``rounds``) run; a capped search
     stopped at level ``cap - 1``.
     """
 
     graph: OrientedGraph
     planes: tuple[np.ndarray, ...]
     cap: int | None = None  # the largest exact threshold, or None: every level
+    floor: int | None = None  # the least exact threshold, or None: every level
     search: str | None = None  # "level" or "per-source"; None for planes not from all_pairs
     bound: int | None = None  # the level bound the search was chosen by
     skipped: int = 0  # target gathers the level search skipped as saturated
+    sources: int | None = None  # horizontal sources searched, nh for one full search
+    rounds: int | None = None  # searches run, 1 for one full search
     _far: dict = field(default_factory=dict, init=False, repr=False)  # threshold -> far relation
     _extremes: dict = field(default_factory=dict, init=False, repr=False)  # kind -> extreme
 
@@ -522,6 +632,11 @@ class Levels:
                 f"far({t}) needs levels past {self.cap - 1}, where the search stopped for the radius;"
                 " prepare the domain without kind='radius'"
             )
+        if self.floor is not None and t < self.floor:
+            raise CappedLevelsError(
+                f"far({t}) is below the floor {self.floor}, the least threshold the diameter's rounds searched for;"
+                " prepare the domain without kind='diameter'"
+            )
         if t not in self._far:
             g = self.graph
             nh, nv = g.nh, g.m - g.nh
@@ -558,24 +673,13 @@ class Levels:
     def _eccentricities(self) -> tuple[np.ndarray, tuple[int, int]]:
         """Each horizontal's eccentricity, the maximum of its column, and the table's first maximum over them.
 
-        Bit-sliced from the top plane down: a column's maximum has bit p when
-        one of the rows still attaining its higher bits has bit p, and then
-        only those rows stay.  Bit 0 is set when a horizontal row is among
-        the last, so the rows at the maximum are the last rows of column h on
-        the horizontal side for an odd maximum and on the vertical side for
-        an even one.  The first maximum is the first horizontal ``i`` of the
-        largest eccentricity and the first of those rows in column ``i``.
-        Computed once, for both extremes.
+        The maxima and the rows at them come from :func:`_maxima`.  The first
+        maximum is the first horizontal ``i`` of the largest eccentricity and
+        the first of those rows in column ``i``.  Computed once, for both
+        extremes.
         """
         nh, m = self.graph.nh, self.graph.m
-        rows = np.full((m, -(-nh // 64)), ~np.uint64(0))
-        hits = np.empty((len(self.planes) + 1, rows.shape[1]), dtype=np.uint64)  # the maxima's bits, top bit first
-        for k, plane in enumerate(reversed(self.planes)):
-            hits[k] = np.bitwise_or.reduce(rows & plane, axis=0)
-            rows &= plane | ~hits[k]
-        hits[-1] = np.bitwise_or.reduce(rows[:nh], axis=0)
-        bits = np.unpackbits(hits.view(np.uint8), axis=1, count=nh, bitorder="little")
-        ecc = np.left_shift(1, np.arange(len(hits) - 1, -1, -1)) @ bits
+        ecc, rows = _maxima(self.planes, nh, nh)
         i = int(np.argmax(ecc))
         top = int(ecc[i])
         side = nh * (1 - top % 2)  # the first row of the side at odd or even distances from i
@@ -614,6 +718,11 @@ class Levels:
                     "the diameter needs every level, and the search stopped at the radius;"
                     " prepare the domain without kind='radius'"
                 )
+            if kind == "radius" and self.floor is not None:
+                raise CappedLevelsError(
+                    f"the radius needs every source, and the diameter's rounds searched only those of eccentricity"
+                    f" {self.floor - 1} or more (floor {self.floor}); prepare the domain without kind='diameter'"
+                )
             self._extremes[kind] = self._diameter() if kind == "diameter" else self._radius()
         return self._extremes[kind]
 
@@ -635,19 +744,39 @@ class Levels:
         return top, pair
 
     def _radius(self) -> tuple[int, tuple[int]]:
-        """``R - 1`` and the first such vertical with no ``far(R)`` entry; else ``R`` and the first horizontal there."""
+        """``R - 1`` and the first such vertical with no entry at ``R``; else ``R`` and the first horizontal there.
+
+        Each such vertical v is decided from its own row of the planes:
+        :meth:`_far_h` gives ``dm[v, H] >= R``, which mostly rules it out, and
+        ``>= R - 1``, and off the diagonal ``dm[v, v'] >= R`` exactly when
+        ``dm[v, h] >= R - 1`` for every h in ``N(v')``: the AND over the
+        vertical CSR groups of those bits transposed, one word per 64 such
+        verticals.  Exact below the cap, so a radius command builds no far
+        relation but its engine's.
+        """
         ecc, _ = self._eccentricities
         g, low = self.graph, int(ecc.min())
-        center = np.flatnonzero(np.maximum.reduceat(ecc[g.indices[g.chi :]], g.indptr[g.nh : g.m] - g.chi) == low)
+        nh, chi = g.nh, g.chi
+        center = np.flatnonzero(np.maximum.reduceat(ecc[g.indices[chi:]], g.indptr[nh : g.m] - chi) == low)
         if len(center):
-            center = center[~self.far(low)[g.nh + center].any(axis=1)]
+            above, before = self._far_h(low, nh + center, 0)
+            held = ~above.any(axis=1)  # mostly none: a horizontal at R decides
+            center, before = center[held], before[held]
         if len(center):
-            return low - 1, (g.nh + int(center[0]),)
+            hv = _transpose_bits(before, nh)  # row h: bit j when dm[center[j], h] >= R - 1
+            groups = _groups(g.indptr[nh:], g.indices)
+            vv = np.concatenate([bits for _, _, bits in _group_reduce(np.bitwise_and, hv, groups)])
+            ids = np.arange(len(center))
+            vv.view(np.uint8)[center, ids >> 3] &= ~np.left_shift(1, ids & 7).astype(np.uint8)  # dm[v, v] = 1
+            far_v = np.unpackbits(np.bitwise_or.reduce(vv, axis=0).view(np.uint8), count=len(center), bitorder="little")
+            center = center[far_v == 0]
+        if len(center):
+            return low - 1, (nh + int(center[0]),)
         return low, (int(np.argmin(ecc)),)
 
 
 def all_pairs(graph: OrientedGraph, kind: str | None = None) -> Levels:
-    """The oriented distances to the horizontal rectangles, as the bit planes of one search from them.
+    """The oriented distances to the horizontal rectangles, as the bit planes of a search from them.
 
     The table is symmetric and every path out of a vertical rectangle
     starts with an edge to a horizontal one, so these rows determine the
@@ -658,12 +787,16 @@ def all_pairs(graph: OrientedGraph, kind: str | None = None) -> Levels:
     the level search stops at the least eccentricity ``R`` of a horizontal
     rectangle, about half of ``ordiam``, since the radius and its engines
     read no far relation past ``R``; the result is capped at ``R + 1``
-    (:class:`Levels`).  Any other ``kind`` searches every level.  The
-    search tests for ``R`` only from level ``(bound + 1) // 4 + 1`` on,
-    with ``bound = 2 * e + 1`` below: by the triangle inequality through
-    the rectangle ``e`` hops from rectangle 0, every rectangle has some
-    rectangle ``ceil(e / 2)`` hops away, so no eccentricity is lower.  A
-    search of every level tests for saturated targets from two levels
+    (:class:`Levels`).  With ``"diameter"`` the search runs in rounds of 64
+    sources that eccentricity bounds choose (:func:`_rounds`), where they
+    pay, since the diameter and its engines read only the columns of the
+    horizontals within one of the largest eccentricity ``D``; the result
+    has the floor ``D``.  Without a ``kind`` every level of every source is
+    searched.  The search tests for ``R`` only from level ``(bound + 1) //
+    4 + 1`` on, with ``bound = 2 * e + 1`` below: by the triangle inequality
+    through the rectangle ``e`` hops from rectangle 0, every rectangle has
+    some rectangle ``ceil(e / 2)`` hops away, so no eccentricity is lower.
+    A search of every level tests for saturated targets from two levels
     below that bound on.
 
     The search is one of two.  The level search (:func:`_level_search`)
@@ -674,10 +807,10 @@ def all_pairs(graph: OrientedGraph, kind: str | None = None) -> Levels:
     the level search loses badly, so the choice rests on a level bound the
     code can observe: the most hops ``e`` from rectangle 0, read off one
     breadth-first order, bounds every entry by ``bound = 2 * e + 1``.  The
-    level search is taken when ``bound * m <= LEVEL_SEARCH_K * chi``.  ``LEVEL_SEARCH_K = 128`` sits
-    between the crossovers measured for the whole table with each search
-    (2-core x86 host, best of 3): on generated domains, 40x40 to 2000x3
-    cells, the level search took 0.2-0.4 of the per-source time up to
+    level search is taken when ``bound * m <= LEVEL_SEARCH_K * chi``.
+    ``LEVEL_SEARCH_K = 128`` sits between the crossovers measured for the
+    whole table with each search (2-core x86 host, best of 3): on generated
+    domains, 40x40 to 2000x3 cells, the level search took 0.2-0.4 of the per-source time up to
     ``bound * m / chi = 51``, 0.4-0.7 at 87-110 and 0.86 at 189; on
     staircase corridors it broke even near 25 (0.5 ms tables) and took
     1.4-2.6 times as long at 34-130 (at most 1.4 ms more), 2.8 at 258
@@ -692,11 +825,28 @@ def all_pairs(graph: OrientedGraph, kind: str | None = None) -> Levels:
     of the planes, the reached sets and one far relation are checked against
     physical memory before either search allocates.
 
-    The search chosen, its bound and the targets the level search skipped
-    as saturated are kept on the result, beside the cap (:class:`Levels`).
+    The rounds pay only where a full search's ``W`` words a row cost much
+    more than a few rounds of one word, so they run only when ``W >=
+    ROUND_WORDS = 16``.  Timed against the full level search on generated
+    domains of grids 40 to 120, four seeds each (2-core x86 host, best of
+    5), they took 1.0-2.1 times as long at ``W`` 4-8, 0.6-1.5 times at 9-12
+    and 0.2-0.9 times from 16 on (2-6 rounds; 0.15 on the grid-200 rung,
+    ``W = 40``).  On combs every eccentricity sits near the diameter, no
+    round rules out another horizontal, and ``comb(500)`` (``W = 16``) took
+    16 rounds, 1.5 times the full search; a round that leaves more than
+    three quarters of the horizontals open hands over to the full search,
+    which then costs one round more.
+
+    The search chosen, its bound, the targets the level search skipped as
+    saturated, the sources searched and the searches run are kept on the
+    result, beside the cap and the floor (:class:`Levels`).
     """
     search, bound = _select_search(graph)
     _check_memory(graph, bound)
-    planes, skipped, cap = search(graph, (bound + 1) // 4 + 1, kind == "radius")
-    name = "level" if search is _level_search else "per-source"
-    return Levels(graph, tuple(planes), cap, search=name, bound=bound, skipped=skipped)
+    low, name = (bound + 1) // 4 + 1, "level" if search is _level_search else "per-source"
+    if kind == "diameter" and -(-graph.nh // 64) >= ROUND_WORDS:
+        planes, skipped, floor, sources, rounds = _rounds(graph, search, low)
+        return Levels(graph, tuple(planes), floor=floor, search=name, bound=bound, skipped=skipped,
+                      sources=sources, rounds=rounds)
+    planes, skipped, cap = search(graph, None, low, kind == "radius")
+    return Levels(graph, tuple(planes), cap, search=name, bound=bound, skipped=skipped, sources=graph.nh, rounds=1)

@@ -1,14 +1,15 @@
 """One path from a domain to every answer.
 
 :func:`decompose` runs the pipeline up to the crossing graph, which is all a
-point query searches.  :func:`prepare` goes on to the oriented distances,
-as the level search's bit planes, once per domain, and only up to the
-radius for a caller that reads the radius alone.  :func:`solve` is the one
-way to a diameter or radius: an engine through the router (from the
-prepared planes, which compute ``ordiam`` or ``orrad`` when the router first
-asks) or the cut-grid oracle (from the grid).  Every command reaches the
-engines through it; :func:`run_verify` runs each engine and the oracle and
-checks every witness against the oracle.
+point query searches.  :func:`prepare` runs it and goes on to the oriented
+distances, as the level search's bit planes, once per domain: only up to
+the radius for a caller that reads the radius alone, and only from the
+sources that can reach the diameter for one that reads the diameter alone.
+:func:`solve` is the one way to a diameter or radius: an engine through the
+router (from the prepared planes, which compute ``ordiam`` or ``orrad`` when
+the router first asks) or the cut-grid oracle (from the grid).  Every
+command reaches the engines through it; :func:`run_verify` runs each engine
+and the oracle and checks every witness against the oracle.
 """
 
 from __future__ import annotations
@@ -40,35 +41,43 @@ class Prepared:
     seconds: dict[str, float]  # per stage of prepare
 
 
-def decompose(domain: Domain) -> tuple[Decomposition, Decomposition, OrientedGraph]:
+def decompose(
+    domain: Domain, seconds: dict[str, float] | None = None
+) -> tuple[Decomposition, Decomposition, OrientedGraph]:
     """Both slab decompositions and the crossing graph of a valid domain: everything a point query needs.
 
     Raises :class:`~rectilink.InvalidDomainError` for an invalid domain;
     each domain is checked once (:attr:`~rectilink.geometry.Domain.violations`).
-    """
-    require_valid(domain)
-    hdec, vdec = horizontal_decomposition(domain), vertical_decomposition(domain)
-    return hdec, vdec, build_graph(hdec, vdec)
-
-
-def prepare(domain: Domain, kind: str | None = None) -> Prepared:
-    """Decompositions, crossing graph and all-pairs distances (as bit planes) of a valid domain, each stage timed.
-
-    ``kind`` is the one extreme the caller will read: with ``"radius"`` the
-    all-pairs search stops at the radius and the levels give the radius
-    only (:func:`~rectilink.graph.all_pairs`); otherwise every level is
-    searched.  Raises :class:`~rectilink.InvalidDomainError` for an invalid
-    domain.  The ``decompose`` stage includes the check, which runs once per
-    domain (:attr:`~rectilink.geometry.Domain.violations`).
+    Given ``seconds``, it records there the seconds of the check and both
+    sweeps, as ``"decompose"``, and of the graph, as ``"graph"``.
     """
     t0 = time.perf_counter()
     require_valid(domain)
     hdec, vdec = horizontal_decomposition(domain), vertical_decomposition(domain)
     t1 = time.perf_counter()
     graph = build_graph(hdec, vdec)
-    t2 = time.perf_counter()
+    if seconds is not None:
+        seconds.update(decompose=t1 - t0, graph=time.perf_counter() - t1)
+    return hdec, vdec, graph
+
+
+def prepare(domain: Domain, kind: str | None = None) -> Prepared:
+    """:func:`decompose`, then the all-pairs distances (as bit planes) of a valid domain, each stage timed.
+
+    ``kind`` is the one extreme the caller will read
+    (:func:`~rectilink.graph.all_pairs`): with ``"radius"`` the search stops
+    at the radius and the levels give the radius only; with ``"diameter"``,
+    on a graph of many horizontals, it searches in rounds only the sources
+    that can reach the diameter, and the levels then give the diameter only;
+    otherwise every level of every source is searched.  Raises :class:`~rectilink.InvalidDomainError` for an
+    invalid domain.  The ``decompose`` stage includes the check, which runs
+    once per domain (:attr:`~rectilink.geometry.Domain.violations`).
+    """
+    seconds: dict[str, float] = {}
+    hdec, vdec, graph = decompose(domain, seconds)
+    t0 = time.perf_counter()
     levels = all_pairs(graph, kind)
-    seconds = {"decompose": t1 - t0, "graph": t2 - t1, "all_pairs": time.perf_counter() - t2}
+    seconds["all_pairs"] = time.perf_counter() - t0
     return Prepared(domain, hdec, vdec, graph, levels, seconds)
 
 

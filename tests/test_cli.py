@@ -109,6 +109,8 @@ class TestCommands:
                 "planes": len(levels.planes),
                 "skipped_targets": levels.skipped,
                 "stop_level": None if levels.cap is None else levels.cap - 1,
+                "sources": levels.sources,
+                "rounds": levels.rounds,
             }
             assert counters["search"] == "level"
             assert (counters["stop_level"] is None) == (kind == "diameter")

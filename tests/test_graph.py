@@ -26,6 +26,7 @@ from rectilink.geometry import Orientation
 from rectilink.cli import main
 from rectilink.graph import (
     Levels,
+    OrientedGraph,
     _level_search,
     _select_search,
     _source_search,
@@ -37,7 +38,7 @@ from rectilink.graph import (
 from rectilink.metrics import _popcount, compute
 from rectilink.pipeline import decompose, prepare
 
-from conftest import comb, grid120_domain, perforated, spiral, staircase
+from conftest import comb, grid120_domain, medium_domain, perforated, spiral, staircase
 from reference import (
     TableSummary,
     crosses,
@@ -404,6 +405,21 @@ class TestSearches:
                 dm = search_table(g, search)
                 assert np.array_equal(dm, expected), (seed, chunk)
 
+    def test_source_subsets(self, search, corpus, grid60):
+        """Searched from a subset of the horizontals, the k-th source's levels sit in column k: the reference
+        table's column of that source, for one word of sources and for more."""
+        rng = np.random.default_rng(7)
+        for g in [inst.prep.graph for inst in corpus[::10]] + [prep.graph for prep in grid60] + [staircase_graph(64)]:
+            dm = reference_table(g)
+            for count in {1, min(g.nh, 64), min(g.nh, 100)}:
+                sources = np.sort(rng.choice(g.nh, count, replace=False))
+                planes = search(g, sources)[0]
+                got = np.ones((g.m, count), dtype=np.intp) - np.repeat([0, 1], [g.nh, g.m - g.nh])[:, None]
+                for p, plane in enumerate(planes, 1):
+                    bits = np.unpackbits(plane.view(np.uint8), axis=1, count=count, bitorder="little")
+                    got += bits.astype(np.intp) << p
+                assert np.array_equal(got, dm[:, sources]), (g.m, count)
+
     def test_grid120(self, search):
         """An extremes-large benchmark instance (grid 120, seed 1005): the same planes as the other search."""
         g = decompose(grid120_domain())[2]
@@ -485,6 +501,109 @@ class TestRadiusCap:
             with pytest.raises(CappedLevelsError, match="diameter"):
                 levels.extreme("diameter")
             assert all_pairs(g, "diameter").cap is None
+
+
+class TestRadiusFromRows:
+    """The radius decides its candidate centre verticals from their own rows of the planes: no far relation."""
+
+    def test_no_far_relation(self, corpus, grid40):
+        """On the corpus (where ``orrad = R - 1`` on some members) and grid 40, with full and capped levels: the
+        reference's radius and centre, and no far relation built."""
+        graphs = [inst.prep.graph for inst in corpus] + [prep.graph for prep in grid40[:4]]
+        below = 0
+        for k, g in enumerate(graphs):
+            s = summarize_table(reference_table(g))
+            for levels in (all_pairs(g), all_pairs(g, "radius")):
+                assert levels.extreme("radius") == (s.orrad, (s.center_rect,)), k
+                assert not levels._far, k
+            below += s.orrad == int(levels._eccentricities[0].min()) - 1
+        assert below >= 10
+
+    def test_lone_vertical(self):
+        """Two horizontals both crossing one vertical, built by hand: ``R = 3`` and the vertical's row reaches 2
+        alone, as its own diagonal entry, which the AND over its groups would put at 3, is 1."""
+        g = graph_of([(0, 20, 0, 4), (0, 20, 8, 12)], [(8, 12, 0, 12)])
+        s = summarize_table(reference_table(g))
+        assert (s.orrad, s.center_rect) == (2, 2)
+        for levels in (all_pairs(g), all_pairs(g, "radius")):
+            assert levels.extreme("radius") == (2, (2,))
+
+
+def bounded_and_full(g: OrientedGraph) -> tuple[Levels, Levels]:
+    """The levels of the diameter's rounds and of the full search, whose diameter and far words at ``ordiam`` and
+    ``ordiam + 1`` are equal."""
+    bounded, full = all_pairs(g, "diameter"), all_pairs(g)
+    ordiam = full.extreme("diameter")[0]
+    assert bounded.extreme("diameter") == full.extreme("diameter")
+    for t in (ordiam, ordiam + 1):
+        assert bounded.far(t).tobytes() == full.far(t).tobytes(), t
+    return bounded, full
+
+
+class TestDiameterRounds:
+    """``all_pairs(g, "diameter")`` searches only the horizontals that eccentricity bounds cannot rule out, in rounds
+    of 64, on graphs of ``ROUND_WORDS`` words of horizontals or more; the tests that compare it with the full search
+    take rounds on every graph, with ``ROUND_WORDS = 1``."""
+
+    @pytest.fixture()
+    def rounds_everywhere(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "ROUND_WORDS", 1)
+
+    def test_matches_full_search(self, rounds_everywhere, corpus, grid40, grid60):
+        """The corpus, corridors, combs, the medium domains and grids 40 and 60: the same diameter and far words,
+        the floor the largest horizontal eccentricity, and as many planes."""
+        graphs = [inst.prep.graph for inst in corpus] + [prep.graph for prep in grid40 + grid60]
+        shapes = [staircase(k) for k in (5, 20, 60, 100)] + [comb(k) for k in (10, 50, 200)]
+        graphs += [decompose(parse_domain(shape))[2] for shape in shapes]
+        graphs += [decompose(medium_domain(seed))[2] for seed in range(101, 106)]
+        floors, searches = 0, set()
+        for k, g in enumerate(graphs):
+            bounded, full = bounded_and_full(g)
+            assert bounded.cap is None, k
+            searches.add(bounded.search)
+            if bounded.floor is not None:
+                floors += 1
+                assert bounded.floor == int(full._eccentricities[0].max()), k
+                assert len(bounded.planes) == len(full.planes) and bounded.sources <= g.nh, k
+        assert floors == len(graphs) - 1  # comb(200) falls back after one round
+        assert searches == {"level", "per-source"}  # staircase(100) searches its rounds per source
+
+    def test_ties_at_the_diameter(self, rounds_everywhere):
+        """A square of 60 unit holes: 120 of its 181 horizontals have the largest eccentricity, and all 181 sit
+        within one of it, so the rounds search every one of them, across three words of columns."""
+        g = decompose(parse_domain(perforated(60)))[2]
+        bounded, full = bounded_and_full(g)
+        ecc = full._eccentricities[0]
+        assert g.nh == 181 and np.count_nonzero(ecc == ecc.max()) == 120
+        assert (bounded.floor, bounded.sources, bounded.rounds) == (ecc.max(), 181, 3)
+        assert all(map(np.array_equal, bounded.planes, full.planes))
+
+    def test_grid120(self):
+        """The extremes-large instance (``W = 20``) takes the rounds at the default ``ROUND_WORDS``: at most three
+        rounds, at most an eighth of the sources, and the full search's diameter and far words."""
+        g = decompose(grid120_domain())[2]
+        bounded, _ = bounded_and_full(g)
+        assert -(-g.nh // 64) >= graph_module.ROUND_WORDS
+        assert bounded.floor is not None and bounded.rounds <= 3 and bounded.sources <= g.nh // 8
+
+    def test_refused_below_the_floor(self, rounds_everywhere, donut, grid40):
+        for g in (donut.prep.graph, grid40[0].graph):
+            levels = all_pairs(g, "diameter")
+            levels.far(levels.floor)
+            with pytest.raises(CappedLevelsError, match=f"far\\({levels.floor - 1}\\).*floor {levels.floor}"):
+                levels.far(levels.floor - 1)
+            with pytest.raises(CappedLevelsError, match=f"radius.*floor {levels.floor}"):
+                levels.extreme("radius")
+
+    def test_combs_fall_back(self):
+        """A comb's eccentricities all sit near its diameter, so its bounds prune almost nothing: ``comb(200)``
+        (``W = 7``) searches every source at once, and ``comb(500)`` (``W = 16``) after one round that leaves every
+        other horizontal open; both give every level of every source, with no floor."""
+        for k, rounds in ((200, 1), (500, 2)):
+            g = decompose_comb(k)[2]
+            levels = all_pairs(g, "diameter")
+            assert (levels.floor, levels.sources, levels.rounds) == (None, g.nh + 64 * (rounds - 1), rounds), k
+            assert all(map(np.array_equal, levels.planes, all_pairs(g).planes)), k
 
 
 class TestStaircase:

@@ -84,9 +84,10 @@ def count_calls(monkeypatch, original) -> list:
 
 @pytest.fixture()
 def levels_calls(monkeypatch) -> dict:
-    """The arguments of every call of each extreme's computation and of the far relation's compare, by name."""
+    """The arguments of every call of each extreme's computation, by name, and under ``"built"`` the threshold of
+    every far relation built (a call of ``Levels.far`` that finds none cached)."""
     calls = {}
-    for name in ("_diameter", "_radius", "_far_h"):
+    for name in ("_diameter", "_radius"):
         calls[name] = []
 
         def counted(self, *args, _original=getattr(Levels, name), _calls=calls[name]):
@@ -94,6 +95,14 @@ def levels_calls(monkeypatch) -> dict:
             return _original(self, *args)
 
         monkeypatch.setattr(Levels, name, counted)
+    calls["built"] = []
+
+    def far(self, t, _original=Levels.far, _calls=calls["built"]):
+        if t not in self._far:
+            _calls.append(t)
+        return _original(self, t)
+
+    monkeypatch.setattr(Levels, "far", far)
     return calls
 
 
@@ -110,21 +119,24 @@ ENGINES = (
 class TestComputedOnce:
     def test_extremes_once_per_command(self, capsys, tmp_path, levels_calls, donut, lshape):
         """A ``diameter`` command computes its extreme once and no radius extreme, a ``radius`` command the
-        reverse, ``verify`` and ``decompose`` each extreme once, and no command builds a far threshold twice."""
+        reverse, ``verify`` and ``decompose`` each extreme once, and no command builds a far threshold twice; a
+        ``radius`` command that an engine decides builds one far relation, the engine's."""
         for path in write_instances(tmp_path, [donut, lshape]):
             commands = [(kind, path, "--algo", algo) for kind, algos in ALGOS.items() for algo in algos]
             for argv in commands + [("verify", path), ("decompose", path)]:
                 for calls in levels_calls.values():
                     calls.clear()
-                cli_json(capsys, *argv)
+                payload = cli_json(capsys, *argv)
                 both = argv[0] in ("verify", "decompose")
                 expected = {
                     f"_{kind}": int(argv[-1] != ORACLE and (both or argv[0] == kind)) for kind in ("diameter", "radius")
                 }
                 assert {name: len(levels_calls[name]) for name in expected} == expected, argv
-                thresholds = [args[0] for args in levels_calls["_far_h"]]
+                thresholds = levels_calls["built"]
                 assert len(thresholds) == len(set(thresholds)), (argv, thresholds)
                 assert thresholds or argv[-1] == ORACLE or argv[0] == "decompose", argv
+                if argv[0] == "radius" and payload["engine"] not in (ORACLE, "fallback"):
+                    assert thresholds == [payload["orrad"]], argv
 
     def test_verify_runs_each_fallback_once(self, monkeypatch, lshape):
         """Every radius engine routes the L-shape to the fallback; ``verify`` runs it once and reports it per engine."""
